@@ -12,9 +12,9 @@ from .errors import (AssemblyError, ConfigError, MeshGenerationError,
                      ValidationError)
 from .geometry import (Annulus, BoundaryGeometry, Disk, Ellipse, Measures,
                        PolarStar, TriMesh, boundary_geometry, build_mesh,
-                       domain_measures, export_mesh)
+                       domain_measures)
 from .metric import (ConformalMetric, gaussian_curvature,
-                     geodesic_boundary_curvature, ricci_quadratic)
+                     geodesic_boundary_curvature)
 from .fields import (AnalyticField, CriticalMask, DerivativeBundle,
                      PolynomialField, RadialField, ScalarField,
                      analytic_bundle, field_catalogue, flux_vector_field,
@@ -23,8 +23,7 @@ from .fields import (AnalyticField, CriticalMask, DerivativeBundle,
 from .oracles import (RadialProfile, ellipse_boundary_integrals,
                       matrix_inequality_gap, matrix_inequality_sweep,
                       p_ball_constant, radial_exact, radial_fd_solve)
-from .solver import (SolveConfig, Solution, assemble_energy_residual,
-                     convergence_study, solve)
+from .solver import SolveConfig, Solution, convergence_study, solve
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report, equivalence_suite,
                          flux_balance, fundamental_identity, hk_report,

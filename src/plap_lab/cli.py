@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, PlapLabError, SolverError, ValidationError
-from .fields import p_function, recover_derivatives
 from .geometry import spec_from_json, spec_to_json
-from .identities import Tolerances, boundary_trace
+from .identities import Tolerances
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
@@ -127,7 +126,7 @@ def validate_config(obj: dict, command: str) -> dict:
     }
     _require(cfg["radial"]["grid"] >= 100, "radial.grid must be at least 100")
 
-    cfg["output_dir"] = obj.get("output_dir")
+    _require(isinstance(obj.get("output_dir", ""), str), "'output_dir' must be a string")
     cfg["seed"] = int(obj.get("seed", 0))
     _require(cfg["seed"] >= 0, "seed must be nonnegative")
     return cfg
@@ -180,7 +179,8 @@ def case_report_dict(cfg: dict, case: CaseResult) -> dict:
             "final_eps": case.solution.final_eps,
             "newton_iterations": [s.iterations for s in case.solution.steps],
             "energy": case.solution.steps[-1].energy,
-            "diagnostics": case.solution.diagnostics,
+            "diagnostics": {**case.solution.diagnostics,
+                            "masked_fraction": case.report.constants["masked_fraction"]},
         },
     })
     return rep
@@ -210,8 +210,7 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     for case in cases:
         tag = f"p{case.p:g}_h{case.h:g}"
-        bundle = recover_derivatives(case.solution.field(), case.mesh, case.metric)
-        trace = boundary_trace(case.solution, case.bg, case.metric, case.p, bundle=bundle)
+        trace = case.trace
         res = trace.eq_curvature_residual()
         node_over = trace.n * trace.curvature * trace.p_flux() + 1.0
         path = outdir / f"boundary_profile_{tag}.csv"
@@ -226,8 +225,7 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         line = np.linspace(xs.min() * 0.98, xs.max() * 0.98, 201)
         pts = np.stack([line, np.zeros_like(line)], axis=1)
         u_line = case.mesh.interpolate(case.solution.u, pts)
-        pfun = p_function(bundle, case.solution.field(), case.p, 2)
-        p_line = case.mesh.interpolate(pfun.nodal.values, pts)
+        p_line = case.mesh.interpolate(case.p_nodal, pts)
         path = outdir / f"slice_{tag}.csv"
         write_csv(path, ["x", "u", "P"], [[line[i], u_line[i], p_line[i]] for i in range(len(line))])
         written.append(path)
@@ -398,15 +396,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
 
+    # error.json goes where the outputs would have gone
+    outdir = Path(args.out or "plap_out")
     try:
         try:
             raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if args.out is None and isinstance(raw, dict) and isinstance(raw.get("output_dir"), str):
+            outdir = Path(raw["output_dir"] or "plap_out")
         cfg = validate_config(raw, args.command)
         if args.seed is not None:
             cfg["seed"] = args.seed
-        outdir = Path(args.out or cfg["output_dir"] or "plap_out")
         handler = {
             "verify": cmd_verify,
             "solve": cmd_solve,
@@ -416,21 +417,20 @@ def main(argv: list[str] | None = None) -> int:
         }[args.command]
         return handler(cfg, outdir)
     except ConfigError as exc:
-        _emit_error(args, "config", str(exc))
+        _emit_error(outdir, "config", str(exc))
         return 2
-    except SolverError as exc:
-        _emit_error(args, "solver", str(exc), history=[list(t) for t in exc.history])
+    except SolverError as exc:     # AssemblyError included
+        _emit_error(outdir, "solver", str(exc), history=[list(t) for t in exc.history])
         return 3
     except PlapLabError as exc:
-        _emit_error(args, "config", str(exc))
+        _emit_error(outdir, "config", str(exc))
         return 2
 
 
-def _emit_error(args, kind: str, message: str, **extra) -> None:
+def _emit_error(outdir: Path, kind: str, message: str, **extra) -> None:
     payload = {"error": {"type": kind, "message": message, **extra}}
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     try:
-        outdir = Path(args.out or "plap_out")
         outdir.mkdir(parents=True, exist_ok=True)
         write_json(outdir / "error.json", payload)
     except OSError:

@@ -19,20 +19,20 @@ class MeshGenerationError(PlapLabError):
         self.achieved_min_angle_deg = achieved_min_angle_deg
 
 
-class AssemblyError(PlapLabError):
-    """Non-finite value produced during finite element assembly."""
-
-    def __init__(self, message: str, element: int | None = None):
-        super().__init__(message)
-        self.element = element
-
-
 class SolverError(PlapLabError):
     """Newton continuation failed; carries the residual history."""
 
     def __init__(self, message: str, history: list | None = None):
         super().__init__(message)
         self.history = history if history is not None else []
+
+
+class AssemblyError(SolverError):
+    """Non-finite value produced during finite element assembly."""
+
+    def __init__(self, message: str, element: int | None = None):
+        super().__init__(message)
+        self.element = element
 
 
 class PreconditionError(PlapLabError):

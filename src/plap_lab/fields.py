@@ -13,7 +13,7 @@ which reduces to the Euclidean gradient/Hessian when phi = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Union
 
 import numpy as np
@@ -87,6 +87,8 @@ class DerivativeBundle:
     nodal_values: np.ndarray | None = None
     nodal_grad: np.ndarray | None = None       # Euclidean components at vertices
     nodal_hess: np.ndarray | None = None
+    # volume integrals of derived quantities, filled on first use
+    integrals: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def critical(self) -> CriticalMask:
@@ -517,17 +519,19 @@ def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     return val
 
 
-def flux_vector_field(u_bundle: DerivativeBundle, p_bundle: DerivativeBundle,
-                      p: float) -> np.ndarray:
-    """a = (p-2)|g|^{p-4} <g, grad P> g + |g|^{p-2} grad P; zero on the critical mask."""
-    G, gn, mask = u_bundle.grad, u_bundle.gnorm, u_bundle.mask
-    gp = p_bundle.grad
+def _flux(G: np.ndarray, gp: np.ndarray, gn: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
     safe = np.where(mask, 1.0, np.maximum(gn, 1e-300))
     with np.errstate(invalid="ignore"):
         inner = np.einsum("ni,ni->n", G, gp)
         a = (p - 2.0) * (safe ** (p - 4.0) * inner)[:, None] * G + (safe ** (p - 2.0))[:, None] * gp
     a[mask] = 0.0
     return a
+
+
+def flux_vector_field(u_bundle: DerivativeBundle, p_bundle: DerivativeBundle,
+                      p: float) -> np.ndarray:
+    """a = (p-2)|g|^{p-4} <g, grad P> g + |g|^{p-2} grad P; zero on the critical mask."""
+    return _flux(u_bundle.grad, p_bundle.grad, u_bundle.gnorm, u_bundle.mask, p)
 
 
 def flux_divergence_check(u_bundle: DerivativeBundle, p_bundle: DerivativeBundle,
@@ -542,13 +546,8 @@ def flux_divergence_check(u_bundle: DerivativeBundle, p_bundle: DerivativeBundle
         raise ValidationError("divergence check implemented for the flat metric")
     mesh = u_bundle.mesh
     g = u_bundle.nodal_grad
-    gp = p_bundle.nodal_grad
     gn = np.linalg.norm(g, axis=1)
-    mask = gn <= u_bundle.delta_crit
-    safe = np.where(mask, 1.0, gn)
-    inner = np.einsum("ni,ni->n", g, gp)
-    a = (p - 2.0) * (safe ** (p - 4.0) * inner)[:, None] * g + (safe ** (p - 2.0))[:, None] * gp
-    a[mask] = 0.0
+    a = _flux(g, p_bundle.nodal_grad, gn, gn <= u_bundle.delta_crit, p)
     jac = _element_gradients(mesh, a)          # (M, 2, 2): d a_i / d x_j
     div = jac[:, 0, 0] + jac[:, 1, 1]
     vol = float(np.sum(mesh.areas * div))
@@ -707,15 +706,3 @@ def lu_p_two_routes(field: AnalyticField, metric: ConformalMetric, p: float, n: 
         + (p - 1.0) * D / n
     )
     return via_linearized, via_expansion
-
-
-# --------------------------------------------------------------------------
-# CSV export
-# --------------------------------------------------------------------------
-
-
-def export_field_csv(points: np.ndarray, values: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("x,y,value\n")
-        for (x, y), v in zip(points, values):
-            f.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")

@@ -307,13 +307,6 @@ def curve_length(curve: BoundaryCurve) -> float:
     return float(_arclength_table(curve)[1][-1])
 
 
-def _equal_arclength_params(curve: BoundaryCurve, n_nodes: int) -> np.ndarray:
-    t, s = _arclength_table(curve)
-    total = s[-1]
-    targets = total * np.arange(n_nodes) / n_nodes
-    return np.interp(targets, s, t)
-
-
 # --------------------------------------------------------------------------
 # Triangle quadrature
 # --------------------------------------------------------------------------
@@ -380,6 +373,7 @@ class TriMesh:
     quad_points: np.ndarray             # (M*Q, 2)
     quad_weights: np.ndarray            # (M*Q,) physical weights
     quad_tri: np.ndarray                # (M*Q,) owning triangle
+    boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
     _locator: "_PointLocator | None" = field(default=None, repr=False)
 
     @property
@@ -519,13 +513,14 @@ class _RadialDomain:
 # Mesh generation
 # --------------------------------------------------------------------------
 
+_RELAX_ITERS = 120
+
 
 def build_mesh(
     spec: DomainSpec,
     h: float,
     quad_order: int = 2,
     quality_bound_deg: float = 20.0,
-    relax_iters: int = 120,
 ) -> TriMesh:
     """Triangulate the domain with target edge length h.
 
@@ -540,26 +535,27 @@ def build_mesh(
             f"target edge length must satisfy 0 < h < diameter/4 = {diam / 4.0:.6g}, got {h}"
         )
 
+    # one arc-length table per loop gives its length and its node parameters
     curves = boundary_curves(spec)
     loops_params: list[np.ndarray] = []
-    loops_xy: list[np.ndarray] = []
+    lengths: list[float] = []
     for curve in curves:
-        L = curve_length(curve)
+        t, s = _arclength_table(curve)
+        L = float(s[-1])
         n_nodes = max(8, int(round(L / h)))
-        params = _equal_arclength_params(curve, n_nodes)
-        loops_params.append(params)
-        loops_xy.append(curve.point(params))
+        loops_params.append(np.interp(L * np.arange(n_nodes) / n_nodes, s, t))
+        lengths.append(L)
 
-    bnd_xy = np.concatenate(loops_xy)
+    bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
     domain = _RadialDomain(spec)
     interior = _hex_lattice(spec, h, domain)
-    interior = _relax(bnd_xy, interior, h, domain, relax_iters)
+    interior = _relax(bnd_xy, interior, h, domain, _RELAX_ITERS)
 
     points = np.concatenate([bnd_xy, interior]) if len(interior) else bnd_xy.copy()
     triangles = _triangulate_inside(points, domain)
     triangles = _orient_ccw(points, triangles)
 
-    mesh = _assemble_mesh(spec, h, points, triangles, loops_params, quad_order)
+    mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths, quad_order)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
     if min_angle < quality_bound_deg:
@@ -641,7 +637,9 @@ def _assemble_mesh(
     h: float,
     points: np.ndarray,
     triangles: np.ndarray,
+    curves: list[BoundaryCurve],
     loops_params: list[np.ndarray],
+    lengths: list[float],
     quad_order: int,
 ) -> TriMesh:
     p = points[triangles]
@@ -670,6 +668,7 @@ def _assemble_mesh(
         loops.append(np.arange(offset, offset + len(params)))
         offset += len(params)
 
+    boundary = _exact_boundary(spec, curves, loops, loops_params, lengths)
     return TriMesh(
         spec=spec,
         h=h,
@@ -684,6 +683,7 @@ def _assemble_mesh(
         quad_points=qp,
         quad_weights=qw,
         quad_tri=qt,
+        boundary=boundary,
     )
 
 
@@ -734,15 +734,11 @@ class BoundaryGeometry:
         return float(self.weight.sum())
 
 
-def boundary_geometry(spec: DomainSpec, mesh: TriMesh) -> BoundaryGeometry:
-    """Exact normal, curvature and arc-length weights at the mesh boundary nodes."""
-    if spec != mesh.spec:
-        raise ValidationError("mesh was generated from a different domain spec")
-    curves = boundary_curves(spec)
+def _exact_boundary(spec: DomainSpec, curves: list[BoundaryCurve], loops: list[np.ndarray],
+                    loops_params: list[np.ndarray], lengths: list[float]) -> BoundaryGeometry:
     idx, pos, nor, cur, wgt, arc, slices = [], [], [], [], [], [], []
     offset = 0
-    for curve, loop, params in zip(curves, mesh.boundary_loops, mesh.boundary_params):
-        L = curve_length(curve)
+    for curve, loop, params, L in zip(curves, loops, loops_params, lengths):
         n = len(params)
         idx.append(loop)
         pos.append(curve.point(params))
@@ -765,6 +761,13 @@ def boundary_geometry(spec: DomainSpec, mesh: TriMesh) -> BoundaryGeometry:
     )
 
 
+def boundary_geometry(spec: DomainSpec, mesh: TriMesh) -> BoundaryGeometry:
+    """Exact normal, curvature and arc-length weights at the mesh boundary nodes."""
+    if spec != mesh.spec:
+        raise ValidationError("mesh was generated from a different domain spec")
+    return mesh.boundary
+
+
 @dataclass(frozen=True)
 class Measures:
     volume: float
@@ -773,35 +776,9 @@ class Measures:
 
 def domain_measures(mesh: TriMesh, metric=None) -> Measures:
     """Volume and perimeter, weighted by the conformal metric when given."""
-    bg = boundary_geometry(mesh.spec, mesh)
+    bg = mesh.boundary
     if metric is None or metric.is_flat:
         return Measures(float(mesh.quad_weights.sum()), float(bg.weight.sum()))
     vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
     per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
     return Measures(vol, per)
-
-
-# --------------------------------------------------------------------------
-# Plain-text mesh export (vertex lines "x y", triangle lines "i j k", 0-based)
-# --------------------------------------------------------------------------
-
-
-def export_mesh(mesh: TriMesh, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for x, y in mesh.points:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for i, j, k in mesh.triangles:
-            f.write(f"{i} {j} {k}\n")
-
-
-def load_mesh_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read the plain-text format back; lines with 2 floats are vertices, 3 ints triangles."""
-    verts, tris = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            parts = line.split()
-            if len(parts) == 2:
-                verts.append([float(parts[0]), float(parts[1])])
-            elif len(parts) == 3:
-                tris.append([int(parts[0]), int(parts[1]), int(parts[2])])
-    return np.asarray(verts), np.asarray(tris, dtype=int)

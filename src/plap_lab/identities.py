@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import DerivativeBundle, linearized_on_p, recover_derivatives
+from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
 from .geometry import BoundaryGeometry, Measures, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
 from .solver import Solution
@@ -62,10 +62,13 @@ def _extrapolate_to_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     return coef[0]
 
 
+# sample depths along the inward normal, in units of h
+_DEPTHS_GRAD = (1.2, 1.8, 2.4, 3.0)
+_DEPTHS_HESS = (2.5, 3.5, 4.5, 5.5)
+
+
 def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
-                   p: float, n: int = 2, bundle: DerivativeBundle | None = None,
-                   depths_grad: tuple[float, ...] = (1.2, 1.8, 2.4, 3.0),
-                   depths_hess: tuple[float, ...] = (2.5, 3.5, 4.5, 5.5)) -> BoundaryTrace:
+                   p: float, n: int = 2, *, bundle: DerivativeBundle) -> BoundaryTrace:
     """Extrapolated normal-derivative traces at every boundary node.
 
     Gradient traces are fit over shallow samples (the recovered gradient is
@@ -73,38 +76,20 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     the boundary layer of the recovered Hessian.
     """
     mesh = sol.mesh
-    if bundle is None:
-        bundle = recover_derivatives(sol.field(), mesh, metric)
     meas = domain_measures(mesh)
     # keep sample segments well inside the domain on coarse meshes
     cap = 0.5 * meas.volume / meas.perimeter
-    scale = min(1.0, cap / (max(max(depths_grad), max(depths_hess)) * mesh.h))
-    dg = np.asarray(depths_grad) * mesh.h * scale
-    dh = np.asarray(depths_hess) * mesh.h * scale
+    scale = min(1.0, cap / (max(max(_DEPTHS_GRAD), max(_DEPTHS_HESS)) * mesh.h))
+    dg = np.asarray(_DEPTHS_GRAD) * mesh.h * scale
+    dh = np.asarray(_DEPTHS_HESS) * mesh.h * scale
     d_all = np.unique(np.concatenate([dg, dh]))
     ig = np.searchsorted(d_all, dg)
     ih = np.searchsorted(d_all, dh)
     # sample points: x_b - d_k * nu, stacked per node
     pts = bg.position[:, None, :] - d_all[None, :, None] * bg.normal[:, None, :]
     flat_pts = pts.reshape(-1, 2)
-    g_s = mesh.interpolate(bundle.nodal_grad, flat_pts)
-    h_s = mesh.interpolate(bundle.nodal_hess, flat_pts)
-
-    if metric.is_flat:
-        G = g_s
-        S = h_s
-    else:
-        phi = metric.phi(flat_pts)
-        dphi = metric.grad_phi(flat_pts)
-        dot = np.einsum("ni,ni->n", dphi, g_s)
-        S = (
-            h_s
-            - dphi[:, :, None] * g_s[:, None, :]
-            - dphi[:, None, :] * g_s[:, :, None]
-            + dot[:, None, None] * np.eye(2)
-        )
-        G = np.exp(-phi)[:, None] * g_s
-        S = np.exp(-2.0 * phi)[:, None, None] * S
+    G, S = frame_from_scalar(metric, flat_pts, mesh.interpolate(bundle.nodal_grad, flat_pts),
+                             mesh.interpolate(bundle.nodal_hess, flat_pts))
 
     nd = len(d_all)
     nu_rep = np.repeat(bg.normal, nd, axis=0)
@@ -159,21 +144,36 @@ def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float = 0.
     )
 
 
-def _lu_p_integral(sol: Solution, metric: ConformalMetric, p: float, n: int,
-                   bundle: DerivativeBundle) -> tuple[float, float]:
-    """Metric volume integral of L_u P over unmasked quadrature points."""
-    vals = linearized_on_p(bundle, p, n)
-    w = sol.mesh.quad_weights
-    if not metric.is_flat:
-        w = w * np.exp(2.0 * metric.phi(sol.mesh.quad_points))
-    keep = ~bundle.mask
-    return float(np.sum(w[keep] * vals[keep])), bundle.masked_fraction
+def _volume_weights(bundle: DerivativeBundle) -> np.ndarray:
+    """Metric volume weights of the bundle's quadrature points."""
+    if bundle.metric.is_flat:
+        return bundle.weights
+    return bundle.weights * np.exp(2.0 * bundle.metric.phi(bundle.points))
 
 
-def fundamental_identity(sol: Solution, trace: BoundaryTrace, measures: Measures,
-                         metric: ConformalMetric, p: float, n: int = 2,
-                         bundle: DerivativeBundle | None = None,
-                         tolerance: float = 0.02) -> IdentityEntry:
+def _lu_p_integral(bundle: DerivativeBundle, p: float, n: int) -> float:
+    """Metric volume integral of L_u P over unmasked quadrature points.
+
+    Three report entries read it; it is evaluated once per bundle and (p, n).
+    """
+    if (p, n) not in bundle.integrals:
+        vals = linearized_on_p(bundle, p, n)
+        keep = ~bundle.mask
+        bundle.integrals[p, n] = float(np.sum(_volume_weights(bundle)[keep] * vals[keep]))
+    return bundle.integrals[p, n]
+
+
+def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
+    if (trace.curvature <= 0).any():
+        node = int(np.argmin(trace.curvature))
+        raise PreconditionError(
+            f"{what} requires H > 0 on the whole boundary; node {node} has "
+            f"H = {trace.curvature[node]:.6g}"
+        )
+
+
+def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
+                         p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
     """Interior L_u P mass against the boundary curvature flux, three ways.
 
     lhs_volume integrates the pointwise expansion, lhs_boundary converts the
@@ -181,10 +181,7 @@ def fundamental_identity(sol: Solution, trace: BoundaryTrace, measures: Measures
     is |Omega|/n minus the curvature-weighted flux integral.  The volume vs
     boundary discrepancy is the discrete divergence-theorem check.
     """
-    if bundle is None:
-        bundle = recover_derivatives(sol.field(), sol.mesh, metric)
-    integral, masked_fraction = _lu_p_integral(sol, metric, p, n, bundle)
-    lhs_volume = integral / ((p - 1.0) * (n - 1.0))
+    lhs_volume = _lu_p_integral(bundle, p, n) / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs_boundary = float(
         np.sum(pf * ((p - 1.0) * np.abs(trace.u_nu) ** (p - 2.0) * trace.u_nunu + 1.0 / n)
@@ -204,7 +201,7 @@ def fundamental_identity(sol: Solution, trace: BoundaryTrace, measures: Measures
             "rel_residual_volume": rel_v,
             "rel_residual_boundary": rel_b,
             "divergence_check": rel_div,
-            "masked_fraction": masked_fraction,
+            "masked_fraction": bundle.masked_fraction,
         },
         residual=abs(lhs_volume - rhs),
         rel_residual=max(rel_v, rel_b),
@@ -213,22 +210,11 @@ def fundamental_identity(sol: Solution, trace: BoundaryTrace, measures: Measures
     )
 
 
-def hk_report(sol: Solution, trace: BoundaryTrace, measures: Measures,
-              p: float, n: int = 2, metric: ConformalMetric | None = None,
-              bundle: DerivativeBundle | None = None,
-              tolerance: float = 0.02) -> IdentityEntry:
+def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
+              p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
     """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|."""
-    if (trace.curvature <= 0).any():
-        node = int(np.argmin(trace.curvature))
-        raise PreconditionError(
-            f"mean curvature must be positive on the whole boundary; node {node} has "
-            f"H = {trace.curvature[node]:.6g}"
-        )
-    metric = metric if metric is not None else ConformalMetric.flat()
-    if bundle is None:
-        bundle = recover_derivatives(sol.field(), sol.mesh, metric)
-    integral, _ = _lu_p_integral(sol, metric, p, n, bundle)
-    t1 = n * n / ((p - 1.0) * (n - 1.0)) * integral
+    _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
+    t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p_integral(bundle, p, n)
     pf = trace.p_flux()
     t2 = float(np.sum((1.0 + n * trace.curvature * pf) ** 2 / trace.curvature * trace.weight))
     t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
@@ -243,18 +229,12 @@ def hk_report(sol: Solution, trace: BoundaryTrace, measures: Measures,
     )
 
 
-def soap_bubble_report(sol: Solution, trace: BoundaryTrace, measures: Measures,
-                       p: float, n: int = 2, metric: ConformalMetric | None = None,
-                       bundle: DerivativeBundle | None = None,
-                       tolerance: float = 0.02) -> IdentityEntry:
+def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
+                       p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
     """Constant-mean-curvature form: interior mass plus the H0-deficit equals
     the curvature-deviation flux integral."""
-    metric = metric if metric is not None else ConformalMetric.flat()
-    if bundle is None:
-        bundle = recover_derivatives(sol.field(), sol.mesh, metric)
-    integral, _ = _lu_p_integral(sol, metric, p, n, bundle)
     h0 = measures.perimeter / (n * measures.volume)
-    lhs1 = integral / ((p - 1.0) * (n - 1.0))
+    lhs1 = _lu_p_integral(bundle, p, n) / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * trace.weight)) / (n * n * h0)
     rhs = float(np.sum((h0 - trace.curvature) * np.abs(trace.u_nu) ** (2.0 * p - 2.0) * trace.weight))
@@ -276,12 +256,7 @@ def serrin_deficit(trace: BoundaryTrace, n: int = 2, p: float | None = None,
     D vanishes exactly when the boundary p-flux equals -1/(nH) pointwise; it
     is a sum of nonnegative terms whenever H > 0.
     """
-    if (trace.curvature <= 0).any():
-        node = int(np.argmin(trace.curvature))
-        raise PreconditionError(
-            f"serrin deficit requires H > 0 on the boundary; node {node} has "
-            f"H = {trace.curvature[node]:.6g}"
-        )
+    _require_positive_curvature(trace, "the serrin deficit")
     p = trace.p if p is None else p
     pf = np.abs(trace.u_nu) ** (p - 2.0) * trace.u_nu
     node_res = n * trace.curvature * pf + 1.0
@@ -319,17 +294,13 @@ def scan_tolerance(h: float, p: float, n: int) -> float:
     return h * (p - 1.0) / n
 
 
-def _expand_rings(mesh, seed_quad_mask: np.ndarray, rings: int) -> np.ndarray:
-    """Grow a quadrature-point mask by whole element rings."""
-    if not seed_quad_mask.any():
-        return seed_quad_mask
-    vmark = np.zeros(mesh.n_vertices, dtype=bool)
-    vmark[mesh.triangles[np.unique(mesh.quad_tri[seed_quad_mask])].ravel()] = True
+def _ring_mask(mesh, vmark: np.ndarray, rings: int) -> np.ndarray:
+    """Quadrature points of the elements within `rings` element rings of the
+    marked vertices (rings = 0: the elements touching them)."""
     for _ in range(rings):
         tmark = vmark[mesh.triangles].any(axis=1)
         vmark[mesh.triangles[tmark].ravel()] = True
-    tmark = vmark[mesh.triangles].any(axis=1)
-    return seed_quad_mask | tmark[mesh.quad_tri]
+    return vmark[mesh.triangles].any(axis=1)[mesh.quad_tri]
 
 
 def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int, rings: int = 2) -> np.ndarray:
@@ -343,7 +314,11 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int, rings: 
     mesh = bundle.mesh
     delta_scan = max(bundle.delta_crit, (3.0 * mesh.h / n) ** (1.0 / (p - 1.0)))
     near = (bundle.gnorm <= delta_scan) | bundle.mask
-    return _expand_rings(mesh, near, rings)
+    if not near.any():
+        return near
+    vmark = np.zeros(mesh.n_vertices, dtype=bool)
+    vmark[mesh.triangles[np.unique(mesh.quad_tri[near])].ravel()] = True
+    return near | _ring_mask(mesh, vmark, rings)
 
 
 def _boundary_ring_exclusion(mesh, rings: int = 2) -> np.ndarray:
@@ -351,32 +326,25 @@ def _boundary_ring_exclusion(mesh, rings: int = 2) -> np.ndarray:
     where recovered second derivatives carry the solution's own edge noise."""
     vmark = np.zeros(mesh.n_vertices, dtype=bool)
     vmark[mesh.boundary_vertices] = True
-    for _ in range(rings - 1):
-        tmark = vmark[mesh.triangles].any(axis=1)
-        vmark[mesh.triangles[tmark].ravel()] = True
-    tmark = vmark[mesh.triangles].any(axis=1)
-    return tmark[mesh.quad_tri]
+    return _ring_mask(mesh, vmark, rings - 1)
 
 
-def subharmonicity_scan(sol: Solution, metric: ConformalMetric, p: float, n: int = 2,
-                        bundle: DerivativeBundle | None = None,
-                        bins: int = 60) -> ScanResult:
+_SCAN_BINS = 60
+
+
+def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanResult:
     """Minimum and distribution of the pointwise L_u P values (requires Ric >= 0)."""
+    metric, mesh = bundle.metric, bundle.mesh
     if not (metric.is_flat or metric.nonnegative_ricci):
         raise PreconditionError("subharmonicity scan requires a nonnegative-Ricci metric")
-    if bundle is None:
-        bundle = recover_derivatives(sol.field(), sol.mesh, metric)
     vals = linearized_on_p(bundle, p, n)
-    excl = _near_critical_exclusion(bundle, p, n) | _boundary_ring_exclusion(sol.mesh)
+    excl = _near_critical_exclusion(bundle, p, n) | _boundary_ring_exclusion(mesh)
     keep = ~excl & ~bundle.mask & np.isfinite(vals)
-    tol = scan_tolerance(sol.mesh.h, p, n)
+    tol = scan_tolerance(mesh.h, p, n)
     kept_vals = vals[keep]
-    w = sol.mesh.quad_weights
-    if not metric.is_flat:
-        w = w * np.exp(2.0 * metric.phi(sol.mesh.quad_points))
     finite = np.isfinite(vals) & ~bundle.mask
-    integral = float(np.sum(w[finite] * vals[finite]))
-    hist = np.histogram(kept_vals, bins=bins)
+    integral = float(np.sum(_volume_weights(bundle)[finite] * vals[finite]))
+    hist = np.histogram(kept_vals, bins=_SCAN_BINS)
     mn = float(kept_vals.min()) if len(kept_vals) else np.nan
     return ScanResult(
         min_value=mn,
@@ -496,22 +464,20 @@ class Tolerances:
     flags_tol: float = 0.03
 
 
-def build_report(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
-                 p: float, n: int = 2, tol: Tolerances | None = None) -> IdentityReport:
-    """Run every applicable identity check for one solved case."""
+def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
+                 measures: Measures, p: float, n: int = 2,
+                 tol: Tolerances | None = None) -> IdentityReport:
+    """Run every applicable identity check for one solved case from its
+    recovered derivatives, boundary trace and measures."""
     tol = tol if tol is not None else Tolerances()
-    mesh = sol.mesh
-    measures = domain_measures(mesh, metric)
-    bundle = recover_derivatives(sol.field(), mesh, metric)
-    trace = boundary_trace(sol, bg, metric, p, n, bundle=bundle)
+    metric = bundle.metric
     h0 = measures.perimeter / (n * measures.volume)
 
     entries = {}
     skipped = {}
     entries["fundamental"] = fundamental_identity(
-        sol, trace, measures, metric, p, n, bundle=bundle, tolerance=tol.identity_rel)
-    entries["sbt"] = soap_bubble_report(
-        sol, trace, measures, p, n, metric=metric, bundle=bundle, tolerance=tol.identity_rel)
+        trace, measures, bundle, p, n, tolerance=tol.identity_rel)
+    entries["sbt"] = soap_bubble_report(trace, measures, bundle, p, n, tolerance=tol.identity_rel)
     entries["flux"] = flux_balance(trace, measures, tolerance=tol.flux_rel)
 
     eq_res = np.abs(trace.eq_curvature_residual())[~trace.flagged]
@@ -523,8 +489,7 @@ def build_report(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     )
 
     if (trace.curvature > 0).all():
-        entries["hk"] = hk_report(sol, trace, measures, p, n, metric=metric,
-                                  bundle=bundle, tolerance=tol.identity_rel)
+        entries["hk"] = hk_report(trace, measures, bundle, p, n, tolerance=tol.identity_rel)
         entries["serrin"] = serrin_deficit(trace, n, p, nodewise_tolerance=tol.serrin_nodewise)
     else:
         skipped["hk"] = "nonpositive mean curvature on part of the boundary"
@@ -532,7 +497,7 @@ def build_report(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
 
     scan = None
     if metric.is_flat or metric.nonnegative_ricci:
-        scan = subharmonicity_scan(sol, metric, p, n, bundle=bundle)
+        scan = subharmonicity_scan(bundle, p, n)
     else:
         skipped["subharmonicity"] = "metric not declared nonnegative_ricci"
 

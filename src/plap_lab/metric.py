@@ -179,17 +179,6 @@ def gaussian_curvature(metric: ConformalMetric, pts: np.ndarray) -> np.ndarray:
     return -np.exp(-2.0 * metric.phi(pts)) * metric.laplacian_phi(pts)
 
 
-def ricci_quadratic(metric: ConformalMetric, pts: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ric(v, v) for a coordinate tangent vector v: in 2-D this is K * g(v, v)."""
-    pts = np.asarray(pts, dtype=float)
-    v = np.asarray(v, dtype=float)
-    vv = np.sum(v * v, axis=-1)
-    if metric.is_flat:
-        return np.zeros(pts.shape[:-1]) * vv
-    K = gaussian_curvature(metric, pts)
-    return K * np.exp(2.0 * metric.phi(pts)) * vv
-
-
 def geodesic_boundary_curvature(metric: ConformalMetric, bg) -> np.ndarray:
     """Boundary mean curvature under g: H_g = e^{-phi} (H_euclid + d_nu phi)."""
     if metric.is_flat:

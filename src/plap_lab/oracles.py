@@ -128,6 +128,24 @@ def ellipse_boundary_integrals(a: float, b: float) -> EllipseIntegrals:
 # --------------------------------------------------------------------------
 
 
+def _scalar_gaps(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) -> tuple[float, float]:
+    """Both gaps for one (H, g); H is symmetrized and g may have any nonzero length.
+
+    Every term scales as |g|^{2(p-2)} once A and |H g|^2 are normalized by
+    |g|^2, so the batched unit-gradient evaluator gives the general gap.
+    """
+    if not (2 <= n <= 6):
+        raise PreconditionError(f"dimension n must be in [2, 6], got {n}")
+    hess = np.asarray(hess, dtype=float)
+    gvec = np.asarray(gvec, dtype=float)
+    gn = float(np.linalg.norm(gvec))
+    if gn == 0.0:
+        raise PreconditionError("gradient vector must be nonzero")
+    gap, gap_loose = _gaps_vectorized(n, np.array([p]), 0.5 * (hess + hess.T)[None], (gvec / gn)[None])
+    scale = gn ** (2.0 * (p - 2.0))
+    return float(scale * gap[0]), float(scale * gap_loose[0])
+
+
 def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) -> float:
     """LHS minus RHS of the refined Hessian estimate; nonnegative for all inputs.
 
@@ -138,45 +156,14 @@ def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) 
             >= D^2/n + n/(n-1) (D/n - (p-1)|g|^{p-2} A)^2
                + 2 |g|^{2(p-2)} |H g|^2 / |g|^2.
     """
-    if not (2 <= n <= 6):
-        raise PreconditionError(f"dimension n must be in [2, 6], got {n}")
     if not (p > 1.0):
         raise PreconditionError(f"p must exceed 1, got {p}")
-    hess = np.asarray(hess, dtype=float)
-    gvec = np.asarray(gvec, dtype=float)
-    gn = float(np.linalg.norm(gvec))
-    if gn == 0.0:
-        raise PreconditionError("gradient vector must be nonzero")
-    hess = 0.5 * (hess + hess.T)
-    A = float(gvec @ hess @ gvec) / gn**2
-    hf2 = float(np.sum(hess * hess))
-    hg2 = float(np.sum((hess @ gvec) ** 2)) / gn**2
-    dp = gn ** (p - 2.0) * (np.trace(hess) + (p - 2.0) * A)
-    lhs = gn ** (2.0 * (p - 2.0)) * (hf2 + (p**2 - 2.0 * p + 2.0) * A**2)
-    rhs = (
-        dp**2 / n
-        + n / (n - 1.0) * (dp / n - (p - 1.0) * gn ** (p - 2.0) * A) ** 2
-        + 2.0 * gn ** (2.0 * (p - 2.0)) * hg2
-    )
-    return float(lhs - rhs)
+    return _scalar_gaps(n, p, hess, gvec)[0]
 
 
 def looser_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) -> float:
     """Gap of the earlier estimate with p(p-2) A^2 on the left and no gradient-norm term."""
-    if not (2 <= n <= 6):
-        raise PreconditionError(f"dimension n must be in [2, 6], got {n}")
-    hess = np.asarray(hess, dtype=float)
-    gvec = np.asarray(gvec, dtype=float)
-    gn = float(np.linalg.norm(gvec))
-    if gn == 0.0:
-        raise PreconditionError("gradient vector must be nonzero")
-    hess = 0.5 * (hess + hess.T)
-    A = float(gvec @ hess @ gvec) / gn**2
-    hf2 = float(np.sum(hess * hess))
-    dp = gn ** (p - 2.0) * (np.trace(hess) + (p - 2.0) * A)
-    lhs = gn ** (2.0 * (p - 2.0)) * (hf2 + p * (p - 2.0) * A**2)
-    rhs = dp**2 / n + n / (n - 1.0) * (dp / n - (p - 1.0) * gn ** (p - 2.0) * A) ** 2
-    return float(lhs - rhs)
+    return _scalar_gaps(n, p, hess, gvec)[1]
 
 
 @dataclass
@@ -214,12 +201,15 @@ def _gaps_vectorized(n: int, p: np.ndarray, hess: np.ndarray, gvec: np.ndarray):
     return gap, gap_loose
 
 
+# samples per independently seeded stream; changing it changes every sweep
+_SHARD_SIZE = 100_000
+
+
 def matrix_inequality_sweep(
     samples: int = 1_000_000,
     seed: int = 0,
     n_values: tuple[int, ...] = (2, 3, 4),
     p_range: tuple[float, float] = (1.1, 6.0),
-    shard_size: int = 100_000,
 ) -> SweepResult:
     """Seeded randomized sweep; reports the global minimum gap and its witness.
 
@@ -231,7 +221,7 @@ def matrix_inequality_sweep(
     shards = []
     seq = np.random.SeedSequence(seed)
     remaining = samples
-    children = seq.spawn(int(np.ceil(samples / shard_size)) * len(n_values))
+    children = seq.spawn(int(np.ceil(samples / _SHARD_SIZE)) * len(n_values))
     ci = 0
     min_gap = np.inf
     min_loose = np.inf
@@ -241,7 +231,7 @@ def matrix_inequality_sweep(
     for n, budget in zip(n_values, per_n):
         left = budget
         while left > 0:
-            k = min(shard_size, left)
+            k = min(_SHARD_SIZE, left)
             rng = np.random.default_rng(children[ci])
             ci += 1
             p = rng.uniform(p_range[0], p_range[1], size=k)

@@ -1,13 +1,24 @@
-"""One-call orchestration: mesh, solve, traces, identity report."""
+"""One-call orchestration: mesh, solve, traces, identity report.
+
+`run_case` is the only producer of a case's derived state.  It recovers the
+derivatives once, builds the boundary trace once and hands both, with the
+mesh's exact boundary geometry and the domain measures, to every check.
+Only the per-boundary-node trace and the nodal P-function outlive the call;
+the per-quadrature-point derivative bundle does not.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .fields import p_function, recover_derivatives
 from .geometry import (BoundaryGeometry, DomainSpec, Measures, TriMesh,
                        boundary_geometry, build_mesh, domain_measures,
                        validate_spec)
-from .identities import IdentityReport, Tolerances, build_report
+from .identities import (BoundaryTrace, IdentityReport, Tolerances,
+                         boundary_trace, build_report)
 from .metric import ConformalMetric, check_nonnegative_ricci
 from .solver import SolveConfig, Solution, solve
 
@@ -23,6 +34,8 @@ class CaseResult:
     measures: Measures
     solution: Solution
     report: IdentityReport
+    trace: BoundaryTrace
+    p_nodal: np.ndarray         # P-function at the mesh vertices
 
 
 def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: float,
@@ -42,6 +55,10 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     measures = domain_measures(mesh, metric)
     config = SolveConfig(p=p, **overrides)
     sol = solve(mesh, metric, config)
-    report = build_report(sol, bg, metric, p, tol=tolerances)
+    bundle = recover_derivatives(sol.field(), mesh, metric)
+    trace = boundary_trace(sol, bg, metric, p, bundle=bundle)
+    report = build_report(sol, bundle, trace, measures, p, tol=tolerances)
+    p_nodal = p_function(bundle, sol.field(), p, 2).nodal.values
     return CaseResult(spec=spec, metric=metric, p=p, h=h, mesh=mesh, bg=bg,
-                      measures=measures, solution=sol, report=report)
+                      measures=measures, solution=sol, report=report,
+                      trace=trace, p_nodal=p_nodal)

@@ -20,8 +20,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .errors import AssemblyError, SolverError, ValidationError
-from .fields import ScalarField, recover_derivatives
-from .geometry import TriMesh, boundary_geometry, domain_measures
+from .fields import ScalarField
+from .geometry import TriMesh, domain_measures
 from .metric import ConformalMetric
 
 
@@ -146,14 +146,6 @@ class _Assembler:
         return sp.coo_matrix((blocks.ravel(), (self._rows, self._cols)), shape=(n, n)).tocsr()
 
 
-def assemble_energy_residual(
-    u: ScalarField, mesh: TriMesh, metric: ConformalMetric, p: float, eps: float
-) -> tuple[float, np.ndarray, sp.csr_matrix]:
-    """Energy, residual (its exact gradient) and SPD tangent at the given field."""
-    asm = _Assembler(mesh, metric, p)
-    return asm.energy(u.values, eps), asm.residual(u.values, eps), asm.tangent(u.values, eps)
-
-
 def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:
     meas = domain_measures(mesh, metric)
     return (meas.volume / meas.perimeter) ** (1.0 / (p - 1.0))
@@ -226,13 +218,11 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
     sol = Solution(u=u, mesh=mesh, metric=metric, config=config, steps=steps,
                    final_eps=ladder[-1])
     interior = free
-    bundle = recover_derivatives(sol.field(), mesh, metric)
     sol.diagnostics = {
         "min_u": float(u.min()),
         "max_u": float(u.max()),
         "min_interior_u": float(u[interior].min()) if len(interior) else 0.0,
         "positive_interior": bool((u[interior] > 0).all()) if len(interior) else True,
-        "masked_fraction": bundle.masked_fraction,
     }
     return sol
 
@@ -247,7 +237,7 @@ def variational_p_flux(sol: Solution) -> np.ndarray:
     mesh, metric, p = sol.mesh, sol.metric, sol.config.p
     asm = _Assembler(mesh, metric, p)
     r = asm.residual(sol.u, sol.final_eps)
-    bg = boundary_geometry(mesh.spec, mesh)
+    bg = mesh.boundary
     w = bg.weight * np.exp(metric.phi(bg.position)) if not metric.is_flat else bg.weight
     return r[bg.node_index] / w
 

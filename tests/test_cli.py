@@ -237,3 +237,31 @@ def test_ellipse_boundary_profile_curvature_range(tmp_path, lab):
     H = np.array([float(ln.split(",")[3]) for ln in lines[1:]])
     assert H.min() == pytest.approx(0.25, rel=1e-2)
     assert H.max() == pytest.approx(2.0, rel=1e-6)
+
+
+# ----------------------------------------------------------- error reports
+
+def test_error_json_goes_to_config_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, {**DISK_VERIFY, "solver": {"rho": 1.5},
+                            "output_dir": str(tmp_path / "cfg_out")})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = json.loads((tmp_path / "cfg_out" / "error.json").read_text())
+    assert err["error"]["type"] == "config"
+    assert not (tmp_path / "plap_out").exists()
+    # an output_dir that is not a string is a config error reported in plap_out
+    cfg = _write(tmp_path, {**DISK_VERIFY, "output_dir": 5})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "output_dir" in json.loads((tmp_path / "plap_out" / "error.json").read_text())["error"]["message"]
+
+
+def test_assembly_failure_exits_3(tmp_path):
+    # e^{2 phi} overflows, so the load vector and the first residual are infinite
+    cfg = _write(tmp_path, {**DISK_VERIFY, "metric": {"kind": "constant", "params": [400.0]},
+                            "solver": {"eps0": 0.1}})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"]["type"] == "solver"
+    assert "assembly" in err["error"]["message"]

@@ -8,8 +8,8 @@ from plap_lab import (ConformalMetric, PolynomialField,
                       field_catalogue, flux_vector_field, linearized_apply,
                       linearized_on_p, p_bochner_residual, p_function,
                       p_laplacian, recover_derivatives)
-from plap_lab.fields import (exact_p_laplacian, export_field_csv,
-                             flux_divergence_check, gaussian_radial_field,
+from plap_lab.fields import (exact_p_laplacian, flux_divergence_check,
+                             gaussian_radial_field,
                              lu_p_two_routes, torsion_profile_field)
 from plap_lab.oracles import p_ball_constant
 
@@ -307,15 +307,3 @@ def test_flux_divergence_theorem_ellipse(lab):
     p_bundle = recover_derivatives(pf.nodal, case.mesh)
     vol, bflux, rel = flux_divergence_check(bundle, p_bundle, 2.0, case.bg)
     assert rel <= 0.02
-
-
-# ------------------------------------------------------------- exports
-
-def test_field_csv_export(tmp_path):
-    pts = np.array([[0.0, 0.0], [1.0, 2.0]])
-    vals = np.array([3.0, -4.5])
-    path = tmp_path / "field.csv"
-    export_field_csv(pts, vals, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "x,y,value"
-    assert len(lines) == 3

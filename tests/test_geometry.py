@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from plap_lab import (Annulus, Disk, Ellipse, MeshGenerationError, PolarStar,
                       ValidationError, boundary_geometry, build_mesh,
-                      domain_measures, export_mesh)
-from plap_lab.geometry import (boundary_curves, curve_length, load_mesh_file,
-                               spec_from_json, spec_to_json, validate_spec)
+                      domain_measures)
+from plap_lab.geometry import (boundary_curves, curve_length, spec_from_json,
+                               spec_to_json, validate_spec)
 from plap_lab.metric import ConformalMetric
 
 # perimeter of the 2:1 ellipse by adaptive quadrature of sqrt(4 sin^2 + cos^2)
@@ -158,15 +158,6 @@ def test_spec_json_round_trip():
         spec_from_json({"variant": "disk", "bogus": 1})
     with pytest.raises(ValidationError):
         spec_from_json({"variant": "triangle"})
-
-
-def test_mesh_export_round_trip(tmp_path, lab):
-    mesh = lab.mesh("disk", 0.1)
-    path = tmp_path / "mesh.txt"
-    export_mesh(mesh, path)
-    pts, tris = load_mesh_file(path)
-    assert np.allclose(pts, mesh.points)
-    assert (tris == mesh.triangles).all()
 
 
 def test_boundary_loop_orientation(lab):

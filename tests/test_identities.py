@@ -21,8 +21,7 @@ ELL_PERIMETER = 9.688448220547677
 # ----------------------------------------------------------------- traces
 
 def test_disk_trace_values_p2(lab):
-    case = lab.case("disk", 2.0)
-    tr = boundary_trace(case.solution, case.bg, FLAT, 2.0)
+    tr = lab.case("disk", 2.0).trace
     assert np.abs(tr.u_nu + 0.5).max() <= 0.01
     assert np.abs(tr.u_nunu + 0.5).max() <= 0.02
     assert np.abs(tr.eq_curvature_residual()).max() <= 0.02
@@ -30,16 +29,14 @@ def test_disk_trace_values_p2(lab):
 
 
 def test_disk_trace_values_p3(lab):
-    case = lab.case("disk", 3.0)
-    tr = boundary_trace(case.solution, case.bg, FLAT, 3.0)
+    tr = lab.case("disk", 3.0).trace
     assert np.abs(tr.u_nu + 1 / np.sqrt(2)).max() <= 0.02 / np.sqrt(2)
     assert np.abs(tr.u_nunu + np.sqrt(2) / 4).max() <= 0.02
     assert np.abs(tr.eq_curvature_residual()).max() <= 0.02
 
 
 def test_ellipse_trace_curvature_relation(lab):
-    case = lab.case("ellipse", 2.0)
-    tr = boundary_trace(case.solution, case.bg, FLAT, 2.0)
+    tr = lab.case("ellipse", 2.0).trace
     assert np.abs(tr.eq_curvature_residual()).max() <= 0.05
 
 
@@ -59,7 +56,7 @@ def test_flux_balance_flags_non_solution(lab):
     bg = lab.bg("disk", 0.1)
     zero = Solution(u=np.zeros(mesh.n_vertices), mesh=mesh, metric=FLAT,
                     config=SolveConfig(p=2.0), steps=[], final_eps=1e-8)
-    tr = boundary_trace(zero, bg, FLAT, 2.0)
+    tr = boundary_trace(zero, bg, FLAT, 2.0, bundle=recover_derivatives(zero.field(), mesh))
     entry = flux_balance(tr, domain_measures(mesh))
     assert entry.rel_residual == pytest.approx(1.0, abs=1e-9)
     assert not entry.passed
@@ -127,10 +124,11 @@ def test_hk_rejects_nonpositive_curvature():
     from plap_lab import solve
 
     sol = solve(mesh, None, SolveConfig(p=2.0))
-    tr = boundary_trace(sol, bg, FLAT, 2.0)
+    bundle = recover_derivatives(sol.field(), mesh)
+    tr = boundary_trace(sol, bg, FLAT, 2.0, bundle=bundle)
     meas = domain_measures(mesh)
     with pytest.raises(PreconditionError):
-        hk_report(sol, tr, meas, 2.0)
+        hk_report(tr, meas, bundle, 2.0)
     with pytest.raises(PreconditionError):
         serrin_deficit(tr)
 
@@ -209,7 +207,7 @@ def test_scan_requires_nonnegative_ricci(lab):
     sol = lab.solution("disk", 2.0)
     bad = ConformalMetric.gaussian_bump(0.5, 0.0, 0.0, 1.0)  # undeclared
     with pytest.raises(PreconditionError):
-        subharmonicity_scan(sol, bad, 2.0)
+        subharmonicity_scan(recover_derivatives(sol.field(), sol.mesh, bad), 2.0)
 
 
 def test_scan_tolerance_formula():
@@ -237,10 +235,8 @@ def test_equivalence_flags_ellipse(lab):
 
 def test_equivalence_requires_flat(lab):
     case = lab.case("disk", 2.0, metric="cap")
-    sol = case.solution
-    tr = boundary_trace(sol, case.bg, case.metric, 2.0)
     with pytest.raises(PreconditionError):
-        equivalence_suite(sol, tr, case.measures, 2.0)
+        equivalence_suite(case.solution, case.trace, case.measures, 2.0)
 
 
 # ------------------------------------------- discrete algebraic regrouping
@@ -258,9 +254,9 @@ def test_reports_are_algebraically_dependent(lab, domain, p):
     sol, bg, meas = case.solution, case.bg, case.measures
     bundle = recover_derivatives(sol.field(), case.mesh, case.metric)
     tr = boundary_trace(sol, bg, case.metric, p, bundle=bundle)
-    fund = fundamental_identity(sol, tr, meas, case.metric, p, n, bundle=bundle)
-    hk = hk_report(sol, tr, meas, p, n, metric=case.metric, bundle=bundle)
-    sbt = soap_bubble_report(sol, tr, meas, p, n, metric=case.metric, bundle=bundle)
+    fund = fundamental_identity(tr, meas, bundle, p, n)
+    hk = hk_report(tr, meas, bundle, p, n)
+    sbt = soap_bubble_report(tr, meas, bundle, p, n)
     flux_sum = float(np.sum(tr.p_flux() * tr.weight))
 
     fund_gap = fund.values["lhs_volume"] - fund.values["rhs"]

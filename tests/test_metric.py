@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from plap_lab import (ConformalMetric, ValidationError, gaussian_curvature,
-                      geodesic_boundary_curvature, ricci_quadratic)
+                      geodesic_boundary_curvature)
 from plap_lab.metric import check_nonnegative_ricci
 
 ORIGIN = np.array([[0.0, 0.0]])
@@ -21,24 +19,6 @@ def test_flat_curvature_zero():
 
 def test_cap_curvature_at_origin():
     assert gaussian_curvature(CAP4, ORIGIN)[0] == pytest.approx(1.0, abs=1e-14)
-
-
-def test_ricci_quadratic_values():
-    assert ricci_quadratic(CAP4, ORIGIN, np.array([[1.0, 0.0]]))[0] == pytest.approx(1.0)
-    assert ricci_quadratic(CAP4, ORIGIN, np.array([[2.0, 0.0]]))[0] == pytest.approx(4.0)
-    flat = ConformalMetric.flat()
-    assert ricci_quadratic(flat, ORIGIN, np.array([[3.0, -1.0]]))[0] == 0.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(c=st.floats(-1, 1), vx=st.floats(-2, 2), vy=st.floats(-2, 2), s=st.floats(0.1, 3))
-def test_ricci_quadratic_homogeneity(c, vx, vy, s):
-    pt = np.array([[0.3, -0.2]])
-    v = np.array([[vx, vy]])
-    m = ConformalMetric.gaussian_bump(c, 0.0, 0.0, 1.0)
-    base = ricci_quadratic(m, pt, v)[0]
-    scaled = ricci_quadratic(m, pt, s * v)[0]
-    assert scaled == pytest.approx(s * s * base, rel=1e-12, abs=1e-12)
 
 
 def test_geodesic_boundary_curvature(lab):

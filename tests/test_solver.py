@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, Disk, Ellipse, ScalarField,
-                      SolveConfig, SolverError, ValidationError,
-                      assemble_energy_residual, build_mesh, convergence_study,
-                      solve)
+from plap_lab import (ConformalMetric, Disk, Ellipse, SolveConfig,
+                      SolverError, ValidationError, build_mesh,
+                      convergence_study, solve)
 from plap_lab.oracles import radial_exact
 from plap_lab.solver import _Assembler, variational_p_flux
 
@@ -43,35 +42,32 @@ def test_forced_newton_failure_carries_history():
 
 def test_zero_field_residual_is_negated_load(lab):
     mesh = lab.mesh("disk", 0.1)
-    u = ScalarField(np.zeros(mesh.n_vertices), mesh)
-    energy, residual, tangent = assemble_energy_residual(u, mesh, ConformalMetric.flat(), 2.0, 0.1)
-    assert energy == 0.0
+    u = np.zeros(mesh.n_vertices)
     asm = _Assembler(mesh, ConformalMetric.flat(), 2.0)
-    assert np.allclose(residual, -asm.load)
+    assert asm.energy(u, 0.1) == 0.0
+    assert np.allclose(asm.residual(u, 0.1), -asm.load)
     # p = 2: the tangent does not depend on eps at all
-    _, _, tangent2 = assemble_energy_residual(u, mesh, ConformalMetric.flat(), 2.0, 17.3)
-    assert abs(tangent - tangent2).max() == 0.0
+    assert abs(asm.tangent(u, 0.1) - asm.tangent(u, 17.3)).max() == 0.0
 
 
 def test_exact_interpolant_residual_small(lab):
     mesh = lab.mesh("disk", 0.05)
     prof = radial_exact(2, 2.0, 1.0)
     r = np.minimum(np.linalg.norm(mesh.points, axis=1), 1.0)
-    u = ScalarField(prof.u(r), mesh)
-    _, residual, _ = assemble_energy_residual(u, mesh, ConformalMetric.flat(), 2.0, 1e-12)
-    free = _Assembler(mesh, ConformalMetric.flat(), 2.0).free
-    load = _Assembler(mesh, ConformalMetric.flat(), 2.0).load
-    assert np.linalg.norm(residual[free]) <= 0.5 * mesh.h * np.linalg.norm(load[free]) * 10
+    asm = _Assembler(mesh, ConformalMetric.flat(), 2.0)
+    residual = asm.residual(prof.u(r), 1e-12)
+    free = asm.free
+    assert np.linalg.norm(residual[free]) <= 0.5 * mesh.h * np.linalg.norm(asm.load[free]) * 10
 
 
 def test_tangent_spd(lab):
     mesh = lab.mesh("disk", 0.1)
     rng = np.random.default_rng(3)
-    u = ScalarField(rng.uniform(0, 0.2, mesh.n_vertices), mesh)
+    u = rng.uniform(0, 0.2, mesh.n_vertices)
     for p in (1.5, 3.0):
-        _, _, K = assemble_energy_residual(u, mesh, ConformalMetric.flat(), p, 1e-3)
-        free = _Assembler(mesh, ConformalMetric.flat(), p).free
-        Kf = K[free][:, free].toarray()
+        asm = _Assembler(mesh, ConformalMetric.flat(), p)
+        free = asm.free
+        Kf = asm.tangent(u, 1e-3)[free][:, free].toarray()
         assert np.abs(Kf - Kf.T).max() <= 1e-12 * np.abs(Kf).max()
         lam = np.linalg.eigvalsh(Kf)
         assert lam.min() > 0
@@ -141,10 +137,7 @@ def test_variational_flux_exact_sum_and_trace_agreement(lab):
     vol = case.mesh.quad_weights.sum()
     assert abs(total + vol) <= 1e-9 * vol
     # pointwise agreement with the recovered-trace route at the percent level
-    from plap_lab.identities import boundary_trace
-
-    tr = boundary_trace(case.solution, bg, ConformalMetric.flat(), 2.0)
-    assert np.abs(flux - tr.p_flux()).max() <= 0.05
+    assert np.abs(flux - case.trace.p_flux()).max() <= 0.05
 
 
 def test_convergence_study_orders():
