@@ -5,7 +5,8 @@
 Commands: solve, verify, sweep, matcheck, radial.  One JSON config drives
 everything; reports are deterministic for a fixed config and seed (byte
 identical except the timestamp field).  Exit codes: 0 all checks passed,
-1 an identity check failed, 2 config error, 3 solver failure.
+1 an identity check failed, 2 config error, 3 solver or mesh generation
+failure.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PlapLabError, SolverError, ValidationError
+from .errors import (ConfigError, MeshGenerationError, PlapLabError, SolverError,
+                     ValidationError)
 from .geometry import spec_from_json, spec_to_json
 from .identities import Tolerances
 from .metric import ConformalMetric
@@ -30,105 +33,103 @@ from .pipeline import CaseResult, run_case
 SCHEMA_VERSION = "1"
 COMMANDS = ("solve", "verify", "sweep", "matcheck", "radial")
 
-_TOP_KEYS = {"command", "domain", "metric", "p", "h", "solver", "tolerances",
-             "output_dir", "seed", "matcheck", "radial"}
-_SOLVER_KEYS = {"eps0", "rho", "eps_min", "newton_tol", "max_newton_iter",
-                "backtrack_factor", "max_backtracks", "quadrature_order"}
-_TOL_KEYS = {"identity_rel", "flux_rel", "eq_curvature_nodewise",
-             "serrin_nodewise", "flags_tol"}
-_MATCHECK_KEYS = {"samples", "n_values", "p_range"}
-_RADIAL_KEYS = {"n_values", "radius", "grid"}
+_CONFIG_SCHEMA = json.loads(
+    (Path(__file__).parent / "schemas" / "config.schema.json").read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------------
-# Config validation (mirrors schemas/config.schema.json)
+# Config validation: schemas/config.schema.json, then what it cannot say
 # --------------------------------------------------------------------------
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": int, "number": (int, float)}
+_BOUNDS = {"minimum": (">=", operator.ge), "maximum": ("<=", operator.le),
+           "exclusiveMinimum": (">", operator.gt), "exclusiveMaximum": ("<", operator.lt)}
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
+
+class _Mismatch(ConfigError):
+    """A const or enum failure; in a oneOf it marks a branch that does not apply."""
 
 
-def validate_config(obj: dict, command: str) -> dict:
-    _require(isinstance(obj, dict), "config root must be a JSON object")
-    extra = set(obj) - _TOP_KEYS
-    _require(not extra, f"unknown config keys: {sorted(extra)}")
-    if "command" in obj:
-        _require(obj["command"] in COMMANDS, f"unknown command {obj['command']!r}")
-        _require(obj["command"] == command,
-                 f"config command {obj['command']!r} conflicts with CLI command {command!r}")
+def _check(schema: dict, value, where: str) -> None:
+    """Raise ConfigError naming the path of a value that violates `schema`.
+
+    Covers the draft-07 keywords the shipped schemas use.  bool is never a
+    number, integer means a Python int (1.0 is not an integer) and NaN fails
+    every bound.
+    """
+    kind = schema.get("type")
+    if kind and not (isinstance(value, _TYPES[kind])
+                     and (kind == "boolean" or not isinstance(value, bool))):
+        raise ConfigError(f"{where} must be of type {kind}, got {value!r}")
+    allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if allowed is not None and value not in allowed:
+        raise _Mismatch(f"{where} must be one of {allowed}, got {value!r}")
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    for key, (rel, holds) in _BOUNDS.items():
+        if number and key in schema and not holds(value, schema[key]):
+            raise ConfigError(f"{where} must be {rel} {schema[key]}, got {value!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{where}.{key} is required")
+        props = schema.get("properties", {})
+        for key, sub in props.items():
+            if key in value:
+                _check(sub, value[key], f"{where}.{key}")
+        if schema.get("additionalProperties") is False and value.keys() - props.keys():
+            raise ConfigError(f"{where} has unknown keys {sorted(value.keys() - props.keys())}")
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            raise ConfigError(f"{where} has the wrong number of items ({len(value)})")
+        for i, item in enumerate(value):
+            _check(schema.get("items", {}), item, f"{where}[{i}]")
+    if "oneOf" in schema:
+        errors = []
+        for sub in schema["oneOf"]:
+            try:
+                _check(sub, value, where)
+            except ConfigError as exc:
+                errors.append(exc)
+        if len(errors) < len(schema["oneOf"]) - 1:
+            raise ConfigError(f"{where} matches more than one allowed form")
+        if len(errors) == len(schema["oneOf"]):
+            real = [e for e in errors if not isinstance(e, _Mismatch)] or errors
+            raise ConfigError("; ".join(dict.fromkeys(map(str, real))))
+
+
+def validate_config(obj, command: str) -> dict:
+    """Check a raw config against the schema, then fill defaults into typed
+    objects.  Only what the schema cannot say is checked here."""
+    _check(_CONFIG_SCHEMA, obj, "config")
+    if obj.get("command", command) != command:
+        raise ConfigError(f"config command {obj['command']!r} conflicts with CLI command {command!r}")
+    if command in ("solve", "verify", "sweep"):
+        missing = [f"config.{k}" for k in ("domain", "p", "h") if k not in obj]
+        if missing:
+            raise ConfigError(f"{command} requires {', '.join(missing)}")
+    mc = obj.get("matcheck", {})
+    p_range = tuple(float(x) for x in mc.get("p_range", (1.1, 6.0)))
+    if p_range[0] > p_range[1]:
+        raise ConfigError(f"config.matcheck.p_range must be [lo, hi] with lo <= hi, got {list(p_range)}")
 
     cfg: dict = {"command": command}
-    if command in ("solve", "verify", "sweep"):
-        _require("domain" in obj, f"{command} requires a 'domain' spec")
-        _require("p" in obj, f"{command} requires a 'p' list")
-        _require("h" in obj, f"{command} requires an 'h' list")
     try:
         if "domain" in obj:
             cfg["domain"] = spec_from_json(obj["domain"])
         cfg["metric"] = ConformalMetric.from_json(obj.get("metric", {"kind": "flat"}))
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-
-    for key, lower in (("p", 1.0), ("h", 0.0)):
+    for key in ("p", "h"):
         if key in obj:
-            vals = obj[key]
-            _require(isinstance(vals, list) and len(vals) >= 1, f"'{key}' must be a non-empty list")
-            _require(all(isinstance(v, (int, float)) and v > lower for v in vals),
-                     f"every '{key}' entry must exceed {lower}")
-            cfg[key] = [float(v) for v in vals]
-
-    solver = obj.get("solver", {})
-    _require(isinstance(solver, dict), "'solver' must be an object")
-    extra = set(solver) - _SOLVER_KEYS
-    _require(not extra, f"unknown solver keys: {sorted(extra)}")
-    if "rho" in solver:
-        _require(0.0 < solver["rho"] < 1.0, f"solver.rho must lie in (0, 1), got {solver['rho']}")
-    if "backtrack_factor" in solver:
-        _require(0.0 < solver["backtrack_factor"] < 1.0, "solver.backtrack_factor must lie in (0, 1)")
-    for k in ("eps0", "eps_min", "newton_tol"):
-        if k in solver:
-            _require(solver[k] > 0, f"solver.{k} must be positive")
-    for k in ("max_newton_iter", "max_backtracks"):
-        if k in solver:
-            _require(isinstance(solver[k], int) and solver[k] >= 1, f"solver.{k} must be a positive integer")
-    cfg["solver"] = dict(solver)
-
-    tol = obj.get("tolerances", {})
-    _require(isinstance(tol, dict), "'tolerances' must be an object")
-    extra = set(tol) - _TOL_KEYS
-    _require(not extra, f"unknown tolerance keys: {sorted(extra)}")
-    _require(all(v > 0 for v in tol.values()), "tolerances must be positive")
-    cfg["tolerances"] = Tolerances(**tol)
-
-    mc = obj.get("matcheck", {})
-    extra = set(mc) - _MATCHECK_KEYS
-    _require(not extra, f"unknown matcheck keys: {sorted(extra)}")
-    if "p_range" in mc:
-        _require(len(mc["p_range"]) == 2 and 1.0 < mc["p_range"][0] <= mc["p_range"][1],
-                 "matcheck.p_range must be [lo, hi] with 1 < lo <= hi")
-    cfg["matcheck"] = {
-        "samples": int(mc.get("samples", 1_000_000)),
-        "n_values": tuple(int(n) for n in mc.get("n_values", (2, 3, 4))),
-        "p_range": tuple(float(x) for x in mc.get("p_range", (1.1, 6.0))),
-    }
-    _require(all(2 <= n <= 6 for n in cfg["matcheck"]["n_values"]),
-             "matcheck.n_values entries must be in [2, 6]")
-
+            cfg[key] = [float(v) for v in obj[key]]
+    cfg["solver"] = dict(obj.get("solver", {}))
+    cfg["tolerances"] = Tolerances(**obj.get("tolerances", {}))
+    cfg["matcheck"] = {"samples": 1_000_000, "n_values": [2, 3, 4], **mc, "p_range": p_range}
     rd = obj.get("radial", {})
-    extra = set(rd) - _RADIAL_KEYS
-    _require(not extra, f"unknown radial keys: {sorted(extra)}")
-    cfg["radial"] = {
-        "n_values": tuple(int(n) for n in rd.get("n_values", (2, 3))),
-        "radius": float(rd.get("radius", 1.0)),
-        "grid": int(rd.get("grid", 10_000)),
-    }
-    _require(cfg["radial"]["grid"] >= 100, "radial.grid must be at least 100")
-
-    _require(isinstance(obj.get("output_dir", ""), str), "'output_dir' must be a string")
-    cfg["seed"] = int(obj.get("seed", 0))
-    _require(cfg["seed"] >= 0, "seed must be nonnegative")
+    cfg["radial"] = {"n_values": [2, 3], "grid": 10_000, **rd,
+                     "radius": float(rd.get("radius", 1.0))}
+    cfg["seed"] = obj.get("seed", 0)
     return cfg
 
 
@@ -323,8 +324,7 @@ def cmd_matcheck(cfg: dict, outdir: Path) -> int:
         "schema_version": SCHEMA_VERSION,
         "timestamp": _timestamp(),
         "command": "matcheck",
-        "config_echo": {"seed": cfg["seed"], **{k: list(v) if isinstance(v, tuple) else v
-                                                for k, v in mc.items()}},
+        "config_echo": {"seed": cfg["seed"], **mc},
         "samples": result.samples,
         "min_gap": result.min_gap,
         "min_gap_loose": result.min_gap_loose,
@@ -375,8 +375,7 @@ def cmd_radial(cfg: dict, outdir: Path) -> int:
         "schema_version": SCHEMA_VERSION,
         "timestamp": _timestamp(),
         "command": "radial",
-        "config_echo": {"seed": cfg["seed"], "p": ps, **{k: list(v) if isinstance(v, tuple) else v
-                                                         for k, v in rd.items()}},
+        "config_echo": {"seed": cfg["seed"], "p": ps, **rd},
         "profiles": entries,
         "pass": bool(ok),
     })
@@ -407,6 +406,7 @@ def main(argv: list[str] | None = None) -> int:
             outdir = Path(raw["output_dir"] or "plap_out")
         cfg = validate_config(raw, args.command)
         if args.seed is not None:
+            _check(_CONFIG_SCHEMA["properties"]["seed"], args.seed, "--seed")
             cfg["seed"] = args.seed
         handler = {
             "verify": cmd_verify,
@@ -421,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except SolverError as exc:     # AssemblyError included
         _emit_error(outdir, "solver", str(exc), history=[list(t) for t in exc.history])
+        return 3
+    except MeshGenerationError as exc:
+        _emit_error(outdir, "mesh", str(exc), achieved_min_angle_deg=exc.achieved_min_angle_deg)
         return 3
     except PlapLabError as exc:
         _emit_error(outdir, "config", str(exc))

@@ -87,8 +87,8 @@ class DerivativeBundle:
     nodal_values: np.ndarray | None = None
     nodal_grad: np.ndarray | None = None       # Euclidean components at vertices
     nodal_hess: np.ndarray | None = None
-    # volume integrals of derived quantities, filled on first use
-    integrals: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # L_u P values and integral per (p, n), filled on first use
+    cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def critical(self) -> CriticalMask:

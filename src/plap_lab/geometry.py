@@ -365,7 +365,6 @@ class TriMesh:
     points: np.ndarray                  # (N, 2)
     triangles: np.ndarray               # (M, 3), CCW
     boundary_loops: list[np.ndarray]    # vertex indices, ordered, domain on the left
-    boundary_params: list[np.ndarray]   # curve parameter per boundary vertex
     areas: np.ndarray                   # (M,)
     basis_grads: np.ndarray             # (M, 3, 2): gradient of each P1 basis fn
     quad_bary: np.ndarray               # (Q, 3) barycentric coordinates
@@ -675,7 +674,6 @@ def _assemble_mesh(
         points=points,
         triangles=triangles,
         boundary_loops=loops,
-        boundary_params=loops_params,
         areas=areas,
         basis_grads=grads,
         quad_bary=bary,

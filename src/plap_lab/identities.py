@@ -151,16 +151,18 @@ def _volume_weights(bundle: DerivativeBundle) -> np.ndarray:
     return bundle.weights * np.exp(2.0 * bundle.metric.phi(bundle.points))
 
 
-def _lu_p_integral(bundle: DerivativeBundle, p: float, n: int) -> float:
-    """Metric volume integral of L_u P over unmasked quadrature points.
+def _lu_p(bundle: DerivativeBundle, p: float, n: int) -> tuple[np.ndarray, float]:
+    """Pointwise L_u P (read-only, NaN where masked) and its metric volume
+    integral over unmasked quadrature points.
 
-    Three report entries read it; it is evaluated once per bundle and (p, n).
+    Three report entries and the subharmonicity scan read them; they are
+    evaluated once per bundle and (p, n).
     """
-    if (p, n) not in bundle.integrals:
-        vals = linearized_on_p(bundle, p, n)
-        keep = ~bundle.mask
-        bundle.integrals[p, n] = float(np.sum(_volume_weights(bundle)[keep] * vals[keep]))
-    return bundle.integrals[p, n]
+    if (p, n) not in bundle.cache:
+        vals, keep = linearized_on_p(bundle, p, n), ~bundle.mask
+        vals.flags.writeable = False
+        bundle.cache[p, n] = vals, float(np.sum(_volume_weights(bundle)[keep] * vals[keep]))
+    return bundle.cache[p, n]
 
 
 def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
@@ -181,7 +183,7 @@ def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: Deriv
     is |Omega|/n minus the curvature-weighted flux integral.  The volume vs
     boundary discrepancy is the discrete divergence-theorem check.
     """
-    lhs_volume = _lu_p_integral(bundle, p, n) / ((p - 1.0) * (n - 1.0))
+    lhs_volume = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs_boundary = float(
         np.sum(pf * ((p - 1.0) * np.abs(trace.u_nu) ** (p - 2.0) * trace.u_nunu + 1.0 / n)
@@ -214,7 +216,7 @@ def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle
               p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
     """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|."""
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
-    t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p_integral(bundle, p, n)
+    t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p, n)[1]
     pf = trace.p_flux()
     t2 = float(np.sum((1.0 + n * trace.curvature * pf) ** 2 / trace.curvature * trace.weight))
     t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
@@ -234,7 +236,7 @@ def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: Derivat
     """Constant-mean-curvature form: interior mass plus the H0-deficit equals
     the curvature-deviation flux integral."""
     h0 = measures.perimeter / (n * measures.volume)
-    lhs1 = _lu_p_integral(bundle, p, n) / ((p - 1.0) * (n - 1.0))
+    lhs1 = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * trace.weight)) / (n * n * h0)
     rhs = float(np.sum((h0 - trace.curvature) * np.abs(trace.u_nu) ** (2.0 * p - 2.0) * trace.weight))
@@ -337,7 +339,7 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanR
     metric, mesh = bundle.metric, bundle.mesh
     if not (metric.is_flat or metric.nonnegative_ricci):
         raise PreconditionError("subharmonicity scan requires a nonnegative-Ricci metric")
-    vals = linearized_on_p(bundle, p, n)
+    vals, _ = _lu_p(bundle, p, n)
     excl = _near_critical_exclusion(bundle, p, n) | _boundary_ring_exclusion(mesh)
     keep = ~excl & ~bundle.mask & np.isfinite(vals)
     tol = scan_tolerance(mesh.h, p, n)

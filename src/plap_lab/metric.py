@@ -147,22 +147,19 @@ class ConformalMetric:
             raise ValidationError(f"unknown keys in metric spec: {sorted(extra)}")
         flag = bool(obj.get("nonnegative_ricci", False))
         params = obj.get("params", [])
-        if kind == "flat":
-            return ConformalMetric.flat()
-        if kind == "constant":
-            if len(params) != 1:
-                raise ValidationError("constant metric takes params [c]")
-            return ConformalMetric.const(params[0])
-        if kind == "poly":
-            try:
-                triples = [(int(i), int(j), float(c)) for i, j, c in params]
-            except (TypeError, ValueError) as exc:
-                raise ValidationError("poly metric params must be [i, j, c] triples") from exc
-            return ConformalMetric.poly(triples, nonnegative_ricci=flag)
-        if kind == "bump":
-            if len(params) != 4:
-                raise ValidationError("bump metric takes params [amplitude, x0, y0, sigma]")
-            return ConformalMetric.gaussian_bump(*params, nonnegative_ricci=flag)
+        try:
+            if kind == "flat":
+                return ConformalMetric.flat()
+            if kind == "constant":
+                (c,) = params
+                return ConformalMetric.const(c)
+            if kind == "poly":
+                return ConformalMetric.poly(params, nonnegative_ricci=flag)
+            if kind == "bump":
+                amplitude, x0, y0, sigma = params
+                return ConformalMetric.gaussian_bump(amplitude, x0, y0, sigma, nonnegative_ricci=flag)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed {kind} metric params {params!r}: {exc}") from exc
         raise ValidationError(f"unknown metric kind {kind!r}")
 
 

@@ -35,7 +35,6 @@ class SolveConfig:
     max_newton_iter: int = 50
     backtrack_factor: float = 0.5
     max_backtracks: int = 30
-    quadrature_order: int = 2
 
     def validate(self) -> None:
         if not (self.p > 1.0):

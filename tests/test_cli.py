@@ -5,8 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plap_lab.cli import emit_plot_data, main, validate_config
-from plap_lab.errors import ConfigError
+import plap_lab
+from plap_lab import pipeline
+from plap_lab.cli import _check, emit_plot_data, main, validate_config
+from plap_lab.errors import ConfigError, MeshGenerationError
+
+SCHEMAS = Path(plap_lab.__file__).parent / "schemas"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DISK_VERIFY = {
     "command": "verify",
@@ -50,6 +55,121 @@ def test_validate_rejects_command_mismatch():
 def test_validate_requires_domain_for_verify():
     with pytest.raises(ConfigError):
         validate_config({"p": [2.0], "h": [0.1]}, "verify")
+
+
+def test_validate_rejects_reversed_p_range():
+    with pytest.raises(ConfigError, match="p_range"):
+        validate_config({"matcheck": {"p_range": [3.0, 2.0]}}, "matcheck")
+
+
+# (dotted path, value) pairs the config schema rejects; each is set on a
+# valid config of the matching command
+MALFORMED = [
+    ("seed", "3"), ("seed", 1.0), ("seed", True), ("seed", -1),
+    ("solver.quadrature_order", 99), ("solver.eps0", "1"), ("solver.rho", "0.5"),
+    ("solver.rho", 1.0), ("solver.max_newton_iter", 2.0), ("solver.max_backtracks", 0),
+    ("solver.warp", 9), ("tolerances.flux_rel", "1"), ("tolerances.identity_rel", True),
+    ("tolerances.serrin_nodewise", 0), ("domain.radius", "1"), ("domain.radius", 0),
+    ("domain.variant", "square"), ("domain.a", 2.0),
+    ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
+    ("domain", {"variant": "ellipse", "a": 2.0, "b": "1"}), ("domain", {"radius": 1.0}),
+    ("domain", []), ("metric.params", "x"), ("metric.kind", "warp"),
+    ("metric.nonnegative_ricci", "yes"), ("p", []), ("p", [1.0]), ("h", [True]),
+    ("h", "0.1"), ("output_dir", None), ("command", "plot"), ("bogus", 1),
+    ("matcheck.samples", 0), ("matcheck.samples", "5"), ("matcheck.n_values", [7]),
+    ("matcheck.p_range", [1.5]), ("matcheck.p_range", [1.0, 2.0]),
+    ("radial.n_values", [1]), ("radial.radius", 0), ("radial.grid", 100.5),
+]
+# configs the schema accepts although they differ from the shipped ones
+WELL_FORMED = [
+    ("seed", 0), ("solver.eps0", 1), ("solver.quadrature_order", 6), ("p", [1.5, 4]),
+    ("domain", {"variant": "polar_star", "r0": 1, "cos_coeffs": [0.1], "sin_coeffs": []}),
+    ("domain", {"variant": "annulus"}), ("metric", {"kind": "bump", "params": [0.1, 0, 0, 1]}),
+    ("matcheck.p_range", [2.0, 1.5]), ("radial.grid", 100), ("output_dir", ""),
+]
+
+
+def _with(path: str, value) -> tuple[str, dict]:
+    """A copy of the shipped config that uses `path`, with `path` set to `value`."""
+    head = path.split(".")[0]
+    name = {"matcheck": "matcheck", "radial": "radial"}.get(head, "disk_verify")
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    command = cfg["command"]
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return command, cfg
+
+
+def _schema_verdicts(cfgs: list[dict]) -> tuple[list[bool], list[bool]]:
+    jsonschema = pytest.importorskip("jsonschema")
+    # jsonschema counts 1.0 as an integer; the package's evaluator does not
+    checker = jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    strict = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=checker)
+    reference = strict(json.loads((SCHEMAS / "config.schema.json").read_text()))
+    ours = []
+    for cfg in cfgs:
+        try:
+            _check(reference.schema, cfg, "config")
+            ours.append(True)
+        except ConfigError:
+            ours.append(False)
+    return ours, [reference.is_valid(cfg) for cfg in cfgs]
+
+
+def test_schema_evaluator_agrees_with_jsonschema():
+    shipped = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+    assert len(shipped) == 6
+    good = shipped + [_with(*case)[1] for case in WELL_FORMED]
+    bad = [_with(*case)[1] for case in MALFORMED]
+    ours, reference = _schema_verdicts(good + bad)
+    assert ours == reference
+    assert ours == [True] * len(good) + [False] * len(bad)
+
+
+@pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{p}={v!r}" for p, v in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, path, value):
+    command, cfg = _with(path, value)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "config"
+    assert err["message"].startswith("config")
+
+
+@pytest.mark.parametrize("path, value, named", [
+    ("solver.eps0", "1", "config.solver.eps0"),
+    ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}, "config.domain.cos_coeffs[0]"),
+    ("metric", {"kind": "constant", "params": "x"}, "config.metric.params"),
+])
+def test_mistyped_value_is_named_in_error_json(tmp_path, path, value, named):
+    command, cfg = _with(path, value)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "config"
+    assert named in err["message"]
+
+
+@pytest.mark.parametrize("metric", [{"kind": "constant", "params": ["x"]},
+                                    {"kind": "bump", "params": ["a", 0.0, 0.0, 1.0]}])
+def test_malformed_metric_params_exit_2(tmp_path, metric):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {**DISK_VERIFY, "metric": metric})
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "config"
+    assert f"malformed {metric['kind']} metric params" in err["message"]
+
+
+def test_nan_fails_every_bound():
+    for path in ("p", "h", "solver.rho", "tolerances.flux_rel", "radial.radius"):
+        command, cfg = _with(path, [float("nan")] if path in ("p", "h") else float("nan"))
+        with pytest.raises(ConfigError, match=f"config.{path}"):
+            validate_config(cfg, command)
 
 
 def test_bad_rho_exits_2(tmp_path):
@@ -111,20 +231,15 @@ def test_verify_determinism(tmp_path):
 
 
 def test_report_matches_published_schema(tmp_path):
-    import plap_lab
-
-    schema = json.loads(
-        (Path(plap_lab.__file__).parent / "schemas" / "report.schema.json").read_text())
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
     cfg = _write(tmp_path, DISK_VERIFY)
     out = tmp_path / "out"
     main(["verify", "--config", str(cfg), "--out", str(out)])
     rep = json.loads((out / "report_p2_h0.1.json").read_text())
-    for key in schema["required"]:
-        assert key in rep
-    for section, spec in schema["properties"].items():
-        if section in rep and "required" in spec and isinstance(rep[section], dict):
-            for key in spec["required"]:
-                assert key in rep[section], f"{section}.{key} missing"
+    _check(schema, rep, "report")
+    del rep["constants"]["h0"]
+    with pytest.raises(ConfigError, match=r"report\.constants\.h0"):
+        _check(schema, rep, "report")
 
 
 # ------------------------------------------------------------------ sweep
@@ -160,6 +275,13 @@ def test_matcheck_cli(tmp_path):
     shard_lines = (out / "matcheck_shards.csv").read_text().strip().split("\n")
     assert shard_lines[0].startswith("n,p,gap")
     assert len(shard_lines) >= 4
+
+
+def test_negative_seed_override_exits_2(tmp_path):
+    cfg = _write(tmp_path, {"command": "matcheck", "matcheck": {"samples": 1000}})
+    out = tmp_path / "out"
+    assert main(["matcheck", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed must be >= 0" in json.loads((out / "error.json").read_text())["error"]["message"]
 
 
 def test_matcheck_seed_override(tmp_path):
@@ -265,3 +387,15 @@ def test_assembly_failure_exits_3(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["type"] == "solver"
     assert "assembly" in err["error"]["message"]
+
+
+def test_mesh_failure_exits_3(tmp_path, monkeypatch):
+    def failing_mesh(*args, **kwargs):
+        raise MeshGenerationError("minimum angle below contract", achieved_min_angle_deg=12.5)
+
+    monkeypatch.setattr(pipeline, "build_mesh", failing_mesh)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(_write(tmp_path, DISK_VERIFY)), "--out", str(out)]) == 3
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "mesh", "message": "minimum angle below contract",
+                   "achieved_min_angle_deg": 12.5}

@@ -33,9 +33,11 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     traces = _count_calls(monkeypatch, identities, "boundary_trace")
     lengths = _count_calls(monkeypatch, geometry, "curve_length")
     tables = _count_calls(monkeypatch, geometry, "_arclength_table")
+    lu_p = _count_calls(monkeypatch, fields, "linearized_on_p")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
     assert len(traces) == n_cases
     assert len(lengths) <= n_loops
     assert len(tables) <= n_loops
+    assert len(lu_p) == n_cases
