@@ -29,6 +29,7 @@ from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
 from .pipeline import CaseResult, run_case
+from .solver import SolveConfig
 
 SCHEMA_VERSION = "1"
 COMMANDS = ("solve", "verify", "sweep", "matcheck", "radial")
@@ -112,6 +113,12 @@ def validate_config(obj, command: str) -> dict:
     p_range = tuple(float(x) for x in mc.get("p_range", (1.1, 6.0)))
     if p_range[0] > p_range[1]:
         raise ConfigError(f"config.matcheck.p_range must be [lo, hi] with lo <= hi, got {list(p_range)}")
+    # an absent eps0 is derived from the mesh, so solve() checks that case
+    solver = obj.get("solver", {})
+    eps0 = solver.get("eps0", SolveConfig.eps0)
+    eps_min = solver.get("eps_min", SolveConfig.eps_min)
+    if eps0 is not None and not eps_min < eps0:
+        raise ConfigError(f"config.solver.eps_min must be below config.solver.eps0, got {eps_min} >= {eps0}")
 
     cfg: dict = {"command": command}
     try:
@@ -123,7 +130,7 @@ def validate_config(obj, command: str) -> dict:
     for key in ("p", "h"):
         if key in obj:
             cfg[key] = [float(v) for v in obj[key]]
-    cfg["solver"] = dict(obj.get("solver", {}))
+    cfg["solver"] = dict(solver)
     cfg["tolerances"] = Tolerances(**obj.get("tolerances", {}))
     cfg["matcheck"] = {"samples": 1_000_000, "n_values": [2, 3, 4], **mc, "p_range": p_range}
     rd = obj.get("radial", {})

@@ -4,7 +4,9 @@ Domains come from a small catalogue (disk, ellipse, polar star, annulus).
 Meshes are generated by a truss-relaxation variant of Delaunay meshing with
 boundary vertices pinned exactly on the parametric curve, so boundary data
 (normal, curvature, arc-length weights) can be evaluated from closed forms
-instead of the polygon.
+instead of the polygon.  As in DistMesh (Persson & Strang, SIAM Review 46,
+2004), relaxation retriangulates lazily: only after some vertex has moved more
+than 0.1 h since the last triangulation.
 """
 
 from __future__ import annotations
@@ -411,38 +413,26 @@ class _PointLocator:
         self.tree = cKDTree(cent)
 
     def locate(self, pts: np.ndarray, k: int = 24) -> tuple[np.ndarray, np.ndarray]:
+        """Per point, the first candidate triangle that contains it (up to
+        1e-12 in barycentric terms), else the first one it is least outside
+        of; the coordinates are clipped at 0 and renormalised."""
         mesh = self.mesh
         k = min(k, mesh.n_triangles)
         _, cand = self.tree.query(pts, k=k)
-        cand = np.atleast_2d(cand)
-        tri_idx = np.empty(len(pts), dtype=int)
-        bary_out = np.empty((len(pts), 3))
-        for i, p in enumerate(pts):
-            best, best_bary, best_min = -1, None, -np.inf
-            for t in cand[i]:
-                bary = _barycentric(mesh, int(t), p)
-                m = bary.min()
-                if m > best_min:
-                    best, best_bary, best_min = int(t), bary, m
-                if m >= -1e-12:
-                    break
-            tri_idx[i] = best
-            bary_out[i] = np.clip(best_bary, 0.0, None)
-            s = bary_out[i].sum()
-            if s > 0:
-                bary_out[i] /= s
-        return tri_idx, bary_out
-
-
-def _barycentric(mesh: TriMesh, tri: int, p: np.ndarray) -> np.ndarray:
-    i, j, k = mesh.triangles[tri]
-    a, b, c = mesh.points[i], mesh.points[j], mesh.points[k]
-    m = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-    try:
-        lam = np.linalg.solve(m, p - a)
-    except np.linalg.LinAlgError:
-        return np.array([-np.inf, -np.inf, -np.inf])
-    return np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+        cand = np.asarray(cand).reshape(len(pts), k)
+        corners = mesh.points[mesh.triangles[cand]]            # (P, k, 3, 2)
+        a = corners[:, :, 0]
+        m = np.stack([corners[:, :, 1] - a, corners[:, :, 2] - a], axis=-1)
+        lam = np.linalg.solve(m, (pts[:, None, :] - a)[..., None])[..., 0]
+        bary = np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
+        worst = bary.min(axis=-1)
+        inside = worst >= -1e-12
+        pick = np.where(inside.any(axis=1), inside.argmax(axis=1), worst.argmax(axis=1))
+        rows = np.arange(len(pts))
+        bary_out = np.clip(bary[rows, pick], 0.0, None)
+        s = bary_out.sum(axis=1)
+        bary_out[s > 0] /= s[s > 0, None]
+        return cand[rows, pick], bary_out
 
 
 def _triangle_angles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -526,6 +516,8 @@ def build_mesh(
     Boundary vertices sit exactly on the parametric curve at equal arc-length
     spacing and are pinned; interior vertices start on a hexagonal lattice and
     relax under repulsive edge forces until the triangulation is near-uniform.
+    Relaxation keeps its edge list between steps and retriangulates only after
+    some vertex has moved more than 0.1 h since the last triangulation.
     """
     validate_spec(spec)
     diam = spec_diameter(spec)
@@ -593,18 +585,24 @@ def _relax(
         return interior
     n_bnd = len(bnd)
     pts = np.concatenate([bnd, interior])
+    n = len(pts)
+    last = np.full_like(pts, np.inf)
     for _ in range(iters):
-        tri = Delaunay(pts).simplices
-        cent = pts[tri].mean(axis=1)
-        tri = tri[domain.inside(cent)]
-        edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
-        vec = pts[edges[:, 0]] - pts[edges[:, 1]]
+        # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule)
+        if np.sqrt(np.sum((pts - last) ** 2, axis=1)).max() > 0.1 * h:
+            last = pts.copy()
+            tri = Delaunay(pts).simplices
+            tri = tri[domain.inside(pts[tri].mean(axis=1))]
+            pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+            keys = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+            e0, e1 = keys // n, keys % n
+            idx = np.concatenate([e0, e1])
+        vec = pts[e0] - pts[e1]
         lng = np.linalg.norm(vec, axis=1)
         f = np.maximum(fscale * h - lng, 0.0)
         fvec = vec * (f / np.maximum(lng, 1e-12))[:, None]
-        force = np.zeros_like(pts)
-        np.add.at(force, edges[:, 0], fvec)
-        np.add.at(force, edges[:, 1], -fvec)
+        w = np.concatenate([fvec, -fvec])
+        force = np.stack([np.bincount(idx, w[:, 0], n), np.bincount(idx, w[:, 1], n)], axis=1)
         force[:n_bnd] = 0.0
         pts[n_bnd:] += dt * force[n_bnd:]
         pts[n_bnd:] = domain.clamp(pts[n_bnd:], margin=0.55 * h)

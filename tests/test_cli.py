@@ -399,3 +399,20 @@ def test_mesh_failure_exits_3(tmp_path, monkeypatch):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err == {"type": "mesh", "message": "minimum angle below contract",
                    "achieved_min_angle_deg": 12.5}
+
+
+def test_eps_min_above_eps0_is_rejected_before_meshing(tmp_path, monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("build_mesh must not run for an invalid config")
+
+    monkeypatch.setattr(pipeline, "build_mesh", no_mesh)
+    cfg = _write(tmp_path, {**DISK_VERIFY, "solver": {"eps0": 1e-9, "eps_min": 1e-8}})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "config"
+    assert err["message"].startswith("config.solver.eps_min")
+    # an absent eps_min takes the SolveConfig default, 1e-8
+    with pytest.raises(ConfigError, match="config.solver.eps_min"):
+        validate_config({**DISK_VERIFY, "solver": {"eps0": 1e-8}}, "verify")
+    validate_config({**DISK_VERIFY, "solver": {"eps_min": 1e-3}}, "verify")

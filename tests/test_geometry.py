@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay, cKDTree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,6 +172,76 @@ def test_boundary_loop_orientation(lab):
     inner = am.points[am.boundary_loops[1]]
     x, y = inner[:, 0], inner[:, 1]
     assert np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) < 0
+
+
+def test_relaxation_retriangulates_lazily(monkeypatch):
+    import plap_lab.geometry as geo
+
+    calls = []
+
+    def counting_delaunay(points):
+        calls.append(len(points))
+        return Delaunay(points)
+
+    monkeypatch.setattr(geo, "Delaunay", counting_delaunay)
+    build_mesh(Ellipse(2.0, 1.0), 0.05)
+    # relaxing on every one of the 120 iterations made 121 calls
+    assert len(calls) <= 15
+
+
+@pytest.mark.parametrize("domain, h, n_vertices, n_triangles, min_angle", [
+    ("disk", 0.1, 376, 687, 36.94390104515527),
+    ("ellipse", 0.05, 2947, 5698, 36.45920843429029),
+])
+def test_mesh_matches_recorded_values(lab, domain, h, n_vertices, n_triangles, min_angle):
+    mesh = lab.mesh(domain, h)
+    assert mesh.n_vertices == n_vertices
+    assert mesh.n_triangles == n_triangles
+    assert mesh.min_angle_deg() == pytest.approx(min_angle, rel=1e-9)
+
+
+def _locate_reference(mesh, pts, k=24):
+    """Point by point: the first candidate containing the point, else the
+    first with the largest minimum barycentric coordinate; then clip."""
+    k = min(k, mesh.n_triangles)
+    _, cand = cKDTree(mesh.points[mesh.triangles].mean(axis=1)).query(pts, k=k)
+    tri_idx, bary_out, clipped = [], [], 0
+    for p, row in zip(pts, cand):
+        best, best_bary, best_min = -1, None, -np.inf
+        for t in row:
+            a, b, c = mesh.points[mesh.triangles[t]]
+            lam = np.linalg.solve(np.array([[b[0] - a[0], c[0] - a[0]],
+                                            [b[1] - a[1], c[1] - a[1]]]), p - a)
+            bary = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
+            if bary.min() > best_min:
+                best, best_bary, best_min = int(t), bary, bary.min()
+            if bary.min() >= -1e-12:
+                break
+        clipped += best_min < 0
+        out = np.clip(best_bary, 0.0, None)
+        if out.sum() > 0:
+            out /= out.sum()
+        tri_idx.append(best)
+        bary_out.append(out)
+    return np.array(tri_idx), np.array(bary_out), clipped
+
+
+def test_batched_locate_matches_pointwise_reference(lab):
+    mesh = lab.mesh("disk", 0.1)
+    rng = np.random.default_rng(3)
+    rho, theta = np.sqrt(rng.uniform(0, 0.99, 400)), rng.uniform(0, 2 * np.pi, 400)
+    edges = mesh.triangles[:, [0, 1]]
+    pts = np.concatenate([
+        np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1),
+        mesh.points,
+        0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]]),
+        1.002 * mesh.points[mesh.boundary_loops[0][::4]],    # just outside the disk
+    ])
+    tri, bary = mesh.locate(pts)
+    ref_tri, ref_bary, clipped = _locate_reference(mesh, pts)
+    assert clipped > 0
+    assert np.array_equal(tri, ref_tri)
+    assert np.array_equal(bary, ref_bary)
 
 
 @settings(max_examples=20, deadline=None)
