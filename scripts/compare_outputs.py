@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Compare two plap-lab output trees value by value.
+
+JSON files are compared as parsed values, ignoring the top-level `timestamp`;
+CSV files cell by cell; every other file byte for byte.  Each differing value
+is printed with its relative change.  Exit code 0 means the trees are
+identical, 1 that something differs.
+
+    python scripts/compare_outputs.py OLD_DIR NEW_DIR
+"""
+
+import argparse
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+def _rel_change(a, b) -> str:
+    if isinstance(a, bool) or isinstance(b, bool):
+        return "n/a"
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return "n/a"
+    if x == 0.0:
+        return "inf" if y != 0.0 else "0"
+    return f"{(y - x) / abs(x):+.3e}"
+
+
+def _diff_json(a, b, where: str, out: list) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b), key=str):
+            if key not in a or key not in b:
+                side = "new" if key not in a else "old"
+                out.append(f"{where}.{key}: only in {side}")
+            else:
+                _diff_json(a[key], b[key], f"{where}.{key}", out)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            out.append(f"{where}: length {len(a)} -> {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _diff_json(x, y, f"{where}[{i}]", out)
+    elif not _same(a, b):
+        out.append(f"{where}: {a!r} -> {b!r} (rel {_rel_change(a, b)})")
+
+
+def _load_json(path: Path):
+    obj = json.loads(path.read_text())
+    if isinstance(obj, dict):
+        obj.pop("timestamp", None)
+    return obj
+
+
+def _load_csv(path: Path) -> list:
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _diff_csv(a: list, b: list, out: list) -> None:
+    header = a[0] if a else []
+    if len(a) != len(b):
+        out.append(f"rows {len(a)} -> {len(b)}")
+    for r, (ra, rb) in enumerate(zip(a, b)):
+        if len(ra) != len(rb):
+            out.append(f"row {r}: {len(ra)} -> {len(rb)} cells")
+        for c, (x, y) in enumerate(zip(ra, rb)):
+            if x != y:
+                col = header[c] if r > 0 and c < len(header) else str(c)
+                out.append(f"row {r} {col}: {x} -> {y} (rel {_rel_change(x, y)})")
+
+
+def compare_file(old: Path, new: Path) -> list:
+    """Differences between two files, as printable lines (empty if identical)."""
+    out: list = []
+    if old.suffix == ".json":
+        _diff_json(_load_json(old), _load_json(new), "$", out)
+    elif old.suffix == ".csv":
+        _diff_csv(_load_csv(old), _load_csv(new), out)
+    elif old.read_bytes() != new.read_bytes():
+        out.append("bytes differ")
+    return out
+
+
+def compare_trees(old: Path, new: Path) -> int:
+    """Print every difference between the trees; return the number of differing files."""
+    files_old = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    files_new = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    differing = 0
+    for rel in sorted(files_old | files_new):
+        if rel not in files_new or rel not in files_old:
+            side = "old" if rel not in files_new else "new"
+            print(f"{rel}: only in {side}")
+            differing += 1
+            continue
+        lines = compare_file(old / rel, new / rel)
+        if lines:
+            differing += 1
+            for line in lines:
+                print(f"{rel}: {line}")
+    n = len(files_old | files_new)
+    print(f"{n - differing} of {n} files identical")
+    return differing
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("old", type=Path)
+    ap.add_argument("new", type=Path)
+    args = ap.parse_args()
+    for d in (args.old, args.new):
+        if not d.is_dir():
+            ap.error(f"{d} is not a directory")
+    return 1 if compare_trees(args.old, args.new) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

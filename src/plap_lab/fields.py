@@ -1,13 +1,15 @@
 """Discrete and analytic scalar fields and their pointwise differential algebra.
 
 All pointwise quantities are stored in components of a local g-orthonormal
-frame (e_i = e^{-phi} d_i for a conformal metric), so the flat and conformal
-code paths share the same formulas: for a scalar u the frame gradient is
-G = e^{-phi} grad(u) and the frame Hessian is
+frame (e_i = e^{-phi} d_i for a conformal metric g = e^{2 phi} delta): for a
+scalar u the frame gradient is G = e^{-phi} grad(u) and the frame Hessian is
 
-    S = e^{-2 phi} (hess(u) - dphi (x) du - du (x) dphi + <dphi, du> I),
+    S = e^{-2 phi} (hess(u) - dphi (x) du - du (x) dphi + <dphi, du> I).
 
-which reduces to the Euclidean gradient/Hessian when phi = 0.
+The flat metric is phi = 0 and runs the same code: every conformal factor is
+then exp(0) = 1 exactly, so the formulas give the Euclidean values bit for
+bit.  Only the exact-algebra reference oracles below keep a flat shortcut, so
+that they stay independent of the frame route.
 """
 
 from __future__ import annotations
@@ -49,16 +51,6 @@ class ScalarField:
 
 
 @dataclass
-class CriticalMask:
-    mask: np.ndarray
-    delta_crit: float
-
-    @property
-    def fraction(self) -> float:
-        return float(self.mask.mean()) if len(self.mask) else 0.0
-
-
-@dataclass
 class DerivativeBundle:
     """Frame-component derivative data at sample points.
 
@@ -83,7 +75,7 @@ class DerivativeBundle:
     delta_crit: float
     metric: ConformalMetric
     mesh: TriMesh | None = None
-    weights: np.ndarray | None = None          # physical quadrature weights (flat)
+    weights: np.ndarray | None = None          # metric volume weights e^{2 phi} dx (dx when phi = 0)
     nodal_values: np.ndarray | None = None
     nodal_grad: np.ndarray | None = None       # Euclidean components at vertices
     nodal_hess: np.ndarray | None = None
@@ -91,12 +83,8 @@ class DerivativeBundle:
     cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def critical(self) -> CriticalMask:
-        return CriticalMask(self.mask, self.delta_crit)
-
-    @property
     def masked_fraction(self) -> float:
-        return self.critical.fraction
+        return float(self.mask.mean()) if len(self.mask) else 0.0
 
 
 def _derived_scalars(G: np.ndarray, S: np.ndarray, mask: np.ndarray):
@@ -115,8 +103,6 @@ def _derived_scalars(G: np.ndarray, S: np.ndarray, mask: np.ndarray):
 def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
                       df: np.ndarray, d2f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame gradient and covariant frame Hessian of a scalar from Euclidean data."""
-    if metric.is_flat:
-        return df.copy(), 0.5 * (d2f + np.swapaxes(d2f, -1, -2))
     e = np.exp(-metric.phi(pts))
     dphi = metric.grad_phi(pts)
     G = e[:, None] * df
@@ -135,12 +121,11 @@ def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None, weights=None,
                  nodal=None, nodal_grad=None, nodal_hess=None) -> DerivativeBundle:
     G, S = frame_from_scalar(metric, pts, df, d2f)
     gnorm = np.linalg.norm(G, axis=1)
+    if delta_crit is None:
+        delta_crit = default_delta_crit(mesh.h, float(gnorm.max()) if len(gnorm) else 0.0)
     mask = gnorm <= delta_crit
     gnorm, hess_frob, a_u, grad_gnorm, lap = _derived_scalars(G, S, mask)
-    if metric.is_flat:
-        ric = np.zeros(len(pts))
-    else:
-        ric = gaussian_curvature(metric, pts) * gnorm**2
+    ric = gaussian_curvature(metric, pts) * gnorm**2
     return DerivativeBundle(
         points=pts, u=u, grad=G, hess=S, gnorm=gnorm, hess_frob=hess_frob,
         a_u=a_u, grad_gnorm=grad_gnorm, laplacian=lap, ric=ric, mask=mask,
@@ -250,16 +235,10 @@ def recover_derivatives(u: ScalarField, mesh: TriMesh,
     g_q = _at_quads(mesh, nodal_g)
     h_q = _at_quads(mesh, nodal_h)
 
-    if delta_crit is None:
-        if metric.is_flat:
-            gmax = float(np.linalg.norm(g_q, axis=1).max()) if len(g_q) else 0.0
-        else:
-            gmax = float((np.exp(-metric.phi(mesh.quad_points)) * np.linalg.norm(g_q, axis=1)).max())
-        delta_crit = default_delta_crit(mesh.h, gmax)
-
+    weights = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
     return _make_bundle(
         metric, mesh.quad_points, u_q, g_q, h_q, delta_crit,
-        mesh=mesh, weights=mesh.quad_weights,
+        mesh=mesh, weights=weights,
         nodal=u.values, nodal_grad=nodal_g, nodal_hess=nodal_h,
     )
 
@@ -446,9 +425,7 @@ def p_function(bundle: DerivativeBundle, u: ScalarField | None, p: float, n: int
     quad = (p - 1.0) / p * bundle.gnorm**p + bundle.u / n
     nodal = None
     if bundle.nodal_grad is not None and u is not None:
-        g = np.linalg.norm(bundle.nodal_grad, axis=1)
-        if not bundle.metric.is_flat:
-            g = np.exp(-bundle.metric.phi(bundle.mesh.points)) * g
+        g = np.exp(-bundle.metric.phi(bundle.mesh.points)) * np.linalg.norm(bundle.nodal_grad, axis=1)
         nodal = ScalarField((p - 1.0) / p * g**p + u.values / n, bundle.mesh)
     return PFunction(quad=quad, nodal=nodal)
 

@@ -104,7 +104,7 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     flagged = (q_gn <= bundle.delta_crit).any(axis=1)
 
     H_g = geodesic_boundary_curvature(metric, bg)
-    w = bg.weight if metric.is_flat else bg.weight * np.exp(metric.phi(bg.position))
+    w = bg.weight * np.exp(metric.phi(bg.position))
     return BoundaryTrace(
         p=p, n=n, position=bg.position, normal=bg.normal, arclength=bg.arclength,
         curvature=H_g, weight=w, u_nu=u_nu, u_nunu=u_nunu, gnorm=gnorm,
@@ -144,13 +144,6 @@ def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float = 0.
     )
 
 
-def _volume_weights(bundle: DerivativeBundle) -> np.ndarray:
-    """Metric volume weights of the bundle's quadrature points."""
-    if bundle.metric.is_flat:
-        return bundle.weights
-    return bundle.weights * np.exp(2.0 * bundle.metric.phi(bundle.points))
-
-
 def _lu_p(bundle: DerivativeBundle, p: float, n: int) -> tuple[np.ndarray, float]:
     """Pointwise L_u P (read-only, NaN where masked) and its metric volume
     integral over unmasked quadrature points.
@@ -161,7 +154,7 @@ def _lu_p(bundle: DerivativeBundle, p: float, n: int) -> tuple[np.ndarray, float
     if (p, n) not in bundle.cache:
         vals, keep = linearized_on_p(bundle, p, n), ~bundle.mask
         vals.flags.writeable = False
-        bundle.cache[p, n] = vals, float(np.sum(_volume_weights(bundle)[keep] * vals[keep]))
+        bundle.cache[p, n] = vals, float(np.sum(bundle.weights[keep] * vals[keep]))
     return bundle.cache[p, n]
 
 
@@ -345,7 +338,7 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanR
     tol = scan_tolerance(mesh.h, p, n)
     kept_vals = vals[keep]
     finite = np.isfinite(vals) & ~bundle.mask
-    integral = float(np.sum(_volume_weights(bundle)[finite] * vals[finite]))
+    integral = float(np.sum(bundle.weights[finite] * vals[finite]))
     hist = np.histogram(kept_vals, bins=_SCAN_BINS)
     mn = float(kept_vals.min()) if len(kept_vals) else np.nan
     return ScanResult(

@@ -15,8 +15,7 @@ import numpy as np
 
 from .fields import p_function, recover_derivatives
 from .geometry import (BoundaryGeometry, DomainSpec, Measures, TriMesh,
-                       boundary_geometry, build_mesh, domain_measures,
-                       validate_spec)
+                       boundary_geometry, build_mesh, domain_measures)
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report)
 from .metric import ConformalMetric, check_nonnegative_ricci
@@ -43,13 +42,12 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
              tolerances: Tolerances | None = None,
              mesh: TriMesh | None = None) -> CaseResult:
     """Solve one (domain, metric, p, h) case and evaluate every identity."""
-    validate_spec(spec)
     metric = metric if metric is not None else ConformalMetric.flat()
     overrides = dict(solver_overrides or {})
     quad_order = overrides.pop("quadrature_order", 2)
     if mesh is None:
         mesh = build_mesh(spec, h, quad_order=quad_order)
-    if metric.nonnegative_ricci and not metric.is_flat:
+    if metric.nonnegative_ricci:
         check_nonnegative_ricci(metric, mesh.quad_points)
     bg = boundary_geometry(spec, mesh)
     measures = domain_measures(mesh, metric)

@@ -96,7 +96,7 @@ class _Assembler:
         self.p = p
         phi_q = metric.phi(mesh.quad_points)
         w = mesh.quad_weights
-        nq = len(mesh.quad_weights_ref)
+        nq = len(mesh.quad_bary)
         # per-element weight of the gradient term: int_T e^{(2-p) phi}
         self.w_grad = (w * np.exp((2.0 - p) * phi_q)).reshape(-1, nq).sum(axis=1)
         # load vector: int e^{2 phi} lambda_i
@@ -237,8 +237,7 @@ def variational_p_flux(sol: Solution) -> np.ndarray:
     asm = _Assembler(mesh, metric, p)
     r = asm.residual(sol.u, sol.final_eps)
     bg = mesh.boundary
-    w = bg.weight * np.exp(metric.phi(bg.position)) if not metric.is_flat else bg.weight
-    return r[bg.node_index] / w
+    return r[bg.node_index] / (bg.weight * np.exp(metric.phi(bg.position)))
 
 
 @dataclass

@@ -1,0 +1,31 @@
+"""scripts/compare_outputs.py: identical trees exit 0, one changed cell exits 1."""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+
+def _compare(old: Path, new: Path) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(SCRIPT), str(old), str(new)],
+                          capture_output=True, text=True)
+
+
+def test_compare_outputs_exit_codes(tmp_path):
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "report.json").write_text(json.dumps({"timestamp": "t0", "flux": {"rel": 0.25}}))
+    (old / "rows.csv").write_text("p,h,value\n2.0,0.1,1.5\n3.0,0.1,2.5\n")
+    (old / "notes.txt").write_text("same\n")
+    new = tmp_path / "new"
+    shutil.copytree(old, new)
+    (new / "report.json").write_text(json.dumps({"timestamp": "t1", "flux": {"rel": 0.25}}))
+    assert _compare(old, new).returncode == 0
+
+    (new / "rows.csv").write_text("p,h,value\n2.0,0.1,1.5\n3.0,0.1,2.75\n")
+    res = _compare(old, new)
+    assert res.returncode == 1
+    assert "rows.csv: row 2 value: 2.5 -> 2.75 (rel +1.000e-01)" in res.stdout

@@ -77,10 +77,6 @@ def test_metric_json_round_trip():
         assert np.allclose(m.phi(pts), m2.phi(pts))
     with pytest.raises(ValidationError):
         ConformalMetric.from_json({"kind": "poly", "params": [[5, 0, 1.0]]})
-    with pytest.raises(ValidationError):
-        ConformalMetric.from_json({"kind": "warp"})
-    with pytest.raises(ValidationError):
-        ConformalMetric.from_json({"kind": "flat", "extra": 1})
 
 
 def test_constant_rescale_keeps_curvature_zero(lab):

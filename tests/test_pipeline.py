@@ -3,8 +3,12 @@
 import json
 import sys
 
-from plap_lab import fields, geometry, identities
+import numpy as np
+import pytest
+
+from plap_lab import ConformalMetric, Disk, build_mesh, fields, geometry, identities
 from plap_lab.cli import main
+from plap_lab.pipeline import run_case
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -34,6 +38,7 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     lengths = _count_calls(monkeypatch, geometry, "curve_length")
     tables = _count_calls(monkeypatch, geometry, "_arclength_table")
     lu_p = _count_calls(monkeypatch, fields, "linearized_on_p")
+    spec_checks = _count_calls(monkeypatch, geometry, "validate_spec")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
@@ -41,3 +46,21 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     assert len(lengths) <= n_loops
     assert len(tables) <= n_loops
     assert len(lu_p) == n_cases
+    assert len(spec_checks) <= 2       # spec_from_json and build_mesh
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_zero_phi_case_matches_flat_case(p):
+    """The flat metric is phi = 0: a poly metric with no terms runs the same
+    conformal code and must reproduce the flat case bit for bit."""
+    spec = Disk(1.0)
+    mesh = build_mesh(spec, 0.1)
+    flat = run_case(spec, ConformalMetric.flat(), p, 0.1, mesh=mesh)
+    zero = run_case(spec, ConformalMetric.poly([], nonnegative_ricci=True), p, 0.1, mesh=mesh)
+    assert np.array_equal(flat.solution.u, zero.solution.u)
+    a, b = flat.report.to_json_dict(), zero.report.to_json_dict()
+    sections = ("constants", "fundamental", "sbt", "flux", "eq_curvature", "hk", "serrin",
+                "subharmonicity")
+    for name in sections:
+        # the JSON text holds every float's repr, so equal text is bitwise equality
+        assert json.dumps(a[name], sort_keys=True) == json.dumps(b[name], sort_keys=True), name
