@@ -392,6 +392,8 @@ class TriMesh:
 class _PointLocator:
     """Nearest-centroid candidate search plus barycentric membership test."""
 
+    _HEAD = 6   # on a flat disk at h=0.025 no located point lies beyond the sixth candidate
+
     def __init__(self, mesh: TriMesh):
         self.mesh = mesh
         cent = mesh.points[mesh.triangles].mean(axis=1)
@@ -400,24 +402,36 @@ class _PointLocator:
     def locate(self, pts: np.ndarray, k: int = 24) -> tuple[np.ndarray, np.ndarray]:
         """Per point, the first candidate triangle that contains it (up to
         1e-12 in barycentric terms), else the first one it is least outside
-        of; the coordinates are clipped at 0 and renormalised."""
-        mesh = self.mesh
-        k = min(k, mesh.n_triangles)
+        of; the coordinates are clipped at 0 and renormalised.
+
+        The first ``_HEAD`` candidates are tested for every point and all k
+        only for the points that none of those contains; the first inside
+        hit is the same either way."""
+        k = min(k, self.mesh.n_triangles)
         _, cand = self.tree.query(pts, k=k)
         cand = np.asarray(cand).reshape(len(pts), k)
-        corners = mesh.points[mesh.triangles[cand]]            # (P, k, 3, 2)
+        tri, bary, hit = self._pick(pts, cand[:, :self._HEAD])
+        miss = np.flatnonzero(~hit)
+        tri[miss], bary[miss], _ = self._pick(pts[miss], cand[miss])
+        bary = np.clip(bary, 0.0, None)
+        s = bary.sum(axis=1)
+        bary[s > 0] /= s[s > 0, None]
+        return tri, bary
+
+    def _pick(self, pts: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The selected candidate per point, its barycentric coordinates and
+        whether it contains the point."""
+        corners = self.mesh.points[self.mesh.triangles[cand]]  # (P, k, 3, 2)
         a = corners[:, :, 0]
         m = np.stack([corners[:, :, 1] - a, corners[:, :, 2] - a], axis=-1)
         lam = np.linalg.solve(m, (pts[:, None, :] - a)[..., None])[..., 0]
         bary = np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
         worst = bary.min(axis=-1)
         inside = worst >= -1e-12
-        pick = np.where(inside.any(axis=1), inside.argmax(axis=1), worst.argmax(axis=1))
+        hit = inside.any(axis=1)
+        pick = np.where(hit, inside.argmax(axis=1), worst.argmax(axis=1))
         rows = np.arange(len(pts))
-        bary_out = np.clip(bary[rows, pick], 0.0, None)
-        s = bary_out.sum(axis=1)
-        bary_out[s > 0] /= s[s > 0, None]
-        return cand[rows, pick], bary_out
+        return cand[rows, pick], bary[rows, pick], hit
 
 
 def _triangle_angles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:

@@ -9,15 +9,23 @@ over P1 fields vanishing on the boundary, with a geometric continuation
 eps_0 > eps_0 rho > ... > eps_min and damped Newton at each rung, warm-started
 from the previous one.  The conformal weights realize the metric form of the
 p-Laplacian; for a flat metric both weights are 1.
+
+The Newton tangent is symmetric positive definite on the free (interior)
+vertices, and its sparsity pattern is that of the P1 stiffness.  The first
+tangent of a solve fixes a symmetric minimum-degree order of that pattern and
+the CSC layout of the free x free matrix in that order; every tangent is then
+summed straight into the CSC data array, and each Newton step factors it with
+diagonal pivots and no further reordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import AssemblyError, SolverError, ValidationError
 from .fields import ScalarField
@@ -72,6 +80,8 @@ class EpsStep:
     iterations: int
     residual_norm: float
     energy: float
+    solves: int        # linear solves, one per Newton direction computed
+    stop: str          # "tolerance", "decrement_floor" or "converged_on_entry"
 
 
 @dataclass
@@ -106,8 +116,6 @@ class _Assembler:
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
         self.free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
-        self._rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-        self._cols = np.tile(mesh.triangles, (1, 3)).ravel()
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         return np.einsum("mki,mk->mi", self.mesh.basis_grads, u[self.mesh.triangles])
@@ -133,16 +141,56 @@ class _Assembler:
             raise AssemblyError("non-finite residual during assembly", element=bad)
         return r
 
-    def tangent(self, u: np.ndarray, eps: float) -> sp.csr_matrix:
+    def _blocks(self, coeff: np.ndarray) -> np.ndarray:
+        """Element matrices grad(lambda_k) . coeff grad(lambda_l), shape (M, 3, 3)."""
+        bg = self.mesh.basis_grads
+        return np.matmul(np.matmul(bg, coeff), bg.transpose(0, 2, 1))
+
+    @cached_property
+    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(dofs, indptr, indices, slot) of the ordered free x free tangent.
+
+        ``dofs[i]`` is the vertex of unknown i.  ``slot`` sends each entry of
+        the raveled element blocks to its position in the CSC data array;
+        entries touching a boundary vertex go to one extra slot past the end.
+        """
+        nf = len(self.free)
+        local = np.full(self.mesh.n_vertices, -1)
+        local[self.free] = np.arange(nf)
+        tri = local[self.mesh.triangles]
+        rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        # the order depends on the structure only: take it from the P1 stiffness
+        stiff = self._blocks(self.w_grad[:, None, None] * np.eye(2)).ravel()
+        lap = sp.csc_matrix((stiff[keep], (rows[keep], cols[keep])), shape=(nf, nf))
+        rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
+        key = np.where(keep, rank[cols] * nf + rank[rows], nf * nf)
+        uniq, slot = np.unique(key, return_inverse=True)
+        uniq = uniq[uniq < nf * nf]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // nf, minlength=nf))])
+        return self.free[np.argsort(rank)], indptr, uniq % nf, slot
+
+    @property
+    def dofs(self) -> np.ndarray:
+        """The vertex of each unknown of the ordered tangent."""
+        return self._pattern[0]
+
+    def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
+        """The free x free tangent, in the order of ``dofs``."""
         g = self.gradients(u)
         flux = RegularizedFlux.from_gradients(g, self.p, eps)
-        coeff = self.w_grad[:, None, None] * flux.coeff
-        blocks = np.einsum("mki,mij,mlj->mkl", self.mesh.basis_grads, coeff, self.mesh.basis_grads)
+        blocks = self._blocks(self.w_grad[:, None, None] * flux.coeff)
         if not np.isfinite(blocks).all():
             bad = int(np.argmax(~np.isfinite(blocks).reshape(len(blocks), -1).any(axis=1)))
             raise AssemblyError("non-finite tangent during assembly", element=bad)
-        n = self.mesh.n_vertices
-        return sp.coo_matrix((blocks.ravel(), (self._rows, self._cols)), shape=(n, n)).tocsr()
+        dofs, indptr, indices, slot = self._pattern
+        data = np.bincount(slot, weights=blocks.ravel(), minlength=len(indices) + 1)
+        return sp.csc_matrix((data[:-1], indices, indptr), shape=(len(dofs), len(dofs)))
+
+
+def spsolve(K: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
+    """Solve with the ordered SPD tangent: diagonal pivots, no reordering."""
+    return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(b)
 
 
 def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:
@@ -174,7 +222,8 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
         energy = asm.energy(u, eps)
         r = asm.residual(u, eps)
         rnorm = float(np.linalg.norm(r[free]))
-        it = 0
+        it = solves = 0
+        stop = "converged_on_entry"
         while rnorm > config.newton_tol * load_norm:
             if it >= config.max_newton_iter:
                 raise SolverError(
@@ -183,15 +232,25 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
                     history=history + [(eps, it, rnorm)],
                 )
             K = asm.tangent(u, eps)
+            dofs = asm.dofs
             d = np.zeros_like(u)
-            d[free] = spsolve(K[free][:, free].tocsc(), -r[free])
+            try:
+                d[dofs] = spsolve(K, -r[dofs])
+            except RuntimeError as exc:
+                raise SolverError(
+                    f"tangent factorization failed at eps = {eps:.3e} ({exc})",
+                    history=history + [(eps, it, rnorm)],
+                ) from exc
+            solves += 1
             slope = float(r[free] @ d[free])
             # Newton decrement at rounding level: at sub-resolution eps the
             # degenerate elements keep the evaluated residual above newton_tol
             # although the iterate already minimizes the energy to float
             # precision; no further progress is representable
             if -slope <= 1e-15 * (1.0 + abs(energy)):
+                stop = "decrement_floor"
                 break
+            stop = "tolerance"
             t = 1.0
             accepted = False
             for _ in range(config.max_backtracks):
@@ -211,7 +270,8 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
             rnorm = float(np.linalg.norm(r[free]))
             it += 1
             history.append((eps, it, rnorm))
-        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy))
+        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy,
+                             solves=solves, stop=stop))
 
     u[mesh.boundary_vertices] = 0.0
     sol = Solution(u=u, mesh=mesh, metric=metric, config=config, steps=steps,

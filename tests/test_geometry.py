@@ -240,6 +240,32 @@ def test_batched_locate_matches_pointwise_reference(lab):
     assert np.array_equal(bary, ref_bary)
 
 
+@pytest.mark.parametrize("head", [None, 1])
+def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, head):
+    # points outside the boundary have no inside hit, so they take the
+    # all-candidates fallback of the staged search; with one head candidate
+    # the fallback also finds inside hits
+    import plap_lab.geometry as geo
+
+    if head is not None:
+        monkeypatch.setattr(geo._PointLocator, "_HEAD", head)
+    mesh = lab.mesh("ellipse", 0.05)
+    rng = np.random.default_rng(5)
+    rho, theta = np.sqrt(rng.uniform(0, 1.0, 600)), rng.uniform(0, 2 * np.pi, 600)
+    loop = mesh.points[mesh.boundary_loops[0]]
+    pts = np.concatenate([
+        np.stack([2.0 * rho * np.cos(theta), rho * np.sin(theta)], axis=1),
+        0.5 * (loop + np.roll(loop, 1, axis=0)),             # on boundary chords
+        1.003 * loop[::3],                                    # just outside the ellipse
+        1.05 * loop[1::7],
+    ])
+    tri, bary = mesh.locate(pts)
+    ref_tri, ref_bary, clipped = _locate_reference(mesh, pts)
+    assert clipped > 0
+    assert np.array_equal(tri, ref_tri)
+    assert np.array_equal(bary, ref_bary)
+
+
 @settings(max_examples=20, deadline=None)
 @given(r=st.floats(0.5, 3.0), c=st.floats(-0.2, 0.2))
 def test_star_radius_positive_property(r, c):

@@ -4,6 +4,10 @@ import pytest
 from plap_lab import (ConformalMetric, Disk, Ellipse, SolveConfig,
                       SolverError, ValidationError, build_mesh,
                       convergence_study, solve)
+import scipy.sparse as sp
+
+from plap_lab import solver
+from plap_lab.cli import main
 from plap_lab.oracles import radial_exact
 from plap_lab.solver import _Assembler, variational_p_flux
 
@@ -66,11 +70,83 @@ def test_tangent_spd(lab):
     u = rng.uniform(0, 0.2, mesh.n_vertices)
     for p in (1.5, 3.0):
         asm = _Assembler(mesh, ConformalMetric.flat(), p)
-        free = asm.free
-        Kf = asm.tangent(u, 1e-3)[free][:, free].toarray()
+        Kf = asm.tangent(u, 1e-3).toarray()
         assert np.abs(Kf - Kf.T).max() <= 1e-12 * np.abs(Kf).max()
         lam = np.linalg.eigvalsh(Kf)
         assert lam.min() > 0
+
+
+def _reference_tangent(asm, u, eps):
+    """The tangent summed by scipy from COO, then sliced to the free vertices."""
+    flux = solver.RegularizedFlux.from_gradients(asm.gradients(u), asm.p, eps)
+    coeff = asm.w_grad[:, None, None] * flux.coeff
+    bg = asm.mesh.basis_grads
+    blocks = np.einsum("mki,mij,mlj->mkl", bg, coeff, bg)
+    tri = asm.mesh.triangles
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    n = asm.mesh.n_vertices
+    K = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return K[asm.free][:, asm.free]
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_ordered_tangent_and_direction(lab, domain, h, p):
+    mesh = lab.mesh(domain, h)
+    u = np.random.default_rng(11).uniform(0, 0.2, mesh.n_vertices)
+    u[mesh.boundary_vertices] = 0.0
+    asm = _Assembler(mesh, ConformalMetric.flat(), p)
+    K = asm.tangent(u, 1e-3)
+    # the stored order is a permutation of the free vertices
+    order = np.searchsorted(asm.free, asm.dofs)
+    assert np.array_equal(np.sort(asm.dofs), asm.free)
+    ref = _reference_tangent(asm, u, 1e-3)[order][:, order].toarray()
+    Kd = K.toarray()
+    assert np.abs(Kd - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the Newton direction agrees with a dense solve
+    b = -asm.residual(u, 1e-3)[asm.dofs]
+    d = solver.spsolve(K, b)
+    d_ref = np.linalg.solve(Kd, b)
+    assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
+
+
+def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
+    tangent = _Assembler.tangent
+    monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: 0 * tangent(self, u, eps))
+    mesh = build_mesh(Disk(1.0), 0.2)
+    with pytest.raises(SolverError) as err:
+        solve(mesh, None, SolveConfig(p=3.0))
+    assert len(err.value.history) >= 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"command": "verify", "domain": {"variant": "disk"}, "p": [3.0], "h": [0.2]}')
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_rung_records_and_solve_count(lab, monkeypatch):
+    # pins the number of factorizations, so a change cannot add some unnoticed
+    calls = []
+    spsolve = solver.spsolve
+    monkeypatch.setattr(solver, "spsolve", lambda K, b: calls.append(1) or spsolve(K, b))
+    sol = solve(lab.mesh("disk", 0.05), None, SolveConfig(p=3.0))
+    assert [s.iterations for s in sol.steps] == [6, 2, 1, 1, 0, 0, 0, 0]
+    assert len(calls) == sum(s.solves for s in sol.steps) == 16
+    for s in sol.steps:
+        assert s.stop in ("tolerance", "decrement_floor", "converged_on_entry")
+        # a rung that stops on the decrement floor spent one solve on it
+        assert s.solves == s.iterations + (s.stop == "decrement_floor")
+
+
+def test_forced_decrement_floor_stop_is_reported():
+    # no iterate meets a zero residual tolerance, so every rung ends on the
+    # rounding-level Newton decrement
+    mesh = build_mesh(Disk(1.0), 0.2)
+    sol = solve(mesh, None, SolveConfig(p=3.0, newton_tol=0.0))
+    assert all(s.stop == "decrement_floor" for s in sol.steps)
+    assert all(s.residual_norm > 0 and s.solves == s.iterations + 1 for s in sol.steps)
+    # p = 2 is linear: one step meets the tolerance, later rungs start converged
+    sol = solve(mesh, None, SolveConfig(p=2.0))
+    assert sol.steps[0].stop == "tolerance" and sol.steps[0].iterations == 1
+    assert all(s.stop == "converged_on_entry" and s.solves == 0 for s in sol.steps[1:])
 
 
 def test_regularized_flux_eigenvalue_bound():
