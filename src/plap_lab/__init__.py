@@ -17,9 +17,8 @@ from .metric import (ConformalMetric, gaussian_curvature,
                      geodesic_boundary_curvature)
 from .fields import (AnalyticField, DerivativeBundle, PolynomialField,
                      RadialField, ScalarField, analytic_bundle,
-                     field_catalogue, flux_vector_field, linearized_apply,
-                     linearized_on_p, p_bochner_residual, p_function,
-                     p_laplacian, recover_derivatives)
+                     field_catalogue, linearized_on_p, p_bochner_residual,
+                     p_function, recover_derivatives)
 from .oracles import (RadialProfile, ellipse_boundary_integrals,
                       matrix_inequality_gap, matrix_inequality_sweep,
                       p_ball_constant, radial_exact, radial_fd_solve)

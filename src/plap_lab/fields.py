@@ -1,5 +1,13 @@
 """Discrete and analytic scalar fields and their pointwise differential algebra.
 
+A run takes three things from here: derivative recovery on a mesh
+(`recover_derivatives`), the P-function (`p_function`) and the closed form of
+L_u P (`linearized_on_p`), which feeds the interior side of every identity
+and the subharmonicity scan.  The acceptance gate's exact-algebra checks
+(`p_bochner_residual`, `lu_p_two_routes`) run on analytic fields with exact
+derivatives through third order; there Delta_p u is evaluated in divergence
+form (`_p_laplacian_with_gradient`), independently of the frame route.
+
 All pointwise quantities are stored in components of a local g-orthonormal
 frame (e_i = e^{-phi} d_i for a conformal metric g = e^{2 phi} delta): for a
 scalar u the frame gradient is G = e^{-phi} grad(u) and the frame Hessian is
@@ -69,14 +77,12 @@ class DerivativeBundle:
     hess_frob: np.ndarray
     a_u: np.ndarray
     grad_gnorm: np.ndarray
-    laplacian: np.ndarray
     ric: np.ndarray
     mask: np.ndarray
     delta_crit: float
     metric: ConformalMetric
     mesh: TriMesh | None = None
     weights: np.ndarray | None = None          # metric volume weights e^{2 phi} dx (dx when phi = 0)
-    nodal_values: np.ndarray | None = None
     nodal_grad: np.ndarray | None = None       # Euclidean components at vertices
     nodal_hess: np.ndarray | None = None
     # L_u P values and integral per (p, n), filled on first use
@@ -96,8 +102,7 @@ def _derived_scalars(G: np.ndarray, S: np.ndarray, mask: np.ndarray):
     grad_gnorm = np.linalg.norm(sg, axis=1) / safe
     a_u[mask] = np.nan
     grad_gnorm[mask] = np.nan
-    lap = np.einsum("nii->n", S)
-    return gnorm, hess_frob, a_u, grad_gnorm, lap
+    return gnorm, hess_frob, a_u, grad_gnorm
 
 
 def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
@@ -118,19 +123,19 @@ def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
 
 
 def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None, weights=None,
-                 nodal=None, nodal_grad=None, nodal_hess=None) -> DerivativeBundle:
+                 nodal_grad=None, nodal_hess=None) -> DerivativeBundle:
     G, S = frame_from_scalar(metric, pts, df, d2f)
     gnorm = np.linalg.norm(G, axis=1)
     if delta_crit is None:
         delta_crit = default_delta_crit(mesh.h, float(gnorm.max()) if len(gnorm) else 0.0)
     mask = gnorm <= delta_crit
-    gnorm, hess_frob, a_u, grad_gnorm, lap = _derived_scalars(G, S, mask)
+    gnorm, hess_frob, a_u, grad_gnorm = _derived_scalars(G, S, mask)
     ric = gaussian_curvature(metric, pts) * gnorm**2
     return DerivativeBundle(
         points=pts, u=u, grad=G, hess=S, gnorm=gnorm, hess_frob=hess_frob,
-        a_u=a_u, grad_gnorm=grad_gnorm, laplacian=lap, ric=ric, mask=mask,
+        a_u=a_u, grad_gnorm=grad_gnorm, ric=ric, mask=mask,
         delta_crit=delta_crit, metric=metric, mesh=mesh, weights=weights,
-        nodal_values=nodal, nodal_grad=nodal_grad, nodal_hess=nodal_hess,
+        nodal_grad=nodal_grad, nodal_hess=nodal_hess,
     )
 
 
@@ -198,12 +203,6 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     return grad, hess
 
 
-def _element_gradients(mesh: TriMesh, nodal: np.ndarray) -> np.ndarray:
-    """P1 gradient per element of nodal data with arbitrary trailing shape."""
-    vals = nodal[mesh.triangles]  # (M, 3, ...)
-    return np.einsum("mki,mk...->m...i", mesh.basis_grads, vals)
-
-
 def _at_quads(mesh: TriMesh, nodal: np.ndarray) -> np.ndarray:
     vals = nodal[mesh.triangles]  # (M, 3, ...)
     out = np.einsum("qk,mk...->mq...", mesh.quad_bary, vals)
@@ -215,13 +214,13 @@ def default_delta_crit(h: float, gnorm_max: float) -> float:
 
 
 def recover_derivatives(u: ScalarField, mesh: TriMesh,
-                        metric: ConformalMetric | None = None,
-                        delta_crit: float | None = None) -> DerivativeBundle:
+                        metric: ConformalMetric | None = None) -> DerivativeBundle:
     """Gradient and Hessian recovery by local quadratic patch regression.
 
     The nodal values are fit with a quadratic over two-ring vertex patches,
     giving gradient and (symmetric) Hessian in one consistent pass; both are
-    then interpolated to the interior quadrature points.
+    then interpolated to the interior quadrature points.  The critical-set
+    threshold is `default_delta_crit` of the mesh and the gradient scale.
     """
     if u.mesh is not mesh:
         if u.values.shape != (mesh.n_vertices,):
@@ -237,9 +236,8 @@ def recover_derivatives(u: ScalarField, mesh: TriMesh,
 
     weights = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
     return _make_bundle(
-        metric, mesh.quad_points, u_q, g_q, h_q, delta_crit,
-        mesh=mesh, weights=weights,
-        nodal=u.values, nodal_grad=nodal_g, nodal_hess=nodal_h,
+        metric, mesh.quad_points, u_q, g_q, h_q, None,
+        mesh=mesh, weights=weights, nodal_grad=nodal_g, nodal_hess=nodal_h,
     )
 
 
@@ -398,11 +396,15 @@ def field_catalogue(seed: int = 0, n_random: int = 15) -> list[AnalyticField]:
     return fields
 
 
-def analytic_bundle(field: AnalyticField, metric: ConformalMetric, pts: np.ndarray,
-                    delta_crit: float = 1e-8) -> DerivativeBundle:
+# critical-set threshold of exact derivative data
+_ANALYTIC_DELTA_CRIT = 1e-8
+
+
+def analytic_bundle(field: AnalyticField, metric: ConformalMetric, pts: np.ndarray) -> DerivativeBundle:
     """Bundle with exact (rather than recovered) derivative data at the points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _make_bundle(metric, pts, field.value(pts), field.grad(pts), field.hess(pts), delta_crit)
+    return _make_bundle(metric, pts, field.value(pts), field.grad(pts), field.hess(pts),
+                        _ANALYTIC_DELTA_CRIT)
 
 
 # --------------------------------------------------------------------------
@@ -430,50 +432,6 @@ def p_function(bundle: DerivativeBundle, u: ScalarField | None, p: float, n: int
     return PFunction(quad=quad, nodal=nodal)
 
 
-def p_laplacian(bundle: DerivativeBundle, p: float) -> np.ndarray:
-    """Pointwise Delta_p u = |grad u|^{p-2} (Delta u + (p-2) A_u); NaN where masked."""
-    with np.errstate(invalid="ignore"):
-        out = bundle.gnorm ** (p - 2.0) * (bundle.laplacian + (p - 2.0) * bundle.a_u)
-    out[bundle.mask] = np.nan
-    return out
-
-
-def _coerce_eta(u_bundle: DerivativeBundle, eta) -> DerivativeBundle:
-    if isinstance(eta, DerivativeBundle):
-        if eta.points.shape != u_bundle.points.shape:
-            raise ValidationError("eta bundle evaluated at different points")
-        return eta
-    if isinstance(eta, ScalarField):
-        if u_bundle.mesh is None:
-            raise ValidationError("discrete eta requires a mesh-based bundle")
-        return recover_derivatives(eta, u_bundle.mesh, u_bundle.metric,
-                                   delta_crit=u_bundle.delta_crit)
-    return analytic_bundle(eta, u_bundle.metric, u_bundle.points)
-
-
-def linearized_apply(u_bundle: DerivativeBundle, eta, p: float) -> np.ndarray:
-    """Apply the linearization of the p-Laplacian at u to a direction eta.
-
-    eta may be a ScalarField, an analytic field, or a prepared bundle; the
-    result is NaN at masked points of u.
-    """
-    eb = _coerce_eta(u_bundle, eta)
-    G, S = u_bundle.grad, u_bundle.hess
-    gn, mask = u_bundle.gnorm, u_bundle.mask
-    safe = np.where(mask, 1.0, np.maximum(gn, 1e-300))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dp_u = safe ** (p - 2.0) * (u_bundle.laplacian + (p - 2.0) * np.where(mask, 0.0, u_bundle.a_u))
-        t1 = safe ** (p - 2.0) * eb.laplacian
-        t2 = (p - 2.0) * safe ** (p - 4.0) * np.einsum("ni,nij,nj->n", G, eb.hess, G)
-        t3 = (p - 2.0) * np.einsum("ni,ni->n", G, eb.grad) / safe**2 * dp_u
-        ghat = G / safe[:, None]
-        w = eb.grad - ghat * np.einsum("ni,ni->n", ghat, eb.grad)[:, None]
-        t4 = 2.0 * (p - 2.0) * safe ** (p - 4.0) * np.einsum("ni,nij,nj->n", G, S, w)
-    out = t1 + t2 + t3 + t4
-    out[mask] = np.nan
-    return out
-
-
 def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     """Pointwise value of the linearized operator applied to the P-function.
 
@@ -496,43 +454,6 @@ def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     return val
 
 
-def _flux(G: np.ndarray, gp: np.ndarray, gn: np.ndarray, mask: np.ndarray, p: float) -> np.ndarray:
-    safe = np.where(mask, 1.0, np.maximum(gn, 1e-300))
-    with np.errstate(invalid="ignore"):
-        inner = np.einsum("ni,ni->n", G, gp)
-        a = (p - 2.0) * (safe ** (p - 4.0) * inner)[:, None] * G + (safe ** (p - 2.0))[:, None] * gp
-    a[mask] = 0.0
-    return a
-
-
-def flux_vector_field(u_bundle: DerivativeBundle, p_bundle: DerivativeBundle,
-                      p: float) -> np.ndarray:
-    """a = (p-2)|g|^{p-4} <g, grad P> g + |g|^{p-2} grad P; zero on the critical mask."""
-    return _flux(u_bundle.grad, p_bundle.grad, u_bundle.gnorm, u_bundle.mask, p)
-
-
-def flux_divergence_check(u_bundle: DerivativeBundle, p_bundle: DerivativeBundle,
-                          p: float, bg) -> tuple[float, float, float]:
-    """Discrete divergence theorem for the flux field (flat metric).
-
-    Returns (volume integral of div a, boundary integral of a . nu, relative
-    mismatch).  The volume side uses the piecewise-linear interpolant of the
-    nodal flux; the boundary side uses exact parametric normals and weights.
-    """
-    if not u_bundle.metric.is_flat:
-        raise ValidationError("divergence check implemented for the flat metric")
-    mesh = u_bundle.mesh
-    g = u_bundle.nodal_grad
-    gn = np.linalg.norm(g, axis=1)
-    a = _flux(g, p_bundle.nodal_grad, gn, gn <= u_bundle.delta_crit, p)
-    jac = _element_gradients(mesh, a)          # (M, 2, 2): d a_i / d x_j
-    div = jac[:, 0, 0] + jac[:, 1, 1]
-    vol = float(np.sum(mesh.areas * div))
-    bflux = float(np.sum(np.einsum("ni,ni->n", a[bg.node_index], bg.normal) * bg.weight))
-    scale = max(abs(vol), abs(bflux), 1e-30)
-    return vol, bflux, abs(vol - bflux) / scale
-
-
 # --------------------------------------------------------------------------
 # Exact pointwise algebra on analytic fields
 # --------------------------------------------------------------------------
@@ -548,19 +469,6 @@ def _phi_derivs(metric: ConformalMetric, pts: np.ndarray):
     if metric.is_flat:
         return np.zeros(n), np.zeros((n, 2)), np.zeros((n, 2, 2))
     return metric.phi(pts), metric.grad_phi(pts), metric.hess_phi(pts)
-
-
-def exact_p_laplacian(field: AnalyticField, metric: ConformalMetric, p: float,
-                      pts: np.ndarray) -> np.ndarray:
-    """Delta_p u from the divergence form (independent of the frame route)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    _, du, d2u, _ = _u_derivs(field, pts)
-    phi, dphi, _ = _phi_derivs(metric, pts)
-    m = np.einsum("ni,ni->n", du, du)
-    B = np.einsum("nij,ni,nj->n", d2u, du, du)
-    T = np.einsum("nii->n", d2u)
-    c = np.einsum("ni,ni->n", dphi, du)
-    return np.exp(-p * phi) * m ** ((p - 2.0) / 2.0) * (T + (p - 2.0) * (B / m - c))
 
 
 def _p_laplacian_with_gradient(field, metric, p, pts):

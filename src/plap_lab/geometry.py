@@ -283,8 +283,11 @@ def boundary_curves(spec: DomainSpec) -> list[BoundaryCurve]:
     raise ValidationError(f"unknown domain spec {spec!r}")
 
 
-def _arclength_table(curve: BoundaryCurve, n: int = 1 << 17) -> tuple[np.ndarray, np.ndarray]:
-    t = np.linspace(0.0, TWO_PI, n + 1)
+_ARCLENGTH_SAMPLES = 1 << 17
+
+
+def _arclength_table(curve: BoundaryCurve) -> tuple[np.ndarray, np.ndarray]:
+    t = np.linspace(0.0, TWO_PI, _ARCLENGTH_SAMPLES + 1)
     sp = curve.speed(t)
     ds = 0.5 * (sp[1:] + sp[:-1]) * np.diff(t)
     s = np.concatenate([[0.0], np.cumsum(ds)])
@@ -361,6 +364,7 @@ class TriMesh:
     quad_tri: np.ndarray                # (M*Q,) owning triangle
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
     _locator: "_PointLocator | None" = field(default=None, repr=False)
+    _measures: dict = field(default_factory=dict, repr=False)   # metric -> Measures
 
     @property
     def n_vertices(self) -> int:
@@ -392,6 +396,7 @@ class TriMesh:
 class _PointLocator:
     """Nearest-centroid candidate search plus barycentric membership test."""
 
+    _K = 24     # nearest-centroid candidates per point
     _HEAD = 6   # on a flat disk at h=0.025 no located point lies beyond the sixth candidate
 
     def __init__(self, mesh: TriMesh):
@@ -399,15 +404,15 @@ class _PointLocator:
         cent = mesh.points[mesh.triangles].mean(axis=1)
         self.tree = cKDTree(cent)
 
-    def locate(self, pts: np.ndarray, k: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per point, the first candidate triangle that contains it (up to
         1e-12 in barycentric terms), else the first one it is least outside
         of; the coordinates are clipped at 0 and renormalised.
 
-        The first ``_HEAD`` candidates are tested for every point and all k
-        only for the points that none of those contains; the first inside
+        The first ``_HEAD`` candidates are tested for every point and all
+        ``_K`` only for the points that none of those contains; the first inside
         hit is the same either way."""
-        k = min(k, self.mesh.n_triangles)
+        k = min(self._K, self.mesh.n_triangles)
         _, cand = self.tree.query(pts, k=k)
         cand = np.asarray(cand).reshape(len(pts), k)
         tri, bary, hit = self._pick(pts, cand[:, :self._HEAD])
@@ -502,14 +507,12 @@ class _RadialDomain:
 # --------------------------------------------------------------------------
 
 _RELAX_ITERS = 120
+_RELAX_FSCALE = 1.2     # rest length of the repulsive edge springs, in units of h
+_RELAX_DT = 0.2
+_MIN_ANGLE_DEG = 20.0   # quality bound every mesh must meet
 
 
-def build_mesh(
-    spec: DomainSpec,
-    h: float,
-    quad_order: int = 2,
-    quality_bound_deg: float = 20.0,
-) -> TriMesh:
+def build_mesh(spec: DomainSpec, h: float, quad_order: int = 2) -> TriMesh:
     """Triangulate the domain with target edge length h.
 
     Boundary vertices sit exactly on the parametric curve at equal arc-length
@@ -539,7 +542,7 @@ def build_mesh(
     bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
     domain = _RadialDomain(spec)
     interior = _hex_lattice(spec, h, domain)
-    interior = _relax(bnd_xy, interior, h, domain, _RELAX_ITERS)
+    interior = _relax(bnd_xy, interior, h, domain)
 
     points = np.concatenate([bnd_xy, interior]) if len(interior) else bnd_xy.copy()
     triangles = _triangulate_inside(points, domain)
@@ -548,9 +551,9 @@ def build_mesh(
     mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths, quad_order)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
-    if min_angle < quality_bound_deg:
+    if min_angle < _MIN_ANGLE_DEG:
         raise MeshGenerationError(
-            f"mesh quality below bound: min angle {min_angle:.2f} deg < {quality_bound_deg} deg",
+            f"mesh quality below bound: min angle {min_angle:.2f} deg < {_MIN_ANGLE_DEG} deg",
             achieved_min_angle_deg=min_angle,
         )
     return mesh
@@ -571,22 +574,14 @@ def _hex_lattice(spec: DomainSpec, h: float, domain: _RadialDomain) -> np.ndarra
     return pts[domain.inside(pts, margin=0.7 * h)]
 
 
-def _relax(
-    bnd: np.ndarray,
-    interior: np.ndarray,
-    h: float,
-    domain: _RadialDomain,
-    iters: int,
-    fscale: float = 1.2,
-    dt: float = 0.2,
-) -> np.ndarray:
+def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomain) -> np.ndarray:
     if len(interior) == 0:
         return interior
     n_bnd = len(bnd)
     pts = np.concatenate([bnd, interior])
     n = len(pts)
     last = np.full_like(pts, np.inf)
-    for _ in range(iters):
+    for _ in range(_RELAX_ITERS):
         # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule)
         if np.sqrt(np.sum((pts - last) ** 2, axis=1)).max() > 0.1 * h:
             last = pts.copy()
@@ -598,14 +593,14 @@ def _relax(
             idx = np.concatenate([e0, e1])
         vec = pts[e0] - pts[e1]
         lng = np.linalg.norm(vec, axis=1)
-        f = np.maximum(fscale * h - lng, 0.0)
+        f = np.maximum(_RELAX_FSCALE * h - lng, 0.0)
         fvec = vec * (f / np.maximum(lng, 1e-12))[:, None]
         w = np.concatenate([fvec, -fvec])
         force = np.stack([np.bincount(idx, w[:, 0], n), np.bincount(idx, w[:, 1], n)], axis=1)
         force[:n_bnd] = 0.0
-        pts[n_bnd:] += dt * force[n_bnd:]
+        pts[n_bnd:] += _RELAX_DT * force[n_bnd:]
         pts[n_bnd:] = domain.clamp(pts[n_bnd:], margin=0.55 * h)
-        if np.abs(dt * force[n_bnd:]).max() < 1e-3 * h:
+        if np.abs(_RELAX_DT * force[n_bnd:]).max() < 1e-3 * h:
             break
     return pts[n_bnd:]
 
@@ -762,10 +757,15 @@ class Measures:
 
 
 def domain_measures(mesh: TriMesh, metric=None) -> Measures:
-    """Volume and perimeter, weighted by the conformal metric when given."""
-    bg = mesh.boundary
-    if metric is None:
-        return Measures(float(mesh.quad_weights.sum()), float(bg.weight.sum()))
-    vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
-    per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
-    return Measures(vol, per)
+    """Volume and perimeter, weighted by the conformal metric when given;
+    evaluated once per mesh and metric."""
+    if metric not in mesh._measures:
+        bg = mesh.boundary
+        if metric is None:
+            meas = Measures(float(mesh.quad_weights.sum()), float(bg.weight.sum()))
+        else:
+            vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
+            per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
+            meas = Measures(vol, per)
+        mesh._measures[metric] = meas
+    return mesh._measures[metric]

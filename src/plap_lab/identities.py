@@ -131,7 +131,7 @@ def _rel(lhs: float, rhs: float, floor: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
-def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float = 0.01) -> IdentityEntry:
+def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> IdentityEntry:
     """Integral of the boundary p-flux against -|Omega| (global balance)."""
     lhs = float(np.sum(trace.p_flux() * trace.weight))
     rhs = -measures.volume
@@ -168,7 +168,7 @@ def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
 
 
 def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
-                         p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
+                         tolerance: float) -> IdentityEntry:
     """Interior L_u P mass against the boundary curvature flux, three ways.
 
     lhs_volume integrates the pointwise expansion, lhs_boundary converts the
@@ -176,6 +176,7 @@ def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: Deriv
     is |Omega|/n minus the curvature-weighted flux integral.  The volume vs
     boundary discrepancy is the discrete divergence-theorem check.
     """
+    p, n = trace.p, trace.n
     lhs_volume = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs_boundary = float(
@@ -206,9 +207,10 @@ def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: Deriv
 
 
 def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
-              p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
+              tolerance: float) -> IdentityEntry:
     """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|."""
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
+    p, n = trace.p, trace.n
     t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p, n)[1]
     pf = trace.p_flux()
     t2 = float(np.sum((1.0 + n * trace.curvature * pf) ** 2 / trace.curvature * trace.weight))
@@ -225,9 +227,10 @@ def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle
 
 
 def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
-                       p: float, n: int = 2, tolerance: float = 0.02) -> IdentityEntry:
+                       tolerance: float) -> IdentityEntry:
     """Constant-mean-curvature form: interior mass plus the H0-deficit equals
     the curvature-deviation flux integral."""
+    p, n = trace.p, trace.n
     h0 = measures.perimeter / (n * measures.volume)
     lhs1 = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
@@ -244,17 +247,14 @@ def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: Derivat
     )
 
 
-def serrin_deficit(trace: BoundaryTrace, n: int = 2, p: float | None = None,
-                   nodewise_tolerance: float = 0.03) -> IdentityEntry:
+def serrin_deficit(trace: BoundaryTrace, nodewise_tolerance: float) -> IdentityEntry:
     """Overdetermined-condition deficit D = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H.
 
     D vanishes exactly when the boundary p-flux equals -1/(nH) pointwise; it
     is a sum of nonnegative terms whenever H > 0.
     """
     _require_positive_curvature(trace, "the serrin deficit")
-    p = trace.p if p is None else p
-    pf = np.abs(trace.u_nu) ** (p - 2.0) * trace.u_nu
-    node_res = n * trace.curvature * pf + 1.0
+    node_res = trace.n * trace.curvature * trace.p_flux() + 1.0
     deficit = float(np.sum(node_res**2 / trace.curvature * trace.weight))
     ok = ~trace.flagged
     max_node = float(np.abs(node_res[ok]).max()) if ok.any() else np.nan
@@ -289,6 +289,10 @@ def scan_tolerance(h: float, p: float, n: int) -> float:
     return h * (p - 1.0) / n
 
 
+# element rings excluded around the critical set and inside the boundary
+_SCAN_RINGS = 2
+
+
 def _ring_mask(mesh, vmark: np.ndarray, rings: int) -> np.ndarray:
     """Quadrature points of the elements within `rings` element rings of the
     marked vertices (rings = 0: the elements touching them)."""
@@ -298,7 +302,7 @@ def _ring_mask(mesh, vmark: np.ndarray, rings: int) -> np.ndarray:
     return vmark[mesh.triangles].any(axis=1)[mesh.quad_tri]
 
 
-def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int, rings: int = 2) -> np.ndarray:
+def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     """Quadrature points within a few element rings of the discrete critical set.
 
     Near a critical point of the torsion solution the flux balance forces
@@ -313,15 +317,15 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int, rings: 
         return near
     vmark = np.zeros(mesh.n_vertices, dtype=bool)
     vmark[mesh.triangles[np.unique(mesh.quad_tri[near])].ravel()] = True
-    return near | _ring_mask(mesh, vmark, rings)
+    return near | _ring_mask(mesh, vmark, _SCAN_RINGS)
 
 
-def _boundary_ring_exclusion(mesh, rings: int = 2) -> np.ndarray:
+def _boundary_ring_exclusion(mesh) -> np.ndarray:
     """Quadrature points within a few element rings of the domain boundary,
     where recovered second derivatives carry the solution's own edge noise."""
     vmark = np.zeros(mesh.n_vertices, dtype=bool)
     vmark[mesh.boundary_vertices] = True
-    return _ring_mask(mesh, vmark, rings - 1)
+    return _ring_mask(mesh, vmark, _SCAN_RINGS - 1)
 
 
 _SCAN_BINS = 60
@@ -367,7 +371,7 @@ class EquivalenceFlags:
 
 
 def equivalence_suite(sol: Solution, trace: BoundaryTrace, measures: Measures,
-                      p: float, n: int = 2, tol: float = 0.03) -> EquivalenceFlags:
+                      tol: float) -> EquivalenceFlags:
     """Tolerance flags for the ball-characterization statements (flat metric).
 
     B: boundary p-flux equals -1/(nH) pointwise; D: H is the constant H0;
@@ -378,6 +382,7 @@ def equivalence_suite(sol: Solution, trace: BoundaryTrace, measures: Measures,
         raise PreconditionError("equivalence flags are defined for the flat metric")
     from .geometry import Disk
 
+    p, n = trace.p, trace.n
     h0 = measures.perimeter / (n * measures.volume)
     ok = ~trace.flagged
     pf = trace.p_flux()
@@ -460,20 +465,19 @@ class Tolerances:
 
 
 def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
-                 measures: Measures, p: float, n: int = 2,
-                 tol: Tolerances | None = None) -> IdentityReport:
+                 measures: Measures, tol: Tolerances | None = None) -> IdentityReport:
     """Run every applicable identity check for one solved case from its
-    recovered derivatives, boundary trace and measures."""
+    recovered derivatives, boundary trace (which carries p and n) and measures."""
     tol = tol if tol is not None else Tolerances()
+    p, n = trace.p, trace.n
     metric = bundle.metric
     h0 = measures.perimeter / (n * measures.volume)
 
     entries = {}
     skipped = {}
-    entries["fundamental"] = fundamental_identity(
-        trace, measures, bundle, p, n, tolerance=tol.identity_rel)
-    entries["sbt"] = soap_bubble_report(trace, measures, bundle, p, n, tolerance=tol.identity_rel)
-    entries["flux"] = flux_balance(trace, measures, tolerance=tol.flux_rel)
+    entries["fundamental"] = fundamental_identity(trace, measures, bundle, tol.identity_rel)
+    entries["sbt"] = soap_bubble_report(trace, measures, bundle, tol.identity_rel)
+    entries["flux"] = flux_balance(trace, measures, tol.flux_rel)
 
     eq_res = np.abs(trace.eq_curvature_residual())[~trace.flagged]
     eq_max = float(eq_res.max()) if len(eq_res) else np.nan
@@ -484,8 +488,8 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
     )
 
     if (trace.curvature > 0).all():
-        entries["hk"] = hk_report(trace, measures, bundle, p, n, tolerance=tol.identity_rel)
-        entries["serrin"] = serrin_deficit(trace, n, p, nodewise_tolerance=tol.serrin_nodewise)
+        entries["hk"] = hk_report(trace, measures, bundle, tol.identity_rel)
+        entries["serrin"] = serrin_deficit(trace, tol.serrin_nodewise)
     else:
         skipped["hk"] = "nonpositive mean curvature on part of the boundary"
         skipped["serrin"] = skipped["hk"]
@@ -498,7 +502,7 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
 
     flags = None
     if metric.is_flat:
-        flags = equivalence_suite(sol, trace, measures, p, n, tol=tol.flags_tol)
+        flags = equivalence_suite(sol, trace, measures, tol.flags_tol)
     else:
         skipped["flags"] = "equivalence statements are Euclidean"
 

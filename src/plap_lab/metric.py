@@ -176,12 +176,16 @@ def geodesic_boundary_curvature(metric: ConformalMetric, bg) -> np.ndarray:
     return np.exp(-phi) * (bg.curvature + dn)
 
 
-def check_nonnegative_ricci(metric: ConformalMetric, pts: np.ndarray, tol: float = 1e-12) -> None:
-    """Verify Delta phi <= tol at the given points for a declared Ric >= 0 metric."""
+# rounding allowance of the Ric >= 0 check on Delta phi
+_RICCI_TOL = 1e-12
+
+
+def check_nonnegative_ricci(metric: ConformalMetric, pts: np.ndarray) -> None:
+    """Verify Delta phi <= _RICCI_TOL at the given points for a declared Ric >= 0 metric."""
     if not metric.nonnegative_ricci:
         raise ValidationError("metric is not declared nonnegative_ricci")
     worst = float(metric.laplacian_phi(np.asarray(pts, dtype=float)).max())
-    if worst > tol:
+    if worst > _RICCI_TOL:
         raise ValidationError(
-            f"metric declared nonnegative_ricci but Delta phi reaches {worst:.3e} > {tol:.1e}"
+            f"metric declared nonnegative_ricci but Delta phi reaches {worst:.3e} > {_RICCI_TOL:.1e}"
         )

@@ -71,22 +71,6 @@ def p_ball_constant(n: int, p: float, radius: float) -> float:
     return (p - 1.0) / p * n ** (-p / (p - 1.0)) * radius ** (p / (p - 1.0))
 
 
-def radial_lu_p(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
-    """L_u P for the radial torsion profile (vanishes identically on balls)."""
-    r = np.asarray(r, dtype=float)
-    n, p = profile.n, profile.p
-    du = profile.du(r)
-    d2u = profile.d2u(r)
-    gn = np.abs(du)
-    hf2 = d2u**2 + (n - 1) * (du / r) ** 2
-    amp = gn ** (2.0 * (p - 2.0))
-    return (
-        (p - 1.0) * amp * (hf2 + (p - 2.0) ** 2 * d2u**2)
-        + 2.0 * (p - 1.0) * (p - 2.0) * amp * d2u**2
-        - (p - 1.0) / n
-    )
-
-
 # --------------------------------------------------------------------------
 # Ellipse boundary integrals
 # --------------------------------------------------------------------------
@@ -128,24 +112,6 @@ def ellipse_boundary_integrals(a: float, b: float) -> EllipseIntegrals:
 # --------------------------------------------------------------------------
 
 
-def _scalar_gaps(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) -> tuple[float, float]:
-    """Both gaps for one (H, g); H is symmetrized and g may have any nonzero length.
-
-    Every term scales as |g|^{2(p-2)} once A and |H g|^2 are normalized by
-    |g|^2, so the batched unit-gradient evaluator gives the general gap.
-    """
-    if not (2 <= n <= 6):
-        raise PreconditionError(f"dimension n must be in [2, 6], got {n}")
-    hess = np.asarray(hess, dtype=float)
-    gvec = np.asarray(gvec, dtype=float)
-    gn = float(np.linalg.norm(gvec))
-    if gn == 0.0:
-        raise PreconditionError("gradient vector must be nonzero")
-    gap, gap_loose = _gaps_vectorized(n, np.array([p]), 0.5 * (hess + hess.T)[None], (gvec / gn)[None])
-    scale = gn ** (2.0 * (p - 2.0))
-    return float(scale * gap[0]), float(scale * gap_loose[0])
-
-
 def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) -> float:
     """LHS minus RHS of the refined Hessian estimate; nonnegative for all inputs.
 
@@ -155,15 +121,23 @@ def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) 
         |g|^{2(p-2)} (|H|^2 + (p^2-2p+2) A^2)
             >= D^2/n + n/(n-1) (D/n - (p-1)|g|^{p-2} A)^2
                + 2 |g|^{2(p-2)} |H g|^2 / |g|^2.
+
+    H is symmetrized and g may have any nonzero length: every term scales as
+    |g|^{2(p-2)} once A and |H g|^2 are normalized by |g|^2, so the batched
+    unit-gradient evaluator gives the general gap.
     """
     if not (p > 1.0):
         raise PreconditionError(f"p must exceed 1, got {p}")
-    return _scalar_gaps(n, p, hess, gvec)[0]
-
-
-def looser_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) -> float:
-    """Gap of the earlier estimate with p(p-2) A^2 on the left and no gradient-norm term."""
-    return _scalar_gaps(n, p, hess, gvec)[1]
+    if not (2 <= n <= 6):
+        raise PreconditionError(f"dimension n must be in [2, 6], got {n}")
+    hess = np.asarray(hess, dtype=float)
+    gvec = np.asarray(gvec, dtype=float)
+    gn = float(np.linalg.norm(gvec))
+    if gn == 0.0:
+        raise PreconditionError("gradient vector must be nonzero")
+    gap, _ = _gaps_vectorized(n, np.array([p]), 0.5 * (hess + hess.T)[None], (gvec / gn)[None])
+    scale = gn ** (2.0 * (p - 2.0))
+    return float(scale * gap[0])
 
 
 @dataclass

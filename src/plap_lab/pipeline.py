@@ -55,7 +55,7 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     sol = solve(mesh, metric, config)
     bundle = recover_derivatives(sol.field(), mesh, metric)
     trace = boundary_trace(sol, bg, metric, p, bundle=bundle)
-    report = build_report(sol, bundle, trace, measures, p, tol=tolerances)
+    report = build_report(sol, bundle, trace, measures, tol=tolerances)
     p_nodal = p_function(bundle, sol.field(), p, 2).nodal.values
     return CaseResult(spec=spec, metric=metric, p=p, h=h, mesh=mesh, bg=bg,
                       measures=measures, solution=sol, report=report,

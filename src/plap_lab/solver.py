@@ -49,8 +49,6 @@ class SolveConfig:
             raise ValidationError(f"p must exceed 1, got {self.p}")
         if not (0.0 < self.rho < 1.0):
             raise ValidationError(f"continuation factor rho must lie in (0, 1), got {self.rho}")
-        if self.eps0 is not None and not (self.eps_min < self.eps0):
-            raise ValidationError(f"eps_min must be below eps0, got {self.eps_min} >= {self.eps0}")
         if not (self.eps_min > 0):
             raise ValidationError("eps_min must be positive")
         if self.max_newton_iter < 1 or self.max_backtracks < 1:
@@ -284,20 +282,6 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
         "positive_interior": bool((u[interior] > 0).all()) if len(interior) else True,
     }
     return sol
-
-
-def variational_p_flux(sol: Solution) -> np.ndarray:
-    """Boundary p-flux density |u_nu|^{p-2} u_nu (metric form) from the residual.
-
-    The reaction at a boundary node, divided by its lumped metric arc weight,
-    approximates the flux density; the sum over boundary nodes reproduces
-    -|Omega| exactly up to quadrature round-off.
-    """
-    mesh, metric, p = sol.mesh, sol.metric, sol.config.p
-    asm = _Assembler(mesh, metric, p)
-    r = asm.residual(sol.u, sol.final_eps)
-    bg = mesh.boundary
-    return r[bg.node_index] / (bg.weight * np.exp(metric.phi(bg.position)))
 
 
 @dataclass

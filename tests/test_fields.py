@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 
 from plap_lab import (ConformalMetric, PolynomialField,
                       ScalarField, ValidationError, analytic_bundle,
-                      field_catalogue, flux_vector_field, linearized_apply,
-                      linearized_on_p, p_bochner_residual, p_function,
-                      p_laplacian, recover_derivatives)
-from plap_lab.fields import (exact_p_laplacian, flux_divergence_check,
-                             gaussian_radial_field,
+                      field_catalogue, linearized_on_p, p_bochner_residual,
+                      p_function, recover_derivatives)
+from plap_lab.fields import (_p_laplacian_with_gradient, gaussian_radial_field,
                              lu_p_two_routes, torsion_profile_field)
-from plap_lab.oracles import p_ball_constant
 
 FLAT = ConformalMetric.flat()
 RNG = np.random.default_rng(0)
@@ -106,10 +103,20 @@ def test_p_function_validation(lab):
 
 # ---------------------------------------------------------- p-Laplacian
 
+def _p_laplacian(bundle, p):
+    """Pointwise Delta_p u = |g|^{p-2} (tr S + (p-2) A_u) from the frame data;
+    NaN where masked."""
+    with np.errstate(invalid="ignore"):
+        out = bundle.gnorm ** (p - 2.0) * (np.einsum("nii->n", bundle.hess)
+                                           + (p - 2.0) * bundle.a_u)
+    out[bundle.mask] = np.nan
+    return out
+
+
 def test_p_laplacian_exact_disk_torsion_p2():
     pts = _sample_points(rmax=0.95)
     bundle = analytic_bundle(torsion_profile_field(2.0), FLAT, pts)
-    assert np.abs(p_laplacian(bundle, 2.0) + 1.0).max() <= 1e-12
+    assert np.abs(_p_laplacian(bundle, 2.0) + 1.0).max() <= 1e-12
 
 
 def test_p_laplacian_discrete_interior(lab):
@@ -117,7 +124,7 @@ def test_p_laplacian_discrete_interior(lab):
     bundle = recover_derivatives(sol.field(), sol.mesh)
     r = np.linalg.norm(bundle.points, axis=1)
     sel = (r > 0.2) & (r < 0.8) & ~bundle.mask
-    vals = p_laplacian(bundle, 3.0)[sel]
+    vals = _p_laplacian(bundle, 3.0)[sel]
     assert np.abs(vals + 1.0).max() <= 10 * sol.mesh.h
 
 
@@ -127,7 +134,7 @@ def test_p_laplacian_constant_field_all_masked(lab):
     bundle = recover_derivatives(u, mesh)
     assert bundle.mask.all()
     assert bundle.masked_fraction == 1.0
-    assert np.isnan(p_laplacian(bundle, 2.5)).all()
+    assert np.isnan(_p_laplacian(bundle, 2.5)).all()
 
 
 def test_p_laplacian_dual_route_agreement():
@@ -137,8 +144,8 @@ def test_p_laplacian_dual_route_agreement():
         for field in (PolynomialField({(3, 0): 1 / 6, (0, 2): 0.5, (1, 1): 0.3}),
                       torsion_profile_field(3.0)):
             bundle = analytic_bundle(field, metric, pts)
-            via_frame = p_laplacian(bundle, 2.7)
-            via_div = exact_p_laplacian(field, metric, 2.7, pts)
+            via_frame = _p_laplacian(bundle, 2.7)
+            via_div = _p_laplacian_with_gradient(field, metric, 2.7, pts)[0]
             assert np.abs(via_frame - via_div).max() <= 1e-10
 
 
@@ -149,41 +156,6 @@ def test_a_u_on_exact_disk_torsion(lab):
     r = np.linalg.norm(bundle.points, axis=1)
     sel = (r > 0.2) & (r < 0.8)
     assert np.abs(bundle.a_u[sel] + 0.5).max() <= 5 * sol.mesh.h
-
-
-# ------------------------------------------------- linearized operator
-
-def test_linearized_reduces_to_laplacian_at_p2(lab):
-    mesh = lab.mesh("disk", 0.1)
-    sol = lab.solution("disk", 2.0, h=0.1)
-    bundle = recover_derivatives(sol.field(), mesh)
-    eta = PolynomialField({(2, 0): 0.5, (1, 1): 0.2, (0, 1): -1.0})
-    lhs = linearized_apply(bundle, eta, 2.0)
-    eb = analytic_bundle(eta, FLAT, bundle.points)
-    ok = ~bundle.mask
-    assert np.abs((lhs[ok] - eb.laplacian[ok]) / eb.laplacian[ok]).max() <= 1e-12
-
-
-def test_linearized_at_u_gives_scaled_p_laplacian():
-    pts = _sample_points(rmax=0.9)
-    for p in (1.5, 3.0):
-        field = torsion_profile_field(p)
-        bundle = analytic_bundle(field, FLAT, pts)
-        lu_u = linearized_apply(bundle, field, p)
-        dp = p_laplacian(bundle, p)
-        assert np.abs(lu_u - (p - 1) * dp).max() <= 1e-12
-
-
-def test_linearized_matches_closed_form_oracle():
-    # for radial u and eta = |x|^2/2 the tangential defect vanishes, leaving
-    #   L_u eta = p |u'|^{p-2} + (p-2) (r / u') Delta_p u;
-    # on the exact p=3 torsion profile (Delta_p u = -1, u' = -sqrt(r/2))
-    # this collapses to 5 sqrt(r/2)
-    pts = _sample_points(count=50, rmin=0.3, rmax=0.9)
-    r = np.linalg.norm(pts, axis=1)
-    bundle = analytic_bundle(torsion_profile_field(3.0), FLAT, pts)
-    got = linearized_apply(bundle, PolynomialField({(2, 0): 0.5, (0, 2): 0.5}), 3.0)
-    assert np.abs(got - 5.0 * np.sqrt(r / 2.0)).max() <= 1e-10
 
 
 # -------------------------------------------------------- L_u P algebra
@@ -277,33 +249,3 @@ def test_analytic_derivatives_match_finite_differences(maker):
     # central differences: each error is O(step^2), so halving step gains ~4x
     for e_big, e_small in zip(errs[0], errs[1]):
         assert e_small <= e_big / 2.0 + 1e-12
-
-
-# ------------------------------------------------------------ flux field
-
-def test_flux_field_vanishes_on_exact_torsion(lab):
-    mesh = lab.mesh("disk", 0.05)
-    field = torsion_profile_field(3.0)
-    u_bundle = analytic_bundle(field, FLAT, mesh.quad_points)
-    p_nodal = ScalarField(np.full(mesh.n_vertices, p_ball_constant(2, 3.0, 1.0)), mesh)
-    p_bundle = recover_derivatives(p_nodal, mesh)
-    a = flux_vector_field(u_bundle, p_bundle, 3.0)
-    assert np.abs(a).max() <= 1e-8
-
-
-def test_flux_field_zero_at_masked_points(lab):
-    mesh = lab.mesh("disk", 0.1)
-    u = ScalarField(np.full(mesh.n_vertices, 1.0), mesh)
-    bundle = recover_derivatives(u, mesh)
-    pb = recover_derivatives(ScalarField(mesh.points[:, 0], mesh), mesh)
-    a = flux_vector_field(bundle, pb, 3.0)
-    assert np.all(a == 0.0)
-
-
-def test_flux_divergence_theorem_ellipse(lab):
-    case = lab.case("ellipse", 2.0)
-    bundle = recover_derivatives(case.solution.field(), case.mesh)
-    pf = p_function(bundle, case.solution.field(), 2.0, 2)
-    p_bundle = recover_derivatives(pf.nodal, case.mesh)
-    vol, bflux, rel = flux_divergence_check(bundle, p_bundle, 2.0, case.bg)
-    assert rel <= 0.02

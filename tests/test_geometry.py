@@ -145,8 +145,9 @@ def test_validation_errors():
 def test_quality_error_reports_min_angle(monkeypatch):
     import plap_lab.geometry as geo
 
+    monkeypatch.setattr(geo, "_MIN_ANGLE_DEG", 60.0)
     with pytest.raises(MeshGenerationError) as err:
-        build_mesh(Disk(1.0), 0.1, quality_bound_deg=60.0)
+        build_mesh(Disk(1.0), 0.1)
     assert err.value.achieved_min_angle_deg is not None
     assert err.value.achieved_min_angle_deg < 60.0
 

@@ -8,10 +8,11 @@ from plap_lab import (ConformalMetric, PreconditionError,
                       serrin_deficit, soap_bubble_report, subharmonicity_scan)
 from plap_lab.fields import recover_derivatives
 from plap_lab.geometry import Annulus
-from plap_lab.identities import BoundaryTrace, scan_tolerance
+from plap_lab.identities import BoundaryTrace, Tolerances, scan_tolerance
 from plap_lab.solver import Solution
 
 FLAT = ConformalMetric.flat()
+TOL = Tolerances()
 
 DISK_SCALE = np.pi / 2          # |Omega|/n for the unit disk
 ELL_T3 = 3.375 * np.pi          # int 1/H ds - n |Omega| for the 2:1 ellipse
@@ -57,7 +58,7 @@ def test_flux_balance_flags_non_solution(lab):
     zero = Solution(u=np.zeros(mesh.n_vertices), mesh=mesh, metric=FLAT,
                     config=SolveConfig(p=2.0), steps=[], final_eps=1e-8)
     tr = boundary_trace(zero, bg, FLAT, 2.0, bundle=recover_derivatives(zero.field(), mesh))
-    entry = flux_balance(tr, domain_measures(mesh))
+    entry = flux_balance(tr, domain_measures(mesh), TOL.flux_rel)
     assert entry.rel_residual == pytest.approx(1.0, abs=1e-9)
     assert not entry.passed
 
@@ -128,9 +129,9 @@ def test_hk_rejects_nonpositive_curvature():
     tr = boundary_trace(sol, bg, FLAT, 2.0, bundle=bundle)
     meas = domain_measures(mesh)
     with pytest.raises(PreconditionError):
-        hk_report(tr, meas, bundle, 2.0)
+        hk_report(tr, meas, bundle, TOL.identity_rel)
     with pytest.raises(PreconditionError):
-        serrin_deficit(tr)
+        serrin_deficit(tr, TOL.serrin_nodewise)
 
 
 # ------------------------------------------------------------ soap bubble
@@ -179,7 +180,7 @@ def test_serrin_definitional_zero(lab):
                        weight=bg.weight, u_nu=u_nu, u_nunu=np.zeros_like(u_nu),
                        gnorm=np.abs(u_nu), flagged=np.zeros(len(u_nu), dtype=bool),
                        loop_slices=bg.loop_slices)
-    entry = serrin_deficit(tr, n, p)
+    entry = serrin_deficit(tr, TOL.serrin_nodewise)
     assert entry.values["deficit"] <= 1e-12
 
 
@@ -236,7 +237,7 @@ def test_equivalence_flags_ellipse(lab):
 def test_equivalence_requires_flat(lab):
     case = lab.case("disk", 2.0, metric="cap")
     with pytest.raises(PreconditionError):
-        equivalence_suite(case.solution, case.trace, case.measures, 2.0)
+        equivalence_suite(case.solution, case.trace, case.measures, TOL.flags_tol)
 
 
 # ------------------------------------------- discrete algebraic regrouping
@@ -254,9 +255,9 @@ def test_reports_are_algebraically_dependent(lab, domain, p):
     sol, bg, meas = case.solution, case.bg, case.measures
     bundle = recover_derivatives(sol.field(), case.mesh, case.metric)
     tr = boundary_trace(sol, bg, case.metric, p, bundle=bundle)
-    fund = fundamental_identity(tr, meas, bundle, p, n)
-    hk = hk_report(tr, meas, bundle, p, n)
-    sbt = soap_bubble_report(tr, meas, bundle, p, n)
+    fund = fundamental_identity(tr, meas, bundle, TOL.identity_rel)
+    hk = hk_report(tr, meas, bundle, TOL.identity_rel)
+    sbt = soap_bubble_report(tr, meas, bundle, TOL.identity_rel)
     flux_sum = float(np.sum(tr.p_flux() * tr.weight))
 
     fund_gap = fund.values["lhs_volume"] - fund.values["rhs"]

@@ -39,6 +39,7 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     tables = _count_calls(monkeypatch, geometry, "_arclength_table")
     lu_p = _count_calls(monkeypatch, fields, "linearized_on_p")
     spec_checks = _count_calls(monkeypatch, geometry, "validate_spec")
+    measures = _count_calls(monkeypatch, geometry, "Measures")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
@@ -47,6 +48,9 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     assert len(tables) <= n_loops
     assert len(lu_p) == n_cases
     assert len(spec_checks) <= 2       # spec_from_json and build_mesh
+    # the metric measures (run_case and the solver's eps0 scale) and the
+    # Euclidean ones (the trace's depth cap), each once per mesh
+    assert len(measures) <= 2
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -1,0 +1,29 @@
+"""Each experiment script runs to completion on small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SMALL_ARGS = {
+    "run_ball_benchmark.py": ["--p", "2", "--h", "0.2"],
+    "run_convergence.py": ["--h", "0.3", "0.2"],
+    "run_ellipse_identities.py": ["--p", "2", "--h", "0.2"],
+    "run_inequality_sweep.py": ["--samples", "3000"],
+}
+
+
+def test_every_script_has_small_arguments():
+    assert sorted(p.name for p in (ROOT / "scripts").glob("run_*.py")) == sorted(SMALL_ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(SMALL_ARGS))
+def test_script_exits_zero(script):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SMALL_ARGS[script]],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from plap_lab import solver
 from plap_lab.cli import main
 from plap_lab.oracles import radial_exact
-from plap_lab.solver import _Assembler, variational_p_flux
+from plap_lab.solver import _Assembler
 
 
 def _disk_error(lab, p, h=0.05):
@@ -28,13 +28,14 @@ def test_disk_degenerate_accuracy(lab, p):
     assert _disk_error(lab, p) <= 5e-3
 
 
-def test_config_validation():
+def test_config_validation(lab):
     with pytest.raises(ValidationError):
         SolveConfig(p=0.9).validate()
     with pytest.raises(ValidationError):
         SolveConfig(p=2.0, rho=1.5).validate()
+    # solve() checks eps_min < eps0 once eps0 is known, given or derived
     with pytest.raises(ValidationError):
-        SolveConfig(p=2.0, eps0=1e-9, eps_min=1e-8).validate()
+        solve(lab.mesh("disk", 0.1), None, SolveConfig(p=2.0, eps0=1e-9, eps_min=1e-8))
 
 
 def test_forced_newton_failure_carries_history():
@@ -203,17 +204,6 @@ def test_flux_balance_from_solver_trace(lab):
     case = lab.case("disk", 3.0)
     entry = case.report.entries["flux"]
     assert entry.rel_residual <= 0.01
-
-
-def test_variational_flux_exact_sum_and_trace_agreement(lab):
-    case = lab.case("disk", 2.0)
-    flux = variational_p_flux(case.solution)
-    bg = case.bg
-    total = float(np.sum(flux * bg.weight))
-    vol = case.mesh.quad_weights.sum()
-    assert abs(total + vol) <= 1e-9 * vol
-    # pointwise agreement with the recovered-trace route at the percent level
-    assert np.abs(flux - case.trace.p_flux()).max() <= 0.05
 
 
 def test_convergence_study_orders():
