@@ -42,8 +42,11 @@ def main():
               f"max |H - H0| {sb['max_h_deviation']:.4f}")
         print(f"  overdetermined deficit {sr['deficit']:.4f} "
               f"({sr['deficit'] / ei.perimeter:.3f} per unit boundary length)")
-        print(f"  subharmonicity: min {rep.scan.min_value:+.4f} "
-              f"(allowance {rep.scan.tol_scan:.4f}), integral {rep.scan.integral:+.4f}")
+        if rep.scan is None:
+            print(f"  subharmonicity: skipped, {rep.skipped['subharmonicity']}")
+        else:
+            print(f"  subharmonicity: min {rep.scan.min_value:+.4f} "
+                  f"(allowance {rep.scan.tol_scan:.4f}), integral {rep.scan.integral:+.4f}")
         print(f"  all checks pass: {rep.all_passed()}")
 
 

@@ -308,15 +308,15 @@ def cmd_solve(cfg: dict, outdir: Path) -> int:
 def cmd_sweep(cfg: dict, outdir: Path) -> int:
     cases = _run_cases(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows, header = [], None
+    flats = []
     for case in cases:
         flat: dict = {}
         _flatten("", case.report.to_json_dict(), flat)
-        flat = {"p": case.p, "h": case.h, **flat}
-        if header is None:
-            header = list(flat.keys())
-        rows.append([flat.get(k) for k in header])
-    write_csv(outdir / "sweep.csv", header or ["p", "h"], rows)
+        flats.append({"p": case.p, "h": case.h, **flat})
+    # a section skipped in one case still gets its columns from the others,
+    # and an empty cell where it is skipped
+    header = list(dict.fromkeys(k for flat in flats for k in flat)) or ["p", "h"]
+    write_csv(outdir / "sweep.csv", header, [[flat.get(k, "") for k in header] for flat in flats])
     return 0 if all(c.report.all_passed() for c in cases) else 1
 
 

@@ -332,25 +332,27 @@ _SCAN_BINS = 60
 
 
 def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanResult:
-    """Minimum and distribution of the pointwise L_u P values (requires Ric >= 0)."""
+    """Minimum and distribution of the pointwise L_u P values (requires Ric >= 0
+    and at least one quadrature point left after the exclusions)."""
     metric, mesh = bundle.metric, bundle.mesh
     if not (metric.is_flat or metric.nonnegative_ricci):
         raise PreconditionError("subharmonicity scan requires a nonnegative-Ricci metric")
-    vals, _ = _lu_p(bundle, p, n)
+    vals, integral = _lu_p(bundle, p, n)
     excl = _near_critical_exclusion(bundle, p, n) | _boundary_ring_exclusion(mesh)
-    keep = ~excl & ~bundle.mask & np.isfinite(vals)
+    excluded = float(excl.mean())
+    kept_vals = vals[~excl & ~bundle.mask & np.isfinite(vals)]
+    if not len(kept_vals):
+        raise PreconditionError(
+            f"no quadrature point left to scan (excluded fraction {excluded:.4g}; "
+            f"masked fraction {bundle.masked_fraction:.4g})")
     tol = scan_tolerance(mesh.h, p, n)
-    kept_vals = vals[keep]
-    finite = np.isfinite(vals) & ~bundle.mask
-    integral = float(np.sum(bundle.weights[finite] * vals[finite]))
-    hist = np.histogram(kept_vals, bins=_SCAN_BINS)
-    mn = float(kept_vals.min()) if len(kept_vals) else np.nan
+    mn = float(kept_vals.min())
     return ScanResult(
         min_value=mn,
         integral=integral,
         tol_scan=tol,
-        excluded_fraction=float(excl.mean()),
-        histogram=hist,
+        excluded_fraction=excluded,
+        histogram=np.histogram(kept_vals, bins=_SCAN_BINS),
         passed=bool(mn >= -tol),
     )
 
@@ -496,7 +498,10 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
 
     scan = None
     if metric.is_flat or metric.nonnegative_ricci:
-        scan = subharmonicity_scan(bundle, p, n)
+        try:
+            scan = subharmonicity_scan(bundle, p, n)
+        except PreconditionError as exc:
+            skipped["subharmonicity"] = str(exc)
     else:
         skipped["subharmonicity"] = "metric not declared nonnegative_ricci"
 

@@ -10,6 +10,11 @@ eps_0 > eps_0 rho > ... > eps_min and damped Newton at each rung, warm-started
 from the previous one.  The conformal weights realize the metric form of the
 p-Laplacian; for a flat metric both weights are 1.
 
+A rung stops when the squared Newton decrement -r.d falls to the energy's
+rounding level, 1e-15 (1 + |J_eps|), and else takes an Armijo step, so it
+makes one linear solve more than it takes steps.  The ladder ends after the
+first rung that takes no step; that rung's eps is ``final_eps``.
+
 The Newton tangent is symmetric positive definite on the free (interior)
 vertices, and its sparsity pattern is that of the P1 stiffness.  The first
 tangent of a solve fixes a symmetric minimum-degree order of that pattern and
@@ -39,10 +44,7 @@ class SolveConfig:
     eps0: float | None = None          # default 0.1 * gradient scale of the domain
     rho: float = 0.1
     eps_min: float = 1e-8
-    newton_tol: float = 1e-10          # relative residual norm
     max_newton_iter: int = 50
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 30
 
     def validate(self) -> None:
         if not (self.p > 1.0):
@@ -51,8 +53,8 @@ class SolveConfig:
             raise ValidationError(f"continuation factor rho must lie in (0, 1), got {self.rho}")
         if not (self.eps_min > 0):
             raise ValidationError("eps_min must be positive")
-        if self.max_newton_iter < 1 or self.max_backtracks < 1:
-            raise ValidationError("iteration limits must be positive")
+        if self.max_newton_iter < 1:
+            raise ValidationError("max_newton_iter must be positive")
 
 
 @dataclass
@@ -75,11 +77,9 @@ class RegularizedFlux:
 @dataclass
 class EpsStep:
     eps: float
-    iterations: int
+    iterations: int        # Newton steps; the rung made iterations + 1 solves
     residual_norm: float
     energy: float
-    solves: int        # linear solves, one per Newton direction computed
-    stop: str          # "tolerance", "decrement_floor" or "converged_on_entry"
 
 
 @dataclass
@@ -89,8 +89,12 @@ class Solution:
     metric: ConformalMetric
     config: SolveConfig
     steps: list[EpsStep]
-    final_eps: float
     diagnostics: dict = dc_field(default_factory=dict)
+
+    @property
+    def final_eps(self) -> float:
+        """The eps of the last rung, where the ladder stopped."""
+        return self.steps[-1].eps
 
     def field(self) -> ScalarField:
         return ScalarField(self.u, self.mesh)
@@ -186,6 +190,9 @@ class _Assembler:
         return sp.csc_matrix((data[:-1], indices, indptr), shape=(len(dofs), len(dofs)))
 
 
+_BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
+
+
 def spsolve(K: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
     """Solve with the ordered SPD tangent: diagonal pivots, no reordering."""
     return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(b)
@@ -203,7 +210,6 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
     p = config.p
     asm = _Assembler(mesh, metric, p)
     free = asm.free
-    load_norm = float(np.linalg.norm(asm.load[free]))
 
     eps0 = config.eps0 if config.eps0 is not None else 0.1 * _gradient_scale(mesh, metric, p)
     if not (config.eps_min < eps0):
@@ -213,73 +219,53 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
         ladder.append(ladder[-1] * config.rho)
     ladder.append(config.eps_min)
 
+    # directions vanish on the boundary, so u stays exactly 0 there
     u = np.zeros(mesh.n_vertices)
     steps: list[EpsStep] = []
-    history: list[tuple[float, int, float]] = []
+    history: list[tuple[float, int, float]] = []     # (eps, step, residual norm)
     for eps in ladder:
         energy = asm.energy(u, eps)
-        r = asm.residual(u, eps)
-        rnorm = float(np.linalg.norm(r[free]))
-        it = solves = 0
-        stop = "converged_on_entry"
-        while rnorm > config.newton_tol * load_norm:
-            if it >= config.max_newton_iter:
-                raise SolverError(
-                    f"Newton did not converge at eps = {eps:.3e} "
-                    f"(residual {rnorm:.3e} after {it} iterations)",
-                    history=history + [(eps, it, rnorm)],
-                )
-            K = asm.tangent(u, eps)
-            dofs = asm.dofs
+        it = 0
+        while True:
+            r = asm.residual(u, eps)
+            rnorm = float(np.linalg.norm(r[free]))
+            history.append((eps, it, rnorm))
             d = np.zeros_like(u)
             try:
-                d[dofs] = spsolve(K, -r[dofs])
+                d[asm.dofs] = spsolve(asm.tangent(u, eps), -r[asm.dofs])
             except RuntimeError as exc:
-                raise SolverError(
-                    f"tangent factorization failed at eps = {eps:.3e} ({exc})",
-                    history=history + [(eps, it, rnorm)],
-                ) from exc
-            solves += 1
+                raise SolverError(f"tangent factorization failed at eps = {eps:.3e} ({exc})",
+                                  history=history) from exc
             slope = float(r[free] @ d[free])
-            # Newton decrement at rounding level: at sub-resolution eps the
-            # degenerate elements keep the evaluated residual above newton_tol
-            # although the iterate already minimizes the energy to float
-            # precision; no further progress is representable
+            # the one stopping rule: the squared Newton decrement at rounding level
             if -slope <= 1e-15 * (1.0 + abs(energy)):
-                stop = "decrement_floor"
                 break
-            stop = "tolerance"
+            if it >= config.max_newton_iter:
+                raise SolverError(f"Newton did not converge at eps = {eps:.3e} "
+                                  f"(residual {rnorm:.3e} after {it} iterations)",
+                                  history=history)
             t = 1.0
-            accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 trial = u + t * d
                 e_trial = asm.energy(trial, eps)
                 if e_trial <= energy + 1e-4 * t * slope:
                     u, energy = trial, e_trial
-                    accepted = True
                     break
-                t *= config.backtrack_factor
-            if not accepted:
-                raise SolverError(
-                    f"line search stagnated at eps = {eps:.3e} (residual {rnorm:.3e})",
-                    history=history + [(eps, it, rnorm)],
-                )
-            r = asm.residual(u, eps)
-            rnorm = float(np.linalg.norm(r[free]))
+                t *= _BACKTRACK_FACTOR
+            else:
+                raise SolverError(f"line search stagnated at eps = {eps:.3e} "
+                                  f"(residual {rnorm:.3e})", history=history)
             it += 1
-            history.append((eps, it, rnorm))
-        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy,
-                             solves=solves, stop=stop))
+        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy))
+        if it == 0:
+            break
 
-    u[mesh.boundary_vertices] = 0.0
-    sol = Solution(u=u, mesh=mesh, metric=metric, config=config, steps=steps,
-                   final_eps=ladder[-1])
-    interior = free
+    sol = Solution(u=u, mesh=mesh, metric=metric, config=config, steps=steps)
     sol.diagnostics = {
         "min_u": float(u.min()),
         "max_u": float(u.max()),
-        "min_interior_u": float(u[interior].min()) if len(interior) else 0.0,
-        "positive_interior": bool((u[interior] > 0).all()) if len(interior) else True,
+        "min_interior_u": float(u[free].min()) if len(free) else 0.0,
+        "positive_interior": bool((u[free] > 0).all()) if len(free) else True,
     }
     return sol
 

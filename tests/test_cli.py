@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ import plap_lab
 from plap_lab import pipeline
 from plap_lab.cli import _check, emit_plot_data, main, validate_config
 from plap_lab.errors import ConfigError, MeshGenerationError
+from plap_lab.identities import Tolerances
+from plap_lab.solver import SolveConfig
 
 SCHEMAS = Path(plap_lab.__file__).parent / "schemas"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -67,9 +70,10 @@ def test_validate_rejects_reversed_p_range():
 MALFORMED = [
     ("seed", "3"), ("seed", 1.0), ("seed", True), ("seed", -1),
     ("solver.quadrature_order", 99), ("solver.eps0", "1"), ("solver.rho", "0.5"),
-    ("solver.rho", 1.0), ("solver.max_newton_iter", 2.0), ("solver.max_backtracks", 0),
-    ("solver.warp", 9), ("tolerances.flux_rel", "1"), ("tolerances.identity_rel", True),
-    ("tolerances.serrin_nodewise", 0), ("domain.radius", "1"), ("domain.radius", 0),
+    ("solver.rho", 1.0), ("solver.max_newton_iter", 2.0), ("solver.max_newton_iter", 0),
+    ("solver.warp", 9), ("solver.newton_tol", 1e-10), ("tolerances.flux_rel", "1"),
+    ("tolerances.identity_rel", True), ("tolerances.serrin_nodewise", 0),
+    ("domain.radius", "1"), ("domain.radius", 0),
     ("domain.variant", "square"), ("domain.a", 2.0),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
     ("domain", {"variant": "ellipse", "a": 2.0, "b": "1"}), ("domain", {"radius": 1.0}),
@@ -128,6 +132,15 @@ def test_schema_evaluator_agrees_with_jsonschema():
     ours, reference = _schema_verdicts(good + bad)
     assert ours == reference
     assert ours == [True] * len(good) + [False] * len(bad)
+
+
+def test_schema_keys_match_the_dataclasses():
+    # a key the schema accepts but the dataclass lacks would crash
+    # SolveConfig(**overrides) or Tolerances(**...) with an uncaught TypeError
+    schema = json.loads((SCHEMAS / "config.schema.json").read_text())["properties"]
+    solve_fields = {f.name for f in fields(SolveConfig)} - {"p"}
+    assert set(schema["solver"]["properties"]) == solve_fields | {"quadrature_order"}
+    assert set(schema["tolerances"]["properties"]) == {f.name for f in fields(Tolerances)}
 
 
 @pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{p}={v!r}" for p, v in MALFORMED])
@@ -261,6 +274,29 @@ def test_sweep_row_count(tmp_path):
     assert header[0] == "p" and header[1] == "h"
     assert "fundamental.lhs_volume" in header
     assert "serrin.deficit" in header
+
+
+def test_sweep_header_spans_skipped_scans(tmp_path):
+    # at h = 0.2 the scan excludes every point of the disk and is skipped;
+    # the h = 0.1 rows still carry its columns, and no cell is NaN
+    cfg = _write(tmp_path, {
+        "command": "sweep",
+        "domain": {"variant": "disk", "radius": 1.0},
+        "p": [2.0, 3.0],
+        "h": [0.2, 0.1],
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    header, *rows = [line.split(",") for line in
+                     (out / "sweep.csv").read_text().strip().split("\n")]
+    assert all(len(row) == len(header) for row in rows)
+    assert not any(cell == "nan" for row in rows for cell in row)
+    col, skip = header.index("subharmonicity.min"), header.index("skipped.subharmonicity")
+    h = header.index("h")
+    for row in rows:
+        coarse = float(row[h]) == 0.2
+        assert (row[col] == "") == coarse
+        assert ("excluded fraction" in row[skip]) == coarse
 
 
 # --------------------------------------------------------------- matcheck

@@ -56,7 +56,7 @@ def test_flux_balance_flags_non_solution(lab):
     mesh = lab.mesh("disk", 0.1)
     bg = lab.bg("disk", 0.1)
     zero = Solution(u=np.zeros(mesh.n_vertices), mesh=mesh, metric=FLAT,
-                    config=SolveConfig(p=2.0), steps=[], final_eps=1e-8)
+                    config=SolveConfig(p=2.0), steps=[])
     tr = boundary_trace(zero, bg, FLAT, 2.0, bundle=recover_derivatives(zero.field(), mesh))
     entry = flux_balance(tr, domain_measures(mesh), TOL.flux_rel)
     assert entry.rel_residual == pytest.approx(1.0, abs=1e-9)

@@ -129,25 +129,44 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
     spsolve = solver.spsolve
     monkeypatch.setattr(solver, "spsolve", lambda K, b: calls.append(1) or spsolve(K, b))
     sol = solve(lab.mesh("disk", 0.05), None, SolveConfig(p=3.0))
-    assert [s.iterations for s in sol.steps] == [6, 2, 1, 1, 0, 0, 0, 0]
-    assert len(calls) == sum(s.solves for s in sol.steps) == 16
-    for s in sol.steps:
-        assert s.stop in ("tolerance", "decrement_floor", "converged_on_entry")
-        # a rung that stops on the decrement floor spent one solve on it
-        assert s.solves == s.iterations + (s.stop == "decrement_floor")
+    # the ladder ends after the first rung that takes no step
+    assert [s.iterations for s in sol.steps] == [6, 2, 1, 1, 0]
+    # each rung spends one solve more than it takes steps: the last one
+    # finds the decrement at rounding level
+    assert len(calls) == sum(s.iterations + 1 for s in sol.steps) == 15
+    assert sol.final_eps == sol.steps[-1].eps > sol.config.eps_min
+    # p = 2 is linear: one step, one solve to confirm it, one to end the ladder
+    calls.clear()
+    sol = solve(build_mesh(Disk(1.0), 0.2), None, SolveConfig(p=2.0))
+    assert [s.iterations for s in sol.steps] == [1, 0]
+    assert len(calls) == 3
 
 
-def test_forced_decrement_floor_stop_is_reported():
-    # no iterate meets a zero residual tolerance, so every rung ends on the
-    # rounding-level Newton decrement
+@pytest.mark.parametrize("metric", ["flat", "cap"])
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_early_ladder_end_is_converged_at_eps_min(lab, p, domain, h, metric):
+    # the rungs the ladder skips would stop at once: at eps_min the Newton
+    # decrement of the returned u is already at the energy's rounding level
+    sol = lab.solution(domain, p, h=h, metric=metric)
+    asm = _Assembler(sol.mesh, sol.metric, p)
+    eps = sol.config.eps_min
+    r = asm.residual(sol.u, eps)
+    d = solver.spsolve(asm.tangent(sol.u, eps), -r[asm.dofs])
+    lam2 = -float(r[asm.dofs] @ d)
+    assert lam2 <= 1e-15 * (1.0 + abs(asm.energy(sol.u, eps)))
+
+
+def test_line_search_stagnation_is_a_solver_error(tmp_path, monkeypatch):
+    # a flat energy never meets the Armijo condition along a descent direction
+    monkeypatch.setattr(_Assembler, "energy", lambda self, u, eps: 0.0)
     mesh = build_mesh(Disk(1.0), 0.2)
-    sol = solve(mesh, None, SolveConfig(p=3.0, newton_tol=0.0))
-    assert all(s.stop == "decrement_floor" for s in sol.steps)
-    assert all(s.residual_norm > 0 and s.solves == s.iterations + 1 for s in sol.steps)
-    # p = 2 is linear: one step meets the tolerance, later rungs start converged
-    sol = solve(mesh, None, SolveConfig(p=2.0))
-    assert sol.steps[0].stop == "tolerance" and sol.steps[0].iterations == 1
-    assert all(s.stop == "converged_on_entry" and s.solves == 0 for s in sol.steps[1:])
+    with pytest.raises(SolverError, match="line search stagnated") as err:
+        solve(mesh, None, SolveConfig(p=3.0))
+    assert len(err.value.history) >= 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"command": "verify", "domain": {"variant": "disk"}, "p": [3.0], "h": [0.2]}')
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
 def test_regularized_flux_eigenvalue_bound():
