@@ -32,6 +32,7 @@ from ._poly import Coeffs, poly_derive, poly_eval
 from .errors import ValidationError
 from .geometry import TriMesh
 from .metric import ConformalMetric, gaussian_curvature
+from .oracles import radial_exact
 
 _EYE2 = np.eye(2)
 
@@ -165,12 +166,14 @@ def _two_ring_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal gradient and Hessian by weighted local quadratic regression.
+    """Nodal gradient and Hessian of scalar nodal values by weighted local
+    quadratic regression.
 
     Fits a full quadratic to the nodal values over each vertex's two-ring
     patch (Gaussian distance weights, vertex-centered coordinates scaled by
     h); reproduces quadratic fields exactly up to the boundary, which plain
-    averaging of element gradients does not.
+    averaging of element gradients does not.  The Hessian is symmetric by
+    construction: both off-diagonal entries are the one xy coefficient.
     """
     pv, pw = _two_ring_pairs(mesh)
     h = mesh.h
@@ -184,23 +187,15 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     n = mesh.n_vertices
     mat = np.zeros((n, 6, 6))
     np.add.at(mat, pv, (w[:, None, None] * basis[:, :, None]) * basis[:, None, :])
-    vals = nodal.reshape(n, -1)
-    rhs = np.zeros((n, 6, vals.shape[1]))
-    np.add.at(rhs, pv, (w[:, None] * basis)[:, :, None] * vals[pw][:, None, :])
+    rhs = np.zeros((n, 6, 1))
+    np.add.at(rhs, pv, (w[:, None] * basis * nodal[pw][:, None])[:, :, None])
     try:
         coef = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
         mat += 1e-12 * np.trace(mat, axis1=1, axis2=2)[:, None, None] * np.eye(6)
         coef = np.linalg.solve(mat, rhs)
-    tail = nodal.shape[1:]
-    grad = coef[:, 1:3, :].transpose(0, 2, 1).reshape((n,) + tail + (2,)) / h
-    hess = np.empty((n, vals.shape[1], 2, 2))
-    hess[:, :, 0, 0] = coef[:, 3, :]
-    hess[:, :, 0, 1] = coef[:, 4, :]
-    hess[:, :, 1, 0] = coef[:, 4, :]
-    hess[:, :, 1, 1] = coef[:, 5, :]
-    hess = hess.reshape((n,) + tail + (2, 2)) / (h * h)
-    return grad, hess
+    coef = coef[..., 0]
+    return coef[:, 1:3] / h, coef[:, [3, 4, 4, 5]].reshape(n, 2, 2) / (h * h)
 
 
 def _at_quads(mesh: TriMesh, nodal: np.ndarray) -> np.ndarray:
@@ -228,7 +223,6 @@ def recover_derivatives(u: ScalarField, mesh: TriMesh,
     metric = metric if metric is not None else ConformalMetric.flat()
 
     nodal_g, nodal_h = _quadratic_fit(mesh, u.values)
-    nodal_h = 0.5 * (nodal_h + np.swapaxes(nodal_h, -1, -2))
 
     u_q = _at_quads(mesh, u.values)
     g_q = _at_quads(mesh, nodal_g)
@@ -332,23 +326,16 @@ AnalyticField = Union[PolynomialField, RadialField]
 
 
 def torsion_profile_field(p: float, radius: float = 1.0, n: int = 2) -> RadialField:
-    """Exact radial torsion function of the ball as an analytic field."""
+    """Exact radial torsion function of the ball (`radial_exact`) as an
+    analytic field, with its third derivative."""
+    prof = radial_exact(n, p, radius)
     q = p / (p - 1.0)
     C = (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
-
-    def f(r):
-        return C * (radius**q - r**q)
-
-    def f1(r):
-        return -C * q * r ** (q - 1.0)
-
-    def f2(r):
-        return -C * q * (q - 1.0) * r ** (q - 2.0)
 
     def f3(r):
         return -C * q * (q - 1.0) * (q - 2.0) * r ** (q - 3.0)
 
-    return RadialField(f, f1, f2, f3, name=f"torsion_p{p}")
+    return RadialField(prof.u, prof.du, prof.d2u, f3, name=f"torsion_p{p}")
 
 
 def gaussian_radial_field(amplitude: float = 1.0, sigma: float = 1.0) -> RadialField:

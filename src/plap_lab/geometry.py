@@ -1,12 +1,14 @@
 """Planar domains with smooth parametric boundaries and their triangulations.
 
 Domains come from a small catalogue (disk, ellipse, polar star, annulus).
-Meshes are generated by a truss-relaxation variant of Delaunay meshing with
-boundary vertices pinned exactly on the parametric curve, so boundary data
-(normal, curvature, arc-length weights) can be evaluated from closed forms
-instead of the polygon.  As in DistMesh (Persson & Strang, SIAM Review 46,
-2004), relaxation retriangulates lazily: only after some vertex has moved more
-than 0.1 h since the last triangulation.
+The disk, and the outer loop of the annulus, are the polar star r(theta) = R
+with no coefficients.  Meshes are generated by a truss-relaxation variant of
+Delaunay meshing with boundary vertices pinned exactly on the parametric
+curve, so boundary data (normal, curvature, arc-length weights) can be
+evaluated from closed forms instead of the polygon.  As in DistMesh
+(Persson & Strang, SIAM Review 46, 2004), relaxation retriangulates lazily:
+only after some vertex has moved more than 0.1 h since the last
+triangulation.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ class BoundaryCurve:
 
 
 class _StarCurve(BoundaryCurve):
-    """r(theta) graph traversed counter-clockwise (covers disks as well)."""
+    """r(theta) graph traversed counter-clockwise."""
 
     def __init__(self, r: Callable[[np.ndarray], np.ndarray],
                  dr: Callable[[np.ndarray], np.ndarray],
@@ -237,16 +239,7 @@ class _InnerCircle(BoundaryCurve):
         return np.full_like(np.asarray(t, dtype=float), -1.0 / self.radius)
 
 
-def _star_curve_for(spec: DomainSpec) -> _StarCurve:
-    if isinstance(spec, Disk):
-        R = spec.radius
-        return _StarCurve(
-            lambda t: np.full_like(np.asarray(t, dtype=float), R),
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        )
-    assert isinstance(spec, PolarStar)
-
+def _star_curve_for(spec: PolarStar) -> _StarCurve:
     def r(t):
         return _star_radius(spec, np.asarray(t, dtype=float))
 
@@ -273,13 +266,14 @@ def _star_curve_for(spec: DomainSpec) -> _StarCurve:
 
 def boundary_curves(spec: DomainSpec) -> list[BoundaryCurve]:
     """Ordered boundary loops of a validated spec: outer first, inner (annulus) second."""
-    if isinstance(spec, (Disk, PolarStar)):
+    if isinstance(spec, Disk):
+        return [_star_curve_for(PolarStar(r0=spec.radius))]
+    if isinstance(spec, PolarStar):
         return [_star_curve_for(spec)]
     if isinstance(spec, Ellipse):
         return [_EllipseCurve(spec.a, spec.b)]
     if isinstance(spec, Annulus):
-        outer = _star_curve_for(Disk(radius=spec.r_out))
-        return [outer, _InnerCircle(spec.r_in)]
+        return [_star_curve_for(PolarStar(r0=spec.r_out)), _InnerCircle(spec.r_in)]
     raise ValidationError(f"unknown domain spec {spec!r}")
 
 
@@ -302,44 +296,9 @@ def curve_length(curve: BoundaryCurve) -> float:
 # Triangle quadrature
 # --------------------------------------------------------------------------
 
-# barycentric points and weights (weights sum to 1)
-_QUAD_RULES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (
-        np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3]),
-    ),
-    4: (
-        np.array(
-            [
-                [0.108103018168070, 0.445948490915965, 0.445948490915965],
-                [0.445948490915965, 0.108103018168070, 0.445948490915965],
-                [0.445948490915965, 0.445948490915965, 0.108103018168070],
-                [0.816847572980459, 0.091576213509771, 0.091576213509771],
-                [0.091576213509771, 0.816847572980459, 0.091576213509771],
-                [0.091576213509771, 0.091576213509771, 0.816847572980459],
-            ]
-        ),
-        np.array(
-            [
-                0.223381589678011,
-                0.223381589678011,
-                0.223381589678011,
-                0.109951743655322,
-                0.109951743655322,
-                0.109951743655322,
-            ]
-        ),
-    ),
-}
-
-
-def quad_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order <= 1:
-        return _QUAD_RULES[1]
-    if order <= 3:
-        return _QUAD_RULES[2]
-    return _QUAD_RULES[4]
+# the 3-point rule, exact for quadratics: barycentric points and weights (sum 1)
+_QUAD_BARY = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
+_QUAD_WEIGHTS = np.array([1 / 3, 1 / 3, 1 / 3])
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +471,7 @@ _RELAX_DT = 0.2
 _MIN_ANGLE_DEG = 20.0   # quality bound every mesh must meet
 
 
-def build_mesh(spec: DomainSpec, h: float, quad_order: int = 2) -> TriMesh:
+def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     """Triangulate the domain with target edge length h.
 
     Boundary vertices sit exactly on the parametric curve at equal arc-length
@@ -545,10 +504,9 @@ def build_mesh(spec: DomainSpec, h: float, quad_order: int = 2) -> TriMesh:
     interior = _relax(bnd_xy, interior, h, domain)
 
     points = np.concatenate([bnd_xy, interior]) if len(interior) else bnd_xy.copy()
-    triangles = _triangulate_inside(points, domain)
-    triangles = _orient_ccw(points, triangles)
+    triangles, areas = _orient_ccw(points, _triangulate_inside(points, domain))
 
-    mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths, quad_order)
+    mesh = _assemble_mesh(spec, h, points, triangles, areas, curves, loops_params, lengths)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
     if min_angle < _MIN_ANGLE_DEG:
@@ -585,8 +543,7 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
         # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule)
         if np.sqrt(np.sum((pts - last) ** 2, axis=1)).max() > 0.1 * h:
             last = pts.copy()
-            tri = Delaunay(pts).simplices
-            tri = tri[domain.inside(pts[tri].mean(axis=1))]
+            tri = _triangulate_inside(pts, domain)
             pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
             keys = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
             e0, e1 = keys // n, keys % n
@@ -611,7 +568,8 @@ def _triangulate_inside(points: np.ndarray, domain: _RadialDomain) -> np.ndarray
     return tri[domain.inside(cent)]
 
 
-def _orient_ccw(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+def _orient_ccw(points: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles reordered counter-clockwise, and their areas."""
     p = points[triangles]
     signed = 0.5 * (
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
@@ -620,7 +578,8 @@ def _orient_ccw(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     tri = triangles.copy()
     flip = signed < 0
     tri[flip] = tri[flip][:, [0, 2, 1]]
-    return tri
+    # swapping two vertices negates the IEEE difference exactly
+    return tri, np.abs(signed)
 
 
 def _assemble_mesh(
@@ -628,16 +587,12 @@ def _assemble_mesh(
     h: float,
     points: np.ndarray,
     triangles: np.ndarray,
+    areas: np.ndarray,
     curves: list[BoundaryCurve],
     loops_params: list[np.ndarray],
     lengths: list[float],
-    quad_order: int,
 ) -> TriMesh:
     p = points[triangles]
-    areas = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
     if not (areas > 0).all():
         raise MeshGenerationError("degenerate triangle with nonpositive area")
     # gradient of barycentric basis function i: perpendicular of opposite edge / (2A)
@@ -648,10 +603,9 @@ def _assemble_mesh(
         grads[:, i, 1] = e[:, 0]
     grads /= (2.0 * areas)[:, None, None]
 
-    bary, wref = quad_rule(quad_order)
-    qp = np.einsum("qk,mki->mqi", bary, p).reshape(-1, 2)
-    qw = (wref[None, :] * areas[:, None]).reshape(-1)
-    qt = np.repeat(np.arange(len(triangles)), len(wref))
+    qp = np.einsum("qk,mki->mqi", _QUAD_BARY, p).reshape(-1, 2)
+    qw = (_QUAD_WEIGHTS[None, :] * areas[:, None]).reshape(-1)
+    qt = np.repeat(np.arange(len(triangles)), len(_QUAD_WEIGHTS))
 
     offset = 0
     loops = []
@@ -659,7 +613,7 @@ def _assemble_mesh(
         loops.append(np.arange(offset, offset + len(params)))
         offset += len(params)
 
-    boundary = _exact_boundary(spec, curves, loops, loops_params, lengths)
+    boundary = _exact_boundary(curves, loops_params, lengths)
     return TriMesh(
         spec=spec,
         h=h,
@@ -668,7 +622,7 @@ def _assemble_mesh(
         boundary_loops=loops,
         areas=areas,
         basis_grads=grads,
-        quad_bary=bary,
+        quad_bary=_QUAD_BARY,
         quad_points=qp,
         quad_weights=qw,
         quad_tri=qt,
@@ -706,8 +660,6 @@ class BoundaryGeometry:
     along the boundary, so a disk of radius R has H = 1/R at every node.
     """
 
-    spec: DomainSpec
-    node_index: np.ndarray      # (B,) vertex index into the mesh
     position: np.ndarray        # (B, 2)
     normal: np.ndarray          # (B, 2) outward unit normal
     curvature: np.ndarray       # (B,) scalar mean curvature H
@@ -716,13 +668,12 @@ class BoundaryGeometry:
     loop_slices: list[slice]
 
 
-def _exact_boundary(spec: DomainSpec, curves: list[BoundaryCurve], loops: list[np.ndarray],
-                    loops_params: list[np.ndarray], lengths: list[float]) -> BoundaryGeometry:
-    idx, pos, nor, cur, wgt, arc, slices = [], [], [], [], [], [], []
+def _exact_boundary(curves: list[BoundaryCurve], loops_params: list[np.ndarray],
+                    lengths: list[float]) -> BoundaryGeometry:
+    pos, nor, cur, wgt, arc, slices = [], [], [], [], [], []
     offset = 0
-    for curve, loop, params, L in zip(curves, loops, loops_params, lengths):
+    for curve, params, L in zip(curves, loops_params, lengths):
         n = len(params)
-        idx.append(loop)
         pos.append(curve.point(params))
         nor.append(curve.normal(params))
         cur.append(curve.curvature(params))
@@ -732,8 +683,6 @@ def _exact_boundary(spec: DomainSpec, curves: list[BoundaryCurve], loops: list[n
         slices.append(slice(offset, offset + n))
         offset += n
     return BoundaryGeometry(
-        spec=spec,
-        node_index=np.concatenate(idx),
         position=np.concatenate(pos),
         normal=np.concatenate(nor),
         curvature=np.concatenate(cur),
@@ -756,16 +705,12 @@ class Measures:
     perimeter: float
 
 
-def domain_measures(mesh: TriMesh, metric=None) -> Measures:
-    """Volume and perimeter, weighted by the conformal metric when given;
-    evaluated once per mesh and metric."""
+def domain_measures(mesh: TriMesh, metric) -> Measures:
+    """Volume and perimeter in the conformal metric (Euclidean for the flat
+    metric, whose weights are exp(0) = 1); evaluated once per mesh and metric."""
     if metric not in mesh._measures:
         bg = mesh.boundary
-        if metric is None:
-            meas = Measures(float(mesh.quad_weights.sum()), float(bg.weight.sum()))
-        else:
-            vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
-            per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
-            meas = Measures(vol, per)
-        mesh._measures[metric] = meas
+        vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
+        per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
+        mesh._measures[metric] = Measures(vol, per)
     return mesh._measures[metric]

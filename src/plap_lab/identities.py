@@ -41,7 +41,6 @@ class BoundaryTrace:
     u_nunu: np.ndarray           # second normal derivative nu . hess_g u . nu
     gnorm: np.ndarray            # |grad u|_g trace
     flagged: np.ndarray          # nodes excluded from pointwise statistics
-    loop_slices: list
 
     def eq_curvature_residual(self) -> np.ndarray:
         """Nodewise residual of |u_nu|^{p-2}((p-1) u_nunu + (n-1) H u_nu) + 1."""
@@ -76,7 +75,7 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     the boundary layer of the recovered Hessian.
     """
     mesh = sol.mesh
-    meas = domain_measures(mesh)
+    meas = domain_measures(mesh, ConformalMetric.flat())
     # keep sample segments well inside the domain on coarse meshes
     cap = 0.5 * meas.volume / meas.perimeter
     scale = min(1.0, cap / (max(max(_DEPTHS_GRAD), max(_DEPTHS_HESS)) * mesh.h))
@@ -88,8 +87,10 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     # sample points: x_b - d_k * nu, stacked per node
     pts = bg.position[:, None, :] - d_all[None, :, None] * bg.normal[:, None, :]
     flat_pts = pts.reshape(-1, 2)
-    G, S = frame_from_scalar(metric, flat_pts, mesh.interpolate(bundle.nodal_grad, flat_pts),
-                             mesh.interpolate(bundle.nodal_hess, flat_pts))
+    # one point location for both fields: gradient and Hessian stacked as (N, 6)
+    nodal = np.concatenate([bundle.nodal_grad, bundle.nodal_hess.reshape(-1, 4)], axis=1)
+    at = mesh.interpolate(nodal, flat_pts)
+    G, S = frame_from_scalar(metric, flat_pts, at[:, :2], at[:, 2:].reshape(-1, 2, 2))
 
     nd = len(d_all)
     nu_rep = np.repeat(bg.normal, nd, axis=0)
@@ -107,8 +108,7 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     w = bg.weight * np.exp(metric.phi(bg.position))
     return BoundaryTrace(
         p=p, n=n, position=bg.position, normal=bg.normal, arclength=bg.arclength,
-        curvature=H_g, weight=w, u_nu=u_nu, u_nunu=u_nunu, gnorm=gnorm,
-        flagged=flagged, loop_slices=bg.loop_slices,
+        curvature=H_g, weight=w, u_nu=u_nu, u_nunu=u_nunu, gnorm=gnorm, flagged=flagged,
     )
 
 
@@ -119,7 +119,6 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
 
 @dataclass
 class IdentityEntry:
-    name: str
     values: dict
     residual: float
     rel_residual: float
@@ -137,7 +136,6 @@ def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> 
     rhs = -measures.volume
     rel = abs(lhs - rhs) / measures.volume
     return IdentityEntry(
-        name="flux",
         values={"boundary_integral": lhs, "volume": measures.volume},
         residual=abs(lhs - rhs), rel_residual=rel, tolerance=tolerance,
         passed=bool(rel <= tolerance),
@@ -189,7 +187,6 @@ def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: Deriv
     rel_b = _rel(lhs_boundary, rhs, floor)
     rel_div = _rel(lhs_volume, lhs_boundary, floor)
     return IdentityEntry(
-        name="fundamental",
         values={
             "lhs_volume": lhs_volume,
             "lhs_boundary": lhs_boundary,
@@ -218,7 +215,6 @@ def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle
     floor = n * measures.volume
     rel = _rel(t1 + t2, t3, floor)
     return IdentityEntry(
-        name="hk",
         values={"t1": t1, "t2": t2, "t3": t3,
                 "hk_inequality_holds": bool(t3 >= -tolerance * floor)},
         residual=abs(t1 + t2 - t3), rel_residual=rel, tolerance=tolerance,
@@ -239,7 +235,6 @@ def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: Derivat
     floor = measures.volume / n
     rel = _rel(lhs1 + lhs2, rhs, floor)
     return IdentityEntry(
-        name="sbt",
         values={"lhs1": lhs1, "lhs2": lhs2, "rhs": rhs, "h0": h0,
                 "max_h_deviation": float(np.abs(trace.curvature - h0).max())},
         residual=abs(lhs1 + lhs2 - rhs), rel_residual=rel, tolerance=tolerance,
@@ -261,7 +256,6 @@ def serrin_deficit(trace: BoundaryTrace, nodewise_tolerance: float) -> IdentityE
     # the deficit is a sum of nonnegative terms: D >= 0 is the universal
     # contract; nodewise smallness characterizes balls and is reported as data
     return IdentityEntry(
-        name="serrin",
         values={"deficit": deficit, "max_node_residual": max_node,
                 "node_residuals": node_res},
         residual=deficit, rel_residual=max_node, tolerance=nodewise_tolerance,
@@ -484,7 +478,7 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
     eq_res = np.abs(trace.eq_curvature_residual())[~trace.flagged]
     eq_max = float(eq_res.max()) if len(eq_res) else np.nan
     entries["eq_curvature"] = IdentityEntry(
-        name="eq_curvature", values={"max_node_residual": eq_max},
+        values={"max_node_residual": eq_max},
         residual=eq_max, rel_residual=eq_max, tolerance=tol.eq_curvature_nodewise,
         passed=bool(eq_max <= tol.eq_curvature_nodewise),
     )

@@ -1,10 +1,12 @@
 """Conformally flat 2-D Riemannian metrics g = e^{2 phi} delta.
 
-The conformal exponent phi comes from a small closed-form catalogue (constant,
-bivariate polynomial up to degree 4, radial Gaussian bump) so that first and
-second derivatives are exact.  In two dimensions Ric >= 0 is equivalent to the
-Gaussian curvature K = -e^{-2 phi} (Delta phi) being nonnegative, i.e. to
-Delta phi <= 0.
+The conformal exponent phi comes from a small closed-form catalogue so that
+first and second derivatives are exact: a bivariate polynomial up to degree 4
+or a radial Gaussian bump.  The flat and constant metrics are polynomials of
+degree 0 (phi = 0 with no coefficients, phi = c as c x^0 y^0); their `kind`
+survives only as the JSON label and for `is_flat`.  In two dimensions
+Ric >= 0 is equivalent to the Gaussian curvature K = -e^{-2 phi} (Delta phi)
+being nonnegative, i.e. to Delta phi <= 0.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ _EYE2 = np.eye(2)
 @dataclass(frozen=True)
 class ConformalMetric:
     kind: str                               # flat | constant | poly | bump
-    constant: float = 0.0
-    coeffs: tuple = ()                      # ((i, j, c), ...) for poly
+    coeffs: tuple = ()                      # ((i, j, c), ...): phi = sum c x^i y^j
     bump: tuple = ()                        # (amplitude, x0, y0, sigma)
     nonnegative_ricci: bool = False
 
@@ -35,7 +36,7 @@ class ConformalMetric:
 
     @staticmethod
     def const(c: float) -> "ConformalMetric":
-        return ConformalMetric(kind="constant", constant=float(c), nonnegative_ricci=True)
+        return ConformalMetric(kind="constant", coeffs=((0, 0, float(c)),), nonnegative_ricci=True)
 
     @staticmethod
     def poly(coeffs: Coeffs | list, nonnegative_ricci: bool = False) -> "ConformalMetric":
@@ -69,12 +70,7 @@ class ConformalMetric:
 
     def phi(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        shape = pts.shape[:-1]
-        if self.kind == "flat":
-            return np.zeros(shape)
-        if self.kind == "constant":
-            return np.full(shape, self.constant)
-        if self.kind == "poly":
+        if self.kind != "bump":
             return poly_eval(self._poly_coeffs(), pts)
         A, x0, y0, s = self.bump
         d2 = (pts[..., 0] - x0) ** 2 + (pts[..., 1] - y0) ** 2
@@ -82,10 +78,7 @@ class ConformalMetric:
 
     def grad_phi(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        shape = pts.shape[:-1]
-        if self.kind in ("flat", "constant"):
-            return np.zeros(shape + (2,))
-        if self.kind == "poly":
+        if self.kind != "bump":
             c = self._poly_coeffs()
             return np.stack([poly_eval(poly_derive(c, 0), pts), poly_eval(poly_derive(c, 1), pts)], axis=-1)
         A, x0, y0, s = self.bump
@@ -95,17 +88,14 @@ class ConformalMetric:
 
     def hess_phi(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
-        shape = pts.shape[:-1]
-        if self.kind in ("flat", "constant"):
-            return np.zeros(shape + (2, 2))
-        if self.kind == "poly":
+        if self.kind != "bump":
             c = self._poly_coeffs()
             cx = poly_derive(c, 0)
             cy = poly_derive(c, 1)
             hxx = poly_eval(poly_derive(cx, 0), pts)
             hxy = poly_eval(poly_derive(cx, 1), pts)
             hyy = poly_eval(poly_derive(cy, 1), pts)
-            out = np.empty(shape + (2, 2))
+            out = np.empty(pts.shape[:-1] + (2, 2))
             out[..., 0, 0] = hxx
             out[..., 0, 1] = hxy
             out[..., 1, 0] = hxy
@@ -127,7 +117,7 @@ class ConformalMetric:
         if self.kind == "flat":
             return {"kind": "flat"}
         if self.kind == "constant":
-            return {"kind": "constant", "params": [self.constant]}
+            return {"kind": "constant", "params": [self.coeffs[0][2]]}
         if self.kind == "poly":
             out = {"kind": "poly", "params": [[i, j, c] for i, j, c in self.coeffs]}
         else:

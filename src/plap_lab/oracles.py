@@ -194,7 +194,6 @@ def matrix_inequality_sweep(
         raise ValidationError("sample budget must be positive")
     shards = []
     seq = np.random.SeedSequence(seed)
-    remaining = samples
     children = seq.spawn(int(np.ceil(samples / _SHARD_SIZE)) * len(n_values))
     ci = 0
     min_gap = np.inf

@@ -43,15 +43,13 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
              mesh: TriMesh | None = None) -> CaseResult:
     """Solve one (domain, metric, p, h) case and evaluate every identity."""
     metric = metric if metric is not None else ConformalMetric.flat()
-    overrides = dict(solver_overrides or {})
-    quad_order = overrides.pop("quadrature_order", 2)
     if mesh is None:
-        mesh = build_mesh(spec, h, quad_order=quad_order)
+        mesh = build_mesh(spec, h)
     if metric.nonnegative_ricci:
         check_nonnegative_ricci(metric, mesh.quad_points)
     bg = boundary_geometry(spec, mesh)
     measures = domain_measures(mesh, metric)
-    config = SolveConfig(p=p, **overrides)
+    config = SolveConfig(p=p, **(solver_overrides or {}))
     sol = solve(mesh, metric, config)
     bundle = recover_derivatives(sol.field(), mesh, metric)
     trace = boundary_trace(sol, bg, metric, p, bundle=bundle)

@@ -71,8 +71,9 @@ MALFORMED = [
     ("seed", "3"), ("seed", 1.0), ("seed", True), ("seed", -1),
     ("solver.quadrature_order", 99), ("solver.eps0", "1"), ("solver.rho", "0.5"),
     ("solver.rho", 1.0), ("solver.max_newton_iter", 2.0), ("solver.max_newton_iter", 0),
-    ("solver.warp", 9), ("solver.newton_tol", 1e-10), ("tolerances.flux_rel", "1"),
-    ("tolerances.identity_rel", True), ("tolerances.serrin_nodewise", 0),
+    ("solver.warp", 9), ("solver.newton_tol", 1e-10), ("solver.quadrature_order", 2),
+    ("tolerances.flux_rel", "1"), ("tolerances.identity_rel", True),
+    ("tolerances.serrin_nodewise", 0),
     ("domain.radius", "1"), ("domain.radius", 0),
     ("domain.variant", "square"), ("domain.a", 2.0),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
@@ -86,7 +87,7 @@ MALFORMED = [
 ]
 # configs the schema accepts although they differ from the shipped ones
 WELL_FORMED = [
-    ("seed", 0), ("solver.eps0", 1), ("solver.quadrature_order", 6), ("p", [1.5, 4]),
+    ("seed", 0), ("solver.eps0", 1), ("p", [1.5, 4]),
     ("domain", {"variant": "polar_star", "r0": 1, "cos_coeffs": [0.1], "sin_coeffs": []}),
     ("domain", {"variant": "annulus"}), ("metric", {"kind": "bump", "params": [0.1, 0, 0, 1]}),
     ("matcheck.p_range", [2.0, 1.5]), ("radial.grid", 100), ("output_dir", ""),
@@ -139,7 +140,7 @@ def test_schema_keys_match_the_dataclasses():
     # SolveConfig(**overrides) or Tolerances(**...) with an uncaught TypeError
     schema = json.loads((SCHEMAS / "config.schema.json").read_text())["properties"]
     solve_fields = {f.name for f in fields(SolveConfig)} - {"p"}
-    assert set(schema["solver"]["properties"]) == solve_fields | {"quadrature_order"}
+    assert set(schema["solver"]["properties"]) == solve_fields
     assert set(schema["tolerances"]["properties"]) == {f.name for f in fields(Tolerances)}
 
 
@@ -209,6 +210,23 @@ def test_solver_failure_exits_3(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["type"] == "solver"
     assert len(err["error"]["history"]) >= 1
+
+
+# --------------------------------------------------------- shipped configs
+
+SHIPPED = [
+    pytest.param(path, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the boundary layer of the recovered "
+                            "Hessian fails the sweep's boundary checks"))
+    if path.stem == "ellipse_sweep" else path
+    for path in sorted(CONFIGS.glob("*.json"))
+]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_every_shipped_config_exits_0(tmp_path, path):
+    command = json.loads(path.read_text())["command"]
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 # ----------------------------------------------------------------- verify

@@ -13,6 +13,7 @@ from plap_lab.metric import ConformalMetric
 
 # perimeter of the 2:1 ellipse by adaptive quadrature of sqrt(4 sin^2 + cos^2)
 ELLIPSE_PERIMETER = 9.688448220547677
+FLAT = ConformalMetric.flat()
 
 
 def test_disk_mesh_area_and_perimeter(lab):
@@ -67,7 +68,7 @@ def test_convex_specs_have_positive_curvature(lab):
 
 def test_measures_flat_and_scaled(lab):
     mesh = lab.mesh("disk", 0.05)
-    m = domain_measures(mesh)
+    m = domain_measures(mesh, FLAT)
     assert m.volume == pytest.approx(np.pi, rel=0.005)
     assert m.perimeter == pytest.approx(2 * np.pi, rel=0.005)
     c = 0.3
@@ -77,7 +78,7 @@ def test_measures_flat_and_scaled(lab):
 
 
 def test_ellipse_measures(lab):
-    m = domain_measures(lab.mesh("ellipse", 0.05))
+    m = domain_measures(lab.mesh("ellipse", 0.05), FLAT)
     assert m.volume == pytest.approx(2 * np.pi, rel=0.005)
     assert m.perimeter == pytest.approx(ELLIPSE_PERIMETER, rel=0.005)
 
@@ -97,11 +98,12 @@ def test_refinement_improves_geometry():
 
 
 def test_polar_star_with_no_coefficients_matches_disk():
+    # the disk is meshed as the polar star r = R: the meshes are the same bits
     star = build_mesh(PolarStar(1.0), 0.1)
     disk = build_mesh(Disk(1.0), 0.1)
-    ms, md = domain_measures(star), domain_measures(disk)
-    assert ms.volume == pytest.approx(md.volume, rel=5e-3)
-    assert ms.perimeter == pytest.approx(md.perimeter, rel=1e-6)
+    assert np.array_equal(star.points, disk.points)
+    assert np.array_equal(star.triangles, disk.triangles)
+    assert domain_measures(star, FLAT) == domain_measures(disk, FLAT)
 
 
 def test_polar_star_mesh():
@@ -122,7 +124,7 @@ def test_annulus_two_loops_and_inner_curvature_sign():
     inner = bg.curvature[bg.loop_slices[1]]
     assert np.abs(outer - 1.0).max() < 1e-12
     assert np.abs(inner + 2.0).max() < 1e-12
-    m = domain_measures(mesh)
+    m = domain_measures(mesh, FLAT)
     assert m.volume == pytest.approx(np.pi * 0.75, rel=0.005)
     assert m.perimeter == pytest.approx(3 * np.pi, rel=1e-6)
 

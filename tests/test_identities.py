@@ -58,7 +58,7 @@ def test_flux_balance_flags_non_solution(lab):
     zero = Solution(u=np.zeros(mesh.n_vertices), mesh=mesh, metric=FLAT,
                     config=SolveConfig(p=2.0), steps=[])
     tr = boundary_trace(zero, bg, FLAT, 2.0, bundle=recover_derivatives(zero.field(), mesh))
-    entry = flux_balance(tr, domain_measures(mesh), TOL.flux_rel)
+    entry = flux_balance(tr, domain_measures(mesh, FLAT), TOL.flux_rel)
     assert entry.rel_residual == pytest.approx(1.0, abs=1e-9)
     assert not entry.passed
 
@@ -127,7 +127,7 @@ def test_hk_rejects_nonpositive_curvature():
     sol = solve(mesh, None, SolveConfig(p=2.0))
     bundle = recover_derivatives(sol.field(), mesh)
     tr = boundary_trace(sol, bg, FLAT, 2.0, bundle=bundle)
-    meas = domain_measures(mesh)
+    meas = domain_measures(mesh, FLAT)
     with pytest.raises(PreconditionError):
         hk_report(tr, meas, bundle, TOL.identity_rel)
     with pytest.raises(PreconditionError):
@@ -178,8 +178,7 @@ def test_serrin_definitional_zero(lab):
     tr = BoundaryTrace(p=p, n=n, position=bg.position, normal=bg.normal,
                        arclength=bg.arclength, curvature=bg.curvature,
                        weight=bg.weight, u_nu=u_nu, u_nunu=np.zeros_like(u_nu),
-                       gnorm=np.abs(u_nu), flagged=np.zeros(len(u_nu), dtype=bool),
-                       loop_slices=bg.loop_slices)
+                       gnorm=np.abs(u_nu), flagged=np.zeros(len(u_nu), dtype=bool))
     entry = serrin_deficit(tr, TOL.serrin_nodewise)
     assert entry.values["deficit"] <= 1e-12
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -70,11 +72,26 @@ def test_nonnegative_ricci_random_sample():
 
 
 def test_metric_json_round_trip():
-    for m in (ConformalMetric.flat(), ConformalMetric.const(0.3),
-              CAP4, ConformalMetric.gaussian_bump(0.2, 0.1, -0.1, 1.0)):
-        m2 = ConformalMetric.from_json(m.to_json())
-        pts = np.array([[0.3, 0.4], [-0.2, 0.9]])
-        assert np.allclose(m.phi(pts), m2.phi(pts))
+    # the JSON text of each kind is fixed: configs and report echoes carry it
+    texts = {
+        ConformalMetric.flat(): '{"kind": "flat"}',
+        ConformalMetric.const(0.3): '{"kind": "constant", "params": [0.3]}',
+        CAP4: '{"kind": "poly", "nonnegative_ricci": true, '
+              '"params": [[0, 2, -0.25], [2, 0, -0.25]]}',
+        ConformalMetric.gaussian_bump(0.2, 0.1, -0.1, 1.0):
+            '{"kind": "bump", "params": [0.2, 0.1, -0.1, 1.0]}',
+    }
+    pts = np.array([[0.3, 0.4], [-0.2, 0.9]])
+    for m, text in texts.items():
+        assert json.dumps(m.to_json(), sort_keys=True) == text
+        m2 = ConformalMetric.from_json(json.loads(text))
+        assert m2 == m
+        assert np.array_equal(m.phi(pts), m2.phi(pts))
+    # flat and constant are exact: phi is 0 or c, with zero derivatives
+    for m, c in ((ConformalMetric.flat(), 0.0), (ConformalMetric.const(0.3), 0.3)):
+        assert np.all(m.phi(pts) == c)
+        assert np.all(m.grad_phi(pts) == 0.0) and m.grad_phi(pts).shape == (2, 2)
+        assert np.all(m.hess_phi(pts) == 0.0) and m.hess_phi(pts).shape == (2, 2, 2)
     with pytest.raises(ValidationError):
         ConformalMetric.from_json({"kind": "poly", "params": [[5, 0, 1.0]]})
 
