@@ -147,9 +147,6 @@ def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None, weights=None,
 
 def _two_ring_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """(vertex, neighbor) pairs within graph distance two, including self."""
-    cached = getattr(mesh, "_recovery_pairs", None)
-    if cached is not None:
-        return cached
     import scipy.sparse as sp
 
     tri = mesh.triangles
@@ -160,9 +157,28 @@ def _two_ring_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     adj.data[:] = 1.0
     one = adj + sp.eye(n, format="csr")
     two = (one @ one).tocoo()
-    pairs = (two.row, two.col)
-    mesh._recovery_pairs = pairs
-    return pairs
+    return two.row, two.col
+
+
+def _normal_equations(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The part of the patch fit that does not depend on the nodal values:
+    the two-ring pairs (pv, pw), the weighted basis w b per pair (pairs, 6)
+    and the normal matrices sum w b b^T per vertex (n, 6, 6)."""
+    pv, pw = _two_ring_pairs(mesh)
+    d = (mesh.points[pw] - mesh.points[pv]) / mesh.h
+    basis = np.stack(
+        [np.ones(len(pv)), d[:, 0], d[:, 1],
+         0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2],
+        axis=1,
+    )
+    wb = np.exp(-(d * d).sum(axis=1))[:, None] * basis
+    n = mesh.n_vertices
+    # all 36 entries, not 21 mirrored: (w b_i) b_j and (w b_j) b_i can differ
+    # in the last bit
+    mat = np.stack([np.bincount(pv, weights=wb[:, i] * basis[:, j], minlength=n)
+                    for i in range(6) for j in range(6)], axis=1).reshape(n, 6, 6)
+    mat.flags.writeable = False     # shared by every fit on the mesh
+    return pv, pw, wb, mat
 
 
 def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,26 +190,20 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     h); reproduces quadratic fields exactly up to the boundary, which plain
     averaging of element gradients does not.  The Hessian is symmetric by
     construction: both off-diagonal entries are the one xy coefficient.
+    The normal matrices are built once per mesh; a fit only scatters its
+    right-hand side and solves.
     """
-    pv, pw = _two_ring_pairs(mesh)
+    pv, pw, wb, mat = mesh.derived("recovery", lambda: _normal_equations(mesh))
     h = mesh.h
-    d = (mesh.points[pw] - mesh.points[pv]) / h
-    basis = np.stack(
-        [np.ones(len(pv)), d[:, 0], d[:, 1],
-         0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2],
-        axis=1,
-    )
-    w = np.exp(-(d * d).sum(axis=1))
     n = mesh.n_vertices
-    mat = np.zeros((n, 6, 6))
-    np.add.at(mat, pv, (w[:, None, None] * basis[:, :, None]) * basis[:, None, :])
-    rhs = np.zeros((n, 6, 1))
-    np.add.at(rhs, pv, (w[:, None] * basis * nodal[pw][:, None])[:, :, None])
+    vals = nodal[pw]
+    rhs = np.stack([np.bincount(pv, weights=wb[:, k] * vals, minlength=n) for k in range(6)],
+                   axis=1)[:, :, None]
     try:
         coef = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
-        mat += 1e-12 * np.trace(mat, axis1=1, axis2=2)[:, None, None] * np.eye(6)
-        coef = np.linalg.solve(mat, rhs)
+        reg = mat + 1e-12 * np.trace(mat, axis1=1, axis2=2)[:, None, None] * np.eye(6)
+        coef = np.linalg.solve(reg, rhs)
     coef = coef[..., 0]
     return coef[:, 1:3] / h, coef[:, [3, 4, 4, 5]].reshape(n, 2, 2) / (h * h)
 

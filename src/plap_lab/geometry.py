@@ -322,8 +322,10 @@ class TriMesh:
     quad_weights: np.ndarray            # (M*Q,) physical weights
     quad_tri: np.ndarray                # (M*Q,) owning triangle
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
-    _locator: "_PointLocator | None" = field(default=None, repr=False)
-    _measures: dict = field(default_factory=dict, repr=False)   # metric -> Measures
+    # state that depends on the mesh alone (point locator, measures per
+    # metric, recovery normal equations, tangent pattern, trace sample
+    # sites), built by `derived` on first use and shared by every case
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -340,16 +342,25 @@ class TriMesh:
     def min_angle_deg(self) -> float:
         return float(np.degrees(_triangle_angles(self.points, self.triangles).min()))
 
+    def derived(self, key, build: Callable[[], object]):
+        """The mesh-only state stored under ``key``, built by ``build()`` the
+        first time it is asked for."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def interpolate(self, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
         """P1 interpolation of nodal data (scalar or trailing-dim array) at points."""
-        tri, bary = self.locate(pts)
-        vals = nodal[self.triangles[tri]]
-        return np.einsum("qk,qk...->q...", bary, vals)
+        return self.interpolate_located(nodal, *self.locate(pts))
+
+    def interpolate_located(self, nodal: np.ndarray, tri: np.ndarray,
+                            bary: np.ndarray) -> np.ndarray:
+        """P1 interpolation at points already located as (triangle, barycentric)."""
+        return np.einsum("qk,qk...->q...", bary, nodal[self.triangles[tri]])
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._locator is None:
-            self._locator = _PointLocator(self)
-        return self._locator.locate(np.atleast_2d(np.asarray(pts, dtype=float)))
+        locator = self.derived("locator", lambda: _PointLocator(self))
+        return locator.locate(np.atleast_2d(np.asarray(pts, dtype=float)))
 
 
 class _PointLocator:
@@ -665,13 +676,11 @@ class BoundaryGeometry:
     curvature: np.ndarray       # (B,) scalar mean curvature H
     weight: np.ndarray          # (B,) arc-length quadrature weight
     arclength: np.ndarray       # (B,) arc-length coordinate within the loop
-    loop_slices: list[slice]
 
 
 def _exact_boundary(curves: list[BoundaryCurve], loops_params: list[np.ndarray],
                     lengths: list[float]) -> BoundaryGeometry:
-    pos, nor, cur, wgt, arc, slices = [], [], [], [], [], []
-    offset = 0
+    pos, nor, cur, wgt, arc = [], [], [], [], []
     for curve, params, L in zip(curves, loops_params, lengths):
         n = len(params)
         pos.append(curve.point(params))
@@ -680,15 +689,12 @@ def _exact_boundary(curves: list[BoundaryCurve], loops_params: list[np.ndarray],
         # equal arc-length nodes: each dual cell has exact length L/n
         wgt.append(np.full(n, L / n))
         arc.append(L * np.arange(n) / n)
-        slices.append(slice(offset, offset + n))
-        offset += n
     return BoundaryGeometry(
         position=np.concatenate(pos),
         normal=np.concatenate(nor),
         curvature=np.concatenate(cur),
         weight=np.concatenate(wgt),
         arclength=np.concatenate(arc),
-        loop_slices=slices,
     )
 
 
@@ -708,9 +714,11 @@ class Measures:
 def domain_measures(mesh: TriMesh, metric) -> Measures:
     """Volume and perimeter in the conformal metric (Euclidean for the flat
     metric, whose weights are exp(0) = 1); evaluated once per mesh and metric."""
-    if metric not in mesh._measures:
+
+    def build() -> Measures:
         bg = mesh.boundary
         vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
         per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
-        mesh._measures[metric] = Measures(vol, per)
-    return mesh._measures[metric]
+        return Measures(vol, per)
+
+    return mesh.derived(("measures", metric), build)

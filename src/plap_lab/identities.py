@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ValidationError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
-from .geometry import BoundaryGeometry, Measures, domain_measures
+from .geometry import BoundaryGeometry, Measures, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
 from .solver import Solution
 
@@ -66,15 +66,14 @@ _DEPTHS_GRAD = (1.2, 1.8, 2.4, 3.0)
 _DEPTHS_HESS = (2.5, 3.5, 4.5, 5.5)
 
 
-def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
-                   p: float, n: int = 2, *, bundle: DerivativeBundle) -> BoundaryTrace:
-    """Extrapolated normal-derivative traces at every boundary node.
+def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
+    """Where the traces sample, which depends on the mesh alone.
 
-    Gradient traces are fit over shallow samples (the recovered gradient is
-    reliable one ring in); second-derivative traces use deeper samples, past
-    the boundary layer of the recovered Hessian.
+    Returns the sample depths ``d_all``, the indices ``ig`` and ``ih`` of the
+    gradient and Hessian depths among them, and the located (triangle,
+    barycentric) pair of each sample point x_b - d_k nu, stacked per node.
     """
-    mesh = sol.mesh
+    bg = mesh.boundary
     meas = domain_measures(mesh, ConformalMetric.flat())
     # keep sample segments well inside the domain on coarse meshes
     cap = 0.5 * meas.volume / meas.perimeter
@@ -82,14 +81,29 @@ def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
     dg = np.asarray(_DEPTHS_GRAD) * mesh.h * scale
     dh = np.asarray(_DEPTHS_HESS) * mesh.h * scale
     d_all = np.unique(np.concatenate([dg, dh]))
-    ig = np.searchsorted(d_all, dg)
-    ih = np.searchsorted(d_all, dh)
-    # sample points: x_b - d_k * nu, stacked per node
     pts = bg.position[:, None, :] - d_all[None, :, None] * bg.normal[:, None, :]
     flat_pts = pts.reshape(-1, 2)
-    # one point location for both fields: gradient and Hessian stacked as (N, 6)
+    return (d_all, np.searchsorted(d_all, dg), np.searchsorted(d_all, dh), flat_pts,
+            *mesh.locate(flat_pts))
+
+
+def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
+                   p: float, n: int = 2, *, bundle: DerivativeBundle) -> BoundaryTrace:
+    """Extrapolated normal-derivative traces at every boundary node.
+
+    Gradient traces are fit over shallow samples (the recovered gradient is
+    reliable one ring in); second-derivative traces use deeper samples, past
+    the boundary layer of the recovered Hessian.  ``bg`` is the mesh's own
+    boundary geometry (`boundary_geometry`); the sample sites are located once
+    per mesh.
+    """
+    mesh = sol.mesh
+    if bg is not mesh.boundary:
+        raise ValidationError("boundary geometry does not belong to the solution's mesh")
+    d_all, ig, ih, flat_pts, tri, bary = mesh.derived("trace_sites", lambda: _trace_sites(mesh))
+    # one interpolation for both fields: gradient and Hessian stacked as (N, 6)
     nodal = np.concatenate([bundle.nodal_grad, bundle.nodal_hess.reshape(-1, 4)], axis=1)
-    at = mesh.interpolate(nodal, flat_pts)
+    at = mesh.interpolate_located(nodal, tri, bary)
     G, S = frame_from_scalar(metric, flat_pts, at[:, :2], at[:, 2:].reshape(-1, 2, 2))
 
     nd = len(d_all)

@@ -16,17 +16,18 @@ makes one linear solve more than it takes steps.  The ladder ends after the
 first rung that takes no step; that rung's eps is ``final_eps``.
 
 The Newton tangent is symmetric positive definite on the free (interior)
-vertices, and its sparsity pattern is that of the P1 stiffness.  The first
-tangent of a solve fixes a symmetric minimum-degree order of that pattern and
-the CSC layout of the free x free matrix in that order; every tangent is then
-summed straight into the CSC data array, and each Newton step factors it with
-diagonal pivots and no further reordering.
+vertices, and its sparsity pattern is that of the P1 stiffness.  A symmetric
+minimum-degree order of that pattern and the CSC layout of the free x free
+matrix in that order depend on the mesh alone: they are built once per mesh,
+from the structure with unit weights, and kept on it.  Every tangent is summed
+straight into the CSC data array and factored with diagonal pivots and no
+further reordering; a tangent that is bit for bit the last one factored (at
+p = 2 it depends on neither u nor eps) reuses that factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -117,7 +118,9 @@ class _Assembler:
         elem_load = src @ lam  # (M, 3)
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
-        self.free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+        # dofs[i] is the vertex of unknown i of the ordered tangent
+        self.free, self.dofs, self._indptr, self._indices, self._slot = mesh.derived(
+            "tangent_pattern", lambda: _tangent_pattern(mesh))
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         return np.einsum("mki,mk->mi", self.mesh.basis_grads, u[self.mesh.triangles])
@@ -143,59 +146,71 @@ class _Assembler:
             raise AssemblyError("non-finite residual during assembly", element=bad)
         return r
 
-    def _blocks(self, coeff: np.ndarray) -> np.ndarray:
-        """Element matrices grad(lambda_k) . coeff grad(lambda_l), shape (M, 3, 3)."""
-        bg = self.mesh.basis_grads
-        return np.matmul(np.matmul(bg, coeff), bg.transpose(0, 2, 1))
-
-    @cached_property
-    def _pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(dofs, indptr, indices, slot) of the ordered free x free tangent.
-
-        ``dofs[i]`` is the vertex of unknown i.  ``slot`` sends each entry of
-        the raveled element blocks to its position in the CSC data array;
-        entries touching a boundary vertex go to one extra slot past the end.
-        """
-        nf = len(self.free)
-        local = np.full(self.mesh.n_vertices, -1)
-        local[self.free] = np.arange(nf)
-        tri = local[self.mesh.triangles]
-        rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        # the order depends on the structure only: take it from the P1 stiffness
-        stiff = self._blocks(self.w_grad[:, None, None] * np.eye(2)).ravel()
-        lap = sp.csc_matrix((stiff[keep], (rows[keep], cols[keep])), shape=(nf, nf))
-        rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
-        key = np.where(keep, rank[cols] * nf + rank[rows], nf * nf)
-        uniq, slot = np.unique(key, return_inverse=True)
-        uniq = uniq[uniq < nf * nf]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // nf, minlength=nf))])
-        return self.free[np.argsort(rank)], indptr, uniq % nf, slot
-
-    @property
-    def dofs(self) -> np.ndarray:
-        """The vertex of each unknown of the ordered tangent."""
-        return self._pattern[0]
-
     def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
         """The free x free tangent, in the order of ``dofs``."""
         g = self.gradients(u)
         flux = RegularizedFlux.from_gradients(g, self.p, eps)
-        blocks = self._blocks(self.w_grad[:, None, None] * flux.coeff)
+        blocks = _element_blocks(self.mesh, self.w_grad[:, None, None] * flux.coeff)
         if not np.isfinite(blocks).all():
             bad = int(np.argmax(~np.isfinite(blocks).reshape(len(blocks), -1).any(axis=1)))
             raise AssemblyError("non-finite tangent during assembly", element=bad)
-        dofs, indptr, indices, slot = self._pattern
-        data = np.bincount(slot, weights=blocks.ravel(), minlength=len(indices) + 1)
-        return sp.csc_matrix((data[:-1], indices, indptr), shape=(len(dofs), len(dofs)))
+        nf = len(self.dofs)
+        data = np.bincount(self._slot, weights=blocks.ravel(), minlength=len(self._indices) + 1)
+        return sp.csc_matrix((data[:-1], self._indices, self._indptr), shape=(nf, nf))
+
+
+def _element_blocks(mesh: TriMesh, coeff: np.ndarray) -> np.ndarray:
+    """Element matrices grad(lambda_k) . coeff grad(lambda_l), shape (M, 3, 3)."""
+    bg = mesh.basis_grads
+    return np.matmul(np.matmul(bg, coeff), bg.transpose(0, 2, 1))
+
+
+def _tangent_pattern(mesh: TriMesh) -> tuple[np.ndarray, ...]:
+    """(free, dofs, indptr, indices, slot) of the ordered free x free tangent.
+
+    ``free`` are the interior vertices and ``dofs[i]`` the vertex of unknown
+    i.  ``slot`` sends each entry of the raveled element blocks to its
+    position in the CSC data array; entries touching a boundary vertex go to
+    one extra slot past the end.  The order depends on the structure only, so
+    it is taken from the P1 stiffness with unit weights.
+    """
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+    nf = len(free)
+    local = np.full(mesh.n_vertices, -1)
+    local[free] = np.arange(nf)
+    tri = local[mesh.triangles]
+    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    stiff = _element_blocks(mesh, np.eye(2)).ravel()
+    lap = sp.csc_matrix((stiff[keep], (rows[keep], cols[keep])), shape=(nf, nf))
+    rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
+    key = np.where(keep, rank[cols] * nf + rank[rows], nf * nf)
+    uniq, slot = np.unique(key, return_inverse=True)
+    uniq = uniq[uniq < nf * nf]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // nf, minlength=nf))])
+    return free, free[np.argsort(rank)], indptr, uniq % nf, slot
 
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
 
 
+# the last factored tangent: (data, indices, indptr, factor).  Reusing it is
+# exact, since it is reused only for a matrix with the same bits.
+_factored: tuple | None = None
+
+
 def spsolve(K: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve with the ordered SPD tangent: diagonal pivots, no reordering."""
-    return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True}).solve(b)
+    """Solve with the ordered SPD tangent: diagonal pivots, no reordering.
+
+    K is factored unless it is bit for bit the matrix factored last."""
+    global _factored
+    arrays = (K.data, K.indices, K.indptr)
+    last = _factored
+    if last is None or not all(a.dtype == c.dtype and a.tobytes() == c.tobytes()
+                               for a, c in zip(arrays, last)):
+        lu = splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+        last = _factored = tuple(a.copy() for a in arrays) + (lu,)
+    return last[3].solve(b)
 
 
 def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from plap_lab import ConformalMetric, Disk, build_mesh, fields, geometry, identities
+from plap_lab import (ConformalMetric, Disk, Ellipse, build_mesh, fields, geometry,
+                      identities, solver)
 from plap_lab.cli import main
 from plap_lab.pipeline import run_case
 
@@ -40,6 +41,11 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     lu_p = _count_calls(monkeypatch, fields, "linearized_on_p")
     spec_checks = _count_calls(monkeypatch, geometry, "validate_spec")
     measures = _count_calls(monkeypatch, geometry, "Measures")
+    normal_eqs = _count_calls(monkeypatch, fields, "_normal_equations")
+    sites = _count_calls(monkeypatch, identities, "_trace_sites")
+    orders, splu = [], solver.splu
+    monkeypatch.setattr(solver, "splu", lambda A, permc_spec, **kw: (
+        orders.append(1) if permc_spec == "MMD_AT_PLUS_A" else None) or splu(A, permc_spec, **kw))
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
@@ -51,6 +57,11 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     # the metric measures (run_case and the solver's eps0 scale) and the
     # Euclidean ones (the trace's depth cap), each once per mesh
     assert len(measures) <= 2
+    # mesh-only state, once per mesh: the recovery normal matrices, the
+    # tangent's fill-reducing order and the located trace sample sites
+    assert len(normal_eqs) == 1
+    assert len(orders) == 1
+    assert len(sites) == 1
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -68,3 +79,22 @@ def test_zero_phi_case_matches_flat_case(p):
     for name in sections:
         # the JSON text holds every float's repr, so equal text is bitwise equality
         assert json.dumps(a[name], sort_keys=True) == json.dumps(b[name], sort_keys=True), name
+
+
+CAP = ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)], nonnegative_ricci=True)
+
+
+@pytest.mark.parametrize("spec, h", [(Disk(1.0), 0.1), (Ellipse(2.0, 1.0), 0.14)])
+def test_warm_mesh_state_matches_a_fresh_mesh(spec, h):
+    """Cases that reuse the mesh-only state of earlier cases, in either order,
+    give the same bits as a case on a freshly built mesh."""
+    cases = [(ConformalMetric.flat(), 1.5), (CAP, 3.0), (ConformalMetric.flat(), 2.0)]
+    cold = [run_case(spec, metric, p, h) for metric, p in cases]
+    mesh = build_mesh(spec, h)
+    for order in (cases, cases[::-1]):
+        for metric, p in order:
+            warm = run_case(spec, metric, p, h, mesh=mesh)
+            ref = cold[cases.index((metric, p))]
+            assert np.array_equal(warm.solution.u, ref.solution.u)
+            assert (json.dumps(warm.report.to_json_dict(), sort_keys=True)
+                    == json.dumps(ref.report.to_json_dict(), sort_keys=True))

@@ -124,22 +124,32 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
 
 
 def test_rung_records_and_solve_count(lab, monkeypatch):
-    # pins the number of factorizations, so a change cannot add some unnoticed
-    calls = []
-    spsolve = solver.spsolve
+    # pins the number of solves and of factorizations, so a change cannot
+    # add some unnoticed
+    calls, factors = [], []
+    spsolve, splu = solver.spsolve, solver.splu
     monkeypatch.setattr(solver, "spsolve", lambda K, b: calls.append(1) or spsolve(K, b))
+    monkeypatch.setattr(solver, "splu", lambda K, permc_spec, **kw: (
+        factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
+    # start without a stored factor, so the counts do not depend on earlier tests
+    monkeypatch.setattr(solver, "_factored", None)
     sol = solve(lab.mesh("disk", 0.05), None, SolveConfig(p=3.0))
     # the ladder ends after the first rung that takes no step
     assert [s.iterations for s in sol.steps] == [6, 2, 1, 1, 0]
     # each rung spends one solve more than it takes steps: the last one
     # finds the decrement at rounding level
     assert len(calls) == sum(s.iterations + 1 for s in sol.steps) == 15
+    # every p != 2 tangent differs from the one before it
+    assert len(factors) == 15
     assert sol.final_eps == sol.steps[-1].eps > sol.config.eps_min
-    # p = 2 is linear: one step, one solve to confirm it, one to end the ladder
+    # p = 2 is linear: one step, one solve to confirm it, one to end the
+    # ladder; its tangent depends on neither u nor eps, so it is factored once
     calls.clear()
+    factors.clear()
     sol = solve(build_mesh(Disk(1.0), 0.2), None, SolveConfig(p=2.0))
     assert [s.iterations for s in sol.steps] == [1, 0]
     assert len(calls) == 3
+    assert len(factors) == 1
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
