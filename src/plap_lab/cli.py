@@ -232,8 +232,9 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         xs = case.mesh.points[:, 0]
         line = np.linspace(xs.min() * 0.98, xs.max() * 0.98, 201)
         pts = np.stack([line, np.zeros_like(line)], axis=1)
-        u_line = case.mesh.interpolate(case.solution.u, pts)
-        p_line = case.mesh.interpolate(case.p_nodal, pts)
+        located = case.mesh.locate(pts)
+        u_line = case.mesh.interpolate_located(case.solution.u, *located)
+        p_line = case.mesh.interpolate_located(case.p_nodal, *located)
         path = outdir / f"slice_{tag}.csv"
         write_csv(path, ["x", "u", "P"], [[line[i], u_line[i], p_line[i]] for i in range(len(line))])
         written.append(path)

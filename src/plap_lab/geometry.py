@@ -8,7 +8,10 @@ curve, so boundary data (normal, curvature, arc-length weights) can be
 evaluated from closed forms instead of the polygon.  As in DistMesh
 (Persson & Strang, SIAM Review 46, 2004), relaxation retriangulates lazily:
 only after some vertex has moved more than 0.1 h since the last
-triangulation.
+triangulation.  Only its first triangulation comes from Qhull; each later one
+repairs the triangulation it holds by Lawson's edge flips, which reach the
+same Delaunay triangulation.  A mesh costs two Qhull calls: that first one
+and the final triangulation of the relaxed points.
 """
 
 from __future__ import annotations
@@ -349,13 +352,10 @@ class TriMesh:
             self._derived[key] = build()
         return self._derived[key]
 
-    def interpolate(self, nodal: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """P1 interpolation of nodal data (scalar or trailing-dim array) at points."""
-        return self.interpolate_located(nodal, *self.locate(pts))
-
     def interpolate_located(self, nodal: np.ndarray, tri: np.ndarray,
                             bary: np.ndarray) -> np.ndarray:
-        """P1 interpolation at points already located as (triangle, barycentric)."""
+        """P1 interpolation of nodal data (scalar or trailing-dim array) at
+        points that ``locate`` gave as (triangle, barycentric)."""
         return np.einsum("qk,qk...->q...", bary, nodal[self.triangles[tri]])
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,14 +462,25 @@ class _RadialDomain:
         return ok
 
     def clamp(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        rho = np.linalg.norm(pts, axis=-1)
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
+        """Points (P, 2) pulled radially to between r_in + margin and
+        margin / cos(psi) inside the outer boundary."""
+        rho = np.linalg.norm(pts, axis=1)
+        # the interpolated bound never falls below this radius (less a slack
+        # for rounding), so the points under it keep the scale 1.0 exactly
+        safe = self._rb.min() * (1.0 - 1e-9) - margin / self._cospsi.min()
+        near = rho >= safe
+        if self.annular:
+            near |= rho <= self.r_in + margin
+        rho, sub = rho[near], pts[near]
+        theta = np.arctan2(sub[:, 1], sub[:, 0])
         hi = self.boundary_radius(theta) - margin / self.cos_psi(theta)
         rho_new = np.minimum(rho, hi)
         if self.annular:
             rho_new = np.maximum(rho_new, self.r_in + margin)
         scale = np.where(rho > 0, rho_new / np.maximum(rho, 1e-300), 1.0)
-        return pts * scale[..., None]
+        out = pts.copy()
+        out[near] = sub * scale[:, None]
+        return out
 
 
 # --------------------------------------------------------------------------
@@ -489,7 +500,9 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     spacing and are pinned; interior vertices start on a hexagonal lattice and
     relax under repulsive edge forces until the triangulation is near-uniform.
     Relaxation keeps its edge list between steps and retriangulates only after
-    some vertex has moved more than 0.1 h since the last triangulation.
+    some vertex has moved more than 0.1 h since the last triangulation, by
+    edge flips on the Delaunay triangulation it holds; Qhull triangulates the
+    lattice once before relaxation and the relaxed points once after it.
     """
     validate_spec(spec)
     diam = spec_diameter(spec)
@@ -550,13 +563,16 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
     pts = np.concatenate([bnd, interior])
     n = len(pts)
     last = np.full_like(pts, np.inf)
+    full = None
     for _ in range(_RELAX_ITERS):
-        # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule)
+        # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule):
+        # Qhull the first time, Lawson's flips on the held triangulation after
         if np.sqrt(np.sum((pts - last) ** 2, axis=1)).max() > 0.1 * h:
             last = pts.copy()
-            tri = _triangulate_inside(pts, domain)
-            pairs = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
-            keys = np.unique(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+            full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
+            tri = full[0][domain.inside(pts[full[0]].mean(axis=1))]
+            keys = _edge_keys(tri, n)
+            keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             e0, e1 = keys // n, keys % n
             idx = np.concatenate([e0, e1])
         vec = pts[e0] - pts[e1]
@@ -573,24 +589,127 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
     return pts[n_bnd:]
 
 
+def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
+    """The key i * n + j (i < j) of every triangle side, sorted; an edge
+    shared by two triangles appears twice."""
+    v, w = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    keys = np.minimum(v, w).astype(np.int64) * n + np.maximum(v, w)
+    keys.sort()
+    return keys
+
+
 def _triangulate_inside(points: np.ndarray, domain: _RadialDomain) -> np.ndarray:
     tri = Delaunay(points).simplices
     cent = points[tri].mean(axis=1)
     return tri[domain.inside(cent)]
 
 
-def _orient_ccw(points: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles reordered counter-clockwise, and their areas."""
+def _signed_area(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     p = points[triangles]
-    signed = 0.5 * (
+    return 0.5 * (
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
     )
+
+
+def _orient_ccw(points: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Triangles reordered counter-clockwise, and their areas."""
+    signed = _signed_area(points, triangles)
     tri = triangles.copy()
     flip = signed < 0
     tri[flip] = tri[flip][:, [0, 2, 1]]
     # swapping two vertices negates the IEEE difference exactly
     return tri, np.abs(signed)
+
+
+# --------------------------------------------------------------------------
+# Delaunay repair by Lawson's edge flips
+# --------------------------------------------------------------------------
+
+_FLIP_TIE = 1e-10       # in-circle determinants below this share of max|p - d|^4 are ties
+_FLIP_PASSES = 100      # a repair that has not settled by then re-seeds from Qhull
+
+
+def _delaunay_ccw(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Qhull's Delaunay triangulation of all the points, counter-clockwise,
+    and its neighbour table: ``nbr[t, k]`` is the triangle across the edge
+    opposite vertex k of triangle t, or -1 on the convex hull."""
+    d = Delaunay(points)
+    tri, nbr = d.simplices.copy(), d.neighbors.copy()
+    cw = _signed_area(points, tri) < 0
+    tri[cw] = tri[cw][:, [0, 2, 1]]
+    nbr[cw] = nbr[cw][:, [0, 2, 1]]
+    return tri, nbr
+
+
+def _flip_to_delaunay(points: np.ndarray, tri: np.ndarray,
+                      nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Delaunay triangulation of moved points, repaired in place from a
+    counter-clockwise triangulation ``(tri, nbr)`` of the same points.
+
+    An edge is illegal when the vertex across it lies inside the circumcircle
+    of the triangle on this side (Lawson 1977); a triangulation without
+    illegal edges is Delaunay.  Each pass flips a batch of illegal edges in
+    which no triangle appears twice, then checks only the edges of the
+    triangles it touched.  Ties (cocircular nodes such as a circular rim or
+    hole) are never flipped.  If a vertex has moved across an edge, so that
+    some triangle is no longer counter-clockwise, Qhull starts afresh.
+    """
+    if (_signed_area(points, tri) <= 0).any():
+        return _delaunay_ccw(points)
+    t, k = np.nonzero(nbr > np.arange(len(tri))[:, None])    # every interior edge once
+    for _ in range(_FLIP_PASSES):
+        u = nbr[t, k]
+        ku = np.argmax(nbr[u] == t[:, None], axis=1)
+        a, b, c, d = tri[t, k], tri[t, (k + 1) % 3], tri[t, (k + 2) % 3], tri[u, ku]
+        bad = _in_circle(points, a, b, c, d)
+        if not bad.any():
+            return tri, nbr
+        t, k, u, ku, a, b, c, d = (x[bad] for x in (t, k, u, ku, a, b, c, d))
+        # flip each edge that is the first illegal edge of both its triangles
+        e = np.arange(len(t))
+        first = np.full(len(tri), len(t))
+        np.minimum.at(first, t, e)
+        np.minimum.at(first, u, e)
+        go = (first[t] == e) & (first[u] == e)
+        ft, fu = t[go], u[go]
+        touched = np.concatenate([ft, fu, nbr[ft].ravel(), nbr[fu].ravel()])
+        # the quad a, b, d, c (counter-clockwise) gets the diagonal a-d
+        tri[ft] = np.stack([a[go], b[go], d[go]], axis=1)
+        tri[fu] = np.stack([a[go], d[go], c[go]], axis=1)
+        nbr[ft] = nbr[fu] = -1
+        _link(tri, nbr, np.unique(touched[touched >= 0]), len(points))
+        cand = np.unique(np.concatenate([t, u]))
+        t, k = np.repeat(cand, 3), np.tile(np.arange(3), len(cand))
+        inner = nbr[t, k] >= 0
+        t, k = t[inner], k[inner]
+    return _delaunay_ccw(points)
+
+
+def _in_circle(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+               d: np.ndarray) -> np.ndarray:
+    """Whether d lies strictly inside the circumcircle of the counter-clockwise
+    triangle (a, b, c), by more than the tie tolerance."""
+    pd = points[d]
+    ad, bd, cd = points[a] - pd, points[b] - pd, points[c] - pd
+    la, lb, lc = (np.einsum("ij,ij->i", v, v) for v in (ad, bd, cd))
+    det = (la * (bd[:, 0] * cd[:, 1] - cd[:, 0] * bd[:, 1])
+           + lb * (cd[:, 0] * ad[:, 1] - ad[:, 0] * cd[:, 1])
+           + lc * (ad[:, 0] * bd[:, 1] - bd[:, 0] * ad[:, 1]))
+    return det > _FLIP_TIE * np.maximum(np.maximum(la, lb), lc) ** 2
+
+
+def _link(tri: np.ndarray, nbr: np.ndarray, s: np.ndarray, n: int) -> None:
+    """Point ``nbr`` across every edge that two of the triangles ``s`` share;
+    the entries of the other edges are left as they are."""
+    ts, ks = np.repeat(s, 3), np.tile(np.arange(3), len(s))
+    v, w = tri[ts, (ks + 1) % 3], tri[ts, (ks + 2) % 3]
+    key = np.minimum(v, w).astype(np.int64) * n + np.maximum(v, w)
+    order = np.argsort(key)
+    same = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    i, j = order[same], order[same + 1]
+    nbr[ts[i], ks[i]] = ts[j]
+    nbr[ts[j], ks[j]] = ts[i]
 
 
 def _assemble_mesh(
@@ -642,19 +761,17 @@ def _assemble_mesh(
 
 
 def _check_boundary_edges(mesh: TriMesh) -> None:
-    tri = mesh.triangles
-    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    mesh_bnd = {tuple(e) for e in uniq[counts == 1]}
-    expected = set()
-    for loop in mesh.boundary_loops:
-        for i in range(len(loop)):
-            a, b = int(loop[i]), int(loop[(i + 1) % len(loop)])
-            expected.add((min(a, b), max(a, b)))
-    if mesh_bnd != expected:
+    n = mesh.n_vertices
+    keys = _edge_keys(mesh.triangles, n)
+    step = keys[1:] != keys[:-1]
+    mesh_bnd = keys[np.concatenate([[True], step]) & np.concatenate([step, [True]])]
+    loops = np.concatenate(mesh.boundary_loops)
+    succ = np.concatenate([np.roll(loop, -1) for loop in mesh.boundary_loops])
+    expected = np.unique(np.minimum(loops, succ).astype(np.int64) * n + np.maximum(loops, succ))
+    if not np.array_equal(mesh_bnd, expected):
         raise MeshGenerationError(
             "triangulation boundary does not match the parametric loops "
-            f"({len(mesh_bnd ^ expected)} mismatched edges); try a smaller h"
+            f"({len(np.setxor1d(mesh_bnd, expected))} mismatched edges); try a smaller h"
         )
 
 

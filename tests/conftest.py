@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from plap_lab import (ConformalMetric, Disk, Ellipse, SolveConfig,
+from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse, SolveConfig,
                       boundary_geometry, build_mesh, solve)
 from plap_lab.identities import Tolerances
 from plap_lab.pipeline import CaseResult, run_case
@@ -13,6 +13,7 @@ from plap_lab.pipeline import CaseResult, run_case
 DOMAINS = {
     "disk": Disk(1.0),
     "ellipse": Ellipse(2.0, 1.0),
+    "annulus": Annulus(0.5, 1.0),
 }
 
 METRICS = {

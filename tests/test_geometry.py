@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay, cKDTree
@@ -183,19 +186,147 @@ def test_relaxation_retriangulates_lazily(monkeypatch):
 
     monkeypatch.setattr(geo, "Delaunay", counting_delaunay)
     build_mesh(Ellipse(2.0, 1.0), 0.05)
-    # relaxing on every one of the 120 iterations made 121 calls
-    assert len(calls) <= 15
+    # relaxing on every one of the 120 iterations made 121 calls, and running
+    # Qhull at each of the lazy retriangulations made 10; edge flips repair
+    # the held triangulation, so Qhull runs on the lattice and the result only
+    assert len(calls) == 2
+
+
+# sha256 of points.tobytes() + triangles.tobytes(), from the meshes that
+# re-ran Qhull at every retriangulation of the relaxation
+MESH_DIGESTS = {
+    ("disk", 0.1): "c91be8ebd064b201941dc12b9b478b2100f6b1c706da23b1927483d59df5f638",
+    ("ellipse", 0.05): "1eaffd3b8659bc4101f40427268d0db6b692bbf79f7c42e144bb7e6370f734a9",
+    ("annulus", 0.1): "57eb747834acde080d9145a813aa0cb0b50da8ae86c25ca4eaa81c679809a91f",
+}
 
 
 @pytest.mark.parametrize("domain, h, n_vertices, n_triangles, min_angle", [
     ("disk", 0.1, 376, 687, 36.94390104515527),
     ("ellipse", 0.05, 2947, 5698, 36.45920843429029),
+    ("annulus", 0.1, 286, 478, 36.441127809722204),
 ])
 def test_mesh_matches_recorded_values(lab, domain, h, n_vertices, n_triangles, min_angle):
     mesh = lab.mesh(domain, h)
     assert mesh.n_vertices == n_vertices
     assert mesh.n_triangles == n_triangles
     assert mesh.min_angle_deg() == pytest.approx(min_angle, rel=1e-9)
+    digest = hashlib.sha256(mesh.points.tobytes() + mesh.triangles.tobytes()).hexdigest()
+    assert digest == MESH_DIGESTS[domain, h]
+
+
+def _edge_set(triangles):
+    e = np.sort(np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                                triangles[:, [2, 0]]]), axis=1)
+    return set(map(tuple, e.tolist()))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([0.1, 0.15, 0.25]))
+def test_flips_repair_moved_points_to_their_delaunay_triangulation(seed, h):
+    import plap_lab.geometry as geo
+
+    rng = np.random.default_rng(seed)
+    # nodes pinned on the unit circle are exact ties for the flips
+    n_rim = int(round(2 * np.pi / h))
+    t = 2 * np.pi * np.arange(n_rim) / n_rim
+    rim = np.stack([np.cos(t), np.sin(t)], axis=1)
+    lattice = geo._hex_lattice(Disk(1.0), h, geo._RadialDomain(Disk(1.0)))
+    lattice += rng.uniform(-0.3 * h, 0.3 * h, lattice.shape)
+    lattice = lattice[np.linalg.norm(lattice, axis=1) < 1.0 - 0.5 * h]
+    pts = np.concatenate([rim, lattice])
+    tri, nbr = geo._delaunay_ccw(pts)
+
+    step = rng.uniform(0.0, 0.1 * h, len(lattice))
+    angle = rng.uniform(0.0, 2 * np.pi, len(lattice))
+    pts[n_rim:] += step[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+        tri, nbr = geo._flip_to_delaunay(pts, tri, nbr)
+
+    assert calls == []
+    assert (geo._signed_area(pts, tri) > 0).all()
+    assert _edge_set(tri) == _edge_set(Delaunay(pts).simplices)
+    linked = np.full_like(nbr, -1)
+    geo._link(tri, linked, np.arange(len(tri)), len(pts))
+    assert np.array_equal(linked, nbr)
+
+
+def test_inverted_triangle_reseeds_from_qhull(monkeypatch):
+    import plap_lab.geometry as geo
+
+    reference = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    calls, flip = [], geo._flip_to_delaunay
+
+    def no_flips(*args):
+        raise AssertionError("an inverted triangulation was flipped")
+
+    def invert_first(points, tri, nbr):
+        if len(calls) > 1:
+            return flip(points, tri, nbr)
+        tri[0] = tri[0, [0, 2, 1]]      # only the lattice triangulation so far
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geo, "_in_circle", no_flips)
+            return flip(points, tri, nbr)
+
+    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+    monkeypatch.setattr(geo, "_flip_to_delaunay", invert_first)
+    mesh = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    assert len(calls) == 3      # lattice, re-seed, relaxed points
+    assert np.array_equal(mesh.points, reference.points)
+    assert np.array_equal(mesh.triangles, reference.triangles)
+
+
+def test_unsettled_repair_reseeds_from_qhull(monkeypatch):
+    import plap_lab.geometry as geo
+
+    reference = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    calls = []
+    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+    monkeypatch.setattr(geo, "_FLIP_PASSES", 0)
+    mesh = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    assert len(calls) > 2       # every retriangulation ran Qhull
+    assert np.array_equal(mesh.points, reference.points)
+    assert np.array_equal(mesh.triangles, reference.triangles)
+
+
+def test_boundary_edge_check_rejects_a_missing_edge(lab):
+    import plap_lab.geometry as geo
+
+    mesh = lab.mesh("disk", 0.1)
+    geo._check_boundary_edges(mesh)
+    a, b = mesh.boundary_loops[0][:2]
+    holds = [(a in t) and (b in t) for t in mesh.triangles.tolist()]
+    assert sum(holds) == 1
+    holed = dataclasses.replace(mesh, triangles=mesh.triangles[~np.array(holds)])
+    with pytest.raises(MeshGenerationError, match="mismatched edges"):
+        geo._check_boundary_edges(holed)
+
+
+def _clamp_reference(domain, pts, margin):
+    """Radial clamp evaluated at every point, without the radius filter."""
+    rho = np.linalg.norm(pts, axis=-1)
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
+    hi = domain.boundary_radius(theta) - margin / domain.cos_psi(theta)
+    rho_new = np.minimum(rho, hi)
+    if domain.annular:
+        rho_new = np.maximum(rho_new, domain.r_in + margin)
+    scale = np.where(rho > 0, rho_new / np.maximum(rho, 1e-300), 1.0)
+    return pts * scale[..., None]
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1)])
+def test_filtered_clamp_matches_unfiltered(lab, domain, h):
+    import plap_lab.geometry as geo
+
+    mesh = lab.mesh(domain, h)
+    relaxed = mesh.points[len(mesh.boundary_vertices):]
+    pts = np.concatenate([relaxed, 1.04 * relaxed, 0.9 * relaxed, np.zeros((1, 2))])
+    rad = geo._RadialDomain(mesh.spec)
+    got = rad.clamp(pts, margin=0.55 * h)
+    assert got.tobytes() == _clamp_reference(rad, pts, 0.55 * h).tobytes()
+    assert not np.array_equal(got, pts)     # some points were pulled back
 
 
 def _locate_reference(mesh, pts, k=24):
