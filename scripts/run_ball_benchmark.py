@@ -6,9 +6,8 @@ import argparse
 
 import numpy as np
 
-from plap_lab import (Disk, SolveConfig, boundary_geometry, build_mesh,
-                      p_ball_constant, p_function, radial_exact,
-                      recover_derivatives, solve)
+from plap_lab import (Disk, SolveConfig, build_mesh, p_ball_constant,
+                      p_function, radial_exact, recover_derivatives, solve)
 from plap_lab.identities import boundary_trace
 from plap_lab.metric import ConformalMetric
 
@@ -21,19 +20,19 @@ def main():
     args = ap.parse_args()
 
     mesh = build_mesh(Disk(args.radius), args.h)
-    bg = boundary_geometry(Disk(args.radius), mesh)
+    flat = ConformalMetric.flat()
     print(f"mesh: {mesh.n_vertices} vertices, min angle {mesh.min_angle_deg():.1f} deg")
     print(f"{'p':>5} {'Linf(u)':>10} {'u_nu dev':>10} {'P std/P0':>10} {'iters':>6}")
     for p in args.p:
-        sol = solve(mesh, None, SolveConfig(p=p))
+        sol = solve(mesh, flat, SolveConfig(p=p))
         prof = radial_exact(2, p, args.radius)
         r = np.minimum(np.linalg.norm(mesh.points, axis=1), args.radius)
         err = np.abs(sol.u - prof.u(r)).max()
-        bundle = recover_derivatives(sol.field(), mesh)
-        tr = boundary_trace(sol, bg, ConformalMetric.flat(), p, bundle=bundle)
+        bundle = recover_derivatives(mesh, sol.u, flat)
+        tr = boundary_trace(bundle, p)
         nu_dev = np.abs(tr.u_nu - prof.du(args.radius)).max()
-        pf = p_function(bundle, sol.field(), p, 2)
-        pstd = np.std(pf.quad[~bundle.mask]) / p_ball_constant(2, p, args.radius)
+        pf = p_function(bundle.gnorm, bundle.u, p, 2)
+        pstd = np.std(pf[~bundle.mask]) / p_ball_constant(2, p, args.radius)
         iters = sum(s.iterations for s in sol.steps)
         print(f"{p:5.2f} {err:10.2e} {nu_dev:10.2e} {pstd:10.2e} {iters:6d}")
 

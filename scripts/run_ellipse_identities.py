@@ -31,7 +31,7 @@ def main():
         f = rep.entries["fundamental"].values
         hk = rep.entries["hk"].values
         sb = rep.entries["sbt"].values
-        sr = rep.entries["serrin"].values
+        sr = rep.serrin
         print(f"\np = {p}")
         print(f"  interior/boundary identity: volume {f['lhs_volume']:+.5f}  "
               f"boundary {f['lhs_boundary']:+.5f}  rhs {f['rhs']:+.5f}  "

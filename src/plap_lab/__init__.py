@@ -16,9 +16,9 @@ from .geometry import (Annulus, BoundaryGeometry, Disk, Ellipse, Measures,
 from .metric import (ConformalMetric, gaussian_curvature,
                      geodesic_boundary_curvature)
 from .fields import (AnalyticField, DerivativeBundle, PolynomialField,
-                     RadialField, ScalarField, analytic_bundle,
-                     field_catalogue, linearized_on_p, p_bochner_residual,
-                     p_function, recover_derivatives)
+                     RadialField, analytic_bundle, field_catalogue,
+                     linearized_on_p, p_bochner_residual, p_function,
+                     recover_derivatives)
 from .oracles import (RadialProfile, ellipse_boundary_integrals,
                       matrix_inequality_gap, matrix_inequality_sweep,
                       p_ball_constant, radial_exact, radial_fd_solve)

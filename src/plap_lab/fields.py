@@ -38,25 +38,8 @@ _EYE2 = np.eye(2)
 
 
 # --------------------------------------------------------------------------
-# Basic containers
+# Derivative data
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class ScalarField:
-    """One value per mesh vertex."""
-
-    values: np.ndarray
-    mesh: TriMesh
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.mesh.n_vertices,):
-            raise ValidationError(
-                f"field has {self.values.shape} values for {self.mesh.n_vertices} vertices"
-            )
-        if not np.isfinite(self.values).all():
-            raise ValidationError("field contains non-finite values")
 
 
 @dataclass
@@ -218,23 +201,24 @@ def default_delta_crit(h: float, gnorm_max: float) -> float:
     return max(1e-8, 1e-3 * h * gnorm_max)
 
 
-def recover_derivatives(u: ScalarField, mesh: TriMesh,
-                        metric: ConformalMetric | None = None) -> DerivativeBundle:
+def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -> DerivativeBundle:
     """Gradient and Hessian recovery by local quadratic patch regression.
 
-    The nodal values are fit with a quadratic over two-ring vertex patches,
-    giving gradient and (symmetric) Hessian in one consistent pass; both are
-    then interpolated to the interior quadrature points.  The critical-set
-    threshold is `default_delta_crit` of the mesh and the gradient scale.
+    The nodal values u (one finite value per vertex) are fit with a quadratic
+    over two-ring vertex patches, giving gradient and (symmetric) Hessian in
+    one consistent pass; both are then interpolated to the interior
+    quadrature points.  The critical-set threshold is `default_delta_crit` of
+    the mesh and the gradient scale.
     """
-    if u.mesh is not mesh:
-        if u.values.shape != (mesh.n_vertices,):
-            raise ValidationError("field and mesh sizes do not match")
-    metric = metric if metric is not None else ConformalMetric.flat()
+    u = np.asarray(u, dtype=float)
+    if u.shape != (mesh.n_vertices,):
+        raise ValidationError(f"field has {u.shape} values for {mesh.n_vertices} vertices")
+    if not np.isfinite(u).all():
+        raise ValidationError("field contains non-finite values")
 
-    nodal_g, nodal_h = _quadratic_fit(mesh, u.values)
+    nodal_g, nodal_h = _quadratic_fit(mesh, u)
 
-    u_q = _at_quads(mesh, u.values)
+    u_q = _at_quads(mesh, u)
     g_q = _at_quads(mesh, nodal_g)
     h_q = _at_quads(mesh, nodal_h)
 
@@ -409,24 +393,14 @@ def analytic_bundle(field: AnalyticField, metric: ConformalMetric, pts: np.ndarr
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class PFunction:
-    quad: np.ndarray
-    nodal: ScalarField | None = None
-
-
-def p_function(bundle: DerivativeBundle, u: ScalarField | None, p: float, n: int) -> PFunction:
-    """P = ((p-1)/p) |grad u|_g^p + u/n at quadrature points (and vertices)."""
+def p_function(gnorm: np.ndarray, u: np.ndarray, p: float, n: int) -> np.ndarray:
+    """P = ((p-1)/p) |grad u|_g^p + u/n from the metric gradient norm and the
+    values of u at the same points."""
     if not (p > 1.0):
         raise ValidationError(f"p must exceed 1, got {p}")
     if n < 2:
         raise ValidationError(f"n must be at least 2, got {n}")
-    quad = (p - 1.0) / p * bundle.gnorm**p + bundle.u / n
-    nodal = None
-    if bundle.nodal_grad is not None and u is not None:
-        g = np.exp(-bundle.metric.phi(bundle.mesh.points)) * np.linalg.norm(bundle.nodal_grad, axis=1)
-        nodal = ScalarField((p - 1.0) / p * g**p + u.values / n, bundle.mesh)
-    return PFunction(quad=quad, nodal=nodal)
+    return (p - 1.0) / p * gnorm**p + u / n
 
 
 def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:

@@ -63,12 +63,23 @@ DomainSpec = Union[Disk, Ellipse, PolarStar, Annulus]
 _STAR_SAMPLES = 4096
 
 
-def _star_radius(spec: PolarStar, theta: np.ndarray) -> np.ndarray:
-    r = np.full_like(theta, spec.r0, dtype=float)
-    for k, c in enumerate(spec.cos_coeffs, start=1):
-        r += c * np.cos(k * theta)
-    for k, c in enumerate(spec.sin_coeffs, start=1):
-        r += c * np.sin(k * theta)
+# the m-th derivative of cos and of sin, m = 0, 1, 2: (negated, function)
+_COS_DERIVS = ((False, np.cos), (True, np.sin), (True, np.cos))
+_SIN_DERIVS = ((False, np.sin), (False, np.cos), (True, np.sin))
+
+
+def _star_radius(spec: PolarStar, theta: np.ndarray, m: int) -> np.ndarray:
+    """The m-th derivative (m <= 2) of the polar star's r(theta): each term
+    is ((+-c) k ... k) trig(k theta), with k repeated m times."""
+    theta = np.asarray(theta, dtype=float)
+    r = np.full_like(theta, spec.r0 if m == 0 else 0.0)
+    for coeffs, (negated, trig) in ((spec.cos_coeffs, _COS_DERIVS[m]),
+                                    (spec.sin_coeffs, _SIN_DERIVS[m])):
+        for k, c in enumerate(coeffs, start=1):
+            a = -c if negated else c
+            for _ in range(m):
+                a = a * k
+            r += a * trig(k * theta)
     return r
 
 
@@ -84,7 +95,7 @@ def validate_spec(spec: DomainSpec) -> None:
             raise ValidationError(f"ellipse requires a >= b > 0, got a={spec.a}, b={spec.b}")
     elif isinstance(spec, PolarStar):
         theta = np.linspace(0.0, TWO_PI, _STAR_SAMPLES, endpoint=False)
-        r = _star_radius(spec, theta)
+        r = _star_radius(spec, theta, 0)
         if not (r.min() > 0):
             raise ValidationError(
                 "polar_star radius function must stay strictly positive; "
@@ -108,7 +119,7 @@ def spec_diameter(spec: DomainSpec) -> float:
         return 2.0 * spec.a
     if isinstance(spec, PolarStar):
         theta = np.linspace(0.0, TWO_PI, _STAR_SAMPLES, endpoint=False)
-        r = _star_radius(spec, theta)
+        r = _star_radius(spec, theta, 0)
         half = _STAR_SAMPLES // 2
         return float((r[:half] + r[half:]).max())
     if isinstance(spec, Annulus):
@@ -177,22 +188,21 @@ class BoundaryCurve:
 
 
 class _StarCurve(BoundaryCurve):
-    """r(theta) graph traversed counter-clockwise."""
+    """The r(theta) graph of a polar star, traversed counter-clockwise."""
 
-    def __init__(self, r: Callable[[np.ndarray], np.ndarray],
-                 dr: Callable[[np.ndarray], np.ndarray],
-                 d2r: Callable[[np.ndarray], np.ndarray]):
-        self._r, self._dr, self._d2r = r, dr, d2r
+    def __init__(self, spec: PolarStar):
+        self.spec = spec
 
     def point(self, t):
-        r = self._r(t)
+        r = _star_radius(self.spec, t, 0)
         return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
 
     def speed(self, t):
-        return np.sqrt(self._r(t) ** 2 + self._dr(t) ** 2)
+        r, dr = (_star_radius(self.spec, t, m) for m in range(2))
+        return np.sqrt(r ** 2 + dr ** 2)
 
     def normal(self, t):
-        r, dr = self._r(t), self._dr(t)
+        r, dr = (_star_radius(self.spec, t, m) for m in range(2))
         ct, st = np.cos(t), np.sin(t)
         # rotate the tangent (x', y') by -90 degrees: (y', -x')
         xp = dr * ct - r * st
@@ -201,7 +211,7 @@ class _StarCurve(BoundaryCurve):
         return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
 
     def curvature(self, t):
-        r, dr, d2r = self._r(t), self._dr(t), self._d2r(t)
+        r, dr, d2r = (_star_radius(self.spec, t, m) for m in range(3))
         return (r * r + 2.0 * dr * dr - r * d2r) / (r * r + dr * dr) ** 1.5
 
 
@@ -242,41 +252,16 @@ class _InnerCircle(BoundaryCurve):
         return np.full_like(np.asarray(t, dtype=float), -1.0 / self.radius)
 
 
-def _star_curve_for(spec: PolarStar) -> _StarCurve:
-    def r(t):
-        return _star_radius(spec, np.asarray(t, dtype=float))
-
-    def dr(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for k, c in enumerate(spec.cos_coeffs, start=1):
-            out += -c * k * np.sin(k * t)
-        for k, c in enumerate(spec.sin_coeffs, start=1):
-            out += c * k * np.cos(k * t)
-        return out
-
-    def d2r(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for k, c in enumerate(spec.cos_coeffs, start=1):
-            out += -c * k * k * np.cos(k * t)
-        for k, c in enumerate(spec.sin_coeffs, start=1):
-            out += -c * k * k * np.sin(k * t)
-        return out
-
-    return _StarCurve(r, dr, d2r)
-
-
 def boundary_curves(spec: DomainSpec) -> list[BoundaryCurve]:
     """Ordered boundary loops of a validated spec: outer first, inner (annulus) second."""
     if isinstance(spec, Disk):
-        return [_star_curve_for(PolarStar(r0=spec.radius))]
+        return [_StarCurve(PolarStar(r0=spec.radius))]
     if isinstance(spec, PolarStar):
-        return [_star_curve_for(spec)]
+        return [_StarCurve(spec)]
     if isinstance(spec, Ellipse):
         return [_EllipseCurve(spec.a, spec.b)]
     if isinstance(spec, Annulus):
-        return [_star_curve_for(PolarStar(r0=spec.r_out)), _InnerCircle(spec.r_in)]
+        return [_StarCurve(PolarStar(r0=spec.r_out)), _InnerCircle(spec.r_in)]
     raise ValidationError(f"unknown domain spec {spec!r}")
 
 

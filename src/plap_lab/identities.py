@@ -14,11 +14,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
-from .geometry import BoundaryGeometry, Measures, TriMesh, domain_measures
+from .geometry import Disk, Measures, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
-from .solver import Solution
 
 
 # --------------------------------------------------------------------------
@@ -87,19 +86,16 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
             *mesh.locate(flat_pts))
 
 
-def boundary_trace(sol: Solution, bg: BoundaryGeometry, metric: ConformalMetric,
-                   p: float, n: int = 2, *, bundle: DerivativeBundle) -> BoundaryTrace:
+def boundary_trace(bundle: DerivativeBundle, p: float, n: int = 2) -> BoundaryTrace:
     """Extrapolated normal-derivative traces at every boundary node.
 
     Gradient traces are fit over shallow samples (the recovered gradient is
     reliable one ring in); second-derivative traces use deeper samples, past
-    the boundary layer of the recovered Hessian.  ``bg`` is the mesh's own
-    boundary geometry (`boundary_geometry`); the sample sites are located once
-    per mesh.
+    the boundary layer of the recovered Hessian.  Mesh, boundary geometry and
+    metric are the recovered bundle's; the sample sites are located once per
+    mesh.
     """
-    mesh = sol.mesh
-    if bg is not mesh.boundary:
-        raise ValidationError("boundary geometry does not belong to the solution's mesh")
+    mesh, bg, metric = bundle.mesh, bundle.mesh.boundary, bundle.metric
     d_all, ig, ih, flat_pts, tri, bary = mesh.derived("trace_sites", lambda: _trace_sites(mesh))
     # one interpolation for both fields: gradient and Hessian stacked as (N, 6)
     nodal = np.concatenate([bundle.nodal_grad, bundle.nodal_hess.reshape(-1, 4)], axis=1)
@@ -179,7 +175,7 @@ def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
         )
 
 
-def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
+def fundamental_identity(trace: BoundaryTrace, bundle: DerivativeBundle,
                          tolerance: float) -> IdentityEntry:
     """Interior L_u P mass against the boundary curvature flux, three ways.
 
@@ -189,6 +185,7 @@ def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: Deriv
     boundary discrepancy is the discrete divergence-theorem check.
     """
     p, n = trace.p, trace.n
+    measures = domain_measures(bundle.mesh, bundle.metric)
     lhs_volume = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs_boundary = float(
@@ -217,11 +214,11 @@ def fundamental_identity(trace: BoundaryTrace, measures: Measures, bundle: Deriv
     )
 
 
-def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
-              tolerance: float) -> IdentityEntry:
+def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) -> IdentityEntry:
     """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|."""
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
     p, n = trace.p, trace.n
+    measures = domain_measures(bundle.mesh, bundle.metric)
     t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p, n)[1]
     pf = trace.p_flux()
     t2 = float(np.sum((1.0 + n * trace.curvature * pf) ** 2 / trace.curvature * trace.weight))
@@ -236,11 +233,12 @@ def hk_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle
     )
 
 
-def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: DerivativeBundle,
+def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
                        tolerance: float) -> IdentityEntry:
     """Constant-mean-curvature form: interior mass plus the H0-deficit equals
     the curvature-deviation flux integral."""
     p, n = trace.p, trace.n
+    measures = domain_measures(bundle.mesh, bundle.metric)
     h0 = measures.perimeter / (n * measures.volume)
     lhs1 = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
@@ -256,25 +254,22 @@ def soap_bubble_report(trace: BoundaryTrace, measures: Measures, bundle: Derivat
     )
 
 
-def serrin_deficit(trace: BoundaryTrace, nodewise_tolerance: float) -> IdentityEntry:
-    """Overdetermined-condition deficit D = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H.
+def serrin_deficit(trace: BoundaryTrace) -> dict:
+    """Overdetermined-condition deficit D = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H
+    and the largest nodewise residual |1 + n H |u_nu|^{p-2} u_nu| off the
+    flagged nodes.
 
-    D vanishes exactly when the boundary p-flux equals -1/(nH) pointwise; it
-    is a sum of nonnegative terms whenever H > 0.
+    D vanishes exactly when the boundary p-flux equals -1/(nH) pointwise.  It
+    is a sum of nonnegative terms whenever H > 0, so no threshold on it can
+    fail, and its smallness characterizes balls only: both are reported as
+    data, with no pass/fail.
     """
     _require_positive_curvature(trace, "the serrin deficit")
     node_res = trace.n * trace.curvature * trace.p_flux() + 1.0
     deficit = float(np.sum(node_res**2 / trace.curvature * trace.weight))
     ok = ~trace.flagged
     max_node = float(np.abs(node_res[ok]).max()) if ok.any() else np.nan
-    # the deficit is a sum of nonnegative terms: D >= 0 is the universal
-    # contract; nodewise smallness characterizes balls and is reported as data
-    return IdentityEntry(
-        values={"deficit": deficit, "max_node_residual": max_node,
-                "node_residuals": node_res},
-        residual=deficit, rel_residual=max_node, tolerance=nodewise_tolerance,
-        passed=bool(deficit >= -1e-12),
-    )
+    return {"deficit": deficit, "max_node_residual": max_node}
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +375,7 @@ class EquivalenceFlags:
     details: dict = dc_field(default_factory=dict)
 
 
-def equivalence_suite(sol: Solution, trace: BoundaryTrace, measures: Measures,
+def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle,
                       tol: float) -> EquivalenceFlags:
     """Tolerance flags for the ball-characterization statements (flat metric).
 
@@ -388,11 +383,10 @@ def equivalence_suite(sol: Solution, trace: BoundaryTrace, measures: Measures,
     E: boundary gradient norm equals (1/(n H0))^{1/(p-1)}.  Whether the domain
     spec is literally a disk is reported as metadata, never inferred.
     """
-    if not sol.metric.is_flat:
+    if not bundle.metric.is_flat:
         raise PreconditionError("equivalence flags are defined for the flat metric")
-    from .geometry import Disk
-
     p, n = trace.p, trace.n
+    measures = domain_measures(bundle.mesh, bundle.metric)
     h0 = measures.perimeter / (n * measures.volume)
     ok = ~trace.flagged
     pf = trace.p_flux()
@@ -404,7 +398,7 @@ def equivalence_suite(sol: Solution, trace: BoundaryTrace, measures: Measures,
         serrin_b=bool(b_dev <= tol),
         cmc_d=bool(d_dev <= tol),
         gradient_e=bool(e_dev <= tol),
-        domain_is_disk=isinstance(sol.mesh.spec, Disk),
+        domain_is_disk=isinstance(bundle.mesh.spec, Disk),
         e_reference_value=e_ref,
         details={"b_deviation": b_dev, "d_deviation": d_dev, "e_deviation": e_dev, "h0": h0},
     )
@@ -423,6 +417,7 @@ class IdentityReport:
     entries: dict
     flags: EquivalenceFlags | None = None
     scan: ScanResult | None = None
+    serrin: dict | None = None      # reported as data, with no pass/fail
     skipped: dict = dc_field(default_factory=dict)
 
     def all_passed(self) -> bool:
@@ -445,6 +440,8 @@ class IdentityReport:
             sec["tolerance"] = e.tolerance
             sec["pass"] = e.passed
             out[name] = sec
+        if self.serrin is not None:
+            out["serrin"] = self.serrin
         if self.scan is not None:
             out["subharmonicity"] = {
                 "min": self.scan.min_value,
@@ -470,23 +467,25 @@ class Tolerances:
     identity_rel: float = 0.02
     flux_rel: float = 0.01
     eq_curvature_nodewise: float = 0.05
-    serrin_nodewise: float = 0.03
     flags_tol: float = 0.03
 
 
-def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
-                 measures: Measures, tol: Tolerances | None = None) -> IdentityReport:
+def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
+                 tol: Tolerances | None = None) -> IdentityReport:
     """Run every applicable identity check for one solved case from its
-    recovered derivatives, boundary trace (which carries p and n) and measures."""
+    recovered derivatives (which carry mesh and metric) and boundary trace
+    (which carries p and n)."""
     tol = tol if tol is not None else Tolerances()
     p, n = trace.p, trace.n
     metric = bundle.metric
+    measures = domain_measures(bundle.mesh, bundle.metric)
     h0 = measures.perimeter / (n * measures.volume)
 
     entries = {}
     skipped = {}
-    entries["fundamental"] = fundamental_identity(trace, measures, bundle, tol.identity_rel)
-    entries["sbt"] = soap_bubble_report(trace, measures, bundle, tol.identity_rel)
+    serrin = None
+    entries["fundamental"] = fundamental_identity(trace, bundle, tol.identity_rel)
+    entries["sbt"] = soap_bubble_report(trace, bundle, tol.identity_rel)
     entries["flux"] = flux_balance(trace, measures, tol.flux_rel)
 
     eq_res = np.abs(trace.eq_curvature_residual())[~trace.flagged]
@@ -498,8 +497,8 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
     )
 
     if (trace.curvature > 0).all():
-        entries["hk"] = hk_report(trace, measures, bundle, tol.identity_rel)
-        entries["serrin"] = serrin_deficit(trace, tol.serrin_nodewise)
+        entries["hk"] = hk_report(trace, bundle, tol.identity_rel)
+        serrin = serrin_deficit(trace)
     else:
         skipped["hk"] = "nonpositive mean curvature on part of the boundary"
         skipped["serrin"] = skipped["hk"]
@@ -515,7 +514,7 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
 
     flags = None
     if metric.is_flat:
-        flags = equivalence_suite(sol, trace, measures, tol.flags_tol)
+        flags = equivalence_suite(trace, bundle, tol.flags_tol)
     else:
         skipped["flags"] = "equivalence statements are Euclidean"
 
@@ -526,4 +525,4 @@ def build_report(sol: Solution, bundle: DerivativeBundle, trace: BoundaryTrace,
         "masked_fraction": bundle.masked_fraction,
     }
     return IdentityReport(p=p, n=n, constants=constants, entries=entries,
-                          flags=flags, scan=scan, skipped=skipped)
+                          flags=flags, scan=scan, serrin=serrin, skipped=skipped)

@@ -1,10 +1,12 @@
 """One-call orchestration: mesh, solve, traces, identity report.
 
 `run_case` is the only producer of a case's derived state.  It recovers the
-derivatives once, builds the boundary trace once and hands both, with the
-mesh's exact boundary geometry and the domain measures, to every check.
-Only the per-boundary-node trace and the nodal P-function outlive the call;
-the per-quadrature-point derivative bundle does not.
+derivatives once from the solution's nodal values, builds the boundary trace
+once from them, and hands both to every check.  Each stage takes its context
+once: the bundle carries the mesh (with its exact boundary geometry and its
+cached domain measures) and the metric, the trace carries p and n.  Only the
+solution, the per-boundary-node trace, the report and the nodal P-function
+outlive the call; the per-quadrature-point derivative bundle does not.
 
 Mesh-derived state lives on the `TriMesh`: the point locator, the domain
 measures per metric, the recovery normal equations, the tangent pattern and
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .fields import p_function, recover_derivatives
-from .geometry import (BoundaryGeometry, DomainSpec, Measures, TriMesh,
-                       boundary_geometry, build_mesh, domain_measures)
+from .geometry import DomainSpec, TriMesh, build_mesh
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report)
 from .metric import ConformalMetric, check_nonnegative_ricci
@@ -30,37 +32,43 @@ from .solver import SolveConfig, Solution, solve
 
 @dataclass
 class CaseResult:
-    spec: DomainSpec
-    metric: ConformalMetric
-    p: float
-    h: float
-    mesh: TriMesh
-    bg: BoundaryGeometry
-    measures: Measures
     solution: Solution
-    report: IdentityReport
     trace: BoundaryTrace
+    report: IdentityReport
     p_nodal: np.ndarray         # P-function at the mesh vertices
+
+    @property
+    def mesh(self) -> TriMesh:
+        return self.solution.mesh
+
+    @property
+    def p(self) -> float:
+        return self.solution.config.p
+
+    @property
+    def h(self) -> float:
+        return self.mesh.h
 
 
 def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: float,
              solver_overrides: dict | None = None,
              tolerances: Tolerances | None = None,
              mesh: TriMesh | None = None) -> CaseResult:
-    """Solve one (domain, metric, p, h) case and evaluate every identity."""
+    """Solve one (domain, metric, p, h) case and evaluate every identity.
+
+    A given mesh must have been built from ``spec`` at ``h``."""
     metric = metric if metric is not None else ConformalMetric.flat()
     if mesh is None:
         mesh = build_mesh(spec, h)
+    elif spec != mesh.spec or h != mesh.h:
+        raise ValidationError(f"mesh was built for {mesh.spec} at h={mesh.h}, "
+                              f"not for {spec} at h={h}")
     if metric.nonnegative_ricci:
         check_nonnegative_ricci(metric, mesh.quad_points)
-    bg = boundary_geometry(spec, mesh)
-    measures = domain_measures(mesh, metric)
-    config = SolveConfig(p=p, **(solver_overrides or {}))
-    sol = solve(mesh, metric, config)
-    bundle = recover_derivatives(sol.field(), mesh, metric)
-    trace = boundary_trace(sol, bg, metric, p, bundle=bundle)
-    report = build_report(sol, bundle, trace, measures, tol=tolerances)
-    p_nodal = p_function(bundle, sol.field(), p, 2).nodal.values
-    return CaseResult(spec=spec, metric=metric, p=p, h=h, mesh=mesh, bg=bg,
-                      measures=measures, solution=sol, report=report,
-                      trace=trace, p_nodal=p_nodal)
+    sol = solve(mesh, metric, SolveConfig(p=p, **(solver_overrides or {})))
+    bundle = recover_derivatives(mesh, sol.u, metric)
+    trace = boundary_trace(bundle, p)
+    report = build_report(bundle, trace, tol=tolerances)
+    gnorm = np.exp(-metric.phi(mesh.points)) * np.linalg.norm(bundle.nodal_grad, axis=1)
+    return CaseResult(solution=sol, trace=trace, report=report,
+                      p_nodal=p_function(gnorm, sol.u, p, 2))

@@ -34,7 +34,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import AssemblyError, SolverError, ValidationError
-from .fields import ScalarField
 from .geometry import TriMesh, domain_measures
 from .metric import ConformalMetric
 
@@ -96,9 +95,6 @@ class Solution:
     def final_eps(self) -> float:
         """The eps of the last rung, where the ladder stopped."""
         return self.steps[-1].eps
-
-    def field(self) -> ScalarField:
-        return ScalarField(self.u, self.mesh)
 
 
 class _Assembler:

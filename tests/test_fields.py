@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plap_lab import (ConformalMetric, PolynomialField,
-                      ScalarField, ValidationError, analytic_bundle,
-                      field_catalogue, linearized_on_p, p_bochner_residual,
-                      p_function, recover_derivatives)
+from plap_lab import (ConformalMetric, PolynomialField, ValidationError,
+                      analytic_bundle, field_catalogue, linearized_on_p,
+                      p_bochner_residual, p_function, recover_derivatives)
 from plap_lab.fields import (_p_laplacian_with_gradient, gaussian_radial_field,
                              lu_p_two_routes, torsion_profile_field)
 
@@ -27,8 +26,8 @@ def _sample_points(count=80, rmin=0.35, rmax=1.1, seed=5):
 @given(a=st.floats(-2, 2), b=st.floats(-2, 2), c=st.floats(-1, 1))
 def test_recovery_exact_on_linear_fields(lab, a, b, c):
     mesh = lab.mesh("disk", 0.1)
-    u = ScalarField(a * mesh.points[:, 0] + b * mesh.points[:, 1] + c, mesh)
-    bundle = recover_derivatives(u, mesh)
+    u = a * mesh.points[:, 0] + b * mesh.points[:, 1] + c
+    bundle = recover_derivatives(mesh, u, FLAT)
     scale = max(abs(a), abs(b), 1.0)
     assert np.abs(bundle.grad - [a, b]).max() <= 1e-10 * scale
     assert np.abs(bundle.hess).max() <= 1e-10 * scale
@@ -36,8 +35,8 @@ def test_recovery_exact_on_linear_fields(lab, a, b, c):
 
 def test_recovery_exact_on_quadratics(lab):
     mesh = lab.mesh("disk", 0.05)
-    u = ScalarField(0.5 * (mesh.points**2).sum(axis=1), mesh)
-    bundle = recover_derivatives(u, mesh)
+    u = 0.5 * (mesh.points**2).sum(axis=1)
+    bundle = recover_derivatives(mesh, u, FLAT)
     assert np.abs(bundle.nodal_grad - mesh.points).max() <= 1e-10
     assert np.abs(bundle.nodal_hess - np.eye(2)).max() <= 1e-10
 
@@ -48,8 +47,8 @@ def test_recovery_hessian_order_on_cubics():
     errs = []
     for h in (0.2, 0.1):
         mesh = build_mesh(Disk(1.0), h)
-        u = ScalarField(mesh.points[:, 0] ** 3 / 6.0, mesh)
-        bundle = recover_derivatives(u, mesh)
+        u = mesh.points[:, 0] ** 3 / 6.0
+        bundle = recover_derivatives(mesh, u, FLAT)
         exact = np.zeros((mesh.n_vertices, 2, 2))
         exact[:, 0, 0] = mesh.points[:, 0]
         r = np.linalg.norm(mesh.points, axis=1)
@@ -59,7 +58,7 @@ def test_recovery_hessian_order_on_cubics():
 
 def test_hessian_symmetry_and_cauchy_schwarz(lab):
     sol = lab.solution("disk", 3.0)
-    bundle = recover_derivatives(sol.field(), sol.mesh)
+    bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
     assert np.abs(bundle.hess - np.swapaxes(bundle.hess, 1, 2)).max() <= 1e-12
     ok = ~bundle.mask
     assert np.nanmax(bundle.a_u[ok] ** 2 - bundle.grad_gnorm[ok] ** 2) <= 1e-12
@@ -70,16 +69,17 @@ def test_field_size_mismatch():
 
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(ValidationError):
-        ScalarField(np.zeros(mesh.n_vertices + 1), mesh)
+        recover_derivatives(mesh, np.zeros(mesh.n_vertices + 1), FLAT)
+    with pytest.raises(ValidationError):
+        recover_derivatives(mesh, np.full(mesh.n_vertices, np.nan), FLAT)
 
 
 # ----------------------------------------------------------- P-function
 
 def test_p_function_zero_field(lab):
     mesh = lab.mesh("disk", 0.1)
-    u = ScalarField(np.zeros(mesh.n_vertices), mesh)
-    bundle = recover_derivatives(u, mesh)
-    assert np.all(p_function(bundle, u, 2.0, 2).quad == 0.0)
+    bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
+    assert np.all(p_function(bundle.gnorm, bundle.u, 2.0, 2) == 0.0)
 
 
 @pytest.mark.parametrize("p,expected", [(2.0, 0.125), (3.0, 0.23570226039551584)])
@@ -93,12 +93,11 @@ def test_p_function_constant_on_exact_torsion(p, expected):
 
 def test_p_function_validation(lab):
     mesh = lab.mesh("disk", 0.1)
-    u = ScalarField(np.zeros(mesh.n_vertices), mesh)
-    bundle = recover_derivatives(u, mesh)
+    bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
     with pytest.raises(ValidationError):
-        p_function(bundle, u, 1.0, 2)
+        p_function(bundle.gnorm, bundle.u, 1.0, 2)
     with pytest.raises(ValidationError):
-        p_function(bundle, u, 2.0, 1)
+        p_function(bundle.gnorm, bundle.u, 2.0, 1)
 
 
 # ---------------------------------------------------------- p-Laplacian
@@ -121,7 +120,7 @@ def test_p_laplacian_exact_disk_torsion_p2():
 
 def test_p_laplacian_discrete_interior(lab):
     sol = lab.solution("disk", 3.0)
-    bundle = recover_derivatives(sol.field(), sol.mesh)
+    bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
     r = np.linalg.norm(bundle.points, axis=1)
     sel = (r > 0.2) & (r < 0.8) & ~bundle.mask
     vals = _p_laplacian(bundle, 3.0)[sel]
@@ -130,8 +129,7 @@ def test_p_laplacian_discrete_interior(lab):
 
 def test_p_laplacian_constant_field_all_masked(lab):
     mesh = lab.mesh("disk", 0.1)
-    u = ScalarField(np.full(mesh.n_vertices, 0.7), mesh)
-    bundle = recover_derivatives(u, mesh)
+    bundle = recover_derivatives(mesh, np.full(mesh.n_vertices, 0.7), FLAT)
     assert bundle.mask.all()
     assert bundle.masked_fraction == 1.0
     assert np.isnan(_p_laplacian(bundle, 2.5)).all()
@@ -152,7 +150,7 @@ def test_p_laplacian_dual_route_agreement():
 def test_a_u_on_exact_disk_torsion(lab):
     # radial p=2 torsion has hess = -I/2, so A_u = -1/2
     sol = lab.solution("disk", 2.0)
-    bundle = recover_derivatives(sol.field(), sol.mesh)
+    bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
     r = np.linalg.norm(bundle.points, axis=1)
     sel = (r > 0.2) & (r < 0.8)
     assert np.abs(bundle.a_u[sel] + 0.5).max() <= 5 * sol.mesh.h

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from plap_lab import (ConformalMetric, PreconditionError,
-                      SolveConfig, boundary_geometry, boundary_trace,
-                      build_mesh, domain_measures, equivalence_suite,
-                      flux_balance, fundamental_identity, hk_report,
-                      serrin_deficit, soap_bubble_report, subharmonicity_scan)
+                      SolveConfig, boundary_trace, build_mesh,
+                      domain_measures, equivalence_suite, flux_balance,
+                      fundamental_identity, hk_report, serrin_deficit,
+                      soap_bubble_report, subharmonicity_scan)
 from plap_lab.fields import recover_derivatives
 from plap_lab.geometry import Annulus
 from plap_lab.identities import BoundaryTrace, Tolerances, scan_tolerance
-from plap_lab.solver import Solution
 
 FLAT = ConformalMetric.flat()
 TOL = Tolerances()
@@ -54,10 +53,7 @@ def test_flux_balance_disk(lab, p):
 
 def test_flux_balance_flags_non_solution(lab):
     mesh = lab.mesh("disk", 0.1)
-    bg = lab.bg("disk", 0.1)
-    zero = Solution(u=np.zeros(mesh.n_vertices), mesh=mesh, metric=FLAT,
-                    config=SolveConfig(p=2.0), steps=[])
-    tr = boundary_trace(zero, bg, FLAT, 2.0, bundle=recover_derivatives(zero.field(), mesh))
+    tr = boundary_trace(recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT), 2.0)
     entry = flux_balance(tr, domain_measures(mesh, FLAT), TOL.flux_rel)
     assert entry.rel_residual == pytest.approx(1.0, abs=1e-9)
     assert not entry.passed
@@ -115,23 +111,20 @@ def test_hk_conformal_disk(lab):
     vals = case.report.entries["hk"].values
     assert vals["t3"] >= 0.0
     assert vals["t3"] == pytest.approx(0.9651235041574271, rel=0.02)
-    assert abs(vals["t1"] + vals["t2"] - vals["t3"]) <= 0.03 * 2 * case.measures.volume
+    assert abs(vals["t1"] + vals["t2"] - vals["t3"]) <= 0.03 * 2 * case.report.constants["volume"]
 
 
 def test_hk_rejects_nonpositive_curvature():
-    spec = Annulus(0.5, 1.0)
-    mesh = build_mesh(spec, 0.1)
-    bg = boundary_geometry(spec, mesh)
+    mesh = build_mesh(Annulus(0.5, 1.0), 0.1)
     from plap_lab import solve
 
     sol = solve(mesh, None, SolveConfig(p=2.0))
-    bundle = recover_derivatives(sol.field(), mesh)
-    tr = boundary_trace(sol, bg, FLAT, 2.0, bundle=bundle)
-    meas = domain_measures(mesh, FLAT)
+    bundle = recover_derivatives(mesh, sol.u, FLAT)
+    tr = boundary_trace(bundle, 2.0)
     with pytest.raises(PreconditionError):
-        hk_report(tr, meas, bundle, TOL.identity_rel)
+        hk_report(tr, bundle, TOL.identity_rel)
     with pytest.raises(PreconditionError):
-        serrin_deficit(tr, TOL.serrin_nodewise)
+        serrin_deficit(tr)
 
 
 # ------------------------------------------------------------ soap bubble
@@ -159,7 +152,7 @@ def test_sbt_ellipse(lab, p, h):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_serrin_disk_nodewise(lab, p):
     case = lab.case("disk", p)
-    vals = case.report.entries["serrin"].values
+    vals = case.report.serrin
     assert vals["max_node_residual"] <= 0.03
     assert vals["deficit"] <= 1e-3 * 2 * np.pi
 
@@ -167,7 +160,7 @@ def test_serrin_disk_nodewise(lab, p):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_serrin_ellipse_strictly_positive(lab, p):
     case = lab.case("ellipse", p)
-    assert case.report.entries["serrin"].values["deficit"] >= 0.05 * ELL_PERIMETER
+    assert case.report.serrin["deficit"] >= 0.05 * ELL_PERIMETER
 
 
 def test_serrin_definitional_zero(lab):
@@ -179,8 +172,7 @@ def test_serrin_definitional_zero(lab):
                        arclength=bg.arclength, curvature=bg.curvature,
                        weight=bg.weight, u_nu=u_nu, u_nunu=np.zeros_like(u_nu),
                        gnorm=np.abs(u_nu), flagged=np.zeros(len(u_nu), dtype=bool))
-    entry = serrin_deficit(tr, TOL.serrin_nodewise)
-    assert entry.values["deficit"] <= 1e-12
+    assert serrin_deficit(tr)["deficit"] <= 1e-12
 
 
 # --------------------------------------------------------- subharmonicity
@@ -207,7 +199,7 @@ def test_scan_requires_nonnegative_ricci(lab):
     sol = lab.solution("disk", 2.0)
     bad = ConformalMetric.gaussian_bump(0.5, 0.0, 0.0, 1.0)  # undeclared
     with pytest.raises(PreconditionError):
-        subharmonicity_scan(recover_derivatives(sol.field(), sol.mesh, bad), 2.0)
+        subharmonicity_scan(recover_derivatives(sol.mesh, sol.u, bad), 2.0)
 
 
 def test_scan_tolerance_formula():
@@ -236,7 +228,8 @@ def test_equivalence_flags_ellipse(lab):
 def test_equivalence_requires_flat(lab):
     case = lab.case("disk", 2.0, metric="cap")
     with pytest.raises(PreconditionError):
-        equivalence_suite(case.solution, case.trace, case.measures, TOL.flags_tol)
+        equivalence_suite(case.trace, recover_derivatives(case.mesh, case.solution.u,
+                                                          case.solution.metric), TOL.flags_tol)
 
 
 # ------------------------------------------- discrete algebraic regrouping
@@ -251,12 +244,13 @@ def test_reports_are_algebraically_dependent(lab, domain, p):
     """
     case = lab.case(domain, p)
     n = 2
-    sol, bg, meas = case.solution, case.bg, case.measures
-    bundle = recover_derivatives(sol.field(), case.mesh, case.metric)
-    tr = boundary_trace(sol, bg, case.metric, p, bundle=bundle)
-    fund = fundamental_identity(tr, meas, bundle, TOL.identity_rel)
-    hk = hk_report(tr, meas, bundle, TOL.identity_rel)
-    sbt = soap_bubble_report(tr, meas, bundle, TOL.identity_rel)
+    sol = case.solution
+    bundle = recover_derivatives(case.mesh, sol.u, sol.metric)
+    meas = domain_measures(case.mesh, sol.metric)
+    tr = boundary_trace(bundle, p)
+    fund = fundamental_identity(tr, bundle, TOL.identity_rel)
+    hk = hk_report(tr, bundle, TOL.identity_rel)
+    sbt = soap_bubble_report(tr, bundle, TOL.identity_rel)
     flux_sum = float(np.sum(tr.p_flux() * tr.weight))
 
     fund_gap = fund.values["lhs_volume"] - fund.values["rhs"]
@@ -271,7 +265,7 @@ def test_nonnegative_entries_are_exactly_nonnegative(lab):
     for domain, p in [("disk", 2.0), ("ellipse", 2.0), ("ellipse", 3.0)]:
         case = lab.case(domain, p)
         assert case.report.entries["hk"].values["t2"] >= 0.0
-        assert case.report.entries["serrin"].values["deficit"] >= 0.0
+        assert case.report.serrin["deficit"] >= 0.0
 
 
 def test_ball_deficits_shrink_under_refinement(lab):
@@ -284,7 +278,7 @@ def test_ball_deficits_shrink_under_refinement(lab):
         r = lab.case("disk", 2.0, h=h).report
         deficits[h] = {
             "fund_volume": abs(r.entries["fundamental"].values["lhs_volume"]),
-            "serrin": r.entries["serrin"].values["deficit"],
+            "serrin": r.serrin["deficit"],
             "t2": r.entries["hk"].values["t2"],
             "sbt_gap": abs(r.entries["sbt"].values["lhs1"] + r.entries["sbt"].values["lhs2"]
                            - r.entries["sbt"].values["rhs"]),

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, Disk, Ellipse, build_mesh, fields, geometry,
-                      identities, solver)
+from plap_lab import (ConformalMetric, Disk, Ellipse, SolveConfig, ValidationError,
+                      boundary_trace, build_mesh, build_report, fields, geometry,
+                      identities, recover_derivatives, solve, solver)
 from plap_lab.cli import main
 from plap_lab.pipeline import run_case
 
@@ -98,3 +99,27 @@ def test_warm_mesh_state_matches_a_fresh_mesh(spec, h):
             assert np.array_equal(warm.solution.u, ref.solution.u)
             assert (json.dumps(warm.report.to_json_dict(), sort_keys=True)
                     == json.dumps(ref.report.to_json_dict(), sort_keys=True))
+
+
+def test_report_by_hand_matches_run_case():
+    """The stages compose by hand: solve, recover, trace and report on the cap
+    metric give run_case's report bit for bit."""
+    spec, p = Disk(1.0), 3.0
+    mesh = build_mesh(spec, 0.1)
+    case = run_case(spec, CAP, p, 0.1, mesh=mesh)
+    bundle = recover_derivatives(mesh, solve(mesh, CAP, SolveConfig(p=p)).u, CAP)
+    report = build_report(bundle, boundary_trace(bundle, p))
+    assert (json.dumps(report.to_json_dict(), sort_keys=True)
+            == json.dumps(case.report.to_json_dict(), sort_keys=True))
+
+
+def test_run_case_rejects_a_mesh_of_another_spec():
+    mesh = build_mesh(Disk(1.0), 0.2)
+    with pytest.raises(ValidationError, match="mesh was built for"):
+        run_case(Disk(2.0), None, 2.0, 0.2, mesh=mesh)
+
+
+def test_run_case_rejects_a_mesh_of_another_h():
+    mesh = build_mesh(Disk(1.0), 0.2)
+    with pytest.raises(ValidationError, match="mesh was built for"):
+        run_case(Disk(1.0), None, 2.0, 0.1, mesh=mesh)
