@@ -2,8 +2,9 @@
 """Compare two plap-lab output trees value by value.
 
 JSON files are compared as parsed values, ignoring the top-level `timestamp`;
-CSV files cell by cell; every other file byte for byte.  Each differing value
-is printed with its relative change.  Exit code 0 means the trees are
+CSV files column by column, matched by header name, so a dropped or added
+column is reported once; every other file byte for byte.  Each differing
+value is printed with its relative change.  Exit code 0 means the trees are
 identical, 1 that something differs.
 
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
@@ -65,15 +66,21 @@ def _load_csv(path: Path) -> list:
 
 
 def _diff_csv(a: list, b: list, out: list) -> None:
-    header = a[0] if a else []
+    head_a, head_b = (a[0] if a else []), (b[0] if b else [])
+    for head, other, side in ((head_a, head_b, "old"), (head_b, head_a, "new")):
+        for col in head:
+            if col not in other:
+                out.append(f"column {col}: only in {side}")
     if len(a) != len(b):
         out.append(f"rows {len(a)} -> {len(b)}")
-    for r, (ra, rb) in enumerate(zip(a, b)):
-        if len(ra) != len(rb):
+    shared = [col for col in head_a if col in head_b]
+    for r, (ra, rb) in enumerate(zip(a[1:], b[1:]), start=1):
+        if len(ra) != len(head_a) or len(rb) != len(head_b):
             out.append(f"row {r}: {len(ra)} -> {len(rb)} cells")
-        for c, (x, y) in enumerate(zip(ra, rb)):
+        cells_a, cells_b = dict(zip(head_a, ra)), dict(zip(head_b, rb))
+        for col in shared:
+            x, y = cells_a.get(col, ""), cells_b.get(col, "")
             if x != y:
-                col = header[c] if r > 0 and c < len(header) else str(c)
                 out.append(f"row {r} {col}: {x} -> {y} (rel {_rel_change(x, y)})")
 
 

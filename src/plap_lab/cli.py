@@ -245,7 +245,7 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         for case in sorted(cases, key=lambda c: (c.p, -c.h)):
             r = case.report
             rows.append([case.p, case.h,
-                         r.serrin["deficit"],
+                         r.serrin["deficit"] if r.serrin is not None else "",
                          r.entries["fundamental"].values["rel_residual_volume"],
                          r.entries["fundamental"].values["rel_residual_boundary"],
                          r.entries["flux"].rel_residual])

@@ -191,12 +191,6 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     return coef[:, 1:3] / h, coef[:, [3, 4, 4, 5]].reshape(n, 2, 2) / (h * h)
 
 
-def _at_quads(mesh: TriMesh, nodal: np.ndarray) -> np.ndarray:
-    vals = nodal[mesh.triangles]  # (M, 3, ...)
-    out = np.einsum("qk,mk...->mq...", mesh.quad_bary, vals)
-    return out.reshape((-1,) + nodal.shape[1:])
-
-
 def default_delta_crit(h: float, gnorm_max: float) -> float:
     return max(1e-8, 1e-3 * h * gnorm_max)
 
@@ -218,9 +212,8 @@ def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -
 
     nodal_g, nodal_h = _quadratic_fit(mesh, u)
 
-    u_q = _at_quads(mesh, u)
-    g_q = _at_quads(mesh, nodal_g)
-    h_q = _at_quads(mesh, nodal_h)
+    sites = mesh.quad_sites
+    u_q, g_q, h_q = (mesh.interpolate_located(f, *sites) for f in (u, nodal_g, nodal_h))
 
     weights = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
     return _make_bundle(

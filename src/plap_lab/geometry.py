@@ -17,7 +17,7 @@ and the final triangulation of the relaxed points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -28,142 +28,7 @@ from .errors import MeshGenerationError, ValidationError
 TWO_PI = 2.0 * math.pi
 
 # --------------------------------------------------------------------------
-# Domain specifications
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Disk:
-    radius: float = 1.0
-
-
-@dataclass(frozen=True)
-class Ellipse:
-    a: float = 1.0
-    b: float = 1.0
-
-
-@dataclass(frozen=True)
-class PolarStar:
-    """Boundary r(theta) = r0 + sum_k cos_coeffs[k-1] cos(k theta) + sin_coeffs[k-1] sin(k theta)."""
-
-    r0: float = 1.0
-    cos_coeffs: tuple[float, ...] = ()
-    sin_coeffs: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class Annulus:
-    r_in: float = 0.5
-    r_out: float = 1.0
-
-
-DomainSpec = Union[Disk, Ellipse, PolarStar, Annulus]
-
-_STAR_SAMPLES = 4096
-
-
-# the m-th derivative of cos and of sin, m = 0, 1, 2: (negated, function)
-_COS_DERIVS = ((False, np.cos), (True, np.sin), (True, np.cos))
-_SIN_DERIVS = ((False, np.sin), (False, np.cos), (True, np.sin))
-
-
-def _star_radius(spec: PolarStar, theta: np.ndarray, m: int) -> np.ndarray:
-    """The m-th derivative (m <= 2) of the polar star's r(theta): each term
-    is ((+-c) k ... k) trig(k theta), with k repeated m times."""
-    theta = np.asarray(theta, dtype=float)
-    r = np.full_like(theta, spec.r0 if m == 0 else 0.0)
-    for coeffs, (negated, trig) in ((spec.cos_coeffs, _COS_DERIVS[m]),
-                                    (spec.sin_coeffs, _SIN_DERIVS[m])):
-        for k, c in enumerate(coeffs, start=1):
-            a = -c if negated else c
-            for _ in range(m):
-                a = a * k
-            r += a * trig(k * theta)
-    return r
-
-
-def validate_spec(spec: DomainSpec) -> None:
-    """Raise ValidationError naming the violated invariant."""
-    if isinstance(spec, Disk):
-        if not (spec.radius > 0):
-            raise ValidationError(f"disk radius must be strictly positive, got {spec.radius}")
-    elif isinstance(spec, Ellipse):
-        if not (spec.b > 0):
-            raise ValidationError(f"ellipse semi-axis b must be strictly positive, got {spec.b}")
-        if not (spec.a >= spec.b):
-            raise ValidationError(f"ellipse requires a >= b > 0, got a={spec.a}, b={spec.b}")
-    elif isinstance(spec, PolarStar):
-        theta = np.linspace(0.0, TWO_PI, _STAR_SAMPLES, endpoint=False)
-        r = _star_radius(spec, theta, 0)
-        if not (r.min() > 0):
-            raise ValidationError(
-                "polar_star radius function must stay strictly positive; "
-                f"min r(theta) = {r.min():.6g}"
-            )
-    elif isinstance(spec, Annulus):
-        if not (spec.r_in > 0):
-            raise ValidationError(f"annulus inner radius must be strictly positive, got {spec.r_in}")
-        if not (spec.r_out > spec.r_in):
-            raise ValidationError(
-                f"annulus requires r_out > r_in, got r_in={spec.r_in}, r_out={spec.r_out}"
-            )
-    else:
-        raise ValidationError(f"unknown domain spec {spec!r}")
-
-
-def spec_diameter(spec: DomainSpec) -> float:
-    if isinstance(spec, Disk):
-        return 2.0 * spec.radius
-    if isinstance(spec, Ellipse):
-        return 2.0 * spec.a
-    if isinstance(spec, PolarStar):
-        theta = np.linspace(0.0, TWO_PI, _STAR_SAMPLES, endpoint=False)
-        r = _star_radius(spec, theta, 0)
-        half = _STAR_SAMPLES // 2
-        return float((r[:half] + r[half:]).max())
-    if isinstance(spec, Annulus):
-        return 2.0 * spec.r_out
-    raise ValidationError(f"unknown domain spec {spec!r}")
-
-
-def spec_to_json(spec: DomainSpec) -> dict:
-    if isinstance(spec, Disk):
-        return {"variant": "disk", "radius": spec.radius}
-    if isinstance(spec, Ellipse):
-        return {"variant": "ellipse", "a": spec.a, "b": spec.b}
-    if isinstance(spec, PolarStar):
-        return {
-            "variant": "polar_star",
-            "r0": spec.r0,
-            "cos_coeffs": list(spec.cos_coeffs),
-            "sin_coeffs": list(spec.sin_coeffs),
-        }
-    if isinstance(spec, Annulus):
-        return {"variant": "annulus", "r_in": spec.r_in, "r_out": spec.r_out}
-    raise ValidationError(f"unknown domain spec {spec!r}")
-
-
-def spec_from_json(obj: dict) -> DomainSpec:
-    """Domain spec from a config's `domain` object, already checked against
-    the config schema; only the invariants of `validate_spec` are checked here."""
-    build = {
-        "disk": lambda: Disk(radius=float(obj.get("radius", 1.0))),
-        "ellipse": lambda: Ellipse(a=float(obj.get("a", 1.0)), b=float(obj.get("b", 1.0))),
-        "polar_star": lambda: PolarStar(
-            r0=float(obj.get("r0", 1.0)),
-            cos_coeffs=tuple(float(c) for c in obj.get("cos_coeffs", [])),
-            sin_coeffs=tuple(float(c) for c in obj.get("sin_coeffs", [])),
-        ),
-        "annulus": lambda: Annulus(r_in=float(obj.get("r_in", 0.5)), r_out=float(obj.get("r_out", 1.0))),
-    }[obj["variant"]]
-    spec = build()
-    validate_spec(spec)
-    return spec
-
-
-# --------------------------------------------------------------------------
-# Parametric boundary loops
+# Domain specifications and their boundary loops
 # --------------------------------------------------------------------------
 
 
@@ -187,37 +52,48 @@ class BoundaryCurve:
         raise NotImplementedError
 
 
-class _StarCurve(BoundaryCurve):
-    """The r(theta) graph of a polar star, traversed counter-clockwise."""
+# Each spec checks its invariants on construction and owns its geometry: its
+# `diameter()` and its boundary loops `curves()`, the outer loop first; the
+# ellipse and the polar star are their own single loop.  `variant` names the
+# spec in a config's `domain` object.
 
-    def __init__(self, spec: PolarStar):
-        self.spec = spec
-
-    def point(self, t):
-        r = _star_radius(self.spec, t, 0)
-        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
-
-    def speed(self, t):
-        r, dr = (_star_radius(self.spec, t, m) for m in range(2))
-        return np.sqrt(r ** 2 + dr ** 2)
-
-    def normal(self, t):
-        r, dr = (_star_radius(self.spec, t, m) for m in range(2))
-        ct, st = np.cos(t), np.sin(t)
-        # rotate the tangent (x', y') by -90 degrees: (y', -x')
-        xp = dr * ct - r * st
-        yp = dr * st + r * ct
-        nu = np.stack([yp, -xp], axis=-1)
-        return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
-
-    def curvature(self, t):
-        r, dr, d2r = (_star_radius(self.spec, t, m) for m in range(3))
-        return (r * r + 2.0 * dr * dr - r * d2r) / (r * r + dr * dr) ** 1.5
+_STAR_SAMPLES = 4096
+_STAR_THETA = np.linspace(0.0, TWO_PI, _STAR_SAMPLES, endpoint=False)
 
 
-class _EllipseCurve(BoundaryCurve):
-    def __init__(self, a: float, b: float):
-        self.a, self.b = a, b
+@dataclass(frozen=True)
+class Disk:
+    variant = "disk"
+    radius: float = 1.0
+
+    def __post_init__(self):
+        if not (self.radius > 0):
+            raise ValidationError(f"disk radius must be strictly positive, got {self.radius}")
+
+    def diameter(self) -> float:
+        return 2.0 * self.radius
+
+    def curves(self) -> list[BoundaryCurve]:
+        return [PolarStar(r0=self.radius)]
+
+
+@dataclass(frozen=True)
+class Ellipse(BoundaryCurve):
+    variant = "ellipse"
+    a: float = 1.0
+    b: float = 1.0
+
+    def __post_init__(self):
+        if not (self.b > 0):
+            raise ValidationError(f"ellipse semi-axis b must be strictly positive, got {self.b}")
+        if not (self.a >= self.b):
+            raise ValidationError(f"ellipse requires a >= b > 0, got a={self.a}, b={self.b}")
+
+    def diameter(self) -> float:
+        return 2.0 * self.a
+
+    def curves(self) -> list[BoundaryCurve]:
+        return [self]
 
     def point(self, t):
         return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
@@ -231,6 +107,73 @@ class _EllipseCurve(BoundaryCurve):
 
     def curvature(self, t):
         return self.a * self.b / (self.a**2 * np.sin(t) ** 2 + self.b**2 * np.cos(t) ** 2) ** 1.5
+
+
+# the m-th derivative of cos and of sin, m = 0, 1, 2: (negated, function)
+_COS_DERIVS = ((False, np.cos), (True, np.sin), (True, np.cos))
+_SIN_DERIVS = ((False, np.sin), (False, np.cos), (True, np.sin))
+
+
+@dataclass(frozen=True)
+class PolarStar(BoundaryCurve):
+    """Boundary r(theta) = r0 + sum_k cos_coeffs[k-1] cos(k theta) + sin_coeffs[k-1] sin(k theta),
+    traversed counter-clockwise."""
+
+    variant = "polar_star"
+    r0: float = 1.0
+    cos_coeffs: tuple[float, ...] = ()
+    sin_coeffs: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        r_min = self.r(_STAR_THETA).min()
+        if not (r_min > 0):
+            raise ValidationError(
+                "polar_star radius function must stay strictly positive; "
+                f"min r(theta) = {r_min:.6g}"
+            )
+
+    def diameter(self) -> float:
+        r = self.r(_STAR_THETA)
+        half = _STAR_SAMPLES // 2
+        return float((r[:half] + r[half:]).max())
+
+    def curves(self) -> list[BoundaryCurve]:
+        return [self]
+
+    def r(self, theta: np.ndarray, m: int = 0) -> np.ndarray:
+        """The m-th derivative (m <= 2) of r(theta): each term is
+        ((+-c) k ... k) trig(k theta), with k repeated m times."""
+        theta = np.asarray(theta, dtype=float)
+        r = np.full_like(theta, self.r0 if m == 0 else 0.0)
+        for coeffs, (negated, trig) in ((self.cos_coeffs, _COS_DERIVS[m]),
+                                        (self.sin_coeffs, _SIN_DERIVS[m])):
+            for k, c in enumerate(coeffs, start=1):
+                a = -c if negated else c
+                for _ in range(m):
+                    a = a * k
+                r += a * trig(k * theta)
+        return r
+
+    def point(self, t):
+        r = self.r(t)
+        return np.stack([r * np.cos(t), r * np.sin(t)], axis=-1)
+
+    def speed(self, t):
+        r, dr = (self.r(t, m) for m in range(2))
+        return np.sqrt(r ** 2 + dr ** 2)
+
+    def normal(self, t):
+        r, dr = (self.r(t, m) for m in range(2))
+        ct, st = np.cos(t), np.sin(t)
+        # rotate the tangent (x', y') by -90 degrees: (y', -x')
+        xp = dr * ct - r * st
+        yp = dr * st + r * ct
+        nu = np.stack([yp, -xp], axis=-1)
+        return nu / np.linalg.norm(nu, axis=-1, keepdims=True)
+
+    def curvature(self, t):
+        r, dr, d2r = (self.r(t, m) for m in range(3))
+        return (r * r + 2.0 * dr * dr - r * d2r) / (r * r + dr * dr) ** 1.5
 
 
 class _InnerCircle(BoundaryCurve):
@@ -252,17 +195,41 @@ class _InnerCircle(BoundaryCurve):
         return np.full_like(np.asarray(t, dtype=float), -1.0 / self.radius)
 
 
-def boundary_curves(spec: DomainSpec) -> list[BoundaryCurve]:
-    """Ordered boundary loops of a validated spec: outer first, inner (annulus) second."""
-    if isinstance(spec, Disk):
-        return [_StarCurve(PolarStar(r0=spec.radius))]
-    if isinstance(spec, PolarStar):
-        return [_StarCurve(spec)]
-    if isinstance(spec, Ellipse):
-        return [_EllipseCurve(spec.a, spec.b)]
-    if isinstance(spec, Annulus):
-        return [_StarCurve(PolarStar(r0=spec.r_out)), _InnerCircle(spec.r_in)]
-    raise ValidationError(f"unknown domain spec {spec!r}")
+@dataclass(frozen=True)
+class Annulus:
+    variant = "annulus"
+    r_in: float = 0.5
+    r_out: float = 1.0
+
+    def __post_init__(self):
+        if not (self.r_in > 0):
+            raise ValidationError(f"annulus inner radius must be strictly positive, got {self.r_in}")
+        if not (self.r_out > self.r_in):
+            raise ValidationError(
+                f"annulus requires r_out > r_in, got r_in={self.r_in}, r_out={self.r_out}"
+            )
+
+    def diameter(self) -> float:
+        return 2.0 * self.r_out
+
+    def curves(self) -> list[BoundaryCurve]:
+        return [PolarStar(r0=self.r_out), _InnerCircle(self.r_in)]
+
+
+DomainSpec = Union[Disk, Ellipse, PolarStar, Annulus]
+_VARIANTS = {cls.variant: cls for cls in (Disk, Ellipse, PolarStar, Annulus)}
+
+
+def spec_to_json(spec: DomainSpec) -> dict:
+    return {"variant": spec.variant, **asdict(spec)}
+
+
+def spec_from_json(obj: dict) -> DomainSpec:
+    """Domain spec from a config's `domain` object, already checked against
+    the config schema; the spec checks its own invariants."""
+    cls = _VARIANTS[obj["variant"]]
+    return cls(**{f.name: tuple(map(float, obj[f.name])) if isinstance(f.default, tuple)
+                  else float(obj[f.name]) for f in fields(cls) if f.name in obj})
 
 
 _ARCLENGTH_SAMPLES = 1 << 17
@@ -336,6 +303,12 @@ class TriMesh:
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
+
+    @property
+    def quad_sites(self) -> tuple[np.ndarray, np.ndarray]:
+        """The quadrature points as (triangle, barycentric) pairs, the form
+        ``locate`` gives."""
+        return self.quad_tri, np.tile(self.quad_bary, (self.n_triangles, 1))
 
     def interpolate_located(self, nodal: np.ndarray, tri: np.ndarray,
                             bary: np.ndarray) -> np.ndarray:
@@ -416,9 +389,8 @@ class _RadialDomain:
     """Dense lookup tables for the boundary radius and the ray/normal angle."""
 
     def __init__(self, spec: DomainSpec):
-        self.spec = spec
-        self.annular = isinstance(spec, Annulus)
-        curve = boundary_curves(spec)[0]
+        curves = spec.curves()
+        curve = curves[0]
         t = np.linspace(0.0, TWO_PI, _STAR_SAMPLES + 1)
         pts = curve.point(t)
         theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
@@ -430,7 +402,9 @@ class _RadialDomain:
         radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cospsi = np.clip(np.einsum("ij,ij->i", radial, curve.normal(t)), 0.2, 1.0)
         self._cospsi = cospsi[order]
-        self.r_in = spec.r_in if self.annular else 0.0
+        # a second loop is the annulus's inner circle
+        self.annular = len(curves) > 1
+        self.r_in = curves[1].radius if self.annular else 0.0
 
     def boundary_radius(self, theta: np.ndarray) -> np.ndarray:
         return np.interp(np.mod(theta, TWO_PI), self._theta, self._rb)
@@ -445,6 +419,10 @@ class _RadialDomain:
         if self.annular:
             ok &= rho > self.r_in + margin
         return ok
+
+    def triangles_inside(self, points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+        """The triangles whose centroid lies inside the domain."""
+        return triangles[self.inside(points[triangles].mean(axis=1))]
 
     def clamp(self, pts: np.ndarray, margin: float) -> np.ndarray:
         """Points (P, 2) pulled radially to between r_in + margin and
@@ -489,15 +467,14 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     edge flips on the Delaunay triangulation it holds; Qhull triangulates the
     lattice once before relaxation and the relaxed points once after it.
     """
-    validate_spec(spec)
-    diam = spec_diameter(spec)
+    diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
         raise ValidationError(
             f"target edge length must satisfy 0 < h < diameter/4 = {diam / 4.0:.6g}, got {h}"
         )
 
     # one arc-length table per loop gives its length and its node parameters
-    curves = boundary_curves(spec)
+    curves = spec.curves()
     loops_params: list[np.ndarray] = []
     lengths: list[float] = []
     for curve in curves:
@@ -513,9 +490,9 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     interior = _relax(bnd_xy, interior, h, domain)
 
     points = np.concatenate([bnd_xy, interior]) if len(interior) else bnd_xy.copy()
-    triangles, areas = _orient_ccw(points, _triangulate_inside(points, domain))
+    triangles = domain.triangles_inside(points, _delaunay_ccw(points)[0])
 
-    mesh = _assemble_mesh(spec, h, points, triangles, areas, curves, loops_params, lengths)
+    mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
     if min_angle < _MIN_ANGLE_DEG:
@@ -527,7 +504,7 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
 
 
 def _hex_lattice(spec: DomainSpec, h: float, domain: _RadialDomain) -> np.ndarray:
-    lim = spec_diameter(spec) / 2.0 + h
+    lim = spec.diameter() / 2.0 + h
     dy = h * math.sqrt(3.0) / 2.0
     rows = int(math.ceil(lim / dy))
     cols = int(math.ceil(lim / h))
@@ -555,7 +532,7 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
         if np.sqrt(np.sum((pts - last) ** 2, axis=1)).max() > 0.1 * h:
             last = pts.copy()
             full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
-            tri = full[0][domain.inside(pts[full[0]].mean(axis=1))]
+            tri = domain.triangles_inside(pts, full[0])
             keys = _edge_keys(tri, n)
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             e0, e1 = keys // n, keys % n
@@ -574,19 +551,18 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
     return pts[n_bnd:]
 
 
+def _edge_key(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """The key min(v, w) * n + max(v, w) of the edge between vertices v and w
+    of an n-vertex mesh."""
+    return np.minimum(v, w).astype(np.int64) * n + np.maximum(v, w)
+
+
 def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
-    """The key i * n + j (i < j) of every triangle side, sorted; an edge
-    shared by two triangles appears twice."""
-    v, w = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
-    keys = np.minimum(v, w).astype(np.int64) * n + np.maximum(v, w)
+    """The key of every triangle side, sorted; an edge shared by two
+    triangles appears twice."""
+    keys = _edge_key(triangles.ravel(), triangles[:, [1, 2, 0]].ravel(), n)
     keys.sort()
     return keys
-
-
-def _triangulate_inside(points: np.ndarray, domain: _RadialDomain) -> np.ndarray:
-    tri = Delaunay(points).simplices
-    cent = points[tri].mean(axis=1)
-    return tri[domain.inside(cent)]
 
 
 def _signed_area(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
@@ -595,16 +571,6 @@ def _signed_area(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
         - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
     )
-
-
-def _orient_ccw(points: np.ndarray, triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Triangles reordered counter-clockwise, and their areas."""
-    signed = _signed_area(points, triangles)
-    tri = triangles.copy()
-    flip = signed < 0
-    tri[flip] = tri[flip][:, [0, 2, 1]]
-    # swapping two vertices negates the IEEE difference exactly
-    return tri, np.abs(signed)
 
 
 # --------------------------------------------------------------------------
@@ -689,7 +655,7 @@ def _link(tri: np.ndarray, nbr: np.ndarray, s: np.ndarray, n: int) -> None:
     the entries of the other edges are left as they are."""
     ts, ks = np.repeat(s, 3), np.tile(np.arange(3), len(s))
     v, w = tri[ts, (ks + 1) % 3], tri[ts, (ks + 2) % 3]
-    key = np.minimum(v, w).astype(np.int64) * n + np.maximum(v, w)
+    key = _edge_key(v, w, n)
     order = np.argsort(key)
     same = np.flatnonzero(key[order[1:]] == key[order[:-1]])
     i, j = order[same], order[same + 1]
@@ -702,12 +668,12 @@ def _assemble_mesh(
     h: float,
     points: np.ndarray,
     triangles: np.ndarray,
-    areas: np.ndarray,
     curves: list[BoundaryCurve],
     loops_params: list[np.ndarray],
     lengths: list[float],
 ) -> TriMesh:
     p = points[triangles]
+    areas = _signed_area(points, triangles)
     if not (areas > 0).all():
         raise MeshGenerationError("degenerate triangle with nonpositive area")
     # gradient of barycentric basis function i: perpendicular of opposite edge / (2A)
@@ -752,7 +718,7 @@ def _check_boundary_edges(mesh: TriMesh) -> None:
     mesh_bnd = keys[np.concatenate([[True], step]) & np.concatenate([step, [True]])]
     loops = np.concatenate(mesh.boundary_loops)
     succ = np.concatenate([np.roll(loop, -1) for loop in mesh.boundary_loops])
-    expected = np.unique(np.minimum(loops, succ).astype(np.int64) * n + np.maximum(loops, succ))
+    expected = np.unique(_edge_key(loops, succ, n))
     if not np.array_equal(mesh_bnd, expected):
         raise MeshGenerationError(
             "triangulation boundary does not match the parametric loops "
@@ -811,6 +777,11 @@ def boundary_geometry(spec: DomainSpec, mesh: TriMesh) -> BoundaryGeometry:
 class Measures:
     volume: float
     perimeter: float
+
+    def h0(self, n: int) -> float:
+        """H0 = |boundary| / (n |domain|), the mean curvature of a ball with
+        these measures."""
+        return self.perimeter / (n * self.volume)
 
 
 def domain_measures(mesh: TriMesh, metric) -> Measures:

@@ -140,6 +140,11 @@ def _rel(lhs: float, rhs: float, floor: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
 
 
+def _max_or_nan(values: np.ndarray) -> float:
+    """The largest value, or NaN when there is none (every node flagged)."""
+    return float(values.max()) if values.size else np.nan
+
+
 def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> IdentityEntry:
     """Integral of the boundary p-flux against -|Omega| (global balance)."""
     lhs = float(np.sum(trace.p_flux() * trace.weight))
@@ -239,7 +244,7 @@ def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
     the curvature-deviation flux integral."""
     p, n = trace.p, trace.n
     measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.perimeter / (n * measures.volume)
+    h0 = measures.h0(n)
     lhs1 = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * trace.weight)) / (n * n * h0)
@@ -268,7 +273,7 @@ def serrin_deficit(trace: BoundaryTrace) -> dict:
     node_res = trace.n * trace.curvature * trace.p_flux() + 1.0
     deficit = float(np.sum(node_res**2 / trace.curvature * trace.weight))
     ok = ~trace.flagged
-    max_node = float(np.abs(node_res[ok]).max()) if ok.any() else np.nan
+    max_node = _max_or_nan(np.abs(node_res[ok]))
     return {"deficit": deficit, "max_node_residual": max_node}
 
 
@@ -387,13 +392,13 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle,
         raise PreconditionError("equivalence flags are defined for the flat metric")
     p, n = trace.p, trace.n
     measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.perimeter / (n * measures.volume)
+    h0 = measures.h0(n)
     ok = ~trace.flagged
     pf = trace.p_flux()
-    b_dev = float(np.abs(n * trace.curvature * pf + 1.0)[ok].max())
+    b_dev = _max_or_nan(np.abs(n * trace.curvature * pf + 1.0)[ok])
     d_dev = float((np.abs(trace.curvature - h0) / h0).max())
     e_ref = (1.0 / (n * h0)) ** (1.0 / (p - 1.0))
-    e_dev = float((np.abs(trace.gnorm - e_ref) / e_ref)[ok].max())
+    e_dev = _max_or_nan((np.abs(trace.gnorm - e_ref) / e_ref)[ok])
     return EquivalenceFlags(
         serrin_b=bool(b_dev <= tol),
         cmc_d=bool(d_dev <= tol),
@@ -479,7 +484,7 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
     p, n = trace.p, trace.n
     metric = bundle.metric
     measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.perimeter / (n * measures.volume)
+    h0 = measures.h0(n)
 
     entries = {}
     skipped = {}
@@ -489,7 +494,7 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
     entries["flux"] = flux_balance(trace, measures, tol.flux_rel)
 
     eq_res = np.abs(trace.eq_curvature_residual())[~trace.flagged]
-    eq_max = float(eq_res.max()) if len(eq_res) else np.nan
+    eq_max = _max_or_nan(eq_res)
     entries["eq_curvature"] = IdentityEntry(
         values={"max_node_residual": eq_max},
         residual=eq_max, rel_residual=eq_max, tolerance=tol.eq_curvature_nodewise,

@@ -311,7 +311,7 @@ def convergence_study(spec, metric: ConformalMetric | None, p: float,
         r = np.linalg.norm(mesh.points, axis=1)
         err = sol.u - profile.u(np.minimum(r, spec.radius))
         err_max = float(np.abs(err).max())
-        eq = np.abs(np.einsum("qk,mk->mq", mesh.quad_bary, err[mesh.triangles]).reshape(-1))
+        eq = np.abs(mesh.interpolate_located(err, *mesh.quad_sites))
         err_l2 = float(np.sqrt(np.sum(mesh.quad_weights * eq**2)))
         row = ConvergenceRow(h=h, err_max=err_max, err_l2=err_l2, order_max=None, order_l2=None)
         if prev is not None and h < prev.h:

@@ -415,6 +415,20 @@ def test_ellipse_boundary_profile_curvature_range(tmp_path, lab):
     assert H.max() == pytest.approx(2.0, rel=1e-6)
 
 
+def test_multi_h_verify_without_serrin_leaves_its_cells_empty(tmp_path):
+    # the annulus has H < 0 on its inner loop, so every case skips serrin
+    cfg = _write(tmp_path, {**DISK_VERIFY, "domain": {"variant": "annulus", "r_in": 0.5,
+                                                      "r_out": 1.0}, "h": [0.2, 0.1]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert (out / "summary.json").exists()
+    lines = (out / "deficit_vs_h.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert line.split(",")[header.index("serrin_deficit")] == ""
+
+
 # ----------------------------------------------------------- error reports
 
 def test_error_json_goes_to_config_output_dir(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
-"""scripts/compare_outputs.py: identical trees exit 0, one changed cell exits 1."""
+"""scripts/compare_outputs.py: identical trees exit 0, one changed cell exits
+1, and a dropped CSV column is reported once."""
 
 import json
 import shutil
@@ -29,3 +30,15 @@ def test_compare_outputs_exit_codes(tmp_path):
     res = _compare(old, new)
     assert res.returncode == 1
     assert "rows.csv: row 2 value: 2.5 -> 2.75 (rel +1.000e-01)" in res.stdout
+
+
+def test_dropped_csv_column_is_reported_once(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "rows.csv").write_text("p,h,serrin,value\n2.0,0.1,0.5,1.5\n3.0,0.1,0.7,2.5\n")
+    (new / "rows.csv").write_text("p,h,value\n2.0,0.1,1.5\n3.0,0.1,2.5\n")
+    res = _compare(old, new)
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == ["rows.csv: column serrin: only in old",
+                                       "0 of 1 files identical"]

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from plap_lab import (Annulus, Disk, Ellipse, MeshGenerationError, PolarStar,
                       ValidationError, boundary_geometry, build_mesh,
                       domain_measures)
-from plap_lab.geometry import (boundary_curves, curve_length, spec_from_json,
-                               spec_to_json, validate_spec)
+from plap_lab.geometry import curve_length, spec_from_json, spec_to_json
 from plap_lab.metric import ConformalMetric
 
 # perimeter of the 2:1 ellipse by adaptive quadrature of sqrt(4 sin^2 + cos^2)
@@ -114,7 +113,7 @@ def test_polar_star_mesh():
     mesh = build_mesh(spec, 0.1)
     assert mesh.min_angle_deg() >= 20.0
     bg = boundary_geometry(spec, mesh)
-    L = curve_length(boundary_curves(spec)[0])
+    L = curve_length(spec.curves()[0])
     assert bg.weight.sum() == pytest.approx(L, rel=1e-6)
 
 
@@ -133,15 +132,15 @@ def test_annulus_two_loops_and_inner_curvature_sign():
 
 def test_validation_errors():
     with pytest.raises(ValidationError):
-        validate_spec(Ellipse(0.0, 1.0))
+        Ellipse(0.0, 1.0)
     with pytest.raises(ValidationError):
-        validate_spec(Ellipse(1.0, 2.0))      # requires a >= b
+        Ellipse(1.0, 2.0)      # requires a >= b
     with pytest.raises(ValidationError):
-        validate_spec(Disk(-1.0))
+        Disk(-1.0)
     with pytest.raises(ValidationError):
-        validate_spec(PolarStar(1.0, cos_coeffs=(1.5,)))   # r(theta) dips below 0
+        PolarStar(1.0, cos_coeffs=(1.5,))   # r(theta) dips below 0
     with pytest.raises(ValidationError):
-        validate_spec(Annulus(1.0, 0.5))
+        Annulus(1.0, 0.5)
     with pytest.raises(ValidationError):
         build_mesh(Disk(1.0), 0.6)            # h must stay below diameter/4
 
@@ -160,6 +159,11 @@ def test_spec_json_round_trip():
     for spec in (Disk(2.0), Ellipse(2.0, 1.0), PolarStar(1.0, (0.1,), (0.0, 0.05)),
                  Annulus(0.5, 1.5)):
         assert spec_from_json(spec_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize("cls", [Disk, Ellipse, PolarStar, Annulus])
+def test_spec_from_json_defaults_are_the_dataclass_defaults(cls):
+    assert spec_from_json({"variant": cls.variant}) == cls()
 
 
 def test_boundary_loop_orientation(lab):
@@ -403,8 +407,7 @@ def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, head):
 @given(r=st.floats(0.5, 3.0), c=st.floats(-0.2, 0.2))
 def test_star_radius_positive_property(r, c):
     spec = PolarStar(r, cos_coeffs=(c,))
-    validate_spec(spec)
-    curve = boundary_curves(spec)[0]
+    curve = spec.curves()[0]
     t = np.linspace(0, 2 * np.pi, 64)
     assert np.isfinite(curve.curvature(t)).all()
     assert np.abs(np.linalg.norm(curve.normal(t), axis=1) - 1).max() < 1e-12

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, PreconditionError,
-                      SolveConfig, boundary_trace, build_mesh,
+from plap_lab import (ConformalMetric, Disk, PreconditionError,
+                      SolveConfig, boundary_trace, build_mesh, build_report,
                       domain_measures, equivalence_suite, flux_balance,
                       fundamental_identity, hk_report, serrin_deficit,
                       soap_bubble_report, subharmonicity_scan)
@@ -223,6 +223,20 @@ def test_equivalence_flags_ellipse(lab):
     flags = case.report.flags
     assert not (flags.serrin_b or flags.cmc_d or flags.gradient_e)
     assert not flags.domain_is_disk
+
+
+def test_every_node_flagged_gives_nan_deviations():
+    # u = 0 has no gradient, so the trace flags every boundary node
+    mesh = build_mesh(Disk(1.0), 0.2)
+    bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
+    trace = boundary_trace(bundle, 2.0)
+    assert trace.flagged.all()
+    report = build_report(bundle, trace)
+    details = report.flags.details
+    assert np.isnan(details["b_deviation"]) and np.isnan(details["e_deviation"])
+    assert not (report.flags.serrin_b or report.flags.gradient_e)
+    assert np.isnan(report.serrin["max_node_residual"])
+    assert np.isnan(report.entries["eq_curvature"].values["max_node_residual"])
 
 
 def test_equivalence_requires_flat(lab):

@@ -40,7 +40,6 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     lengths = _count_calls(monkeypatch, geometry, "curve_length")
     tables = _count_calls(monkeypatch, geometry, "_arclength_table")
     lu_p = _count_calls(monkeypatch, fields, "linearized_on_p")
-    spec_checks = _count_calls(monkeypatch, geometry, "validate_spec")
     measures = _count_calls(monkeypatch, geometry, "Measures")
     normal_eqs = _count_calls(monkeypatch, fields, "_normal_equations")
     sites = _count_calls(monkeypatch, identities, "_trace_sites")
@@ -54,7 +53,6 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     assert len(lengths) <= n_loops
     assert len(tables) <= n_loops
     assert len(lu_p) == n_cases
-    assert len(spec_checks) <= 2       # spec_from_json and build_mesh
     # the metric measures (run_case and the solver's eps0 scale) and the
     # Euclidean ones (the trace's depth cap), each once per mesh
     assert len(measures) <= 2
