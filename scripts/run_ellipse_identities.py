@@ -27,11 +27,8 @@ def main():
     for p in args.p:
         case = run_case(Ellipse(args.a, args.b), None, p, args.h, mesh=mesh)
         mesh = case.mesh
-        rep = case.report
-        f = rep.entries["fundamental"].values
-        hk = rep.entries["hk"].values
-        sb = rep.entries["sbt"].values
-        sr = rep.serrin
+        rep = case.report.sections
+        f, hk, sb, sr = rep["fundamental"], rep["hk"], rep["sbt"], rep["serrin"]
         print(f"\np = {p}")
         print(f"  interior/boundary identity: volume {f['lhs_volume']:+.5f}  "
               f"boundary {f['lhs_boundary']:+.5f}  rhs {f['rhs']:+.5f}  "
@@ -42,12 +39,13 @@ def main():
               f"max |H - H0| {sb['max_h_deviation']:.4f}")
         print(f"  overdetermined deficit {sr['deficit']:.4f} "
               f"({sr['deficit'] / ei.perimeter:.3f} per unit boundary length)")
-        if rep.scan is None:
-            print(f"  subharmonicity: skipped, {rep.skipped['subharmonicity']}")
+        scan = rep.get("subharmonicity")
+        if scan is None:
+            print(f"  subharmonicity: skipped, {rep['skipped']['subharmonicity']}")
         else:
-            print(f"  subharmonicity: min {rep.scan.min_value:+.4f} "
-                  f"(allowance {rep.scan.tol_scan:.4f}), integral {rep.scan.integral:+.4f}")
-        print(f"  all checks pass: {rep.all_passed()}")
+            print(f"  subharmonicity: min {scan['min']:+.4f} "
+                  f"(allowance {scan['tol_scan']:.4f}), integral {scan['integral']:+.4f}")
+        print(f"  all checks pass: {case.report.all_passed()}")
 
 
 if __name__ == "__main__":

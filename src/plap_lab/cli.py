@@ -158,8 +158,11 @@ def write_json(path: Path, obj: dict) -> None:
                     encoding="utf-8")
 
 
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def _envelope(command: str) -> dict:
+    """The keys every output JSON opens with."""
+    return {"schema_version": SCHEMA_VERSION,
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "command": command}
 
 
 def _config_echo(cfg: dict) -> dict:
@@ -178,9 +181,7 @@ def _config_echo(cfg: dict) -> dict:
 def case_report_dict(cfg: dict, case: CaseResult) -> dict:
     rep = case.report.to_json_dict()
     rep.update({
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "command": cfg["command"],
+        **_envelope(cfg["command"]),
         "config_echo": _config_echo(cfg),
         "h": case.h,
         "solver": {
@@ -188,7 +189,7 @@ def case_report_dict(cfg: dict, case: CaseResult) -> dict:
             "newton_iterations": [s.iterations for s in case.solution.steps],
             "energy": case.solution.steps[-1].energy,
             "diagnostics": {**case.solution.diagnostics,
-                            "masked_fraction": case.report.constants["masked_fraction"]},
+                            "masked_fraction": rep["constants"]["masked_fraction"]},
         },
     })
     return rep
@@ -220,7 +221,7 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         tag = f"p{case.p:g}_h{case.h:g}"
         trace = case.trace
         res = trace.eq_curvature_residual()
-        node_over = trace.n * trace.curvature * trace.p_flux() + 1.0
+        node_over = trace.overdetermined_residual()
         path = outdir / f"boundary_profile_{tag}.csv"
         write_csv(path,
                   ["s", "x", "y", "H", "u_nu", "u_nunu", "eq64_residual", "overdetermined_residual"],
@@ -243,12 +244,12 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
     if len(hs) > 1:
         rows = []
         for case in sorted(cases, key=lambda c: (c.p, -c.h)):
-            r = case.report
+            r = case.report.sections
             rows.append([case.p, case.h,
-                         r.serrin["deficit"] if r.serrin is not None else "",
-                         r.entries["fundamental"].values["rel_residual_volume"],
-                         r.entries["fundamental"].values["rel_residual_boundary"],
-                         r.entries["flux"].rel_residual])
+                         r["serrin"]["deficit"] if "serrin" in r else "",
+                         r["fundamental"]["rel_residual_volume"],
+                         r["fundamental"]["rel_residual_boundary"],
+                         r["flux"]["rel_residual"]])
         path = outdir / "deficit_vs_h.csv"
         write_csv(path, ["p", "h", "serrin_deficit", "fundamental_rel_volume",
                          "fundamental_rel_boundary", "flux_rel"], rows)
@@ -284,9 +285,7 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         all_ok &= case.report.all_passed()
     emit_plot_data(cases, outdir)
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "command": "verify",
+        **_envelope("verify"),
         "cases": [{"p": c.p, "h": c.h, "pass": c.report.all_passed()} for c in cases],
         "pass": all_ok,
     }
@@ -329,9 +328,7 @@ def cmd_matcheck(cfg: dict, outdir: Path) -> int:
     ok = result.min_gap >= -1e-12 and result.min_gap_loose >= -1e-12
     wit = result.witness
     write_json(outdir / "matcheck.json", {
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "command": "matcheck",
+        **_envelope("matcheck"),
         "config_echo": {"seed": cfg["seed"], **mc},
         "samples": result.samples,
         "min_gap": result.min_gap,
@@ -380,9 +377,7 @@ def cmd_radial(cfg: dict, outdir: Path) -> int:
             })
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "radial.json", {
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": _timestamp(),
-        "command": "radial",
+        **_envelope("radial"),
         "config_echo": {"seed": cfg["seed"], "p": ps, **rd},
         "profiles": entries,
         "pass": bool(ok),

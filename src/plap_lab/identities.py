@@ -6,11 +6,15 @@ weights carry their conformal factors, and interior integrals use the metric
 volume element.  Traces are obtained by sampling the recovered derivative
 fields along the inward normal (beyond the one-ring recovery boundary layer)
 and extrapolating linearly back to the boundary.
+
+A report is its JSON sections: each check returns its section as a dict, with
+``residual``, ``rel_residual``, ``tolerance`` and ``pass`` beside its values,
+and ``IdentityReport.sections`` is the published report, key for key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +55,10 @@ class BoundaryTrace:
     def p_flux(self) -> np.ndarray:
         """|u_nu|^{p-2} u_nu per node."""
         return np.abs(self.u_nu) ** (self.p - 2.0) * self.u_nu
+
+    def overdetermined_residual(self) -> np.ndarray:
+        """Nodewise residual of the overdetermined condition, n H |u_nu|^{p-2} u_nu + 1."""
+        return self.n * self.curvature * self.p_flux() + 1.0
 
 
 def _extrapolate_to_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -123,17 +131,15 @@ def boundary_trace(bundle: DerivativeBundle, p: float, n: int = 2) -> BoundaryTr
 
 
 # --------------------------------------------------------------------------
-# Report entries
+# Report sections
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class IdentityEntry:
-    values: dict
-    residual: float
-    rel_residual: float
-    tolerance: float
-    passed: bool
+def _check(values: dict, residual: float, rel_residual: float, tolerance: float,
+           passed: bool) -> dict:
+    """A report section with a verdict: its values, residuals, tolerance and pass."""
+    return {**values, "residual": residual, "rel_residual": rel_residual,
+            "tolerance": tolerance, "pass": bool(passed)}
 
 
 def _rel(lhs: float, rhs: float, floor: float) -> float:
@@ -145,23 +151,20 @@ def _max_or_nan(values: np.ndarray) -> float:
     return float(values.max()) if values.size else np.nan
 
 
-def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> IdentityEntry:
+def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> dict:
     """Integral of the boundary p-flux against -|Omega| (global balance)."""
     lhs = float(np.sum(trace.p_flux() * trace.weight))
     rhs = -measures.volume
     rel = abs(lhs - rhs) / measures.volume
-    return IdentityEntry(
-        values={"boundary_integral": lhs, "volume": measures.volume},
-        residual=abs(lhs - rhs), rel_residual=rel, tolerance=tolerance,
-        passed=bool(rel <= tolerance),
-    )
+    return _check({"boundary_integral": lhs, "volume": measures.volume},
+                  abs(lhs - rhs), rel, tolerance, rel <= tolerance)
 
 
 def _lu_p(bundle: DerivativeBundle, p: float, n: int) -> tuple[np.ndarray, float]:
     """Pointwise L_u P (read-only, NaN where masked) and its metric volume
     integral over unmasked quadrature points.
 
-    Three report entries and the subharmonicity scan read them; they are
+    Three report sections and the subharmonicity scan read them; they are
     evaluated once per bundle and (p, n).
     """
     if (p, n) not in bundle.cache:
@@ -181,7 +184,7 @@ def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
 
 
 def fundamental_identity(trace: BoundaryTrace, bundle: DerivativeBundle,
-                         tolerance: float) -> IdentityEntry:
+                         tolerance: float) -> dict:
     """Interior L_u P mass against the boundary curvature flux, three ways.
 
     lhs_volume integrates the pointwise expansion, lhs_boundary converts the
@@ -202,44 +205,36 @@ def fundamental_identity(trace: BoundaryTrace, bundle: DerivativeBundle,
     rel_v = _rel(lhs_volume, rhs, floor)
     rel_b = _rel(lhs_boundary, rhs, floor)
     rel_div = _rel(lhs_volume, lhs_boundary, floor)
-    return IdentityEntry(
-        values={
-            "lhs_volume": lhs_volume,
-            "lhs_boundary": lhs_boundary,
-            "rhs": rhs,
-            "rel_residual_volume": rel_v,
-            "rel_residual_boundary": rel_b,
-            "divergence_check": rel_div,
-            "masked_fraction": bundle.masked_fraction,
-        },
-        residual=abs(lhs_volume - rhs),
-        rel_residual=max(rel_v, rel_b),
-        tolerance=tolerance,
-        passed=bool(rel_v <= tolerance and rel_b <= tolerance and rel_div <= tolerance),
-    )
+    values = {
+        "lhs_volume": lhs_volume,
+        "lhs_boundary": lhs_boundary,
+        "rhs": rhs,
+        "rel_residual_volume": rel_v,
+        "rel_residual_boundary": rel_b,
+        "divergence_check": rel_div,
+        "masked_fraction": bundle.masked_fraction,
+    }
+    return _check(values, abs(lhs_volume - rhs), max(rel_v, rel_b), tolerance,
+                  rel_v <= tolerance and rel_b <= tolerance and rel_div <= tolerance)
 
 
-def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) -> IdentityEntry:
+def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) -> dict:
     """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|."""
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
     p, n = trace.p, trace.n
     measures = domain_measures(bundle.mesh, bundle.metric)
     t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p, n)[1]
-    pf = trace.p_flux()
-    t2 = float(np.sum((1.0 + n * trace.curvature * pf) ** 2 / trace.curvature * trace.weight))
+    t2 = float(np.sum(trace.overdetermined_residual() ** 2 / trace.curvature * trace.weight))
     t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
     floor = n * measures.volume
     rel = _rel(t1 + t2, t3, floor)
-    return IdentityEntry(
-        values={"t1": t1, "t2": t2, "t3": t3,
-                "hk_inequality_holds": bool(t3 >= -tolerance * floor)},
-        residual=abs(t1 + t2 - t3), rel_residual=rel, tolerance=tolerance,
-        passed=bool(rel <= tolerance and t3 >= -tolerance * floor),
-    )
+    holds = bool(t3 >= -tolerance * floor)
+    return _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds},
+                  abs(t1 + t2 - t3), rel, tolerance, rel <= tolerance and holds)
 
 
 def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
-                       tolerance: float) -> IdentityEntry:
+                       tolerance: float) -> dict:
     """Constant-mean-curvature form: interior mass plus the H0-deficit equals
     the curvature-deviation flux integral."""
     p, n = trace.p, trace.n
@@ -251,12 +246,9 @@ def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
     rhs = float(np.sum((h0 - trace.curvature) * np.abs(trace.u_nu) ** (2.0 * p - 2.0) * trace.weight))
     floor = measures.volume / n
     rel = _rel(lhs1 + lhs2, rhs, floor)
-    return IdentityEntry(
-        values={"lhs1": lhs1, "lhs2": lhs2, "rhs": rhs, "h0": h0,
-                "max_h_deviation": float(np.abs(trace.curvature - h0).max())},
-        residual=abs(lhs1 + lhs2 - rhs), rel_residual=rel, tolerance=tolerance,
-        passed=bool(rel <= tolerance),
-    )
+    return _check({"lhs1": lhs1, "lhs2": lhs2, "rhs": rhs, "h0": h0,
+                   "max_h_deviation": float(np.abs(trace.curvature - h0).max())},
+                  abs(lhs1 + lhs2 - rhs), rel, tolerance, rel <= tolerance)
 
 
 def serrin_deficit(trace: BoundaryTrace) -> dict:
@@ -270,26 +262,15 @@ def serrin_deficit(trace: BoundaryTrace) -> dict:
     data, with no pass/fail.
     """
     _require_positive_curvature(trace, "the serrin deficit")
-    node_res = trace.n * trace.curvature * trace.p_flux() + 1.0
+    node_res = trace.overdetermined_residual()
     deficit = float(np.sum(node_res**2 / trace.curvature * trace.weight))
-    ok = ~trace.flagged
-    max_node = _max_or_nan(np.abs(node_res[ok]))
+    max_node = _max_or_nan(np.abs(node_res[~trace.flagged]))
     return {"deficit": deficit, "max_node_residual": max_node}
 
 
 # --------------------------------------------------------------------------
 # Subharmonicity scan
 # --------------------------------------------------------------------------
-
-
-@dataclass
-class ScanResult:
-    min_value: float
-    integral: float
-    tol_scan: float
-    excluded_fraction: float
-    histogram: tuple[np.ndarray, np.ndarray]
-    passed: bool
 
 
 def scan_tolerance(h: float, p: float, n: int) -> float:
@@ -339,9 +320,13 @@ def _boundary_ring_exclusion(mesh) -> np.ndarray:
 _SCAN_BINS = 60
 
 
-def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanResult:
+def subharmonicity_scan(bundle: DerivativeBundle, p: float,
+                        n: int = 2) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
     """Minimum and distribution of the pointwise L_u P values (requires Ric >= 0
-    and at least one quadrature point left after the exclusions)."""
+    and at least one quadrature point left after the exclusions).
+
+    Returns the report section and the histogram of the scanned values.
+    """
     metric, mesh = bundle.metric, bundle.mesh
     if not (metric.is_flat or metric.nonnegative_ricci):
         raise PreconditionError("subharmonicity scan requires a nonnegative-Ricci metric")
@@ -355,14 +340,9 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanR
             f"masked fraction {bundle.masked_fraction:.4g})")
     tol = scan_tolerance(mesh.h, p, n)
     mn = float(kept_vals.min())
-    return ScanResult(
-        min_value=mn,
-        integral=integral,
-        tol_scan=tol,
-        excluded_fraction=excluded,
-        histogram=np.histogram(kept_vals, bins=_SCAN_BINS),
-        passed=bool(mn >= -tol),
-    )
+    section = {"min": mn, "integral": integral, "tol_scan": tol,
+               "excluded_fraction": excluded, "pass": bool(mn >= -tol)}
+    return section, np.histogram(kept_vals, bins=_SCAN_BINS)
 
 
 # --------------------------------------------------------------------------
@@ -370,23 +350,13 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float, n: int = 2) -> ScanR
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class EquivalenceFlags:
-    serrin_b: bool
-    cmc_d: bool
-    gradient_e: bool
-    domain_is_disk: bool
-    e_reference_value: float
-    details: dict = dc_field(default_factory=dict)
-
-
-def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle,
-                      tol: float) -> EquivalenceFlags:
+def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle, tol: float) -> dict:
     """Tolerance flags for the ball-characterization statements (flat metric).
 
     B: boundary p-flux equals -1/(nH) pointwise; D: H is the constant H0;
     E: boundary gradient norm equals (1/(n H0))^{1/(p-1)}.  Whether the domain
-    spec is literally a disk is reported as metadata, never inferred.
+    spec is literally a disk is reported as metadata, never inferred.  The
+    flags come with the deviations they threshold.
     """
     if not bundle.metric.is_flat:
         raise PreconditionError("equivalence flags are defined for the flat metric")
@@ -394,19 +364,18 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle,
     measures = domain_measures(bundle.mesh, bundle.metric)
     h0 = measures.h0(n)
     ok = ~trace.flagged
-    pf = trace.p_flux()
-    b_dev = _max_or_nan(np.abs(n * trace.curvature * pf + 1.0)[ok])
+    b_dev = _max_or_nan(np.abs(trace.overdetermined_residual())[ok])
     d_dev = float((np.abs(trace.curvature - h0) / h0).max())
     e_ref = (1.0 / (n * h0)) ** (1.0 / (p - 1.0))
     e_dev = _max_or_nan((np.abs(trace.gnorm - e_ref) / e_ref)[ok])
-    return EquivalenceFlags(
-        serrin_b=bool(b_dev <= tol),
-        cmc_d=bool(d_dev <= tol),
-        gradient_e=bool(e_dev <= tol),
-        domain_is_disk=isinstance(bundle.mesh.spec, Disk),
-        e_reference_value=e_ref,
-        details={"b_deviation": b_dev, "d_deviation": d_dev, "e_deviation": e_dev, "h0": h0},
-    )
+    return {
+        "serrin_b": bool(b_dev <= tol),
+        "cmc_d": bool(d_dev <= tol),
+        "gradient_e": bool(e_dev <= tol),
+        "domain_is_disk": isinstance(bundle.mesh.spec, Disk),
+        "e_reference_value": e_ref,
+        "b_deviation": b_dev, "d_deviation": d_dev, "e_deviation": e_dev, "h0": h0,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -416,55 +385,23 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle,
 
 @dataclass
 class IdentityReport:
-    p: float
-    n: int
-    constants: dict
-    entries: dict
-    flags: EquivalenceFlags | None = None
-    scan: ScanResult | None = None
-    serrin: dict | None = None      # reported as data, with no pass/fail
-    skipped: dict = dc_field(default_factory=dict)
+    """One case's report: its JSON sections, and the scan's histogram.
+
+    ``sections`` is the report as published (``p``, ``n``, ``constants``,
+    ``skipped``, one section per check, ``serrin``, ``subharmonicity`` and
+    ``flags``); a section with a ``pass`` key is a check.  The histogram is
+    None when the scan is skipped and is not part of the JSON.
+    """
+
+    sections: dict
+    histogram: tuple[np.ndarray, np.ndarray] | None
 
     def all_passed(self) -> bool:
-        ok = all(e.passed for e in self.entries.values())
-        if self.scan is not None:
-            ok = ok and self.scan.passed
-        return ok
+        return all(sec["pass"] for sec in self.sections.values()
+                   if isinstance(sec, dict) and "pass" in sec)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "p": self.p,
-            "n": self.n,
-            "constants": self.constants,
-            "skipped": self.skipped,
-        }
-        for name, e in self.entries.items():
-            sec = {k: v for k, v in e.values.items() if not isinstance(v, np.ndarray)}
-            sec["residual"] = e.residual
-            sec["rel_residual"] = e.rel_residual
-            sec["tolerance"] = e.tolerance
-            sec["pass"] = e.passed
-            out[name] = sec
-        if self.serrin is not None:
-            out["serrin"] = self.serrin
-        if self.scan is not None:
-            out["subharmonicity"] = {
-                "min": self.scan.min_value,
-                "integral": self.scan.integral,
-                "tol_scan": self.scan.tol_scan,
-                "excluded_fraction": self.scan.excluded_fraction,
-                "pass": self.scan.passed,
-            }
-        if self.flags is not None:
-            out["flags"] = {
-                "serrin_b": self.flags.serrin_b,
-                "cmc_d": self.flags.cmc_d,
-                "gradient_e": self.flags.gradient_e,
-                "domain_is_disk": self.flags.domain_is_disk,
-                "e_reference_value": self.flags.e_reference_value,
-                **self.flags.details,
-            }
-        return out
+        return dict(self.sections)
 
 
 @dataclass
@@ -484,50 +421,40 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
     p, n = trace.p, trace.n
     metric = bundle.metric
     measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.h0(n)
-
-    entries = {}
     skipped = {}
-    serrin = None
-    entries["fundamental"] = fundamental_identity(trace, bundle, tol.identity_rel)
-    entries["sbt"] = soap_bubble_report(trace, bundle, tol.identity_rel)
-    entries["flux"] = flux_balance(trace, measures, tol.flux_rel)
-
-    eq_res = np.abs(trace.eq_curvature_residual())[~trace.flagged]
-    eq_max = _max_or_nan(eq_res)
-    entries["eq_curvature"] = IdentityEntry(
-        values={"max_node_residual": eq_max},
-        residual=eq_max, rel_residual=eq_max, tolerance=tol.eq_curvature_nodewise,
-        passed=bool(eq_max <= tol.eq_curvature_nodewise),
-    )
+    sections = {
+        "p": p,
+        "n": n,
+        "constants": {"volume": measures.volume, "perimeter": measures.perimeter,
+                      "h0": measures.h0(n), "masked_fraction": bundle.masked_fraction},
+        "skipped": skipped,
+        "fundamental": fundamental_identity(trace, bundle, tol.identity_rel),
+        "sbt": soap_bubble_report(trace, bundle, tol.identity_rel),
+        "flux": flux_balance(trace, measures, tol.flux_rel),
+    }
+    eq_max = _max_or_nan(np.abs(trace.eq_curvature_residual())[~trace.flagged])
+    sections["eq_curvature"] = _check({"max_node_residual": eq_max}, eq_max, eq_max,
+                                      tol.eq_curvature_nodewise,
+                                      eq_max <= tol.eq_curvature_nodewise)
 
     if (trace.curvature > 0).all():
-        entries["hk"] = hk_report(trace, bundle, tol.identity_rel)
-        serrin = serrin_deficit(trace)
+        sections["hk"] = hk_report(trace, bundle, tol.identity_rel)
+        sections["serrin"] = serrin_deficit(trace)
     else:
         skipped["hk"] = "nonpositive mean curvature on part of the boundary"
         skipped["serrin"] = skipped["hk"]
 
-    scan = None
+    histogram = None
     if metric.is_flat or metric.nonnegative_ricci:
         try:
-            scan = subharmonicity_scan(bundle, p, n)
+            sections["subharmonicity"], histogram = subharmonicity_scan(bundle, p, n)
         except PreconditionError as exc:
             skipped["subharmonicity"] = str(exc)
     else:
         skipped["subharmonicity"] = "metric not declared nonnegative_ricci"
 
-    flags = None
     if metric.is_flat:
-        flags = equivalence_suite(trace, bundle, tol.flags_tol)
+        sections["flags"] = equivalence_suite(trace, bundle, tol.flags_tol)
     else:
         skipped["flags"] = "equivalence statements are Euclidean"
-
-    constants = {
-        "volume": measures.volume,
-        "perimeter": measures.perimeter,
-        "h0": h0,
-        "masked_fraction": bundle.masked_fraction,
-    }
-    return IdentityReport(p=p, n=n, constants=constants, entries=entries,
-                          flags=flags, scan=scan, serrin=serrin, skipped=skipped)
+    return IdentityReport(sections, histogram)

@@ -57,21 +57,14 @@ class SolveConfig:
             raise ValidationError("max_newton_iter must be positive")
 
 
-@dataclass
-class RegularizedFlux:
-    """G* = (eps^2 + |grad u|^2)^{(p-2)/2} per element and its tangent matrix factor."""
-
-    gstar: np.ndarray      # (M,)
-    coeff: np.ndarray      # (M, 2, 2) symmetric positive definite
-
-    @staticmethod
-    def from_gradients(grad: np.ndarray, p: float, eps: float) -> "RegularizedFlux":
-        m = np.einsum("mi,mi->m", grad, grad)
-        denom = eps * eps + m
-        gstar = denom ** ((p - 2.0) / 2.0)
-        outer = grad[:, :, None] * grad[:, None, :]
-        coeff = gstar[:, None, None] * (np.eye(2) + (p - 2.0) * outer / denom[:, None, None])
-        return RegularizedFlux(gstar=gstar, coeff=coeff)
+def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """Per element, the (M, 2, 2) symmetric positive definite tangent factor
+    G* (I + (p-2) g g^T / (eps^2 + |g|^2)), G* = (eps^2 + |g|^2)^{(p-2)/2}."""
+    m = np.einsum("mi,mi->m", grad, grad)
+    denom = eps * eps + m
+    gstar = denom ** ((p - 2.0) / 2.0)
+    outer = grad[:, :, None] * grad[:, None, :]
+    return gstar[:, None, None] * (np.eye(2) + (p - 2.0) * outer / denom[:, None, None])
 
 
 @dataclass
@@ -145,8 +138,8 @@ class _Assembler:
     def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
         """The free x free tangent, in the order of ``dofs``."""
         g = self.gradients(u)
-        flux = RegularizedFlux.from_gradients(g, self.p, eps)
-        blocks = _element_blocks(self.mesh, self.w_grad[:, None, None] * flux.coeff)
+        coeff = _flux_coeff(g, self.p, eps)
+        blocks = _element_blocks(self.mesh, self.w_grad[:, None, None] * coeff)
         if not np.isfinite(blocks).all():
             bad = int(np.argmax(~np.isfinite(blocks).reshape(len(blocks), -1).any(axis=1)))
             raise AssemblyError("non-finite tangent during assembly", element=bad)

@@ -61,7 +61,7 @@ def test_criterion_03_fundamental_identity(lab):
     rows = []
     ok = True
     for p in (2.0, 3.0):
-        vals = lab.case("ellipse", p, h=0.035).report.entries["fundamental"].values
+        vals = lab.case("ellipse", p, h=0.035).report.sections["fundamental"]
         rows.append((p, vals["rel_residual_volume"], vals["rel_residual_boundary"],
                      vals["divergence_check"]))
         ok &= vals["rel_residual_volume"] <= 0.02
@@ -76,42 +76,43 @@ def test_criterion_04_heintze_karcher(lab):
     ok = True
     details = []
     for p in (2.0, 3.0):
-        vals = lab.case("ellipse", p, h=0.035).report.entries["hk"].values
+        vals = lab.case("ellipse", p, h=0.035).report.sections["hk"]
         ok &= abs(vals["t3"] - ELL_T3) <= 0.01 * ELL_T3
         ok &= abs(vals["t1"] + vals["t2"] - vals["t3"]) <= 0.02 * 4 * np.pi
         details.append(f"ellipse p={p}: t3={vals['t3']:.4f}")
-    vals = lab.case("disk", 2.0).report.entries["hk"].values
+    vals = lab.case("disk", 2.0).report.sections["hk"]
     ok &= all(abs(vals[k]) <= 0.02 * 2 * np.pi for k in ("t1", "t2", "t3"))
     details.append(f"disk terms <= {max(abs(vals[k]) for k in ('t1', 't2', 't3')):.4f}")
     cap = lab.case("disk", 2.0, metric="cap")
-    cv = cap.report.entries["hk"].values
+    cv = cap.report.sections["hk"]
     ok &= cv["t3"] >= 0.0
-    ok &= abs(cv["t1"] + cv["t2"] - cv["t3"]) <= 0.03 * 2 * cap.report.constants["volume"]
+    volume = cap.report.sections["constants"]["volume"]
+    ok &= abs(cv["t1"] + cv["t2"] - cv["t3"]) <= 0.03 * 2 * volume
     details.append(f"conformal t3={cv['t3']:.4f}")
     _report(4, "Heintze-Karcher decomposition (flat + conformal)", ok, "; ".join(details))
 
 
 def test_criterion_05_soap_bubble(lab):
-    e = lab.case("ellipse", 2.0, h=0.035).report.entries["sbt"]
-    d = lab.case("disk", 2.0).report.entries["sbt"]
-    ok = e.rel_residual <= 0.02
-    ok &= all(abs(d.values[k]) <= 0.02 * np.pi / 2 for k in ("lhs1", "lhs2", "rhs"))
+    e = lab.case("ellipse", 2.0, h=0.035).report.sections["sbt"]
+    d = lab.case("disk", 2.0).report.sections["sbt"]
+    ok = e["rel_residual"] <= 0.02
+    ok &= all(abs(d[k]) <= 0.02 * np.pi / 2 for k in ("lhs1", "lhs2", "rhs"))
     _report(5, "constant-curvature identity: ellipse 2%, disk equality case", ok,
-            f"ellipse rel={e.rel_residual:.4f}; disk terms <= "
-            f"{max(abs(d.values[k]) for k in ('lhs1', 'lhs2', 'rhs')):.4f}")
+            f"ellipse rel={e['rel_residual']:.4f}; disk terms <= "
+            f"{max(abs(d[k]) for k in ('lhs1', 'lhs2', 'rhs')):.4f}")
 
 
 def test_criterion_06_overdetermined_characterization(lab):
     ok = True
     worst = {}
     for p in (1.5, 2.0, 3.0):
-        worst[p] = lab.case("disk", p).report.serrin["max_node_residual"]
+        worst[p] = lab.case("disk", p).report.sections["serrin"]["max_node_residual"]
         ok &= worst[p] <= 0.03
     deficits = {}
     for p in (1.5, 2.0, 3.0):
         case = lab.case("ellipse", p)
-        deficits[p] = case.report.serrin["deficit"]
-        ok &= deficits[p] >= 0.05 * case.report.constants["perimeter"]
+        deficits[p] = case.report.sections["serrin"]["deficit"]
+        ok &= deficits[p] >= 0.05 * case.report.sections["constants"]["perimeter"]
     _report(6, "boundary flux = -1/(nH) on disks only", ok,
             f"disk nodewise {({p: f'{v:.4f}' for p, v in worst.items()})}; "
             f"ellipse deficits {({p: f'{v:.2f}' for p, v in deficits.items()})}")
@@ -133,15 +134,16 @@ def test_criterion_08_subharmonicity(lab):
     ok = True
     details = []
     for p in (1.5, 2.0, 3.0):
-        scan = lab.case("ellipse", p).report.scan
-        ok &= scan.min_value >= -scan.tol_scan
-        ok &= scan.integral > 0.0
-        details.append(f"p={p}: min={scan.min_value:+.4f} (tol {scan.tol_scan:.3f}) "
-                       f"int={scan.integral:.3f}")
-    scan = lab.case("disk", 2.0).report.scan
-    counts, edges = scan.histogram
+        scan = lab.case("ellipse", p).report.sections["subharmonicity"]
+        ok &= scan["min"] >= -scan["tol_scan"]
+        ok &= scan["integral"] > 0.0
+        details.append(f"p={p}: min={scan['min']:+.4f} (tol {scan['tol_scan']:.3f}) "
+                       f"int={scan['integral']:.3f}")
+    disk = lab.case("disk", 2.0).report
+    counts, edges = disk.histogram
     centers = 0.5 * (edges[:-1] + edges[1:])
-    conc = counts[np.abs(centers) <= 2 * scan.tol_scan].sum() / counts.sum()
+    tol_scan = disk.sections["subharmonicity"]["tol_scan"]
+    conc = counts[np.abs(centers) <= 2 * tol_scan].sum() / counts.sum()
     ok &= conc >= 0.9
     details.append(f"disk concentration {conc:.3f}")
     _report(8, "pointwise subharmonicity of the P-function", ok, "; ".join(details))
@@ -177,7 +179,7 @@ def test_criterion_10_flux_balance_everywhere(lab):
     worst = 0.0
     for domain, p, h, metric in ALL_CASES:
         case = lab.case(domain, p, h=h, metric=metric)
-        worst = max(worst, case.report.entries["flux"].rel_residual)
+        worst = max(worst, case.report.sections["flux"]["rel_residual"])
     ok = worst <= 0.01
     _report(10, f"boundary flux balances -|Omega| within 1% on all "
             f"{len(ALL_CASES)} solved cases", ok, f"worst {worst:.4f}")

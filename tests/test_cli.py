@@ -268,6 +268,13 @@ def test_report_matches_published_schema(tmp_path):
     main(["verify", "--config", str(cfg), "--out", str(out)])
     rep = json.loads((out / "report_p2_h0.1.json").read_text())
     _check(schema, rep, "report")
+    # the schema's checks are the sections that carry a verdict, and the
+    # case passes (summary.json holds all_passed()) when each of them does
+    checks = {name for name, sec in schema["properties"].items()
+              if "pass" in sec.get("required", ())}
+    assert checks == {name for name, sec in rep.items() if isinstance(sec, dict) and "pass" in sec}
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cases"][0]["pass"] is all(rep[name]["pass"] for name in checks)
     del rep["constants"]["h0"]
     with pytest.raises(ConfigError, match=r"report\.constants\.h0"):
         _check(schema, rep, "report")

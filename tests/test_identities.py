@@ -6,6 +6,7 @@ from plap_lab import (ConformalMetric, Disk, PreconditionError,
                       domain_measures, equivalence_suite, flux_balance,
                       fundamental_identity, hk_report, serrin_deficit,
                       soap_bubble_report, subharmonicity_scan)
+from plap_lab.cli import _flatten
 from plap_lab.fields import recover_derivatives
 from plap_lab.geometry import Annulus
 from plap_lab.identities import BoundaryTrace, Tolerances, scan_tolerance
@@ -45,18 +46,18 @@ def test_ellipse_trace_curvature_relation(lab):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_flux_balance_disk(lab, p):
     case = lab.case("disk", p)
-    entry = case.report.entries["flux"]
-    assert entry.rel_residual <= 0.01
+    entry = case.report.sections["flux"]
+    assert entry["rel_residual"] <= 0.01
     # the boundary integral itself is -pi for the unit disk at p in {2, 3}
-    assert entry.values["boundary_integral"] == pytest.approx(-np.pi, rel=0.01)
+    assert entry["boundary_integral"] == pytest.approx(-np.pi, rel=0.01)
 
 
 def test_flux_balance_flags_non_solution(lab):
     mesh = lab.mesh("disk", 0.1)
     tr = boundary_trace(recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT), 2.0)
     entry = flux_balance(tr, domain_measures(mesh, FLAT), TOL.flux_rel)
-    assert entry.rel_residual == pytest.approx(1.0, abs=1e-9)
-    assert not entry.passed
+    assert entry["rel_residual"] == pytest.approx(1.0, abs=1e-9)
+    assert not entry["pass"]
 
 
 # ---------------------------------------------------- fundamental identity
@@ -65,7 +66,7 @@ def test_flux_balance_flags_non_solution(lab):
 def test_fundamental_identity_disk_vanishes(lab, p):
     # equality case: every route stays within 2% of |Omega|/n of zero
     case = lab.case("disk", p)
-    vals = case.report.entries["fundamental"].values
+    vals = case.report.sections["fundamental"]
     for key in ("lhs_volume", "lhs_boundary", "rhs"):
         assert abs(vals[key]) <= 0.02 * DISK_SCALE
 
@@ -73,7 +74,7 @@ def test_fundamental_identity_disk_vanishes(lab, p):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_fundamental_identity_ellipse_consistency(lab, p):
     case = lab.case("ellipse", p, h=0.035)
-    vals = case.report.entries["fundamental"].values
+    vals = case.report.sections["fundamental"]
     assert vals["rel_residual_volume"] <= 0.02
     assert vals["rel_residual_boundary"] <= 0.02
     assert vals["divergence_check"] <= 0.02
@@ -81,7 +82,7 @@ def test_fundamental_identity_ellipse_consistency(lab, p):
 
 def test_fundamental_identity_conformal(lab):
     case = lab.case("disk", 2.0, metric="cap")
-    vals = case.report.entries["fundamental"].values
+    vals = case.report.sections["fundamental"]
     assert vals["rel_residual_volume"] <= 0.03
     assert vals["rel_residual_boundary"] <= 0.03
 
@@ -90,7 +91,7 @@ def test_fundamental_identity_conformal(lab):
 
 def test_hk_disk_equality_case(lab):
     case = lab.case("disk", 2.0)
-    vals = case.report.entries["hk"].values
+    vals = case.report.sections["hk"]
     for key in ("t1", "t2", "t3"):
         assert abs(vals[key]) <= 0.02 * 2 * np.pi
     assert vals["hk_inequality_holds"]
@@ -99,7 +100,7 @@ def test_hk_disk_equality_case(lab):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_hk_ellipse(lab, p):
     case = lab.case("ellipse", p, h=0.035)
-    vals = case.report.entries["hk"].values
+    vals = case.report.sections["hk"]
     # geometric term is p-independent and matches the quadrature oracle
     assert vals["t3"] == pytest.approx(ELL_T3, rel=0.01)
     assert abs(vals["t1"] + vals["t2"] - vals["t3"]) <= 0.02 * 4 * np.pi
@@ -108,10 +109,11 @@ def test_hk_ellipse(lab, p):
 
 def test_hk_conformal_disk(lab):
     case = lab.case("disk", 2.0, metric="cap")
-    vals = case.report.entries["hk"].values
+    vals = case.report.sections["hk"]
     assert vals["t3"] >= 0.0
     assert vals["t3"] == pytest.approx(0.9651235041574271, rel=0.02)
-    assert abs(vals["t1"] + vals["t2"] - vals["t3"]) <= 0.03 * 2 * case.report.constants["volume"]
+    volume = case.report.sections["constants"]["volume"]
+    assert abs(vals["t1"] + vals["t2"] - vals["t3"]) <= 0.03 * 2 * volume
 
 
 def test_hk_rejects_nonpositive_curvature():
@@ -131,7 +133,7 @@ def test_hk_rejects_nonpositive_curvature():
 
 def test_sbt_disk_equality_case(lab):
     case = lab.case("disk", 2.0)
-    vals = case.report.entries["sbt"].values
+    vals = case.report.sections["sbt"]
     for key in ("lhs1", "lhs2", "rhs"):
         assert abs(vals[key]) <= 0.02 * DISK_SCALE
     assert vals["max_h_deviation"] <= 0.01
@@ -140,11 +142,11 @@ def test_sbt_disk_equality_case(lab):
 @pytest.mark.parametrize("p,h", [(2.0, 0.035), (1.5, 0.05)])
 def test_sbt_ellipse(lab, p, h):
     case = lab.case("ellipse", p, h=h)
-    entry = case.report.entries["sbt"]
+    entry = case.report.sections["sbt"]
     tol = 0.02 if p == 2.0 else 0.03
-    assert entry.rel_residual <= tol
+    assert entry["rel_residual"] <= tol
     # curvature ranges over [1/4, 2] while H0 = 0.771: max deviation 1.229
-    assert entry.values["max_h_deviation"] == pytest.approx(1.2290177874, rel=1e-3)
+    assert entry["max_h_deviation"] == pytest.approx(1.2290177874, rel=1e-3)
 
 
 # ----------------------------------------------------------------- serrin
@@ -152,7 +154,7 @@ def test_sbt_ellipse(lab, p, h):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_serrin_disk_nodewise(lab, p):
     case = lab.case("disk", p)
-    vals = case.report.serrin
+    vals = case.report.sections["serrin"]
     assert vals["max_node_residual"] <= 0.03
     assert vals["deficit"] <= 1e-3 * 2 * np.pi
 
@@ -160,7 +162,7 @@ def test_serrin_disk_nodewise(lab, p):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_serrin_ellipse_strictly_positive(lab, p):
     case = lab.case("ellipse", p)
-    assert case.report.serrin["deficit"] >= 0.05 * ELL_PERIMETER
+    assert case.report.sections["serrin"]["deficit"] >= 0.05 * ELL_PERIMETER
 
 
 def test_serrin_definitional_zero(lab):
@@ -180,19 +182,19 @@ def test_serrin_definitional_zero(lab):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_scan_ellipse_nonnegative(lab, p):
     case = lab.case("ellipse", p)
-    scan = case.report.scan
-    assert scan.min_value >= -scan.tol_scan
-    assert scan.integral > 0.0
+    scan = case.report.sections["subharmonicity"]
+    assert scan["min"] >= -scan["tol_scan"]
+    assert scan["integral"] > 0.0
 
 
 def test_scan_disk_concentrates_at_zero(lab):
     case = lab.case("disk", 2.0)
-    scan = case.report.scan
-    counts, edges = scan.histogram
+    scan = case.report.sections["subharmonicity"]
+    counts, edges = case.report.histogram
     centers = 0.5 * (edges[:-1] + edges[1:])
-    within = counts[np.abs(centers) <= 2 * scan.tol_scan].sum()
+    within = counts[np.abs(centers) <= 2 * scan["tol_scan"]].sum()
     assert within / counts.sum() >= 0.9
-    assert scan.min_value >= -scan.tol_scan
+    assert scan["min"] >= -scan["tol_scan"]
 
 
 def test_scan_requires_nonnegative_ricci(lab):
@@ -212,17 +214,17 @@ def test_scan_tolerance_formula():
 @pytest.mark.parametrize("p,e_val", [(1.5, 0.25), (2.0, 0.5), (3.0, 1 / np.sqrt(2))])
 def test_equivalence_flags_disk(lab, p, e_val):
     case = lab.case("disk", p)
-    flags = case.report.flags
-    assert flags.serrin_b and flags.cmc_d and flags.gradient_e
-    assert flags.domain_is_disk
-    assert flags.e_reference_value == pytest.approx(e_val, rel=1e-3)
+    flags = case.report.sections["flags"]
+    assert flags["serrin_b"] and flags["cmc_d"] and flags["gradient_e"]
+    assert flags["domain_is_disk"]
+    assert flags["e_reference_value"] == pytest.approx(e_val, rel=1e-3)
 
 
 def test_equivalence_flags_ellipse(lab):
     case = lab.case("ellipse", 2.0)
-    flags = case.report.flags
-    assert not (flags.serrin_b or flags.cmc_d or flags.gradient_e)
-    assert not flags.domain_is_disk
+    flags = case.report.sections["flags"]
+    assert not (flags["serrin_b"] or flags["cmc_d"] or flags["gradient_e"])
+    assert not flags["domain_is_disk"]
 
 
 def test_every_node_flagged_gives_nan_deviations():
@@ -231,12 +233,12 @@ def test_every_node_flagged_gives_nan_deviations():
     bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
     trace = boundary_trace(bundle, 2.0)
     assert trace.flagged.all()
-    report = build_report(bundle, trace)
-    details = report.flags.details
-    assert np.isnan(details["b_deviation"]) and np.isnan(details["e_deviation"])
-    assert not (report.flags.serrin_b or report.flags.gradient_e)
-    assert np.isnan(report.serrin["max_node_residual"])
-    assert np.isnan(report.entries["eq_curvature"].values["max_node_residual"])
+    report = build_report(bundle, trace).sections
+    flags = report["flags"]
+    assert np.isnan(flags["b_deviation"]) and np.isnan(flags["e_deviation"])
+    assert not (flags["serrin_b"] or flags["gradient_e"])
+    assert np.isnan(report["serrin"]["max_node_residual"])
+    assert np.isnan(report["eq_curvature"]["max_node_residual"])
 
 
 def test_equivalence_requires_flat(lab):
@@ -244,6 +246,34 @@ def test_equivalence_requires_flat(lab):
     with pytest.raises(PreconditionError):
         equivalence_suite(case.trace, recover_derivatives(case.mesh, case.solution.u,
                                                           case.solution.metric), TOL.flags_tol)
+
+
+# ----------------------------------------------------------------- report
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("domain,h,metric,skipped", [
+    ("disk", 0.05, "flat", set()),
+    ("disk", 0.05, "cap", {"flags"}),
+    ("annulus", 0.1, "flat", {"hk", "serrin"}),
+    ("disk", 0.2, "flat", {"subharmonicity"}),
+])
+def test_report_leaves_are_plain_json_types(lab, domain, h, metric, skipped):
+    # sweep.csv keeps only bool, int, float and str leaves (a numpy.bool_
+    # would vanish from it), so every leaf must have exactly one of them
+    rep = lab.case(domain, 2.0, h=h, metric=metric).report.to_json_dict()
+    assert skipped <= set(rep["skipped"])
+    leaves = list(_leaves(rep))
+    assert {type(v) for v in leaves} <= {bool, int, float, str}
+    flat: dict = {}
+    _flatten("", rep, flat)
+    assert len(flat) == len(leaves)
 
 
 # ------------------------------------------- discrete algebraic regrouping
@@ -267,9 +297,9 @@ def test_reports_are_algebraically_dependent(lab, domain, p):
     sbt = soap_bubble_report(tr, bundle, TOL.identity_rel)
     flux_sum = float(np.sum(tr.p_flux() * tr.weight))
 
-    fund_gap = fund.values["lhs_volume"] - fund.values["rhs"]
-    sbt_gap = sbt.values["lhs1"] + sbt.values["lhs2"] - sbt.values["rhs"]
-    hk_gap = hk.values["t1"] + hk.values["t2"] - hk.values["t3"]
+    fund_gap = fund["lhs_volume"] - fund["rhs"]
+    sbt_gap = sbt["lhs1"] + sbt["lhs2"] - sbt["rhs"]
+    hk_gap = hk["t1"] + hk["t2"] - hk["t3"]
     scale = max(1.0, abs(hk_gap), meas.volume)
     assert abs((sbt_gap - fund_gap) - 2.0 / n * (flux_sum + meas.volume)) <= 1e-10 * scale
     assert abs(hk_gap - (n**2 * fund_gap + 2 * n * (flux_sum + meas.volume))) <= 1e-10 * scale
@@ -278,8 +308,8 @@ def test_reports_are_algebraically_dependent(lab, domain, p):
 def test_nonnegative_entries_are_exactly_nonnegative(lab):
     for domain, p in [("disk", 2.0), ("ellipse", 2.0), ("ellipse", 3.0)]:
         case = lab.case(domain, p)
-        assert case.report.entries["hk"].values["t2"] >= 0.0
-        assert case.report.serrin["deficit"] >= 0.0
+        assert case.report.sections["hk"]["t2"] >= 0.0
+        assert case.report.sections["serrin"]["deficit"] >= 0.0
 
 
 def test_ball_deficits_shrink_under_refinement(lab):
@@ -289,13 +319,12 @@ def test_ball_deficits_shrink_under_refinement(lab):
     asserted."""
     deficits = {}
     for h in (0.1, 0.05):
-        r = lab.case("disk", 2.0, h=h).report
+        r = lab.case("disk", 2.0, h=h).report.sections
         deficits[h] = {
-            "fund_volume": abs(r.entries["fundamental"].values["lhs_volume"]),
-            "serrin": r.serrin["deficit"],
-            "t2": r.entries["hk"].values["t2"],
-            "sbt_gap": abs(r.entries["sbt"].values["lhs1"] + r.entries["sbt"].values["lhs2"]
-                           - r.entries["sbt"].values["rhs"]),
+            "fund_volume": abs(r["fundamental"]["lhs_volume"]),
+            "serrin": r["serrin"]["deficit"],
+            "t2": r["hk"]["t2"],
+            "sbt_gap": abs(r["sbt"]["lhs1"] + r["sbt"]["lhs2"] - r["sbt"]["rhs"]),
         }
         for name, v in deficits[h].items():
             assert v <= 0.2 * h, f"{name} = {v} exceeds the O(h) envelope at h={h}"
