@@ -6,7 +6,7 @@ import argparse
 
 import numpy as np
 
-from plap_lab import (Disk, SolveConfig, build_mesh, p_ball_constant,
+from plap_lab import (Disk, build_mesh, p_ball_constant,
                       p_function, radial_exact, recover_derivatives, solve)
 from plap_lab.identities import boundary_trace
 from plap_lab.metric import ConformalMetric
@@ -24,7 +24,7 @@ def main():
     print(f"mesh: {mesh.n_vertices} vertices, min angle {mesh.min_angle_deg():.1f} deg")
     print(f"{'p':>5} {'Linf(u)':>10} {'u_nu dev':>10} {'P std/P0':>10} {'iters':>6}")
     for p in args.p:
-        sol = solve(mesh, flat, SolveConfig(p=p))
+        sol = solve(mesh, flat, p)
         prof = radial_exact(2, p, args.radius)
         r = np.minimum(np.linalg.norm(mesh.points, axis=1), args.radius)
         err = np.abs(sol.u - prof.u(r)).max()

@@ -29,7 +29,6 @@ from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
 from .pipeline import CaseResult, run_case
-from .solver import SolveConfig
 
 SCHEMA_VERSION = "1"
 COMMANDS = ("solve", "verify", "sweep", "matcheck", "radial")
@@ -56,13 +55,15 @@ def _check(schema: dict, value, where: str) -> None:
     """Raise ConfigError naming the path of a value that violates `schema`.
 
     Covers the draft-07 keywords the shipped schemas use.  bool is never a
-    number, integer means a Python int (1.0 is not an integer) and NaN fails
-    every bound.
+    number, integer means a Python int (1.0 is not an integer) and a number
+    must be finite: Python's json reads NaN and ±Infinity, and both fail.
     """
     kind = schema.get("type")
     if kind and not (isinstance(value, _TYPES[kind])
                      and (kind == "boolean" or not isinstance(value, bool))):
         raise ConfigError(f"{where} must be of type {kind}, got {value!r}")
+    if kind == "number" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
     if allowed is not None and value not in allowed:
         raise _Mismatch(f"{where} must be one of {allowed}, got {value!r}")
@@ -113,12 +114,6 @@ def validate_config(obj, command: str) -> dict:
     p_range = tuple(float(x) for x in mc.get("p_range", (1.1, 6.0)))
     if p_range[0] > p_range[1]:
         raise ConfigError(f"config.matcheck.p_range must be [lo, hi] with lo <= hi, got {list(p_range)}")
-    # an absent eps0 is derived from the mesh, so solve() checks that case
-    solver = obj.get("solver", {})
-    eps0 = solver.get("eps0", SolveConfig.eps0)
-    eps_min = solver.get("eps_min", SolveConfig.eps_min)
-    if eps0 is not None and not eps_min < eps0:
-        raise ConfigError(f"config.solver.eps_min must be below config.solver.eps0, got {eps_min} >= {eps0}")
 
     cfg: dict = {"command": command}
     try:
@@ -130,7 +125,6 @@ def validate_config(obj, command: str) -> dict:
     for key in ("p", "h"):
         if key in obj:
             cfg[key] = [float(v) for v in obj[key]]
-    cfg["solver"] = dict(solver)
     cfg["tolerances"] = Tolerances(**obj.get("tolerances", {}))
     cfg["matcheck"] = {"samples": 1_000_000, "n_values": [2, 3, 4], **mc, "p_range": p_range}
     rd = obj.get("radial", {})
@@ -173,7 +167,6 @@ def _config_echo(cfg: dict) -> dict:
     for k in ("p", "h"):
         if k in cfg:
             echo[k] = cfg[k]
-    echo["solver"] = cfg["solver"]
     echo["tolerances"] = asdict(cfg["tolerances"])
     return echo
 
@@ -188,8 +181,7 @@ def case_report_dict(cfg: dict, case: CaseResult) -> dict:
             "final_eps": case.solution.final_eps,
             "newton_iterations": [s.iterations for s in case.solution.steps],
             "energy": case.solution.steps[-1].energy,
-            "diagnostics": {**case.solution.diagnostics,
-                            "masked_fraction": rep["constants"]["masked_fraction"]},
+            "diagnostics": case.solution.diagnostics,
         },
     })
     return rep
@@ -268,7 +260,6 @@ def _run_cases(cfg: dict) -> list[CaseResult]:
         mesh = None
         for p in cfg["p"]:
             case = run_case(cfg["domain"], cfg["metric"], p, h,
-                            solver_overrides=cfg["solver"],
                             tolerances=cfg["tolerances"], mesh=mesh)
             mesh = case.mesh
             cases.append(case)

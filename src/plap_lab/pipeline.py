@@ -27,7 +27,7 @@ from .geometry import DomainSpec, TriMesh, build_mesh
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report)
 from .metric import ConformalMetric, check_nonnegative_ricci
-from .solver import SolveConfig, Solution, solve
+from .solver import Solution, solve
 
 
 @dataclass
@@ -43,7 +43,7 @@ class CaseResult:
 
     @property
     def p(self) -> float:
-        return self.solution.config.p
+        return self.solution.p
 
     @property
     def h(self) -> float:
@@ -51,7 +51,6 @@ class CaseResult:
 
 
 def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: float,
-             solver_overrides: dict | None = None,
              tolerances: Tolerances | None = None,
              mesh: TriMesh | None = None) -> CaseResult:
     """Solve one (domain, metric, p, h) case and evaluate every identity.
@@ -65,7 +64,7 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
                               f"not for {spec} at h={h}")
     if metric.nonnegative_ricci:
         check_nonnegative_ricci(metric, mesh.quad_points)
-    sol = solve(mesh, metric, SolveConfig(p=p, **(solver_overrides or {})))
+    sol = solve(mesh, metric, p)
     bundle = recover_derivatives(mesh, sol.u, metric)
     trace = boundary_trace(bundle, p)
     report = build_report(bundle, trace, tol=tolerances)

@@ -7,8 +7,12 @@ The discrete problem minimizes the strictly convex regularized energy
 
 over P1 fields vanishing on the boundary, with a geometric continuation
 eps_0 > eps_0 rho > ... > eps_min and damped Newton at each rung, warm-started
-from the previous one.  The conformal weights realize the metric form of the
-p-Laplacian; for a flat metric both weights are 1.
+from the previous one.  The ladder is fixed by module constants: eps_0 is
+``_EPS0_SCALE`` = 0.1 times the domain's gradient scale
+(|Omega| / |dOmega|)^{1/(p-1)}, the ratio is ``_RHO`` = 0.1, the last rung is
+``_EPS_MIN`` = 1e-8, and a rung takes at most ``_MAX_NEWTON_ITER`` = 50 Newton
+steps.  The conformal weights realize the metric form of the p-Laplacian; for
+a flat metric both weights are 1.
 
 A rung stops when the squared Newton decrement -r.d falls to the energy's
 rounding level, 1e-15 (1 + |J_eps|), and else takes an Armijo step, so it
@@ -38,25 +42,6 @@ from .geometry import TriMesh, domain_measures
 from .metric import ConformalMetric
 
 
-@dataclass
-class SolveConfig:
-    p: float
-    eps0: float | None = None          # default 0.1 * gradient scale of the domain
-    rho: float = 0.1
-    eps_min: float = 1e-8
-    max_newton_iter: int = 50
-
-    def validate(self) -> None:
-        if not (self.p > 1.0):
-            raise ValidationError(f"p must exceed 1, got {self.p}")
-        if not (0.0 < self.rho < 1.0):
-            raise ValidationError(f"continuation factor rho must lie in (0, 1), got {self.rho}")
-        if not (self.eps_min > 0):
-            raise ValidationError("eps_min must be positive")
-        if self.max_newton_iter < 1:
-            raise ValidationError("max_newton_iter must be positive")
-
-
 def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
     """Per element, the (M, 2, 2) symmetric positive definite tangent factor
     G* (I + (p-2) g g^T / (eps^2 + |g|^2)), G* = (eps^2 + |g|^2)^{(p-2)/2}."""
@@ -80,7 +65,7 @@ class Solution:
     u: np.ndarray
     mesh: TriMesh
     metric: ConformalMetric
-    config: SolveConfig
+    p: float
     steps: list[EpsStep]
     diagnostics: dict = dc_field(default_factory=dict)
 
@@ -181,6 +166,7 @@ def _tangent_pattern(mesh: TriMesh) -> tuple[np.ndarray, ...]:
 
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
+_EPS0_SCALE, _RHO, _EPS_MIN, _MAX_NEWTON_ITER = 0.1, 0.1, 1e-8, 50   # the eps ladder
 
 
 # the last factored tangent: (data, indices, indptr, factor).  Reusing it is
@@ -207,21 +193,26 @@ def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:
     return (meas.volume / meas.perimeter) ** (1.0 / (p - 1.0))
 
 
-def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) -> Solution:
+def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
     """Continuation-in-eps damped Newton solve; raises SolverError with history."""
-    config.validate()
+    if not (p > 1.0):
+        raise ValidationError(f"p must exceed 1, got {p}")
     metric = metric if metric is not None else ConformalMetric.flat()
-    p = config.p
+    # eps0 depends on the domain and the metric, so it is checked here
+    eps0 = _EPS0_SCALE * _gradient_scale(mesh, metric, p)
+    if not np.isfinite(eps0):
+        meas = domain_measures(mesh, metric)
+        raise ValidationError(f"eps0 = {eps0} is not finite: the metric volume is "
+                              f"{meas.volume:.6g} and the perimeter {meas.perimeter:.6g}")
+    if not (_EPS_MIN < eps0):
+        raise ValidationError(f"eps_min = {_EPS_MIN:.3e} must be below eps0 = {eps0:.3e}")
+    ladder = [eps0]
+    while ladder[-1] * _RHO > _EPS_MIN:
+        ladder.append(ladder[-1] * _RHO)
+    ladder.append(_EPS_MIN)
+
     asm = _Assembler(mesh, metric, p)
     free = asm.free
-
-    eps0 = config.eps0 if config.eps0 is not None else 0.1 * _gradient_scale(mesh, metric, p)
-    if not (config.eps_min < eps0):
-        raise ValidationError(f"eps_min must be below eps0 = {eps0:.3e}")
-    ladder = [eps0]
-    while ladder[-1] * config.rho > config.eps_min:
-        ladder.append(ladder[-1] * config.rho)
-    ladder.append(config.eps_min)
 
     # directions vanish on the boundary, so u stays exactly 0 there
     u = np.zeros(mesh.n_vertices)
@@ -244,7 +235,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
             # the one stopping rule: the squared Newton decrement at rounding level
             if -slope <= 1e-15 * (1.0 + abs(energy)):
                 break
-            if it >= config.max_newton_iter:
+            if it >= _MAX_NEWTON_ITER:
                 raise SolverError(f"Newton did not converge at eps = {eps:.3e} "
                                   f"(residual {rnorm:.3e} after {it} iterations)",
                                   history=history)
@@ -264,7 +255,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, config: SolveConfig) ->
         if it == 0:
             break
 
-    sol = Solution(u=u, mesh=mesh, metric=metric, config=config, steps=steps)
+    sol = Solution(u=u, mesh=mesh, metric=metric, p=p, steps=steps)
     sol.diagnostics = {
         "min_u": float(u.min()),
         "max_u": float(u.max()),
@@ -284,7 +275,7 @@ class ConvergenceRow:
 
 
 def convergence_study(spec, metric: ConformalMetric | None, p: float,
-                      h_values: list[float], config: SolveConfig | None = None) -> list[ConvergenceRow]:
+                      h_values: list[float]) -> list[ConvergenceRow]:
     """Solve on a radial-oracle domain for each h and tabulate errors and rates."""
     from .geometry import Disk, build_mesh
     from .oracles import radial_exact
@@ -298,9 +289,7 @@ def convergence_study(spec, metric: ConformalMetric | None, p: float,
     prev: ConvergenceRow | None = None
     for h in h_values:
         mesh = build_mesh(spec, h)
-        cfg = config if config is not None else SolveConfig(p=p)
-        cfg = SolveConfig(**{**cfg.__dict__, "p": p})
-        sol = solve(mesh, metric, cfg)
+        sol = solve(mesh, metric, p)
         r = np.linalg.norm(mesh.points, axis=1)
         err = sol.u - profile.u(np.minimum(r, spec.radius))
         err_max = float(np.abs(err).max())

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse, SolveConfig,
+from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse,
                       boundary_geometry, build_mesh, solve)
 from plap_lab.identities import Tolerances
 from plap_lab.pipeline import CaseResult, run_case
@@ -41,7 +41,7 @@ class Lab:
     def solution(self, domain: str, p: float, h: float = 0.05, metric: str = "flat"):
         key = (domain, p, h, metric)
         if key not in self._solutions:
-            self._solutions[key] = solve(self.mesh(domain, h), METRICS[metric], SolveConfig(p=p))
+            self._solutions[key] = solve(self.mesh(domain, h), METRICS[metric], p)
         return self._solutions[key]
 
     def case(self, domain: str, p: float, h: float = 0.05, metric: str = "flat",

@@ -189,13 +189,13 @@ def test_criterion_11_flat_metric_degeneration(lab):
     zero = ConformalMetric.poly([], nonnegative_ricci=True)
     sol = lab.solution("disk", 3.0)
     mesh, bg = sol.mesh, lab.bg("disk", 0.05)
-    from plap_lab import domain_measures, solve, SolveConfig
+    from plap_lab import domain_measures, solve
 
     m_flat = domain_measures(mesh, FLAT)
     m_zero = domain_measures(mesh, zero)
     dev = abs(m_flat.volume - m_zero.volume) + abs(m_flat.perimeter - m_zero.perimeter)
 
-    sol_zero = solve(mesh, zero, SolveConfig(p=3.0))
+    sol_zero = solve(mesh, zero, 3.0)
     dev = max(dev, float(np.abs(sol.u - sol_zero.u).max()))
 
     bf = recover_derivatives(mesh, sol.u, FLAT)

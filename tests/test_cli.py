@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -7,11 +8,10 @@ import numpy as np
 import pytest
 
 import plap_lab
-from plap_lab import pipeline
+from plap_lab import pipeline, solver
 from plap_lab.cli import _check, emit_plot_data, main, validate_config
 from plap_lab.errors import ConfigError, MeshGenerationError
 from plap_lab.identities import Tolerances
-from plap_lab.solver import SolveConfig
 
 SCHEMAS = Path(plap_lab.__file__).parent / "schemas"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -42,12 +42,7 @@ def test_validate_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         validate_config({**DISK_VERIFY, "bogus": 1}, "verify")
     with pytest.raises(ConfigError):
-        validate_config({**DISK_VERIFY, "solver": {"warp": 9}}, "verify")
-
-
-def test_validate_rejects_bad_rho():
-    with pytest.raises(ConfigError):
-        validate_config({**DISK_VERIFY, "solver": {"rho": 1.5}}, "verify")
+        validate_config({**DISK_VERIFY, "tolerances": {"warp": 9}}, "verify")
 
 
 def test_validate_rejects_command_mismatch():
@@ -69,11 +64,12 @@ def test_validate_rejects_reversed_p_range():
 # valid config of the matching command
 MALFORMED = [
     ("seed", "3"), ("seed", 1.0), ("seed", True), ("seed", -1),
+    # the solver's continuation settings are constants: no solver key is known
     ("solver.quadrature_order", 99), ("solver.eps0", "1"), ("solver.rho", "0.5"),
     ("solver.rho", 1.0), ("solver.max_newton_iter", 2.0), ("solver.max_newton_iter", 0),
     ("solver.warp", 9), ("solver.newton_tol", 1e-10), ("solver.quadrature_order", 2),
     ("tolerances.flux_rel", "1"), ("tolerances.identity_rel", True),
-    ("tolerances.serrin_nodewise", 0),
+    ("tolerances.serrin_nodewise", 0), ("tolerances.flux_rel", math.inf),
     ("domain.radius", "1"), ("domain.radius", 0),
     ("domain.variant", "square"), ("domain.a", 2.0),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
@@ -83,11 +79,12 @@ MALFORMED = [
     ("h", "0.1"), ("output_dir", None), ("command", "plot"), ("bogus", 1),
     ("matcheck.samples", 0), ("matcheck.samples", "5"), ("matcheck.n_values", [7]),
     ("matcheck.p_range", [1.5]), ("matcheck.p_range", [1.0, 2.0]),
+    ("matcheck.p_range", [1.1, math.inf]),
     ("radial.n_values", [1]), ("radial.radius", 0), ("radial.grid", 100.5),
 ]
 # configs the schema accepts although they differ from the shipped ones
 WELL_FORMED = [
-    ("seed", 0), ("solver.eps0", 1), ("p", [1.5, 4]),
+    ("seed", 0), ("tolerances.identity_rel", 1), ("p", [1.5, 4]),
     ("domain", {"variant": "polar_star", "r0": 1, "cos_coeffs": [0.1], "sin_coeffs": []}),
     ("domain", {"variant": "annulus"}), ("metric", {"kind": "bump", "params": [0.1, 0, 0, 1]}),
     ("matcheck.p_range", [2.0, 1.5]), ("radial.grid", 100), ("output_dir", ""),
@@ -110,9 +107,12 @@ def _with(path: str, value) -> tuple[str, dict]:
 
 def _schema_verdicts(cfgs: list[dict]) -> tuple[list[bool], list[bool]]:
     jsonschema = pytest.importorskip("jsonschema")
-    # jsonschema counts 1.0 as an integer; the package's evaluator does not
-    checker = jsonschema.Draft7Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool))
+    # jsonschema counts 1.0 as an integer and ±Infinity as a number; the
+    # package's evaluator does not
+    checker = jsonschema.Draft7Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
+        "number": lambda _, v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                                and math.isfinite(v))})
     strict = jsonschema.validators.extend(jsonschema.Draft7Validator, type_checker=checker)
     reference = strict(json.loads((SCHEMAS / "config.schema.json").read_text()))
     ours = []
@@ -137,10 +137,8 @@ def test_schema_evaluator_agrees_with_jsonschema():
 
 def test_schema_keys_match_the_dataclasses():
     # a key the schema accepts but the dataclass lacks would crash
-    # SolveConfig(**overrides) or Tolerances(**...) with an uncaught TypeError
+    # Tolerances(**...) with an uncaught TypeError
     schema = json.loads((SCHEMAS / "config.schema.json").read_text())["properties"]
-    solve_fields = {f.name for f in fields(SolveConfig)} - {"p"}
-    assert set(schema["solver"]["properties"]) == solve_fields
     assert set(schema["tolerances"]["properties"]) == {f.name for f in fields(Tolerances)}
 
 
@@ -155,7 +153,7 @@ def test_malformed_config_exits_2(tmp_path, path, value):
 
 
 @pytest.mark.parametrize("path, value, named", [
-    ("solver.eps0", "1", "config.solver.eps0"),
+    ("tolerances.flux_rel", "1", "config.tolerances.flux_rel"),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}, "config.domain.cos_coeffs[0]"),
     ("metric", {"kind": "constant", "params": "x"}, "config.metric.params"),
 ])
@@ -180,17 +178,21 @@ def test_malformed_metric_params_exit_2(tmp_path, metric):
 
 
 def test_nan_fails_every_bound():
-    for path in ("p", "h", "solver.rho", "tolerances.flux_rel", "radial.radius"):
-        command, cfg = _with(path, [float("nan")] if path in ("p", "h") else float("nan"))
-        with pytest.raises(ConfigError, match=f"config.{path}"):
-            validate_config(cfg, command)
+    # Python's json reads NaN, Infinity and -Infinity; no config number may be one
+    for bad in (math.nan, math.inf, -math.inf):
+        for path in ("p", "h", "domain.radius", "tolerances.flux_rel", "radial.radius"):
+            command, cfg = _with(path, [bad] if path in ("p", "h") else bad)
+            with pytest.raises(ConfigError, match=f"config.{path}"):
+                validate_config(cfg, command)
 
 
 def test_bad_rho_exits_2(tmp_path):
+    # rho is a constant of the solver, so the solver object is an unknown key
     cfg = _write(tmp_path, {**DISK_VERIFY, "solver": {"rho": 1.5}})
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = json.loads((tmp_path / "out" / "error.json").read_text())
     assert err["error"]["type"] == "config"
+    assert err["error"]["message"] == "config has unknown keys ['solver']"
 
 
 def test_unreadable_config_exits_2(tmp_path):
@@ -198,12 +200,12 @@ def test_unreadable_config_exits_2(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
-def test_solver_failure_exits_3(tmp_path):
+def test_solver_failure_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITER", 1)
     cfg = _write(tmp_path, {
         "command": "verify",
         "domain": {"variant": "ellipse", "a": 2.0, "b": 1.0},
         "p": [4.0], "h": [0.14],
-        "solver": {"max_newton_iter": 1},
     })
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
@@ -275,7 +277,17 @@ def test_report_matches_published_schema(tmp_path):
     assert checks == {name for name, sec in rep.items() if isinstance(sec, dict) and "pass" in sec}
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cases"][0]["pass"] is all(rep[name]["pass"] for name in checks)
-    del rep["constants"]["h0"]
+    # every section lists exactly the keys it holds, so a key the code drops
+    # or adds without the schema fails the check
+    sections = [sec for sec in schema["properties"].values() if "properties" in sec]
+    sections += [schema["properties"]["solver"]["properties"]["diagnostics"]]
+    for sec in sections:
+        assert sorted(sec["required"]) == sorted(sec["properties"])
+        assert sec["additionalProperties"] is False
+    rep["flux"]["volume"] = rep["constants"]["volume"]
+    with pytest.raises(ConfigError, match=r"report\.flux has unknown keys \['volume'\]"):
+        _check(schema, rep, "report")
+    del rep["flux"]["volume"], rep["constants"]["h0"]
     with pytest.raises(ConfigError, match=r"report\.constants\.h0"):
         _check(schema, rep, "report")
 
@@ -440,7 +452,7 @@ def test_multi_h_verify_without_serrin_leaves_its_cells_empty(tmp_path):
 
 def test_error_json_goes_to_config_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = _write(tmp_path, {**DISK_VERIFY, "solver": {"rho": 1.5},
+    cfg = _write(tmp_path, {**DISK_VERIFY, "tolerances": {"flux_rel": -1.0},
                             "output_dir": str(tmp_path / "cfg_out")})
     assert main(["verify", "--config", str(cfg)]) == 2
     err = json.loads((tmp_path / "cfg_out" / "error.json").read_text())
@@ -452,16 +464,32 @@ def test_error_json_goes_to_config_output_dir(tmp_path, monkeypatch):
     assert "output_dir" in json.loads((tmp_path / "plap_out" / "error.json").read_text())["error"]["message"]
 
 
-def test_assembly_failure_exits_3(tmp_path):
-    # e^{2 phi} overflows, so the load vector and the first residual are infinite
-    cfg = _write(tmp_path, {**DISK_VERIFY, "metric": {"kind": "constant", "params": [400.0]},
-                            "solver": {"eps0": 0.1}})
+OVERFLOWING_METRIC = {"kind": "constant", "params": [400.0]}
+
+
+def test_assembly_failure_exits_3(tmp_path, monkeypatch):
+    # e^{2 phi} overflows, so the load vector and the first residual are
+    # infinite; a finite gradient scale gets the solve as far as assembly
+    monkeypatch.setattr(solver, "_gradient_scale", lambda mesh, metric, p: 1.0)
+    cfg = _write(tmp_path, {**DISK_VERIFY, "metric": OVERFLOWING_METRIC})
     out = tmp_path / "out"
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["type"] == "solver"
     assert "assembly" in err["error"]["message"]
+
+
+def test_infinite_volume_exits_2(tmp_path):
+    # the metric volume overflows to inf, and so would eps0 and the ladder
+    cfg = _write(tmp_path, {**DISK_VERIFY, "metric": OVERFLOWING_METRIC})
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "config"
+    assert "eps0 = inf is not finite" in err["message"]
+    assert "volume is inf" in err["message"] and "perimeter" in err["message"]
 
 
 def test_mesh_failure_exits_3(tmp_path, monkeypatch):
@@ -474,20 +502,3 @@ def test_mesh_failure_exits_3(tmp_path, monkeypatch):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err == {"type": "mesh", "message": "minimum angle below contract",
                    "achieved_min_angle_deg": 12.5}
-
-
-def test_eps_min_above_eps0_is_rejected_before_meshing(tmp_path, monkeypatch):
-    def no_mesh(*args, **kwargs):
-        raise AssertionError("build_mesh must not run for an invalid config")
-
-    monkeypatch.setattr(pipeline, "build_mesh", no_mesh)
-    cfg = _write(tmp_path, {**DISK_VERIFY, "solver": {"eps0": 1e-9, "eps_min": 1e-8}})
-    out = tmp_path / "out"
-    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
-    err = json.loads((out / "error.json").read_text())["error"]
-    assert err["type"] == "config"
-    assert err["message"].startswith("config.solver.eps_min")
-    # an absent eps_min takes the SolveConfig default, 1e-8
-    with pytest.raises(ConfigError, match="config.solver.eps_min"):
-        validate_config({**DISK_VERIFY, "solver": {"eps0": 1e-8}}, "verify")
-    validate_config({**DISK_VERIFY, "solver": {"eps_min": 1e-3}}, "verify")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plap_lab import (ConformalMetric, Disk, PreconditionError,
-                      SolveConfig, boundary_trace, build_mesh, build_report,
+                      boundary_trace, build_mesh, build_report,
                       domain_measures, equivalence_suite, flux_balance,
                       fundamental_identity, hk_report, serrin_deficit,
                       soap_bubble_report, subharmonicity_scan)
@@ -120,7 +120,7 @@ def test_hk_rejects_nonpositive_curvature():
     mesh = build_mesh(Annulus(0.5, 1.0), 0.1)
     from plap_lab import solve
 
-    sol = solve(mesh, None, SolveConfig(p=2.0))
+    sol = solve(mesh, None, 2.0)
     bundle = recover_derivatives(mesh, sol.u, FLAT)
     tr = boundary_trace(bundle, 2.0)
     with pytest.raises(PreconditionError):

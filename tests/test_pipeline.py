@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, Disk, Ellipse, SolveConfig, ValidationError,
+from plap_lab import (ConformalMetric, Disk, Ellipse, ValidationError,
                       boundary_trace, build_mesh, build_report, fields, geometry,
                       identities, recover_derivatives, solve, solver)
 from plap_lab.cli import main
@@ -105,7 +105,7 @@ def test_report_by_hand_matches_run_case():
     spec, p = Disk(1.0), 3.0
     mesh = build_mesh(spec, 0.1)
     case = run_case(spec, CAP, p, 0.1, mesh=mesh)
-    bundle = recover_derivatives(mesh, solve(mesh, CAP, SolveConfig(p=p)).u, CAP)
+    bundle = recover_derivatives(mesh, solve(mesh, CAP, p).u, CAP)
     report = build_report(bundle, boundary_trace(bundle, p))
     assert (json.dumps(report.to_json_dict(), sort_keys=True)
             == json.dumps(case.report.to_json_dict(), sort_keys=True))

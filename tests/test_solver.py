@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, Disk, Ellipse, SolveConfig,
-                      SolverError, ValidationError, build_mesh,
-                      convergence_study, solve)
+from plap_lab import (ConformalMetric, Disk, Ellipse, SolverError,
+                      ValidationError, build_mesh, convergence_study, solve)
 import scipy.sparse as sp
 
 from plap_lab import solver
@@ -28,20 +27,25 @@ def test_disk_degenerate_accuracy(lab, p):
     assert _disk_error(lab, p) <= 5e-3
 
 
-def test_config_validation(lab):
+def test_config_validation(lab, monkeypatch):
     with pytest.raises(ValidationError):
-        SolveConfig(p=0.9).validate()
-    with pytest.raises(ValidationError):
-        SolveConfig(p=2.0, rho=1.5).validate()
-    # solve() checks eps_min < eps0 once eps0 is known, given or derived
-    with pytest.raises(ValidationError):
-        solve(lab.mesh("disk", 0.1), None, SolveConfig(p=2.0, eps0=1e-9, eps_min=1e-8))
+        solve(lab.mesh("disk", 0.1), None, 0.9)
+    # solve() checks eps0, which it derives from the domain and the metric:
+    # e^{2 phi} = e^{800} overflows the volume, so eps0 is inf and the ladder
+    # could never reach eps_min
+    metric = ConformalMetric.from_json({"kind": "constant", "params": [400.0]})
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="volume is inf"):
+        solve(lab.mesh("disk", 0.1), metric, 2.0)
+    monkeypatch.setattr(solver, "_EPS0_SCALE", 1e-9)
+    with pytest.raises(ValidationError, match="eps_min"):
+        solve(lab.mesh("disk", 0.1), None, 2.0)
 
 
-def test_forced_newton_failure_carries_history():
+def test_forced_newton_failure_carries_history(monkeypatch):
+    monkeypatch.setattr(solver, "_MAX_NEWTON_ITER", 1)
     mesh = build_mesh(Ellipse(2.0, 1.0), 0.14)
     with pytest.raises(SolverError) as err:
-        solve(mesh, None, SolveConfig(p=4.0, max_newton_iter=1))
+        solve(mesh, None, 4.0)
     assert len(err.value.history) >= 1
 
 
@@ -115,7 +119,7 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
     monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: 0 * tangent(self, u, eps))
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(SolverError) as err:
-        solve(mesh, None, SolveConfig(p=3.0))
+        solve(mesh, None, 3.0)
     assert len(err.value.history) >= 1
     cfg = tmp_path / "config.json"
     cfg.write_text('{"command": "verify", "domain": {"variant": "disk"}, "p": [3.0], "h": [0.2]}')
@@ -132,7 +136,7 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
         factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
     # start without a stored factor, so the counts do not depend on earlier tests
     monkeypatch.setattr(solver, "_factored", None)
-    sol = solve(lab.mesh("disk", 0.05), None, SolveConfig(p=3.0))
+    sol = solve(lab.mesh("disk", 0.05), None, 3.0)
     # the ladder ends after the first rung that takes no step
     assert [s.iterations for s in sol.steps] == [6, 2, 1, 1, 0]
     # each rung spends one solve more than it takes steps: the last one
@@ -140,12 +144,12 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
     assert len(calls) == sum(s.iterations + 1 for s in sol.steps) == 15
     # every p != 2 tangent differs from the one before it
     assert len(factors) == 15
-    assert sol.final_eps == sol.steps[-1].eps > sol.config.eps_min
+    assert sol.final_eps == sol.steps[-1].eps > solver._EPS_MIN
     # p = 2 is linear: one step, one solve to confirm it, one to end the
     # ladder; its tangent depends on neither u nor eps, so it is factored once
     calls.clear()
     factors.clear()
-    sol = solve(build_mesh(Disk(1.0), 0.2), None, SolveConfig(p=2.0))
+    sol = solve(build_mesh(Disk(1.0), 0.2), None, 2.0)
     assert [s.iterations for s in sol.steps] == [1, 0]
     assert len(calls) == 3
     assert len(factors) == 1
@@ -159,7 +163,7 @@ def test_early_ladder_end_is_converged_at_eps_min(lab, p, domain, h, metric):
     # decrement of the returned u is already at the energy's rounding level
     sol = lab.solution(domain, p, h=h, metric=metric)
     asm = _Assembler(sol.mesh, sol.metric, p)
-    eps = sol.config.eps_min
+    eps = solver._EPS_MIN
     r = asm.residual(sol.u, eps)
     d = solver.spsolve(asm.tangent(sol.u, eps), -r[asm.dofs])
     lam2 = -float(r[asm.dofs] @ d)
@@ -171,7 +175,7 @@ def test_line_search_stagnation_is_a_solver_error(tmp_path, monkeypatch):
     monkeypatch.setattr(_Assembler, "energy", lambda self, u, eps: 0.0)
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(SolverError, match="line search stagnated") as err:
-        solve(mesh, None, SolveConfig(p=3.0))
+        solve(mesh, None, 3.0)
     assert len(err.value.history) >= 1
     cfg = tmp_path / "config.json"
     cfg.write_text('{"command": "verify", "domain": {"variant": "disk"}, "p": [3.0], "h": [0.2]}')
@@ -199,10 +203,14 @@ def test_energy_monotone_along_continuation(lab):
     assert all(b <= a + 1e-13 for a, b in zip(energies, energies[1:]))
 
 
-def test_eps_inert_for_p2(lab):
+def test_eps_inert_for_p2(lab, monkeypatch):
     mesh = lab.mesh("disk", 0.1)
-    a = solve(mesh, None, SolveConfig(p=2.0, eps0=0.3, eps_min=1e-8))
-    b = solve(mesh, None, SolveConfig(p=2.0, eps0=1e-6, eps_min=1e-8))
+    # the gradient scale of the unit disk at p = 2 is about 1/2, so eps0 is
+    # about 0.3 and then 1e-6
+    monkeypatch.setattr(solver, "_EPS0_SCALE", 0.6)
+    a = solve(mesh, None, 2.0)
+    monkeypatch.setattr(solver, "_EPS0_SCALE", 2e-6)
+    b = solve(mesh, None, 2.0)
     assert np.abs(a.u - b.u).max() <= 1e-13
 
 
