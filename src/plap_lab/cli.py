@@ -56,7 +56,9 @@ def _check(schema: dict, value, where: str) -> None:
 
     Covers the draft-07 keywords the shipped schemas use.  bool is never a
     number, integer means a Python int (1.0 is not an integer) and a number
-    must be finite: Python's json reads NaN and ±Infinity, and both fail.
+    must be finite: Python's json reads NaN and ±Infinity, and both fail.  A
+    oneOf form with a title names it when the value takes that form but
+    breaks its rules.
     """
     kind = schema.get("type")
     if kind and not (isinstance(value, _TYPES[kind])
@@ -72,26 +74,30 @@ def _check(schema: dict, value, where: str) -> None:
         if number and key in schema and not holds(value, schema[key]):
             raise ConfigError(f"{where} must be {rel} {schema[key]}, got {value!r}")
     if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise ConfigError(f"{where}.{key} is required")
+        # properties first, so that a oneOf form is told apart by its const
         props = schema.get("properties", {})
         for key, sub in props.items():
             if key in value:
                 _check(sub, value[key], f"{where}.{key}")
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{where}.{key} is required")
         if schema.get("additionalProperties") is False and value.keys() - props.keys():
             raise ConfigError(f"{where} has unknown keys {sorted(value.keys() - props.keys())}")
     if isinstance(value, list):
         if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
             raise ConfigError(f"{where} has the wrong number of items ({len(value)})")
+        items = schema.get("items", {})
         for i, item in enumerate(value):
-            _check(schema.get("items", {}), item, f"{where}[{i}]")
+            _check(items[i] if isinstance(items, list) else items, item, f"{where}[{i}]")
     if "oneOf" in schema:
         errors = []
         for sub in schema["oneOf"]:
             try:
                 _check(sub, value, where)
             except ConfigError as exc:
+                if "title" in sub and not isinstance(exc, _Mismatch):
+                    exc = ConfigError(f"{where} has malformed {sub['title']}: {exc}")
                 errors.append(exc)
         if len(errors) < len(schema["oneOf"]) - 1:
             raise ConfigError(f"{where} matches more than one allowed form")

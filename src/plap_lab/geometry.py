@@ -412,10 +412,19 @@ class _RadialDomain:
     def cos_psi(self, theta: np.ndarray) -> np.ndarray:
         return np.interp(np.mod(theta, TWO_PI), self._theta, self._cospsi)
 
+    def _safe_radius(self, margin: float) -> float:
+        """A radius the interpolated bound r_b(theta) - margin / cos(psi) never
+        falls below (less a slack for rounding)."""
+        return self._rb.min() * (1.0 - 1e-9) - margin / self._cospsi.min()
+
     def inside(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """Points (P, 2) more than ``margin`` inside the domain; the bound is
+        looked up only for those at the safe radius or beyond."""
         rho = np.linalg.norm(pts, axis=-1)
-        theta = np.arctan2(pts[..., 1], pts[..., 0])
-        ok = rho < self.boundary_radius(theta) - margin / self.cos_psi(theta)
+        ok = rho < self._safe_radius(margin)
+        far = np.flatnonzero(~ok)
+        theta = np.arctan2(pts[far, 1], pts[far, 0])
+        ok[far] = rho[far] < self.boundary_radius(theta) - margin / self.cos_psi(theta)
         if self.annular:
             ok &= rho > self.r_in + margin
         return ok
@@ -428,10 +437,8 @@ class _RadialDomain:
         """Points (P, 2) pulled radially to between r_in + margin and
         margin / cos(psi) inside the outer boundary."""
         rho = np.linalg.norm(pts, axis=1)
-        # the interpolated bound never falls below this radius (less a slack
-        # for rounding), so the points under it keep the scale 1.0 exactly
-        safe = self._rb.min() * (1.0 - 1e-9) - margin / self._cospsi.min()
-        near = rho >= safe
+        # the points under the safe radius keep the scale 1.0 exactly
+        near = rho >= self._safe_radius(margin)
         if self.annular:
             near |= rho <= self.r_in + margin
         rho, sub = rho[near], pts[near]

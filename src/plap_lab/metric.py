@@ -129,22 +129,18 @@ class ConformalMetric:
     @staticmethod
     def from_json(obj: dict) -> "ConformalMetric":
         """Metric from a config's `metric` object, already checked against the
-        config schema; only the parameter shapes and the degree are checked here."""
+        config schema, which fixes each kind's params; only the degree and the
+        bump width are checked here."""
         kind = obj["kind"]
         flag = bool(obj.get("nonnegative_ricci", False))
         params = obj.get("params", [])
-        try:
-            if kind == "flat":
-                return ConformalMetric.flat()
-            if kind == "constant":
-                (c,) = params
-                return ConformalMetric.const(c)
-            if kind == "poly":
-                return ConformalMetric.poly(params, nonnegative_ricci=flag)
-            amplitude, x0, y0, sigma = params
-            return ConformalMetric.gaussian_bump(amplitude, x0, y0, sigma, nonnegative_ricci=flag)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed {kind} metric params {params!r}: {exc}") from exc
+        if kind == "flat":
+            return ConformalMetric.flat()
+        if kind == "constant":
+            return ConformalMetric.const(*params)
+        if kind == "poly":
+            return ConformalMetric.poly(params, nonnegative_ricci=flag)
+        return ConformalMetric.gaussian_bump(*params, nonnegative_ricci=flag)
 
 
 # --------------------------------------------------------------------------

@@ -14,19 +14,30 @@ from the previous one.  The ladder is fixed by module constants: eps_0 is
 steps.  The conformal weights realize the metric form of the p-Laplacian; for
 a flat metric both weights are 1.
 
-A rung stops when the squared Newton decrement -r.d falls to the energy's
-rounding level, 1e-15 (1 + |J_eps|), and else takes an Armijo step, so it
-makes one linear solve more than it takes steps.  The ladder ends after the
-first rung that takes no step; that rung's eps is ``final_eps``.
+Each Newton step is an Armijo step along d, the direction with K d = -r, and
+-r.d is its squared Newton decrement.  Only the returned u needs a
+certificate, so a rung above eps_min ends after a full step (t = 1) whose
+decrement was at most 1e-8 (1 + |J_eps|), without a solve to confirm it.
+Any rung also stops, before a step, when the decrement has fallen to the
+energy's rounding level, 1e-15 (1 + |J_eps|); that is the only rule of the
+eps_min rung.  The ladder ends after the first rung that takes no step, so
+the u it returns is certified at that rung's eps, ``final_eps``.
 
 The Newton tangent is symmetric positive definite on the free (interior)
 vertices, and its sparsity pattern is that of the P1 stiffness.  A symmetric
 minimum-degree order of that pattern and the CSC layout of the free x free
 matrix in that order depend on the mesh alone: they are built once per mesh,
 from the structure with unit weights, and kept on it.  Every tangent is summed
-straight into the CSC data array and factored with diagonal pivots and no
-further reordering; a tangent that is bit for bit the last one factored (at
-p = 2 it depends on neither u nor eps) reuses that factor.
+straight into the CSC data array.  A solve holds one factor (diagonal pivots,
+no further reordering) and finds each direction by conjugate gradients
+preconditioned with it, from 0 to a preconditioned residual of ``_CG_RTOL``
+relative.  It factors the tangent at hand instead when PCG has not converged
+in ``_CG_MAX_ITER`` iterations, and before the next system when the last PCG
+took more than ``_CG_REFACTOR``.  CG from 0 approaches the decrement from
+below, so a rounding-level PCG decrement is recomputed with a fresh factor of
+its tangent before the rung may stop: the rounding-level rule holds for the
+exact direction.  At p = 2 the tangent depends on neither u nor eps; a p = 2
+solve assembles and factors it once.
 """
 
 from __future__ import annotations
@@ -55,9 +66,11 @@ def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
 @dataclass
 class EpsStep:
     eps: float
-    iterations: int        # Newton steps; the rung made iterations + 1 solves
-    residual_norm: float
+    iterations: int        # Newton steps
+    residual_norm: float   # at the last direction the rung solved for
     energy: float
+    factorizations: int    # tangents the rung factored
+    cg_iterations: int     # PCG iterations of its directions
 
 
 @dataclass
@@ -167,25 +180,76 @@ def _tangent_pattern(mesh: TriMesh) -> tuple[np.ndarray, ...]:
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
 _EPS0_SCALE, _RHO, _EPS_MIN, _MAX_NEWTON_ITER = 0.1, 0.1, 1e-8, 50   # the eps ladder
+_CG_RTOL, _CG_MAX_ITER, _CG_REFACTOR = 1e-10, 30, 15   # PCG with the held factor
+# squared Newton decrements, relative to 1 + |J_eps|: the rounding level, and
+# the last full step of a rung above eps_min
+_DECREMENT_FLOOR, _DECREMENT_RUNG = 1e-15, 1e-8
 
 
-# the last factored tangent: (data, indices, indptr, factor).  Reusing it is
-# exact, since it is reused only for a matrix with the same bits.
-_factored: tuple | None = None
+class _HeldFactor:
+    """The factor one solve holds, the tangent of its current system, and
+    the counts of factorizations and PCG iterations so far."""
+
+    def __init__(self):
+        self.tangent: sp.csc_matrix | None = None
+        self.factored: sp.csc_matrix | None = None   # the tangent `lu` factors
+        self.lu = None
+        self.refactor = True     # factor the next tangent instead of PCG
+        self.factorizations = self.cg_iterations = 0
 
 
-def spsolve(K: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    """Solve with the ordered SPD tangent: diagonal pivots, no reordering.
+def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray | None, int]:
+    """Conjugate gradients for K x = b from x = 0, preconditioned by the SPD
+    map ``precondition``, to a preconditioned residual (r.M^{-1} r)^{1/2} of
+    ``_CG_RTOL`` relative.  Returns (x, iterations); x is None when PCG has
+    not converged in ``_CG_MAX_ITER`` iterations."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    d = z.copy()
+    rz = float(r @ z)
+    stop = _CG_RTOL**2 * rz
+    for k in range(_CG_MAX_ITER + 1):
+        if rz <= stop:
+            return x, k
+        if k == _CG_MAX_ITER:
+            return None, k
+        Kd = K @ d
+        alpha = rz / float(d @ Kd)
+        x += alpha * d
+        r -= alpha * Kd
+        z = precondition(r)
+        rz, rz_old = float(r @ z), rz
+        d = z + (rz / rz_old) * d
 
-    K is factored unless it is bit for bit the matrix factored last."""
-    global _factored
-    arrays = (K.data, K.indices, K.indptr)
-    last = _factored
-    if last is None or not all(a.dtype == c.dtype and a.tobytes() == c.tobytes()
-                               for a, c in zip(arrays, last)):
-        lu = splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
-        last = _factored = tuple(a.copy() for a in arrays) + (lu,)
-    return last[3].solve(b)
+
+def _factor(K: sp.csc_matrix):
+    """SuperLU of an ordered SPD tangent: diagonal pivots, no reordering."""
+    return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+
+
+def spsolve(K: sp.csc_matrix | _HeldFactor, b: np.ndarray) -> np.ndarray:
+    """Solve a system of the ordered SPD tangent.
+
+    A tangent K is factored and solved.  A solve's ``_HeldFactor`` has its
+    ``tangent`` solved with the factor it holds: directly when that factor is
+    this tangent's, and otherwise by PCG preconditioned with it, unless
+    ``refactor`` is set or PCG has not converged, when this tangent is
+    factored and becomes the held one."""
+    if not isinstance(K, _HeldFactor):
+        return _factor(K).solve(b)
+    held = K
+    if held.factored is not held.tangent:
+        if not held.refactor:
+            x, its = _pcg(held.tangent, b, held.lu.solve)
+            held.cg_iterations += its
+            held.refactor = its > _CG_REFACTOR
+            if x is not None:
+                return x
+        held.lu = _factor(held.tangent)
+        held.factored, held.refactor = held.tangent, False
+        held.factorizations += 1
+    return held.lu.solve(b)
 
 
 def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:
@@ -213,6 +277,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
 
     asm = _Assembler(mesh, metric, p)
     free = asm.free
+    held = _HeldFactor()
 
     # directions vanish on the boundary, so u stays exactly 0 there
     u = np.zeros(mesh.n_vertices)
@@ -221,24 +286,34 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
     for eps in ladder:
         energy = asm.energy(u, eps)
         it = 0
+        counts = held.factorizations, held.cg_iterations
         while True:
             r = asm.residual(u, eps)
             rnorm = float(np.linalg.norm(r[free]))
             history.append((eps, it, rnorm))
+            # at p = 2 the tangent depends on neither u nor eps
+            if held.tangent is None or p != 2.0:
+                held.tangent = asm.tangent(u, eps)
+            floor = _DECREMENT_FLOOR * (1.0 + abs(energy))
             d = np.zeros_like(u)
             try:
-                d[asm.dofs] = spsolve(asm.tangent(u, eps), -r[asm.dofs])
+                d[asm.dofs] = spsolve(held, -r[asm.dofs])
+                # a PCG decrement lies below the exact one: certify a
+                # rounding-level one with a fresh factor of this tangent
+                if -float(r[free] @ d[free]) <= floor and held.factored is not held.tangent:
+                    held.refactor = True
+                    d[asm.dofs] = spsolve(held, -r[asm.dofs])
             except RuntimeError as exc:
                 raise SolverError(f"tangent factorization failed at eps = {eps:.3e} ({exc})",
                                   history=history) from exc
             slope = float(r[free] @ d[free])
-            # the one stopping rule: the squared Newton decrement at rounding level
-            if -slope <= 1e-15 * (1.0 + abs(energy)):
+            if -slope <= floor:
                 break
             if it >= _MAX_NEWTON_ITER:
                 raise SolverError(f"Newton did not converge at eps = {eps:.3e} "
                                   f"(residual {rnorm:.3e} after {it} iterations)",
                                   history=history)
+            last = eps > _EPS_MIN and -slope <= _DECREMENT_RUNG * (1.0 + abs(energy))
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = u + t * d
@@ -251,7 +326,11 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
                 raise SolverError(f"line search stagnated at eps = {eps:.3e} "
                                   f"(residual {rnorm:.3e})", history=history)
             it += 1
-        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy))
+            if last and t == 1.0:
+                break
+        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy,
+                             factorizations=held.factorizations - counts[0],
+                             cg_iterations=held.cg_iterations - counts[1]))
         if it == 0:
             break
 

@@ -75,6 +75,9 @@ MALFORMED = [
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
     ("domain", {"variant": "ellipse", "a": 2.0, "b": "1"}), ("domain", {"radius": 1.0}),
     ("domain", []), ("metric.params", "x"), ("metric.kind", "warp"),
+    ("metric", {"kind": "constant", "params": [True]}),
+    ("metric", {"kind": "constant", "params": [math.nan]}),
+    ("metric", {"kind": "poly", "params": [[2, 0, True]]}),
     ("metric.nonnegative_ricci", "yes"), ("metric.extra", 1), ("p", []), ("p", [1.0]), ("h", [True]),
     ("h", "0.1"), ("output_dir", None), ("command", "plot"), ("bogus", 1),
     ("matcheck.samples", 0), ("matcheck.samples", "5"), ("matcheck.n_values", [7]),

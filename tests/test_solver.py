@@ -127,32 +127,47 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
 
 
 def test_rung_records_and_solve_count(lab, monkeypatch):
-    # pins the number of solves and of factorizations, so a change cannot
-    # add some unnoticed
-    calls, factors = [], []
-    spsolve, splu = solver.spsolve, solver.splu
+    # pins the numbers of steps, solves, factorizations and PCG iterations,
+    # so a change cannot add some unnoticed
+    calls, factors, tangents = [], [], []
+    spsolve, splu, tangent = solver.spsolve, solver.splu, _Assembler.tangent
     monkeypatch.setattr(solver, "spsolve", lambda K, b: calls.append(1) or spsolve(K, b))
     monkeypatch.setattr(solver, "splu", lambda K, permc_spec, **kw: (
         factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
-    # start without a stored factor, so the counts do not depend on earlier tests
-    monkeypatch.setattr(solver, "_factored", None)
+    monkeypatch.setattr(_Assembler, "tangent",
+                        lambda self, u, eps: tangents.append(1) or tangent(self, u, eps))
     sol = solve(lab.mesh("disk", 0.05), None, 3.0)
-    # the ladder ends after the first rung that takes no step
-    assert [s.iterations for s in sol.steps] == [6, 2, 1, 1, 0]
-    # each rung spends one solve more than it takes steps: the last one
-    # finds the decrement at rounding level
-    assert len(calls) == sum(s.iterations + 1 for s in sol.steps) == 15
-    # every p != 2 tangent differs from the one before it
-    assert len(factors) == 15
+    # a rung above eps_min ends after a full step from a small decrement; the
+    # ladder ends after the first rung that takes no step
+    assert [s.iterations for s in sol.steps] == [5, 2, 1, 1, 0]
+    # one solve per step, and two on the last rung: its PCG decrement is at
+    # rounding level, so a fresh factor of its tangent certifies it
+    assert len(calls) == sum(s.iterations for s in sol.steps) + 2 == 11
+    assert [s.factorizations for s in sol.steps] == [3, 0, 0, 0, 1]
+    assert len(factors) == 4
+    assert [s.cg_iterations for s in sol.steps] == [55, 13, 6, 6, 6]
     assert sol.final_eps == sol.steps[-1].eps > solver._EPS_MIN
     # p = 2 is linear: one step, one solve to confirm it, one to end the
-    # ladder; its tangent depends on neither u nor eps, so it is factored once
+    # ladder; its tangent depends on neither u nor eps, so it is assembled
+    # and factored once
     calls.clear()
     factors.clear()
+    tangents.clear()
     sol = solve(build_mesh(Disk(1.0), 0.2), None, 2.0)
     assert [s.iterations for s in sol.steps] == [1, 0]
     assert len(calls) == 3
-    assert len(factors) == 1
+    assert len(tangents) == len(factors) == 1
+    assert [s.factorizations for s in sol.steps] == [1, 0]
+    assert [s.cg_iterations for s in sol.steps] == [0, 0]
+
+
+def test_solve_does_not_depend_on_the_solve_before_it(lab):
+    # each solve holds its own factor, so repeated operations give the same
+    # bits whatever ran between them
+    mesh = lab.mesh("disk", 0.1)
+    alone = solve(mesh, None, 3.0).u
+    solve(lab.mesh("ellipse", 0.14), None, 4.0)
+    assert np.array_equal(solve(mesh, None, 3.0).u, alone)
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
