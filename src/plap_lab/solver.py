@@ -30,14 +30,21 @@ matrix in that order depend on the mesh alone: they are built once per mesh,
 from the structure with unit weights, and kept on it.  Every tangent is summed
 straight into the CSC data array.  A solve holds one factor (diagonal pivots,
 no further reordering) and finds each direction by conjugate gradients
-preconditioned with it, from 0 to a preconditioned residual of ``_CG_RTOL``
-relative.  It factors the tangent at hand instead when PCG has not converged
-in ``_CG_MAX_ITER`` iterations, and before the next system when the last PCG
-took more than ``_CG_REFACTOR``.  CG from 0 approaches the decrement from
-below, so a rounding-level PCG decrement is recomputed with a fresh factor of
-its tangent before the rung may stop: the rounding-level rule holds for the
-exact direction.  At p = 2 the tangent depends on neither u nor eps; a p = 2
-solve assembles and factors it once.
+preconditioned with it, from 0, only as accurately as its decrement needs
+(the inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat and
+Steihaug, SIAM J. Numer. Anal. 19, 1982, capped as in Eisenstat and Walker,
+SIAM J. Sci. Comput. 17, 1996): PCG iterate k, whose relative decrement is
+delta_k = b.x_k / (1 + |J_eps|), stops once its preconditioned residual,
+relative to the first, is at most max(``_CG_RTOL``, min(``_CG_FORCING``,
+delta_k^{1/2})).  Far from the solution one stale factor serves; near it
+delta_k is tiny, the stop falls back to ``_CG_RTOL`` and Newton stays
+quadratic.  It factors the tangent at hand instead when PCG has not
+converged in ``_CG_MAX_ITER`` iterations, and before the next system when
+the last PCG took more than ``_CG_REFACTOR``.  CG from 0 approaches the
+decrement from below, so a rounding-level PCG decrement is recomputed with a
+fresh factor of its tangent before the rung may stop: the rounding-level
+rule holds for the exact direction.  At p = 2 the tangent depends on neither
+u nor eps; a p = 2 solve assembles and factors it once.
 """
 
 from __future__ import annotations
@@ -180,37 +187,43 @@ def _tangent_pattern(mesh: TriMesh) -> tuple[np.ndarray, ...]:
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
 _EPS0_SCALE, _RHO, _EPS_MIN, _MAX_NEWTON_ITER = 0.1, 0.1, 1e-8, 50   # the eps ladder
-_CG_RTOL, _CG_MAX_ITER, _CG_REFACTOR = 1e-10, 30, 15   # PCG with the held factor
+# PCG with the held factor: see _pcg and spsolve
+_CG_RTOL, _CG_FORCING, _CG_MAX_ITER, _CG_REFACTOR = 1e-10, 0.5, 30, 15
 # squared Newton decrements, relative to 1 + |J_eps|: the rounding level, and
 # the last full step of a rung above eps_min
 _DECREMENT_FLOOR, _DECREMENT_RUNG = 1e-15, 1e-8
 
 
 class _HeldFactor:
-    """The factor one solve holds, the tangent of its current system, and
-    the counts of factorizations and PCG iterations so far."""
+    """The factor one solve holds, the tangent of its current system, the
+    energy scale 1 + |J_eps| of its decrements, and the counts of
+    factorizations and PCG iterations so far."""
 
     def __init__(self):
         self.tangent: sp.csc_matrix | None = None
+        self.scale = 1.0
         self.factored: sp.csc_matrix | None = None   # the tangent `lu` factors
         self.lu = None
         self.refactor = True     # factor the next tangent instead of PCG
         self.factorizations = self.cg_iterations = 0
 
 
-def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition) -> tuple[np.ndarray | None, int]:
+def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
+         scale: float) -> tuple[np.ndarray | None, int]:
     """Conjugate gradients for K x = b from x = 0, preconditioned by the SPD
-    map ``precondition``, to a preconditioned residual (r.M^{-1} r)^{1/2} of
-    ``_CG_RTOL`` relative.  Returns (x, iterations); x is None when PCG has
-    not converged in ``_CG_MAX_ITER`` iterations."""
+    map ``precondition``.  Iterate k stops once its preconditioned residual
+    r.M^{-1} r, relative to the first, is at most max(``_CG_RTOL``^2,
+    min(``_CG_FORCING``^2, delta_k)), where delta_k = b.x_k / scale is its
+    relative decrement: a direction is solved only as accurately as its
+    decrement needs.  Returns (x, iterations); x is None when PCG has not
+    converged in ``_CG_MAX_ITER`` iterations."""
     x = np.zeros_like(b)
     r = b.copy()
     z = precondition(r)
     d = z.copy()
-    rz = float(r @ z)
-    stop = _CG_RTOL**2 * rz
+    rz = rz0 = float(r @ z)
     for k in range(_CG_MAX_ITER + 1):
-        if rz <= stop:
+        if rz <= max(_CG_RTOL**2, min(_CG_FORCING**2, float(b @ x) / scale)) * rz0:
             return x, k
         if k == _CG_MAX_ITER:
             return None, k
@@ -241,7 +254,7 @@ def spsolve(K: sp.csc_matrix | _HeldFactor, b: np.ndarray) -> np.ndarray:
     held = K
     if held.factored is not held.tangent:
         if not held.refactor:
-            x, its = _pcg(held.tangent, b, held.lu.solve)
+            x, its = _pcg(held.tangent, b, held.lu.solve, held.scale)
             held.cg_iterations += its
             held.refactor = its > _CG_REFACTOR
             if x is not None:
@@ -294,7 +307,8 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
             # at p = 2 the tangent depends on neither u nor eps
             if held.tangent is None or p != 2.0:
                 held.tangent = asm.tangent(u, eps)
-            floor = _DECREMENT_FLOOR * (1.0 + abs(energy))
+            held.scale = 1.0 + abs(energy)
+            floor = _DECREMENT_FLOOR * held.scale
             d = np.zeros_like(u)
             try:
                 d[asm.dofs] = spsolve(held, -r[asm.dofs])
@@ -313,7 +327,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
                 raise SolverError(f"Newton did not converge at eps = {eps:.3e} "
                                   f"(residual {rnorm:.3e} after {it} iterations)",
                                   history=history)
-            last = eps > _EPS_MIN and -slope <= _DECREMENT_RUNG * (1.0 + abs(energy))
+            last = eps > _EPS_MIN and -slope <= _DECREMENT_RUNG * held.scale
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = u + t * d

@@ -94,6 +94,18 @@ def test_ellipse_integrals_two_one():
     assert ei.min_curvature == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("a, b, perimeter, inv_h", [
+    # recorded from scipy.integrate.quad (limit=200) of speed and speed^4/(ab)
+    (2.0, 1.0, 9.688448220547677, 23.169245820224727),
+    (1.0, 1.0, 6.283185307179586, 6.283185307179586),
+    (3.0, 0.5, 12.450039795015162, 129.68887173100367),
+])
+def test_ellipse_integrals_match_adaptive_quadrature(a, b, perimeter, inv_h):
+    ei = ellipse_boundary_integrals(a, b)
+    assert ei.perimeter == pytest.approx(perimeter, rel=2e-15, abs=0)
+    assert ei.inv_curvature_integral == pytest.approx(inv_h, rel=2e-15, abs=0)
+
+
 def test_ellipse_integrals_validation():
     with pytest.raises(ValidationError):
         ellipse_boundary_integrals(1.0, 2.0)

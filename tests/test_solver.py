@@ -140,12 +140,14 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
     # a rung above eps_min ends after a full step from a small decrement; the
     # ladder ends after the first rung that takes no step
     assert [s.iterations for s in sol.steps] == [5, 2, 1, 1, 0]
-    # one solve per step, and two on the last rung: its PCG decrement is at
-    # rounding level, so a fresh factor of its tangent certifies it
-    assert len(calls) == sum(s.iterations for s in sol.steps) + 2 == 11
-    assert [s.factorizations for s in sol.steps] == [3, 0, 0, 0, 1]
-    assert len(factors) == 4
-    assert [s.cg_iterations for s in sol.steps] == [55, 13, 6, 6, 6]
+    # one solve per step and one on the last rung, which the PCG of more
+    # than _CG_REFACTOR iterations before it sends to a fresh factor; each
+    # PCG stops at the accuracy its decrement needs, so the first factor
+    # serves the rungs above eps_min
+    assert len(calls) == sum(s.iterations for s in sol.steps) + 1 == 10
+    assert [s.factorizations for s in sol.steps] == [1, 0, 0, 0, 1]
+    assert len(factors) == 2
+    assert [s.cg_iterations for s in sol.steps] == [25, 18, 11, 16, 0]
     assert sol.final_eps == sol.steps[-1].eps > solver._EPS_MIN
     # p = 2 is linear: one step, one solve to confirm it, one to end the
     # ladder; its tangent depends on neither u nor eps, so it is assembled
@@ -168,6 +170,31 @@ def test_solve_does_not_depend_on_the_solve_before_it(lab):
     alone = solve(mesh, None, 3.0).u
     solve(lab.mesh("ellipse", 0.14), None, 4.0)
     assert np.array_equal(solve(mesh, None, 3.0).u, alone)
+
+
+@pytest.mark.parametrize("metric", ["flat", "cap"])
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_inexact_directions_give_the_exact_newton_answer(lab, monkeypatch, p, domain, h, metric):
+    # PCG stops each direction at the accuracy its decrement needs; with no
+    # PCG iteration allowed, every direction comes from a fresh factor
+    sol = lab.solution(domain, p, h=h, metric=metric)
+    monkeypatch.setattr(solver, "_CG_MAX_ITER", 0)
+    exact = solve(sol.mesh, sol.metric, p)
+    assert sol.final_eps == exact.final_eps
+    assert np.abs(sol.u - exact.u).max() <= 1e-11 * np.abs(exact.u).max()
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_pcg_never_reaches_its_cap(lab, monkeypatch, p):
+    # far from the solution a direction needs little accuracy, so the held
+    # factor serves it without a PCG run that is thrown away
+    runs = []
+    pcg = solver._pcg
+    monkeypatch.setattr(solver, "_pcg", lambda *args: runs.append(pcg(*args)) or runs[-1])
+    solve(lab.mesh("disk", 0.05), None, p)
+    assert runs
+    assert all(x is not None and its < solver._CG_MAX_ITER for x, its in runs)
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
