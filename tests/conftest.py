@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse,
+from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse, PolarStar,
                       boundary_geometry, build_mesh, solve)
 from plap_lab.identities import Tolerances
 from plap_lab.pipeline import CaseResult, run_case
@@ -14,6 +14,7 @@ DOMAINS = {
     "disk": Disk(1.0),
     "ellipse": Ellipse(2.0, 1.0),
     "annulus": Annulus(0.5, 1.0),
+    "star": PolarStar(1.0, cos_coeffs=(0.15,), sin_coeffs=(0.0, 0.05)),
 }
 
 METRICS = {

@@ -202,6 +202,10 @@ MESH_DIGESTS = {
     ("disk", 0.1): "c91be8ebd064b201941dc12b9b478b2100f6b1c706da23b1927483d59df5f638",
     ("ellipse", 0.05): "1eaffd3b8659bc4101f40427268d0db6b692bbf79f7c42e144bb7e6370f734a9",
     ("annulus", 0.1): "57eb747834acde080d9145a813aa0cb0b50da8ae86c25ca4eaa81c679809a91f",
+    # the benchmark meshes (ellipse_verify, disk_p_ladder) and a polar star
+    ("ellipse", 0.035): "5b34af7e3140c06a4560a898f5c2cf96b863cc09bb6c226281ca56d9ffd695d4",
+    ("disk", 0.025): "4a30d4956d5fc0a42e4bdc6596d82e5f357d6f674df8b76a7b23af1faef24ba4",
+    ("star", 0.1): "92f04e688d168f15df2c04e6232a03f5f5304d2837ef25e04b671919ecf79baa",
 }
 
 
@@ -209,6 +213,9 @@ MESH_DIGESTS = {
     ("disk", 0.1, 376, 687, 36.94390104515527),
     ("ellipse", 0.05, 2947, 5698, 36.45920843429029),
     ("annulus", 0.1, 286, 478, 36.441127809722204),
+    ("ellipse", 0.035, 5978, 11677, 36.35417650192944),
+    ("disk", 0.025, 5862, 11471, 37.58779349683702),
+    ("star", 0.1, 379, 693, 34.05508061460358),
 ])
 def test_mesh_matches_recorded_values(lab, domain, h, n_vertices, n_triangles, min_angle):
     mesh = lab.mesh(domain, h)
