@@ -385,6 +385,9 @@ def _triangle_angles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+_SECTORS = 256      # angular sectors of the radius filter of `_RadialDomain`
+
+
 class _RadialDomain:
     """Dense lookup tables for the boundary radius and the ray/normal angle."""
 
@@ -402,6 +405,23 @@ class _RadialDomain:
         radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cospsi = np.clip(np.einsum("ij,ij->i", radial, curve.normal(t)), 0.2, 1.0)
         self._cospsi = cospsi[order]
+        # per sector of angle 2 pi / _SECTORS, the least r_b (less a slack for
+        # rounding) and the least cos(psi) over every table node whose interval
+        # reaches the sector or one of its two neighbours, so that a sector
+        # index off by one in rounding still bounds the interpolated values
+        edges = (TWO_PI / _SECTORS) * np.arange(_SECTORS + 1)
+        last = len(self._theta) - 1
+        lo = np.maximum(np.searchsorted(self._theta, edges[:-1], side="left") - 1, 0)
+        hi = np.minimum(np.searchsorted(self._theta, edges[1:], side="right"), last)
+        ends = np.stack([lo, hi + 1], axis=1).ravel()
+
+        def sector_min(table: np.ndarray) -> np.ndarray:
+            # the even slots of reduceat are the minima over nodes lo..hi
+            m = np.minimum.reduceat(np.append(table, np.inf), ends)[::2]
+            return np.minimum(np.minimum(np.roll(m, 1), m), np.roll(m, -1))
+
+        self._sector_rb = sector_min(self._rb) * (1.0 - 1e-9)
+        self._sector_cospsi = sector_min(self._cospsi)
         # a second loop is the annulus's inner circle
         self.annular = len(curves) > 1
         self.r_in = curves[1].radius if self.annular else 0.0
@@ -412,17 +432,26 @@ class _RadialDomain:
     def cos_psi(self, theta: np.ndarray) -> np.ndarray:
         return np.interp(np.mod(theta, TWO_PI), self._theta, self._cospsi)
 
-    def _safe_radius(self, margin: float) -> float:
-        """A radius the interpolated bound r_b(theta) - margin / cos(psi) never
-        falls below (less a slack for rounding)."""
-        return self._rb.min() * (1.0 - 1e-9) - margin / self._cospsi.min()
+    def _near_bound(self, pts: np.ndarray, rho: np.ndarray, margin: float) -> np.ndarray:
+        """Whether each point (P, 2) at radius ``rho`` may lie at or beyond the
+        interpolated bound r_b(theta) - margin / cos(psi); every other point lies
+        below it for certain.  The least sector bound, a global safe radius,
+        clears most points; the rest are compared with their sector's bound."""
+        bound = self._sector_rb - margin / self._sector_cospsi
+        near = rho >= bound.min()
+        far = np.flatnonzero(near)
+        theta = np.mod(np.arctan2(pts[far, 1], pts[far, 0]), TWO_PI)
+        sector = (theta * (_SECTORS / TWO_PI)).astype(np.intp) % _SECTORS
+        near[far] = rho[far] >= bound[sector]
+        return near
 
     def inside(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Points (P, 2) more than ``margin`` inside the domain; the bound is
-        looked up only for those at the safe radius or beyond."""
+        looked up only for those at or beyond their sector's bound, and the
+        answer is the same as a lookup at every point."""
         rho = np.linalg.norm(pts, axis=-1)
-        ok = rho < self._safe_radius(margin)
-        far = np.flatnonzero(~ok)
+        far = np.flatnonzero(self._near_bound(pts, rho, margin))
+        ok = np.ones(len(pts), dtype=bool)
         theta = np.arctan2(pts[far, 1], pts[far, 0])
         ok[far] = rho[far] < self.boundary_radius(theta) - margin / self.cos_psi(theta)
         if self.annular:
@@ -435,10 +464,12 @@ class _RadialDomain:
 
     def clamp(self, pts: np.ndarray, margin: float) -> np.ndarray:
         """Points (P, 2) pulled radially to between r_in + margin and
-        margin / cos(psi) inside the outer boundary."""
+        margin / cos(psi) inside the outer boundary.  Only the points at or
+        beyond their sector's bound are looked up; the others keep the scale
+        1.0 exactly, so the result is that of a lookup at every point.  The
+        result keeps the memory layout of ``pts``."""
         rho = np.linalg.norm(pts, axis=1)
-        # the points under the safe radius keep the scale 1.0 exactly
-        near = rho >= self._safe_radius(margin)
+        near = self._near_bound(pts, rho, margin)
         if self.annular:
             near |= rho <= self.r_in + margin
         rho, sub = rho[near], pts[near]
@@ -448,7 +479,7 @@ class _RadialDomain:
         if self.annular:
             rho_new = np.maximum(rho_new, self.r_in + margin)
         scale = np.where(rho > 0, rho_new / np.maximum(rho, 1e-300), 1.0)
-        out = pts.copy()
+        out = pts.copy(order="K")
         out[near] = sub * scale[:, None]
         return out
 
@@ -472,7 +503,10 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     Relaxation keeps its edge list between steps and retriangulates only after
     some vertex has moved more than 0.1 h since the last triangulation, by
     edge flips on the Delaunay triangulation it holds; Qhull triangulates the
-    lattice once before relaxation and the relaxed points once after it.
+    lattice once before relaxation and the relaxed points once after it.  The
+    force loop works on coordinate rows, and the radial clamp and inside tests
+    look the boundary up only for points at or beyond a per-sector bound;
+    neither changes a mesh.
     """
     diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
@@ -526,36 +560,45 @@ def _hex_lattice(spec: DomainSpec, h: float, domain: _RadialDomain) -> np.ndarra
 
 
 def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomain) -> np.ndarray:
+    """The interior points after at most ``_RELAX_ITERS`` steps of repulsive
+    edge forces, with the boundary points ``bnd`` pinned.
+
+    The loop holds the points as coordinate rows (x, y) and runs the same
+    floating-point operations as on (n, 2) points, so the result is the same
+    bit for bit; only the retriangulations and the result are (n, 2) points.
+    """
     if len(interior) == 0:
         return interior
     n_bnd = len(bnd)
-    pts = np.concatenate([bnd, interior])
-    n = len(pts)
-    last = np.full_like(pts, np.inf)
+    xy = np.concatenate([bnd, interior]).T.copy()   # x in xy[0], y in xy[1]
+    n = xy.shape[1]
+    last = np.full_like(xy, np.inf)
     full = None
     for _ in range(_RELAX_ITERS):
         # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule):
         # Qhull the first time, Lawson's flips on the held triangulation after
-        if np.sqrt(np.sum((pts - last) ** 2, axis=1)).max() > 0.1 * h:
-            last = pts.copy()
+        dx, dy = xy - last
+        if np.sqrt((dx * dx + dy * dy).max()) > 0.1 * h:
+            last = xy.copy()
+            pts = xy.T.copy()
             full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
             tri = domain.triangles_inside(pts, full[0])
             keys = _edge_keys(tri, n)
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             e0, e1 = keys // n, keys % n
             idx = np.concatenate([e0, e1])
-        vec = pts[e0] - pts[e1]
-        lng = np.linalg.norm(vec, axis=1)
-        f = np.maximum(_RELAX_FSCALE * h - lng, 0.0)
-        fvec = vec * (f / np.maximum(lng, 1e-12))[:, None]
-        w = np.concatenate([fvec, -fvec])
-        force = np.stack([np.bincount(idx, w[:, 0], n), np.bincount(idx, w[:, 1], n)], axis=1)
-        force[:n_bnd] = 0.0
-        pts[n_bnd:] += _RELAX_DT * force[n_bnd:]
-        pts[n_bnd:] = domain.clamp(pts[n_bnd:], margin=0.55 * h)
-        if np.abs(_RELAX_DT * force[n_bnd:]).max() < 1e-3 * h:
+        x, y = xy
+        vx, vy = x[e0] - x[e1], y[e0] - y[e1]
+        lng = np.sqrt(vx * vx + vy * vy)
+        coef = np.maximum(_RELAX_FSCALE * h - lng, 0.0) / np.maximum(lng, 1e-12)
+        fx, fy = vx * coef, vy * coef
+        step = _RELAX_DT * np.stack([np.bincount(idx, np.concatenate([fx, -fx]), n),
+                                     np.bincount(idx, np.concatenate([fy, -fy]), n)])[:, n_bnd:]
+        xy[:, n_bnd:] += step
+        xy[:, n_bnd:] = domain.clamp(xy[:, n_bnd:].T, margin=0.55 * h).T
+        if np.abs(step).max() < 1e-3 * h:
             break
-    return pts[n_bnd:]
+    return xy[:, n_bnd:].T
 
 
 def _edge_key(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:

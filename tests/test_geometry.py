@@ -327,7 +327,33 @@ def _clamp_reference(domain, pts, margin):
     return pts * scale[..., None]
 
 
-@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1)])
+def _inside_reference(domain, pts, margin):
+    """Radial inside test evaluated at every point, without the radius filter."""
+    rho = np.linalg.norm(pts, axis=-1)
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    ok = rho < domain.boundary_radius(theta) - margin / domain.cos_psi(theta)
+    if domain.annular:
+        ok &= rho > domain.r_in + margin
+    return ok
+
+
+def _sector_edge_points(domain, margin):
+    """Points on every sector edge theta = 2 pi k / _SECTORS, one ulp inside
+    and one ulp outside the interpolated bound: a sector bound that exceeds
+    the interpolated one by a rounding lets an outside point through."""
+    import plap_lab.geometry as geo
+
+    theta = 2 * np.pi * np.arange(geo._SECTORS) / geo._SECTORS
+    hi = domain.boundary_radius(theta) - margin / domain.cos_psi(theta)
+    rho = np.concatenate([np.nextafter(hi, 0.0), np.nextafter(hi, np.inf)])
+    theta = np.concatenate([theta, theta])
+    return np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+
+
+FILTER_MESHES = [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1), ("star", 0.1)]
+
+
+@pytest.mark.parametrize("domain, h", FILTER_MESHES)
 def test_filtered_clamp_matches_unfiltered(lab, domain, h):
     import plap_lab.geometry as geo
 
@@ -338,6 +364,35 @@ def test_filtered_clamp_matches_unfiltered(lab, domain, h):
     got = rad.clamp(pts, margin=0.55 * h)
     assert got.tobytes() == _clamp_reference(rad, pts, 0.55 * h).tobytes()
     assert not np.array_equal(got, pts)     # some points were pulled back
+    # the relaxation passes coordinate rows, transposed
+    rows = rad.clamp(pts.T.copy().T, margin=0.55 * h)
+    assert rows.flags.f_contiguous and rows.tobytes() == got.tobytes()
+
+    edge = _sector_edge_points(rad, 0.55 * h)
+    got = rad.clamp(edge, margin=0.55 * h)
+    assert got.tobytes() == _clamp_reference(rad, edge, 0.55 * h).tobytes()
+    assert 0 < (got != edge).any(axis=1).sum() < len(edge)
+
+
+@pytest.mark.parametrize("domain, h", FILTER_MESHES)
+@pytest.mark.parametrize("share", [0.0, 0.55, 0.7])
+def test_filtered_inside_matches_unfiltered(lab, domain, h, share):
+    import plap_lab.geometry as geo
+
+    mesh = lab.mesh(domain, h)
+    # the boundary vertices lie on the bound at margin 0, up to rounding
+    relaxed = mesh.points[len(mesh.boundary_vertices):]
+    centroids = mesh.points[mesh.triangles].mean(axis=1)
+    pts = np.concatenate([mesh.points, 1.04 * relaxed, 0.9 * relaxed, centroids])
+    rad = geo._RadialDomain(mesh.spec)
+    got = rad.inside(pts, margin=share * h)
+    assert np.array_equal(got, _inside_reference(rad, pts, share * h))
+    assert got.any() and not got.all()
+
+    edge = _sector_edge_points(rad, share * h)
+    got = rad.inside(edge, margin=share * h)
+    assert np.array_equal(got, _inside_reference(rad, edge, share * h))
+    assert got.any() and not got.all()
 
 
 def _locate_reference(mesh, pts, k=24):
