@@ -212,8 +212,9 @@ def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -
 
     nodal_g, nodal_h = _quadratic_fit(mesh, u)
 
-    sites = mesh.quad_sites
-    u_q, g_q, h_q = (mesh.interpolate_located(f, *sites) for f in (u, nodal_g, nodal_h))
+    interp = mesh.quad_interpolation()
+    u_q, g_q = interp @ u, interp @ nodal_g
+    h_q = (interp @ nodal_h.reshape(-1, 4)).reshape(-1, 2, 2)
 
     weights = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
     return _make_bundle(

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshGenerationError, ValidationError
@@ -304,11 +305,14 @@ class TriMesh:
             self._derived[key] = build()
         return self._derived[key]
 
-    @property
-    def quad_sites(self) -> tuple[np.ndarray, np.ndarray]:
-        """The quadrature points as (triangle, barycentric) pairs, the form
-        ``locate`` gives."""
-        return self.quad_tri, np.tile(self.quad_bary, (self.n_triangles, 1))
+    def quad_interpolation(self) -> sp.csr_matrix:
+        """The (M*Q, N) matrix of P1 interpolation at the quadrature points,
+        in the order of ``quad_points``: every triangle holds them at the same
+        barycentrics ``quad_bary``."""
+        nq, m = len(self.quad_bary), self.n_triangles
+        return sp.csr_matrix((np.tile(self.quad_bary.ravel(), m),
+                              np.repeat(self.triangles, nq, axis=0).ravel(),
+                              np.arange(0, 3 * nq * m + 1, 3)), shape=(nq * m, self.n_vertices))
 
     def interpolate_located(self, nodal: np.ndarray, tri: np.ndarray,
                             bary: np.ndarray) -> np.ndarray:

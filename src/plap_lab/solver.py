@@ -27,10 +27,16 @@ The Newton tangent is symmetric positive definite on the free (interior)
 vertices, and its sparsity pattern is that of the P1 stiffness.  A symmetric
 minimum-degree order of that pattern and the CSC layout of the free x free
 matrix in that order depend on the mesh alone: they are built once per mesh,
-from the structure with unit weights, and kept on it.  Every tangent is summed
-straight into the CSC data array.  A solve holds one factor (diagonal pivots,
-no further reordering) and finds each direction by conjugate gradients
-preconditioned with it, from 0, only as accurately as its decrement needs
+from the structure with unit weights, and kept on it, with two linear maps
+(the vectorised assembly of Cuvelier, Japhet and Scarella, BIT 56, 2016): the
+sparse gradient operator G, so that every energy reads the element gradients
+G u and every residual is G^T applied to the element fluxes, less the load;
+and the sparse map from the three distinct entries of each element's
+weighted 2 x 2 coefficient to the lower triangle of the CSC data, so that a
+tangent is one sparse product and a gather that mirrors it.  A solve holds
+one factor (diagonal pivots, no further reordering) and finds each direction
+by conjugate gradients preconditioned with it, from 0, only as accurately as
+its decrement needs
 (the inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat and
 Steihaug, SIAM J. Numer. Anal. 19, 1982, capped as in Eisenstat and Walker,
 SIAM J. Sci. Comput. 17, 1996): PCG iterate k, whose relative decrement is
@@ -60,14 +66,20 @@ from .geometry import TriMesh, domain_measures
 from .metric import ConformalMetric
 
 
+def _sq_norm(g: np.ndarray) -> np.ndarray:
+    """|g|^2 of each row of an (M, 2) array."""
+    return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
+
+
 def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
     """Per element, the (M, 2, 2) symmetric positive definite tangent factor
     G* (I + (p-2) g g^T / (eps^2 + |g|^2)), G* = (eps^2 + |g|^2)^{(p-2)/2}."""
-    m = np.einsum("mi,mi->m", grad, grad)
-    denom = eps * eps + m
+    denom = eps * eps + _sq_norm(grad)
     gstar = denom ** ((p - 2.0) / 2.0)
-    outer = grad[:, :, None] * grad[:, None, :]
-    return gstar[:, None, None] * (np.eye(2) + (p - 2.0) * outer / denom[:, None, None])
+    s = (p - 2.0) * gstar / denom
+    g0, g1 = grad[:, 0], grad[:, 1]
+    c01 = s * g0 * g1
+    return np.stack([gstar + s * g0 * g0, c01, c01, gstar + s * g1 * g1], axis=1).reshape(-1, 2, 2)
 
 
 @dataclass
@@ -113,76 +125,94 @@ class _Assembler:
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
         # dofs[i] is the vertex of unknown i of the ordered tangent
-        self.free, self.dofs, self._indptr, self._indices, self._slot = mesh.derived(
-            "tangent_pattern", lambda: _tangent_pattern(mesh))
+        (self.free, self.dofs, self._grad, self._lower, self._mirror, self._indptr,
+         self._indices) = mesh.derived("assembly_maps", lambda: _assembly_maps(mesh))
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
-        return np.einsum("mki,mk->mi", self.mesh.basis_grads, u[self.mesh.triangles])
+        return (self._grad @ u).reshape(-1, 2)
 
     def energy(self, u: np.ndarray, eps: float) -> float:
         # the eps^p offset makes J(0) = 0 for every eps without touching
         # derivatives
         g = self.gradients(u)
-        m = np.einsum("mi,mi->m", g, g)
-        dens = ((eps * eps + m) ** (self.p / 2.0) - eps**self.p) / self.p
+        dens = ((eps * eps + _sq_norm(g)) ** (self.p / 2.0) - eps**self.p) / self.p
         return float(np.sum(self.w_grad * dens) - self.load @ u)
 
     def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
         g = self.gradients(u)
-        m = np.einsum("mi,mi->m", g, g)
-        gstar = (eps * eps + m) ** ((self.p - 2.0) / 2.0)
+        gstar = (eps * eps + _sq_norm(g)) ** ((self.p - 2.0) / 2.0)
         flux = (self.w_grad * gstar)[:, None] * g
-        contrib = np.einsum("mki,mi->mk", self.mesh.basis_grads, flux)
-        r = -self.load.copy()
-        np.add.at(r, self.mesh.triangles.ravel(), contrib.ravel())
+        r = self._grad.T @ flux.ravel() - self.load
         if not np.isfinite(r).all():
-            bad = int(np.argmax(~np.isfinite(contrib).all(axis=1)))
+            bad = int(np.argmax(~np.isfinite(flux).all(axis=1)))
             raise AssemblyError("non-finite residual during assembly", element=bad)
         return r
 
     def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
         """The free x free tangent, in the order of ``dofs``."""
-        g = self.gradients(u)
-        coeff = _flux_coeff(g, self.p, eps)
-        blocks = _element_blocks(self.mesh, self.w_grad[:, None, None] * coeff)
-        if not np.isfinite(blocks).all():
-            bad = int(np.argmax(~np.isfinite(blocks).reshape(len(blocks), -1).any(axis=1)))
+        coeff = _flux_coeff(self.gradients(u), self.p, eps).reshape(-1, 4)
+        c = np.take(coeff, [0, 1, 3], axis=1)      # c00, c01, c11 per element
+        c *= self.w_grad[:, None]
+        if not np.isfinite(c).all():
+            bad = int(np.argmax(~np.isfinite(c).all(axis=1)))
             raise AssemblyError("non-finite tangent during assembly", element=bad)
         nf = len(self.dofs)
-        data = np.bincount(self._slot, weights=blocks.ravel(), minlength=len(self._indices) + 1)
-        return sp.csc_matrix((data[:-1], self._indices, self._indptr), shape=(nf, nf))
+        data = (self._lower @ c.ravel())[self._mirror]
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
 
 
-def _element_blocks(mesh: TriMesh, coeff: np.ndarray) -> np.ndarray:
-    """Element matrices grad(lambda_k) . coeff grad(lambda_l), shape (M, 3, 3)."""
-    bg = mesh.basis_grads
-    return np.matmul(np.matmul(bg, coeff), bg.transpose(0, 2, 1))
-
-
-def _tangent_pattern(mesh: TriMesh) -> tuple[np.ndarray, ...]:
-    """(free, dofs, indptr, indices, slot) of the ordered free x free tangent.
+def _assembly_maps(mesh: TriMesh) -> tuple:
+    """(free, dofs, grad, lower, mirror, indptr, indices): the linear maps
+    from nodal values and element coefficients to the assembled arrays.
 
     ``free`` are the interior vertices and ``dofs[i]`` the vertex of unknown
-    i.  ``slot`` sends each entry of the raveled element blocks to its
-    position in the CSC data array; entries touching a boundary vertex go to
-    one extra slot past the end.  The order depends on the structure only, so
-    it is taken from the P1 stiffness with unit weights.
+    i of the free x free tangent, whose CSC layout is (``indptr``,
+    ``indices``).  ``grad`` (2M x N, CSR) sends nodal values to the element
+    gradients, row 2t + i holding d/dx_i of triangle t; the residual is its
+    transpose applied to the element fluxes.  Element t's tangent block is
+    grad(lambda_k) . C_t grad(lambda_l), linear in the three distinct entries
+    (c00, c01, c11) of its symmetric 2 x 2 coefficient C_t: ``lower`` sends
+    those 3M entries to the lower-triangle slots of the CSC data, and
+    ``mirror`` gathers every slot from its lower-triangle twin.  The order is
+    a symmetric minimum-degree order of the structure, so it is taken from
+    the unit-weight stiffness, C_t = I.
     """
-    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+    tri, bg = mesh.triangles, mesh.basis_grads
+    n, m = mesh.n_vertices, mesh.n_triangles
+    grad = sp.csr_matrix((bg.transpose(0, 2, 1).ravel(), np.repeat(tri, 2, axis=0).ravel(),
+                          np.arange(0, 6 * m + 1, 3)), shape=(2 * m, n))
+    free = np.setdiff1d(np.arange(n), mesh.boundary_vertices)
     nf = len(free)
-    local = np.full(mesh.n_vertices, -1)
+    local = np.full(n, -1)
     local[free] = np.arange(nf)
-    tri = local[mesh.triangles]
-    rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    stiff = _element_blocks(mesh, np.eye(2)).ravel()
-    lap = sp.csc_matrix((stiff[keep], (rows[keep], cols[keep])), shape=(nf, nf))
+    ltri = local[tri]
+    rows, cols = np.repeat(ltri, 3, axis=1).ravel(), np.tile(ltri, (1, 3)).ravel()
+    keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols, elem = rows[keep], cols[keep], keep // 9
+    # the weights of (c00, c01, c11) in entry (k, l) of each kept element block
+    bk, bl = bg[elem, keep // 3 % 3], bg[elem, keep % 3]
+    weights = np.stack([bk[:, 0] * bl[:, 0], bk[:, 0] * bl[:, 1] + bk[:, 1] * bl[:, 0],
+                        bk[:, 1] * bl[:, 1]], axis=1)
+    lap = sp.csc_matrix((weights[:, 0] + weights[:, 2], (rows, cols)), shape=(nf, nf))
+    # int64, so the keys col * nf + row do not wrap past 46340 unknowns
     rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
-    key = np.where(keep, rank[cols] * nf + rank[rows], nf * nf)
-    uniq, slot = np.unique(key, return_inverse=True)
-    uniq = uniq[uniq < nf * nf]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(uniq // nf, minlength=nf))])
-    return free, free[np.argsort(rank)], indptr, uniq % nf, slot
+    rank = rank.astype(np.int64)
+    rows, cols = rank[rows], rank[cols]
+    low = rows >= cols
+    lower_keys, slot = np.unique(cols[low] * nf + rows[low], return_inverse=True)
+    lower = sp.csr_matrix((weights[low].ravel(), (np.repeat(slot, 3),
+                                                  (3 * elem[low, None] + np.arange(3)).ravel())),
+                          shape=(len(lower_keys), 3 * m))
+    # the full pattern: every lower slot, and the twin of every strict-lower one
+    lrow, lcol = lower_keys % nf, lower_keys // nf
+    strict = np.flatnonzero(lrow > lcol)
+    keys = np.concatenate([lower_keys, lrow[strict] * nf + lcol[strict]])
+    order = np.argsort(keys)
+    mirror = np.concatenate([np.arange(len(lower_keys)), strict])[order]
+    col, indices = keys[order] // nf, keys[order] % nf
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nf))])
+    return (free, free[np.argsort(rank)], grad, lower, mirror.astype(np.int32),
+            indptr.astype(np.int32), indices.astype(np.int32))
 
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
@@ -259,6 +289,7 @@ def spsolve(K: sp.csc_matrix | _HeldFactor, b: np.ndarray) -> np.ndarray:
             held.refactor = its > _CG_REFACTOR
             if x is not None:
                 return x
+        held.lu = None      # two factors at once would set the peak memory
         held.lu = _factor(held.tangent)
         held.factored, held.refactor = held.tangent, False
         held.factorizations += 1
@@ -386,7 +417,7 @@ def convergence_study(spec, metric: ConformalMetric | None, p: float,
         r = np.linalg.norm(mesh.points, axis=1)
         err = sol.u - profile.u(np.minimum(r, spec.radius))
         err_max = float(np.abs(err).max())
-        eq = np.abs(mesh.interpolate_located(err, *mesh.quad_sites))
+        eq = np.abs(mesh.quad_interpolation() @ err)
         err_l2 = float(np.sqrt(np.sum(mesh.quad_weights * eq**2)))
         row = ConvergenceRow(h=h, err_max=err_max, err_l2=err_l2, order_max=None, order_l2=None)
         if prev is not None and h < prev.h:

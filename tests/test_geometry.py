@@ -439,6 +439,20 @@ def test_batched_locate_matches_pointwise_reference(lab):
     assert np.array_equal(bary, ref_bary)
 
 
+def test_quad_interpolation_matches_located_interpolation(lab):
+    # row t*Q + q is quadrature point q of triangle t, as in quad_points
+    mesh = lab.mesh("ellipse", 0.14)
+    interp = mesh.quad_interpolation()
+    assert np.abs(interp @ mesh.points - mesh.quad_points).max() <= 1e-15
+    bary = np.tile(mesh.quad_bary, (mesh.n_triangles, 1))
+    rng = np.random.default_rng(5)
+    for shape in ((), (2,), (2, 2)):
+        nodal = rng.normal(size=(mesh.n_vertices, *shape))
+        ref = mesh.interpolate_located(nodal, mesh.quad_tri, bary)
+        got = (interp @ nodal.reshape(mesh.n_vertices, -1)).reshape(ref.shape)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize("head", [None, 1])
 def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, head):
     # points outside the boundary have no inside hit, so they take the

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, Disk, Ellipse, SolverError,
+from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError,
                       ValidationError, build_mesh, convergence_study, solve)
 import scipy.sparse as sp
 
@@ -9,6 +9,8 @@ from plap_lab import solver
 from plap_lab.cli import main
 from plap_lab.oracles import radial_exact
 from plap_lab.solver import _Assembler
+
+from conftest import METRICS
 
 
 def _disk_error(lab, p, h=0.05):
@@ -81,11 +83,21 @@ def test_tangent_spd(lab):
         assert lam.min() > 0
 
 
+def _reference_gradients(mesh, u):
+    """The element gradients, summed element by element."""
+    return np.einsum("mki,mk->mi", mesh.basis_grads, u[mesh.triangles])
+
+
 def _reference_tangent(asm, u, eps):
-    """The tangent summed by scipy from COO, then sliced to the free vertices."""
-    coeff = asm.w_grad[:, None, None] * solver._flux_coeff(asm.gradients(u), asm.p, eps)
+    """The tangent from per-element 3 x 3 blocks, summed by scipy from COO,
+    then sliced to the free vertices."""
+    g = _reference_gradients(asm.mesh, u)
+    denom = eps * eps + np.einsum("mi,mi->m", g, g)
+    gstar = denom ** ((asm.p - 2.0) / 2.0)
+    outer = g[:, :, None] * g[:, None, :]
+    coeff = gstar[:, None, None] * (np.eye(2) + (asm.p - 2.0) * outer / denom[:, None, None])
     bg = asm.mesh.basis_grads
-    blocks = np.einsum("mki,mij,mlj->mkl", bg, coeff, bg)
+    blocks = np.einsum("mki,mij,mlj->mkl", bg, asm.w_grad[:, None, None] * coeff, bg)
     tri = asm.mesh.triangles
     rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
     n = asm.mesh.n_vertices
@@ -93,25 +105,79 @@ def _reference_tangent(asm, u, eps):
     return K[asm.free][:, asm.free]
 
 
+def _reference_residual(asm, u, eps):
+    """The residual, each element's flux scattered to its vertices in turn."""
+    g = _reference_gradients(asm.mesh, u)
+    gstar = (eps * eps + np.einsum("mi,mi->m", g, g)) ** ((asm.p - 2.0) / 2.0)
+    flux = (asm.w_grad * gstar)[:, None] * g
+    contrib = np.einsum("mki,mi->mk", asm.mesh.basis_grads, flux)
+    r = -asm.load.copy()
+    np.add.at(r, asm.mesh.triangles.ravel(), contrib.ravel())
+    return r
+
+
+def _reference_energy(asm, u, eps):
+    g = _reference_gradients(asm.mesh, u)
+    dens = ((eps * eps + np.einsum("mi,mi->m", g, g)) ** (asm.p / 2.0) - eps**asm.p) / asm.p
+    return float(np.sum(asm.w_grad * dens) - asm.load @ u)
+
+
+def _random_field(mesh):
+    u = np.random.default_rng(11).uniform(0, 0.2, mesh.n_vertices)
+    u[mesh.boundary_vertices] = 0.0
+    return u
+
+
 @pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 def test_ordered_tangent_and_direction(lab, domain, h, p):
     mesh = lab.mesh(domain, h)
-    u = np.random.default_rng(11).uniform(0, 0.2, mesh.n_vertices)
-    u[mesh.boundary_vertices] = 0.0
-    asm = _Assembler(mesh, ConformalMetric.flat(), p)
-    K = asm.tangent(u, 1e-3)
-    # the stored order is a permutation of the free vertices
-    order = np.searchsorted(asm.free, asm.dofs)
-    assert np.array_equal(np.sort(asm.dofs), asm.free)
-    ref = _reference_tangent(asm, u, 1e-3)[order][:, order].toarray()
-    Kd = K.toarray()
-    assert np.abs(Kd - ref).max() <= 1e-14 * np.abs(ref).max()
-    # the Newton direction agrees with a dense solve
-    b = -asm.residual(u, 1e-3)[asm.dofs]
-    d = solver.spsolve(K, b)
-    d_ref = np.linalg.solve(Kd, b)
-    assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
+    u = _random_field(mesh)
+    # the cap metric weighs each element's gradient term unevenly
+    for metric in ("flat", "cap"):
+        asm = _Assembler(mesh, METRICS[metric], p)
+        K = asm.tangent(u, 1e-3)
+        # the stored order is a permutation of the free vertices
+        order = np.searchsorted(asm.free, asm.dofs)
+        assert np.array_equal(np.sort(asm.dofs), asm.free)
+        ref = _reference_tangent(asm, u, 1e-3)[order][:, order].toarray()
+        Kd = K.toarray()
+        assert np.abs(Kd - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the Newton direction agrees with a dense solve
+        b = -asm.residual(u, 1e-3)[asm.dofs]
+        d = solver.spsolve(K, b)
+        d_ref = np.linalg.solve(Kd, b)
+        assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
+
+
+@pytest.mark.parametrize("metric", ["flat", "cap"])
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_residual_and_energy_match_element_loops(lab, domain, h, p, metric):
+    mesh = lab.mesh(domain, h)
+    u = _random_field(mesh)
+    asm = _Assembler(mesh, METRICS[metric], p)
+    for eps in (1e-3, solver._EPS_MIN):
+        ref = _reference_residual(asm, u, eps)
+        assert np.abs(asm.residual(u, eps) - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = _reference_energy(asm, u, eps)
+        assert abs(asm.energy(u, eps) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+def test_non_finite_assembly_names_the_first_element(lab, domain, h):
+    # NaN at one interior vertex spoils every triangle around it; the error
+    # names the lowest-index one
+    mesh = lab.mesh(domain, h)
+    asm = _Assembler(mesh, ConformalMetric.flat(), 3.0)
+    u = _random_field(mesh)
+    vertex = asm.free[-1]
+    u[vertex] = np.nan
+    first = int(np.flatnonzero((mesh.triangles == vertex).any(axis=1))[0])
+    for assemble in (asm.residual, asm.tangent):
+        with pytest.raises(AssemblyError) as err:
+            assemble(u, 1e-3)
+        assert err.value.element == first
 
 
 def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
