@@ -1,0 +1,45 @@
+#!/usr/bin/env python3
+"""Run shipped configs into one output tree, for `compare_outputs.py`.
+
+Each config (every `configs/*.json` by default) runs through the CLI with its
+own command into `OUT/<stem>/`, and the exit codes go to
+`OUT/exit_codes.json` as {stem: code}.  Two trees made from two checkouts
+are then compared with
+
+    PYTHONPATH=src python scripts/shipped_outputs.py OLD_OUT   # in the old checkout
+    PYTHONPATH=src python scripts/shipped_outputs.py NEW_OUT   # in the new checkout
+    python scripts/compare_outputs.py OLD_OUT NEW_OUT
+
+The script exits 0 once every config has run, whatever their exit codes.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+from plap_lab.cli import main as plap_lab
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out", type=Path)
+    ap.add_argument("configs", type=Path, nargs="*",
+                    help="config files (default: every config in configs/)")
+    args = ap.parse_args()
+    codes = {}
+    for config in args.configs or sorted(CONFIGS.glob("*.json")):
+        command = json.loads(config.read_text(encoding="utf-8"))["command"]
+        codes[config.stem] = plap_lab([command, "--config", str(config),
+                                       "--out", str(args.out / config.stem)])
+        print(f"{config.stem}: exit {codes[config.stem]}", flush=True)
+    args.out.mkdir(parents=True, exist_ok=True)
+    (args.out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

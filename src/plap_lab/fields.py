@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._poly import Coeffs, poly_derive, poly_eval
 from .errors import ValidationError
@@ -128,10 +129,9 @@ def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None, weights=None,
 # --------------------------------------------------------------------------
 
 
-def _two_ring_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex, neighbor) pairs within graph distance two, including self."""
-    import scipy.sparse as sp
-
+def _two_ring(mesh: TriMesh) -> sp.csr_matrix:
+    """The vertex pairs within graph distance two, self included, as the
+    pattern of an (n, n) CSR matrix: row v holds the pairs (v, w)."""
     tri = mesh.triangles
     n = mesh.n_vertices
     i = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2], tri[:, 1], tri[:, 2], tri[:, 0]])
@@ -139,29 +139,37 @@ def _two_ring_pairs(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     adj = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)).tocsr()
     adj.data[:] = 1.0
     one = adj + sp.eye(n, format="csr")
-    two = (one @ one).tocoo()
-    return two.row, two.col
+    return one @ one
 
 
-def _normal_equations(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _normal_equations(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
     """The part of the patch fit that does not depend on the nodal values:
-    the two-ring pairs (pv, pw), the weighted basis w b per pair (pairs, 6)
-    and the normal matrices sum w b b^T per vertex (n, 6, 6)."""
-    pv, pw = _two_ring_pairs(mesh)
-    d = (mesh.points[pw] - mesh.points[pv]) / mesh.h
-    basis = np.stack(
-        [np.ones(len(pv)), d[:, 0], d[:, 1],
-         0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2],
-        axis=1,
-    )
-    wb = np.exp(-(d * d).sum(axis=1))[:, None] * basis
-    n = mesh.n_vertices
+    the gather (n x pairs, CSR) that sums a per-pair array over each
+    vertex's two-ring pairs in pair order, the neighbour w of each pair
+    (v, w), the weighted basis w b per pair as rows (6, pairs), and the
+    normal matrices sum w b b^T per vertex (n, 6, 6)."""
+    two = _two_ring(mesh)
+    n, n_pairs = mesh.n_vertices, two.nnz
+    pw = two.indices
+    pv = np.repeat(np.arange(n, dtype=pw.dtype), np.diff(two.indptr))
+    ones = two.data         # the gather reuses the two-ring matrix's arrays
+    ones[:] = 1.0
+    gather = sp.csr_matrix((ones, np.arange(n_pairs, dtype=pw.dtype), two.indptr),
+                           shape=(n, n_pairs))
+    dx, dy = ((mesh.points[pw, k] - mesh.points[pv, k]) / mesh.h for k in range(2))
+    basis = [ones, dx, dy, 0.5 * dx ** 2, dx * dy, 0.5 * dy ** 2]
+    w = np.exp(-(dx * dx + dy * dy))
+    wb = np.empty((6, n_pairs))
+    for i in range(6):
+        np.multiply(w, basis[i], out=wb[i])
     # all 36 entries, not 21 mirrored: (w b_i) b_j and (w b_j) b_i can differ
-    # in the last bit
-    mat = np.stack([np.bincount(pv, weights=wb[:, i] * basis[:, j], minlength=n)
-                    for i in range(6) for j in range(6)], axis=1).reshape(n, 6, 6)
+    # in the last bit; one product at a time keeps the temporaries small
+    mat = np.empty((n, 6, 6))
+    for i in range(6):
+        for j in range(6):
+            mat[:, i, j] = gather @ (wb[i] * basis[j])
     mat.flags.writeable = False     # shared by every fit on the mesh
-    return pv, pw, wb, mat
+    return gather, pw, wb, mat
 
 
 def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,15 +181,16 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     h); reproduces quadratic fields exactly up to the boundary, which plain
     averaging of element gradients does not.  The Hessian is symmetric by
     construction: both off-diagonal entries are the one xy coefficient.
-    The normal matrices are built once per mesh; a fit only scatters its
-    right-hand side and solves.
+    The normal matrices and the gather are built once per mesh; a fit
+    gathers its right-hand side and solves the n 6 x 6 systems again.
     """
-    pv, pw, wb, mat = mesh.derived("recovery", lambda: _normal_equations(mesh))
+    gather, pw, wb, mat = mesh.derived("recovery", lambda: _normal_equations(mesh))
     h = mesh.h
     n = mesh.n_vertices
     vals = nodal[pw]
-    rhs = np.stack([np.bincount(pv, weights=wb[:, k] * vals, minlength=n) for k in range(6)],
-                   axis=1)[:, :, None]
+    rhs = np.empty((n, 6, 1))
+    for k in range(6):
+        rhs[:, k, 0] = gather @ (wb[k] * vals)
     try:
         coef = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:

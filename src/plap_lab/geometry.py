@@ -279,7 +279,7 @@ class TriMesh:
     quad_tri: np.ndarray                # (M*Q,) owning triangle
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
     # state that depends on the mesh alone (point locator, measures per
-    # metric, recovery normal equations, tangent pattern, trace sample
+    # metric, recovery normal equations, assembly maps, trace sample
     # sites), built by `derived` on first use and shared by every case
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -296,7 +296,13 @@ class TriMesh:
         return np.concatenate(self.boundary_loops)
 
     def min_angle_deg(self) -> float:
-        return float(np.degrees(_triangle_angles(self.points, self.triangles).min()))
+        """The least interior angle of any triangle: the arccos of the
+        largest cosine, as arccos is decreasing."""
+        p = np.take(self.points, self.triangles, axis=0)
+        e1, e2 = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+        cos = np.einsum("mvi,mvi->mv", e1, e2) / (
+            np.linalg.norm(e1, axis=2) * np.linalg.norm(e2, axis=2))
+        return float(np.degrees(np.arccos(np.clip(cos.max(), -1.0, 1.0))))
 
     def derived(self, key, build: Callable[[], object]):
         """The mesh-only state stored under ``key``, built by ``build()`` the
@@ -369,19 +375,6 @@ class _PointLocator:
         pick = np.where(hit, inside.argmax(axis=1), worst.argmax(axis=1))
         rows = np.arange(len(pts))
         return cand[rows, pick], bary[rows, pick], hit
-
-
-def _triangle_angles(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = points[triangles]
-    angles = np.empty((len(triangles), 3))
-    for v in range(3):
-        e1 = p[:, (v + 1) % 3] - p[:, v]
-        e2 = p[:, (v + 2) % 3] - p[:, v]
-        cosang = np.einsum("ij,ij->i", e1, e2) / (
-            np.linalg.norm(e1, axis=1) * np.linalg.norm(e2, axis=1)
-        )
-        angles[:, v] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return angles
 
 
 # --------------------------------------------------------------------------
@@ -464,7 +457,7 @@ class _RadialDomain:
 
     def triangles_inside(self, points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         """The triangles whose centroid lies inside the domain."""
-        return triangles[self.inside(points[triangles].mean(axis=1))]
+        return triangles[self.inside(np.take(points, triangles, axis=0).mean(axis=1))]
 
     def clamp(self, pts: np.ndarray, margin: float) -> np.ndarray:
         """Points (P, 2) pulled radially to between r_in + margin and
@@ -507,10 +500,13 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     Relaxation keeps its edge list between steps and retriangulates only after
     some vertex has moved more than 0.1 h since the last triangulation, by
     edge flips on the Delaunay triangulation it holds; Qhull triangulates the
-    lattice once before relaxation and the relaxed points once after it.  The
-    force loop works on coordinate rows, and the radial clamp and inside tests
-    look the boundary up only for points at or beyond a per-sector bound;
-    neither changes a mesh.
+    lattice once before relaxation and the relaxed points once after it.
+    Each triangulation keeps the triangles whose centroid lies inside the
+    domain; a domain of one loop whose node polygon is convex skips that
+    filter, since its triangulations cover the polygon and nothing more.
+    The force loop and the flip repair work on coordinate rows, and the
+    radial clamp and inside tests look the boundary up only for points at or
+    beyond a per-sector bound; none of this changes a mesh.
     """
     diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
@@ -531,11 +527,17 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
 
     bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
     domain = _RadialDomain(spec)
+    # a Delaunay triangulation covers the convex hull of its points: when the
+    # domain is one loop whose node polygon is convex, that hull is the
+    # polygon, and the centroid filter has nothing to remove
+    filter_centroids = len(curves) > 1 or not _convex_polygon(bnd_xy)
     interior = _hex_lattice(spec, h, domain)
-    interior = _relax(bnd_xy, interior, h, domain)
+    interior = _relax(bnd_xy, interior, h, domain, filter_centroids)
 
     points = np.concatenate([bnd_xy, interior]) if len(interior) else bnd_xy.copy()
-    triangles = domain.triangles_inside(points, _delaunay_ccw(points)[0])
+    triangles = _delaunay_ccw(points)[0]
+    if filter_centroids:
+        triangles = domain.triangles_inside(points, triangles)
 
     mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths)
     _check_boundary_edges(mesh)
@@ -563,13 +565,23 @@ def _hex_lattice(spec: DomainSpec, h: float, domain: _RadialDomain) -> np.ndarra
     return pts[domain.inside(pts, margin=0.7 * h)]
 
 
-def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomain) -> np.ndarray:
+def _convex_polygon(loop: np.ndarray) -> bool:
+    """Whether the counter-clockwise node loop (P, 2) turns left at every
+    node; a loop of a radial graph winds once, so it is then convex."""
+    e = np.roll(loop, -1, axis=0) - loop
+    en = np.roll(e, -1, axis=0)
+    return bool((e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0] > 0).all())
+
+
+def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomain,
+           filter_centroids: bool) -> np.ndarray:
     """The interior points after at most ``_RELAX_ITERS`` steps of repulsive
-    edge forces, with the boundary points ``bnd`` pinned.
+    edge forces, with the boundary points ``bnd`` pinned; each
+    retriangulation runs the centroid filter if ``filter_centroids``.
 
     The loop holds the points as coordinate rows (x, y) and runs the same
     floating-point operations as on (n, 2) points, so the result is the same
-    bit for bit; only the retriangulations and the result are (n, 2) points.
+    bit for bit; Qhull, the centroid filter and the result see (n, 2) views.
     """
     if len(interior) == 0:
         return interior
@@ -584,9 +596,9 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
         dx, dy = xy - last
         if np.sqrt((dx * dx + dy * dy).max()) > 0.1 * h:
             last = xy.copy()
-            pts = xy.T.copy()
+            pts = xy.T
             full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
-            tri = domain.triangles_inside(pts, full[0])
+            tri = domain.triangles_inside(pts, full[0]) if filter_centroids else full[0]
             keys = _edge_keys(tri, n)
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             e0, e1 = keys // n, keys % n
@@ -619,12 +631,11 @@ def _edge_keys(triangles: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _signed_area(points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = points[triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+def _signed_area(xy: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Signed areas of the triangles over the coordinate rows ``xy`` (2, N),
+    positive for counter-clockwise ones."""
+    (x0, x1, x2), (y0, y1, y2) = (row[triangles.T] for row in xy)
+    return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
 
 
 # --------------------------------------------------------------------------
@@ -641,7 +652,7 @@ def _delaunay_ccw(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     opposite vertex k of triangle t, or -1 on the convex hull."""
     d = Delaunay(points)
     tri, nbr = d.simplices.copy(), d.neighbors.copy()
-    cw = _signed_area(points, tri) < 0
+    cw = _signed_area(points.T, tri) < 0
     tri[cw] = tri[cw][:, [0, 2, 1]]
     nbr[cw] = nbr[cw][:, [0, 2, 1]]
     return tri, nbr
@@ -660,14 +671,15 @@ def _flip_to_delaunay(points: np.ndarray, tri: np.ndarray,
     hole) are never flipped.  If a vertex has moved across an edge, so that
     some triangle is no longer counter-clockwise, Qhull starts afresh.
     """
-    if (_signed_area(points, tri) <= 0).any():
+    xy = points.T
+    if (_signed_area(xy, tri) <= 0).any():
         return _delaunay_ccw(points)
     t, k = np.nonzero(nbr > np.arange(len(tri))[:, None])    # every interior edge once
     for _ in range(_FLIP_PASSES):
         u = nbr[t, k]
         ku = np.argmax(nbr[u] == t[:, None], axis=1)
         a, b, c, d = tri[t, k], tri[t, (k + 1) % 3], tri[t, (k + 2) % 3], tri[u, ku]
-        bad = _in_circle(points, a, b, c, d)
+        bad = _in_circle(xy, a, b, c, d)
         if not bad.any():
             return tri, nbr
         t, k, u, ku, a, b, c, d = (x[bad] for x in (t, k, u, ku, a, b, c, d))
@@ -691,16 +703,20 @@ def _flip_to_delaunay(points: np.ndarray, tri: np.ndarray,
     return _delaunay_ccw(points)
 
 
-def _in_circle(points: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+def _in_circle(xy: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                d: np.ndarray) -> np.ndarray:
     """Whether d lies strictly inside the circumcircle of the counter-clockwise
-    triangle (a, b, c), by more than the tie tolerance."""
-    pd = points[d]
-    ad, bd, cd = points[a] - pd, points[b] - pd, points[c] - pd
-    la, lb, lc = (np.einsum("ij,ij->i", v, v) for v in (ad, bd, cd))
-    det = (la * (bd[:, 0] * cd[:, 1] - cd[:, 0] * bd[:, 1])
-           + lb * (cd[:, 0] * ad[:, 1] - ad[:, 0] * cd[:, 1])
-           + lc * (ad[:, 0] * bd[:, 1] - bd[:, 0] * ad[:, 1]))
+    triangle (a, b, c), by more than the tie tolerance; the points are the
+    coordinate rows ``xy`` (2, N)."""
+    x, y = xy
+    xd, yd = x[d], y[d]
+    adx, ady = x[a] - xd, y[a] - yd
+    bdx, bdy = x[b] - xd, y[b] - yd
+    cdx, cdy = x[c] - xd, y[c] - yd
+    la, lb, lc = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+    det = (la * (bdx * cdy - cdx * bdy)
+           + lb * (cdx * ady - adx * cdy)
+           + lc * (adx * bdy - bdx * ady))
     return det > _FLIP_TIE * np.maximum(np.maximum(la, lb), lc) ** 2
 
 
@@ -726,8 +742,8 @@ def _assemble_mesh(
     loops_params: list[np.ndarray],
     lengths: list[float],
 ) -> TriMesh:
-    p = points[triangles]
-    areas = _signed_area(points, triangles)
+    p = np.take(points, triangles, axis=0)
+    areas = _signed_area(points.T, triangles)
     if not (areas > 0).all():
         raise MeshGenerationError("degenerate triangle with nonpositive area")
     # gradient of barycentric basis function i: perpendicular of opposite edge / (2A)

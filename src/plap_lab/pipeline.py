@@ -9,10 +9,10 @@ solution, the per-boundary-node trace, the report and the nodal P-function
 outlive the call; the per-quadrature-point derivative bundle does not.
 
 Mesh-derived state lives on the `TriMesh`: the point locator, the domain
-measures per metric, the recovery normal equations, the tangent pattern and
-the trace sample sites are built the first time a case needs them, and every
-later case on the same mesh (as `cli` runs all p values of one h) reuses
-them.
+measures per metric, the recovery normal equations, the solver's assembly
+maps and the trace sample sites are built the first time a case needs them,
+and every later case on the same mesh (as `cli` runs all p values of one h)
+reuses them.
 """
 
 from __future__ import annotations

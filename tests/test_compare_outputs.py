@@ -1,13 +1,16 @@
 """scripts/compare_outputs.py: identical trees exit 0, one changed cell exits
-1, and a dropped CSV column is reported once."""
+1, and a dropped CSV column is reported once; scripts/shipped_outputs.py
+writes a tree that it compares."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_outputs.py"
 
 
 def _compare(old: Path, new: Path) -> subprocess.CompletedProcess:
@@ -42,3 +45,18 @@ def test_dropped_csv_column_is_reported_once(tmp_path):
     assert res.returncode == 1
     assert res.stdout.splitlines() == ["rows.csv: column serrin: only in old",
                                        "0 of 1 files identical"]
+
+
+def test_shipped_outputs_tree_compares_identical(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    config = ROOT / "configs" / "radial.json"
+    for out in (tmp_path / "old", tmp_path / "new"):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "shipped_outputs.py"),
+                               str(out), str(config)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((out / "exit_codes.json").read_text()) == {"radial": 0}
+        assert (out / "radial" / "radial.json").is_file()
+    res = _compare(tmp_path / "old", tmp_path / "new")
+    assert res.returncode == 0, res.stdout
+    assert res.stdout.splitlines()[-1] == "2 of 2 files identical"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plap_lab import fields
 from plap_lab import (ConformalMetric, PolynomialField, ValidationError,
                       analytic_bundle, field_catalogue, linearized_on_p,
                       p_bochner_residual, p_function, recover_derivatives)
@@ -39,6 +40,34 @@ def test_recovery_exact_on_quadratics(lab):
     bundle = recover_derivatives(mesh, u, FLAT)
     assert np.abs(bundle.nodal_grad - mesh.points).max() <= 1e-10
     assert np.abs(bundle.nodal_hess - np.eye(2)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1)])
+def test_recovery_sums_match_bincount_formulas(lab, domain, h):
+    """The gathered normal matrices and fits equal, bit for bit, the per-pair
+    sums scattered by bincount in pair order."""
+    mesh = lab.mesh(domain, h)
+    n = mesh.n_vertices
+    two = fields._two_ring(mesh).tocoo()
+    pv, pw = two.row, two.col
+    d = (mesh.points[pw] - mesh.points[pv]) / mesh.h
+    basis = np.stack([np.ones(len(pv)), d[:, 0], d[:, 1],
+                      0.5 * d[:, 0] ** 2, d[:, 0] * d[:, 1], 0.5 * d[:, 1] ** 2], axis=1)
+    wb = np.exp(-(d * d).sum(axis=1))[:, None] * basis
+    mat = np.stack([np.bincount(pv, weights=wb[:, i] * basis[:, j], minlength=n)
+                    for i in range(6) for j in range(6)], axis=1).reshape(n, 6, 6)
+    _, gather_pw, gather_wb, gather_mat = fields._normal_equations(mesh)
+    assert np.array_equal(gather_pw, pw)
+    assert np.array_equal(gather_wb, wb.T)
+    assert np.array_equal(gather_mat, mat)
+
+    u = np.sin(1.3 * mesh.points[:, 0]) * np.cos(0.7 * mesh.points[:, 1])
+    rhs = np.stack([np.bincount(pv, weights=wb[:, k] * u[pw], minlength=n) for k in range(6)],
+                   axis=1)[:, :, None]
+    coef = np.linalg.solve(mat, rhs)[..., 0]
+    grad, hess = fields._quadratic_fit(mesh, u)
+    assert np.array_equal(grad, coef[:, 1:3] / mesh.h)
+    assert np.array_equal(hess, coef[:, [3, 4, 4, 5]].reshape(n, 2, 2) / (mesh.h * mesh.h))
 
 
 def test_recovery_hessian_order_on_cubics():

@@ -222,8 +222,58 @@ def test_mesh_matches_recorded_values(lab, domain, h, n_vertices, n_triangles, m
     assert mesh.n_vertices == n_vertices
     assert mesh.n_triangles == n_triangles
     assert mesh.min_angle_deg() == pytest.approx(min_angle, rel=1e-9)
-    digest = hashlib.sha256(mesh.points.tobytes() + mesh.triangles.tobytes()).hexdigest()
-    assert digest == MESH_DIGESTS[domain, h]
+    assert _mesh_digest(mesh) == MESH_DIGESTS[domain, h]
+
+
+def _mesh_digest(mesh):
+    return hashlib.sha256(mesh.points.tobytes() + mesh.triangles.tobytes()).hexdigest()
+
+
+def _count_filtered(monkeypatch) -> list:
+    """Record (triangles in, triangles kept) of every centroid filter call."""
+    import plap_lab.geometry as geo
+
+    calls, inside = [], geo._RadialDomain.triangles_inside
+
+    def counted(self, points, triangles):
+        kept = inside(self, points, triangles)
+        calls.append((len(triangles), len(kept)))
+        return kept
+
+    monkeypatch.setattr(geo._RadialDomain, "triangles_inside", counted)
+    return calls
+
+
+@pytest.mark.parametrize("domain, h", [key for key in MESH_DIGESTS if key[0] != "annulus"])
+def test_skipped_centroid_filter_would_remove_nothing(lab, monkeypatch, domain, h):
+    """A one-loop domain whose node polygon is convex skips the centroid
+    filter; run on every retriangulation, it removes no triangle and the mesh
+    is the same."""
+    import plap_lab.geometry as geo
+
+    mesh = lab.mesh(domain, h)
+    assert geo._convex_polygon(mesh.points[mesh.boundary_loops[0]])
+    calls = _count_filtered(monkeypatch)
+    monkeypatch.setattr(geo, "_convex_polygon", lambda loop: False)
+    forced = build_mesh(mesh.spec, h)
+    assert len(calls) >= 2      # the relaxation's retriangulations and the final one
+    assert all(kept == total for total, kept in calls)
+    assert _mesh_digest(forced) == MESH_DIGESTS[domain, h]
+
+
+@pytest.mark.parametrize("spec, h", [
+    (Annulus(0.5, 1.0), 0.1),
+    (Annulus(0.5, 1.0), 0.05),
+    (PolarStar(1.0, cos_coeffs=(0.0, 0.0, 0.3)), 0.05),     # r = 1 + 0.3 cos 3t
+])
+def test_centroid_filter_runs_where_it_removes_triangles(monkeypatch, spec, h):
+    """The annulus has a hole and the star's node polygon is not convex:
+    every retriangulation is filtered, and the filter removes triangles."""
+    calls = _count_filtered(monkeypatch)
+    mesh = build_mesh(spec, h)
+    assert len(calls) >= 2
+    assert all(kept < total for total, kept in calls)
+    assert calls[-1][1] == mesh.n_triangles
 
 
 def _edge_set(triangles):
@@ -257,7 +307,7 @@ def test_flips_repair_moved_points_to_their_delaunay_triangulation(seed, h):
         tri, nbr = geo._flip_to_delaunay(pts, tri, nbr)
 
     assert calls == []
-    assert (geo._signed_area(pts, tri) > 0).all()
+    assert (geo._signed_area(pts.T, tri) > 0).all()
     assert _edge_set(tri) == _edge_set(Delaunay(pts).simplices)
     linked = np.full_like(nbr, -1)
     geo._link(tri, linked, np.arange(len(tri)), len(pts))

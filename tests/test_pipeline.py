@@ -43,9 +43,7 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     measures = _count_calls(monkeypatch, geometry, "Measures")
     normal_eqs = _count_calls(monkeypatch, fields, "_normal_equations")
     sites = _count_calls(monkeypatch, identities, "_trace_sites")
-    orders, splu = [], solver.splu
-    monkeypatch.setattr(solver, "splu", lambda A, permc_spec, **kw: (
-        orders.append(1) if permc_spec == "MMD_AT_PLUS_A" else None) or splu(A, permc_spec, **kw))
+    orders = _count_calls(monkeypatch, solver, "_fill_reducing_order")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases

@@ -4,6 +4,7 @@ import pytest
 from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError,
                       ValidationError, build_mesh, convergence_study, solve)
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from plap_lab import solver
 from plap_lab.cli import main
@@ -148,6 +149,30 @@ def test_ordered_tangent_and_direction(lab, domain, h, p):
         d = solver.spsolve(K, b)
         d_ref = np.linalg.solve(Kd, b)
         assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1),
+                                      ("star", 0.1)])
+def test_fill_reducing_order_is_the_full_factorization_order(lab, monkeypatch, domain, h):
+    """The order is the ``perm_c`` of SuperLU's full factorization, and the
+    tangent's CSC layout is the pattern of the unit-weight stiffness in that
+    order; the lower map is a canonical CSR, as built from COO triplets."""
+    laps, order = [], solver._fill_reducing_order
+    monkeypatch.setattr(solver, "_fill_reducing_order", lambda lap: laps.append(lap) or order(lap))
+    free, dofs, _, lower, _, indptr, indices = solver._assembly_maps(lab.mesh(domain, h))
+    (lap,) = laps
+    rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
+    assert np.array_equal(order(lap), rank)
+    assert np.array_equal(dofs, free[np.argsort(rank)])
+    ordered = lap[np.argsort(rank)][:, np.argsort(rank)].tocsc()
+    ordered.sort_indices()
+    assert np.array_equal(indptr, ordered.indptr)
+    assert np.array_equal(indices, ordered.indices)
+    rows = np.repeat(np.arange(lower.shape[0]), np.diff(lower.indptr))
+    canonical = sp.csr_matrix((lower.data, (rows, lower.indices)), shape=lower.shape)
+    for a, b in ((lower.data, canonical.data), (lower.indices, canonical.indices),
+                 (lower.indptr, canonical.indptr)):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
