@@ -28,7 +28,7 @@ def main():
         case = run_case(Ellipse(args.a, args.b), None, p, args.h, mesh=mesh)
         mesh = case.mesh
         rep = case.report.sections
-        f, hk, sb, sr = rep["fundamental"], rep["hk"], rep["sbt"], rep["serrin"]
+        f, hk, sb = rep["fundamental"], rep["hk"], rep["sbt"]
         print(f"\np = {p}")
         print(f"  interior/boundary identity: volume {f['lhs_volume']:+.5f}  "
               f"boundary {f['lhs_boundary']:+.5f}  rhs {f['rhs']:+.5f}  "
@@ -37,8 +37,8 @@ def main():
               f"t3 {hk['t3']:+.5f}  [oracle {t3_oracle:.5f}]")
         print(f"  soap bubble: lhs {sb['lhs1'] + sb['lhs2']:+.5f}  rhs {sb['rhs']:+.5f}  "
               f"max |H - H0| {sb['max_h_deviation']:.4f}")
-        print(f"  overdetermined deficit {sr['deficit']:.4f} "
-              f"({sr['deficit'] / ei.perimeter:.3f} per unit boundary length)")
+        print(f"  overdetermined deficit t2 {hk['t2']:.4f} "
+              f"({hk['t2'] / ei.perimeter:.3f} per unit boundary length)")
         scan = rep.get("subharmonicity")
         if scan is None:
             print(f"  subharmonicity: skipped, {rep['skipped']['subharmonicity']}")

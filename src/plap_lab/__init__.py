@@ -22,11 +22,10 @@ from .fields import (AnalyticField, DerivativeBundle, PolynomialField,
 from .oracles import (RadialProfile, ellipse_boundary_integrals,
                       matrix_inequality_gap, matrix_inequality_sweep,
                       p_ball_constant, radial_exact, radial_fd_solve)
-from .solver import Solution, convergence_study, solve
+from .solver import Solution, solve
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report, equivalence_suite,
                          flux_balance, fundamental_identity, hk_report,
-                         serrin_deficit, soap_bubble_report,
-                         subharmonicity_scan)
+                         soap_bubble_report, subharmonicity_scan)
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConfigError, MeshGenerationError, PlapLabError, SolverError,
                      ValidationError)
-from .geometry import spec_from_json, spec_to_json
+from .geometry import Disk, spec_from_json, spec_to_json
 from .identities import Tolerances
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
@@ -131,6 +131,10 @@ def validate_config(obj, command: str) -> dict:
     for key in ("p", "h"):
         if key in obj:
             cfg[key] = [float(v) for v in obj[key]]
+            # output files are named by these tags, so each must name one value
+            tags = [f"{v:g}" for v in cfg[key]]
+            if len(set(tags)) < len(tags):
+                raise ConfigError(f"config.{key} values must give distinct file tags, got {tags}")
     cfg["tolerances"] = Tolerances(**obj.get("tolerances", {}))
     cfg["matcheck"] = {"samples": 1_000_000, "n_values": [2, 3, 4], **mc, "p_range": p_range}
     rd = obj.get("radial", {})
@@ -209,7 +213,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
-    """Per-run plot CSVs: boundary profiles, interior slices, deficit-vs-h."""
+    """Per-case plot CSVs: boundary profiles and interior slices."""
     written: list[Path] = []
     if not cases:
         print("warning: no reports to plot", file=sys.stderr)
@@ -237,22 +241,64 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         path = outdir / f"slice_{tag}.csv"
         write_csv(path, ["x", "u", "P"], [[line[i], u_line[i], p_line[i]] for i in range(len(line))])
         written.append(path)
-
-    hs = sorted({c.h for c in cases})
-    if len(hs) > 1:
-        rows = []
-        for case in sorted(cases, key=lambda c: (c.p, -c.h)):
-            r = case.report.sections
-            rows.append([case.p, case.h,
-                         r["serrin"]["deficit"] if "serrin" in r else "",
-                         r["fundamental"]["rel_residual_volume"],
-                         r["fundamental"]["rel_residual_boundary"],
-                         r["flux"]["rel_residual"]])
-        path = outdir / "deficit_vs_h.csv"
-        write_csv(path, ["p", "h", "serrin_deficit", "fundamental_rel_volume",
-                         "fundamental_rel_boundary", "flux_rel"], rows)
-        written.append(path)
     return written
+
+
+# the deficit_vs_h.csv columns after p and h; each has an order_<column> twin
+_REFINEMENT_COLUMNS = ("serrin_deficit", "fundamental_rel_volume", "fundamental_rel_boundary",
+                       "flux_rel", "fundamental_divergence_check",
+                       "eq_curvature_max_node_residual", "u_err_max", "u_err_l2")
+
+
+def _refinement_values(case: CaseResult) -> list:
+    """One case's _REFINEMENT_COLUMNS; a cell the case has no value for is "".
+
+    The overdetermined deficit is the Heintze-Karcher T2.  The u errors are
+    taken against the exact radial profile, so only a flat disk has them:
+    the max over the vertices and the L2 norm by the mesh quadrature."""
+    r, mesh = case.report.sections, case.mesh
+    spec = mesh.spec
+    errors = ["", ""]
+    if isinstance(spec, Disk) and case.solution.metric.is_flat:
+        profile = radial_exact(case.trace.n, case.p, spec.radius)
+        err = case.solution.u - profile.u(np.minimum(np.linalg.norm(mesh.points, axis=1),
+                                                     spec.radius))
+        eq = np.abs(mesh.quad_interpolation() @ err)
+        errors = [float(np.abs(err).max()), float(np.sqrt(np.sum(mesh.quad_weights * eq**2)))]
+    return [r["hk"]["t2"] if "hk" in r else "",
+            r["fundamental"]["rel_residual_volume"], r["fundamental"]["rel_residual_boundary"],
+            r["flux"]["rel_residual"], r["fundamental"]["divergence_check"],
+            r["eq_curvature"]["max_node_residual"], *errors]
+
+
+def _positive(value) -> bool:
+    return isinstance(value, float) and value > 0.0
+
+
+def emit_refinement(cases: list[CaseResult], outdir: Path) -> None:
+    """deficit_vs_h.csv, when the cases span more than one h.
+
+    One row per case, by p and then from the coarsest h, with the
+    _REFINEMENT_COLUMNS and, beside each value e, its observed order
+    log(e1 / e) / log(h1 / h) against e1 at the next coarser h1 of the same
+    p.  A negative order marks a value that grew under refinement.  An order
+    is empty on the coarsest h of each p, and where either value is empty or
+    not positive.
+    """
+    if len({c.h for c in cases}) < 2:
+        return
+    ordered = sorted(cases, key=lambda c: (c.p, -c.h))
+    values = [_refinement_values(c) for c in ordered]
+    rows = []
+    for i, case in enumerate(ordered):
+        orders = [""] * len(_REFINEMENT_COLUMNS)
+        if i and ordered[i - 1].p == case.p:
+            factor = np.log(ordered[i - 1].h / case.h)
+            orders = [float(np.log(e1 / e) / factor) if _positive(e1) and _positive(e) else ""
+                      for e1, e in zip(values[i - 1], values[i])]
+        rows.append([case.p, case.h, *values[i], *orders])
+    write_csv(outdir / "deficit_vs_h.csv",
+              ["p", "h", *_REFINEMENT_COLUMNS, *(f"order_{c}" for c in _REFINEMENT_COLUMNS)], rows)
 
 
 # --------------------------------------------------------------------------
@@ -281,6 +327,7 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         write_json(outdir / f"report_p{case.p:g}_h{case.h:g}.json", rep)
         all_ok &= case.report.all_passed()
     emit_plot_data(cases, outdir)
+    emit_refinement(cases, outdir)
     summary = {
         **_envelope("verify"),
         "cases": [{"p": c.p, "h": c.h, "pass": c.report.all_passed()} for c in cases],
@@ -314,6 +361,7 @@ def cmd_sweep(cfg: dict, outdir: Path) -> int:
     # and an empty cell where it is skipped
     header = list(dict.fromkeys(k for flat in flats for k in flat)) or ["p", "h"]
     write_csv(outdir / "sweep.csv", header, [[flat.get(k, "") for k in header] for flat in flats])
+    emit_refinement(cases, outdir)
     return 0 if all(c.report.all_passed() for c in cases) else 1
 
 

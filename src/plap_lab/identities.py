@@ -218,17 +218,26 @@ def fundamental_identity(trace: BoundaryTrace, bundle: DerivativeBundle,
 
 
 def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) -> dict:
-    """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|."""
+    """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|.
+
+    T2 = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H is the overdetermined-condition
+    deficit: it vanishes exactly when the boundary p-flux equals -1/(nH)
+    pointwise, and its smallness characterizes balls.  ``max_node_residual``
+    is the largest nodewise |1 + n H |u_nu|^{p-2} u_nu| off the flagged nodes;
+    both are data, and only the decomposition and T3 >= 0 carry the verdict.
+    """
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
     p, n = trace.p, trace.n
     measures = domain_measures(bundle.mesh, bundle.metric)
+    node_res = trace.overdetermined_residual()
     t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p, n)[1]
-    t2 = float(np.sum(trace.overdetermined_residual() ** 2 / trace.curvature * trace.weight))
+    t2 = float(np.sum(node_res**2 / trace.curvature * trace.weight))
     t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
     floor = n * measures.volume
     rel = _rel(t1 + t2, t3, floor)
     holds = bool(t3 >= -tolerance * floor)
-    return _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds},
+    return _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds,
+                   "max_node_residual": _max_or_nan(np.abs(node_res[~trace.flagged]))},
                   abs(t1 + t2 - t3), rel, tolerance, rel <= tolerance and holds)
 
 
@@ -248,23 +257,6 @@ def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
     return _check({"lhs1": lhs1, "lhs2": lhs2, "rhs": rhs,
                    "max_h_deviation": float(np.abs(trace.curvature - h0).max())},
                   abs(lhs1 + lhs2 - rhs), rel, tolerance, rel <= tolerance)
-
-
-def serrin_deficit(trace: BoundaryTrace) -> dict:
-    """Overdetermined-condition deficit D = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H
-    and the largest nodewise residual |1 + n H |u_nu|^{p-2} u_nu| off the
-    flagged nodes.
-
-    D vanishes exactly when the boundary p-flux equals -1/(nH) pointwise.  It
-    is a sum of nonnegative terms whenever H > 0, so no threshold on it can
-    fail, and its smallness characterizes balls only: both are reported as
-    data, with no pass/fail.
-    """
-    _require_positive_curvature(trace, "the serrin deficit")
-    node_res = trace.overdetermined_residual()
-    deficit = float(np.sum(node_res**2 / trace.curvature * trace.weight))
-    max_node = _max_or_nan(np.abs(node_res[~trace.flagged]))
-    return {"deficit": deficit, "max_node_residual": max_node}
 
 
 # --------------------------------------------------------------------------
@@ -387,9 +379,9 @@ class IdentityReport:
     """One case's report: its JSON sections, and the scan's histogram.
 
     ``sections`` is the report as published (``p``, ``n``, ``constants``,
-    ``skipped``, one section per check, ``serrin``, ``subharmonicity`` and
-    ``flags``); a section with a ``pass`` key is a check.  The histogram is
-    None when the scan is skipped and is not part of the JSON.
+    ``skipped``, one section per check, ``subharmonicity`` and ``flags``); a
+    section with a ``pass`` key is a check.  The histogram is None when the
+    scan is skipped and is not part of the JSON.
     """
 
     sections: dict
@@ -438,10 +430,8 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
 
     if (trace.curvature > 0).all():
         sections["hk"] = hk_report(trace, bundle, tol.identity_rel)
-        sections["serrin"] = serrin_deficit(trace)
     else:
         skipped["hk"] = "nonpositive mean curvature on part of the boundary"
-        skipped["serrin"] = skipped["hk"]
 
     histogram = None
     if metric.is_flat or metric.nonnegative_ricci:

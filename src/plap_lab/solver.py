@@ -290,17 +290,12 @@ def _factor(K: sp.csc_matrix):
     return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
 
 
-def spsolve(K: sp.csc_matrix | _HeldFactor, b: np.ndarray) -> np.ndarray:
-    """Solve a system of the ordered SPD tangent.
-
-    A tangent K is factored and solved.  A solve's ``_HeldFactor`` has its
-    ``tangent`` solved with the factor it holds: directly when that factor is
-    this tangent's, and otherwise by PCG preconditioned with it, unless
-    ``refactor`` is set or PCG has not converged, when this tangent is
-    factored and becomes the held one."""
-    if not isinstance(K, _HeldFactor):
-        return _factor(K).solve(b)
-    held = K
+def spsolve(held: _HeldFactor, b: np.ndarray) -> np.ndarray:
+    """Solve a system of a solve's current tangent, ``held.tangent``, with the
+    factor it holds: directly when that factor is this tangent's, and
+    otherwise by PCG preconditioned with it, unless ``refactor`` is set or
+    PCG has not converged, when this tangent is factored and becomes the
+    held one."""
     if held.factored is not held.tangent:
         if not held.refactor:
             x, its = _pcg(held.tangent, b, held.lu.solve, held.scale)
@@ -406,43 +401,3 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
         "positive_interior": bool((u[free] > 0).all()) if len(free) else True,
     }
     return sol
-
-
-@dataclass
-class ConvergenceRow:
-    h: float
-    err_max: float
-    err_l2: float
-    order_max: float | None
-    order_l2: float | None
-
-
-def convergence_study(spec, metric: ConformalMetric | None, p: float,
-                      h_values: list[float]) -> list[ConvergenceRow]:
-    """Solve on a radial-oracle domain for each h and tabulate errors and rates."""
-    from .geometry import Disk, build_mesh
-    from .oracles import radial_exact
-
-    if not isinstance(spec, Disk):
-        raise ValidationError("convergence study requires a domain with a radial oracle (disk)")
-    if metric is not None and not metric.is_flat:
-        raise ValidationError("convergence study compares against the flat radial oracle")
-    profile = radial_exact(2, p, spec.radius)
-    rows: list[ConvergenceRow] = []
-    prev: ConvergenceRow | None = None
-    for h in h_values:
-        mesh = build_mesh(spec, h)
-        sol = solve(mesh, metric, p)
-        r = np.linalg.norm(mesh.points, axis=1)
-        err = sol.u - profile.u(np.minimum(r, spec.radius))
-        err_max = float(np.abs(err).max())
-        eq = np.abs(mesh.quad_interpolation() @ err)
-        err_l2 = float(np.sqrt(np.sum(mesh.quad_weights * eq**2)))
-        row = ConvergenceRow(h=h, err_max=err_max, err_l2=err_l2, order_max=None, order_l2=None)
-        if prev is not None and h < prev.h:
-            factor = np.log(prev.h / h)
-            row.order_max = float(np.log(prev.err_max / err_max) / factor)
-            row.order_l2 = float(np.log(prev.err_l2 / err_l2) / factor)
-        rows.append(row)
-        prev = row
-    return rows

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -53,6 +54,21 @@ def test_validate_rejects_command_mismatch():
 def test_validate_requires_domain_for_verify():
     with pytest.raises(ConfigError):
         validate_config({"p": [2.0], "h": [0.1]}, "verify")
+
+
+@pytest.mark.parametrize("key, values", [
+    ("p", [2.0, 2.0]), ("h", [0.2, 0.2]),
+    # distinct values that print to the same tag would write to one file
+    ("p", [1.5, 1.5000001]), ("h", [0.1, 0.10000001]),
+])
+def test_values_sharing_a_file_tag_exit_2(tmp_path, key, values):
+    with pytest.raises(ConfigError, match=f"config.{key} values must give distinct file tags"):
+        validate_config({**DISK_VERIFY, key: values}, "verify")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(_write(tmp_path, {**DISK_VERIFY, key: values})),
+                 "--out", str(out)]) == 2
+    assert json.loads((out / "error.json").read_text())["error"]["type"] == "config"
+    assert not list(out.glob("report_*.json"))
 
 
 def test_validate_rejects_reversed_p_range():
@@ -241,15 +257,15 @@ def test_verify_disk_passes_and_reports(tmp_path):
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads((out / "report_p2_h0.1.json").read_text())
-    for section in ("fundamental", "hk", "sbt", "serrin", "flux", "eq_curvature",
+    for section in ("fundamental", "hk", "sbt", "flux", "eq_curvature",
                     "subharmonicity", "flags", "constants", "solver"):
         assert section in rep
     assert {"lhs_volume", "lhs_boundary", "rhs"} <= set(rep["fundamental"])
-    assert {"t1", "t2", "t3"} <= set(rep["hk"])
+    assert {"t1", "t2", "t3", "max_node_residual"} <= set(rep["hk"])
     assert {"lhs1", "lhs2", "rhs"} <= set(rep["sbt"])
-    assert "deficit" in rep["serrin"]
+    assert "serrin" not in rep
     # ball case: tiny overdetermined deficit
-    assert rep["serrin"]["deficit"] <= 1e-3 * rep["constants"]["perimeter"]
+    assert rep["hk"]["t2"] <= 1e-3 * rep["constants"]["perimeter"]
     assert json.loads((out / "summary.json").read_text())["pass"] is True
 
 
@@ -313,7 +329,10 @@ def test_sweep_row_count(tmp_path):
     header = lines[0].split(",")
     assert header[0] == "p" and header[1] == "h"
     assert "fundamental.lhs_volume" in header
-    assert "serrin.deficit" in header
+    assert {"hk.t2", "hk.max_node_residual"} <= set(header)
+    assert not any(k.startswith("serrin.") for k in header)
+    # more than one h: the refinement table, one row per case
+    assert len((out / "deficit_vs_h.csv").read_text().strip().split("\n")) == 1 + 8
 
 
 def test_sweep_header_spans_skipped_scans(tmp_path):
@@ -437,18 +456,63 @@ def test_ellipse_boundary_profile_curvature_range(tmp_path, lab):
     assert H.max() == pytest.approx(2.0, rel=1e-6)
 
 
+def _read_rows(path: Path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def test_multi_h_verify_without_serrin_leaves_its_cells_empty(tmp_path):
-    # the annulus has H < 0 on its inner loop, so every case skips serrin
+    # the annulus has H < 0 on its inner loop, so every case skips hk and
+    # with it the overdetermined deficit; and it has no radial oracle, so
+    # no u error either
     cfg = _write(tmp_path, {**DISK_VERIFY, "domain": {"variant": "annulus", "r_in": 0.5,
                                                       "r_out": 1.0}, "h": [0.2, 0.1]})
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
     assert (out / "summary.json").exists()
-    lines = (out / "deficit_vs_h.csv").read_text().strip().split("\n")
-    header = lines[0].split(",")
-    assert len(lines) == 3
-    for line in lines[1:]:
-        assert line.split(",")[header.index("serrin_deficit")] == ""
+    rows = _read_rows(out / "deficit_vs_h.csv")
+    assert len(rows) == 2
+    for row in rows:
+        for col in ("serrin_deficit", "u_err_max", "u_err_l2"):
+            assert row[col] == row[f"order_{col}"] == ""
+
+
+def test_deficit_vs_h_orders_on_the_disk(tmp_path):
+    # the flat disk has the exact radial profile: the u errors converge at
+    # the P1 rates
+    cfg = _write(tmp_path, {**DISK_VERIFY, "p": [1.5, 2.0, 3.0], "h": [0.2, 0.1, 0.05]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    rows = _read_rows(out / "deficit_vs_h.csv")
+    assert [(float(r["p"]), float(r["h"])) for r in rows] == \
+        [(p, h) for p in (1.5, 2.0, 3.0) for h in (0.2, 0.1, 0.05)]
+    by = {(float(r["p"]), float(r["h"])): r for r in rows}
+    assert float(by[2.0, 0.05]["order_u_err_l2"]) >= 1.8
+    assert float(by[3.0, 0.05]["order_u_err_l2"]) >= 1.2
+    errs = [float(by[1.5, h]["u_err_l2"]) for h in (0.2, 0.1, 0.05)]
+    assert errs[1] < errs[0] and errs[2] < errs[1]
+    assert all(math.isfinite(float(r["u_err_max"])) for r in rows)
+    # the coarsest h of each p has no order
+    for p in (1.5, 2.0, 3.0):
+        assert all(v == "" for k, v in by[p, 0.2].items() if k.startswith("order_"))
+    # another error norm or quadrature would move these by far more than 1e-6
+    assert float(by[1.5, 0.2]["u_err_max"]) == pytest.approx(0.0011176551824905803, rel=1e-6)
+    assert float(by[2.0, 0.05]["order_u_err_l2"]) == pytest.approx(2.1484479418931866,
+                                                                   rel=1e-6)
+
+
+def test_deficit_vs_h_order_by_hand(tmp_path):
+    cfg = _write(tmp_path, {**DISK_VERIFY, "h": [0.2, 0.1]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    coarse, fine = (json.loads((out / f"report_p2_h{h}.json").read_text()) for h in (0.2, 0.1))
+    rows = _read_rows(out / "deficit_vs_h.csv")
+    # the deficit is the Heintze-Karcher T2; every float is written as its repr
+    assert [float(r["serrin_deficit"]) for r in rows] == [coarse["hk"]["t2"], fine["hk"]["t2"]]
+    e1 = coarse["fundamental"]["rel_residual_boundary"]
+    e2 = fine["fundamental"]["rel_residual_boundary"]
+    assert float(rows[1]["order_fundamental_rel_boundary"]) == \
+        float(np.log(e1 / e2) / np.log(0.2 / 0.1))
 
 
 # ----------------------------------------------------------- error reports

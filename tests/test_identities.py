@@ -4,8 +4,8 @@ import pytest
 from plap_lab import (ConformalMetric, Disk, PreconditionError,
                       boundary_trace, build_mesh, build_report,
                       domain_measures, equivalence_suite, flux_balance,
-                      fundamental_identity, hk_report, serrin_deficit,
-                      soap_bubble_report, subharmonicity_scan)
+                      fundamental_identity, hk_report, soap_bubble_report,
+                      subharmonicity_scan)
 from plap_lab.cli import _flatten
 from plap_lab.fields import recover_derivatives
 from plap_lab.geometry import Annulus
@@ -125,8 +125,6 @@ def test_hk_rejects_nonpositive_curvature():
     tr = boundary_trace(bundle, 2.0)
     with pytest.raises(PreconditionError):
         hk_report(tr, bundle, TOL.identity_rel)
-    with pytest.raises(PreconditionError):
-        serrin_deficit(tr)
 
 
 # ------------------------------------------------------------ soap bubble
@@ -149,20 +147,22 @@ def test_sbt_ellipse(lab, p, h):
     assert entry["max_h_deviation"] == pytest.approx(1.2290177874, rel=1e-3)
 
 
-# ----------------------------------------------------------------- serrin
+# ------------------------------------- overdetermined (Serrin) condition
+# hk.t2 is the deficit int (1 + n H |u_nu|^{p-2} u_nu)^2 / H, and
+# hk.max_node_residual its largest nodewise residual
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_serrin_disk_nodewise(lab, p):
     case = lab.case("disk", p)
-    vals = case.report.sections["serrin"]
+    vals = case.report.sections["hk"]
     assert vals["max_node_residual"] <= 0.03
-    assert vals["deficit"] <= 1e-3 * 2 * np.pi
+    assert vals["t2"] <= 1e-3 * 2 * np.pi
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_serrin_ellipse_strictly_positive(lab, p):
     case = lab.case("ellipse", p)
-    assert case.report.sections["serrin"]["deficit"] >= 0.05 * ELL_PERIMETER
+    assert case.report.sections["hk"]["t2"] >= 0.05 * ELL_PERIMETER
 
 
 def test_serrin_definitional_zero(lab):
@@ -174,7 +174,10 @@ def test_serrin_definitional_zero(lab):
                        arclength=bg.arclength, curvature=bg.curvature,
                        weight=bg.weight, u_nu=u_nu, u_nunu=np.zeros_like(u_nu),
                        gnorm=np.abs(u_nu), flagged=np.zeros(len(u_nu), dtype=bool))
-    assert serrin_deficit(tr)["deficit"] <= 1e-12
+    bundle = recover_derivatives(lab.mesh("ellipse", 0.05), lab.solution("ellipse", p).u, FLAT)
+    hk = hk_report(tr, bundle, TOL.identity_rel)
+    assert hk["t2"] <= 1e-12
+    assert hk["max_node_residual"] <= 1e-12
 
 
 # --------------------------------------------------------- subharmonicity
@@ -237,7 +240,7 @@ def test_every_node_flagged_gives_nan_deviations():
     flags = report["flags"]
     assert np.isnan(flags["b_deviation"]) and np.isnan(flags["e_deviation"])
     assert not (flags["serrin_b"] or flags["gradient_e"])
-    assert np.isnan(report["serrin"]["max_node_residual"])
+    assert np.isnan(report["hk"]["max_node_residual"])
     assert np.isnan(report["eq_curvature"]["max_node_residual"])
 
 
@@ -261,7 +264,7 @@ def _leaves(obj):
 @pytest.mark.parametrize("domain,h,metric,skipped", [
     ("disk", 0.05, "flat", set()),
     ("disk", 0.05, "cap", {"flags"}),
-    ("annulus", 0.1, "flat", {"hk", "serrin"}),
+    ("annulus", 0.1, "flat", {"hk"}),
     ("disk", 0.2, "flat", {"subharmonicity"}),
 ])
 def test_report_leaves_are_plain_json_types(lab, domain, h, metric, skipped):
@@ -309,12 +312,12 @@ def test_nonnegative_entries_are_exactly_nonnegative(lab):
     for domain, p in [("disk", 2.0), ("ellipse", 2.0), ("ellipse", 3.0)]:
         case = lab.case(domain, p)
         assert case.report.sections["hk"]["t2"] >= 0.0
-        assert case.report.sections["serrin"]["deficit"] >= 0.0
 
 
 def test_ball_deficits_shrink_under_refinement(lab):
     """Every ball-equality deficit obeys an O(h) envelope; the deficits with a
-    definite sign (serrin D, hk T2) also decrease strictly when h halves.
+    definite sign (hk T2, the overdetermined deficit) also decreases strictly
+    when h halves.
     The volume-route integral cancels internally, so only its envelope is
     asserted."""
     deficits = {}
@@ -322,11 +325,9 @@ def test_ball_deficits_shrink_under_refinement(lab):
         r = lab.case("disk", 2.0, h=h).report.sections
         deficits[h] = {
             "fund_volume": abs(r["fundamental"]["lhs_volume"]),
-            "serrin": r["serrin"]["deficit"],
             "t2": r["hk"]["t2"],
             "sbt_gap": abs(r["sbt"]["lhs1"] + r["sbt"]["lhs2"] - r["sbt"]["rhs"]),
         }
         for name, v in deficits[h].items():
             assert v <= 0.2 * h, f"{name} = {v} exceeds the O(h) envelope at h={h}"
-    assert deficits[0.05]["serrin"] <= deficits[0.1]["serrin"]
     assert deficits[0.05]["t2"] <= deficits[0.1]["t2"]

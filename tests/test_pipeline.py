@@ -71,7 +71,7 @@ def test_zero_phi_case_matches_flat_case(p):
     zero = run_case(spec, ConformalMetric.poly([], nonnegative_ricci=True), p, 0.1, mesh=mesh)
     assert np.array_equal(flat.solution.u, zero.solution.u)
     a, b = flat.report.to_json_dict(), zero.report.to_json_dict()
-    sections = ("constants", "fundamental", "sbt", "flux", "eq_curvature", "hk", "serrin",
+    sections = ("constants", "fundamental", "sbt", "flux", "eq_curvature", "hk",
                 "subharmonicity")
     for name in sections:
         # the JSON text holds every float's repr, so equal text is bitwise equality

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError,
-                      ValidationError, build_mesh, convergence_study, solve)
+                      ValidationError, build_mesh, solve)
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -146,7 +146,7 @@ def test_ordered_tangent_and_direction(lab, domain, h, p):
         assert np.abs(Kd - ref).max() <= 1e-14 * np.abs(ref).max()
         # the Newton direction agrees with a dense solve
         b = -asm.residual(u, 1e-3)[asm.dofs]
-        d = solver.spsolve(K, b)
+        d = solver._factor(K).solve(b)
         d_ref = np.linalg.solve(Kd, b)
         assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
 
@@ -298,7 +298,7 @@ def test_early_ladder_end_is_converged_at_eps_min(lab, p, domain, h, metric):
     asm = _Assembler(sol.mesh, sol.metric, p)
     eps = solver._EPS_MIN
     r = asm.residual(sol.u, eps)
-    d = solver.spsolve(asm.tangent(sol.u, eps), -r[asm.dofs])
+    d = solver._factor(asm.tangent(sol.u, eps)).solve(-r[asm.dofs])
     lam2 = -float(r[asm.dofs] @ d)
     assert lam2 <= 1e-15 * (1.0 + abs(asm.energy(sol.u, eps)))
 
@@ -372,22 +372,6 @@ def test_flux_balance_from_solver_trace(lab):
     # boundary p-flux integrates to -|Omega| within 1%
     case = lab.case("disk", 3.0)
     assert case.report.sections["flux"]["rel_residual"] <= 0.01
-
-
-def test_convergence_study_orders():
-    rows = convergence_study(Disk(1.0), None, 2.0, [0.2, 0.1, 0.05])
-    assert rows[-1].order_l2 is not None and rows[-1].order_l2 >= 1.8
-    rows = convergence_study(Disk(1.0), None, 3.0, [0.2, 0.1, 0.05])
-    assert rows[-1].order_l2 >= 1.2
-    rows = convergence_study(Disk(1.0), None, 1.5, [0.2, 0.1, 0.05])
-    errs = [r.err_l2 for r in rows]
-    assert errs[1] < errs[0] and errs[2] < errs[1]
-    assert all(np.isfinite(r.err_max) for r in rows)
-
-
-def test_convergence_study_requires_radial_oracle():
-    with pytest.raises(ValidationError):
-        convergence_study(Ellipse(2.0, 1.0), None, 2.0, [0.1])
 
 
 def test_conformal_solve_runs(lab):
