@@ -477,6 +477,23 @@ def test_multi_h_verify_without_serrin_leaves_its_cells_empty(tmp_path):
             assert row[col] == row[f"order_{col}"] == ""
 
 
+def test_deficit_vs_h_u_errors_need_the_radial_oracle(tmp_path):
+    # the ellipse has no exact radial profile: its u error cells stay empty
+    # while its other columns are filled
+    cfg = _write(tmp_path, {**DISK_VERIFY, "domain": {"variant": "ellipse", "a": 2.0, "b": 1.0},
+                            "h": [0.2, 0.1]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    rows = _read_rows(out / "deficit_vs_h.csv")
+    assert len(rows) == 2
+    for row in rows:
+        for col in ("u_err_max", "u_err_l2"):
+            assert row[col] == row[f"order_{col}"] == ""
+        for col in ("serrin_deficit", "fundamental_rel_boundary", "flux_rel"):
+            assert math.isfinite(float(row[col]))
+    assert math.isfinite(float(rows[1]["order_fundamental_rel_boundary"]))
+
+
 def test_deficit_vs_h_orders_on_the_disk(tmp_path):
     # the flat disk has the exact radial profile: the u errors converge at
     # the P1 rates
