@@ -3,7 +3,9 @@
 
 Each config (every `configs/*.json` by default) runs through the CLI with its
 own command into `OUT/<stem>/`, and the exit codes go to
-`OUT/exit_codes.json` as {stem: code}.  Two trees made from two checkouts
+`OUT/exit_codes.json` as {stem: code}.  Each config's wall time is printed
+beside its exit code, and the total after the last; timings are not written
+to the tree, so it holds outputs only.  Two trees made from two checkouts
 are then compared with
 
     PYTHONPATH=src python scripts/shipped_outputs.py OLD_OUT   # in the old checkout
@@ -16,6 +18,7 @@ The script exits 0 once every config has run, whatever their exit codes.
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from plap_lab.cli import main as plap_lab
@@ -31,11 +34,16 @@ def main() -> int:
                     help="config files (default: every config in configs/)")
     args = ap.parse_args()
     codes = {}
+    total = 0.0
     for config in args.configs or sorted(CONFIGS.glob("*.json")):
         command = json.loads(config.read_text(encoding="utf-8"))["command"]
+        start = time.perf_counter()
         codes[config.stem] = plap_lab([command, "--config", str(config),
                                        "--out", str(args.out / config.stem)])
-        print(f"{config.stem}: exit {codes[config.stem]}", flush=True)
+        wall = time.perf_counter() - start
+        total += wall
+        print(f"{config.stem}: exit {codes[config.stem]} in {wall:.2f} s", flush=True)
+    print(f"total: {total:.2f} s")
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
     return 0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (ConfigError, MeshGenerationError, PlapLabError, SolverError,
                      ValidationError)
-from .geometry import Disk, spec_from_json, spec_to_json
+from .geometry import DIM, Disk, spec_from_json, spec_to_json
 from .identities import Tolerances
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
@@ -149,16 +149,8 @@ def validate_config(obj, command: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n",
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
                     encoding="utf-8")
 
 
@@ -221,13 +213,13 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     for case in cases:
         tag = f"p{case.p:g}_h{case.h:g}"
-        trace = case.trace
+        trace, bg = case.trace, case.mesh.boundary
         res = trace.eq_curvature_residual()
         node_over = trace.overdetermined_residual()
         path = outdir / f"boundary_profile_{tag}.csv"
         write_csv(path,
                   ["s", "x", "y", "H", "u_nu", "u_nunu", "eq64_residual", "overdetermined_residual"],
-                  [[trace.arclength[i], trace.position[i, 0], trace.position[i, 1],
+                  [[bg.arclength[i], bg.position[i, 0], bg.position[i, 1],
                     trace.curvature[i], trace.u_nu[i], trace.u_nunu[i], res[i], node_over[i]]
                    for i in range(len(trace.u_nu))])
         written.append(path)
@@ -260,7 +252,7 @@ def _refinement_values(case: CaseResult) -> list:
     spec = mesh.spec
     errors = ["", ""]
     if isinstance(spec, Disk) and case.solution.metric.is_flat:
-        profile = radial_exact(case.trace.n, case.p, spec.radius)
+        profile = radial_exact(DIM, case.p, spec.radius)
         err = case.solution.u - profile.u(np.minimum(np.linalg.norm(mesh.points, axis=1),
                                                      spec.radius))
         eq = np.abs(mesh.quad_interpolation() @ err)

@@ -27,6 +27,7 @@ from scipy.spatial import Delaunay, cKDTree
 from .errors import MeshGenerationError, ValidationError
 
 TWO_PI = 2.0 * math.pi
+DIM = 2     # every domain is planar: the n of the paper's identities
 
 # --------------------------------------------------------------------------
 # Domain specifications and their boundary loops
@@ -848,10 +849,11 @@ class Measures:
     volume: float
     perimeter: float
 
-    def h0(self, n: int) -> float:
+    @property
+    def h0(self) -> float:
         """H0 = |boundary| / (n |domain|), the mean curvature of a ball with
         these measures."""
-        return self.perimeter / (n * self.volume)
+        return self.perimeter / (DIM * self.volume)
 
 
 def domain_measures(mesh: TriMesh, metric) -> Measures:

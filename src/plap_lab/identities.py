@@ -5,7 +5,8 @@ normal derivative with respect to the g-unit normal, curvature and arc-length
 weights carry their conformal factors, and interior integrals use the metric
 volume element.  Traces are obtained by sampling the recovered derivative
 fields along the inward normal (beyond the one-ring recovery boundary layer)
-and extrapolating linearly back to the boundary.
+and extrapolating linearly back to the boundary.  The dimension n of the
+paper's identities is `geometry.DIM`: every domain is planar.
 
 A report is its JSON sections: each check returns its section as a dict, with
 ``residual``, ``rel_residual``, ``tolerance`` and ``pass`` beside its values,
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
-from .geometry import Disk, Measures, TriMesh, domain_measures
+from .geometry import DIM, Disk, Measures, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
 
 
@@ -31,13 +32,13 @@ from .metric import ConformalMetric, geodesic_boundary_curvature
 
 @dataclass
 class BoundaryTrace:
-    """Per boundary node: normal derivative data, curvature and metric weights."""
+    """Per boundary node: normal derivative data, curvature and metric weights.
+
+    The node positions, normals and arc lengths are the mesh's
+    ``mesh.boundary``; the trace holds only what u and the metric add.
+    """
 
     p: float
-    n: int
-    position: np.ndarray
-    normal: np.ndarray
-    arclength: np.ndarray
     curvature: np.ndarray        # H_g (equals Euclidean H when flat)
     weight: np.ndarray           # metric arc-length weight
     u_nu: np.ndarray             # g-normal derivative (negative for torsion fields)
@@ -47,9 +48,9 @@ class BoundaryTrace:
 
     def eq_curvature_residual(self) -> np.ndarray:
         """Nodewise residual of |u_nu|^{p-2}((p-1) u_nunu + (n-1) H u_nu) + 1."""
-        p, n = self.p, self.n
+        p = self.p
         return np.abs(self.u_nu) ** (p - 2.0) * (
-            (p - 1.0) * self.u_nunu + (n - 1.0) * self.curvature * self.u_nu
+            (p - 1.0) * self.u_nunu + (DIM - 1.0) * self.curvature * self.u_nu
         ) + 1.0
 
     def p_flux(self) -> np.ndarray:
@@ -58,7 +59,7 @@ class BoundaryTrace:
 
     def overdetermined_residual(self) -> np.ndarray:
         """Nodewise residual of the overdetermined condition, n H |u_nu|^{p-2} u_nu + 1."""
-        return self.n * self.curvature * self.p_flux() + 1.0
+        return DIM * self.curvature * self.p_flux() + 1.0
 
 
 def _extrapolate_to_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -94,7 +95,7 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
             *mesh.locate(flat_pts))
 
 
-def boundary_trace(bundle: DerivativeBundle, p: float, n: int = 2) -> BoundaryTrace:
+def boundary_trace(bundle: DerivativeBundle, p: float) -> BoundaryTrace:
     """Extrapolated normal-derivative traces at every boundary node.
 
     Gradient traces are fit over shallow samples (the recovered gradient is
@@ -124,10 +125,8 @@ def boundary_trace(bundle: DerivativeBundle, p: float, n: int = 2) -> BoundaryTr
 
     H_g = geodesic_boundary_curvature(metric, bg)
     w = bg.weight * np.exp(metric.phi(bg.position))
-    return BoundaryTrace(
-        p=p, n=n, position=bg.position, normal=bg.normal, arclength=bg.arclength,
-        curvature=H_g, weight=w, u_nu=u_nu, u_nunu=u_nunu, gnorm=gnorm, flagged=flagged,
-    )
+    return BoundaryTrace(p=p, curvature=H_g, weight=w, u_nu=u_nu, u_nunu=u_nunu,
+                         gnorm=gnorm, flagged=flagged)
 
 
 # --------------------------------------------------------------------------
@@ -160,18 +159,18 @@ def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> 
                   abs(lhs - rhs), rel, tolerance, rel <= tolerance)
 
 
-def _lu_p(bundle: DerivativeBundle, p: float, n: int) -> tuple[np.ndarray, float]:
+def _lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
     """Pointwise L_u P (read-only, NaN where masked) and its metric volume
     integral over unmasked quadrature points.
 
     Three report sections and the subharmonicity scan read them; they are
-    evaluated once per bundle and (p, n).
+    evaluated once per bundle and p.
     """
-    if (p, n) not in bundle.cache:
-        vals, keep = linearized_on_p(bundle, p, n), ~bundle.mask
+    if p not in bundle.cache:
+        vals, keep = linearized_on_p(bundle, p, DIM), ~bundle.mask
         vals.flags.writeable = False
-        bundle.cache[p, n] = vals, float(np.sum(bundle.weights[keep] * vals[keep]))
-    return bundle.cache[p, n]
+        bundle.cache[p] = vals, float(np.sum(bundle.weights[keep] * vals[keep]))
+    return bundle.cache[p]
 
 
 def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
@@ -192,9 +191,9 @@ def fundamental_identity(trace: BoundaryTrace, bundle: DerivativeBundle,
     is |Omega|/n minus the curvature-weighted flux integral.  The volume vs
     boundary discrepancy is the discrete divergence-theorem check.
     """
-    p, n = trace.p, trace.n
+    p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
-    lhs_volume = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
+    lhs_volume = _lu_p(bundle, p)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs_boundary = float(
         np.sum(pf * ((p - 1.0) * np.abs(trace.u_nu) ** (p - 2.0) * trace.u_nunu + 1.0 / n)
@@ -227,10 +226,10 @@ def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) 
     both are data, and only the decomposition and T3 >= 0 carry the verdict.
     """
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
-    p, n = trace.p, trace.n
+    p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
     node_res = trace.overdetermined_residual()
-    t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p, n)[1]
+    t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p)[1]
     t2 = float(np.sum(node_res**2 / trace.curvature * trace.weight))
     t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
     floor = n * measures.volume
@@ -245,10 +244,10 @@ def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
                        tolerance: float) -> dict:
     """Constant-mean-curvature form: interior mass plus the H0-deficit equals
     the curvature-deviation flux integral."""
-    p, n = trace.p, trace.n
+    p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.h0(n)
-    lhs1 = _lu_p(bundle, p, n)[1] / ((p - 1.0) * (n - 1.0))
+    h0 = measures.h0
+    lhs1 = _lu_p(bundle, p)[1] / ((p - 1.0) * (n - 1.0))
     pf = trace.p_flux()
     lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * trace.weight)) / (n * n * h0)
     rhs = float(np.sum((h0 - trace.curvature) * np.abs(trace.u_nu) ** (2.0 * p - 2.0) * trace.weight))
@@ -264,9 +263,9 @@ def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
 # --------------------------------------------------------------------------
 
 
-def scan_tolerance(h: float, p: float, n: int) -> float:
+def scan_tolerance(h: float, p: float) -> float:
     """Recovery-noise allowance for the pointwise subharmonicity scan."""
-    return h * (p - 1.0) / n
+    return h * (p - 1.0) / DIM
 
 
 # element rings excluded around the critical set and inside the boundary
@@ -282,7 +281,7 @@ def _ring_mask(mesh, vmark: np.ndarray, rings: int) -> np.ndarray:
     return vmark[mesh.triangles].any(axis=1)[mesh.quad_tri]
 
 
-def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
+def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
     """Quadrature points within a few element rings of the discrete critical set.
 
     Near a critical point of the torsion solution the flux balance forces
@@ -291,7 +290,7 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float, n: int) -> np.n
     under refinement; two element rings are added around it.
     """
     mesh = bundle.mesh
-    delta_scan = max(bundle.delta_crit, (3.0 * mesh.h / n) ** (1.0 / (p - 1.0)))
+    delta_scan = max(bundle.delta_crit, (3.0 * mesh.h / DIM) ** (1.0 / (p - 1.0)))
     near = (bundle.gnorm <= delta_scan) | bundle.mask
     if not near.any():
         return near
@@ -311,8 +310,8 @@ def _boundary_ring_exclusion(mesh) -> np.ndarray:
 _SCAN_BINS = 60
 
 
-def subharmonicity_scan(bundle: DerivativeBundle, p: float,
-                        n: int = 2) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
+def subharmonicity_scan(bundle: DerivativeBundle,
+                        p: float) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
     """Minimum and distribution of the pointwise L_u P values (requires Ric >= 0
     and at least one quadrature point left after the exclusions).
 
@@ -321,15 +320,15 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float,
     metric, mesh = bundle.metric, bundle.mesh
     if not (metric.is_flat or metric.nonnegative_ricci):
         raise PreconditionError("subharmonicity scan requires a nonnegative-Ricci metric")
-    vals, integral = _lu_p(bundle, p, n)
-    excl = _near_critical_exclusion(bundle, p, n) | _boundary_ring_exclusion(mesh)
+    vals, integral = _lu_p(bundle, p)
+    excl = _near_critical_exclusion(bundle, p) | _boundary_ring_exclusion(mesh)
     excluded = float(excl.mean())
     kept_vals = vals[~excl & ~bundle.mask & np.isfinite(vals)]
     if not len(kept_vals):
         raise PreconditionError(
             f"no quadrature point left to scan (excluded fraction {excluded:.4g}; "
             f"masked fraction {bundle.masked_fraction:.4g})")
-    tol = scan_tolerance(mesh.h, p, n)
+    tol = scan_tolerance(mesh.h, p)
     mn = float(kept_vals.min())
     section = {"min": mn, "integral": integral, "tol_scan": tol,
                "excluded_fraction": excluded, "pass": bool(mn >= -tol)}
@@ -351,9 +350,9 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle, tol: float
     """
     if not bundle.metric.is_flat:
         raise PreconditionError("equivalence flags are defined for the flat metric")
-    p, n = trace.p, trace.n
+    p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.h0(n)
+    h0 = measures.h0
     ok = ~trace.flagged
     b_dev = _max_or_nan(np.abs(trace.overdetermined_residual())[ok])
     d_dev = float((np.abs(trace.curvature - h0) / h0).max())
@@ -407,17 +406,16 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
                  tol: Tolerances | None = None) -> IdentityReport:
     """Run every applicable identity check for one solved case from its
     recovered derivatives (which carry mesh and metric) and boundary trace
-    (which carries p and n)."""
+    (which carries p)."""
     tol = tol if tol is not None else Tolerances()
-    p, n = trace.p, trace.n
-    metric = bundle.metric
-    measures = domain_measures(bundle.mesh, bundle.metric)
+    p, metric = trace.p, bundle.metric
+    measures = domain_measures(bundle.mesh, metric)
     skipped = {}
     sections = {
         "p": p,
-        "n": n,
+        "n": DIM,
         "constants": {"volume": measures.volume, "perimeter": measures.perimeter,
-                      "h0": measures.h0(n), "masked_fraction": bundle.masked_fraction},
+                      "h0": measures.h0, "masked_fraction": bundle.masked_fraction},
         "skipped": skipped,
         "fundamental": fundamental_identity(trace, bundle, tol.identity_rel),
         "sbt": soap_bubble_report(trace, bundle, tol.identity_rel),
@@ -436,7 +434,7 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
     histogram = None
     if metric.is_flat or metric.nonnegative_ricci:
         try:
-            sections["subharmonicity"], histogram = subharmonicity_scan(bundle, p, n)
+            sections["subharmonicity"], histogram = subharmonicity_scan(bundle, p)
         except PreconditionError as exc:
             skipped["subharmonicity"] = str(exc)
     else:

@@ -12,10 +12,11 @@ being nonnegative, i.e. to Delta phi <= 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from ._poly import Coeffs, poly_degree, poly_derive, poly_eval
+from ._poly import Coeffs, PolynomialField, poly_degree
 from .errors import ValidationError
 
 _EYE2 = np.eye(2)
@@ -65,13 +66,14 @@ class ConformalMetric:
     def is_flat(self) -> bool:
         return self.kind == "flat"
 
-    def _poly_coeffs(self) -> Coeffs:
-        return {(i, j): c for i, j, c in self.coeffs}
+    @cached_property
+    def _phi_poly(self) -> PolynomialField:
+        return PolynomialField({(i, j): c for i, j, c in self.coeffs})
 
     def phi(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if self.kind != "bump":
-            return poly_eval(self._poly_coeffs(), pts)
+            return self._phi_poly.value(pts)
         A, x0, y0, s = self.bump
         d2 = (pts[..., 0] - x0) ** 2 + (pts[..., 1] - y0) ** 2
         return A * np.exp(-d2 / (2.0 * s * s))
@@ -79,8 +81,7 @@ class ConformalMetric:
     def grad_phi(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if self.kind != "bump":
-            c = self._poly_coeffs()
-            return np.stack([poly_eval(poly_derive(c, 0), pts), poly_eval(poly_derive(c, 1), pts)], axis=-1)
+            return self._phi_poly.grad(pts)
         A, x0, y0, s = self.bump
         val = self.phi(pts)
         d = np.stack([pts[..., 0] - x0, pts[..., 1] - y0], axis=-1)
@@ -89,18 +90,7 @@ class ConformalMetric:
     def hess_phi(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if self.kind != "bump":
-            c = self._poly_coeffs()
-            cx = poly_derive(c, 0)
-            cy = poly_derive(c, 1)
-            hxx = poly_eval(poly_derive(cx, 0), pts)
-            hxy = poly_eval(poly_derive(cx, 1), pts)
-            hyy = poly_eval(poly_derive(cy, 1), pts)
-            out = np.empty(pts.shape[:-1] + (2, 2))
-            out[..., 0, 0] = hxx
-            out[..., 0, 1] = hxy
-            out[..., 1, 0] = hxy
-            out[..., 1, 1] = hyy
-            return out
+            return self._phi_poly.hess(pts)
         A, x0, y0, s = self.bump
         val = self.phi(pts)
         d = np.stack([pts[..., 0] - x0, pts[..., 1] - y0], axis=-1)

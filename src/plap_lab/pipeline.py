@@ -4,7 +4,7 @@
 derivatives once from the solution's nodal values, builds the boundary trace
 once from them, and hands both to every check.  Each stage takes its context
 once: the bundle carries the mesh (with its exact boundary geometry and its
-cached domain measures) and the metric, the trace carries p and n.  Only the
+cached domain measures) and the metric, the trace carries p.  Only the
 solution, the per-boundary-node trace, the report and the nodal P-function
 outlive the call; the per-quadrature-point derivative bundle does not.
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fields import p_function, recover_derivatives
-from .geometry import DomainSpec, TriMesh, build_mesh
+from .geometry import DIM, DomainSpec, TriMesh, build_mesh
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report)
 from .metric import ConformalMetric, check_nonnegative_ricci
@@ -70,4 +70,4 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     report = build_report(bundle, trace, tol=tolerances)
     gnorm = np.exp(-metric.phi(mesh.points)) * np.linalg.norm(bundle.nodal_grad, axis=1)
     return CaseResult(solution=sol, trace=trace, report=report,
-                      p_nodal=p_function(gnorm, sol.u, p, 2))
+                      p_nodal=p_function(gnorm, sol.u, p, DIM))

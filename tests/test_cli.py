@@ -100,6 +100,8 @@ MALFORMED = [
     ("matcheck.p_range", [1.5]), ("matcheck.p_range", [1.0, 2.0]),
     ("matcheck.p_range", [1.1, math.inf]),
     ("radial.n_values", [1]), ("radial.radius", 0), ("radial.grid", 100.5),
+    # an empty list would crash the sweep or make a check that cannot fail
+    ("matcheck.n_values", []), ("radial.n_values", []),
 ]
 # configs the schema accepts although they differ from the shipped ones
 WELL_FORMED = [
@@ -442,6 +444,12 @@ def test_boundary_profile_columns(tmp_path, lab):
     # disk at p=2: H = 1 and u_nu = -1/2 along the whole boundary
     assert np.abs(data[:, 3] - 1.0).max() <= 1e-9
     assert np.abs(data[:, 4] + 0.5).max() <= 0.02
+    # s, x and y are the mesh's boundary geometry, bit for bit
+    bg = case.mesh.boundary
+    cols = [ln.split(",")[:3] for ln in lines[1:]]
+    assert [c[0] for c in cols] == [repr(float(v)) for v in bg.arclength]
+    assert [c[1] for c in cols] == [repr(float(v)) for v in bg.position[:, 0]]
+    assert [c[2] for c in cols] == [repr(float(v)) for v in bg.position[:, 1]]
     slice_file = next(p for p in written if "slice" in p.name)
     assert slice_file.read_text().startswith("x,u,P")
 

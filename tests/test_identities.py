@@ -170,10 +170,9 @@ def test_serrin_definitional_zero(lab):
     bg = lab.bg("ellipse", 0.05)
     p, n = 3.0, 2
     u_nu = -((1.0 / (n * bg.curvature)) ** (1.0 / (p - 1.0)))
-    tr = BoundaryTrace(p=p, n=n, position=bg.position, normal=bg.normal,
-                       arclength=bg.arclength, curvature=bg.curvature,
-                       weight=bg.weight, u_nu=u_nu, u_nunu=np.zeros_like(u_nu),
-                       gnorm=np.abs(u_nu), flagged=np.zeros(len(u_nu), dtype=bool))
+    tr = BoundaryTrace(p=p, curvature=bg.curvature, weight=bg.weight, u_nu=u_nu,
+                       u_nunu=np.zeros_like(u_nu), gnorm=np.abs(u_nu),
+                       flagged=np.zeros(len(u_nu), dtype=bool))
     bundle = recover_derivatives(lab.mesh("ellipse", 0.05), lab.solution("ellipse", p).u, FLAT)
     hk = hk_report(tr, bundle, TOL.identity_rel)
     assert hk["t2"] <= 1e-12
@@ -208,8 +207,8 @@ def test_scan_requires_nonnegative_ricci(lab):
 
 
 def test_scan_tolerance_formula():
-    assert scan_tolerance(0.05, 2.0, 2) == pytest.approx(0.025)
-    assert scan_tolerance(0.05, 3.0, 2) == pytest.approx(0.05)
+    assert scan_tolerance(0.05, 2.0) == pytest.approx(0.025)
+    assert scan_tolerance(0.05, 3.0) == pytest.approx(0.05)
 
 
 # ------------------------------------------------------------ equivalence
