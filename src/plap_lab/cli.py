@@ -120,6 +120,11 @@ def validate_config(obj, command: str) -> dict:
     p_range = tuple(float(x) for x in mc.get("p_range", (1.1, 6.0)))
     if p_range[0] > p_range[1]:
         raise ConfigError(f"config.matcheck.p_range must be [lo, hi] with lo <= hi, got {list(p_range)}")
+    # the sweep splits its budget over n_values; an n given 0 samples is not checked
+    n_count = len(mc.get("n_values", [2, 3, 4]))
+    if mc.get("samples", 1_000_000) < n_count:
+        raise ConfigError(f"config.matcheck.samples must be at least the {n_count} entries "
+                          f"of matcheck.n_values, got {mc['samples']}")
 
     cfg: dict = {"command": command}
     try:

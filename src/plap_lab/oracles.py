@@ -126,7 +126,7 @@ def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) 
 
     H is symmetrized and g may have any nonzero length: every term scales as
     |g|^{2(p-2)} once A and |H g|^2 are normalized by |g|^2, so the batched
-    unit-gradient evaluator gives the general gap.
+    unit-gradient kernel `_gaps` gives the general gap.
     """
     if not (p > 1.0):
         raise PreconditionError(f"p must exceed 1, got {p}")
@@ -137,7 +137,8 @@ def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) 
     gn = float(np.linalg.norm(gvec))
     if gn == 0.0:
         raise PreconditionError("gradient vector must be nonzero")
-    gap, _ = _gaps_vectorized(n, np.array([p]), 0.5 * (hess + hess.T)[None], (gvec / gn)[None])
+    z = (0.5 * (hess + hess.T))[np.triu_indices(n)]
+    gap, _ = _gaps(n, np.array([p]), z[:, None], (gvec / gn)[:, None])
     scale = gn ** (2.0 * (p - 2.0))
     return float(scale * gap[0])
 
@@ -163,18 +164,55 @@ class SweepResult:
         return min(self.shard_minima, key=lambda s: s.gap)
 
 
-def _gaps_vectorized(n: int, p: np.ndarray, hess: np.ndarray, gvec: np.ndarray):
-    """Both inequality gaps for batched symmetric H (k,n,n), unit g (k,n), p (k,)."""
-    A = np.einsum("ki,kij,kj->k", gvec, hess, gvec)
-    hf2 = np.einsum("kij,kij->k", hess, hess)
-    hg = np.einsum("kij,kj->ki", hess, gvec)
-    hg2 = np.einsum("ki,ki->k", hg, hg)
-    tr = np.einsum("kii->k", hess)
+def _gaps(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
+    """Both inequality gaps for k samples, entry by entry.
+
+    z (n(n+1)/2, k) holds the upper triangle of each symmetric H row by row,
+    g (n, k) unit gradients and p (k,) exponents.  Every contraction is a sum
+    of k-vectors; no (k, n, n) stack is built.
+    """
+    idx = np.zeros((n, n), dtype=int)
+    idx[np.triu_indices(n)] = np.arange(len(z))
+    idx = np.maximum(idx, idx.T)   # row of z holding H_ij
+    tr = sum(z[idx[i, i]] for i in range(n))
+    hf2 = sum((z[idx[i, j]] ** 2 if i == j else 2.0 * z[idx[i, j]] ** 2)
+              for i in range(n) for j in range(i, n))
+    hg = [sum(z[idx[i, j]] * g[j] for j in range(n)) for i in range(n)]
+    A = sum(g[i] * hg[i] for i in range(n))
+    hg2 = sum(v * v for v in hg)
     dp = tr + (p - 2.0) * A          # unit gradient: |g|^{p-2} = 1
     rhs_core = dp**2 / n + n / (n - 1.0) * (dp / n - (p - 1.0) * A) ** 2
     gap = hf2 + (p**2 - 2.0 * p + 2.0) * A**2 - rhs_core - 2.0 * hg2
     gap_loose = hf2 + p * (p - 2.0) * A**2 - rhs_core
     return gap, gap_loose
+
+
+def _draw_shard(rng: np.random.Generator, n: int, k: int, p_range: tuple[float, float],
+                buf: np.ndarray):
+    """k samples (p, z, g) of one shard, drawn in that order from `rng`.
+
+    p (k,) is uniform on p_range.  z (n(n+1)/2, k) is the upper triangle of a
+    symmetric H, row by row, with independent entries: N(0, 1) on the
+    diagonal and N(0, 1/2) off it, the law of (B + B^T)/2 for a standard
+    normal B.  g (n, k) is uniform on the unit sphere.  z and g are views of
+    the flat array `buf`, which must hold n(n+3)/2 * k floats.
+    """
+    m = n * (n + 1) // 2
+    p = rng.uniform(p_range[0], p_range[1], size=k)
+    z = rng.standard_normal(out=buf[:m * k].reshape(m, k))
+    rows, cols = np.triu_indices(n)
+    for r in np.flatnonzero(rows != cols):
+        z[r] *= np.sqrt(0.5)
+    g = rng.standard_normal(out=buf[m * k:(m + n) * k].reshape(n, k))
+    g /= np.sqrt(sum(gi * gi for gi in g))
+    return p, z, g
+
+
+def _hess_from_upper(n: int, zcol: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle, row by row, is zcol."""
+    h = np.zeros((n, n))
+    h[np.triu_indices(n)] = zcol
+    return h + np.triu(h, 1).T
 
 
 # samples per independently seeded stream; changing it changes every sweep
@@ -189,11 +227,16 @@ def matrix_inequality_sweep(
 ) -> SweepResult:
     """Seeded randomized sweep; reports the global minimum gap and its witness.
 
-    Samples are sharded with independently seeded streams so the reduction is
-    order-independent and reproducible.
+    The budget is split evenly over n_values (the last n takes the
+    remainder), so it must give every n at least one sample.  Each sample
+    draws p uniform on p_range, a symmetric H with independent N(0, 1)
+    diagonal and N(0, 1/2) off-diagonal entries, and g uniform on the unit
+    sphere (see `_draw_shard`).  Samples are sharded with independently
+    seeded streams so the reduction is order-independent and reproducible.
     """
-    if samples < 1:
-        raise ValidationError("sample budget must be positive")
+    if not n_values or samples < len(n_values):
+        raise ValidationError(f"sample budget {samples} must give each of the "
+                              f"{len(n_values)} dimensions in n_values (at least one) a sample")
     shards = []
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(int(np.ceil(samples / _SHARD_SIZE)) * len(n_values))
@@ -203,21 +246,20 @@ def matrix_inequality_sweep(
     total = 0
     per_n = [samples // len(n_values)] * len(n_values)
     per_n[-1] += samples - sum(per_n)
+    # every shard draws its z and g into this one array, so its normals land
+    # in memory already paged in rather than in a fresh allocation
+    buf = np.empty(max(n * (n + 3) // 2 for n in n_values) * min(_SHARD_SIZE, max(per_n)))
     for n, budget in zip(n_values, per_n):
         left = budget
         while left > 0:
             k = min(_SHARD_SIZE, left)
             rng = np.random.default_rng(children[ci])
             ci += 1
-            p = rng.uniform(p_range[0], p_range[1], size=k)
-            b = rng.standard_normal((k, n, n))
-            hess = 0.5 * (b + np.swapaxes(b, 1, 2))
-            g = rng.standard_normal((k, n))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            gap, gap_loose = _gaps_vectorized(n, p, hess, g)
+            p, z, g = _draw_shard(rng, n, k, p_range, buf)
+            gap, gap_loose = _gaps(n, p, z, g)
             i = int(np.argmin(gap))
             shards.append(SweepShard(n=n, p=float(p[i]), gap=float(gap[i]),
-                                     hess=hess[i].copy(), gvec=g[i].copy()))
+                                     hess=_hess_from_upper(n, z[:, i]), gvec=g[:, i].copy()))
             min_gap = min(min_gap, float(gap[i]))
             min_loose = min(min_loose, float(gap_loose.min()))
             total += k

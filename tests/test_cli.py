@@ -76,6 +76,15 @@ def test_validate_rejects_reversed_p_range():
         validate_config({"matcheck": {"p_range": [3.0, 2.0]}}, "matcheck")
 
 
+def test_validate_rejects_fewer_samples_than_dimensions():
+    # the sweep splits its budget over n_values: 2 samples leave n=2 and n=3
+    # with none, and only n=4 would be checked
+    with pytest.raises(ConfigError, match="matcheck.samples"):
+        validate_config({"matcheck": {"samples": 2, "n_values": [2, 3, 4]}}, "matcheck")
+    with pytest.raises(ConfigError, match="matcheck.samples"):
+        validate_config({"matcheck": {"samples": 1, "n_values": [2, 3]}}, "matcheck")
+
+
 # (dotted path, value) pairs the config schema rejects; each is set on a
 # valid config of the matching command
 MALFORMED = [
@@ -372,6 +381,27 @@ def test_matcheck_cli(tmp_path):
     shard_lines = (out / "matcheck_shards.csv").read_text().strip().split("\n")
     assert shard_lines[0].startswith("n,p,gap")
     assert len(shard_lines) >= 4
+
+
+def test_matcheck_fewer_samples_than_dimensions_exits_2(tmp_path):
+    cfg = _write(tmp_path, {"command": "matcheck",
+                            "matcheck": {"samples": 2, "n_values": [2, 3, 4]}})
+    out = tmp_path / "out"
+    assert main(["matcheck", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "config"
+    assert "config.matcheck.samples" in err["message"]
+    assert not (out / "matcheck.json").exists()
+
+
+def test_matcheck_one_sample_per_dimension(tmp_path):
+    cfg = _write(tmp_path, {"command": "matcheck",
+                            "matcheck": {"samples": 3, "n_values": [2, 3, 4]}})
+    out = tmp_path / "out"
+    assert main(["matcheck", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "matcheck.json").read_text())["samples"] == 3
+    with open(out / "matcheck_shards.csv", newline="") as fh:
+        assert [int(row["n"]) for row in csv.DictReader(fh)] == [2, 3, 4]
 
 
 def test_negative_seed_override_exits_2(tmp_path):

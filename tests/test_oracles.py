@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from plap_lab import (PreconditionError, ValidationError,
                       ellipse_boundary_integrals, matrix_inequality_gap,
                       matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
+from plap_lab import oracles
 
 
 # ----------------------------------------------------------------- radial
@@ -152,7 +156,74 @@ def test_matrix_gap_nonnegative_property(n, p, data):
     assert matrix_inequality_gap(n, p, h, g) >= -1e-12
 
 
-def test_sweep_small_deterministic():
+def _dense_gaps(n, p, hess, gvec):
+    """Both gaps for batched symmetric H (k,n,n), unit g (k,n), p (k,), by
+    dense contraction; the reference for the per-entry kernel."""
+    A = np.einsum("ki,kij,kj->k", gvec, hess, gvec)
+    hf2 = np.einsum("kij,kij->k", hess, hess)
+    hg = np.einsum("kij,kj->ki", hess, gvec)
+    hg2 = np.einsum("ki,ki->k", hg, hg)
+    tr = np.einsum("kii->k", hess)
+    dp = tr + (p - 2.0) * A
+    rhs_core = dp**2 / n + n / (n - 1.0) * (dp / n - (p - 1.0) * A) ** 2
+    gap = hf2 + (p**2 - 2.0 * p + 2.0) * A**2 - rhs_core - 2.0 * hg2
+    gap_loose = hf2 + p * (p - 2.0) * A**2 - rhs_core
+    return gap, gap_loose, hf2 + A**2 + hg2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gap_kernel_matches_dense_reference(n):
+    rng = np.random.default_rng(100 + n)
+    k = 2000
+    p = rng.uniform(1.05, 6.0, size=k)
+    b = rng.standard_normal((k, n, n)) * rng.uniform(0.1, 10.0, size=(k, 1, 1))
+    hess = 0.5 * (b + np.swapaxes(b, 1, 2))
+    g = rng.standard_normal((k, n))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    gap, loose, size = _dense_gaps(n, p, hess, g)
+    rows, cols = np.triu_indices(n)
+    new_gap, new_loose = oracles._gaps(n, p, hess[:, rows, cols].T, g.T)
+    assert np.all(np.abs(new_gap - gap) <= 1e-12 * size)
+    assert np.all(np.abs(new_loose - loose) <= 1e-12 * size)
+    # the scalar oracle symmetrizes H and rescales g of any nonzero length
+    for i in range(20):
+        h = rng.standard_normal((n, n))
+        gv = rng.standard_normal(n) * rng.uniform(0.2, 5.0)
+        gn = np.linalg.norm(gv)
+        hs = 0.5 * (h + h.T)
+        ref, _, ref_size = _dense_gaps(n, p[i:i + 1], hs[None], (gv / gn)[None])
+        scale = gn ** (2.0 * (p[i] - 2.0))
+        assert abs(matrix_inequality_gap(n, p[i], h, gv) - scale * ref[0]) \
+            <= 1e-12 * scale * ref_size[0]
+
+
+def test_shard_draw_law():
+    # H = (B + B^T)/2 for standard normal B: independent entries, N(0, 1) on
+    # the diagonal and N(0, 1/2) off it; g on the unit sphere; p uniform
+    n, k, p_range = 4, 200_000, (1.1, 6.0)
+    p, z, g = oracles._draw_shard(np.random.default_rng(3), n, k, p_range,
+                                  np.empty(n * (n + 3) // 2 * k))
+    assert p.shape == (k,) and z.shape == (n * (n + 1) // 2, k) and g.shape == (n, k)
+    rows, cols = np.triu_indices(n)
+    var = np.where(rows == cols, 1.0, 0.5)
+    # five standard errors: sqrt(2/k) var for a variance, sqrt(var_i var_j / k)
+    # for a covariance and sqrt(var_i / k) for a mean
+    tol = 5.0 * np.sqrt(np.outer(var, var) / k)
+    tol[np.diag_indices_from(tol)] *= np.sqrt(2.0)
+    assert np.all(np.abs(np.cov(z) - np.diag(var)) <= tol)
+    assert np.all(np.abs(z.mean(axis=1)) <= 5.0 * np.sqrt(var / k))
+    assert np.abs(np.sqrt((g * g).sum(axis=0)) - 1.0).max() <= 1e-15
+    assert np.all(np.abs(np.cov(g) - np.eye(n) / n) <= 5.0 * np.sqrt(2.0 / k) / n)
+    assert p.min() >= p_range[0] and p.max() < p_range[1]
+
+
+def test_sweep_needs_a_sample_per_dimension():
+    with pytest.raises(ValidationError):
+        matrix_inequality_sweep(samples=2, n_values=(2, 3, 4))
+    assert matrix_inequality_sweep(samples=3, n_values=(2, 3, 4)).samples == 3
+
+
+def test_sweep_small_deterministic(monkeypatch):
     a = matrix_inequality_sweep(samples=20_000, seed=11)
     b = matrix_inequality_sweep(samples=20_000, seed=11)
     assert a.min_gap == b.min_gap
@@ -162,3 +233,32 @@ def test_sweep_small_deterministic():
     w = a.witness
     # the reported witness reproduces its gap through the scalar oracle
     assert matrix_inequality_gap(w.n, w.p, w.hess, w.gvec) == pytest.approx(w.gap, abs=1e-12)
+    # so does every shard minimum, also when each dimension takes several shards
+    monkeypatch.setattr(oracles, "_SHARD_SIZE", 3000)
+    c = matrix_inequality_sweep(samples=20_000, seed=11)
+    budgets = {2: 6666, 3: 6666, 4: 6668}
+    for result, size in ((a, 100_000), (c, 3000)):
+        assert [s.n for s in result.shard_minima] == [
+            n for n, budget in budgets.items() for _ in range(math.ceil(budget / size))]
+        assert min(s.gap for s in result.shard_minima) == result.min_gap
+        for s in result.shard_minima:
+            assert s.hess.shape == (s.n, s.n) and np.array_equal(s.hess, s.hess.T)
+            assert abs(np.linalg.norm(s.gvec) - 1.0) <= 1e-15
+            assert 1.1 <= s.p < 6.0
+            assert (matrix_inequality_gap(s.n, s.p, s.hess, s.gvec)
+                    == pytest.approx(s.gap, abs=1e-12))
+
+
+def test_one_shard_sweep_memory():
+    # one n=4 shard of 100k samples holds p (k), z (10k) and g (4k) floats;
+    # the peak stays within 2.5 times those arrays, which a (k, n, n) stack
+    # of H and its dense contractions (about 3.3 times) would exceed
+    k = 100_000
+    shard_bytes = (1 + 10 + 4) * k * 8
+    tracemalloc.start()
+    try:
+        matrix_inequality_sweep(samples=k, seed=0, n_values=(4,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * shard_bytes
