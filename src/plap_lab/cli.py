@@ -116,13 +116,15 @@ def validate_config(obj, command: str) -> dict:
         missing = [f"config.{k}" for k in ("domain", "p", "h") if k not in obj]
         if missing:
             raise ConfigError(f"{command} requires {', '.join(missing)}")
-    mc = obj.get("matcheck", {})
-    p_range = tuple(float(x) for x in mc.get("p_range", (1.1, 6.0)))
-    if p_range[0] > p_range[1]:
-        raise ConfigError(f"config.matcheck.p_range must be [lo, hi] with lo <= hi, got {list(p_range)}")
+    # defaults first, so that every check below reads the values the run uses
+    mc = {"samples": 1_000_000, "n_values": [2, 3, 4], "p_range": (1.1, 6.0),
+          **obj.get("matcheck", {})}
+    lo, hi = mc["p_range"] = tuple(float(x) for x in mc["p_range"])
+    if lo > hi:
+        raise ConfigError(f"config.matcheck.p_range must be [lo, hi] with lo <= hi, got {[lo, hi]}")
     # the sweep splits its budget over n_values; an n given 0 samples is not checked
-    n_count = len(mc.get("n_values", [2, 3, 4]))
-    if mc.get("samples", 1_000_000) < n_count:
+    n_count = len(mc["n_values"])
+    if mc["samples"] < n_count:
         raise ConfigError(f"config.matcheck.samples must be at least the {n_count} entries "
                           f"of matcheck.n_values, got {mc['samples']}")
 
@@ -141,7 +143,7 @@ def validate_config(obj, command: str) -> dict:
             if len(set(tags)) < len(tags):
                 raise ConfigError(f"config.{key} values must give distinct file tags, got {tags}")
     cfg["tolerances"] = Tolerances(**obj.get("tolerances", {}))
-    cfg["matcheck"] = {"samples": 1_000_000, "n_values": [2, 3, 4], **mc, "p_range": p_range}
+    cfg["matcheck"] = mc
     rd = obj.get("radial", {})
     cfg["radial"] = {"n_values": [2, 3], "grid": 10_000, **rd,
                      "radius": float(rd.get("radius", 1.0))}
@@ -229,14 +231,15 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
                    for i in range(len(trace.u_nu))])
         written.append(path)
 
+        # only points in a triangle: one in a hole would be a clipped value
         xs = case.mesh.points[:, 0]
         line = np.linspace(xs.min() * 0.98, xs.max() * 0.98, 201)
-        pts = np.stack([line, np.zeros_like(line)], axis=1)
-        located = case.mesh.locate(pts)
-        u_line = case.mesh.interpolate_located(case.solution.u, *located)
-        p_line = case.mesh.interpolate_located(case.p_nodal, *located)
+        tri, bary, found = case.mesh.locate(np.stack([line, np.zeros_like(line)], axis=1))
+        u_line = case.mesh.interpolate_located(case.solution.u, tri, bary)
+        p_line = case.mesh.interpolate_located(case.p_nodal, tri, bary)
         path = outdir / f"slice_{tag}.csv"
-        write_csv(path, ["x", "u", "P"], [[line[i], u_line[i], p_line[i]] for i in range(len(line))])
+        write_csv(path, ["x", "u", "P"],
+                  [[line[i], u_line[i], p_line[i]] for i in np.flatnonzero(found)])
         written.append(path)
     return written
 

@@ -3,10 +3,13 @@
 A run takes three things from here: derivative recovery on a mesh
 (`recover_derivatives`), the P-function (`p_function`) and the closed form of
 L_u P (`linearized_on_p`), which feeds the interior side of every identity
-and the subharmonicity scan.  The acceptance gate's exact-algebra checks
-(`p_bochner_residual`, `lu_p_two_routes`) run on analytic fields with exact
-derivatives through third order; there Delta_p u is evaluated in divergence
-form (`_p_laplacian_with_gradient`), independently of the frame route.
+and the subharmonicity scan.  A bundle holds u, its frame gradient and
+Hessian and the mask; `linearized_on_p` derives its terms from them, and the
+metric's weights are `geometry.domain_measures`'.  The acceptance gate's
+exact-algebra checks (`p_bochner_residual`, `lu_p_two_routes`) run on
+analytic fields with exact derivatives through third order; there Delta_p u
+is evaluated in divergence form (`_p_laplacian_with_gradient`),
+independently of the frame route.
 
 All pointwise quantities are stored in components of a local g-orthonormal
 frame (e_i = e^{-phi} d_i for a conformal metric g = e^{2 phi} delta): for a
@@ -47,11 +50,8 @@ _EYE2 = np.eye(2)
 class DerivativeBundle:
     """Frame-component derivative data at sample points.
 
-    grad and hess are components in a g-orthonormal frame; gnorm is the metric
-    gradient norm |grad u|_g, a_u the normalized second derivative in the
-    gradient direction, grad_gnorm the norm |grad |grad u||_g, ric the value
-    Ric(grad u, grad u).  Entries derived from the gradient direction are NaN
-    at masked (near-critical) points.
+    grad and hess are components in a g-orthonormal frame, gnorm is the metric
+    gradient norm |grad u|_g and mask marks the near-critical points.
     """
 
     points: np.ndarray
@@ -59,15 +59,10 @@ class DerivativeBundle:
     grad: np.ndarray            # (Q, 2) frame components
     hess: np.ndarray            # (Q, 2, 2) frame components, symmetric
     gnorm: np.ndarray
-    hess_frob: np.ndarray
-    a_u: np.ndarray
-    grad_gnorm: np.ndarray
-    ric: np.ndarray
     mask: np.ndarray
     delta_crit: float
     metric: ConformalMetric
     mesh: TriMesh | None = None
-    weights: np.ndarray | None = None          # metric volume weights e^{2 phi} dx (dx when phi = 0)
     nodal_grad: np.ndarray | None = None       # Euclidean components at vertices
     nodal_hess: np.ndarray | None = None
     # L_u P values and integral per (p, n), filled on first use
@@ -76,18 +71,6 @@ class DerivativeBundle:
     @property
     def masked_fraction(self) -> float:
         return float(self.mask.mean()) if len(self.mask) else 0.0
-
-
-def _derived_scalars(G: np.ndarray, S: np.ndarray, mask: np.ndarray):
-    gnorm = np.linalg.norm(G, axis=1)
-    safe = np.where(mask, 1.0, np.maximum(gnorm, 1e-300))
-    hess_frob = np.sqrt(np.einsum("nij,nij->n", S, S))
-    sg = np.einsum("nij,nj->ni", S, G)
-    a_u = np.einsum("ni,ni->n", G, sg) / safe**2
-    grad_gnorm = np.linalg.norm(sg, axis=1) / safe
-    a_u[mask] = np.nan
-    grad_gnorm[mask] = np.nan
-    return gnorm, hess_frob, a_u, grad_gnorm
 
 
 def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
@@ -107,19 +90,15 @@ def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
     return G, (e**2)[:, None, None] * S
 
 
-def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None, weights=None,
+def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None,
                  nodal_grad=None, nodal_hess=None) -> DerivativeBundle:
     G, S = frame_from_scalar(metric, pts, df, d2f)
     gnorm = np.linalg.norm(G, axis=1)
     if delta_crit is None:
         delta_crit = default_delta_crit(mesh.h, float(gnorm.max()) if len(gnorm) else 0.0)
-    mask = gnorm <= delta_crit
-    gnorm, hess_frob, a_u, grad_gnorm = _derived_scalars(G, S, mask)
-    ric = gaussian_curvature(metric, pts) * gnorm**2
     return DerivativeBundle(
-        points=pts, u=u, grad=G, hess=S, gnorm=gnorm, hess_frob=hess_frob,
-        a_u=a_u, grad_gnorm=grad_gnorm, ric=ric, mask=mask,
-        delta_crit=delta_crit, metric=metric, mesh=mesh, weights=weights,
+        points=pts, u=u, grad=G, hess=S, gnorm=gnorm, mask=gnorm <= delta_crit,
+        delta_crit=delta_crit, metric=metric, mesh=mesh,
         nodal_grad=nodal_grad, nodal_hess=nodal_hess,
     )
 
@@ -224,12 +203,8 @@ def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -
     interp = mesh.quad_interpolation()
     u_q, g_q = interp @ u, interp @ nodal_g
     h_q = (interp @ nodal_h.reshape(-1, 4)).reshape(-1, 2, 2)
-
-    weights = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
-    return _make_bundle(
-        metric, mesh.quad_points, u_q, g_q, h_q, None,
-        mesh=mesh, weights=weights, nodal_grad=nodal_g, nodal_hess=nodal_h,
-    )
+    return _make_bundle(metric, mesh.quad_points, u_q, g_q, h_q, None,
+                        mesh=mesh, nodal_grad=nodal_g, nodal_hess=nodal_h)
 
 
 # --------------------------------------------------------------------------
@@ -376,16 +351,22 @@ def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     source-gradient term drops and
 
         L_u P = (p-1)|g|^{2(p-2)} (|hess|^2 + (p-2)^2 A^2 + Ric(g, g))
-                + 2(p-1)(p-2)|g|^{2(p-2)} |grad|g||^2 - (p-1)/n.
+                + 2(p-1)(p-2)|g|^{2(p-2)} |grad|g||^2 - (p-1)/n,
 
-    NaN at masked points.
+    with A = g.S.g / |g|^2, |grad|g|| = |S g| / |g| and Ric(g, g) = K |g|^2
+    from the frame gradient g and Hessian S.  NaN at masked points.
     """
-    gn, mask = bundle.gnorm, bundle.mask
-    safe = np.where(mask, 1.0, gn)
+    G, S, gn, mask = bundle.grad, bundle.hess, bundle.gnorm, bundle.mask
+    safe = np.where(mask, 1.0, np.maximum(gn, 1e-300))
+    hess_frob = np.sqrt(np.einsum("nij,nij->n", S, S))
+    sg = np.einsum("nij,nj->ni", S, G)
+    a_u = np.einsum("ni,ni->n", G, sg) / safe**2
+    grad_gnorm = np.linalg.norm(sg, axis=1) / safe
+    ric = gaussian_curvature(bundle.metric, bundle.points) * gn**2
     with np.errstate(invalid="ignore"):
         amp = safe ** (2.0 * (p - 2.0))
-        val = (p - 1.0) * amp * (bundle.hess_frob**2 + (p - 2.0) ** 2 * bundle.a_u**2 + bundle.ric)
-        val += 2.0 * (p - 1.0) * (p - 2.0) * amp * bundle.grad_gnorm**2
+        val = (p - 1.0) * amp * (hess_frob**2 + (p - 2.0) ** 2 * a_u**2 + ric)
+        val += 2.0 * (p - 1.0) * (p - 2.0) * amp * grad_gnorm**2
         val -= (p - 1.0) / n
     val[mask] = np.nan
     return val

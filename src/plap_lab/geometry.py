@@ -327,7 +327,8 @@ class TriMesh:
         points that ``locate`` gave as (triangle, barycentric)."""
         return np.einsum("qk,qk...->q...", bary, nodal[self.triangles[tri]])
 
-    def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(triangle, barycentric, found) per point: `_PointLocator.locate`."""
         locator = self.derived("locator", lambda: _PointLocator(self))
         return locator.locate(np.atleast_2d(np.asarray(pts, dtype=float)))
 
@@ -343,10 +344,11 @@ class _PointLocator:
         cent = mesh.points[mesh.triangles].mean(axis=1)
         self.tree = cKDTree(cent)
 
-    def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per point, the first candidate triangle that contains it (up to
         1e-12 in barycentric terms), else the first one it is least outside
-        of; the coordinates are clipped at 0 and renormalised.
+        of; the coordinates are clipped at 0 and renormalised.  ``found``
+        tells the points that a candidate contains from the clipped ones.
 
         The first ``_HEAD`` candidates are tested for every point and all
         ``_K`` only for the points that none of those contains; the first inside
@@ -354,13 +356,13 @@ class _PointLocator:
         k = min(self._K, self.mesh.n_triangles)
         _, cand = self.tree.query(pts, k=k)
         cand = np.asarray(cand).reshape(len(pts), k)
-        tri, bary, hit = self._pick(pts, cand[:, :self._HEAD])
-        miss = np.flatnonzero(~hit)
-        tri[miss], bary[miss], _ = self._pick(pts[miss], cand[miss])
+        tri, bary, found = self._pick(pts, cand[:, :self._HEAD])
+        miss = np.flatnonzero(~found)
+        tri[miss], bary[miss], found[miss] = self._pick(pts[miss], cand[miss])
         bary = np.clip(bary, 0.0, None)
         s = bary.sum(axis=1)
         bary[s > 0] /= s[s > 0, None]
-        return tri, bary
+        return tri, bary, found
 
     def _pick(self, pts: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The selected candidate per point, its barycentric coordinates and
@@ -848,6 +850,10 @@ def boundary_geometry(spec: DomainSpec, mesh: TriMesh) -> BoundaryGeometry:
 class Measures:
     volume: float
     perimeter: float
+    # the read-only weights they sum: e^{2 phi} dx at `mesh.quad_points`
+    # and e^{phi} ds at the boundary nodes
+    volume_weights: np.ndarray = field(compare=False, repr=False)
+    boundary_weights: np.ndarray = field(compare=False, repr=False)
 
     @property
     def h0(self) -> float:
@@ -857,13 +863,15 @@ class Measures:
 
 
 def domain_measures(mesh: TriMesh, metric) -> Measures:
-    """Volume and perimeter in the conformal metric (Euclidean for the flat
-    metric, whose weights are exp(0) = 1); evaluated once per mesh and metric."""
+    """The metric's volume and length weights and their sums (Euclidean for
+    the flat metric, whose factors are exp(0) = 1), once per mesh and metric;
+    every integral against e^{2 phi} dx or e^{phi} ds takes its weights here."""
 
     def build() -> Measures:
         bg = mesh.boundary
-        vol = float(np.sum(mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))))
-        per = float(np.sum(bg.weight * np.exp(metric.phi(bg.position))))
-        return Measures(vol, per)
+        vol_w = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
+        bnd_w = bg.weight * np.exp(metric.phi(bg.position))
+        vol_w.flags.writeable = bnd_w.flags.writeable = False
+        return Measures(float(np.sum(vol_w)), float(np.sum(bnd_w)), vol_w, bnd_w)
 
     return mesh.derived(("measures", metric), build)

@@ -1,9 +1,9 @@
 """Both sides of every integral identity and inequality, from solved fields.
 
 All boundary quantities are traces in the metric sense: u_nu is the outward
-normal derivative with respect to the g-unit normal, curvature and arc-length
-weights carry their conformal factors, and interior integrals use the metric
-volume element.  Traces are obtained by sampling the recovered derivative
+normal derivative with respect to the g-unit normal and curvature carries its
+conformal factor; boundary and interior integrals take e^{phi} ds and
+e^{2 phi} dx from `domain_measures`.  Traces are obtained by sampling the recovered derivative
 fields along the inward normal (beyond the one-ring recovery boundary layer)
 and extrapolating linearly back to the boundary.  The dimension n of the
 paper's identities is `geometry.DIM`: every domain is planar.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
 from .geometry import DIM, Disk, Measures, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
@@ -40,7 +40,7 @@ class BoundaryTrace:
 
     p: float
     curvature: np.ndarray        # H_g (equals Euclidean H when flat)
-    weight: np.ndarray           # metric arc-length weight
+    weight: np.ndarray           # `Measures.boundary_weights`, e^{phi} ds
     u_nu: np.ndarray             # g-normal derivative (negative for torsion fields)
     u_nunu: np.ndarray           # second normal derivative nu . hess_g u . nu
     gnorm: np.ndarray            # |grad u|_g trace
@@ -61,6 +61,11 @@ class BoundaryTrace:
         """Nodewise residual of the overdetermined condition, n H |u_nu|^{p-2} u_nu + 1."""
         return DIM * self.curvature * self.p_flux() + 1.0
 
+    def max_overdetermined_residual(self) -> float:
+        """The largest |1 + n H |u_nu|^{p-2} u_nu| off the flagged nodes, or
+        NaN: both ``hk.max_node_residual`` and ``flags.b_deviation``."""
+        return _max_or_nan(np.abs(self.overdetermined_residual())[~self.flagged])
+
 
 def _extrapolate_to_boundary(q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Linear least-squares fit of per-node samples q (B, D) over depths d, at 0."""
@@ -80,6 +85,7 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
     Returns the sample depths ``d_all``, the indices ``ig`` and ``ih`` of the
     gradient and Hessian depths among them, and the located (triangle,
     barycentric) pair of each sample point x_b - d_k nu, stacked per node.
+    A sample point in no triangle would be clipped, so it raises.
     """
     bg = mesh.boundary
     meas = domain_measures(mesh, ConformalMetric.flat())
@@ -91,8 +97,11 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
     d_all = np.unique(np.concatenate([dg, dh]))
     pts = bg.position[:, None, :] - d_all[None, :, None] * bg.normal[:, None, :]
     flat_pts = pts.reshape(-1, 2)
+    tri, bary, found = mesh.locate(flat_pts)
+    if not found.all():
+        raise MeshGenerationError(f"{(~found).sum()} of {len(found)} trace samples are in no triangle")
     return (d_all, np.searchsorted(d_all, dg), np.searchsorted(d_all, dh), flat_pts,
-            *mesh.locate(flat_pts))
+            tri, bary)
 
 
 def boundary_trace(bundle: DerivativeBundle, p: float) -> BoundaryTrace:
@@ -102,7 +111,7 @@ def boundary_trace(bundle: DerivativeBundle, p: float) -> BoundaryTrace:
     reliable one ring in); second-derivative traces use deeper samples, past
     the boundary layer of the recovered Hessian.  Mesh, boundary geometry and
     metric are the recovered bundle's; the sample sites are located once per
-    mesh.
+    mesh, and the arc weights are the metric's `Measures.boundary_weights`.
     """
     mesh, bg, metric = bundle.mesh, bundle.mesh.boundary, bundle.metric
     d_all, ig, ih, flat_pts, tri, bary = mesh.derived("trace_sites", lambda: _trace_sites(mesh))
@@ -123,10 +132,9 @@ def boundary_trace(bundle: DerivativeBundle, p: float) -> BoundaryTrace:
 
     flagged = (q_gn <= bundle.delta_crit).any(axis=1)
 
-    H_g = geodesic_boundary_curvature(metric, bg)
-    w = bg.weight * np.exp(metric.phi(bg.position))
-    return BoundaryTrace(p=p, curvature=H_g, weight=w, u_nu=u_nu, u_nunu=u_nunu,
-                         gnorm=gnorm, flagged=flagged)
+    return BoundaryTrace(p=p, curvature=geodesic_boundary_curvature(metric, bg),
+                         weight=domain_measures(mesh, metric).boundary_weights,
+                         u_nu=u_nu, u_nunu=u_nunu, gnorm=gnorm, flagged=flagged)
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +169,7 @@ def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> 
 
 def _lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
     """Pointwise L_u P (read-only, NaN where masked) and its metric volume
-    integral over unmasked quadrature points.
+    integral (on `Measures.volume_weights`) over unmasked quadrature points.
 
     Three report sections and the subharmonicity scan read them; they are
     evaluated once per bundle and p.
@@ -169,7 +177,8 @@ def _lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
     if p not in bundle.cache:
         vals, keep = linearized_on_p(bundle, p, DIM), ~bundle.mask
         vals.flags.writeable = False
-        bundle.cache[p] = vals, float(np.sum(bundle.weights[keep] * vals[keep]))
+        weights = domain_measures(bundle.mesh, bundle.metric).volume_weights
+        bundle.cache[p] = vals, float(np.sum(weights[keep] * vals[keep]))
     return bundle.cache[p]
 
 
@@ -222,21 +231,20 @@ def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) 
     T2 = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H is the overdetermined-condition
     deficit: it vanishes exactly when the boundary p-flux equals -1/(nH)
     pointwise, and its smallness characterizes balls.  ``max_node_residual``
-    is the largest nodewise |1 + n H |u_nu|^{p-2} u_nu| off the flagged nodes;
-    both are data, and only the decomposition and T3 >= 0 carry the verdict.
+    is `BoundaryTrace.max_overdetermined_residual`; both are data, and only
+    the decomposition and T3 >= 0 carry the verdict.
     """
     _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
     p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
-    node_res = trace.overdetermined_residual()
     t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p)[1]
-    t2 = float(np.sum(node_res**2 / trace.curvature * trace.weight))
+    t2 = float(np.sum(trace.overdetermined_residual()**2 / trace.curvature * trace.weight))
     t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
     floor = n * measures.volume
     rel = _rel(t1 + t2, t3, floor)
     holds = bool(t3 >= -tolerance * floor)
     return _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds,
-                   "max_node_residual": _max_or_nan(np.abs(node_res[~trace.flagged]))},
+                   "max_node_residual": trace.max_overdetermined_residual()},
                   abs(t1 + t2 - t3), rel, tolerance, rel <= tolerance and holds)
 
 
@@ -353,11 +361,10 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle, tol: float
     p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
     h0 = measures.h0
-    ok = ~trace.flagged
-    b_dev = _max_or_nan(np.abs(trace.overdetermined_residual())[ok])
+    b_dev = trace.max_overdetermined_residual()
     d_dev = float((np.abs(trace.curvature - h0) / h0).max())
     e_ref = (1.0 / (n * h0)) ** (1.0 / (p - 1.0))
-    e_dev = _max_or_nan((np.abs(trace.gnorm - e_ref) / e_ref)[ok])
+    e_dev = _max_or_nan((np.abs(trace.gnorm - e_ref) / e_ref)[~trace.flagged])
     return {
         "serrin_b": bool(b_dev <= tol),
         "cmc_d": bool(d_dev <= tol),

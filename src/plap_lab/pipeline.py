@@ -4,9 +4,10 @@
 derivatives once from the solution's nodal values, builds the boundary trace
 once from them, and hands both to every check.  Each stage takes its context
 once: the bundle carries the mesh (with its exact boundary geometry and its
-cached domain measures) and the metric, the trace carries p.  Only the
-solution, the per-boundary-node trace, the report and the nodal P-function
-outlive the call; the per-quadrature-point derivative bundle does not.
+cached domain measures, the only source of the metric's weights) and the
+metric, the trace carries p.  Only the solution, the per-boundary-node trace,
+the report and the nodal P-function outlive the call; the
+per-quadrature-point derivative bundle does not.
 
 Mesh-derived state lives on the `TriMesh`: the point locator, the domain
 measures per metric, the recovery normal equations, the solver's assembly

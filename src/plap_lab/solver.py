@@ -118,10 +118,8 @@ class _Assembler:
         nq = len(mesh.quad_bary)
         # per-element weight of the gradient term: int_T e^{(2-p) phi}
         self.w_grad = (w * np.exp((2.0 - p) * phi_q)).reshape(-1, nq).sum(axis=1)
-        # load vector: int e^{2 phi} lambda_i
-        src = (w * np.exp(2.0 * phi_q)).reshape(-1, nq)
-        lam = mesh.quad_bary  # (nq, 3)
-        elem_load = src @ lam  # (M, 3)
+        # load vector: int e^{2 phi} lambda_i, on the metric's volume weights
+        elem_load = domain_measures(mesh, metric).volume_weights.reshape(-1, nq) @ mesh.quad_bary
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
         # dofs[i] is the vertex of unknown i of the ordered tangent

@@ -12,6 +12,7 @@ import plap_lab
 from plap_lab import pipeline, solver
 from plap_lab.cli import _check, emit_plot_data, main, validate_config
 from plap_lab.errors import ConfigError, MeshGenerationError
+from plap_lab.geometry import Annulus, PolarStar
 from plap_lab.identities import Tolerances
 
 SCHEMAS = Path(plap_lab.__file__).parent / "schemas"
@@ -482,6 +483,32 @@ def test_boundary_profile_columns(tmp_path, lab):
     assert [c[2] for c in cols] == [repr(float(v)) for v in bg.position[:, 1]]
     slice_file = next(p for p in written if "slice" in p.name)
     assert slice_file.read_text().startswith("x,u,P")
+
+
+@pytest.mark.parametrize("spec,h", [(Annulus(0.5, 1.0), 0.1),
+                                    (PolarStar(1.0, cos_coeffs=(0.0, 0.0, 0.3)), 0.05)])
+def test_slice_rows_lie_in_the_domain(tmp_path, spec, h):
+    # the annulus slice crosses the hole; the three-lobed star's slice starts
+    # at 0.98 min x = -0.867, left of its boundary on the negative x-axis at
+    # r(pi) = 0.7.  Only points in a triangle are written.
+    case = pipeline.run_case(spec, None, 2.0, h)
+    written = emit_plot_data([case], tmp_path)
+    slice_file = next(p for p in written if "slice" in p.name)
+    x = np.array([float(row["x"]) for row in _read_rows(slice_file)])
+
+    def depth(x):       # distance inside the boundary along the x-axis
+        if isinstance(spec, Annulus):
+            return np.minimum(np.abs(x) - spec.r_in, spec.r_out - np.abs(x))
+        return spec.r(np.where(x < 0, np.pi, 0.0)) - np.abs(x)
+
+    # the mesh's boundary chords stray from the curve by about h^2 / (8 R) at
+    # radius of curvature R, which is below h^2 on both domains
+    assert (depth(x) >= -h * h).all()
+    # nothing deeper than h inside is dropped
+    xs = case.mesh.points[:, 0]
+    line = np.linspace(xs.min() * 0.98, xs.max() * 0.98, 201)
+    assert set(line[depth(line) > h]) <= set(x)
+    assert len(x) < len(line)
 
 
 def test_ellipse_boundary_profile_curvature_range(tmp_path, lab):

@@ -9,6 +9,7 @@ from plap_lab import (ConformalMetric, PolynomialField, ValidationError,
                       p_bochner_residual, p_function, recover_derivatives)
 from plap_lab.fields import (_p_laplacian_with_gradient, gaussian_radial_field,
                              lu_p_two_routes, torsion_profile_field)
+from plap_lab.metric import gaussian_curvature
 
 FLAT = ConformalMetric.flat()
 RNG = np.random.default_rng(0)
@@ -19,6 +20,17 @@ def _sample_points(count=80, rmin=0.35, rmax=1.1, seed=5):
     r = np.sqrt(rng.uniform(rmin**2, rmax**2, count))
     t = rng.uniform(0, 2 * np.pi, count)
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
+
+
+def _direction_terms(bundle):
+    """A_u = g.S.g / |g|^2 and |grad |grad u||_g = |S g| / |g| from the
+    bundle's frame gradient g and Hessian S; NaN where masked."""
+    safe = np.where(bundle.mask, 1.0, bundle.gnorm)
+    sg = np.einsum("nij,nj->ni", bundle.hess, bundle.grad)
+    a_u = np.einsum("ni,ni->n", bundle.grad, sg) / safe**2
+    grad_gnorm = np.linalg.norm(sg, axis=1) / safe
+    a_u[bundle.mask] = grad_gnorm[bundle.mask] = np.nan
+    return a_u, grad_gnorm
 
 
 # --------------------------------------------------------------- recovery
@@ -90,7 +102,8 @@ def test_hessian_symmetry_and_cauchy_schwarz(lab):
     bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
     assert np.abs(bundle.hess - np.swapaxes(bundle.hess, 1, 2)).max() <= 1e-12
     ok = ~bundle.mask
-    assert np.nanmax(bundle.a_u[ok] ** 2 - bundle.grad_gnorm[ok] ** 2) <= 1e-12
+    a_u, grad_gnorm = _direction_terms(bundle)
+    assert np.nanmax(a_u[ok] ** 2 - grad_gnorm[ok] ** 2) <= 1e-12
 
 
 def test_field_size_mismatch():
@@ -136,7 +149,7 @@ def _p_laplacian(bundle, p):
     NaN where masked."""
     with np.errstate(invalid="ignore"):
         out = bundle.gnorm ** (p - 2.0) * (np.einsum("nii->n", bundle.hess)
-                                           + (p - 2.0) * bundle.a_u)
+                                           + (p - 2.0) * _direction_terms(bundle)[0])
     out[bundle.mask] = np.nan
     return out
 
@@ -182,7 +195,7 @@ def test_a_u_on_exact_disk_torsion(lab):
     bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
     r = np.linalg.norm(bundle.points, axis=1)
     sel = (r > 0.2) & (r < 0.8)
-    assert np.abs(bundle.a_u[sel] + 0.5).max() <= 5 * sol.mesh.h
+    assert np.abs(_direction_terms(bundle)[0][sel] + 0.5).max() <= 5 * sol.mesh.h
 
 
 # -------------------------------------------------------- L_u P algebra
@@ -209,6 +222,29 @@ def test_lu_p_cross_check_conformal():
     field = PolynomialField({(3, 0): 1 / 6, (0, 2): 0.5, (1, 0): 0.4})
     lhs, rhs = lu_p_two_routes(field, metric, 2.5, 2, pts)
     assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+def _lu_p_reference(bundle, p, n):
+    """L_u P from the bundle's frame gradient and Hessian and the Gaussian
+    curvature K, term by term as the closed form writes it."""
+    a_u, grad_gnorm = _direction_terms(bundle)
+    hess_frob = np.sqrt(np.einsum("nij,nij->n", bundle.hess, bundle.hess))
+    ric = gaussian_curvature(bundle.metric, bundle.points) * bundle.gnorm**2
+    amp = np.where(bundle.mask, 1.0, bundle.gnorm) ** (2.0 * (p - 2.0))
+    val = (p - 1.0) * amp * (hess_frob**2 + (p - 2.0) ** 2 * a_u**2 + ric)
+    val += 2.0 * (p - 1.0) * (p - 2.0) * amp * grad_gnorm**2
+    val -= (p - 1.0) / n
+    val[bundle.mask] = np.nan
+    return val
+
+
+@pytest.mark.parametrize("domain,p,metric", [("ellipse", 3.0, "flat"), ("disk", 2.0, "cap")])
+def test_lu_p_on_recovered_bundles_matches_reference(lab, domain, p, metric):
+    sol = lab.solution(domain, p, metric=metric)
+    bundle = recover_derivatives(sol.mesh, sol.u, sol.metric)
+    for q in (1.5, p, 4.0):
+        assert np.array_equal(linearized_on_p(bundle, q, 2), _lu_p_reference(bundle, q, 2),
+                              equal_nan=True)
 
 
 # ------------------------------------------------------------ p-Bochner

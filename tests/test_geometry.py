@@ -79,6 +79,27 @@ def test_measures_flat_and_scaled(lab):
     assert mc.perimeter == pytest.approx(np.exp(c) * m.perimeter, rel=1e-12)
 
 
+# phi = 0, a cap phi = -(x^2 + y^2)/8, and a Gaussian bump
+WEIGHT_METRICS = [FLAT,
+                  ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)], nonnegative_ricci=True),
+                  ConformalMetric.gaussian_bump(0.3, 0.1, -0.2, 1.1)]
+
+
+@pytest.mark.parametrize("metric", WEIGHT_METRICS, ids=["flat", "cap", "bump"])
+def test_measures_are_the_sums_of_their_weights(lab, metric):
+    # e^{2 phi} dx at the quadrature points and e^{phi} ds at the boundary
+    # nodes, read-only, summing to the volume and the perimeter bit for bit
+    mesh = lab.mesh("ellipse", 0.1)
+    m = domain_measures(mesh, metric)
+    bg = mesh.boundary
+    assert np.array_equal(m.volume_weights,
+                          mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points)))
+    assert np.array_equal(m.boundary_weights, bg.weight * np.exp(metric.phi(bg.position)))
+    assert m.volume == float(np.sum(m.volume_weights))
+    assert m.perimeter == float(np.sum(m.boundary_weights))
+    assert not (m.volume_weights.flags.writeable or m.boundary_weights.flags.writeable)
+
+
 def test_ellipse_measures(lab):
     m = domain_measures(lab.mesh("ellipse", 0.05), FLAT)
     assert m.volume == pytest.approx(2 * np.pi, rel=0.005)
@@ -447,10 +468,11 @@ def test_filtered_inside_matches_unfiltered(lab, domain, h, share):
 
 def _locate_reference(mesh, pts, k=24):
     """Point by point: the first candidate containing the point, else the
-    first with the largest minimum barycentric coordinate; then clip."""
+    first with the largest minimum barycentric coordinate; then clip.  Also
+    whether a candidate contains the point, and how many points were clipped."""
     k = min(k, mesh.n_triangles)
     _, cand = cKDTree(mesh.points[mesh.triangles].mean(axis=1)).query(pts, k=k)
-    tri_idx, bary_out, clipped = [], [], 0
+    tri_idx, bary_out, found, clipped = [], [], [], 0
     for p, row in zip(pts, cand):
         best, best_bary, best_min = -1, None, -np.inf
         for t in row:
@@ -468,7 +490,8 @@ def _locate_reference(mesh, pts, k=24):
             out /= out.sum()
         tri_idx.append(best)
         bary_out.append(out)
-    return np.array(tri_idx), np.array(bary_out), clipped
+        found.append(best_min >= -1e-12)
+    return np.array(tri_idx), np.array(bary_out), np.array(found), clipped
 
 
 def test_batched_locate_matches_pointwise_reference(lab):
@@ -482,11 +505,12 @@ def test_batched_locate_matches_pointwise_reference(lab):
         0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]]),
         1.002 * mesh.points[mesh.boundary_loops[0][::4]],    # just outside the disk
     ])
-    tri, bary = mesh.locate(pts)
-    ref_tri, ref_bary, clipped = _locate_reference(mesh, pts)
-    assert clipped > 0
+    tri, bary, found = mesh.locate(pts)
+    ref_tri, ref_bary, ref_found, clipped = _locate_reference(mesh, pts)
+    assert clipped > 0 and not ref_found.all()
     assert np.array_equal(tri, ref_tri)
     assert np.array_equal(bary, ref_bary)
+    assert np.array_equal(found, ref_found)
 
 
 def test_quad_interpolation_matches_located_interpolation(lab):
@@ -522,11 +546,12 @@ def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, head):
         1.003 * loop[::3],                                    # just outside the ellipse
         1.05 * loop[1::7],
     ])
-    tri, bary = mesh.locate(pts)
-    ref_tri, ref_bary, clipped = _locate_reference(mesh, pts)
-    assert clipped > 0
+    tri, bary, found = mesh.locate(pts)
+    ref_tri, ref_bary, ref_found, clipped = _locate_reference(mesh, pts)
+    assert clipped > 0 and not ref_found.all()
     assert np.array_equal(tri, ref_tri)
     assert np.array_equal(bary, ref_bary)
+    assert np.array_equal(found, ref_found)
 
 
 @settings(max_examples=20, deadline=None)

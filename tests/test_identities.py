@@ -8,7 +8,8 @@ from plap_lab import (ConformalMetric, Disk, PreconditionError,
                       subharmonicity_scan)
 from plap_lab.cli import _flatten
 from plap_lab.fields import recover_derivatives
-from plap_lab.geometry import Annulus
+from plap_lab.errors import MeshGenerationError
+from plap_lab.geometry import Annulus, TriMesh
 from plap_lab.identities import BoundaryTrace, Tolerances, scan_tolerance
 
 FLAT = ConformalMetric.flat()
@@ -34,6 +35,29 @@ def test_disk_trace_values_p3(lab):
     assert np.abs(tr.u_nu + 1 / np.sqrt(2)).max() <= 0.02 / np.sqrt(2)
     assert np.abs(tr.u_nunu + np.sqrt(2) / 4).max() <= 0.02
     assert np.abs(tr.eq_curvature_residual()).max() <= 0.02
+
+
+@pytest.mark.parametrize("domain,metric", [("ellipse", "flat"), ("disk", "cap")])
+def test_trace_weights_are_the_measures_boundary_weights(lab, domain, metric):
+    case = lab.case(domain, 2.0, metric=metric)
+    meas = domain_measures(case.mesh, case.solution.metric)
+    assert np.array_equal(case.trace.weight, meas.boundary_weights)
+
+
+def test_trace_site_in_no_triangle_raises(monkeypatch):
+    # a clipped sample would give a trace value the field does not take
+    locate = TriMesh.locate
+
+    def miss_one(self, pts):
+        tri, bary, found = locate(self, pts)
+        found[0] = False
+        return tri, bary, found
+
+    monkeypatch.setattr(TriMesh, "locate", miss_one)
+    mesh = build_mesh(Disk(1.0), 0.2)
+    bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
+    with pytest.raises(MeshGenerationError, match="1 of .* trace samples"):
+        boundary_trace(bundle, 2.0)
 
 
 def test_ellipse_trace_curvature_relation(lab):
@@ -227,6 +251,27 @@ def test_equivalence_flags_ellipse(lab):
     flags = case.report.sections["flags"]
     assert not (flags["serrin_b"] or flags["cmc_d"] or flags["gradient_e"])
     assert not flags["domain_is_disk"]
+
+
+@pytest.mark.parametrize("domain", ["disk", "ellipse"])
+def test_hk_and_flags_read_one_overdetermined_residual(lab, domain):
+    case = lab.case(domain, 2.0)
+    rep = case.report.sections
+    worst = case.trace.max_overdetermined_residual()
+    assert rep["hk"]["max_node_residual"] == rep["flags"]["b_deviation"] == worst
+
+
+def test_overdetermined_residual_where_only_one_section_runs(lab):
+    # the annulus skips hk (H < 0 on its inner loop), the cap metric skips
+    # the Euclidean flags; the other section still reports the residual
+    annulus = lab.case("annulus", 2.0, h=0.1)
+    rep = annulus.report.sections
+    assert "hk" in rep["skipped"]
+    assert rep["flags"]["b_deviation"] == annulus.trace.max_overdetermined_residual()
+    cap = lab.case("disk", 2.0, metric="cap")
+    rep = cap.report.sections
+    assert "flags" in rep["skipped"]
+    assert rep["hk"]["max_node_residual"] == cap.trace.max_overdetermined_residual()
 
 
 def test_every_node_flagged_gives_nan_deviations():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError,
-                      ValidationError, build_mesh, solve)
+                      ValidationError, build_mesh, domain_measures, solve)
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -28,6 +28,16 @@ def test_disk_p2_accuracy(lab):
 @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
 def test_disk_degenerate_accuracy(lab, p):
     assert _disk_error(lab, p) <= 5e-3
+
+
+@pytest.mark.parametrize("metric", [ConformalMetric.flat(), METRICS["cap"],
+                                    ConformalMetric.gaussian_bump(0.3, 0.1, -0.2, 1.1)],
+                         ids=["flat", "cap", "bump"])
+def test_load_integrates_the_metric_volume_weights(lab, metric):
+    # the load is int e^{2 phi} lambda_i and the lambda_i sum to 1
+    mesh = lab.mesh("ellipse", 0.1)
+    load = _Assembler(mesh, metric, 3.0).load
+    assert load.sum() == pytest.approx(domain_measures(mesh, metric).volume, rel=1e-12)
 
 
 def test_config_validation(lab, monkeypatch):
