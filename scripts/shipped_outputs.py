@@ -12,7 +12,10 @@ are then compared with
     PYTHONPATH=src python scripts/shipped_outputs.py NEW_OUT   # in the new checkout
     python scripts/compare_outputs.py OLD_OUT NEW_OUT
 
-The script exits 0 once every config has run, whatever their exit codes.
+The configs in `scripts/compare_configs/` reach report paths (the skipped
+checks) that no shipped config reaches; pass them after `configs/*.json` for
+a comparison that covers those too.  The script exits 0 once every config
+has run, whatever their exit codes.
 """
 
 import argparse

@@ -25,7 +25,6 @@ from .oracles import (RadialProfile, ellipse_boundary_integrals,
 from .solver import Solution, solve
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report, equivalence_suite,
-                         flux_balance, fundamental_identity, hk_report,
-                         soap_bubble_report, subharmonicity_scan)
+                         integral_identities, subharmonicity_scan)
 
 __version__ = "0.1.0"

@@ -464,9 +464,6 @@ def main(argv: list[str] | None = None) -> int:
             "radial": cmd_radial,
         }[args.command]
         return handler(cfg, outdir)
-    except ConfigError as exc:
-        _emit_error(outdir, "config", str(exc))
-        return 2
     except SolverError as exc:     # AssemblyError included
         _emit_error(outdir, "solver", str(exc), history=[list(t) for t in exc.history])
         return 3

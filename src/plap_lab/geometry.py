@@ -272,7 +272,6 @@ class TriMesh:
     points: np.ndarray                  # (N, 2)
     triangles: np.ndarray               # (M, 3), CCW
     boundary_loops: list[np.ndarray]    # vertex indices, ordered, domain on the left
-    areas: np.ndarray                   # (M,)
     basis_grads: np.ndarray             # (M, 3, 2): gradient of each P1 basis fn
     quad_bary: np.ndarray               # (Q, 3) barycentric coordinates
     quad_points: np.ndarray             # (M*Q, 2)
@@ -774,7 +773,6 @@ def _assemble_mesh(
         points=points,
         triangles=triangles,
         boundary_loops=loops,
-        areas=areas,
         basis_grads=grads,
         quad_bary=_QUAD_BARY,
         quad_points=qp,

@@ -10,7 +10,11 @@ paper's identities is `geometry.DIM`: every domain is planar.
 
 A report is its JSON sections: each check returns its section as a dict, with
 ``residual``, ``rel_residual``, ``tolerance`` and ``pass`` beside its values,
-and ``IdentityReport.sections`` is the published report, key for key.
+and ``IdentityReport.sections`` is the published report, key for key.  The
+five integral sections come from one computation, `integral_identities`.  A
+check outside its preconditions (H > 0 for ``hk``, a metric declared Ric >= 0
+for the scan, the flat metric for the flags) gives a PreconditionError, and
+`build_report` records its message under ``skipped``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
-from .geometry import DIM, Disk, Measures, TriMesh, domain_measures
+from .geometry import DIM, Disk, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
 
 
@@ -158,20 +162,11 @@ def _max_or_nan(values: np.ndarray) -> float:
     return float(values.max()) if values.size else np.nan
 
 
-def flux_balance(trace: BoundaryTrace, measures: Measures, tolerance: float) -> dict:
-    """Integral of the boundary p-flux against -|Omega| (global balance)."""
-    lhs = float(np.sum(trace.p_flux() * trace.weight))
-    rhs = -measures.volume
-    rel = abs(lhs - rhs) / measures.volume
-    return _check({"boundary_integral": lhs},
-                  abs(lhs - rhs), rel, tolerance, rel <= tolerance)
-
-
 def _lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
     """Pointwise L_u P (read-only, NaN where masked) and its metric volume
     integral (on `Measures.volume_weights`) over unmasked quadrature points.
 
-    Three report sections and the subharmonicity scan read them; they are
+    The integral identities and the subharmonicity scan read them; they are
     evaluated once per bundle and p.
     """
     if p not in bundle.cache:
@@ -182,88 +177,94 @@ def _lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
     return bundle.cache[p]
 
 
-def _require_positive_curvature(trace: BoundaryTrace, what: str) -> None:
-    if (trace.curvature <= 0).any():
-        node = int(np.argmin(trace.curvature))
-        raise PreconditionError(
-            f"{what} requires H > 0 on the whole boundary; node {node} has "
-            f"H = {trace.curvature[node]:.6g}"
-        )
+def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
+                        tol: Tolerances) -> dict:
+    """The ``fundamental``, ``sbt``, ``flux``, ``eq_curvature`` and ``hk``
+    sections, from one set of boundary and interior sums.
 
+    ``fundamental`` sets the interior L_u P mass against the curvature flux
+    three ways: lhs_volume integrates the pointwise expansion, lhs_boundary
+    converts the same integral to a boundary form through the divergence
+    theorem, and rhs is |Omega|/n minus the curvature-weighted flux integral;
+    the volume vs boundary discrepancy is the discrete divergence-theorem
+    check.  ``sbt`` is the constant-mean-curvature form (interior mass plus
+    the H0-deficit equals the curvature-deviation flux integral), ``flux``
+    the boundary p-flux against -|Omega|, ``eq_curvature`` the largest
+    nodewise `BoundaryTrace.eq_curvature_residual`, and ``hk`` the
+    Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|.
+    T2 = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H is the overdetermined-condition
+    deficit; ``hk.max_node_residual`` is
+    `BoundaryTrace.max_overdetermined_residual`, and only the decomposition
+    and T3 >= 0 carry its verdict.  ``hk`` needs H > 0 on the whole boundary;
+    where it is not, its entry is the PreconditionError that skips it.
 
-def fundamental_identity(trace: BoundaryTrace, bundle: DerivativeBundle,
-                         tolerance: float) -> dict:
-    """Interior L_u P mass against the boundary curvature flux, three ways.
+    The sections are regroupings of one identity.  Write F = sum(p_flux *
+    weight) + |Omega| for the signed flux residual, R_v and R_b for the signed
+    volume and boundary residuals of ``fundamental`` (lhs - rhs), and e for
+    the signed nodal `BoundaryTrace.eq_curvature_residual`.  The shared sums
+    then give, to round-off:
 
-    lhs_volume integrates the pointwise expansion, lhs_boundary converts the
-    same integral to a boundary form through the divergence theorem, and rhs
-    is |Omega|/n minus the curvature-weighted flux integral.  The volume vs
-    boundary discrepancy is the discrete divergence-theorem check.
+        sbt:         lhs1 + lhs2 - rhs = R_v + (2/n) F
+        hk:          t1 + t2 - t3 = n^2 (R_v + (2/n) F)
+        fundamental: R_b = (1/(n-1)) sum(p_flux * e * weight) - F/n
+
+    so ``sbt`` and ``hk`` fail only through ``fundamental``'s volume route
+    and ``flux``.
     """
-    p, n = trace.p, DIM
+    p, n, rel_tol = trace.p, DIM, tol.identity_rel
     measures = domain_measures(bundle.mesh, bundle.metric)
-    lhs_volume = _lu_p(bundle, p)[1] / ((p - 1.0) * (n - 1.0))
+    volume, h0, weight, curv = measures.volume, measures.h0, trace.weight, trace.curvature
+    lu_integral = _lu_p(bundle, p)[1]
     pf = trace.p_flux()
+    gpow = np.abs(trace.u_nu) ** (2.0 * p - 2.0)
+    floor = volume / n
+
+    lhs_volume = lu_integral / ((p - 1.0) * (n - 1.0))
     lhs_boundary = float(
         np.sum(pf * ((p - 1.0) * np.abs(trace.u_nu) ** (p - 2.0) * trace.u_nunu + 1.0 / n)
-               * trace.weight)
+               * weight)
     ) / (n - 1.0)
-    rhs = measures.volume / n - float(np.sum(trace.curvature * np.abs(trace.u_nu) ** (2.0 * p - 2.0) * trace.weight))
-    floor = measures.volume / n
+    rhs = floor - float(np.sum(curv * gpow * weight))
     rel_v = _rel(lhs_volume, rhs, floor)
     rel_b = _rel(lhs_boundary, rhs, floor)
     rel_div = _rel(lhs_volume, lhs_boundary, floor)
-    values = {
-        "lhs_volume": lhs_volume,
-        "lhs_boundary": lhs_boundary,
-        "rhs": rhs,
-        "rel_residual_volume": rel_v,
-        "rel_residual_boundary": rel_b,
-        "divergence_check": rel_div,
-    }
-    return _check(values, abs(lhs_volume - rhs), max(rel_v, rel_b), tolerance,
-                  rel_v <= tolerance and rel_b <= tolerance and rel_div <= tolerance)
+    sections = {"fundamental": _check(
+        {"lhs_volume": lhs_volume, "lhs_boundary": lhs_boundary, "rhs": rhs,
+         "rel_residual_volume": rel_v, "rel_residual_boundary": rel_b,
+         "divergence_check": rel_div},
+        abs(lhs_volume - rhs), max(rel_v, rel_b), rel_tol,
+        rel_v <= rel_tol and rel_b <= rel_tol and rel_div <= rel_tol)}
 
+    lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * weight)) / (n * n * h0)
+    rhs_sbt = float(np.sum((h0 - curv) * gpow * weight))
+    rel = _rel(lhs_volume + lhs2, rhs_sbt, floor)
+    sections["sbt"] = _check(
+        {"lhs1": lhs_volume, "lhs2": lhs2, "rhs": rhs_sbt,
+         "max_h_deviation": float(np.abs(curv - h0).max())},
+        abs(lhs_volume + lhs2 - rhs_sbt), rel, rel_tol, rel <= rel_tol)
 
-def hk_report(trace: BoundaryTrace, bundle: DerivativeBundle, tolerance: float) -> dict:
-    """Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|.
+    flux = float(np.sum(pf * weight))
+    rel = abs(flux + volume) / volume
+    sections["flux"] = _check({"boundary_integral": flux}, abs(flux + volume), rel,
+                              tol.flux_rel, rel <= tol.flux_rel)
 
-    T2 = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H is the overdetermined-condition
-    deficit: it vanishes exactly when the boundary p-flux equals -1/(nH)
-    pointwise, and its smallness characterizes balls.  ``max_node_residual``
-    is `BoundaryTrace.max_overdetermined_residual`; both are data, and only
-    the decomposition and T3 >= 0 carry the verdict.
-    """
-    _require_positive_curvature(trace, "the Heintze-Karcher decomposition")
-    p, n = trace.p, DIM
-    measures = domain_measures(bundle.mesh, bundle.metric)
-    t1 = n * n / ((p - 1.0) * (n - 1.0)) * _lu_p(bundle, p)[1]
-    t2 = float(np.sum(trace.overdetermined_residual()**2 / trace.curvature * trace.weight))
-    t3 = float(np.sum(trace.weight / trace.curvature)) - n * measures.volume
-    floor = n * measures.volume
-    rel = _rel(t1 + t2, t3, floor)
-    holds = bool(t3 >= -tolerance * floor)
-    return _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds,
-                   "max_node_residual": trace.max_overdetermined_residual()},
-                  abs(t1 + t2 - t3), rel, tolerance, rel <= tolerance and holds)
+    eq_max = _max_or_nan(np.abs(trace.eq_curvature_residual())[~trace.flagged])
+    sections["eq_curvature"] = _check({"max_node_residual": eq_max}, eq_max, eq_max,
+                                      tol.eq_curvature_nodewise,
+                                      eq_max <= tol.eq_curvature_nodewise)
 
-
-def soap_bubble_report(trace: BoundaryTrace, bundle: DerivativeBundle,
-                       tolerance: float) -> dict:
-    """Constant-mean-curvature form: interior mass plus the H0-deficit equals
-    the curvature-deviation flux integral."""
-    p, n = trace.p, DIM
-    measures = domain_measures(bundle.mesh, bundle.metric)
-    h0 = measures.h0
-    lhs1 = _lu_p(bundle, p)[1] / ((p - 1.0) * (n - 1.0))
-    pf = trace.p_flux()
-    lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * trace.weight)) / (n * n * h0)
-    rhs = float(np.sum((h0 - trace.curvature) * np.abs(trace.u_nu) ** (2.0 * p - 2.0) * trace.weight))
-    floor = measures.volume / n
-    rel = _rel(lhs1 + lhs2, rhs, floor)
-    return _check({"lhs1": lhs1, "lhs2": lhs2, "rhs": rhs,
-                   "max_h_deviation": float(np.abs(trace.curvature - h0).max())},
-                  abs(lhs1 + lhs2 - rhs), rel, tolerance, rel <= tolerance)
+    if not (curv > 0).all():
+        sections["hk"] = PreconditionError("nonpositive mean curvature on part of the boundary")
+        return sections
+    t1 = n * n / ((p - 1.0) * (n - 1.0)) * lu_integral
+    t2 = float(np.sum(trace.overdetermined_residual()**2 / curv * weight))
+    t3 = float(np.sum(weight / curv)) - n * volume
+    rel = _rel(t1 + t2, t3, n * volume)
+    holds = bool(t3 >= -rel_tol * (n * volume))
+    sections["hk"] = _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds,
+                             "max_node_residual": trace.max_overdetermined_residual()},
+                            abs(t1 + t2 - t3), rel, rel_tol, rel <= rel_tol and holds)
+    return sections
 
 
 # --------------------------------------------------------------------------
@@ -320,14 +321,15 @@ _SCAN_BINS = 60
 
 def subharmonicity_scan(bundle: DerivativeBundle,
                         p: float) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
-    """Minimum and distribution of the pointwise L_u P values (requires Ric >= 0
-    and at least one quadrature point left after the exclusions).
+    """Minimum and distribution of the pointwise L_u P values (requires a
+    metric declared Ric >= 0 and at least one quadrature point left after the
+    exclusions).
 
     Returns the report section and the histogram of the scanned values.
     """
     metric, mesh = bundle.metric, bundle.mesh
-    if not (metric.is_flat or metric.nonnegative_ricci):
-        raise PreconditionError("subharmonicity scan requires a nonnegative-Ricci metric")
+    if not metric.nonnegative_ricci:
+        raise PreconditionError("metric not declared nonnegative_ricci")
     vals, integral = _lu_p(bundle, p)
     excl = _near_critical_exclusion(bundle, p) | _boundary_ring_exclusion(mesh)
     excluded = float(excl.mean())
@@ -357,7 +359,7 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle, tol: float
     flags come with the deviations they threshold.
     """
     if not bundle.metric.is_flat:
-        raise PreconditionError("equivalence flags are defined for the flat metric")
+        raise PreconditionError("equivalence statements are Euclidean")
     p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
     h0 = measures.h0
@@ -415,40 +417,29 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
     recovered derivatives (which carry mesh and metric) and boundary trace
     (which carries p)."""
     tol = tol if tol is not None else Tolerances()
-    p, metric = trace.p, bundle.metric
-    measures = domain_measures(bundle.mesh, metric)
+    measures = domain_measures(bundle.mesh, bundle.metric)
     skipped = {}
     sections = {
-        "p": p,
+        "p": trace.p,
         "n": DIM,
         "constants": {"volume": measures.volume, "perimeter": measures.perimeter,
                       "h0": measures.h0, "masked_fraction": bundle.masked_fraction},
         "skipped": skipped,
-        "fundamental": fundamental_identity(trace, bundle, tol.identity_rel),
-        "sbt": soap_bubble_report(trace, bundle, tol.identity_rel),
-        "flux": flux_balance(trace, measures, tol.flux_rel),
     }
-    eq_max = _max_or_nan(np.abs(trace.eq_curvature_residual())[~trace.flagged])
-    sections["eq_curvature"] = _check({"max_node_residual": eq_max}, eq_max, eq_max,
-                                      tol.eq_curvature_nodewise,
-                                      eq_max <= tol.eq_curvature_nodewise)
-
-    if (trace.curvature > 0).all():
-        sections["hk"] = hk_report(trace, bundle, tol.identity_rel)
-    else:
-        skipped["hk"] = "nonpositive mean curvature on part of the boundary"
-
+    checks = integral_identities(trace, bundle, tol)
     histogram = None
-    if metric.is_flat or metric.nonnegative_ricci:
-        try:
-            sections["subharmonicity"], histogram = subharmonicity_scan(bundle, p)
-        except PreconditionError as exc:
-            skipped["subharmonicity"] = str(exc)
-    else:
-        skipped["subharmonicity"] = "metric not declared nonnegative_ricci"
-
-    if metric.is_flat:
-        sections["flags"] = equivalence_suite(trace, bundle, tol.flags_tol)
-    else:
-        skipped["flags"] = "equivalence statements are Euclidean"
+    try:
+        checks["subharmonicity"], histogram = subharmonicity_scan(bundle, trace.p)
+    except PreconditionError as exc:
+        checks["subharmonicity"] = exc
+    try:
+        checks["flags"] = equivalence_suite(trace, bundle, tol.flags_tol)
+    except PreconditionError as exc:
+        checks["flags"] = exc
+    # a check outside its preconditions is the PreconditionError that skips it
+    for name, section in checks.items():
+        if isinstance(section, PreconditionError):
+            skipped[name] = str(section)
+        else:
+            sections[name] = section
     return IdentityReport(sections, histogram)

@@ -86,7 +86,6 @@ def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
 class EpsStep:
     eps: float
     iterations: int        # Newton steps
-    residual_norm: float   # at the last direction the rung solved for
     energy: float
     factorizations: int    # tangents the rung factored
     cg_iterations: int     # PCG iterations of its directions
@@ -385,7 +384,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
             it += 1
             if last and t == 1.0:
                 break
-        steps.append(EpsStep(eps=eps, iterations=it, residual_norm=rnorm, energy=energy,
+        steps.append(EpsStep(eps=eps, iterations=it, energy=energy,
                              factorizations=held.factorizations - counts[0],
                              cg_iterations=held.cg_iterations - counts[1]))
         if it == 0:

@@ -28,7 +28,7 @@ def test_disk_mesh_area_and_perimeter(lab):
 def test_disk_mesh_quality(lab):
     mesh = lab.mesh("disk", 0.05)
     assert mesh.min_angle_deg() >= 20.0
-    assert (mesh.areas > 0).all()
+    assert (mesh.quad_weights > 0).all()
 
 
 def test_boundary_vertices_exactly_on_curve(lab):

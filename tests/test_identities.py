@@ -3,8 +3,7 @@ import pytest
 
 from plap_lab import (ConformalMetric, Disk, PreconditionError,
                       boundary_trace, build_mesh, build_report,
-                      domain_measures, equivalence_suite, flux_balance,
-                      fundamental_identity, hk_report, soap_bubble_report,
+                      domain_measures, equivalence_suite, integral_identities,
                       subharmonicity_scan)
 from plap_lab.cli import _flatten
 from plap_lab.fields import recover_derivatives
@@ -78,8 +77,8 @@ def test_flux_balance_disk(lab, p):
 
 def test_flux_balance_flags_non_solution(lab):
     mesh = lab.mesh("disk", 0.1)
-    tr = boundary_trace(recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT), 2.0)
-    entry = flux_balance(tr, domain_measures(mesh, FLAT), TOL.flux_rel)
+    bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
+    entry = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL)["flux"]
     assert entry["rel_residual"] == pytest.approx(1.0, abs=1e-9)
     assert not entry["pass"]
 
@@ -146,9 +145,9 @@ def test_hk_rejects_nonpositive_curvature():
 
     sol = solve(mesh, None, 2.0)
     bundle = recover_derivatives(mesh, sol.u, FLAT)
-    tr = boundary_trace(bundle, 2.0)
-    with pytest.raises(PreconditionError):
-        hk_report(tr, bundle, TOL.identity_rel)
+    skip = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL)["hk"]
+    assert isinstance(skip, PreconditionError)
+    assert str(skip) == "nonpositive mean curvature on part of the boundary"
 
 
 # ------------------------------------------------------------ soap bubble
@@ -198,7 +197,7 @@ def test_serrin_definitional_zero(lab):
                        u_nunu=np.zeros_like(u_nu), gnorm=np.abs(u_nu),
                        flagged=np.zeros(len(u_nu), dtype=bool))
     bundle = recover_derivatives(lab.mesh("ellipse", 0.05), lab.solution("ellipse", p).u, FLAT)
-    hk = hk_report(tr, bundle, TOL.identity_rel)
+    hk = integral_identities(tr, bundle, TOL)["hk"]
     assert hk["t2"] <= 1e-12
     assert hk["max_node_residual"] <= 1e-12
 
@@ -226,7 +225,7 @@ def test_scan_disk_concentrates_at_zero(lab):
 def test_scan_requires_nonnegative_ricci(lab):
     sol = lab.solution("disk", 2.0)
     bad = ConformalMetric.gaussian_bump(0.5, 0.0, 0.0, 1.0)  # undeclared
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="metric not declared nonnegative_ricci"):
         subharmonicity_scan(recover_derivatives(sol.mesh, sol.u, bad), 2.0)
 
 
@@ -290,7 +289,7 @@ def test_every_node_flagged_gives_nan_deviations():
 
 def test_equivalence_requires_flat(lab):
     case = lab.case("disk", 2.0, metric="cap")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="equivalence statements are Euclidean"):
         equivalence_suite(case.trace, recover_derivatives(case.mesh, case.solution.u,
                                                           case.solution.metric), TOL.flags_tol)
 
@@ -325,31 +324,41 @@ def test_report_leaves_are_plain_json_types(lab, domain, h, metric, skipped):
 
 # ------------------------------------------- discrete algebraic regrouping
 
-@pytest.mark.parametrize("domain,p", [("disk", 2.0), ("ellipse", 3.0)])
-def test_reports_are_algebraically_dependent(lab, domain, p):
-    """The three report gaps are one identity regrouped: assembled from the
-    same trace and measures they must satisfy, to round-off,
+@pytest.mark.parametrize("domain,p,h,metric", [
+    ("disk", 2.0, 0.05, "flat"),
+    ("ellipse", 3.0, 0.05, "flat"),
+    ("disk", 2.0, 0.05, "cap"),
+    ("annulus", 3.0, 0.1, "flat"),     # H < 0 on the inner loop: hk is skipped
+], ids=["disk-2.0", "ellipse-3.0", "disk-2.0-cap", "annulus-3.0"])
+def test_reports_are_algebraically_dependent(lab, domain, p, h, metric):
+    """The report gaps are one identity regrouped.  With F = sum(p_flux *
+    weight) + |Omega| the signed flux residual and e the signed nodal
+    eq_curvature residual, the sections of one trace satisfy, to round-off,
 
-        sbt_gap - fund_gap = (2/n)(flux_sum + |Omega|)
-        hk_gap = n^2 fund_gap + 2n (flux_sum + |Omega|).
+        sbt_gap - fund_gap = (2/n) F
+        hk_gap = n^2 fund_gap + 2n F                    (where hk runs)
+        lhs_boundary - rhs = (1/(n-1)) sum(p_flux * e * weight) - F/n
     """
-    case = lab.case(domain, p)
+    case = lab.case(domain, p, h=h, metric=metric)
     n = 2
-    sol = case.solution
-    bundle = recover_derivatives(case.mesh, sol.u, sol.metric)
-    meas = domain_measures(case.mesh, sol.metric)
-    tr = boundary_trace(bundle, p)
-    fund = fundamental_identity(tr, bundle, TOL.identity_rel)
-    hk = hk_report(tr, bundle, TOL.identity_rel)
-    sbt = soap_bubble_report(tr, bundle, TOL.identity_rel)
-    flux_sum = float(np.sum(tr.p_flux() * tr.weight))
+    rep, tr = case.report.sections, case.trace
+    meas = domain_measures(case.mesh, case.solution.metric)
+    pf = tr.p_flux()
+    flux = float(np.sum(pf * tr.weight)) + meas.volume
+    fund, sbt = rep["fundamental"], rep["sbt"]
 
     fund_gap = fund["lhs_volume"] - fund["rhs"]
     sbt_gap = sbt["lhs1"] + sbt["lhs2"] - sbt["rhs"]
-    hk_gap = hk["t1"] + hk["t2"] - hk["t3"]
-    scale = max(1.0, abs(hk_gap), meas.volume)
-    assert abs((sbt_gap - fund_gap) - 2.0 / n * (flux_sum + meas.volume)) <= 1e-10 * scale
-    assert abs(hk_gap - (n**2 * fund_gap + 2 * n * (flux_sum + meas.volume))) <= 1e-10 * scale
+    boundary_gap = fund["lhs_boundary"] - fund["rhs"]
+    e_flux = float(np.sum(pf * tr.eq_curvature_residual() * tr.weight))
+    scale = max(1.0, meas.volume)
+    assert ("hk" in rep["skipped"]) == (domain == "annulus")
+    if "hk" in rep:
+        hk_gap = rep["hk"]["t1"] + rep["hk"]["t2"] - rep["hk"]["t3"]
+        scale = max(scale, abs(hk_gap))
+        assert abs(hk_gap - (n**2 * fund_gap + 2 * n * flux)) <= 1e-10 * scale
+    assert abs((sbt_gap - fund_gap) - 2.0 / n * flux) <= 1e-10 * scale
+    assert abs(boundary_gap - (e_flux / (n - 1) - flux / n)) <= 1e-10 * scale
 
 
 def test_nonnegative_entries_are_exactly_nonnegative(lab):
