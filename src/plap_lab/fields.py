@@ -73,12 +73,23 @@ class DerivativeBundle:
         return float(self.mask.mean()) if len(self.mask) else 0.0
 
 
+def _frame(metric: ConformalMetric, pts: np.ndarray,
+           df: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame factor e^{-phi} at pts and the frame gradient e^{-phi} df."""
+    e = np.exp(-metric.phi(pts))
+    return e, e[:, None] * df
+
+
+def frame_gradient(metric: ConformalMetric, pts: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Frame gradient of a scalar from its Euclidean gradient."""
+    return _frame(metric, pts, df)[1]
+
+
 def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
                       df: np.ndarray, d2f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame gradient and covariant frame Hessian of a scalar from Euclidean data."""
-    e = np.exp(-metric.phi(pts))
+    e, G = _frame(metric, pts, df)
     dphi = metric.grad_phi(pts)
-    G = e[:, None] * df
     dot = np.einsum("ni,ni->n", dphi, df)
     S = (
         d2f

@@ -8,6 +8,9 @@ subharmonicity estimate.
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,18 +171,27 @@ def _gaps(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
     """Both inequality gaps for k samples, entry by entry.
 
     z (n(n+1)/2, k) holds the upper triangle of each symmetric H row by row,
-    g (n, k) unit gradients and p (k,) exponents.  Every contraction is a sum
-    of k-vectors; no (k, n, n) stack is built.
+    g (n, k) unit gradients and p (k,) exponents.  tr H, |H|^2, A = g.H.g and
+    |H g|^2 are accumulated in place, one row of H g at a time, so besides
+    its inputs the kernel holds a few k-vectors and no (k, n, n) stack.
     """
     idx = np.zeros((n, n), dtype=int)
     idx[np.triu_indices(n)] = np.arange(len(z))
     idx = np.maximum(idx, idx.T)   # row of z holding H_ij
-    tr = sum(z[idx[i, i]] for i in range(n))
-    hf2 = sum((z[idx[i, j]] ** 2 if i == j else 2.0 * z[idx[i, j]] ** 2)
-              for i in range(n) for j in range(i, n))
-    hg = [sum(z[idx[i, j]] * g[j] for j in range(n)) for i in range(n)]
-    A = sum(g[i] * hg[i] for i in range(n))
-    hg2 = sum(v * v for v in hg)
+    k = z.shape[1]
+    tr, hf2, A, hg2, row, t = np.zeros((6, k))
+    for i in range(n):
+        tr += z[idx[i, i]]
+        for j in range(i, n):
+            np.square(z[idx[i, j]], out=t)
+            if i != j:
+                t *= 2.0
+            hf2 += t
+        row.fill(0.0)                 # (H g)_i
+        for j in range(n):
+            row += np.multiply(z[idx[i, j]], g[j], out=t)
+        A += np.multiply(g[i], row, out=t)
+        hg2 += np.square(row, out=t)
     dp = tr + (p - 2.0) * A          # unit gradient: |g|^{p-2} = 1
     rhs_core = dp**2 / n + n / (n - 1.0) * (dp / n - (p - 1.0) * A) ** 2
     gap = hf2 + (p**2 - 2.0 * p + 2.0) * A**2 - rhs_core - 2.0 * hg2
@@ -217,6 +229,35 @@ def _hess_from_upper(n: int, zcol: np.ndarray) -> np.ndarray:
 
 # samples per independently seeded stream; changing it changes every sweep
 _SHARD_SIZE = 100_000
+# columns of a shard per kernel call, so the kernel's own k-vectors stay
+# small beside the shard's draw buffer
+_BLOCK = 12_500
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
+    """The first sample of least gap in one shard and the shard's least loose gap.
+
+    The kernel runs over column blocks with a running first-occurrence
+    argmin, so the result is that of one call on the whole shard.
+    """
+    best, best_gap, loose = 0, np.inf, np.inf
+    for s in range(0, len(p), _BLOCK):
+        gap, gap_loose = _gaps(n, p[s:s + _BLOCK], z[:, s:s + _BLOCK], g[:, s:s + _BLOCK])
+        i = int(np.argmin(gap))
+        if gap[i] < best_gap:
+            best, best_gap = s + i, float(gap[i])
+        loose = min(loose, float(gap_loose.min()))
+    shard = SweepShard(n=n, p=float(p[best]), gap=best_gap,
+                       hess=_hess_from_upper(n, z[:, best]), gvec=g[:, best].copy())
+    return shard, loose
 
 
 def matrix_inequality_sweep(
@@ -232,39 +273,47 @@ def matrix_inequality_sweep(
     draws p uniform on p_range, a symmetric H with independent N(0, 1)
     diagonal and N(0, 1/2) off-diagonal entries, and g uniform on the unit
     sphere (see `_draw_shard`).  Samples are sharded with independently
-    seeded streams so the reduction is order-independent and reproducible.
+    seeded streams, and the shards run concurrently on a pool of one thread
+    per CPU the process may use (at most one per shard), the largest shards
+    first.  Each worker draws into one buffer of its own, and the shard
+    minima are reduced in shard order, so every output is the same bit for
+    bit on any number of CPUs.
     """
     if not n_values or samples < len(n_values):
         raise ValidationError(f"sample budget {samples} must give each of the "
                               f"{len(n_values)} dimensions in n_values (at least one) a sample")
-    shards = []
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(int(np.ceil(samples / _SHARD_SIZE)) * len(n_values))
-    ci = 0
-    min_gap = np.inf
-    min_loose = np.inf
-    total = 0
     per_n = [samples // len(n_values)] * len(n_values)
     per_n[-1] += samples - sum(per_n)
-    # every shard draws its z and g into this one array, so its normals land
-    # in memory already paged in rather than in a fresh allocation
-    buf = np.empty(max(n * (n + 3) // 2 for n in n_values) * min(_SHARD_SIZE, max(per_n)))
-    for n, budget in zip(n_values, per_n):
-        left = budget
-        while left > 0:
-            k = min(_SHARD_SIZE, left)
-            rng = np.random.default_rng(children[ci])
-            ci += 1
-            p, z, g = _draw_shard(rng, n, k, p_range, buf)
-            gap, gap_loose = _gaps(n, p, z, g)
-            i = int(np.argmin(gap))
-            shards.append(SweepShard(n=n, p=float(p[i]), gap=float(gap[i]),
-                                     hess=_hess_from_upper(n, z[:, i]), gvec=g[:, i].copy()))
-            min_gap = min(min_gap, float(gap[i]))
-            min_loose = min(min_loose, float(gap_loose.min()))
-            total += k
-            left -= k
-    return SweepResult(samples=total, min_gap=min_gap, min_gap_loose=min_loose,
+    sizes = [(n, min(_SHARD_SIZE, budget - start))
+             for n, budget in zip(n_values, per_n) for start in range(0, budget, _SHARD_SIZE)]
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    floats = [n * (n + 3) // 2 * k for n, k in sizes]   # z and g of each shard
+    workers = min(_cpus(), len(sizes))
+    # each running shard draws its z and g into one of these arrays (one per
+    # worker, so get() never waits), and its normals land in memory already
+    # paged in rather than in a fresh allocation
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(max(floats)))
+
+    def run(i):
+        (n, k), buf = sizes[i], buffers.get()
+        try:
+            p, z, g = _draw_shard(np.random.default_rng(children[i]), n, k, p_range, buf)
+            return _shard_minimum(n, p, z, g)
+        finally:
+            buffers.put(buf)
+
+    # the largest shards start first, so the last one to finish is small and
+    # no worker idles long while another ends a big one
+    order = sorted(range(len(sizes)), key=lambda i: -floats[i])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        done = dict(zip(order, pool.map(run, order)))
+    results = [done[i] for i in range(len(sizes))]
+    shards = [shard for shard, _ in results]
+    return SweepResult(samples=samples,
+                       min_gap=min(s.gap for s in shards),
+                       min_gap_loose=min(loose for _, loose in results),
                        shard_minima=shards)
 
 

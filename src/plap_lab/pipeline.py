@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .fields import frame_from_scalar, p_function, recover_derivatives
+from .fields import frame_gradient, p_function, recover_derivatives
 from .geometry import DIM, DomainSpec, TriMesh, build_mesh
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report)
@@ -69,7 +69,6 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     bundle = recover_derivatives(mesh, sol.u, metric)
     trace = boundary_trace(bundle, p)
     report = build_report(bundle, trace, tol=tolerances)
-    G, _ = frame_from_scalar(metric, mesh.points, bundle.nodal_grad, bundle.nodal_hess)
-    gnorm = np.linalg.norm(G, axis=1)
+    gnorm = np.linalg.norm(frame_gradient(metric, mesh.points, bundle.nodal_grad), axis=1)
     return CaseResult(solution=sol, trace=trace, report=report,
                       p_nodal=p_function(gnorm, sol.u, p, DIM))

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,56 @@ def test_sweep_small_deterministic(monkeypatch):
             assert 1.1 <= s.p < 6.0
             assert (matrix_inequality_gap(s.n, s.p, s.hess, s.gvec)
                     == pytest.approx(s.gap, abs=1e-12))
+
+
+def _same_sweep(a, b):
+    assert (a.samples, a.min_gap, a.min_gap_loose) == (b.samples, b.min_gap, b.min_gap_loose)
+    assert len(a.shard_minima) == len(b.shard_minima)
+    for s, t in zip(a.shard_minima, b.shard_minima):
+        assert (s.n, s.p, s.gap) == (t.n, t.p, t.gap)
+        assert np.array_equal(s.hess, t.hess) and np.array_equal(s.gvec, t.gvec)
+
+
+@pytest.mark.parametrize("shard_size", [oracles._SHARD_SIZE, 3000])
+def test_sweep_is_independent_of_worker_count(monkeypatch, shard_size):
+    # shards run concurrently, each drawing into its worker's own buffer, and
+    # are reduced in shard order; the kernel runs over column blocks with a
+    # running argmin.  Neither the worker count nor the block size (one
+    # block per shard is one kernel call) may change a bit of the result.
+    # Four workers on fewer cores, with a short switch interval, would show
+    # two shards sharing a buffer.
+    monkeypatch.setattr(oracles, "_SHARD_SIZE", shard_size)
+    default_block = oracles._BLOCK
+
+    def sweep(workers, block):
+        monkeypatch.setattr(oracles, "_cpus", lambda: workers)
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+        return matrix_inequality_sweep(samples=60_000, seed=7)
+
+    reference = sweep(1, shard_size)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, block in ((1, default_block), (4, default_block), (4, 1000)):
+            _same_sweep(sweep(workers, block), reference)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_threaded_sweep_memory(monkeypatch, workers):
+    # four n=4 shards of 100k samples: each worker holds one draw buffer for
+    # z and g and its shard's p, and the blocked kernel's k-vectors are small
+    monkeypatch.setattr(oracles, "_cpus", lambda: workers)
+    k = 100_000
+    shard_bytes = (1 + 10 + 4) * k * 8
+    tracemalloc.start()
+    try:
+        matrix_inequality_sweep(samples=4 * k, seed=0, n_values=(4,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * workers * shard_bytes
 
 
 def test_one_shard_sweep_memory():

@@ -1,5 +1,6 @@
 """Each experiment script runs to completion on small arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -27,3 +28,15 @@ def test_script_exits_zero(script):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *SMALL_ARGS[script]],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_process_times_prints_one_json_line_per_run():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "process_times.py"),
+                           "--repeats", "1", str(ROOT / "configs" / "radial.json")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["config"], r["run"], r["exit_code"]) for r in lines] == [("radial", 0, 0)]
+    assert sorted(lines[0]) == ["config", "exit_code", "run", "wall_s"]
+    assert lines[0]["wall_s"] > 0.0
