@@ -32,12 +32,11 @@ from the structure with unit weights, and kept on it, with two linear maps
 sparse gradient operator G, so that every energy reads the element gradients
 G u and every residual is G^T applied to the element fluxes, less the load;
 and the sparse map from the three distinct entries of each element's
-weighted 2 x 2 coefficient to the lower triangle of the CSC data, so that a
-tangent is one sparse product and a gather that mirrors it.  A solve holds
-one factor (diagonal pivots, no further reordering) and finds each direction
-by conjugate gradients preconditioned with it, from 0, only as accurately as
-its decrement needs
-(the inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat and
+weighted 2 x 2 coefficient to every slot of the CSC data, so that a tangent
+is one sparse product.  A solve holds one factor (diagonal pivots, no further
+reordering) and finds each direction by conjugate gradients preconditioned
+with it, from 0, only as accurately as its decrement needs (the
+inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat and
 Steihaug, SIAM J. Numer. Anal. 19, 1982, capped as in Eisenstat and Walker,
 SIAM J. Sci. Comput. 17, 1996): PCG iterate k, whose relative decrement is
 delta_k = b.x_k / (1 + |J_eps|), stops once its preconditioned residual,
@@ -55,7 +54,7 @@ u nor eps; a p = 2 solve assembles and factors it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,14 +71,14 @@ def _sq_norm(g: np.ndarray) -> np.ndarray:
 
 
 def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Per element, the (M, 2, 2) symmetric positive definite tangent factor
+    """Per element, the distinct entries (c00, c01, c11), as an (M, 3) array,
+    of the symmetric positive definite tangent factor
     G* (I + (p-2) g g^T / (eps^2 + |g|^2)), G* = (eps^2 + |g|^2)^{(p-2)/2}."""
     denom = eps * eps + _sq_norm(grad)
     gstar = denom ** ((p - 2.0) / 2.0)
     s = (p - 2.0) * gstar / denom
     g0, g1 = grad[:, 0], grad[:, 1]
-    c01 = s * g0 * g1
-    return np.stack([gstar + s * g0 * g0, c01, c01, gstar + s * g1 * g1], axis=1).reshape(-1, 2, 2)
+    return np.stack([gstar + s * g0 * g0, s * g0 * g1, gstar + s * g1 * g1], axis=1)
 
 
 @dataclass
@@ -98,7 +97,7 @@ class Solution:
     metric: ConformalMetric
     p: float
     steps: list[EpsStep]
-    diagnostics: dict = dc_field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def final_eps(self) -> float:
@@ -122,7 +121,7 @@ class _Assembler:
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
         # dofs[i] is the vertex of unknown i of the ordered tangent
-        (self.free, self.dofs, self._grad, self._lower, self._mirror, self._indptr,
+        (self.free, self.dofs, self._grad, self._slots, self._indptr,
          self._indices) = mesh.derived("assembly_maps", lambda: _assembly_maps(mesh))
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
@@ -147,20 +146,19 @@ class _Assembler:
 
     def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
         """The free x free tangent, in the order of ``dofs``."""
-        coeff = _flux_coeff(self.gradients(u), self.p, eps).reshape(-1, 4)
-        c = np.take(coeff, [0, 1, 3], axis=1)      # c00, c01, c11 per element
+        c = _flux_coeff(self.gradients(u), self.p, eps)
         c *= self.w_grad[:, None]
         if not np.isfinite(c).all():
             bad = int(np.argmax(~np.isfinite(c).all(axis=1)))
             raise AssemblyError("non-finite tangent during assembly", element=bad)
         nf = len(self.dofs)
-        data = (self._lower @ c.ravel())[self._mirror]
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=(nf, nf))
+        return sp.csc_matrix((self._slots @ c.ravel(), self._indices, self._indptr),
+                             shape=(nf, nf))
 
 
 def _assembly_maps(mesh: TriMesh) -> tuple:
-    """(free, dofs, grad, lower, mirror, indptr, indices): the linear maps
-    from nodal values and element coefficients to the assembled arrays.
+    """(free, dofs, grad, slots, indptr, indices): the linear maps from nodal
+    values and element coefficients to the assembled arrays.
 
     ``free`` are the interior vertices and ``dofs[i]`` the vertex of unknown
     i of the free x free tangent, whose CSC layout is (``indptr``,
@@ -168,13 +166,13 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     gradients, row 2t + i holding d/dx_i of triangle t; the residual is its
     transpose applied to the element fluxes.  Element t's tangent block is
     grad(lambda_k) . C_t grad(lambda_l), linear in the three distinct entries
-    (c00, c01, c11) of its symmetric 2 x 2 coefficient C_t: ``lower`` sends
-    those 3M entries to the lower-triangle slots of the CSC data, and
-    ``mirror`` gathers every slot from its lower-triangle twin.  The order is
-    a symmetric minimum-degree order of the structure, so it is taken from
-    the unit-weight stiffness, C_t = I, by ``_fill_reducing_order``; the
-    lower slots are its distinct keys, each row of ``lower`` holding its
-    elements in ascending order, as a canonical CSR.
+    (c00, c01, c11) of its symmetric 2 x 2 coefficient C_t: ``slots`` sends
+    those 3M entries to every slot of the CSC data, one row per slot in CSC
+    order, each with its element columns ascending, as a canonical CSR.
+    The twins (k, l) and (l, k) of an element take the same products of its
+    basis gradients, so the tangent is exactly symmetric.  The order is a
+    symmetric minimum-degree order of the structure, so it is taken from the
+    unit-weight stiffness, C_t = I, by ``_fill_reducing_order``.
     """
     tri, bg = mesh.triangles, mesh.basis_grads
     n, m = mesh.n_vertices, mesh.n_triangles
@@ -197,28 +195,19 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     lap = sp.csc_matrix((weights[:, 0] + weights[:, 2], (rows, cols)), shape=(nf, nf))
     # int64, so the keys col * nf + row do not wrap past 46340 unknowns
     rank = _fill_reducing_order(lap).astype(np.int64)
-    rows, cols = rank[rows], rank[cols]
-    low = np.flatnonzero(rows >= cols)
-    key = cols[low] * nf + rows[low]
-    # one row per lower slot, in key order; an element meets a slot at most
+    key = rank[cols] * nf + rank[rows]
+    # one row per slot, in key (CSC) order; an element meets a slot at most
     # once, so a stable sort leaves each row's columns ascending
     by_key = np.argsort(key, kind="stable")
-    key, low = key[by_key], low[by_key]
+    key = key[by_key]
     starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    lower_keys = key[starts]
-    lower = sp.csr_matrix((np.take(weights, low, axis=0).ravel(),
-                           (3 * elem[low, None] + np.arange(3)).ravel(),
-                           3 * np.append(starts, len(key))), shape=(len(lower_keys), 3 * m))
-    # the full pattern: every lower slot, and the twin of every strict-lower one
-    lrow, lcol = lower_keys % nf, lower_keys // nf
-    strict = np.flatnonzero(lrow > lcol)
-    keys = np.concatenate([lower_keys, lrow[strict] * nf + lcol[strict]])
-    order = np.argsort(keys)
-    mirror = np.concatenate([np.arange(len(lower_keys)), strict])[order]
-    col, indices = keys[order] // nf, keys[order] % nf
+    slots = sp.csr_matrix((np.take(weights, by_key, axis=0).ravel(),
+                           (3 * elem[by_key, None] + np.arange(3)).ravel(),
+                           3 * np.append(starts, len(key))), shape=(len(starts), 3 * m))
+    col, indices = key[starts] // nf, key[starts] % nf
     indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nf))])
-    return (free, free[np.argsort(rank)], grad, lower, mirror.astype(np.int32),
-            indptr.astype(np.int32), indices.astype(np.int32))
+    return (free, free[np.argsort(rank)], grad, slots, indptr.astype(np.int32),
+            indices.astype(np.int32))
 
 
 def _fill_reducing_order(lap: sp.csc_matrix) -> np.ndarray:
@@ -390,11 +379,9 @@ def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
         if it == 0:
             break
 
-    sol = Solution(u=u, mesh=mesh, metric=metric, p=p, steps=steps)
-    sol.diagnostics = {
+    return Solution(u=u, mesh=mesh, metric=metric, p=p, steps=steps, diagnostics={
         "min_u": float(u.min()),
         "max_u": float(u.max()),
         "min_interior_u": float(u[free].min()) if len(free) else 0.0,
         "positive_interior": bool((u[free] > 0).all()) if len(free) else True,
-    }
-    return sol
+    })

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,16 +84,64 @@ def test_exact_interpolant_residual_small(lab):
     assert np.linalg.norm(residual[free]) <= 0.5 * mesh.h * np.linalg.norm(asm.load[free]) * 10
 
 
-def test_tangent_spd(lab):
-    mesh = lab.mesh("disk", 0.1)
+@pytest.mark.parametrize("metric", ["flat", "cap"])
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14), ("annulus", 0.1),
+                                      ("star", 0.1)])
+def test_tangent_spd(lab, domain, h, metric):
+    """The tangent is exactly symmetric: the twin entries (k, l) and (l, k)
+    of an element take the same products of its basis gradients, and every
+    slot sums its elements in the same order."""
+    mesh = lab.mesh(domain, h)
     rng = np.random.default_rng(3)
     u = rng.uniform(0, 0.2, mesh.n_vertices)
     for p in (1.5, 3.0):
-        asm = _Assembler(mesh, ConformalMetric.flat(), p)
+        asm = _Assembler(mesh, METRICS[metric], p)
         Kf = asm.tangent(u, 1e-3).toarray()
-        assert np.abs(Kf - Kf.T).max() <= 1e-12 * np.abs(Kf).max()
+        assert np.array_equal(Kf, Kf.T)
         lam = np.linalg.eigvalsh(Kf)
         assert lam.min() > 0
+
+
+# sha256 of dofs, indptr, indices and data of the tangent at _random_field,
+# eps = 1e-3, recorded from the assembly that filled the lower triangle and
+# mirrored it; at p = 2 the weight int_T e^{(2-p) phi} is the area for every
+# metric, so flat and cap agree
+TANGENT_DIGESTS = {
+    ("disk", 0.1, "flat", 1.5): "baad195eaab9603a2e1c002a6db7d03069eacdfd928ef021fbd03c7ec5fd4d80",
+    ("disk", 0.1, "flat", 2.0): "d9576f6f09d83422d6119cc920ad875e5272a5220a2fb1d5eb6ed1322afe620c",
+    ("disk", 0.1, "flat", 4.0): "53acf0afbbad7f72a55f3ba3dbbb3254cd1c1fd60e8410cbf48357698e6e334a",
+    ("disk", 0.1, "cap", 1.5): "4c59222931bd801f7e107d8c1c303d5ca157d8344cc748418cbf70710e4b9ef3",
+    ("disk", 0.1, "cap", 2.0): "d9576f6f09d83422d6119cc920ad875e5272a5220a2fb1d5eb6ed1322afe620c",
+    ("disk", 0.1, "cap", 4.0): "23f7cc69bf67c29fcacddef162b021b8d195f0e0d0cb613900c56a5bd75ecd5e",
+    ("ellipse", 0.14, "flat", 1.5): "977bec5b17adc3a6c1d146ec3d07d58a8569877931afcc1437156ae7278af0d0",
+    ("ellipse", 0.14, "flat", 2.0): "e7219c43682f9acc61e6a92c513452a77d8e519d540fad29dd361b7321f417b8",
+    ("ellipse", 0.14, "flat", 4.0): "5758c299900be48e7c8306914ca7e393afa22ed89d3aba1bb36e4d06a6c972cb",
+    ("ellipse", 0.14, "cap", 1.5): "fce3f3ab3e006165e88410b985a9b76fb1730496c9f60c8a9d8026d8ef483dbe",
+    ("ellipse", 0.14, "cap", 2.0): "e7219c43682f9acc61e6a92c513452a77d8e519d540fad29dd361b7321f417b8",
+    ("ellipse", 0.14, "cap", 4.0): "08e092a012b62ef1482a8a44e4848d15ca0f7fd80bb76cdf4c91e9a84f060c3b",
+    ("annulus", 0.1, "flat", 1.5): "643c47f65c871d7106563dba8567cdf8c59747120ad4b85438f34a4a1c5075ec",
+    ("annulus", 0.1, "flat", 2.0): "2db90450b66c496b6cbae7d63b3ca94a52127984fc4be03f907be1513095a5ff",
+    ("annulus", 0.1, "flat", 4.0): "8301a20621be55fb2dd94ea0f9f668a43e4d9a8e083aef4787a04da4495a5e90",
+    ("annulus", 0.1, "cap", 1.5): "9486fa772878f335df85c4a6834172cb73dae8294293278f52282029400c9efa",
+    ("annulus", 0.1, "cap", 2.0): "2db90450b66c496b6cbae7d63b3ca94a52127984fc4be03f907be1513095a5ff",
+    ("annulus", 0.1, "cap", 4.0): "9084392671671fd0ac0dff6f1654fdce631b33e4abfa5ec1310af30c8ef40275",
+    ("star", 0.1, "flat", 1.5): "553fef607858883a001aeae3dfd077cb52867f194af682abbac4dd41012d54bb",
+    ("star", 0.1, "flat", 2.0): "4c750c9aec2744bc4fce7b5ddc833af7c088dfc59f16fa96e38162db27fd8fbc",
+    ("star", 0.1, "flat", 4.0): "d776cc78e3cbd4fe1c4224872eaa73ebbdaa213337ffc4654c023f2cbacd2eb2",
+    ("star", 0.1, "cap", 1.5): "797cb8bd04b9b724d8a55b3df6c5a1e697582c106cbbf47a3e4fa43537c7a78d",
+    ("star", 0.1, "cap", 2.0): "4c750c9aec2744bc4fce7b5ddc833af7c088dfc59f16fa96e38162db27fd8fbc",
+    ("star", 0.1, "cap", 4.0): "c06a496d5ffaaa4cefcd21bb6315e68004e21a2192229d4635ce1c6465c4c242",
+}
+
+
+@pytest.mark.parametrize("domain, h, metric, p", list(TANGENT_DIGESTS))
+def test_tangent_matches_recorded_digest(lab, domain, h, metric, p):
+    mesh = lab.mesh(domain, h)
+    asm = _Assembler(mesh, METRICS[metric], p)
+    K = asm.tangent(_random_field(mesh), 1e-3)
+    digest = hashlib.sha256(asm.dofs.tobytes() + K.indptr.tobytes() + K.indices.tobytes()
+                            + K.data.tobytes()).hexdigest()
+    assert digest == TANGENT_DIGESTS[domain, h, metric, p]
 
 
 def _reference_gradients(mesh, u):
@@ -166,10 +216,12 @@ def test_ordered_tangent_and_direction(lab, domain, h, p):
 def test_fill_reducing_order_is_the_full_factorization_order(lab, monkeypatch, domain, h):
     """The order is the ``perm_c`` of SuperLU's full factorization, and the
     tangent's CSC layout is the pattern of the unit-weight stiffness in that
-    order; the lower map is a canonical CSR, as built from COO triplets."""
+    order; the slot map is a canonical CSR, as built from COO triplets, and
+    sends C_t = I to that stiffness."""
     laps, order = [], solver._fill_reducing_order
     monkeypatch.setattr(solver, "_fill_reducing_order", lambda lap: laps.append(lap) or order(lap))
-    free, dofs, _, lower, _, indptr, indices = solver._assembly_maps(lab.mesh(domain, h))
+    mesh = lab.mesh(domain, h)
+    free, dofs, _, slots, indptr, indices = solver._assembly_maps(mesh)
     (lap,) = laps
     rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
     assert np.array_equal(order(lap), rank)
@@ -178,11 +230,15 @@ def test_fill_reducing_order_is_the_full_factorization_order(lab, monkeypatch, d
     ordered.sort_indices()
     assert np.array_equal(indptr, ordered.indptr)
     assert np.array_equal(indices, ordered.indices)
-    rows = np.repeat(np.arange(lower.shape[0]), np.diff(lower.indptr))
-    canonical = sp.csr_matrix((lower.data, (rows, lower.indices)), shape=lower.shape)
-    for a, b in ((lower.data, canonical.data), (lower.indices, canonical.indices),
-                 (lower.indptr, canonical.indptr)):
+    m = mesh.n_triangles
+    assert slots.shape == (len(indices), 3 * m)
+    rows = np.repeat(np.arange(slots.shape[0]), np.diff(slots.indptr))
+    canonical = sp.csr_matrix((slots.data, (rows, slots.indices)), shape=slots.shape)
+    for a, b in ((slots.data, canonical.data), (slots.indices, canonical.indices),
+                 (slots.indptr, canonical.indptr)):
         assert np.array_equal(a, b)
+    unit = slots @ np.tile([1.0, 0.0, 1.0], m)
+    assert np.abs(unit - ordered.data).max() <= 1e-14 * np.abs(ordered.data).max()
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
@@ -332,7 +388,8 @@ def test_regularized_flux_eigenvalue_bound():
     grads = rng.normal(0, 1.0, (200, 2))
     for p in (1.2, 2.0, 3.5):
         for eps in (1e-8, 1e-2, 1.0):
-            lam = np.linalg.eigvalsh(_flux_coeff(grads, p, eps))
+            c = _flux_coeff(grads, p, eps)
+            lam = np.linalg.eigvalsh(c[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
             gstar = (eps * eps + np.einsum("mi,mi->m", grads, grads)) ** ((p - 2.0) / 2.0)
             floor = gstar * min(1.0, p - 1.0)
             assert (lam[:, 0] >= floor * (1 - 1e-12)).all()
