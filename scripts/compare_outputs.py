@@ -4,8 +4,10 @@
 JSON files are compared as parsed values, ignoring the top-level `timestamp`;
 CSV files column by column, matched by header name, so a dropped or added
 column is reported once; every other file byte for byte.  Each differing
-value is printed with its relative change.  Exit code 0 means the trees are
-identical, 1 that something differs.
+value is printed with its relative change, and a file with differing values
+ends with one line that counts them and gives the largest relative change
+among the numeric ones.  Exit code 0 means the trees are identical, 1 that
+something differs.
 
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
 """
@@ -24,33 +26,42 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _rel_change(a, b) -> str:
+def _rel_change(a, b) -> float | None:
+    """(b - a) / |a| if both are numbers (inf from 0 to nonzero), else None."""
     if isinstance(a, bool) or isinstance(b, bool):
-        return "n/a"
+        return None
     try:
         x, y = float(a), float(b)
     except (TypeError, ValueError):
-        return "n/a"
+        return None
     if x == 0.0:
-        return "inf" if y != 0.0 else "0"
-    return f"{(y - x) / abs(x):+.3e}"
+        return math.inf if y != 0.0 else 0.0
+    return (y - x) / abs(x)
 
 
-def _diff_json(a, b, where: str, out: list) -> None:
+def _value_line(line: str, a, b, out: list, rels: list) -> None:
+    """Record one differing value: its line, with its relative change."""
+    rel = _rel_change(a, b)
+    rels.append(rel)
+    shown = "n/a" if rel is None else "inf" if rel == math.inf else f"{rel:+.3e}"
+    out.append(f"{line} (rel {shown})")
+
+
+def _diff_json(a, b, where: str, out: list, rels: list) -> None:
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b), key=str):
             if key not in a or key not in b:
                 side = "new" if key not in a else "old"
                 out.append(f"{where}.{key}: only in {side}")
             else:
-                _diff_json(a[key], b[key], f"{where}.{key}", out)
+                _diff_json(a[key], b[key], f"{where}.{key}", out, rels)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             out.append(f"{where}: length {len(a)} -> {len(b)}")
         for i, (x, y) in enumerate(zip(a, b)):
-            _diff_json(x, y, f"{where}[{i}]", out)
+            _diff_json(x, y, f"{where}[{i}]", out, rels)
     elif not _same(a, b):
-        out.append(f"{where}: {a!r} -> {b!r} (rel {_rel_change(a, b)})")
+        _value_line(f"{where}: {a!r} -> {b!r}", a, b, out, rels)
 
 
 def _load_json(path: Path):
@@ -65,7 +76,7 @@ def _load_csv(path: Path) -> list:
         return list(csv.reader(fh))
 
 
-def _diff_csv(a: list, b: list, out: list) -> None:
+def _diff_csv(a: list, b: list, out: list, rels: list) -> None:
     head_a, head_b = (a[0] if a else []), (b[0] if b else [])
     for head, other, side in ((head_a, head_b, "old"), (head_b, head_a, "new")):
         for col in head:
@@ -81,18 +92,26 @@ def _diff_csv(a: list, b: list, out: list) -> None:
         for col in shared:
             x, y = cells_a.get(col, ""), cells_b.get(col, "")
             if x != y:
-                out.append(f"row {r} {col}: {x} -> {y} (rel {_rel_change(x, y)})")
+                _value_line(f"row {r} {col}: {x} -> {y}", x, y, out, rels)
 
 
 def compare_file(old: Path, new: Path) -> list:
-    """Differences between two files, as printable lines (empty if identical)."""
+    """Differences between two files, as printable lines (empty if
+    identical); differing values add a last line that sums them up."""
     out: list = []
+    rels: list = []
     if old.suffix == ".json":
-        _diff_json(_load_json(old), _load_json(new), "$", out)
+        _diff_json(_load_json(old), _load_json(new), "$", out, rels)
     elif old.suffix == ".csv":
-        _diff_csv(_load_csv(old), _load_csv(new), out)
+        _diff_csv(_load_csv(old), _load_csv(new), out, rels)
     elif old.read_bytes() != new.read_bytes():
         out.append("bytes differ")
+    if rels:
+        moves = [abs(r) for r in rels if r is not None]
+        # a value that turned NaN is the largest change
+        largest = (f"{max(moves, key=lambda m: math.inf if math.isnan(m) else m):.3e}"
+                   if moves else "n/a")
+        out.append(f"{len(rels)} values changed, largest relative change {largest}")
     return out
 
 

@@ -8,10 +8,10 @@ curve, so boundary data (normal, curvature, arc-length weights) can be
 evaluated from closed forms instead of the polygon.  As in DistMesh
 (Persson & Strang, SIAM Review 46, 2004), relaxation retriangulates lazily:
 only after some vertex has moved more than 0.1 h since the last
-triangulation.  Only its first triangulation comes from Qhull; each later one
-repairs the triangulation it holds by Lawson's edge flips, which reach the
-same Delaunay triangulation.  A mesh costs two Qhull calls: that first one
-and the final triangulation of the relaxed points.
+triangulation.  Only its first triangulation comes from Qhull; each later one,
+and the final one of the relaxed points, repairs the triangulation it holds
+by Lawson's edge flips, which reach the same Delaunay triangulation.  A mesh
+costs one Qhull call.
 """
 
 from __future__ import annotations
@@ -253,8 +253,10 @@ def curve_length(curve: BoundaryCurve) -> float:
 # Triangle quadrature
 # --------------------------------------------------------------------------
 
-# the 3-point rule, exact for quadratics: barycentric points and weights (sum 1)
-_QUAD_BARY = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
+# the 3-point rule, exact for quadratics: barycentric points and weights (sum
+# 1); every triangle holds its points in this order, so quadrature point k of
+# a mesh lies in triangle k // len(QUAD_BARY)
+QUAD_BARY = np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6], [1 / 6, 1 / 6, 2 / 3]])
 _QUAD_WEIGHTS = np.array([1 / 3, 1 / 3, 1 / 3])
 
 
@@ -273,10 +275,8 @@ class TriMesh:
     triangles: np.ndarray               # (M, 3), CCW
     boundary_loops: list[np.ndarray]    # vertex indices, ordered, domain on the left
     basis_grads: np.ndarray             # (M, 3, 2): gradient of each P1 basis fn
-    quad_bary: np.ndarray               # (Q, 3) barycentric coordinates
-    quad_points: np.ndarray             # (M*Q, 2)
+    quad_points: np.ndarray             # (M*Q, 2), at QUAD_BARY in each triangle
     quad_weights: np.ndarray            # (M*Q,) physical weights
-    quad_tri: np.ndarray                # (M*Q,) owning triangle
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
     # state that depends on the mesh alone (point locator, measures per
     # metric, recovery normal equations, assembly maps, trace sample
@@ -314,9 +314,9 @@ class TriMesh:
     def quad_interpolation(self) -> sp.csr_matrix:
         """The (M*Q, N) matrix of P1 interpolation at the quadrature points,
         in the order of ``quad_points``: every triangle holds them at the same
-        barycentrics ``quad_bary``."""
-        nq, m = len(self.quad_bary), self.n_triangles
-        return sp.csr_matrix((np.tile(self.quad_bary.ravel(), m),
+        barycentrics ``QUAD_BARY``."""
+        nq, m = len(QUAD_BARY), self.n_triangles
+        return sp.csr_matrix((np.tile(QUAD_BARY.ravel(), m),
                               np.repeat(self.triangles, nq, axis=0).ravel(),
                               np.arange(0, 3 * nq * m + 1, 3)), shape=(nq * m, self.n_vertices))
 
@@ -502,7 +502,8 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     Relaxation keeps its edge list between steps and retriangulates only after
     some vertex has moved more than 0.1 h since the last triangulation, by
     edge flips on the Delaunay triangulation it holds; Qhull triangulates the
-    lattice once before relaxation and the relaxed points once after it.
+    lattice once before relaxation, and the mesh takes its triangles from one
+    more flip repair of the relaxed points, so a mesh costs one Qhull call.
     Each triangulation keeps the triangles whose centroid lies inside the
     domain; a domain of one loop whose node polygon is convex skips that
     filter, since its triangulations cover the polygon and nothing more.
@@ -534,13 +535,7 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     # polygon, and the centroid filter has nothing to remove
     filter_centroids = len(curves) > 1 or not _convex_polygon(bnd_xy)
     interior = _hex_lattice(spec, h, domain)
-    interior = _relax(bnd_xy, interior, h, domain, filter_centroids)
-
-    points = np.concatenate([bnd_xy, interior]) if len(interior) else bnd_xy.copy()
-    triangles = _delaunay_ccw(points)[0]
-    if filter_centroids:
-        triangles = domain.triangles_inside(points, triangles)
-
+    points, triangles = _relax(bnd_xy, interior, h, domain, filter_centroids)
     mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
@@ -576,32 +571,36 @@ def _convex_polygon(loop: np.ndarray) -> bool:
 
 
 def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomain,
-           filter_centroids: bool) -> np.ndarray:
-    """The interior points after at most ``_RELAX_ITERS`` steps of repulsive
-    edge forces, with the boundary points ``bnd`` pinned; each
-    retriangulation runs the centroid filter if ``filter_centroids``.
+           filter_centroids: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The points (``bnd`` pinned, then the interior) after at most
+    ``_RELAX_ITERS`` steps of repulsive edge forces, and their triangles.
+
+    One retriangulation step serves the loop, once some vertex has moved
+    0.1 h since the last one (DistMesh's rule), and the relaxed points:
+    Qhull the first time, Lawson's flips on the held triangulation after,
+    then the centroid filter if ``filter_centroids``.
 
     The loop holds the points as coordinate rows (x, y) and runs the same
     floating-point operations as on (n, 2) points, so the result is the same
     bit for bit; Qhull, the centroid filter and the result see (n, 2) views.
     """
-    if len(interior) == 0:
-        return interior
     n_bnd = len(bnd)
     xy = np.concatenate([bnd, interior]).T.copy()   # x in xy[0], y in xy[1]
     n = xy.shape[1]
     last = np.full_like(xy, np.inf)
     full = None
-    for _ in range(_RELAX_ITERS):
-        # retriangulate only once some vertex has moved 0.1 h (DistMesh's rule):
-        # Qhull the first time, Lawson's flips on the held triangulation after
+
+    def retriangulate() -> np.ndarray:
+        nonlocal full
+        pts = xy.T
+        full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
+        return domain.triangles_inside(pts, full[0]) if filter_centroids else full[0]
+
+    for _ in range(_RELAX_ITERS if n > n_bnd else 0):
         dx, dy = xy - last
         if np.sqrt((dx * dx + dy * dy).max()) > 0.1 * h:
             last = xy.copy()
-            pts = xy.T
-            full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
-            tri = domain.triangles_inside(pts, full[0]) if filter_centroids else full[0]
-            keys = _edge_keys(tri, n)
+            keys = _edge_keys(retriangulate(), n)
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
             e0, e1 = keys // n, keys % n
             idx = np.concatenate([e0, e1])
@@ -616,7 +615,7 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
         xy[:, n_bnd:] = domain.clamp(xy[:, n_bnd:].T, margin=0.55 * h).T
         if np.abs(step).max() < 1e-3 * h:
             break
-    return xy[:, n_bnd:].T
+    return xy.T.copy(), retriangulate()
 
 
 def _edge_key(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -756,9 +755,8 @@ def _assemble_mesh(
         grads[:, i, 1] = e[:, 0]
     grads /= (2.0 * areas)[:, None, None]
 
-    qp = np.einsum("qk,mki->mqi", _QUAD_BARY, p).reshape(-1, 2)
+    qp = np.einsum("qk,mki->mqi", QUAD_BARY, p).reshape(-1, 2)
     qw = (_QUAD_WEIGHTS[None, :] * areas[:, None]).reshape(-1)
-    qt = np.repeat(np.arange(len(triangles)), len(_QUAD_WEIGHTS))
 
     offset = 0
     loops = []
@@ -774,10 +772,8 @@ def _assemble_mesh(
         triangles=triangles,
         boundary_loops=loops,
         basis_grads=grads,
-        quad_bary=_QUAD_BARY,
         quad_points=qp,
         quad_weights=qw,
-        quad_tri=qt,
         boundary=boundary,
     )
 

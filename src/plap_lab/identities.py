@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
-from .geometry import DIM, Disk, TriMesh, domain_measures
+from .geometry import DIM, QUAD_BARY, Disk, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
 
 
@@ -287,7 +287,7 @@ def _ring_mask(mesh, vmark: np.ndarray, rings: int) -> np.ndarray:
     for _ in range(rings):
         tmark = vmark[mesh.triangles].any(axis=1)
         vmark[mesh.triangles[tmark].ravel()] = True
-    return vmark[mesh.triangles].any(axis=1)[mesh.quad_tri]
+    return np.repeat(vmark[mesh.triangles].any(axis=1), len(QUAD_BARY))
 
 
 def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
@@ -304,7 +304,7 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
     if not near.any():
         return near
     vmark = np.zeros(mesh.n_vertices, dtype=bool)
-    vmark[mesh.triangles[np.unique(mesh.quad_tri[near])].ravel()] = True
+    vmark[mesh.triangles[np.unique(np.flatnonzero(near) // len(QUAD_BARY))].ravel()] = True
     return near | _ring_mask(mesh, vmark, _SCAN_RINGS)
 
 

@@ -61,7 +61,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
 from .errors import AssemblyError, SolverError, ValidationError
-from .geometry import TriMesh, domain_measures
+from .geometry import QUAD_BARY, TriMesh, domain_measures
 from .metric import ConformalMetric
 
 
@@ -113,11 +113,11 @@ class _Assembler:
         self.p = p
         phi_q = metric.phi(mesh.quad_points)
         w = mesh.quad_weights
-        nq = len(mesh.quad_bary)
+        nq = len(QUAD_BARY)
         # per-element weight of the gradient term: int_T e^{(2-p) phi}
         self.w_grad = (w * np.exp((2.0 - p) * phi_q)).reshape(-1, nq).sum(axis=1)
         # load vector: int e^{2 phi} lambda_i, on the metric's volume weights
-        elem_load = domain_measures(mesh, metric).volume_weights.reshape(-1, nq) @ mesh.quad_bary
+        elem_load = domain_measures(mesh, metric).volume_weights.reshape(-1, nq) @ QUAD_BARY
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
         # dofs[i] is the vertex of unknown i of the ordered tangent
@@ -301,11 +301,10 @@ def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:
     return (meas.volume / meas.perimeter) ** (1.0 / (p - 1.0))
 
 
-def solve(mesh: TriMesh, metric: ConformalMetric | None, p: float) -> Solution:
+def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
     """Continuation-in-eps damped Newton solve; raises SolverError with history."""
     if not (p > 1.0):
         raise ValidationError(f"p must exceed 1, got {p}")
-    metric = metric if metric is not None else ConformalMetric.flat()
     # eps0 depends on the domain and the metric, so it is checked here
     eps0 = _EPS0_SCALE * _gradient_scale(mesh, metric, p)
     if not np.isfinite(eps0):

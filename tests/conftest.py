@@ -15,6 +15,8 @@ DOMAINS = {
     "ellipse": Ellipse(2.0, 1.0),
     "annulus": Annulus(0.5, 1.0),
     "star": PolarStar(1.0, cos_coeffs=(0.15,), sin_coeffs=(0.0, 0.05)),
+    # r = 1 + 0.3 cos 3t: its node polygon is not convex
+    "three_lobes": PolarStar(1.0, cos_coeffs=(0.0, 0.0, 0.3)),
 }
 
 METRICS = {

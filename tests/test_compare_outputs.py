@@ -33,6 +33,7 @@ def test_compare_outputs_exit_codes(tmp_path):
     res = _compare(old, new)
     assert res.returncode == 1
     assert "rows.csv: row 2 value: 2.5 -> 2.75 (rel +1.000e-01)" in res.stdout
+    assert "rows.csv: 1 values changed, largest relative change 1.000e-01" in res.stdout
 
 
 def test_dropped_csv_column_is_reported_once(tmp_path):

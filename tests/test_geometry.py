@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plap_lab import (Annulus, Disk, Ellipse, MeshGenerationError, PolarStar,
                       ValidationError, boundary_geometry, build_mesh,
                       domain_measures)
-from plap_lab.geometry import curve_length, spec_from_json, spec_to_json
+from plap_lab.geometry import QUAD_BARY, curve_length, spec_from_json, spec_to_json
 from plap_lab.metric import ConformalMetric
 
 # perimeter of the 2:1 ellipse by adaptive quadrature of sqrt(4 sin^2 + cos^2)
@@ -213,20 +213,50 @@ def test_relaxation_retriangulates_lazily(monkeypatch):
     build_mesh(Ellipse(2.0, 1.0), 0.05)
     # relaxing on every one of the 120 iterations made 121 calls, and running
     # Qhull at each of the lazy retriangulations made 10; edge flips repair
-    # the held triangulation, so Qhull runs on the lattice and the result only
-    assert len(calls) == 2
+    # the held triangulation, and once more for the relaxed points, so Qhull
+    # runs on the lattice only
+    assert len(calls) == 1
 
 
-# sha256 of points.tobytes() + triangles.tobytes(), from the meshes that
-# re-ran Qhull at every retriangulation of the relaxation
+def test_empty_lattice_is_meshed_by_one_qhull_call(monkeypatch):
+    """At h = 0.4 no lattice point fits inside the annulus: the mesh is its
+    boundary nodes, triangulated by Qhull once, with no relaxation step."""
+    import plap_lab.geometry as geo
+
+    spec = Annulus(0.5, 1.0)
+    assert len(geo._hex_lattice(spec, 0.4, geo._RadialDomain(spec))) == 0
+    calls = []
+    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+    mesh = build_mesh(spec, 0.4)
+    assert len(calls) == 1
+    assert mesh.n_vertices == len(mesh.boundary_vertices)
+
+
+# sha256 of points.tobytes() + triangles.tobytes(): the triangles in the
+# order of the relaxation's flip-repaired triangulation
 MESH_DIGESTS = {
-    ("disk", 0.1): "c91be8ebd064b201941dc12b9b478b2100f6b1c706da23b1927483d59df5f638",
-    ("ellipse", 0.05): "1eaffd3b8659bc4101f40427268d0db6b692bbf79f7c42e144bb7e6370f734a9",
-    ("annulus", 0.1): "57eb747834acde080d9145a813aa0cb0b50da8ae86c25ca4eaa81c679809a91f",
+    ("disk", 0.1): "bf9bd3831ef5439aae4a0ee976f707ab06ea7bc9fe0ce32f1abba642ced2d921",
+    ("ellipse", 0.05): "19113fa266df30c3580aeb04c592adc70cf92ab578ed0b3962419cb900abd8b2",
+    ("annulus", 0.1): "dd32d82d04cb7e49ec38a700083b2f886c2f4083278b6bb8578e175167935495",
     # the benchmark meshes (ellipse_verify, disk_p_ladder) and a polar star
-    ("ellipse", 0.035): "5b34af7e3140c06a4560a898f5c2cf96b863cc09bb6c226281ca56d9ffd695d4",
-    ("disk", 0.025): "4a30d4956d5fc0a42e4bdc6596d82e5f357d6f674df8b76a7b23af1faef24ba4",
-    ("star", 0.1): "92f04e688d168f15df2c04e6232a03f5f5304d2837ef25e04b671919ecf79baa",
+    ("ellipse", 0.035): "745f38e484c2314283564faf36db41fff8849e60ebf648830a701d6afe9e2a59",
+    ("disk", 0.025): "c7961971dff87510e18221e7e900d2597bc63c1e7d04703764dc26578e398d4a",
+    ("star", 0.1): "e5dbc1f771ddfdd5916fe4a3b120c955ac7e13c6f185bc88b728d8113d2c7634",
+}
+
+# sha256 of points.tobytes() + the triangles as a set: each row rotated to
+# start at its least vertex, the rows sorted; recorded from the meshes that
+# took their final triangulation from a second Qhull call, so the flip repair
+# that replaced it gives the same points and the same triangles
+MESH_SET_DIGESTS = {
+    ("disk", 0.1): "0a8848e16b3fdf3f9dbd21a2b70a37bbd4e5acb3d33fd0d578773053f4301cff",
+    ("ellipse", 0.05): "7137a25a6fbb182620a796a50aa5c8d0cc8125a58c6c8f02de509a6bd9a77517",
+    ("annulus", 0.1): "d6550f72b18b40beb598147b44010a2eba6d2c1367452200573bcaa5e38e18b8",
+    ("ellipse", 0.035): "a82191a24fcfc9fbeef04aa5cbb1e7712d31090e45cbf704f203ffeac2cb21e8",
+    ("disk", 0.025): "05c447d370773a54410bf97b41d5cf0a0d12ba093a2edebc598b44d15a9ff7a0",
+    ("star", 0.1): "f0b59f21bb51d30df17fbe1de520978656b44a6f5cbc817af994094912685371",
+    ("annulus", 0.05): "d32b3be5514f7bc30d2110273403ddbe6074134bd575964f78c3b72cb9b9f5d1",
+    ("three_lobes", 0.05): "92f365f0959c46b40e98486546437cd908cdb0fde2d7cd8993c96ab5061577aa",
 }
 
 
@@ -248,6 +278,31 @@ def test_mesh_matches_recorded_values(lab, domain, h, n_vertices, n_triangles, m
 
 def _mesh_digest(mesh):
     return hashlib.sha256(mesh.points.tobytes() + mesh.triangles.tobytes()).hexdigest()
+
+
+def _triangle_set(triangles):
+    """The triangles (int64) with each row rotated to start at its least
+    vertex, which keeps its orientation, and the rows sorted."""
+    tri = np.asarray(triangles, dtype=np.int64)
+    first = np.argmin(tri, axis=1)[:, None]
+    tri = np.take_along_axis(tri, (first + np.arange(3)) % 3, axis=1)
+    return tri[np.lexsort(tri.T[::-1])]
+
+
+@pytest.mark.parametrize("domain, h", list(MESH_SET_DIGESTS))
+def test_mesh_is_the_delaunay_triangulation_of_its_points(lab, domain, h):
+    """The points and the triangle set are those recorded, and the triangles
+    are Qhull's Delaunay triangulation of the points, centroid-filtered."""
+    import plap_lab.geometry as geo
+
+    mesh = lab.mesh(domain, h)
+    ordered = _triangle_set(mesh.triangles)
+    digest = hashlib.sha256(mesh.points.tobytes() + ordered.tobytes()).hexdigest()
+    assert digest == MESH_SET_DIGESTS[domain, h]
+    qhull = geo._RadialDomain(mesh.spec).triangles_inside(
+        mesh.points, Delaunay(mesh.points).simplices)
+    assert np.array_equal(np.unique(np.sort(qhull, axis=1), axis=0),
+                          np.unique(np.sort(mesh.triangles, axis=1), axis=0))
 
 
 def _count_filtered(monkeypatch) -> list:
@@ -277,7 +332,7 @@ def test_skipped_centroid_filter_would_remove_nothing(lab, monkeypatch, domain, 
     calls = _count_filtered(monkeypatch)
     monkeypatch.setattr(geo, "_convex_polygon", lambda loop: False)
     forced = build_mesh(mesh.spec, h)
-    assert len(calls) >= 2      # the relaxation's retriangulations and the final one
+    assert len(calls) >= 2      # the loop's retriangulations and the relaxed points'
     assert all(kept == total for total, kept in calls)
     assert _mesh_digest(forced) == MESH_DIGESTS[domain, h]
 
@@ -355,9 +410,10 @@ def test_inverted_triangle_reseeds_from_qhull(monkeypatch):
     monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
     monkeypatch.setattr(geo, "_flip_to_delaunay", invert_first)
     mesh = build_mesh(Ellipse(2.0, 1.0), 0.1)
-    assert len(calls) == 3      # lattice, re-seed, relaxed points
+    assert len(calls) == 2      # lattice, then the re-seed
+    # a re-seed takes Qhull's order for the triangles, so compare them as sets
     assert np.array_equal(mesh.points, reference.points)
-    assert np.array_equal(mesh.triangles, reference.triangles)
+    assert np.array_equal(_triangle_set(mesh.triangles), _triangle_set(reference.triangles))
 
 
 def test_unsettled_repair_reseeds_from_qhull(monkeypatch):
@@ -370,7 +426,7 @@ def test_unsettled_repair_reseeds_from_qhull(monkeypatch):
     mesh = build_mesh(Ellipse(2.0, 1.0), 0.1)
     assert len(calls) > 2       # every retriangulation ran Qhull
     assert np.array_equal(mesh.points, reference.points)
-    assert np.array_equal(mesh.triangles, reference.triangles)
+    assert np.array_equal(_triangle_set(mesh.triangles), _triangle_set(reference.triangles))
 
 
 def test_boundary_edge_check_rejects_a_missing_edge(lab):
@@ -518,11 +574,12 @@ def test_quad_interpolation_matches_located_interpolation(lab):
     mesh = lab.mesh("ellipse", 0.14)
     interp = mesh.quad_interpolation()
     assert np.abs(interp @ mesh.points - mesh.quad_points).max() <= 1e-15
-    bary = np.tile(mesh.quad_bary, (mesh.n_triangles, 1))
+    bary = np.tile(QUAD_BARY, (mesh.n_triangles, 1))
+    tri = np.repeat(np.arange(mesh.n_triangles), len(QUAD_BARY))
     rng = np.random.default_rng(5)
     for shape in ((), (2,), (2, 2)):
         nodal = rng.normal(size=(mesh.n_vertices, *shape))
-        ref = mesh.interpolate_located(nodal, mesh.quad_tri, bary)
+        ref = mesh.interpolate_located(nodal, tri, bary)
         got = (interp @ nodal.reshape(mesh.n_vertices, -1)).reshape(ref.shape)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 

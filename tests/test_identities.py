@@ -143,7 +143,7 @@ def test_hk_rejects_nonpositive_curvature():
     mesh = build_mesh(Annulus(0.5, 1.0), 0.1)
     from plap_lab import solve
 
-    sol = solve(mesh, None, 2.0)
+    sol = solve(mesh, FLAT, 2.0)
     bundle = recover_derivatives(mesh, sol.u, FLAT)
     skip = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL)["hk"]
     assert isinstance(skip, PreconditionError)

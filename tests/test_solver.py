@@ -15,6 +15,8 @@ from plap_lab.solver import _Assembler
 
 from conftest import METRICS
 
+FLAT = ConformalMetric.flat()
+
 
 def _disk_error(lab, p, h=0.05):
     sol = lab.solution("disk", p, h=h)
@@ -44,7 +46,7 @@ def test_load_integrates_the_metric_volume_weights(lab, metric):
 
 def test_config_validation(lab, monkeypatch):
     with pytest.raises(ValidationError):
-        solve(lab.mesh("disk", 0.1), None, 0.9)
+        solve(lab.mesh("disk", 0.1), FLAT, 0.9)
     # solve() checks eps0, which it derives from the domain and the metric:
     # e^{2 phi} = e^{800} overflows the volume, so eps0 is inf and the ladder
     # could never reach eps_min
@@ -53,14 +55,14 @@ def test_config_validation(lab, monkeypatch):
         solve(lab.mesh("disk", 0.1), metric, 2.0)
     monkeypatch.setattr(solver, "_EPS0_SCALE", 1e-9)
     with pytest.raises(ValidationError, match="eps_min"):
-        solve(lab.mesh("disk", 0.1), None, 2.0)
+        solve(lab.mesh("disk", 0.1), FLAT, 2.0)
 
 
 def test_forced_newton_failure_carries_history(monkeypatch):
     monkeypatch.setattr(solver, "_MAX_NEWTON_ITER", 1)
     mesh = build_mesh(Ellipse(2.0, 1.0), 0.14)
     with pytest.raises(SolverError) as err:
-        solve(mesh, None, 4.0)
+        solve(mesh, FLAT, 4.0)
     assert len(err.value.history) >= 1
 
 
@@ -103,34 +105,36 @@ def test_tangent_spd(lab, domain, h, metric):
 
 
 # sha256 of dofs, indptr, indices and data of the tangent at _random_field,
-# eps = 1e-3, recorded from the assembly that filled the lower triangle and
-# mirrored it; at p = 2 the weight int_T e^{(2-p) phi} is the area for every
-# metric, so flat and cap agree
+# eps = 1e-3; at p = 2 the weight int_T e^{(2-p) phi} is the area for every
+# metric, so flat and cap agree.  Re-recorded when the meshes took their
+# triangles in the relaxation's held order instead of Qhull's: dofs, indptr
+# and indices stayed equal, and data moved by rounding (at most 3.1e-16 of
+# the tangent's Frobenius norm)
 TANGENT_DIGESTS = {
-    ("disk", 0.1, "flat", 1.5): "baad195eaab9603a2e1c002a6db7d03069eacdfd928ef021fbd03c7ec5fd4d80",
-    ("disk", 0.1, "flat", 2.0): "d9576f6f09d83422d6119cc920ad875e5272a5220a2fb1d5eb6ed1322afe620c",
-    ("disk", 0.1, "flat", 4.0): "53acf0afbbad7f72a55f3ba3dbbb3254cd1c1fd60e8410cbf48357698e6e334a",
-    ("disk", 0.1, "cap", 1.5): "4c59222931bd801f7e107d8c1c303d5ca157d8344cc748418cbf70710e4b9ef3",
-    ("disk", 0.1, "cap", 2.0): "d9576f6f09d83422d6119cc920ad875e5272a5220a2fb1d5eb6ed1322afe620c",
-    ("disk", 0.1, "cap", 4.0): "23f7cc69bf67c29fcacddef162b021b8d195f0e0d0cb613900c56a5bd75ecd5e",
-    ("ellipse", 0.14, "flat", 1.5): "977bec5b17adc3a6c1d146ec3d07d58a8569877931afcc1437156ae7278af0d0",
-    ("ellipse", 0.14, "flat", 2.0): "e7219c43682f9acc61e6a92c513452a77d8e519d540fad29dd361b7321f417b8",
-    ("ellipse", 0.14, "flat", 4.0): "5758c299900be48e7c8306914ca7e393afa22ed89d3aba1bb36e4d06a6c972cb",
-    ("ellipse", 0.14, "cap", 1.5): "fce3f3ab3e006165e88410b985a9b76fb1730496c9f60c8a9d8026d8ef483dbe",
-    ("ellipse", 0.14, "cap", 2.0): "e7219c43682f9acc61e6a92c513452a77d8e519d540fad29dd361b7321f417b8",
-    ("ellipse", 0.14, "cap", 4.0): "08e092a012b62ef1482a8a44e4848d15ca0f7fd80bb76cdf4c91e9a84f060c3b",
-    ("annulus", 0.1, "flat", 1.5): "643c47f65c871d7106563dba8567cdf8c59747120ad4b85438f34a4a1c5075ec",
-    ("annulus", 0.1, "flat", 2.0): "2db90450b66c496b6cbae7d63b3ca94a52127984fc4be03f907be1513095a5ff",
-    ("annulus", 0.1, "flat", 4.0): "8301a20621be55fb2dd94ea0f9f668a43e4d9a8e083aef4787a04da4495a5e90",
-    ("annulus", 0.1, "cap", 1.5): "9486fa772878f335df85c4a6834172cb73dae8294293278f52282029400c9efa",
-    ("annulus", 0.1, "cap", 2.0): "2db90450b66c496b6cbae7d63b3ca94a52127984fc4be03f907be1513095a5ff",
-    ("annulus", 0.1, "cap", 4.0): "9084392671671fd0ac0dff6f1654fdce631b33e4abfa5ec1310af30c8ef40275",
-    ("star", 0.1, "flat", 1.5): "553fef607858883a001aeae3dfd077cb52867f194af682abbac4dd41012d54bb",
-    ("star", 0.1, "flat", 2.0): "4c750c9aec2744bc4fce7b5ddc833af7c088dfc59f16fa96e38162db27fd8fbc",
-    ("star", 0.1, "flat", 4.0): "d776cc78e3cbd4fe1c4224872eaa73ebbdaa213337ffc4654c023f2cbacd2eb2",
-    ("star", 0.1, "cap", 1.5): "797cb8bd04b9b724d8a55b3df6c5a1e697582c106cbbf47a3e4fa43537c7a78d",
-    ("star", 0.1, "cap", 2.0): "4c750c9aec2744bc4fce7b5ddc833af7c088dfc59f16fa96e38162db27fd8fbc",
-    ("star", 0.1, "cap", 4.0): "c06a496d5ffaaa4cefcd21bb6315e68004e21a2192229d4635ce1c6465c4c242",
+    ("disk", 0.1, "flat", 1.5): "9764550af88a66c9f2ad6fc337e2d989dc0cc4253b80a1143360503ecc16d8f1",
+    ("disk", 0.1, "flat", 2.0): "2ef5b053baf74654610b9af898a60371420fbbcc014fb702a9c0bdab1f2fe065",
+    ("disk", 0.1, "flat", 4.0): "114d243dda1856183a834e94ab8e04c11506cc7667ddb6eaa2b07194f55c76dd",
+    ("disk", 0.1, "cap", 1.5): "d0b890ca4229336b6a7cc9a77dcd3141b7f5488acc0e5d7e0a89b2c7391531fc",
+    ("disk", 0.1, "cap", 2.0): "2ef5b053baf74654610b9af898a60371420fbbcc014fb702a9c0bdab1f2fe065",
+    ("disk", 0.1, "cap", 4.0): "0318d9160a1a18826d98fe30cfc60432cdd432823a7bd56841538c4681e1934d",
+    ("ellipse", 0.14, "flat", 1.5): "3d875330fbba4c5e501b63a314f16ed18e6fecca99605d7af886a8c9c65f2ec3",
+    ("ellipse", 0.14, "flat", 2.0): "974e7e446e365b1bb75a523a3d60a99e93848d90ee7b51e26aac52073639fef9",
+    ("ellipse", 0.14, "flat", 4.0): "18956d4f94c65b950e483c4a2ef30c477e916712fb8e151ef8c75816ae28e596",
+    ("ellipse", 0.14, "cap", 1.5): "8a9f167bbd7c7574c43674ee3943a2af65b938293038d7f546cf65bb60704bcc",
+    ("ellipse", 0.14, "cap", 2.0): "974e7e446e365b1bb75a523a3d60a99e93848d90ee7b51e26aac52073639fef9",
+    ("ellipse", 0.14, "cap", 4.0): "77037355a6284a8d5b48b1aa4181d9f211798251212bf4c68d3690e714692d70",
+    ("annulus", 0.1, "flat", 1.5): "8e742a51c5d58fafad40ecf813ed931fb4517f53a47c0cf35e931d2d9757e7cd",
+    ("annulus", 0.1, "flat", 2.0): "265918007032eab40f05af5a3dee28cf334c25c9d1893b420babc724adeee6d4",
+    ("annulus", 0.1, "flat", 4.0): "e2ea594c8a8b1edd82ede7221fb8a70c0edf5d0a944f3e3a2c4440d348200279",
+    ("annulus", 0.1, "cap", 1.5): "c21ada50aa855cf0567a995993f22e6f428cc9d8c684d718607b2dcb276a14b6",
+    ("annulus", 0.1, "cap", 2.0): "265918007032eab40f05af5a3dee28cf334c25c9d1893b420babc724adeee6d4",
+    ("annulus", 0.1, "cap", 4.0): "8287e0494ac6b46c2bb86d56bd2265658ea16ed6cabfdf4a54b675ed6343060e",
+    ("star", 0.1, "flat", 1.5): "22c2f1ccb9bc1e584f073b55bc293316371293939ecd24448ab4a68b139c04f2",
+    ("star", 0.1, "flat", 2.0): "543ea917e2bc4cd78074cfda88c2cf893e98a4bc091dc5687a7197f04853f36e",
+    ("star", 0.1, "flat", 4.0): "ca261b1e2c6bd3ceca7e1e1753f6c11a2014a21c34c72c1947075291256f8982",
+    ("star", 0.1, "cap", 1.5): "5262380599efd3a081ad140b002b16ad66af3d713578d0b01630dd90e0a280c3",
+    ("star", 0.1, "cap", 2.0): "543ea917e2bc4cd78074cfda88c2cf893e98a4bc091dc5687a7197f04853f36e",
+    ("star", 0.1, "cap", 4.0): "1c3bd8f8a01cbb8b40bb8455e4ec84dbc698c74fa99b1ce029e846bd66cce371",
 }
 
 
@@ -276,7 +280,7 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
     monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: 0 * tangent(self, u, eps))
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(SolverError) as err:
-        solve(mesh, None, 3.0)
+        solve(mesh, FLAT, 3.0)
     assert len(err.value.history) >= 1
     cfg = tmp_path / "config.json"
     cfg.write_text('{"command": "verify", "domain": {"variant": "disk"}, "p": [3.0], "h": [0.2]}')
@@ -293,7 +297,7 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
         factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
     monkeypatch.setattr(_Assembler, "tangent",
                         lambda self, u, eps: tangents.append(1) or tangent(self, u, eps))
-    sol = solve(lab.mesh("disk", 0.05), None, 3.0)
+    sol = solve(lab.mesh("disk", 0.05), FLAT, 3.0)
     # a rung above eps_min ends after a full step from a small decrement; the
     # ladder ends after the first rung that takes no step
     assert [s.iterations for s in sol.steps] == [5, 2, 1, 1, 0]
@@ -312,7 +316,7 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
     calls.clear()
     factors.clear()
     tangents.clear()
-    sol = solve(build_mesh(Disk(1.0), 0.2), None, 2.0)
+    sol = solve(build_mesh(Disk(1.0), 0.2), FLAT, 2.0)
     assert [s.iterations for s in sol.steps] == [1, 0]
     assert len(calls) == 3
     assert len(tangents) == len(factors) == 1
@@ -324,9 +328,9 @@ def test_solve_does_not_depend_on_the_solve_before_it(lab):
     # each solve holds its own factor, so repeated operations give the same
     # bits whatever ran between them
     mesh = lab.mesh("disk", 0.1)
-    alone = solve(mesh, None, 3.0).u
-    solve(lab.mesh("ellipse", 0.14), None, 4.0)
-    assert np.array_equal(solve(mesh, None, 3.0).u, alone)
+    alone = solve(mesh, FLAT, 3.0).u
+    solve(lab.mesh("ellipse", 0.14), FLAT, 4.0)
+    assert np.array_equal(solve(mesh, FLAT, 3.0).u, alone)
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
@@ -349,7 +353,7 @@ def test_pcg_never_reaches_its_cap(lab, monkeypatch, p):
     runs = []
     pcg = solver._pcg
     monkeypatch.setattr(solver, "_pcg", lambda *args: runs.append(pcg(*args)) or runs[-1])
-    solve(lab.mesh("disk", 0.05), None, p)
+    solve(lab.mesh("disk", 0.05), FLAT, p)
     assert runs
     assert all(x is not None and its < solver._CG_MAX_ITER for x, its in runs)
 
@@ -374,7 +378,7 @@ def test_line_search_stagnation_is_a_solver_error(tmp_path, monkeypatch):
     monkeypatch.setattr(_Assembler, "energy", lambda self, u, eps: 0.0)
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(SolverError, match="line search stagnated") as err:
-        solve(mesh, None, 3.0)
+        solve(mesh, FLAT, 3.0)
     assert len(err.value.history) >= 1
     cfg = tmp_path / "config.json"
     cfg.write_text('{"command": "verify", "domain": {"variant": "disk"}, "p": [3.0], "h": [0.2]}')
@@ -408,9 +412,9 @@ def test_eps_inert_for_p2(lab, monkeypatch):
     # the gradient scale of the unit disk at p = 2 is about 1/2, so eps0 is
     # about 0.3 and then 1e-6
     monkeypatch.setattr(solver, "_EPS0_SCALE", 0.6)
-    a = solve(mesh, None, 2.0)
+    a = solve(mesh, FLAT, 2.0)
     monkeypatch.setattr(solver, "_EPS0_SCALE", 2e-6)
-    b = solve(mesh, None, 2.0)
+    b = solve(mesh, FLAT, 2.0)
     assert np.abs(a.u - b.u).max() <= 1e-13
 
 
