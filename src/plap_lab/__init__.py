@@ -25,6 +25,6 @@ from .oracles import (RadialProfile, ellipse_boundary_integrals,
 from .solver import Solution, solve
 from .identities import (BoundaryTrace, IdentityReport, Tolerances,
                          boundary_trace, build_report, equivalence_suite,
-                         integral_identities, subharmonicity_scan)
+                         integral_identities, lu_p, subharmonicity_scan)
 
 __version__ = "0.1.0"

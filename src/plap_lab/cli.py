@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, MeshGenerationError, PlapLabError, SolverError,
-                     ValidationError)
+from .errors import ConfigError, MeshGenerationError, PlapLabError, SolverError
 from .geometry import DIM, Disk, spec_from_json, spec_to_json
 from .identities import Tolerances
 from .metric import ConformalMetric
@@ -108,7 +107,9 @@ def _check(schema: dict, value, where: str) -> None:
 
 def validate_config(obj, command: str) -> dict:
     """Check a raw config against the schema, then fill defaults into typed
-    objects.  Only what the schema cannot say is checked here."""
+    objects.  Only what the schema cannot say is checked here; a domain or
+    metric that breaks its own invariant raises its constructor's
+    ValidationError, which `main` reports as a config error."""
     _check(_CONFIG_SCHEMA, obj, "config")
     if obj.get("command", command) != command:
         raise ConfigError(f"config command {obj['command']!r} conflicts with CLI command {command!r}")
@@ -129,12 +130,9 @@ def validate_config(obj, command: str) -> dict:
                           f"of matcheck.n_values, got {mc['samples']}")
 
     cfg: dict = {"command": command}
-    try:
-        if "domain" in obj:
-            cfg["domain"] = spec_from_json(obj["domain"])
-        cfg["metric"] = ConformalMetric.from_json(obj.get("metric", {"kind": "flat"}))
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "domain" in obj:
+        cfg["domain"] = spec_from_json(obj["domain"])
+    cfg["metric"] = ConformalMetric.from_json(obj.get("metric", {"kind": "flat"}))
     for key in ("p", "h"):
         if key in obj:
             cfg[key] = [float(v) for v in obj[key]]
@@ -235,11 +233,9 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         xs = case.mesh.points[:, 0]
         line = np.linspace(xs.min() * 0.98, xs.max() * 0.98, 201)
         tri, bary, found = case.mesh.locate(np.stack([line, np.zeros_like(line)], axis=1))
-        u_line = case.mesh.interpolate_located(case.solution.u, tri, bary)
-        p_line = case.mesh.interpolate_located(case.p_nodal, tri, bary)
+        at = case.mesh.interpolation(tri, bary) @ np.stack([case.solution.u, case.p_nodal], axis=1)
         path = outdir / f"slice_{tag}.csv"
-        write_csv(path, ["x", "u", "P"],
-                  [[line[i], u_line[i], p_line[i]] for i in np.flatnonzero(found)])
+        write_csv(path, ["x", "u", "P"], [[line[i], *at[i]] for i in np.flatnonzero(found)])
         written.append(path)
     return written
 

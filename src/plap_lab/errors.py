@@ -30,7 +30,7 @@ class SolverError(PlapLabError):
 class AssemblyError(SolverError):
     """Non-finite value produced during finite element assembly."""
 
-    def __init__(self, message: str, element: int | None = None):
+    def __init__(self, message: str, element: int):
         super().__init__(message)
         self.element = element
 

@@ -26,7 +26,7 @@ that they stay independent of the frame route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from ._poly import Coeffs, PolynomialField
 from .errors import ValidationError
-from .geometry import TriMesh
+from .geometry import DIM, TriMesh
 from .metric import ConformalMetric, gaussian_curvature
 from .oracles import radial_exact
 
@@ -65,8 +65,6 @@ class DerivativeBundle:
     mesh: TriMesh | None = None
     nodal_grad: np.ndarray | None = None       # Euclidean components at vertices
     nodal_hess: np.ndarray | None = None
-    # L_u P values and integral per (p, n), filled on first use
-    cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def masked_fraction(self) -> float:
@@ -211,10 +209,12 @@ def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -
 
     nodal_g, nodal_h = _quadratic_fit(mesh, u)
 
-    interp = mesh.quad_interpolation()
-    u_q, g_q = interp @ u, interp @ nodal_g
-    h_q = (interp @ nodal_h.reshape(-1, 4)).reshape(-1, 2, 2)
-    return _make_bundle(metric, mesh.quad_points, u_q, g_q, h_q, None,
+    # u, gradient and Hessian stacked as (N, 7): one interpolation for all
+    # three; u is copied out, so that the bundle does not keep all 7 columns
+    at = mesh.quad_interpolation() @ np.concatenate(
+        [u[:, None], nodal_g, nodal_h.reshape(-1, 4)], axis=1)
+    return _make_bundle(metric, mesh.quad_points, at[:, 0].copy(), at[:, 1:3],
+                        at[:, 3:].reshape(-1, 2, 2), None,
                         mesh=mesh, nodal_grad=nodal_g, nodal_hess=nodal_h)
 
 
@@ -226,7 +226,7 @@ def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -
 class RadialField:
     """u(x) = F(|x|) with exact radial derivatives F', F'', F'''."""
 
-    def __init__(self, f: Callable, f1: Callable, f2: Callable, f3: Callable, name: str = "radial"):
+    def __init__(self, f: Callable, f1: Callable, f2: Callable, f3: Callable, name: str):
         self.f, self.f1, self.f2, self.f3 = f, f1, f2, f3
         self.name = name
 
@@ -271,12 +271,12 @@ class RadialField:
 AnalyticField = Union[PolynomialField, RadialField]
 
 
-def torsion_profile_field(p: float, radius: float = 1.0, n: int = 2) -> RadialField:
-    """Exact radial torsion function of the ball (`radial_exact`) as an
+def torsion_profile_field(p: float) -> RadialField:
+    """Exact radial torsion function of the unit disk (`radial_exact`) as an
     analytic field, with its third derivative."""
-    prof = radial_exact(n, p, radius)
+    prof = radial_exact(DIM, p, 1.0)
     q = p / (p - 1.0)
-    C = (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
+    C = (p - 1.0) / p * DIM ** (-1.0 / (p - 1.0))
 
     def f3(r):
         return -C * q * (q - 1.0) * (q - 2.0) * r ** (q - 3.0)
@@ -284,7 +284,7 @@ def torsion_profile_field(p: float, radius: float = 1.0, n: int = 2) -> RadialFi
     return RadialField(prof.u, prof.du, prof.d2u, f3, name=f"torsion_p{p}")
 
 
-def gaussian_radial_field(amplitude: float = 1.0, sigma: float = 1.0) -> RadialField:
+def gaussian_radial_field(amplitude: float, sigma: float) -> RadialField:
     s2 = sigma * sigma
 
     def f(r):
@@ -302,8 +302,11 @@ def gaussian_radial_field(amplitude: float = 1.0, sigma: float = 1.0) -> RadialF
     return RadialField(f, f1, f2, f3, name="gaussian")
 
 
-def field_catalogue(seed: int = 0, n_random: int = 15) -> list[AnalyticField]:
-    """Named analytic test fields plus seeded random polynomials (>= 20 total)."""
+_N_RANDOM = 15
+
+
+def field_catalogue(seed: int = 0) -> list[AnalyticField]:
+    """Named analytic test fields plus `_N_RANDOM` seeded random polynomials."""
     fields: list[AnalyticField] = [
         PolynomialField({(4, 0): 1 / 12, (0, 2): 1 / 2}, name="quartic_ridge"),
         PolynomialField({(2, 0): 0.5, (0, 2): 0.5}, name="paraboloid"),
@@ -318,7 +321,7 @@ def field_catalogue(seed: int = 0, n_random: int = 15) -> list[AnalyticField]:
         gaussian_radial_field(1.0, 1.2),
     ]
     rng = np.random.default_rng(seed)
-    for k in range(n_random):
+    for k in range(_N_RANDOM):
         deg = 2 + k % 3
         coeffs: Coeffs = {(1, 0): rng.uniform(0.3, 1.0), (0, 1): rng.uniform(0.3, 1.0)}
         for i in range(deg + 1):

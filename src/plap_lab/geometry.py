@@ -311,20 +311,19 @@ class TriMesh:
             self._derived[key] = build()
         return self._derived[key]
 
-    def quad_interpolation(self) -> sp.csr_matrix:
-        """The (M*Q, N) matrix of P1 interpolation at the quadrature points,
-        in the order of ``quad_points``: every triangle holds them at the same
-        barycentrics ``QUAD_BARY``."""
-        nq, m = len(QUAD_BARY), self.n_triangles
-        return sp.csr_matrix((np.tile(QUAD_BARY.ravel(), m),
-                              np.repeat(self.triangles, nq, axis=0).ravel(),
-                              np.arange(0, 3 * nq * m + 1, 3)), shape=(nq * m, self.n_vertices))
+    def interpolation(self, tri: np.ndarray, bary: np.ndarray) -> sp.csr_matrix:
+        """The (P, N) matrix of P1 interpolation at points given as (triangle,
+        barycentric), as ``locate`` returns them."""
+        return sp.csr_matrix((bary.ravel(), self.triangles[tri].ravel(),
+                              np.arange(0, 3 * len(tri) + 1, 3)),
+                             shape=(len(tri), self.n_vertices))
 
-    def interpolate_located(self, nodal: np.ndarray, tri: np.ndarray,
-                            bary: np.ndarray) -> np.ndarray:
-        """P1 interpolation of nodal data (scalar or trailing-dim array) at
-        points that ``locate`` gave as (triangle, barycentric)."""
-        return np.einsum("qk,qk...->q...", bary, nodal[self.triangles[tri]])
+    def quad_interpolation(self) -> sp.csr_matrix:
+        """`interpolation` at the quadrature points, in the order of
+        ``quad_points``: every triangle holds them at the same barycentrics
+        ``QUAD_BARY``."""
+        nq, m = len(QUAD_BARY), self.n_triangles
+        return self.interpolation(np.repeat(np.arange(m), nq), np.tile(QUAD_BARY, (m, 1)))
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(triangle, barycentric, found) per point: `_PointLocator.locate`."""

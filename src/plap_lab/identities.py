@@ -87,8 +87,8 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
     """Where the traces sample, which depends on the mesh alone.
 
     Returns the sample depths ``d_all``, the indices ``ig`` and ``ih`` of the
-    gradient and Hessian depths among them, and the located (triangle,
-    barycentric) pair of each sample point x_b - d_k nu, stacked per node.
+    gradient and Hessian depths among them, the sample points x_b - d_k nu,
+    stacked per node, and the matrix that interpolates nodal data at them.
     A sample point in no triangle would be clipped, so it raises.
     """
     bg = mesh.boundary
@@ -105,7 +105,7 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
     if not found.all():
         raise MeshGenerationError(f"{(~found).sum()} of {len(found)} trace samples are in no triangle")
     return (d_all, np.searchsorted(d_all, dg), np.searchsorted(d_all, dh), flat_pts,
-            tri, bary)
+            mesh.interpolation(tri, bary))
 
 
 def boundary_trace(bundle: DerivativeBundle, p: float) -> BoundaryTrace:
@@ -118,10 +118,9 @@ def boundary_trace(bundle: DerivativeBundle, p: float) -> BoundaryTrace:
     mesh, and the arc weights are the metric's `Measures.boundary_weights`.
     """
     mesh, bg, metric = bundle.mesh, bundle.mesh.boundary, bundle.metric
-    d_all, ig, ih, flat_pts, tri, bary = mesh.derived("trace_sites", lambda: _trace_sites(mesh))
+    d_all, ig, ih, flat_pts, interp = mesh.derived("trace_sites", lambda: _trace_sites(mesh))
     # one interpolation for both fields: gradient and Hessian stacked as (N, 6)
-    nodal = np.concatenate([bundle.nodal_grad, bundle.nodal_hess.reshape(-1, 4)], axis=1)
-    at = mesh.interpolate_located(nodal, tri, bary)
+    at = interp @ np.concatenate([bundle.nodal_grad, bundle.nodal_hess.reshape(-1, 4)], axis=1)
     G, S = frame_from_scalar(metric, flat_pts, at[:, :2], at[:, 2:].reshape(-1, 2, 2))
 
     nd = len(d_all)
@@ -162,34 +161,32 @@ def _max_or_nan(values: np.ndarray) -> float:
     return float(values.max()) if values.size else np.nan
 
 
-def _lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
-    """Pointwise L_u P (read-only, NaN where masked) and its metric volume
-    integral (on `Measures.volume_weights`) over unmasked quadrature points.
+def lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
+    """Pointwise L_u P (NaN where masked) and its metric volume integral (on
+    `Measures.volume_weights`) over the unmasked quadrature points.
 
-    The integral identities and the subharmonicity scan read them; they are
-    evaluated once per bundle and p.
+    `build_report` evaluates them once per case and hands the integral to
+    `integral_identities` and the pair to `subharmonicity_scan`.
     """
-    if p not in bundle.cache:
-        vals, keep = linearized_on_p(bundle, p, DIM), ~bundle.mask
-        vals.flags.writeable = False
-        weights = domain_measures(bundle.mesh, bundle.metric).volume_weights
-        bundle.cache[p] = vals, float(np.sum(weights[keep] * vals[keep]))
-    return bundle.cache[p]
+    vals, keep = linearized_on_p(bundle, p, DIM), ~bundle.mask
+    weights = domain_measures(bundle.mesh, bundle.metric).volume_weights
+    return vals, float(np.sum(weights[keep] * vals[keep]))
 
 
 def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
-                        tol: Tolerances) -> dict:
+                        tol: Tolerances, lu_integral: float) -> dict:
     """The ``fundamental``, ``sbt``, ``flux``, ``eq_curvature`` and ``hk``
     sections, from one set of boundary and interior sums.
 
-    ``fundamental`` sets the interior L_u P mass against the curvature flux
-    three ways: lhs_volume integrates the pointwise expansion, lhs_boundary
-    converts the same integral to a boundary form through the divergence
-    theorem, and rhs is |Omega|/n minus the curvature-weighted flux integral;
-    the volume vs boundary discrepancy is the discrete divergence-theorem
-    check.  ``sbt`` is the constant-mean-curvature form (interior mass plus
-    the H0-deficit equals the curvature-deviation flux integral), ``flux``
-    the boundary p-flux against -|Omega|, ``eq_curvature`` the largest
+    ``fundamental`` sets the interior L_u P mass ``lu_integral`` (from
+    `lu_p`) against the curvature flux three ways: lhs_volume integrates the
+    pointwise expansion, lhs_boundary converts the same integral to a
+    boundary form through the divergence theorem, and rhs is |Omega|/n minus
+    the curvature-weighted flux integral; the volume vs boundary discrepancy
+    is the discrete divergence-theorem check.  ``sbt`` is the
+    constant-mean-curvature form (interior mass plus the H0-deficit equals
+    the curvature-deviation flux integral), ``flux`` the boundary p-flux
+    against -|Omega|, ``eq_curvature`` the largest
     nodewise `BoundaryTrace.eq_curvature_residual`, and ``hk`` the
     Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|.
     T2 = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H is the overdetermined-condition
@@ -214,7 +211,6 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
     p, n, rel_tol = trace.p, DIM, tol.identity_rel
     measures = domain_measures(bundle.mesh, bundle.metric)
     volume, h0, weight, curv = measures.volume, measures.h0, trace.weight, trace.curvature
-    lu_integral = _lu_p(bundle, p)[1]
     pf = trace.p_flux()
     gpow = np.abs(trace.u_nu) ** (2.0 * p - 2.0)
     floor = volume / n
@@ -301,8 +297,6 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
     mesh = bundle.mesh
     delta_scan = max(bundle.delta_crit, (3.0 * mesh.h / DIM) ** (1.0 / (p - 1.0)))
     near = (bundle.gnorm <= delta_scan) | bundle.mask
-    if not near.any():
-        return near
     vmark = np.zeros(mesh.n_vertices, dtype=bool)
     vmark[mesh.triangles[np.unique(np.flatnonzero(near) // len(QUAD_BARY))].ravel()] = True
     return near | _ring_mask(mesh, vmark, _SCAN_RINGS)
@@ -319,18 +313,18 @@ def _boundary_ring_exclusion(mesh) -> np.ndarray:
 _SCAN_BINS = 60
 
 
-def subharmonicity_scan(bundle: DerivativeBundle,
-                        p: float) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
-    """Minimum and distribution of the pointwise L_u P values (requires a
-    metric declared Ric >= 0 and at least one quadrature point left after the
-    exclusions).
+def subharmonicity_scan(bundle: DerivativeBundle, p: float,
+                        lu: tuple[np.ndarray, float]) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
+    """Minimum and distribution of the pointwise L_u P values ``lu`` (`lu_p`:
+    values and integral; requires a metric declared Ric >= 0 and at least one
+    quadrature point left after the exclusions).
 
     Returns the report section and the histogram of the scanned values.
     """
     metric, mesh = bundle.metric, bundle.mesh
     if not metric.nonnegative_ricci:
         raise PreconditionError("metric not declared nonnegative_ricci")
-    vals, integral = _lu_p(bundle, p)
+    vals, integral = lu
     excl = _near_critical_exclusion(bundle, p) | _boundary_ring_exclusion(mesh)
     excluded = float(excl.mean())
     kept_vals = vals[~excl & ~bundle.mask & np.isfinite(vals)]
@@ -426,10 +420,11 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
                       "h0": measures.h0, "masked_fraction": bundle.masked_fraction},
         "skipped": skipped,
     }
-    checks = integral_identities(trace, bundle, tol)
+    lu = lu_p(bundle, trace.p)
+    checks = integral_identities(trace, bundle, tol, lu[1])
     histogram = None
     try:
-        checks["subharmonicity"], histogram = subharmonicity_scan(bundle, trace.p)
+        checks["subharmonicity"], histogram = subharmonicity_scan(bundle, trace.p, lu)
     except PreconditionError as exc:
         checks["subharmonicity"] = exc
     try:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._poly import Coeffs, PolynomialField, poly_degree
+from ._poly import PolynomialField, poly_degree
 from .errors import ValidationError
 
 _EYE2 = np.eye(2)
@@ -40,18 +40,15 @@ class ConformalMetric:
         return ConformalMetric(kind="constant", coeffs=((0, 0, float(c)),), nonnegative_ricci=True)
 
     @staticmethod
-    def poly(coeffs: Coeffs | list, nonnegative_ricci: bool = False) -> "ConformalMetric":
-        if isinstance(coeffs, dict):
-            items = tuple(sorted((int(i), int(j), float(c)) for (i, j), c in coeffs.items()))
-        else:
-            items = tuple(sorted((int(i), int(j), float(c)) for i, j, c in coeffs))
+    def poly(coeffs: list, nonnegative_ricci: bool = False) -> "ConformalMetric":
+        items = tuple(sorted((int(i), int(j), float(c)) for i, j, c in coeffs))
         if poly_degree({(i, j): c for i, j, c in items}) > 4:
             raise ValidationError("conformal polynomial exponent limited to degree 4")
         return ConformalMetric(kind="poly", coeffs=items, nonnegative_ricci=nonnegative_ricci)
 
     @staticmethod
-    def gaussian_bump(amplitude: float, x0: float = 0.0, y0: float = 0.0,
-                      sigma: float = 1.0, nonnegative_ricci: bool = False) -> "ConformalMetric":
+    def gaussian_bump(amplitude: float, x0: float, y0: float, sigma: float,
+                      nonnegative_ricci: bool = False) -> "ConformalMetric":
         if sigma <= 0:
             raise ValidationError("bump width sigma must be positive")
         return ConformalMetric(

@@ -261,7 +261,7 @@ def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
 
 
 def matrix_inequality_sweep(
-    samples: int = 1_000_000,
+    samples: int,
     seed: int = 0,
     n_values: tuple[int, ...] = (2, 3, 4),
     p_range: tuple[float, float] = (1.1, 6.0),

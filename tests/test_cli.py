@@ -166,6 +166,23 @@ def test_schema_evaluator_agrees_with_jsonschema():
     assert ours == [True] * len(good) + [False] * len(bad)
 
 
+def test_one_of_rejects_a_value_of_two_forms():
+    # the shipped forms differ in their const, so none of them overlap
+    schema = {"oneOf": [{"type": "number"}, {"minimum": 0}]}
+    values, accepted = [1, -1, "x"], [False, True, True]
+    ours = []
+    for value in values:
+        try:
+            _check(schema, value, "v")
+            ours.append(True)
+        except ConfigError as exc:
+            assert str(exc) == "v matches more than one allowed form"
+            ours.append(False)
+    assert ours == accepted
+    jsonschema = pytest.importorskip("jsonschema")
+    assert [jsonschema.Draft7Validator(schema).is_valid(v) for v in values] == accepted
+
+
 def test_schema_keys_match_the_dataclasses():
     # a key the schema accepts but the dataclass lacks would crash
     # Tolerances(**...) with an uncaught TypeError
@@ -206,6 +223,25 @@ def test_malformed_metric_params_exit_2(tmp_path, metric):
     err = json.loads((out / "error.json").read_text())["error"]
     assert err["type"] == "config"
     assert f"malformed {metric['kind']} metric params" in err["message"]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("domain", {"variant": "ellipse", "a": 1, "b": 2},
+     "ellipse requires a >= b > 0, got a=1.0, b=2.0"),
+    ("domain", {"variant": "annulus", "r_in": 1, "r_out": 0.5},
+     "annulus requires r_out > r_in, got r_in=1.0, r_out=0.5"),
+    ("domain", {"variant": "polar_star", "cos_coeffs": [1.5]},
+     "polar_star radius function must stay strictly positive; min r(theta) = -0.5"),
+    ("metric", {"kind": "poly", "params": [[5, 0, 1.0]]},
+     "conformal polynomial exponent limited to degree 4"),
+])
+def test_spec_invariant_config_exits_2(tmp_path, key, value, message):
+    # the schema accepts these; the domain or metric constructor rejects them
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, {**DISK_VERIFY, key: value})
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err == {"type": "config", "message": message}
 
 
 def test_nan_fails_every_bound():

@@ -3,8 +3,8 @@ import pytest
 
 from plap_lab import (ConformalMetric, Disk, PreconditionError,
                       boundary_trace, build_mesh, build_report,
-                      domain_measures, equivalence_suite, integral_identities,
-                      subharmonicity_scan)
+                      domain_measures, equivalence_suite, identities,
+                      integral_identities, lu_p, subharmonicity_scan)
 from plap_lab.cli import _flatten
 from plap_lab.fields import recover_derivatives
 from plap_lab.errors import MeshGenerationError
@@ -78,7 +78,8 @@ def test_flux_balance_disk(lab, p):
 def test_flux_balance_flags_non_solution(lab):
     mesh = lab.mesh("disk", 0.1)
     bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
-    entry = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL)["flux"]
+    entry = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL,
+                                lu_p(bundle, 2.0)[1])["flux"]
     assert entry["rel_residual"] == pytest.approx(1.0, abs=1e-9)
     assert not entry["pass"]
 
@@ -145,7 +146,8 @@ def test_hk_rejects_nonpositive_curvature():
 
     sol = solve(mesh, FLAT, 2.0)
     bundle = recover_derivatives(mesh, sol.u, FLAT)
-    skip = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL)["hk"]
+    skip = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL,
+                               lu_p(bundle, 2.0)[1])["hk"]
     assert isinstance(skip, PreconditionError)
     assert str(skip) == "nonpositive mean curvature on part of the boundary"
 
@@ -197,7 +199,7 @@ def test_serrin_definitional_zero(lab):
                        u_nunu=np.zeros_like(u_nu), gnorm=np.abs(u_nu),
                        flagged=np.zeros(len(u_nu), dtype=bool))
     bundle = recover_derivatives(lab.mesh("ellipse", 0.05), lab.solution("ellipse", p).u, FLAT)
-    hk = integral_identities(tr, bundle, TOL)["hk"]
+    hk = integral_identities(tr, bundle, TOL, lu_p(bundle, p)[1])["hk"]
     assert hk["t2"] <= 1e-12
     assert hk["max_node_residual"] <= 1e-12
 
@@ -225,8 +227,25 @@ def test_scan_disk_concentrates_at_zero(lab):
 def test_scan_requires_nonnegative_ricci(lab):
     sol = lab.solution("disk", 2.0)
     bad = ConformalMetric.gaussian_bump(0.5, 0.0, 0.0, 1.0)  # undeclared
+    bundle = recover_derivatives(sol.mesh, sol.u, bad)
     with pytest.raises(PreconditionError, match="metric not declared nonnegative_ricci"):
-        subharmonicity_scan(recover_derivatives(sol.mesh, sol.u, bad), 2.0)
+        subharmonicity_scan(bundle, 2.0, lu_p(bundle, 2.0))
+
+
+def test_build_report_evaluates_lu_p_once(lab, monkeypatch):
+    # the integral identities and the scan share one L_u P evaluation
+    original, calls = identities.linearized_on_p, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identities, "linearized_on_p", counted)
+    sol = lab.solution("disk", 2.0)
+    bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
+    report = build_report(bundle, boundary_trace(bundle, 2.0))
+    assert len(calls) == 1
+    assert "fundamental" in report.sections and "subharmonicity" in report.sections
 
 
 def test_scan_tolerance_formula():

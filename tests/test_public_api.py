@@ -44,3 +44,17 @@ def test_every_public_definition_has_a_user():
     unused = sorted(f"{module}:{name}" for name, module in _public_definitions().items()
                     if name not in used)
     assert not unused, f"public definitions that only tests use: {unused}"
+
+
+# parameters with a default across the package; each is a setting that tests
+# and runs must cover, so the count may fall but not grow
+MAX_DEFAULTED_PARAMETERS = 18
+
+
+def test_defaulted_parameters_do_not_grow():
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arguments):
+                count += len(node.defaults) + sum(d is not None for d in node.kw_defaults)
+    assert count <= MAX_DEFAULTED_PARAMETERS

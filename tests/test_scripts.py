@@ -12,9 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_ARGS = {
     "run_ball_benchmark.py": ["--p", "2", "--h", "0.2"],
-    "run_convergence.py": ["--h", "0.3", "0.2"],
     "run_ellipse_identities.py": ["--p", "2", "--h", "0.2"],
-    "run_inequality_sweep.py": ["--samples", "3000"],
 }
 
 
