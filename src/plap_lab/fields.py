@@ -130,12 +130,13 @@ def _two_ring(mesh: TriMesh) -> sp.csr_matrix:
     return one @ one
 
 
-def _normal_equations(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, np.ndarray]:
+def _normal_equations(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, tuple, np.ndarray]:
     """The part of the patch fit that does not depend on the nodal values:
     the gather (n x pairs, CSR) that sums a per-pair array over each
     vertex's two-ring pairs in pair order, the neighbour w of each pair
-    (v, w), the weighted basis w b per pair as rows (6, pairs), and the
-    normal matrices sum w b b^T per vertex (n, 6, 6)."""
+    (v, w), the pairs' Gaussian weights and scaled offsets (weight, dx, dy),
+    from which a fit forms its weighted basis again, and the normal
+    matrices sum w b b^T per vertex (n, 6, 6)."""
     two = _two_ring(mesh)
     n, n_pairs = mesh.n_vertices, two.nnz
     pw = two.indices
@@ -145,19 +146,22 @@ def _normal_equations(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, np.ndar
     gather = sp.csr_matrix((ones, np.arange(n_pairs, dtype=pw.dtype), two.indptr),
                            shape=(n, n_pairs))
     dx, dy = ((mesh.points[pw, k] - mesh.points[pv, k]) / mesh.h for k in range(2))
-    basis = [ones, dx, dy, 0.5 * dx ** 2, dx * dy, 0.5 * dy ** 2]
     w = np.exp(-(dx * dx + dy * dy))
-    wb = np.empty((6, n_pairs))
-    for i in range(6):
-        np.multiply(w, basis[i], out=wb[i])
+    basis = _patch_basis(dx, dy)
     # all 36 entries, not 21 mirrored: (w b_i) b_j and (w b_j) b_i can differ
     # in the last bit; one product at a time keeps the temporaries small
     mat = np.empty((n, 6, 6))
     for i in range(6):
+        wb = w * basis[i]
         for j in range(6):
-            mat[:, i, j] = gather @ (wb[i] * basis[j])
+            mat[:, i, j] = gather @ (wb * basis[j])
     mat.flags.writeable = False     # shared by every fit on the mesh
-    return gather, pw, wb, mat
+    return gather, pw, (w, dx, dy), mat
+
+
+def _patch_basis(dx: np.ndarray, dy: np.ndarray) -> list:
+    """The quadratic basis 1, dx, dy, dx^2/2, dx dy, dy^2/2 at each pair."""
+    return [1.0, dx, dy, 0.5 * dx ** 2, dx * dy, 0.5 * dy ** 2]
 
 
 def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,13 +176,13 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     The normal matrices and the gather are built once per mesh; a fit
     gathers its right-hand side and solves the n 6 x 6 systems again.
     """
-    gather, pw, wb, mat = mesh.derived("recovery", lambda: _normal_equations(mesh))
+    gather, pw, (w, dx, dy), mat = mesh.derived("recovery", lambda: _normal_equations(mesh))
     h = mesh.h
     n = mesh.n_vertices
     vals = nodal[pw]
     rhs = np.empty((n, 6, 1))
-    for k in range(6):
-        rhs[:, k, 0] = gather @ (wb[k] * vals)
+    for k, b in enumerate(_patch_basis(dx, dy)):
+        rhs[:, k, 0] = gather @ (w * b * vals)
     try:
         coef = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:

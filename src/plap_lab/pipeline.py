@@ -11,7 +11,8 @@ per-quadrature-point derivative bundle does not.
 
 Mesh-derived state lives on the `TriMesh`: the point locator, the domain
 measures per metric, the recovery normal equations, the solver's assembly
-maps and the trace sample sites are built the first time a case needs them,
+maps, its P1 stiffness with that matrix's factor, and the trace sample
+sites are built the first time a case needs them,
 and every later case on the same mesh (as `cli` runs all p values of one h)
 reuses them.
 """

@@ -33,9 +33,18 @@ sparse gradient operator G, so that every energy reads the element gradients
 G u and every residual is G^T applied to the element fluxes, less the load;
 and the sparse map from the three distinct entries of each element's
 weighted 2 x 2 coefficient to every slot of the CSC data, so that a tangent
-is one sparse product.  A solve holds one factor (diagonal pivots, no further
-reordering) and finds each direction by conjugate gradients preconditioned
-with it, from 0, only as accurately as its decrement needs (the
+is one sparse product.  The P1 stiffness K_0 on the free vertices, in that
+layout, and its factor are kept on the mesh too: K_0 is the p = 2 tangent of
+every metric, since e^{(2-p) phi} = 1 there, so a p = 2 solve takes it as
+its tangent and assembles and factors none.  Every other solve starts from
+K_0's factor: at u = 0 a flat tangent is eps_0^{p-2} K_0, which PCG solves
+in one iteration, and a conformal weight e^{(2-p) phi} that varies little
+over the domain keeps K_0 a good preconditioner.  K_0 depends on the mesh
+alone, so a solve's result does not depend on the solves before it.
+
+A solve holds one factor (diagonal pivots, no further reordering) and finds
+each direction by conjugate gradients preconditioned with it, from 0, only
+as accurately as its decrement needs (the
 inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat and
 Steihaug, SIAM J. Numer. Anal. 19, 1982, capped as in Eisenstat and Walker,
 SIAM J. Sci. Comput. 17, 1996): PCG iterate k, whose relative decrement is
@@ -44,12 +53,19 @@ relative to the first, is at most max(``_CG_RTOL``, min(``_CG_FORCING``,
 delta_k^{1/2})).  Far from the solution one stale factor serves; near it
 delta_k is tiny, the stop falls back to ``_CG_RTOL`` and Newton stays
 quadratic.  It factors the tangent at hand instead when PCG has not
-converged in ``_CG_MAX_ITER`` iterations, and before the next system when
-the last PCG took more than ``_CG_REFACTOR``.  CG from 0 approaches the
-decrement from below, so a rounding-level PCG decrement is recomputed with a
-fresh factor of its tangent before the rung may stop: the rounding-level
-rule holds for the exact direction.  At p = 2 the tangent depends on neither
-u nor eps; a p = 2 solve assembles and factors it once.
+converged in ``_CG_MAX_ITER`` iterations or has broken down (a singular
+tangent then fails as a factorization does), and before the next system when
+the last PCG took more than ``_CG_REFACTOR`` = 8.  On a disk mesh of 5862
+vertices a factorization costs about as much as 22 PCG iterations; over 24
+solves (disk at h = 0.025 and 0.05, flat and cap; the 2:1 ellipse at
+h = 0.035, 0.05 and 0.1; the annulus at h = 0.05; each at p = 1.5, 3 and
+4), 22 x factorizations + PCG iterations is 2452, 2408, 2526, 2680 and
+2922 for thresholds 6, 8, 10, 12 and 15, against 2927 at 8 and 3448 at 15
+for solves that factor their first tangent instead of starting from K_0's
+factor (the six meshes' K_0 factorizations add 132 to each seeded total).
+CG from 0 approaches the decrement from below, so a rounding-level
+PCG decrement is recomputed with a fresh factor of its tangent before the
+rung may stop: the rounding-level rule holds for the exact direction.
 """
 
 from __future__ import annotations
@@ -151,6 +167,22 @@ class _Assembler:
         if not np.isfinite(c).all():
             bad = int(np.argmax(~np.isfinite(c).all(axis=1)))
             raise AssemblyError("non-finite tangent during assembly", element=bad)
+        return self._assemble(c)
+
+    def stiffness(self) -> tuple[sp.csc_matrix, object]:
+        """The mesh's P1 stiffness K_0 on the free vertices, in the order of
+        ``dofs``, and its factor, built once per mesh and kept on it.  K_0
+        is the p = 2 tangent of every metric, bit for bit: there
+        e^{(2-p) phi} = exp(0) = 1 and each element coefficient is its
+        summed quadrature weight times I, summed by the same ``slots``."""
+        def build():
+            w = self.mesh.quad_weights.reshape(-1, len(QUAD_BARY)).sum(axis=1)
+            K = self._assemble(np.stack([w, np.zeros_like(w), w], axis=1))
+            return K, _factor(K)
+        return self.mesh.derived("stiffness", build)
+
+    def _assemble(self, c: np.ndarray) -> sp.csc_matrix:
+        """The free x free matrix of the element coefficients (c00, c01, c11)."""
         nf = len(self.dofs)
         return sp.csc_matrix((self._slots @ c.ravel(), self._indices, self._indptr),
                              shape=(nf, nf))
@@ -223,7 +255,7 @@ def _fill_reducing_order(lap: sp.csc_matrix) -> np.ndarray:
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
 _EPS0_SCALE, _RHO, _EPS_MIN, _MAX_NEWTON_ITER = 0.1, 0.1, 1e-8, 50   # the eps ladder
 # PCG with the held factor: see _pcg and spsolve
-_CG_RTOL, _CG_FORCING, _CG_MAX_ITER, _CG_REFACTOR = 1e-10, 0.5, 30, 15
+_CG_RTOL, _CG_FORCING, _CG_MAX_ITER, _CG_REFACTOR = 1e-10, 0.5, 30, 8
 # squared Newton decrements, relative to 1 + |J_eps|: the rounding level, and
 # the last full step of a rung above eps_min
 _DECREMENT_FLOOR, _DECREMENT_RUNG = 1e-15, 1e-8
@@ -232,14 +264,15 @@ _DECREMENT_FLOOR, _DECREMENT_RUNG = 1e-15, 1e-8
 class _HeldFactor:
     """The factor one solve holds, the tangent of its current system, the
     energy scale 1 + |J_eps| of its decrements, and the counts of
-    factorizations and PCG iterations so far."""
+    factorizations and PCG iterations so far.  It starts from the factor
+    ``lu`` of ``factored``, the mesh's stiffness."""
 
-    def __init__(self):
+    def __init__(self, factored: sp.csc_matrix, lu):
         self.tangent: sp.csc_matrix | None = None
         self.scale = 1.0
-        self.factored: sp.csc_matrix | None = None   # the tangent `lu` factors
-        self.lu = None
-        self.refactor = True     # factor the next tangent instead of PCG
+        self.factored = factored     # the matrix `lu` factors
+        self.lu = lu
+        self.refactor = False    # factor the next tangent instead of PCG
         self.factorizations = self.cg_iterations = 0
 
 
@@ -251,7 +284,9 @@ def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
     min(``_CG_FORCING``^2, delta_k)), where delta_k = b.x_k / scale is its
     relative decrement: a direction is solved only as accurately as its
     decrement needs.  Returns (x, iterations); x is None when PCG has not
-    converged in ``_CG_MAX_ITER`` iterations."""
+    converged in ``_CG_MAX_ITER`` iterations, or has broken down on a
+    direction d with d.K d not positive and finite, as it does when K is
+    singular or not positive definite."""
     x = np.zeros_like(b)
     r = b.copy()
     z = precondition(r)
@@ -263,7 +298,10 @@ def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
         if k == _CG_MAX_ITER:
             return None, k
         Kd = K @ d
-        alpha = rz / float(d @ Kd)
+        dKd = float(d @ Kd)
+        if not 0.0 < dKd < np.inf:
+            return None, k
+        alpha = rz / dKd
         x += alpha * d
         r -= alpha * Kd
         z = precondition(r)
@@ -289,7 +327,9 @@ def spsolve(held: _HeldFactor, b: np.ndarray) -> np.ndarray:
             held.refactor = its > _CG_REFACTOR
             if x is not None:
                 return x
-        held.lu = None      # two factors at once would set the peak memory
+        # drop the held factor first: the mesh keeps its stiffness's, and a
+        # third factor at once would set the peak memory
+        held.lu = None
         held.lu = _factor(held.tangent)
         held.factored, held.refactor = held.tangent, False
         held.factorizations += 1
@@ -320,7 +360,9 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
 
     asm = _Assembler(mesh, metric, p)
     free = asm.free
-    held = _HeldFactor()
+    held = _HeldFactor(*asm.stiffness())
+    if p == 2.0:
+        held.tangent = held.factored
 
     # directions vanish on the boundary, so u stays exactly 0 there
     u = np.zeros(mesh.n_vertices)
@@ -334,8 +376,8 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
             r = asm.residual(u, eps)
             rnorm = float(np.linalg.norm(r[free]))
             history.append((eps, it, rnorm))
-            # at p = 2 the tangent depends on neither u nor eps
-            if held.tangent is None or p != 2.0:
+            # at p = 2 the tangent is the stiffness, whatever u, eps and the metric
+            if p != 2.0:
                 held.tangent = asm.tangent(u, eps)
             held.scale = 1.0 + abs(energy)
             floor = _DECREMENT_FLOOR * held.scale

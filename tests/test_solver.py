@@ -148,6 +148,25 @@ def test_tangent_matches_recorded_digest(lab, domain, h, metric, p):
     assert digest == TANGENT_DIGESTS[domain, h, metric, p]
 
 
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("metric", [FLAT, METRICS["cap"],
+                                    ConformalMetric.gaussian_bump(0.3, 0.1, -0.2, 1.1)],
+                         ids=["flat", "cap", "bump"])
+def test_stiffness_is_the_p2_tangent(lab, domain, h, metric):
+    # every solve starts from the stiffness's factor, and a p = 2 solve uses
+    # it as its tangent: e^{(2-p) phi} = 1 there, whatever u, eps and phi
+    mesh = lab.mesh(domain, h)
+    rng = np.random.default_rng(5)
+    asm = _Assembler(mesh, metric, 2.0)
+    K, lu = asm.stiffness()
+    T = asm.tangent(rng.normal(size=mesh.n_vertices), rng.uniform(1e-8, 1.0))
+    for a in ("indptr", "indices", "data"):
+        assert getattr(K, a).tobytes() == getattr(T, a).tobytes()
+    assert asm.stiffness()[1] is lu
+    b = rng.normal(size=len(asm.dofs))
+    assert np.abs(K @ lu.solve(b) - b).max() <= 1e-12 * np.abs(b).max()
+
+
 def _reference_gradients(mesh, u):
     """The element gradients, summed element by element."""
     return np.einsum("mki,mk->mi", mesh.basis_grads, u[mesh.triangles])
@@ -290,6 +309,8 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
 def test_rung_records_and_solve_count(lab, monkeypatch):
     # pins the numbers of steps, solves, factorizations and PCG iterations,
     # so a change cannot add some unnoticed
+    mesh = lab.mesh("disk", 0.05)
+    _Assembler(mesh, FLAT, 3.0).stiffness()     # built once per mesh, before the counts
     calls, factors, tangents = [], [], []
     spsolve, splu, tangent = solver.spsolve, solver.splu, _Assembler.tangent
     monkeypatch.setattr(solver, "spsolve", lambda K, b: calls.append(1) or spsolve(K, b))
@@ -297,40 +318,46 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
         factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
     monkeypatch.setattr(_Assembler, "tangent",
                         lambda self, u, eps: tangents.append(1) or tangent(self, u, eps))
-    sol = solve(lab.mesh("disk", 0.05), FLAT, 3.0)
+    sol = solve(mesh, FLAT, 3.0)
     # a rung above eps_min ends after a full step from a small decrement; the
     # ladder ends after the first rung that takes no step
     assert [s.iterations for s in sol.steps] == [5, 2, 1, 1, 0]
-    # one solve per step and one on the last rung, which the PCG of more
-    # than _CG_REFACTOR iterations before it sends to a fresh factor; each
-    # PCG stops at the accuracy its decrement needs, so the first factor
-    # serves the rungs above eps_min
-    assert len(calls) == sum(s.iterations for s in sol.steps) + 1 == 10
-    assert [s.factorizations for s in sol.steps] == [1, 0, 0, 0, 1]
+    # one solve per step, and two on the last rung: its PCG decrement is at
+    # the rounding level, so a fresh factor recomputes it.  The stiffness's
+    # factor preconditions the first rung, and the PCG of more than
+    # _CG_REFACTOR iterations that ends it sends the second to a fresh one
+    assert len(calls) == sum(s.iterations for s in sol.steps) + 2 == 11
+    assert [s.factorizations for s in sol.steps] == [0, 1, 0, 0, 1]
     assert len(factors) == 2
-    assert [s.cg_iterations for s in sol.steps] == [25, 18, 11, 16, 0]
+    assert [s.cg_iterations for s in sol.steps] == [26, 3, 3, 4, 5]
     assert sol.final_eps == sol.steps[-1].eps > solver._EPS_MIN
     # p = 2 is linear: one step, one solve to confirm it, one to end the
-    # ladder; its tangent depends on neither u nor eps, so it is assembled
-    # and factored once
-    calls.clear()
-    factors.clear()
-    tangents.clear()
-    sol = solve(build_mesh(Disk(1.0), 0.2), FLAT, 2.0)
-    assert [s.iterations for s in sol.steps] == [1, 0]
-    assert len(calls) == 3
-    assert len(tangents) == len(factors) == 1
-    assert [s.factorizations for s in sol.steps] == [1, 0]
-    assert [s.cg_iterations for s in sol.steps] == [0, 0]
+    # ladder; its tangent is the mesh's stiffness, so it assembles no
+    # tangent, and only the first solve on a mesh factors it
+    mesh = build_mesh(Disk(1.0), 0.2)
+    for factored in (1, 0):
+        calls.clear()
+        factors.clear()
+        tangents.clear()
+        sol = solve(mesh, FLAT, 2.0)
+        assert [s.iterations for s in sol.steps] == [1, 0]
+        assert len(calls) == 3
+        assert len(factors) == factored
+        assert not tangents
+        assert [s.factorizations for s in sol.steps] == [0, 0]
+        assert [s.cg_iterations for s in sol.steps] == [0, 0]
 
 
 def test_solve_does_not_depend_on_the_solve_before_it(lab):
-    # each solve holds its own factor, so repeated operations give the same
-    # bits whatever ran between them
-    mesh = lab.mesh("disk", 0.1)
-    alone = solve(mesh, FLAT, 3.0).u
+    # a solve's held factor starts from its mesh's stiffness, a function of
+    # the mesh alone, so a solve gives the same bits whichever solve built
+    # that stiffness and whatever ran between them
+    first, second = build_mesh(Disk(1.0), 0.1), build_mesh(Disk(1.0), 0.1)
+    flat_p3 = solve(first, FLAT, 3.0).u
+    cap_p2 = solve(second, METRICS["cap"], 2.0).u     # builds second's stiffness
     solve(lab.mesh("ellipse", 0.14), FLAT, 4.0)
-    assert np.array_equal(solve(mesh, FLAT, 3.0).u, alone)
+    assert np.array_equal(solve(second, FLAT, 3.0).u, flat_p3)
+    assert np.array_equal(solve(first, METRICS["cap"], 2.0).u, cap_p2)
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
@@ -346,16 +373,26 @@ def test_inexact_directions_give_the_exact_newton_answer(lab, monkeypatch, p, do
     assert np.abs(sol.u - exact.u).max() <= 1e-11 * np.abs(exact.u).max()
 
 
-@pytest.mark.parametrize("p", [3.0, 4.0])
-def test_pcg_never_reaches_its_cap(lab, monkeypatch, p):
+@pytest.mark.parametrize("p, metric", [
+    pytest.param(p, metric, id=str(p) if metric == "flat" else f"{p}-{metric}")
+    for metric in ("flat", "cap") for p in (1.5, 3.0, 4.0)])
+def test_pcg_never_reaches_its_cap(lab, monkeypatch, p, metric):
     # far from the solution a direction needs little accuracy, so the held
-    # factor serves it without a PCG run that is thrown away
+    # factor, the stiffness's at first, serves it without a PCG run that is
+    # thrown away
     runs = []
     pcg = solver._pcg
     monkeypatch.setattr(solver, "_pcg", lambda *args: runs.append(pcg(*args)) or runs[-1])
-    solve(lab.mesh("disk", 0.05), FLAT, p)
+    solve(lab.mesh("disk", 0.05), METRICS[metric], p)
     assert runs
     assert all(x is not None and its < solver._CG_MAX_ITER for x, its in runs)
+
+
+def test_pcg_breakdown_is_not_convergence():
+    # d.K d = 0 on a zero matrix: PCG stops at once with no solution, and
+    # the solve factors the tangent instead (a SolverError if singular)
+    x, its = solver._pcg(sp.csc_matrix((4, 4)), np.ones(4), lambda r: r.copy(), 1.0)
+    assert x is None and its == 0
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
