@@ -212,9 +212,6 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
     """Per-case plot CSVs: boundary profiles and interior slices."""
     written: list[Path] = []
-    if not cases:
-        print("warning: no reports to plot", file=sys.stderr)
-        return written
     outdir.mkdir(parents=True, exist_ok=True)
     for case in cases:
         tag = f"p{case.p:g}_h{case.h:g}"

@@ -534,6 +534,8 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     # polygon, and the centroid filter has nothing to remove
     filter_centroids = len(curves) > 1 or not _convex_polygon(bnd_xy)
     interior = _hex_lattice(spec, h, domain)
+    if not len(interior):
+        raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
     points, triangles = _relax(bnd_xy, interior, h, domain, filter_centroids)
     mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths)
     _check_boundary_edges(mesh)
@@ -595,7 +597,7 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
         full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
         return domain.triangles_inside(pts, full[0]) if filter_centroids else full[0]
 
-    for _ in range(_RELAX_ITERS if n > n_bnd else 0):
+    for _ in range(_RELAX_ITERS):
         dx, dy = xy - last
         if np.sqrt((dx * dx + dy * dy).max()) > 0.1 * h:
             last = xy.copy()

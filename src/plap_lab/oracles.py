@@ -262,9 +262,9 @@ def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
 
 def matrix_inequality_sweep(
     samples: int,
-    seed: int = 0,
-    n_values: tuple[int, ...] = (2, 3, 4),
-    p_range: tuple[float, float] = (1.1, 6.0),
+    seed: int,
+    n_values: tuple[int, ...],
+    p_range: tuple[float, float],
 ) -> SweepResult:
     """Seeded randomized sweep; reports the global minimum gap and its witness.
 

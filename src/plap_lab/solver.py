@@ -59,13 +59,15 @@ the last PCG took more than ``_CG_REFACTOR`` = 8.  On a disk mesh of 5862
 vertices a factorization costs about as much as 22 PCG iterations; over 24
 solves (disk at h = 0.025 and 0.05, flat and cap; the 2:1 ellipse at
 h = 0.035, 0.05 and 0.1; the annulus at h = 0.05; each at p = 1.5, 3 and
-4), 22 x factorizations + PCG iterations is 2452, 2408, 2526, 2680 and
-2922 for thresholds 6, 8, 10, 12 and 15, against 2927 at 8 and 3448 at 15
+4), 22 x factorizations + PCG iterations is 2012, 1946, 2108, 2218 and
+2570 for thresholds 6, 8, 10, 12 and 15, against 2465 at 8 and 3096 at 15
 for solves that factor their first tangent instead of starting from K_0's
 factor (the six meshes' K_0 factorizations add 132 to each seeded total).
-CG from 0 approaches the decrement from below, so a rounding-level
-PCG decrement is recomputed with a fresh factor of its tangent before the
-rung may stop: the rounding-level rule holds for the exact direction.
+CG from 0 approaches the decrement from below, but a PCG decrement at the
+rounding level is as good as the exact one: PCG stops at iterate k only when
+r.M^{-1} r <= max(1e-20, delta_k) r_0.M^{-1} r_0, so the exact decrement
+exceeds b.x_k by at most kappa(M^{-1} K) max(1e-20, delta_k) of itself, and
+at delta_k <= 1e-15 that gap is itself at the rounding level.
 """
 
 from __future__ import annotations
@@ -262,14 +264,11 @@ _DECREMENT_FLOOR, _DECREMENT_RUNG = 1e-15, 1e-8
 
 
 class _HeldFactor:
-    """The factor one solve holds, the tangent of its current system, the
-    energy scale 1 + |J_eps| of its decrements, and the counts of
-    factorizations and PCG iterations so far.  It starts from the factor
-    ``lu`` of ``factored``, the mesh's stiffness."""
+    """The factor one solve holds and the counts of factorizations and PCG
+    iterations so far.  It starts from the factor ``lu`` of ``factored``,
+    the mesh's stiffness."""
 
     def __init__(self, factored: sp.csc_matrix, lu):
-        self.tangent: sp.csc_matrix | None = None
-        self.scale = 1.0
         self.factored = factored     # the matrix `lu` factors
         self.lu = lu
         self.refactor = False    # factor the next tangent instead of PCG
@@ -314,15 +313,15 @@ def _factor(K: sp.csc_matrix):
     return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
 
 
-def spsolve(held: _HeldFactor, b: np.ndarray) -> np.ndarray:
-    """Solve a system of a solve's current tangent, ``held.tangent``, with the
-    factor it holds: directly when that factor is this tangent's, and
-    otherwise by PCG preconditioned with it, unless ``refactor`` is set or
-    PCG has not converged, when this tangent is factored and becomes the
-    held one."""
-    if held.factored is not held.tangent:
+def spsolve(held: _HeldFactor, K: sp.csc_matrix, b: np.ndarray, scale: float) -> np.ndarray:
+    """Solve K x = b, for the tangent K of a solve whose decrements are
+    relative to ``scale`` = 1 + |J_eps|, with the factor it holds: directly
+    when that factor is K's, and otherwise by PCG preconditioned with it,
+    unless ``refactor`` is set or PCG has not converged, when K is factored
+    and becomes the held one."""
+    if held.factored is not K:
         if not held.refactor:
-            x, its = _pcg(held.tangent, b, held.lu.solve, held.scale)
+            x, its = _pcg(K, b, held.lu.solve, scale)
             held.cg_iterations += its
             held.refactor = its > _CG_REFACTOR
             if x is not None:
@@ -330,8 +329,8 @@ def spsolve(held: _HeldFactor, b: np.ndarray) -> np.ndarray:
         # drop the held factor first: the mesh keeps its stiffness's, and a
         # third factor at once would set the peak memory
         held.lu = None
-        held.lu = _factor(held.tangent)
-        held.factored, held.refactor = held.tangent, False
+        held.lu = _factor(K)
+        held.factored, held.refactor = K, False
         held.factorizations += 1
     return held.lu.solve(b)
 
@@ -360,9 +359,8 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
 
     asm = _Assembler(mesh, metric, p)
     free = asm.free
-    held = _HeldFactor(*asm.stiffness())
-    if p == 2.0:
-        held.tangent = held.factored
+    K0, lu0 = asm.stiffness()
+    held = _HeldFactor(K0, lu0)
 
     # directions vanish on the boundary, so u stays exactly 0 there
     u = np.zeros(mesh.n_vertices)
@@ -377,29 +375,22 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
             rnorm = float(np.linalg.norm(r[free]))
             history.append((eps, it, rnorm))
             # at p = 2 the tangent is the stiffness, whatever u, eps and the metric
-            if p != 2.0:
-                held.tangent = asm.tangent(u, eps)
-            held.scale = 1.0 + abs(energy)
-            floor = _DECREMENT_FLOOR * held.scale
+            K = K0 if p == 2.0 else asm.tangent(u, eps)
+            scale = 1.0 + abs(energy)
             d = np.zeros_like(u)
             try:
-                d[asm.dofs] = spsolve(held, -r[asm.dofs])
-                # a PCG decrement lies below the exact one: certify a
-                # rounding-level one with a fresh factor of this tangent
-                if -float(r[free] @ d[free]) <= floor and held.factored is not held.tangent:
-                    held.refactor = True
-                    d[asm.dofs] = spsolve(held, -r[asm.dofs])
+                d[asm.dofs] = spsolve(held, K, -r[asm.dofs], scale)
             except RuntimeError as exc:
                 raise SolverError(f"tangent factorization failed at eps = {eps:.3e} ({exc})",
                                   history=history) from exc
             slope = float(r[free] @ d[free])
-            if -slope <= floor:
+            if -slope <= _DECREMENT_FLOOR * scale:
                 break
             if it >= _MAX_NEWTON_ITER:
                 raise SolverError(f"Newton did not converge at eps = {eps:.3e} "
                                   f"(residual {rnorm:.3e} after {it} iterations)",
                                   history=history)
-            last = eps > _EPS_MIN and -slope <= _DECREMENT_RUNG * held.scale
+            last = eps > _EPS_MIN and -slope <= _DECREMENT_RUNG * scale
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = u + t * d
@@ -423,6 +414,6 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
     return Solution(u=u, mesh=mesh, metric=metric, p=p, steps=steps, diagnostics={
         "min_u": float(u.min()),
         "max_u": float(u.max()),
-        "min_interior_u": float(u[free].min()) if len(free) else 0.0,
-        "positive_interior": bool((u[free] > 0).all()) if len(free) else True,
+        "min_interior_u": float(u[free].min()),
+        "positive_interior": bool((u[free] > 0).all()),
     })

@@ -120,7 +120,8 @@ def test_criterion_06_overdetermined_characterization(lab):
 
 def test_criterion_07_matrix_inequality():
     start = time.perf_counter()
-    sweep = matrix_inequality_sweep(samples=1_000_000, seed=0)
+    sweep = matrix_inequality_sweep(samples=1_000_000, seed=0, n_values=(2, 3, 4),
+                                    p_range=(1.1, 6.0))
     elapsed = time.perf_counter() - start
     w1 = matrix_inequality_gap(2, 2.0, np.diag([1.0, 2.0]), np.array([1.0, 0.0]))
     w2 = matrix_inequality_gap(3, 2.0, np.diag([1.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0]))

@@ -493,12 +493,6 @@ def test_solve_cli_outputs(tmp_path):
 
 # -------------------------------------------------------------- plot data
 
-def test_emit_plot_data_empty(tmp_path, capsys):
-    written = emit_plot_data([], tmp_path / "plots")
-    assert written == []
-    assert "no reports" in capsys.readouterr().err
-
-
 def test_boundary_profile_columns(tmp_path, lab):
     case = lab.case("disk", 2.0, h=0.1)
     written = emit_plot_data([case], tmp_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from plap_lab import (Annulus, Disk, Ellipse, MeshGenerationError, PolarStar,
                       ValidationError, boundary_geometry, build_mesh,
                       domain_measures)
+from plap_lab.cli import main
 from plap_lab.geometry import QUAD_BARY, curve_length, spec_from_json, spec_to_json
 from plap_lab.metric import ConformalMetric
 
@@ -218,18 +220,24 @@ def test_relaxation_retriangulates_lazily(monkeypatch):
     assert len(calls) == 1
 
 
-def test_empty_lattice_is_meshed_by_one_qhull_call(monkeypatch):
-    """At h = 0.4 no lattice point fits inside the annulus: the mesh is its
-    boundary nodes, triangulated by Qhull once, with no relaxation step."""
+@pytest.mark.parametrize("r_in, h", [(0.5, 0.4), (0.8, 0.14)])
+def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
+    """No lattice point fits inside these annuli, though h < diameter/4: the
+    mesh would have no unknown, so it fails as a mesh error, and the CLI
+    exits 3 with error.json of type mesh."""
     import plap_lab.geometry as geo
 
-    spec = Annulus(0.5, 1.0)
-    assert len(geo._hex_lattice(spec, 0.4, geo._RadialDomain(spec))) == 0
-    calls = []
-    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
-    mesh = build_mesh(spec, 0.4)
-    assert len(calls) == 1
-    assert mesh.n_vertices == len(mesh.boundary_vertices)
+    spec = Annulus(r_in, 1.0)
+    assert len(geo._hex_lattice(spec, h, geo._RadialDomain(spec))) == 0
+    with pytest.raises(MeshGenerationError, match="no interior vertex"):
+        build_mesh(spec, h)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": "verify", "p": [3.0], "h": [h],
+                               "domain": {"variant": "annulus", "r_in": r_in, "r_out": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "mesh" and "no interior vertex" in err["message"]
 
 
 # sha256 of points.tobytes() + triangles.tobytes(): the triangles in the

@@ -220,13 +220,14 @@ def test_shard_draw_law():
 
 def test_sweep_needs_a_sample_per_dimension():
     with pytest.raises(ValidationError):
-        matrix_inequality_sweep(samples=2, n_values=(2, 3, 4))
-    assert matrix_inequality_sweep(samples=3, n_values=(2, 3, 4)).samples == 3
+        matrix_inequality_sweep(samples=2, seed=0, n_values=(2, 3, 4), p_range=(1.1, 6.0))
+    assert matrix_inequality_sweep(samples=3, seed=0, n_values=(2, 3, 4),
+                                   p_range=(1.1, 6.0)).samples == 3
 
 
 def test_sweep_small_deterministic(monkeypatch):
-    a = matrix_inequality_sweep(samples=20_000, seed=11)
-    b = matrix_inequality_sweep(samples=20_000, seed=11)
+    a = matrix_inequality_sweep(samples=20_000, seed=11, n_values=(2, 3, 4), p_range=(1.1, 6.0))
+    b = matrix_inequality_sweep(samples=20_000, seed=11, n_values=(2, 3, 4), p_range=(1.1, 6.0))
     assert a.min_gap == b.min_gap
     assert a.min_gap >= -1e-12
     assert a.min_gap_loose >= -1e-12
@@ -236,7 +237,7 @@ def test_sweep_small_deterministic(monkeypatch):
     assert matrix_inequality_gap(w.n, w.p, w.hess, w.gvec) == pytest.approx(w.gap, abs=1e-12)
     # so does every shard minimum, also when each dimension takes several shards
     monkeypatch.setattr(oracles, "_SHARD_SIZE", 3000)
-    c = matrix_inequality_sweep(samples=20_000, seed=11)
+    c = matrix_inequality_sweep(samples=20_000, seed=11, n_values=(2, 3, 4), p_range=(1.1, 6.0))
     budgets = {2: 6666, 3: 6666, 4: 6668}
     for result, size in ((a, 100_000), (c, 3000)):
         assert [s.n for s in result.shard_minima] == [
@@ -272,7 +273,8 @@ def test_sweep_is_independent_of_worker_count(monkeypatch, shard_size):
     def sweep(workers, block):
         monkeypatch.setattr(oracles, "_cpus", lambda: workers)
         monkeypatch.setattr(oracles, "_BLOCK", block)
-        return matrix_inequality_sweep(samples=60_000, seed=7)
+        return matrix_inequality_sweep(samples=60_000, seed=7, n_values=(2, 3, 4),
+                                       p_range=(1.1, 6.0))
 
     reference = sweep(1, shard_size)
     interval = sys.getswitchinterval()
@@ -293,7 +295,7 @@ def test_threaded_sweep_memory(monkeypatch, workers):
     shard_bytes = (1 + 10 + 4) * k * 8
     tracemalloc.start()
     try:
-        matrix_inequality_sweep(samples=4 * k, seed=0, n_values=(4,))
+        matrix_inequality_sweep(samples=4 * k, seed=0, n_values=(4,), p_range=(1.1, 6.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -308,7 +310,7 @@ def test_one_shard_sweep_memory():
     shard_bytes = (1 + 10 + 4) * k * 8
     tracemalloc.start()
     try:
-        matrix_inequality_sweep(samples=k, seed=0, n_values=(4,))
+        matrix_inequality_sweep(samples=k, seed=0, n_values=(4,), p_range=(1.1, 6.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -313,7 +313,8 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
     _Assembler(mesh, FLAT, 3.0).stiffness()     # built once per mesh, before the counts
     calls, factors, tangents = [], [], []
     spsolve, splu, tangent = solver.spsolve, solver.splu, _Assembler.tangent
-    monkeypatch.setattr(solver, "spsolve", lambda K, b: calls.append(1) or spsolve(K, b))
+    monkeypatch.setattr(solver, "spsolve", lambda held, K, b, scale: (
+        calls.append(1) or spsolve(held, K, b, scale)))
     monkeypatch.setattr(solver, "splu", lambda K, permc_spec, **kw: (
         factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
     monkeypatch.setattr(_Assembler, "tangent",
@@ -322,13 +323,12 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
     # a rung above eps_min ends after a full step from a small decrement; the
     # ladder ends after the first rung that takes no step
     assert [s.iterations for s in sol.steps] == [5, 2, 1, 1, 0]
-    # one solve per step, and two on the last rung: its PCG decrement is at
-    # the rounding level, so a fresh factor recomputes it.  The stiffness's
-    # factor preconditions the first rung, and the PCG of more than
-    # _CG_REFACTOR iterations that ends it sends the second to a fresh one
-    assert len(calls) == sum(s.iterations for s in sol.steps) + 2 == 11
-    assert [s.factorizations for s in sol.steps] == [0, 1, 0, 0, 1]
-    assert len(factors) == 2
+    # one solve per step, and one on the last rung, which takes no step.  The
+    # stiffness's factor preconditions the first rung, and the PCG of more
+    # than _CG_REFACTOR iterations that ends it sends the second to a fresh one
+    assert len(calls) == sum(s.iterations for s in sol.steps) + 1 == 10
+    assert [s.factorizations for s in sol.steps] == [0, 1, 0, 0, 0]
+    assert len(factors) == 1
     assert [s.cg_iterations for s in sol.steps] == [26, 3, 3, 4, 5]
     assert sol.final_eps == sol.steps[-1].eps > solver._EPS_MIN
     # p = 2 is linear: one step, one solve to confirm it, one to end the
@@ -396,11 +396,14 @@ def test_pcg_breakdown_is_not_convergence():
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
-@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14), ("annulus", 0.1),
+                                       ("three_lobes", 0.1)])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
 def test_early_ladder_end_is_converged_at_eps_min(lab, p, domain, h, metric):
-    # the rungs the ladder skips would stop at once: at eps_min the Newton
-    # decrement of the returned u is already at the energy's rounding level
+    # the rungs the ladder skips would stop at once: at eps_min the exact
+    # Newton decrement of the returned u, from a fresh factor of its tangent,
+    # is already at the energy's rounding level, although the rung that ended
+    # the ladder may have taken its decrement from PCG
     sol = lab.solution(domain, p, h=h, metric=metric)
     asm = _Assembler(sol.mesh, sol.metric, p)
     eps = solver._EPS_MIN
