@@ -7,24 +7,41 @@ torsion function against exact radial solutions and closed-form boundary
 quadratures.
 """
 
-from .errors import (AssemblyError, ConfigError, MeshGenerationError,
-                     PlapLabError, PreconditionError, SolverError,
-                     ValidationError)
-from .geometry import (Annulus, BoundaryGeometry, Disk, Ellipse, Measures,
-                       PolarStar, TriMesh, boundary_geometry, build_mesh,
-                       domain_measures)
-from .metric import (ConformalMetric, gaussian_curvature,
-                     geodesic_boundary_curvature)
-from .fields import (AnalyticField, DerivativeBundle, PolynomialField,
-                     RadialField, analytic_bundle, field_catalogue,
-                     linearized_on_p, p_bochner_residual, p_function,
-                     recover_derivatives)
-from .oracles import (RadialProfile, ellipse_boundary_integrals,
-                      matrix_inequality_gap, matrix_inequality_sweep,
-                      p_ball_constant, radial_exact, radial_fd_solve)
-from .solver import Solution, solve
-from .identities import (BoundaryTrace, IdentityReport, Tolerances,
-                         boundary_trace, build_report, equivalence_suite,
-                         integral_identities, lu_p, subharmonicity_scan)
+import importlib
+
+# each exported name by its module; a name is imported on first access
+# (PEP 562), so that importing one module, such as the numpy-only `oracles`,
+# does not load the 2-D layers and scipy
+_EXPORTS = {
+    "errors": ("AssemblyError", "ConfigError", "MeshGenerationError", "PlapLabError",
+               "PreconditionError", "SolverError", "ValidationError"),
+    "geometry": ("Annulus", "BoundaryGeometry", "Disk", "Ellipse", "Measures", "PolarStar",
+                 "TriMesh", "boundary_geometry", "build_mesh", "domain_measures"),
+    "metric": ("ConformalMetric", "gaussian_curvature", "geodesic_boundary_curvature"),
+    "fields": ("AnalyticField", "DerivativeBundle", "PolynomialField", "RadialField",
+               "analytic_bundle", "field_catalogue", "linearized_on_p", "p_bochner_residual",
+               "p_function", "recover_derivatives"),
+    "oracles": ("RadialProfile", "ellipse_boundary_integrals", "matrix_inequality_gap",
+                "matrix_inequality_sweep", "p_ball_constant", "radial_exact",
+                "radial_fd_solve"),
+    "solver": ("Solution", "solve"),
+    "identities": ("BoundaryTrace", "IdentityReport", "boundary_trace", "build_report",
+                   "equivalence_suite", "integral_identities", "lu_p", "subharmonicity_scan"),
+    "tolerances": ("Tolerances",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -18,16 +18,21 @@ import operator
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# matcheck and radial need only numpy: the 2-D layers (`geometry`, `pipeline`
+# and what they load, scipy among it) are imported inside the functions of
+# the commands that run them
 from .errors import ConfigError, MeshGenerationError, PlapLabError, SolverError
-from .geometry import DIM, Disk, spec_from_json, spec_to_json
-from .identities import Tolerances
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
-from .pipeline import CaseResult, run_case
+from .tolerances import Tolerances
+
+if TYPE_CHECKING:
+    from .pipeline import CaseResult
 
 SCHEMA_VERSION = "1"
 COMMANDS = ("solve", "verify", "sweep", "matcheck", "radial")
@@ -131,6 +136,7 @@ def validate_config(obj, command: str) -> dict:
 
     cfg: dict = {"command": command}
     if "domain" in obj:
+        from .geometry import spec_from_json
         cfg["domain"] = spec_from_json(obj["domain"])
     cfg["metric"] = ConformalMetric.from_json(obj.get("metric", {"kind": "flat"}))
     for key in ("p", "h"):
@@ -169,6 +175,7 @@ def _envelope(command: str) -> dict:
 def _config_echo(cfg: dict) -> dict:
     echo = {"command": cfg["command"], "seed": cfg["seed"]}
     if "domain" in cfg:
+        from .geometry import spec_to_json
         echo["domain"] = spec_to_json(cfg["domain"])
     echo["metric"] = cfg["metric"].to_json()
     for k in ("p", "h"):
@@ -249,6 +256,7 @@ def _refinement_values(case: CaseResult) -> list:
     The overdetermined deficit is the Heintze-Karcher T2.  The u errors are
     taken against the exact radial profile, so only a flat disk has them:
     the max over the vertices and the L2 norm by the mesh quadrature."""
+    from .geometry import DIM, Disk
     r, mesh = case.report.sections, case.mesh
     spec = mesh.spec
     errors = ["", ""]
@@ -300,6 +308,7 @@ def emit_refinement(cases: list[CaseResult], outdir: Path) -> None:
 
 
 def _run_cases(cfg: dict) -> list[CaseResult]:
+    from .pipeline import run_case
     cases = []
     for h in cfg["h"]:
         mesh = None

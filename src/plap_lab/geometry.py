@@ -22,7 +22,6 @@ from typing import Callable, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import Delaunay, cKDTree
 
 from .errors import MeshGenerationError, ValidationError
 
@@ -338,6 +337,7 @@ class _PointLocator:
     _HEAD = 6   # on a flat disk at h=0.025 no located point lies beyond the sixth candidate
 
     def __init__(self, mesh: TriMesh):
+        from scipy.spatial import cKDTree
         self.mesh = mesh
         cent = mesh.points[mesh.triangles].mean(axis=1)
         self.tree = cKDTree(cent)
@@ -646,6 +646,14 @@ def _signed_area(xy: np.ndarray, triangles: np.ndarray) -> np.ndarray:
 
 _FLIP_TIE = 1e-10       # in-circle determinants below this share of max|p - d|^4 are ties
 _FLIP_PASSES = 100      # a repair that has not settled by then re-seeds from Qhull
+
+
+def Delaunay(points: np.ndarray):
+    """Qhull's Delaunay triangulation, scipy.spatial's ``Delaunay(points)``.
+    scipy.spatial is imported on the first call, so only a mesh build loads
+    it; `_delaunay_ccw` looks this name up at each call."""
+    from scipy.spatial import Delaunay as qhull
+    return qhull(points)
 
 
 def _delaunay_ccw(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
 from .geometry import DIM, QUAD_BARY, Disk, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
+from .tolerances import Tolerances
 
 
 # --------------------------------------------------------------------------
@@ -395,14 +396,6 @@ class IdentityReport:
 
     def to_json_dict(self) -> dict:
         return dict(self.sections)
-
-
-@dataclass
-class Tolerances:
-    identity_rel: float = 0.02
-    flux_rel: float = 0.01
-    eq_curvature_nodewise: float = 0.05
-    flags_tol: float = 0.03
 
 
 def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,

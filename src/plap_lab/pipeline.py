@@ -26,10 +26,10 @@ import numpy as np
 from .errors import ValidationError
 from .fields import frame_gradient, p_function, recover_derivatives
 from .geometry import DIM, DomainSpec, TriMesh, build_mesh
-from .identities import (BoundaryTrace, IdentityReport, Tolerances,
-                         boundary_trace, build_report)
+from .identities import BoundaryTrace, IdentityReport, boundary_trace, build_report
 from .metric import ConformalMetric, check_nonnegative_ricci
 from .solver import Solution, solve
+from .tolerances import Tolerances
 
 
 @dataclass

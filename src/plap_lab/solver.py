@@ -76,7 +76,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spilu, splu
 
 from .errors import AssemblyError, SolverError, ValidationError
 from .geometry import QUAD_BARY, TriMesh, domain_measures
@@ -250,6 +249,7 @@ def _fill_reducing_order(lap: sp.csc_matrix) -> np.ndarray:
     use.  SuperLU orders the columns before it factors, so an incomplete
     factorization with drop tolerance 1 and fill factor 1 takes the same
     order and does a small share of the work."""
+    from scipy.sparse.linalg import spilu
     return spilu(lap, drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
                  options={"SymmetricMode": True}).perm_c
 
@@ -306,6 +306,14 @@ def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
         z = precondition(r)
         rz, rz_old = float(r @ z), rz
         d = z + (rz / rz_old) * d
+
+
+def splu(A: sp.csc_matrix, permc_spec: str, options: dict):
+    """SuperLU, scipy.sparse.linalg's ``splu``.  scipy.sparse.linalg (and the
+    scipy.linalg it loads) is imported on the first call, so only a
+    factorization loads it; `_factor` looks this name up at each call."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(A, permc_spec=permc_spec, options=options)
 
 
 def _factor(K: sp.csc_matrix):

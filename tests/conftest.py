@@ -7,7 +7,7 @@ import pytest
 
 from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse, PolarStar,
                       boundary_geometry, build_mesh, solve)
-from plap_lab.identities import Tolerances
+from plap_lab.tolerances import Tolerances
 from plap_lab.pipeline import CaseResult, run_case
 
 DOMAINS = {

@@ -13,7 +13,7 @@ from plap_lab import pipeline, solver
 from plap_lab.cli import _check, emit_plot_data, main, validate_config
 from plap_lab.errors import ConfigError, MeshGenerationError
 from plap_lab.geometry import Annulus, PolarStar
-from plap_lab.identities import Tolerances
+from plap_lab.tolerances import Tolerances
 
 SCHEMAS = Path(plap_lab.__file__).parent / "schemas"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

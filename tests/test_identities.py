@@ -9,7 +9,8 @@ from plap_lab.cli import _flatten
 from plap_lab.fields import recover_derivatives
 from plap_lab.errors import MeshGenerationError
 from plap_lab.geometry import Annulus, TriMesh
-from plap_lab.identities import BoundaryTrace, Tolerances, scan_tolerance
+from plap_lab.identities import BoundaryTrace, scan_tolerance
+from plap_lab.tolerances import Tolerances
 
 FLAT = ConformalMetric.flat()
 TOL = Tolerances()
