@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run shipped configs into one output tree, for `compare_outputs.py`.
 
-Each config (every `configs/*.json` by default) runs through the CLI with its
-own command into `OUT/<stem>/`, and the exit codes go to
+Each config (by default every `configs/*.json`, then every
+`scripts/compare_configs/*.json`) runs through the CLI with its own command
+into `OUT/<stem>/`, and the exit codes go to
 `OUT/exit_codes.json` as {stem: code}.  Each config's wall time is printed
 beside its exit code, and the total after the last; timings are not written
 to the tree, so it holds outputs only.  Two trees made from two checkouts
@@ -13,9 +14,9 @@ are then compared with
     python scripts/compare_outputs.py OLD_OUT NEW_OUT
 
 The configs in `scripts/compare_configs/` reach report paths (the skipped
-checks) that no shipped config reaches; pass them after `configs/*.json` for
-a comparison that covers those too.  The script exits 0 once every config
-has run, whatever their exit codes.
+checks) that no shipped config reaches, so the default run covers those
+too.  The script exits 0 once every config has run, whatever their exit
+codes.
 """
 
 import argparse
@@ -26,7 +27,8 @@ from pathlib import Path
 
 from plap_lab.cli import main as plap_lab
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SCRIPTS = Path(__file__).resolve().parent
+CONFIG_DIRS = (SCRIPTS.parent / "configs", SCRIPTS / "compare_configs")
 
 
 def main() -> int:
@@ -34,11 +36,13 @@ def main() -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out", type=Path)
     ap.add_argument("configs", type=Path, nargs="*",
-                    help="config files (default: every config in configs/)")
+                    help="config files (default: every config in configs/, "
+                         "then in scripts/compare_configs/)")
     args = ap.parse_args()
     codes = {}
     total = 0.0
-    for config in args.configs or sorted(CONFIGS.glob("*.json")):
+    defaults = [c for d in CONFIG_DIRS for c in sorted(d.glob("*.json"))]
+    for config in args.configs or defaults:
         command = json.loads(config.read_text(encoding="utf-8"))["command"]
         start = time.perf_counter()
         codes[config.stem] = plap_lab([command, "--config", str(config),

@@ -383,9 +383,6 @@ class _PointLocator:
 # --------------------------------------------------------------------------
 
 
-_SECTORS = 256      # angular sectors of the radius filter of `_RadialDomain`
-
-
 class _RadialDomain:
     """Dense lookup tables for the boundary radius and the ray/normal angle."""
 
@@ -403,83 +400,26 @@ class _RadialDomain:
         radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cospsi = np.clip(np.einsum("ij,ij->i", radial, curve.normal(t)), 0.2, 1.0)
         self._cospsi = cospsi[order]
-        # per sector of angle 2 pi / _SECTORS, the least r_b (less a slack for
-        # rounding) and the least cos(psi) over every table node whose interval
-        # reaches the sector or one of its two neighbours, so that a sector
-        # index off by one in rounding still bounds the interpolated values
-        edges = (TWO_PI / _SECTORS) * np.arange(_SECTORS + 1)
-        last = len(self._theta) - 1
-        lo = np.maximum(np.searchsorted(self._theta, edges[:-1], side="left") - 1, 0)
-        hi = np.minimum(np.searchsorted(self._theta, edges[1:], side="right"), last)
-        ends = np.stack([lo, hi + 1], axis=1).ravel()
-
-        def sector_min(table: np.ndarray) -> np.ndarray:
-            # the even slots of reduceat are the minima over nodes lo..hi
-            m = np.minimum.reduceat(np.append(table, np.inf), ends)[::2]
-            return np.minimum(np.minimum(np.roll(m, 1), m), np.roll(m, -1))
-
-        self._sector_rb = sector_min(self._rb) * (1.0 - 1e-9)
-        self._sector_cospsi = sector_min(self._cospsi)
         # a second loop is the annulus's inner circle
         self.annular = len(curves) > 1
         self.r_in = curves[1].radius if self.annular else 0.0
 
-    def boundary_radius(self, theta: np.ndarray) -> np.ndarray:
-        return np.interp(np.mod(theta, TWO_PI), self._theta, self._rb)
-
-    def cos_psi(self, theta: np.ndarray) -> np.ndarray:
-        return np.interp(np.mod(theta, TWO_PI), self._theta, self._cospsi)
-
-    def _near_bound(self, pts: np.ndarray, rho: np.ndarray, margin: float) -> np.ndarray:
-        """Whether each point (P, 2) at radius ``rho`` may lie at or beyond the
-        interpolated bound r_b(theta) - margin / cos(psi); every other point lies
-        below it for certain.  The least sector bound, a global safe radius,
-        clears most points; the rest are compared with their sector's bound."""
-        bound = self._sector_rb - margin / self._sector_cospsi
-        near = rho >= bound.min()
-        far = np.flatnonzero(near)
-        theta = np.mod(np.arctan2(pts[far, 1], pts[far, 0]), TWO_PI)
-        sector = (theta * (_SECTORS / TWO_PI)).astype(np.intp) % _SECTORS
-        near[far] = rho[far] >= bound[sector]
-        return near
-
-    def inside(self, pts: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Points (P, 2) more than ``margin`` inside the domain; the bound is
-        looked up only for those at or beyond their sector's bound, and the
-        answer is the same as a lookup at every point."""
+    def inside(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        """Points (P, 2) more than ``margin`` inside the domain: below the
+        interpolated bound r_b(theta) - margin / cos(psi), and above
+        r_in + margin in an annulus."""
         rho = np.linalg.norm(pts, axis=-1)
-        far = np.flatnonzero(self._near_bound(pts, rho, margin))
-        ok = np.ones(len(pts), dtype=bool)
-        theta = np.arctan2(pts[far, 1], pts[far, 0])
-        ok[far] = rho[far] < self.boundary_radius(theta) - margin / self.cos_psi(theta)
+        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
+        ok = rho < (np.interp(theta, self._theta, self._rb)
+                    - margin / np.interp(theta, self._theta, self._cospsi))
         if self.annular:
             ok &= rho > self.r_in + margin
         return ok
 
     def triangles_inside(self, points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         """The triangles whose centroid lies inside the domain."""
-        return triangles[self.inside(np.take(points, triangles, axis=0).mean(axis=1))]
-
-    def clamp(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        """Points (P, 2) pulled radially to between r_in + margin and
-        margin / cos(psi) inside the outer boundary.  Only the points at or
-        beyond their sector's bound are looked up; the others keep the scale
-        1.0 exactly, so the result is that of a lookup at every point.  The
-        result keeps the memory layout of ``pts``."""
-        rho = np.linalg.norm(pts, axis=1)
-        near = self._near_bound(pts, rho, margin)
-        if self.annular:
-            near |= rho <= self.r_in + margin
-        rho, sub = rho[near], pts[near]
-        theta = np.arctan2(sub[:, 1], sub[:, 0])
-        hi = self.boundary_radius(theta) - margin / self.cos_psi(theta)
-        rho_new = np.minimum(rho, hi)
-        if self.annular:
-            rho_new = np.maximum(rho_new, self.r_in + margin)
-        scale = np.where(rho > 0, rho_new / np.maximum(rho, 1e-300), 1.0)
-        out = pts.copy(order="K")
-        out[near] = sub * scale[:, None]
-        return out
+        return triangles[self.inside(np.take(points, triangles, axis=0).mean(axis=1),
+                                     margin=0.0)]
 
 
 # --------------------------------------------------------------------------
@@ -506,9 +446,9 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     Each triangulation keeps the triangles whose centroid lies inside the
     domain; a domain of one loop whose node polygon is convex skips that
     filter, since its triangulations cover the polygon and nothing more.
-    The force loop and the flip repair work on coordinate rows, and the
-    radial clamp and inside tests look the boundary up only for points at or
-    beyond a per-sector bound; none of this changes a mesh.
+    The force loop and the flip repair work on coordinate rows, which
+    changes no mesh.  The relaxed interior vertices are checked once to lie
+    inside the domain.
     """
     diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
@@ -537,6 +477,10 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     if not len(interior):
         raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
     points, triangles = _relax(bnd_xy, interior, h, domain, filter_centroids)
+    outside = np.count_nonzero(~domain.inside(points[len(bnd_xy):], margin=0.0))
+    if outside:
+        raise MeshGenerationError(
+            f"vertex outside the domain after relaxation ({outside} of {len(interior)})")
     mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
@@ -613,7 +557,6 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
         step = _RELAX_DT * np.stack([np.bincount(idx, np.concatenate([fx, -fx]), n),
                                      np.bincount(idx, np.concatenate([fy, -fy]), n)])[:, n_bnd:]
         xy[:, n_bnd:] += step
-        xy[:, n_bnd:] = domain.clamp(xy[:, n_bnd:].T, margin=0.55 * h).T
         if np.abs(step).max() < 1e-3 * h:
             break
     return xy.T.copy(), retriangulate()

@@ -450,84 +450,53 @@ def test_boundary_edge_check_rejects_a_missing_edge(lab):
         geo._check_boundary_edges(holed)
 
 
-def _clamp_reference(domain, pts, margin):
-    """Radial clamp evaluated at every point, without the radius filter."""
-    rho = np.linalg.norm(pts, axis=-1)
-    theta = np.arctan2(pts[..., 1], pts[..., 0])
-    hi = domain.boundary_radius(theta) - margin / domain.cos_psi(theta)
-    rho_new = np.minimum(rho, hi)
-    if domain.annular:
-        rho_new = np.maximum(rho_new, domain.r_in + margin)
-    scale = np.where(rho > 0, rho_new / np.maximum(rho, 1e-300), 1.0)
-    return pts * scale[..., None]
+def _ellipse_radius(a, b):
+    return lambda theta: a * b / np.hypot(b * np.cos(theta), a * np.sin(theta))
 
 
-def _inside_reference(domain, pts, margin):
-    """Radial inside test evaluated at every point, without the radius filter."""
-    rho = np.linalg.norm(pts, axis=-1)
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
-    ok = rho < domain.boundary_radius(theta) - margin / domain.cos_psi(theta)
-    if domain.annular:
-        ok &= rho > domain.r_in + margin
-    return ok
+# the outer boundary radius along each ray, and the inner one
+CLOSED_FORM = {
+    "disk": (Disk(1.0), lambda theta: np.ones_like(theta), 0.0),
+    "ellipse": (Ellipse(2.0, 1.0), _ellipse_radius(2.0, 1.0), 0.0),
+    "annulus": (Annulus(0.5, 1.0), lambda theta: np.ones_like(theta), 0.5),
+}
 
 
-def _sector_edge_points(domain, margin):
-    """Points on every sector edge theta = 2 pi k / _SECTORS, one ulp inside
-    and one ulp outside the interpolated bound: a sector bound that exceeds
-    the interpolated one by a rounding lets an outside point through."""
+@pytest.mark.parametrize("domain", list(CLOSED_FORM))
+def test_inside_matches_closed_form_membership(domain):
+    """At margin 0 the interpolated radius table tells every point more than
+    1e-6 from the boundary along its ray as the closed form does."""
     import plap_lab.geometry as geo
 
-    theta = 2 * np.pi * np.arange(geo._SECTORS) / geo._SECTORS
-    hi = domain.boundary_radius(theta) - margin / domain.cos_psi(theta)
-    rho = np.concatenate([np.nextafter(hi, 0.0), np.nextafter(hi, np.inf)])
-    theta = np.concatenate([theta, theta])
-    return np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
-
-
-FILTER_MESHES = [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1), ("star", 0.1)]
-
-
-@pytest.mark.parametrize("domain, h", FILTER_MESHES)
-def test_filtered_clamp_matches_unfiltered(lab, domain, h):
-    import plap_lab.geometry as geo
-
-    mesh = lab.mesh(domain, h)
-    relaxed = mesh.points[len(mesh.boundary_vertices):]
-    pts = np.concatenate([relaxed, 1.04 * relaxed, 0.9 * relaxed, np.zeros((1, 2))])
-    rad = geo._RadialDomain(mesh.spec)
-    got = rad.clamp(pts, margin=0.55 * h)
-    assert got.tobytes() == _clamp_reference(rad, pts, 0.55 * h).tobytes()
-    assert not np.array_equal(got, pts)     # some points were pulled back
-    # the relaxation passes coordinate rows, transposed
-    rows = rad.clamp(pts.T.copy().T, margin=0.55 * h)
-    assert rows.flags.f_contiguous and rows.tobytes() == got.tobytes()
-
-    edge = _sector_edge_points(rad, 0.55 * h)
-    got = rad.clamp(edge, margin=0.55 * h)
-    assert got.tobytes() == _clamp_reference(rad, edge, 0.55 * h).tobytes()
-    assert 0 < (got != edge).any(axis=1).sum() < len(edge)
-
-
-@pytest.mark.parametrize("domain, h", FILTER_MESHES)
-@pytest.mark.parametrize("share", [0.0, 0.55, 0.7])
-def test_filtered_inside_matches_unfiltered(lab, domain, h, share):
-    import plap_lab.geometry as geo
-
-    mesh = lab.mesh(domain, h)
-    # the boundary vertices lie on the bound at margin 0, up to rounding
-    relaxed = mesh.points[len(mesh.boundary_vertices):]
-    centroids = mesh.points[mesh.triangles].mean(axis=1)
-    pts = np.concatenate([mesh.points, 1.04 * relaxed, 0.9 * relaxed, centroids])
-    rad = geo._RadialDomain(mesh.spec)
-    got = rad.inside(pts, margin=share * h)
-    assert np.array_equal(got, _inside_reference(rad, pts, share * h))
+    spec, r_out, r_in = CLOSED_FORM[domain]
+    rng = np.random.default_rng(11)
+    theta = rng.uniform(0.0, 2 * np.pi, 6000)
+    rb = r_out(theta)
+    # a third spread over the box, the rest within 1e-3 of either loop
+    near = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-6, -3, 4000)
+    loop = np.where(rng.random(4000) < 0.5, rb[2000:], r_in)
+    rho = np.concatenate([1.3 * rb[:2000] * rng.random(2000), loop + near])
+    keep = (np.abs(rho - rb) > 1e-6) & (np.abs(rho - r_in) > 1e-6) & (rho > 0)
+    rho, theta, rb = rho[keep], theta[keep], rb[keep]
+    pts = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
+    got = geo._RadialDomain(spec).inside(pts, margin=0.0)
+    assert np.array_equal(got, (rho < rb) & (rho > r_in))
     assert got.any() and not got.all()
 
-    edge = _sector_edge_points(rad, share * h)
-    got = rad.inside(edge, margin=share * h)
-    assert np.array_equal(got, _inside_reference(rad, edge, share * h))
-    assert got.any() and not got.all()
+
+@pytest.mark.parametrize("spec, stray", [(Disk(1.0), (1.5, 0.0)),
+                                         (Annulus(0.5, 1.0), (0.0, 0.0))],
+                         ids=["disk", "annulus"])
+def test_vertex_outside_after_relaxation_is_a_mesh_error(monkeypatch, spec, stray):
+    """A lattice point outside the domain (beyond the disk, in the annulus's
+    hole) meets no spring and stays there; the mesh build reports it."""
+    import plap_lab.geometry as geo
+
+    lattice = geo._hex_lattice
+    monkeypatch.setattr(geo, "_hex_lattice",
+                        lambda *args: np.concatenate([lattice(*args), [stray]]))
+    with pytest.raises(MeshGenerationError, match="vertex outside the domain after relaxation"):
+        build_mesh(spec, 0.1)
 
 
 def _locate_reference(mesh, pts, k=24):
