@@ -447,8 +447,9 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     domain; a domain of one loop whose node polygon is convex skips that
     filter, since its triangulations cover the polygon and nothing more.
     The force loop and the flip repair work on coordinate rows, which
-    changes no mesh.  The relaxed interior vertices are checked once to lie
-    inside the domain.
+    changes no mesh.  The lattice spans the largest radius of the outer loop,
+    and the relaxed interior vertices are checked once to lie inside the
+    domain.
     """
     diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
@@ -473,7 +474,7 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     # domain is one loop whose node polygon is convex, that hull is the
     # polygon, and the centroid filter has nothing to remove
     filter_centroids = len(curves) > 1 or not _convex_polygon(bnd_xy)
-    interior = _hex_lattice(spec, h, domain)
+    interior = _hex_lattice(h, domain)
     if not len(interior):
         raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
     points, triangles = _relax(bnd_xy, interior, h, domain, filter_centroids)
@@ -492,8 +493,10 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     return mesh
 
 
-def _hex_lattice(spec: DomainSpec, h: float, domain: _RadialDomain) -> np.ndarray:
-    lim = spec.diameter() / 2.0 + h
+def _hex_lattice(h: float, domain: _RadialDomain) -> np.ndarray:
+    """The points of a hexagonal lattice of spacing h more than 0.7 h inside
+    the domain; the lattice spans the largest radius of the outer loop."""
+    lim = domain._rb.max() + h
     dy = h * math.sqrt(3.0) / 2.0
     rows = int(math.ceil(lim / dy))
     cols = int(math.ceil(lim / h))

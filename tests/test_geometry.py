@@ -140,6 +140,16 @@ def test_polar_star_mesh():
     assert bg.weight.sum() == pytest.approx(L, rel=1e-6)
 
 
+@pytest.mark.parametrize("cos_coeffs", [(0.0, 0.0, 0.3), (0.3,)])
+@pytest.mark.parametrize("h", [0.04, 0.025])
+def test_star_tips_are_meshed_within_the_angle_bound(cos_coeffs, h):
+    """r = 1 + 0.3 cos 3t and r = 1 + 0.3 cos t reach r = 1.3 at a tip, beyond
+    half their diameter (1.0): a lattice spanning only that stretched the
+    triangles at the tips below 20 degrees."""
+    mesh = build_mesh(PolarStar(1.0, cos_coeffs=cos_coeffs), h)
+    assert mesh.min_angle_deg() >= 20.0
+
+
 def test_annulus_two_loops_and_inner_curvature_sign():
     spec = Annulus(0.5, 1.0)
     mesh = build_mesh(spec, 0.1)
@@ -228,7 +238,7 @@ def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
     import plap_lab.geometry as geo
 
     spec = Annulus(r_in, 1.0)
-    assert len(geo._hex_lattice(spec, h, geo._RadialDomain(spec))) == 0
+    assert len(geo._hex_lattice(h, geo._RadialDomain(spec))) == 0
     with pytest.raises(MeshGenerationError, match="no interior vertex"):
         build_mesh(spec, h)
     cfg = tmp_path / "config.json"
@@ -264,7 +274,7 @@ MESH_SET_DIGESTS = {
     ("disk", 0.025): "05c447d370773a54410bf97b41d5cf0a0d12ba093a2edebc598b44d15a9ff7a0",
     ("star", 0.1): "f0b59f21bb51d30df17fbe1de520978656b44a6f5cbc817af994094912685371",
     ("annulus", 0.05): "d32b3be5514f7bc30d2110273403ddbe6074134bd575964f78c3b72cb9b9f5d1",
-    ("three_lobes", 0.05): "92f365f0959c46b40e98486546437cd908cdb0fde2d7cd8993c96ab5061577aa",
+    ("three_lobes", 0.05): "9440157d32bbbd13871f0244fd43591e9e454d5c651e5119815f4505020dcbaf",
 }
 
 
@@ -376,7 +386,7 @@ def test_flips_repair_moved_points_to_their_delaunay_triangulation(seed, h):
     n_rim = int(round(2 * np.pi / h))
     t = 2 * np.pi * np.arange(n_rim) / n_rim
     rim = np.stack([np.cos(t), np.sin(t)], axis=1)
-    lattice = geo._hex_lattice(Disk(1.0), h, geo._RadialDomain(Disk(1.0)))
+    lattice = geo._hex_lattice(h, geo._RadialDomain(Disk(1.0)))
     lattice += rng.uniform(-0.3 * h, 0.3 * h, lattice.shape)
     lattice = lattice[np.linalg.norm(lattice, axis=1) < 1.0 - 0.5 * h]
     pts = np.concatenate([rim, lattice])
