@@ -27,7 +27,6 @@ _EXPORTS = {
     "solver": ("Solution", "solve"),
     "identities": ("BoundaryTrace", "IdentityReport", "boundary_trace", "build_report",
                    "equivalence_suite", "integral_identities", "lu_p", "subharmonicity_scan"),
-    "tolerances": ("Tolerances",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

@@ -4,9 +4,12 @@
 
 Commands: solve, verify, sweep, matcheck, radial.  One JSON config drives
 everything; reports are deterministic for a fixed config and seed (byte
-identical except the timestamp field).  Exit codes: 0 all checks passed,
-1 an identity check failed, 2 config error, 3 solver or mesh generation
-failure.
+identical except the timestamp field).  The tolerances of the identity
+checks are constants of `identities`, and the radial oracle's dimensions,
+grid and radius are constants of `cmd_radial`: a config sets neither, and a
+`tolerances` or `radial` object is an unknown key.  Exit codes: 0 all checks
+passed, 1 an identity check failed, 2 config error, 3 solver or mesh
+generation failure.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import datetime
 import json
 import operator
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,7 +31,6 @@ from .errors import ConfigError, MeshGenerationError, PlapLabError, SolverError
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
-from .tolerances import Tolerances
 
 if TYPE_CHECKING:
     from .pipeline import CaseResult
@@ -111,10 +112,12 @@ def _check(schema: dict, value, where: str) -> None:
 
 
 def validate_config(obj, command: str) -> dict:
-    """Check a raw config against the schema, then fill defaults into typed
-    objects.  Only what the schema cannot say is checked here; a domain or
-    metric that breaks its own invariant raises its constructor's
-    ValidationError, which `main` reports as a config error."""
+    """Check a raw config against the schema, then fill the domain, metric,
+    p, h, matcheck and seed defaults into typed objects.  Only what the
+    schema cannot say is checked here; a domain or metric that breaks its own
+    invariant raises its constructor's ValidationError, which `main` reports
+    as a config error.  The check tolerances and the radial oracle's settings
+    are constants, so the schema has no key for them."""
     _check(_CONFIG_SCHEMA, obj, "config")
     if obj.get("command", command) != command:
         raise ConfigError(f"config command {obj['command']!r} conflicts with CLI command {command!r}")
@@ -146,11 +149,7 @@ def validate_config(obj, command: str) -> dict:
             tags = [f"{v:g}" for v in cfg[key]]
             if len(set(tags)) < len(tags):
                 raise ConfigError(f"config.{key} values must give distinct file tags, got {tags}")
-    cfg["tolerances"] = Tolerances(**obj.get("tolerances", {}))
     cfg["matcheck"] = mc
-    rd = obj.get("radial", {})
-    cfg["radial"] = {"n_values": [2, 3], "grid": 10_000, **rd,
-                     "radius": float(rd.get("radius", 1.0))}
     cfg["seed"] = obj.get("seed", 0)
     return cfg
 
@@ -181,7 +180,6 @@ def _config_echo(cfg: dict) -> dict:
     for k in ("p", "h"):
         if k in cfg:
             echo[k] = cfg[k]
-    echo["tolerances"] = asdict(cfg["tolerances"])
     return echo
 
 
@@ -313,8 +311,7 @@ def _run_cases(cfg: dict) -> list[CaseResult]:
     for h in cfg["h"]:
         mesh = None
         for p in cfg["p"]:
-            case = run_case(cfg["domain"], cfg["metric"], p, h,
-                            tolerances=cfg["tolerances"], mesh=mesh)
+            case = run_case(cfg["domain"], cfg["metric"], p, h, mesh=mesh)
             mesh = case.mesh
             cases.append(case)
     return cases
@@ -398,26 +395,32 @@ def cmd_matcheck(cfg: dict, outdir: Path) -> int:
     return 0 if ok else 1
 
 
+# the radial oracle: dimensions, finite-difference grid and ball radius
+_RADIAL_N_VALUES = (2, 3, 4)
+_RADIAL_GRID = 10_000
+_RADIAL_RADIUS = 1.0
+
+
 def cmd_radial(cfg: dict, outdir: Path) -> int:
-    rd = cfg["radial"]
     ps = cfg.get("p", [1.5, 2.0, 3.0, 4.0])
+    radius = _RADIAL_RADIUS
     entries = []
     ok = True
-    for n in rd["n_values"]:
+    for n in _RADIAL_N_VALUES:
         for p in ps:
-            exact = radial_exact(n, p, rd["radius"])
-            fd = radial_fd_solve(n, p, rd["radius"], rd["grid"])
-            r = np.linspace(0.0, rd["radius"], 501)
+            exact = radial_exact(n, p, radius)
+            fd = radial_fd_solve(n, p, radius, _RADIAL_GRID)
+            r = np.linspace(0.0, radius, 501)
             dev = float(np.abs(exact.u(r) - fd.u(r)).max())
-            rs = np.linspace(rd["radius"] / 1000, rd["radius"], 1000)
+            rs = np.linspace(radius / 1000, radius, 1000)
             ode = float(np.abs(exact.ode_residual(rs)).max())
             good = dev <= 1e-5 and ode <= 1e-10
             ok &= good
             entries.append({
-                "n": n, "p": p, "radius": rd["radius"],
+                "n": n, "p": p, "radius": radius,
                 "u_center": float(exact.u(0.0)),
-                "du_boundary": float(exact.du(rd["radius"])),
-                "p_ball_constant": p_ball_constant(n, p, rd["radius"]),
+                "du_boundary": float(exact.du(radius)),
+                "p_ball_constant": p_ball_constant(n, p, radius),
                 "fd_max_deviation": dev,
                 "ode_residual_max": ode,
                 "pass": bool(good),
@@ -425,7 +428,8 @@ def cmd_radial(cfg: dict, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "radial.json", {
         **_envelope("radial"),
-        "config_echo": {"seed": cfg["seed"], "p": ps, **rd},
+        "config_echo": {"seed": cfg["seed"], "p": ps, "n_values": list(_RADIAL_N_VALUES),
+                        "grid": _RADIAL_GRID, "radius": radius},
         "profiles": entries,
         "pass": bool(ok),
     })

@@ -27,7 +27,14 @@ from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
 from .geometry import DIM, QUAD_BARY, Disk, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
-from .tolerances import Tolerances
+
+# the tolerances of the checks: relative residual of ``fundamental``, ``sbt``
+# and ``hk``, relative flux residual, largest nodewise ``eq_curvature``
+# residual, and the deviation that sets each equivalence flag
+IDENTITY_REL = 0.02
+FLUX_REL = 0.01
+EQ_CURVATURE_NODEWISE = 0.05
+FLAGS_TOL = 0.03
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +182,7 @@ def lu_p(bundle: DerivativeBundle, p: float) -> tuple[np.ndarray, float]:
 
 
 def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
-                        tol: Tolerances, lu_integral: float) -> dict:
+                        lu_integral: float) -> dict:
     """The ``fundamental``, ``sbt``, ``flux``, ``eq_curvature`` and ``hk``
     sections, from one set of boundary and interior sums.
 
@@ -209,7 +216,7 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
     so ``sbt`` and ``hk`` fail only through ``fundamental``'s volume route
     and ``flux``.
     """
-    p, n, rel_tol = trace.p, DIM, tol.identity_rel
+    p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
     volume, h0, weight, curv = measures.volume, measures.h0, trace.weight, trace.curvature
     pf = trace.p_flux()
@@ -229,8 +236,8 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
         {"lhs_volume": lhs_volume, "lhs_boundary": lhs_boundary, "rhs": rhs,
          "rel_residual_volume": rel_v, "rel_residual_boundary": rel_b,
          "divergence_check": rel_div},
-        abs(lhs_volume - rhs), max(rel_v, rel_b), rel_tol,
-        rel_v <= rel_tol and rel_b <= rel_tol and rel_div <= rel_tol)}
+        abs(lhs_volume - rhs), max(rel_v, rel_b), IDENTITY_REL,
+        rel_v <= IDENTITY_REL and rel_b <= IDENTITY_REL and rel_div <= IDENTITY_REL)}
 
     lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * weight)) / (n * n * h0)
     rhs_sbt = float(np.sum((h0 - curv) * gpow * weight))
@@ -238,17 +245,16 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
     sections["sbt"] = _check(
         {"lhs1": lhs_volume, "lhs2": lhs2, "rhs": rhs_sbt,
          "max_h_deviation": float(np.abs(curv - h0).max())},
-        abs(lhs_volume + lhs2 - rhs_sbt), rel, rel_tol, rel <= rel_tol)
+        abs(lhs_volume + lhs2 - rhs_sbt), rel, IDENTITY_REL, rel <= IDENTITY_REL)
 
     flux = float(np.sum(pf * weight))
     rel = abs(flux + volume) / volume
     sections["flux"] = _check({"boundary_integral": flux}, abs(flux + volume), rel,
-                              tol.flux_rel, rel <= tol.flux_rel)
+                              FLUX_REL, rel <= FLUX_REL)
 
     eq_max = _max_or_nan(np.abs(trace.eq_curvature_residual())[~trace.flagged])
     sections["eq_curvature"] = _check({"max_node_residual": eq_max}, eq_max, eq_max,
-                                      tol.eq_curvature_nodewise,
-                                      eq_max <= tol.eq_curvature_nodewise)
+                                      EQ_CURVATURE_NODEWISE, eq_max <= EQ_CURVATURE_NODEWISE)
 
     if not (curv > 0).all():
         sections["hk"] = PreconditionError("nonpositive mean curvature on part of the boundary")
@@ -257,10 +263,10 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
     t2 = float(np.sum(trace.overdetermined_residual()**2 / curv * weight))
     t3 = float(np.sum(weight / curv)) - n * volume
     rel = _rel(t1 + t2, t3, n * volume)
-    holds = bool(t3 >= -rel_tol * (n * volume))
+    holds = bool(t3 >= -IDENTITY_REL * (n * volume))
     sections["hk"] = _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds,
                              "max_node_residual": trace.max_overdetermined_residual()},
-                            abs(t1 + t2 - t3), rel, rel_tol, rel <= rel_tol and holds)
+                            abs(t1 + t2 - t3), rel, IDENTITY_REL, rel <= IDENTITY_REL and holds)
     return sections
 
 
@@ -345,7 +351,7 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float,
 # --------------------------------------------------------------------------
 
 
-def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle, tol: float) -> dict:
+def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle) -> dict:
     """Tolerance flags for the ball-characterization statements (flat metric).
 
     B: boundary p-flux equals -1/(nH) pointwise; D: H is the constant H0;
@@ -363,9 +369,9 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle, tol: float
     e_ref = (1.0 / (n * h0)) ** (1.0 / (p - 1.0))
     e_dev = _max_or_nan((np.abs(trace.gnorm - e_ref) / e_ref)[~trace.flagged])
     return {
-        "serrin_b": bool(b_dev <= tol),
-        "cmc_d": bool(d_dev <= tol),
-        "gradient_e": bool(e_dev <= tol),
+        "serrin_b": bool(b_dev <= FLAGS_TOL),
+        "cmc_d": bool(d_dev <= FLAGS_TOL),
+        "gradient_e": bool(e_dev <= FLAGS_TOL),
         "domain_is_disk": isinstance(bundle.mesh.spec, Disk),
         "e_reference_value": e_ref,
         "b_deviation": b_dev, "d_deviation": d_dev, "e_deviation": e_dev,
@@ -398,12 +404,10 @@ class IdentityReport:
         return dict(self.sections)
 
 
-def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
-                 tol: Tolerances | None = None) -> IdentityReport:
+def build_report(bundle: DerivativeBundle, trace: BoundaryTrace) -> IdentityReport:
     """Run every applicable identity check for one solved case from its
     recovered derivatives (which carry mesh and metric) and boundary trace
     (which carries p)."""
-    tol = tol if tol is not None else Tolerances()
     measures = domain_measures(bundle.mesh, bundle.metric)
     skipped = {}
     sections = {
@@ -414,14 +418,14 @@ def build_report(bundle: DerivativeBundle, trace: BoundaryTrace,
         "skipped": skipped,
     }
     lu = lu_p(bundle, trace.p)
-    checks = integral_identities(trace, bundle, tol, lu[1])
+    checks = integral_identities(trace, bundle, lu[1])
     histogram = None
     try:
         checks["subharmonicity"], histogram = subharmonicity_scan(bundle, trace.p, lu)
     except PreconditionError as exc:
         checks["subharmonicity"] = exc
     try:
-        checks["flags"] = equivalence_suite(trace, bundle, tol.flags_tol)
+        checks["flags"] = equivalence_suite(trace, bundle)
     except PreconditionError as exc:
         checks["flags"] = exc
     # a check outside its preconditions is the PreconditionError that skips it

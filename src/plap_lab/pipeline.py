@@ -29,7 +29,6 @@ from .geometry import DIM, DomainSpec, TriMesh, build_mesh
 from .identities import BoundaryTrace, IdentityReport, boundary_trace, build_report
 from .metric import ConformalMetric, check_nonnegative_ricci
 from .solver import Solution, solve
-from .tolerances import Tolerances
 
 
 @dataclass
@@ -53,7 +52,6 @@ class CaseResult:
 
 
 def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: float,
-             tolerances: Tolerances | None = None,
              mesh: TriMesh | None = None) -> CaseResult:
     """Solve one (domain, metric, p, h) case and evaluate every identity.
 
@@ -69,7 +67,7 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     sol = solve(mesh, metric, p)
     bundle = recover_derivatives(mesh, sol.u, metric)
     trace = boundary_trace(bundle, p)
-    report = build_report(bundle, trace, tol=tolerances)
+    report = build_report(bundle, trace)
     gnorm = np.linalg.norm(frame_gradient(metric, mesh.points, bundle.nodal_grad), axis=1)
     return CaseResult(solution=sol, trace=trace, report=report,
                       p_nodal=p_function(gnorm, sol.u, p, DIM))

@@ -7,7 +7,6 @@ import pytest
 
 from plap_lab import (Annulus, ConformalMetric, Disk, Ellipse, PolarStar,
                       boundary_geometry, build_mesh, solve)
-from plap_lab.tolerances import Tolerances
 from plap_lab.pipeline import CaseResult, run_case
 
 DOMAINS = {
@@ -47,14 +46,11 @@ class Lab:
             self._solutions[key] = solve(self.mesh(domain, h), METRICS[metric], p)
         return self._solutions[key]
 
-    def case(self, domain: str, p: float, h: float = 0.05, metric: str = "flat",
-             tolerances: Tolerances | None = None) -> CaseResult:
+    def case(self, domain: str, p: float, h: float = 0.05, metric: str = "flat") -> CaseResult:
         key = (domain, p, h, metric)
         if key not in self._cases:
-            self._cases[key] = run_case(
-                DOMAINS[domain], METRICS[metric], p, h,
-                tolerances=tolerances, mesh=self.mesh(domain, h),
-            )
+            self._cases[key] = run_case(DOMAINS[domain], METRICS[metric], p, h,
+                                        mesh=self.mesh(domain, h))
         return self._cases[key]
 
     def all_cases(self) -> list[CaseResult]:

@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from plap_lab import pipeline, solver
 from plap_lab.cli import _check, emit_plot_data, main, validate_config
 from plap_lab.errors import ConfigError, MeshGenerationError
 from plap_lab.geometry import Annulus, PolarStar
-from plap_lab.tolerances import Tolerances
+from plap_lab.identities import EQ_CURVATURE_NODEWISE, FLUX_REL, IDENTITY_REL
 
 SCHEMAS = Path(plap_lab.__file__).parent / "schemas"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -44,7 +43,7 @@ def test_validate_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         validate_config({**DISK_VERIFY, "bogus": 1}, "verify")
     with pytest.raises(ConfigError):
-        validate_config({**DISK_VERIFY, "tolerances": {"warp": 9}}, "verify")
+        validate_config({**DISK_VERIFY, "matcheck": {"warp": 9}}, "verify")
 
 
 def test_validate_rejects_command_mismatch():
@@ -94,8 +93,11 @@ MALFORMED = [
     ("solver.quadrature_order", 99), ("solver.eps0", "1"), ("solver.rho", "0.5"),
     ("solver.rho", 1.0), ("solver.max_newton_iter", 2.0), ("solver.max_newton_iter", 0),
     ("solver.warp", 9), ("solver.newton_tol", 1e-10), ("solver.quadrature_order", 2),
+    # so are the check tolerances and the radial oracle's settings
     ("tolerances.flux_rel", "1"), ("tolerances.identity_rel", True),
     ("tolerances.serrin_nodewise", 0), ("tolerances.flux_rel", math.inf),
+    ("tolerances.identity_rel", 1), ("radial.n_values", [1]), ("radial.radius", 0),
+    ("radial.grid", 100.5), ("radial.grid", 100), ("radial.n_values", []),
     ("domain.radius", "1"), ("domain.radius", 0),
     ("domain.variant", "square"), ("domain.a", 2.0),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
@@ -109,16 +111,15 @@ MALFORMED = [
     ("matcheck.samples", 0), ("matcheck.samples", "5"), ("matcheck.n_values", [7]),
     ("matcheck.p_range", [1.5]), ("matcheck.p_range", [1.0, 2.0]),
     ("matcheck.p_range", [1.1, math.inf]),
-    ("radial.n_values", [1]), ("radial.radius", 0), ("radial.grid", 100.5),
     # an empty list would crash the sweep or make a check that cannot fail
-    ("matcheck.n_values", []), ("radial.n_values", []),
+    ("matcheck.n_values", []),
 ]
 # configs the schema accepts although they differ from the shipped ones
 WELL_FORMED = [
-    ("seed", 0), ("tolerances.identity_rel", 1), ("p", [1.5, 4]),
+    ("seed", 0), ("p", [1.5, 4]),
     ("domain", {"variant": "polar_star", "r0": 1, "cos_coeffs": [0.1], "sin_coeffs": []}),
     ("domain", {"variant": "annulus"}), ("metric", {"kind": "bump", "params": [0.1, 0, 0, 1]}),
-    ("matcheck.p_range", [2.0, 1.5]), ("radial.grid", 100), ("output_dir", ""),
+    ("matcheck.p_range", [2.0, 1.5]), ("output_dir", ""),
 ]
 
 
@@ -183,13 +184,6 @@ def test_one_of_rejects_a_value_of_two_forms():
     assert [jsonschema.Draft7Validator(schema).is_valid(v) for v in values] == accepted
 
 
-def test_schema_keys_match_the_dataclasses():
-    # a key the schema accepts but the dataclass lacks would crash
-    # Tolerances(**...) with an uncaught TypeError
-    schema = json.loads((SCHEMAS / "config.schema.json").read_text())["properties"]
-    assert set(schema["tolerances"]["properties"]) == {f.name for f in fields(Tolerances)}
-
-
 @pytest.mark.parametrize("path, value", MALFORMED, ids=[f"{p}={v!r}" for p, v in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, path, value):
     command, cfg = _with(path, value)
@@ -201,7 +195,7 @@ def test_malformed_config_exits_2(tmp_path, path, value):
 
 
 @pytest.mark.parametrize("path, value, named", [
-    ("tolerances.flux_rel", "1", "config.tolerances.flux_rel"),
+    ("matcheck.p_range", [1.1, "40"], "config.matcheck.p_range[1]"),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}, "config.domain.cos_coeffs[0]"),
     ("metric", {"kind": "constant", "params": "x"}, "config.metric.params"),
 ])
@@ -247,8 +241,9 @@ def test_spec_invariant_config_exits_2(tmp_path, key, value, message):
 def test_nan_fails_every_bound():
     # Python's json reads NaN, Infinity and -Infinity; no config number may be one
     for bad in (math.nan, math.inf, -math.inf):
-        for path in ("p", "h", "domain.radius", "tolerances.flux_rel", "radial.radius"):
-            command, cfg = _with(path, [bad] if path in ("p", "h") else bad)
+        for path, value in (("p", [bad]), ("h", [bad]), ("domain.radius", bad),
+                            ("matcheck.p_range", [1.1, bad])):
+            command, cfg = _with(path, value)
             with pytest.raises(ConfigError, match=f"config.{path}"):
                 validate_config(cfg, command)
 
@@ -296,6 +291,12 @@ SHIPPED = [
 def test_every_shipped_config_exits_0(tmp_path, path):
     command = json.loads(path.read_text())["command"]
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    # the tolerances are constants: no config loosens a check
+    tolerances = {"fundamental": IDENTITY_REL, "sbt": IDENTITY_REL, "hk": IDENTITY_REL,
+                  "flux": FLUX_REL, "eq_curvature": EQ_CURVATURE_NODEWISE}
+    for report in tmp_path.glob("report_*.json"):
+        rep = json.loads(report.read_text())
+        assert {name: rep[name]["tolerance"] for name in tolerances} == tolerances
 
 
 # ----------------------------------------------------------------- verify
@@ -465,12 +466,12 @@ def test_radial_cli(tmp_path):
     cfg = _write(tmp_path, {
         "command": "radial",
         "p": [1.5, 2.0, 3.0],
-        "radial": {"n_values": [2, 3], "grid": 5000},
     })
     out = tmp_path / "out"
     assert main(["radial", "--config", str(cfg), "--out", str(out)]) == 0
     rep = json.loads((out / "radial.json").read_text())
-    assert len(rep["profiles"]) == 6
+    # n in (2, 3, 4) for each p
+    assert len(rep["profiles"]) == 9
     assert all(e["pass"] for e in rep["profiles"])
 
 
@@ -631,7 +632,7 @@ def test_deficit_vs_h_order_by_hand(tmp_path):
 
 def test_error_json_goes_to_config_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = _write(tmp_path, {**DISK_VERIFY, "tolerances": {"flux_rel": -1.0},
+    cfg = _write(tmp_path, {**DISK_VERIFY, "seed": -1,
                             "output_dir": str(tmp_path / "cfg_out")})
     assert main(["verify", "--config", str(cfg)]) == 2
     err = json.loads((tmp_path / "cfg_out" / "error.json").read_text())

@@ -10,10 +10,8 @@ from plap_lab.fields import recover_derivatives
 from plap_lab.errors import MeshGenerationError
 from plap_lab.geometry import Annulus, TriMesh
 from plap_lab.identities import BoundaryTrace, scan_tolerance
-from plap_lab.tolerances import Tolerances
 
 FLAT = ConformalMetric.flat()
-TOL = Tolerances()
 
 DISK_SCALE = np.pi / 2          # |Omega|/n for the unit disk
 ELL_T3 = 3.375 * np.pi          # int 1/H ds - n |Omega| for the 2:1 ellipse
@@ -79,8 +77,7 @@ def test_flux_balance_disk(lab, p):
 def test_flux_balance_flags_non_solution(lab):
     mesh = lab.mesh("disk", 0.1)
     bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
-    entry = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL,
-                                lu_p(bundle, 2.0)[1])["flux"]
+    entry = integral_identities(boundary_trace(bundle, 2.0), bundle, lu_p(bundle, 2.0)[1])["flux"]
     assert entry["rel_residual"] == pytest.approx(1.0, abs=1e-9)
     assert not entry["pass"]
 
@@ -147,8 +144,7 @@ def test_hk_rejects_nonpositive_curvature():
 
     sol = solve(mesh, FLAT, 2.0)
     bundle = recover_derivatives(mesh, sol.u, FLAT)
-    skip = integral_identities(boundary_trace(bundle, 2.0), bundle, TOL,
-                               lu_p(bundle, 2.0)[1])["hk"]
+    skip = integral_identities(boundary_trace(bundle, 2.0), bundle, lu_p(bundle, 2.0)[1])["hk"]
     assert isinstance(skip, PreconditionError)
     assert str(skip) == "nonpositive mean curvature on part of the boundary"
 
@@ -200,7 +196,7 @@ def test_serrin_definitional_zero(lab):
                        u_nunu=np.zeros_like(u_nu), gnorm=np.abs(u_nu),
                        flagged=np.zeros(len(u_nu), dtype=bool))
     bundle = recover_derivatives(lab.mesh("ellipse", 0.05), lab.solution("ellipse", p).u, FLAT)
-    hk = integral_identities(tr, bundle, TOL, lu_p(bundle, p)[1])["hk"]
+    hk = integral_identities(tr, bundle, lu_p(bundle, p)[1])["hk"]
     assert hk["t2"] <= 1e-12
     assert hk["max_node_residual"] <= 1e-12
 
@@ -311,7 +307,7 @@ def test_equivalence_requires_flat(lab):
     case = lab.case("disk", 2.0, metric="cap")
     with pytest.raises(PreconditionError, match="equivalence statements are Euclidean"):
         equivalence_suite(case.trace, recover_derivatives(case.mesh, case.solution.u,
-                                                          case.solution.metric), TOL.flags_tol)
+                                                          case.solution.metric))
 
 
 # ----------------------------------------------------------------- report

@@ -43,8 +43,7 @@ def test_one_d_commands_load_no_scipy_and_no_2d_layer(tmp_path):
     matcheck = tmp_path / "matcheck.json"
     matcheck.write_text(json.dumps({"command": "matcheck", "matcheck": {"samples": 3000}}))
     radial = tmp_path / "radial.json"
-    radial.write_text(json.dumps({"command": "radial", "p": [2.0, 3.0],
-                                  "radial": {"n_values": [2], "grid": 400}}))
+    radial.write_text(json.dumps({"command": "radial", "p": [2.0, 3.0]}))
     out = _fresh(f"""
         from plap_lab.cli import main
         codes = [main(["matcheck", "--config", {str(matcheck)!r}, "--out", {str(tmp_path / "m")!r}]),
@@ -91,9 +90,8 @@ EXPORTS = {
     "oracles": ["RadialProfile", "ellipse_boundary_integrals", "matrix_inequality_gap",
                 "matrix_inequality_sweep", "p_ball_constant", "radial_exact", "radial_fd_solve"],
     "solver": ["Solution", "solve"],
-    "identities": ["BoundaryTrace", "IdentityReport", "Tolerances", "boundary_trace",
-                   "build_report", "equivalence_suite", "integral_identities", "lu_p",
-                   "subharmonicity_scan"],
+    "identities": ["BoundaryTrace", "IdentityReport", "boundary_trace", "build_report",
+                   "equivalence_suite", "integral_identities", "lu_p", "subharmonicity_scan"],
 }
 
 
@@ -113,8 +111,7 @@ def test_submodules_import_from_the_package_and_the_cli_runs_as_a_module(tmp_pat
     assert fields.recover_derivatives is plap_lab.recover_derivatives
     assert solver.solve is plap_lab.solve
     config = tmp_path / "radial.json"
-    config.write_text(json.dumps({"command": "radial", "p": [2.0],
-                                  "radial": {"n_values": [2], "grid": 400}}))
+    config.write_text(json.dumps({"command": "radial", "p": [2.0]}))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-m", "plap_lab.cli", "radial", "--config", str(config),
                            "--out", str(tmp_path / "out")],
