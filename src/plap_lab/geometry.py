@@ -457,15 +457,18 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
             f"target edge length must satisfy 0 < h < diameter/4 = {diam / 4.0:.6g}, got {h}"
         )
 
-    # one arc-length table per loop gives its length and its node parameters
+    # one arc-length table per loop gives its length, its equally spaced
+    # node arc lengths and their parameters
     curves = spec.curves()
     loops_params: list[np.ndarray] = []
+    loops_arcs: list[np.ndarray] = []
     lengths: list[float] = []
     for curve in curves:
         t, s = _arclength_table(curve)
         L = float(s[-1])
         n_nodes = max(8, int(round(L / h)))
-        loops_params.append(np.interp(L * np.arange(n_nodes) / n_nodes, s, t))
+        loops_arcs.append(L * np.arange(n_nodes) / n_nodes)
+        loops_params.append(np.interp(loops_arcs[-1], s, t))
         lengths.append(L)
 
     bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
@@ -482,7 +485,7 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     if outside:
         raise MeshGenerationError(
             f"vertex outside the domain after relaxation ({outside} of {len(interior)})")
-    mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, lengths)
+    mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, loops_arcs, lengths)
     _check_boundary_edges(mesh)
     min_angle = mesh.min_angle_deg()
     if min_angle < _MIN_ANGLE_DEG:
@@ -696,6 +699,7 @@ def _assemble_mesh(
     triangles: np.ndarray,
     curves: list[BoundaryCurve],
     loops_params: list[np.ndarray],
+    loops_arcs: list[np.ndarray],
     lengths: list[float],
 ) -> TriMesh:
     p = np.take(points, triangles, axis=0)
@@ -719,7 +723,7 @@ def _assemble_mesh(
         loops.append(np.arange(offset, offset + len(params)))
         offset += len(params)
 
-    boundary = _exact_boundary(curves, loops_params, lengths)
+    boundary = _exact_boundary(curves, loops_params, loops_arcs, lengths)
     return TriMesh(
         spec=spec,
         h=h,
@@ -769,22 +773,25 @@ class BoundaryGeometry:
 
 
 def _exact_boundary(curves: list[BoundaryCurve], loops_params: list[np.ndarray],
-                    lengths: list[float]) -> BoundaryGeometry:
-    pos, nor, cur, wgt, arc = [], [], [], [], []
-    for curve, params, L in zip(curves, loops_params, lengths):
-        n = len(params)
+                    loops_arcs: list[np.ndarray], lengths: list[float]) -> BoundaryGeometry:
+    """The curve's data at each loop's node parameters.  The arc weight of
+    node k is its trapezoid weight (s_{k+1} - s_{k-1}) / 2 over the node arc
+    lengths s of a loop of length L, which wrap as s_n = s_0 + L; equally
+    spaced nodes get L/n up to rounding."""
+    pos, nor, cur, wgt = [], [], [], []
+    for curve, params, s, L in zip(curves, loops_params, loops_arcs, lengths):
         pos.append(curve.point(params))
         nor.append(curve.normal(params))
         cur.append(curve.curvature(params))
-        # equal arc-length nodes: each dual cell has exact length L/n
-        wgt.append(np.full(n, L / n))
-        arc.append(L * np.arange(n) / n)
+        gap = np.roll(s, -1) - np.roll(s, 1)
+        gap[[0, -1]] += L
+        wgt.append(0.5 * gap)
     return BoundaryGeometry(
         position=np.concatenate(pos),
         normal=np.concatenate(nor),
         curvature=np.concatenate(cur),
         weight=np.concatenate(wgt),
-        arclength=np.concatenate(arc),
+        arclength=np.concatenate(loops_arcs),
     )
 
 
