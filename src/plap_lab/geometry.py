@@ -2,16 +2,25 @@
 
 Domains come from a small catalogue (disk, ellipse, polar star, annulus).
 The disk, and the outer loop of the annulus, are the polar star r(theta) = R
-with no coefficients.  Meshes are generated by a truss-relaxation variant of
-Delaunay meshing with boundary vertices pinned exactly on the parametric
-curve, so boundary data (normal, curvature, arc-length weights) can be
-evaluated from closed forms instead of the polygon.  As in DistMesh
-(Persson & Strang, SIAM Review 46, 2004), relaxation retriangulates lazily:
-only after some vertex has moved more than 0.1 h since the last
-triangulation.  Only its first triangulation comes from Qhull; each later one,
-and the final one of the relaxed points, repairs the triangulation it holds
-by Lawson's edge flips, which reach the same Delaunay triangulation.  A mesh
-costs one Qhull call.
+with no coefficients.  Every mesh pins its boundary vertices exactly on the
+parametric curve, so boundary data (normal, curvature, arc-length weights)
+can be evaluated from closed forms instead of the polygon; a node's arc
+weight is its trapezoid weight over the node arc lengths.
+
+Meshes come from one of two paths, chosen by the domain.  The disk and the
+ellipse map a hexagonal patch of the triangular lattice onto the domain by
+one discrete harmonic map (elliptic grid generation; Thompson, Warsi &
+Mastin, 1985), so every interior vertex has degree 6 and the recovered
+derivatives keep the superconvergence of mildly structured grids (Xu &
+Zhang, Math. Comp. 73, 2004); the patch's six corners sit on the boundary,
+where graded edges hold the angle bound.  The annulus and the other polar
+stars are meshed by a truss-relaxation variant of Delaunay meshing.  As in
+DistMesh (Persson & Strang, SIAM Review 46, 2004), relaxation retriangulates
+lazily: only after some vertex has moved more than 0.1 h since the last
+triangulation.  Only its first triangulation comes from Qhull; each later
+one, and the final one of the relaxed points, repairs the triangulation it
+holds by Lawson's edge flips, which reach the same Delaunay triangulation.
+A relaxed mesh costs one Qhull call, and a mapped one none.
 """
 
 from __future__ import annotations
@@ -435,21 +444,27 @@ _MIN_ANGLE_DEG = 20.0   # quality bound every mesh must meet
 def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     """Triangulate the domain with target edge length h.
 
-    Boundary vertices sit exactly on the parametric curve at equal arc-length
-    spacing and are pinned; interior vertices start on a hexagonal lattice and
-    relax under repulsive edge forces until the triangulation is near-uniform.
-    Relaxation keeps its edge list between steps and retriangulates only after
-    some vertex has moved more than 0.1 h since the last triangulation, by
-    edge flips on the Delaunay triangulation it holds; Qhull triangulates the
-    lattice once before relaxation, and the mesh takes its triangles from one
-    more flip repair of the relaxed points, so a mesh costs one Qhull call.
-    Each triangulation keeps the triangles whose centroid lies inside the
-    domain; a domain of one loop whose node polygon is convex skips that
-    filter, since its triangulations cover the polygon and nothing more.
-    The force loop and the flip repair work on coordinate rows, which
-    changes no mesh.  The lattice spans the largest radius of the outer loop,
-    and the relaxed interior vertices are checked once to lie inside the
-    domain.
+    Boundary vertices sit exactly on the parametric curve and are pinned.
+    Two paths place the rest, chosen by the domain:
+
+    * The disk, the ellipse and the polar star with no coefficients map a
+      hexagonal patch of the triangular lattice onto the domain
+      (`_lattice_patch`).  The patch's boundary vertices go onto the curve
+      in order, at arc lengths graded to shorten the edges at its six
+      corners, and the interior vertices solve one discrete harmonic map
+      with uniform weights (`_harmonic_map`), which cannot fold on a convex
+      domain (Floater, Math. Comp. 72, 2003).  Every interior vertex keeps
+      the lattice's degree 6.  The corners pinch the triangles next to them
+      as h falls and as the ellipse lengthens (17.5 degrees on the 2:1
+      ellipse at h = 0.0125, 19.6 on the 3:1 one at h = 0.025); a mapped
+      mesh below the angle bound relaxes instead.
+    * The annulus and the other polar stars relax: boundary vertices sit at
+      equal arc-length spacing, and interior vertices start on a hexagonal
+      lattice and relax under repulsive edge forces until the triangulation
+      is near-uniform (`_relaxed_mesh`).
+
+    Either mesh must match its parametric boundary loops edge for edge and
+    meet the minimum-angle bound ``_MIN_ANGLE_DEG``.
     """
     diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
@@ -457,26 +472,158 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
             f"target edge length must satisfy 0 < h < diameter/4 = {diam / 4.0:.6g}, got {h}"
         )
 
-    # one arc-length table per loop gives its length, its equally spaced
-    # node arc lengths and their parameters
+    # one arc-length table per loop gives its length and, from the node arc
+    # lengths, the node parameters
     curves = spec.curves()
-    loops_params: list[np.ndarray] = []
-    loops_arcs: list[np.ndarray] = []
-    lengths: list[float] = []
-    for curve in curves:
-        t, s = _arclength_table(curve)
-        L = float(s[-1])
-        n_nodes = max(8, int(round(L / h)))
-        loops_arcs.append(L * np.arange(n_nodes) / n_nodes)
-        loops_params.append(np.interp(loops_arcs[-1], s, t))
-        lengths.append(L)
+    tables = [_arclength_table(curve) for curve in curves]
+    lengths = [float(s[-1]) for _, s in tables]
 
-    bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
+    def mesh_from(loops_arcs: list[np.ndarray], place) -> TriMesh:
+        """The mesh whose boundary nodes sit at ``loops_arcs`` and whose
+        points and triangles ``place`` makes from the boundary points."""
+        loops_params = [np.interp(arcs, s, t) for (t, s), arcs in zip(tables, loops_arcs)]
+        bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
+        points, triangles = place(bnd_xy)
+        mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, loops_arcs,
+                              lengths)
+        _check_boundary_edges(mesh)
+        return mesh
+
+    aspect = _lattice_aspect(spec)
+    if aspect is not None:
+        triangles, n_vertices, fractions = _lattice_patch(aspect, lengths[0] / h)
+        mesh = mesh_from([lengths[0] * fractions],
+                         lambda bnd: (_harmonic_map(triangles, bnd, n_vertices), triangles))
+        if mesh.min_angle_deg() >= _MIN_ANGLE_DEG:
+            return mesh
+        # the corners pinched the mapped mesh below the bound: relax instead
+    nodes = [max(8, int(round(L / h))) for L in lengths]
+    mesh = mesh_from([L * np.arange(n) / n for L, n in zip(lengths, nodes)],
+                     lambda bnd: _relaxed_mesh(spec, h, bnd, len(curves)))
+    min_angle = mesh.min_angle_deg()
+    if min_angle < _MIN_ANGLE_DEG:
+        raise MeshGenerationError(
+            f"mesh quality below bound: min angle {min_angle:.2f} deg < {_MIN_ANGLE_DEG} deg",
+            achieved_min_angle_deg=min_angle,
+        )
+    return mesh
+
+
+# --------------------------------------------------------------------------
+# Mapped hexagonal lattice (disk and ellipse)
+# --------------------------------------------------------------------------
+
+# boundary edge k of a mapped lattice has the relative length
+# 1 - _CORNER_SHRINK * exp(-(d_k / _CORNER_REACH)^2), its midpoint d_k edges
+# from the nearest patch corner: the map opens each corner's 120 degrees to
+# 180, and stretches the edges there unless they start shorter
+_CORNER_SHRINK = 0.6
+_CORNER_REACH = 3.0
+
+
+def _lattice_aspect(spec: DomainSpec) -> float | None:
+    """The a/b of the lattice patch mapped onto the domain: a/b for the
+    ellipse, 1 for the disk and the polar star with no coefficients (a
+    circle), and None for the domains that relax."""
+    if isinstance(spec, Ellipse):
+        return spec.a / spec.b
+    if isinstance(spec, Disk) or (isinstance(spec, PolarStar)
+                                  and not any(spec.cos_coeffs + spec.sin_coeffs)):
+        return 1.0
+    return None
+
+
+def _lattice_patch(aspect: float, n_rim: float) -> tuple[np.ndarray, int, np.ndarray]:
+    """The hexagonal patch of the triangular lattice q e1 + r e2, with
+    e1 = (1, 0) and e2 = (1/2, sqrt 3/2): the points with |q| <= A, |r| <= B
+    and |q + r| <= A, where A = round(B aspect) and B makes the boundary
+    count 4A + 2B nearest ``n_rim``.
+
+    The vertices are numbered boundary first, counter-clockwise from the
+    corner (A, 0), then the interior row by row.  Returns the triangles of
+    both lattice families, counter-clockwise, from the index grid; the
+    vertex count; and the boundary vertices' arc lengths as fractions of the
+    loop, from the corner-graded edge lengths.
+    """
+    bs = np.arange(1, int(n_rim) + 2)
+    big = np.rint(bs * aspect).astype(int)
+    k = int(np.argmin(np.abs(4 * big + 2 * bs - n_rim)))
+    A, B = int(big[k]), int(bs[k])
+    q, r = np.meshgrid(np.arange(-A, A + 1), np.arange(-B, B + 1), indexing="ij")
+    q, r = q.ravel(), r.ravel()
+    active = (np.abs(q) == A).astype(int) + (np.abs(r) == B) + (np.abs(q + r) == A)
+    member = np.abs(q + r) <= A
+    rim = np.flatnonzero(member & (active > 0))
+    rim = rim[np.argsort(np.mod(np.arctan2(math.sqrt(3.0) * r[rim], 2 * q[rim] + r[rim]),
+                                TWO_PI))]
+    order = np.concatenate([rim, np.flatnonzero(member & (active == 0))])
+    index = np.full(len(q), -1)
+    index[order] = np.arange(len(order))
+    index = index.reshape(2 * A + 1, 2 * B + 1)
+    # up triangles (q, r), (q+1, r), (q, r+1); down (q+1, r), (q+1, r+1), (q, r+1)
+    v00, v10, v01, v11 = index[:-1, :-1], index[1:, :-1], index[:-1, 1:], index[1:, 1:]
+    triangles = np.concatenate([np.stack([v00, v10, v01], axis=-1).reshape(-1, 3),
+                                np.stack([v10, v11, v01], axis=-1).reshape(-1, 3)])
+    triangles = triangles[(triangles >= 0).all(axis=1)]
+
+    # the six corners are the boundary vertices on two sides of the patch
+    n = len(rim)
+    corners = np.flatnonzero(active[rim] >= 2)
+    gap = np.abs(np.arange(n)[:, None] + 0.5 - corners)
+    d = np.minimum(gap, n - gap).min(axis=1)    # from edge k's midpoint, in edges
+    edge = 1.0 - _CORNER_SHRINK * np.exp(-(d / _CORNER_REACH) ** 2)
+    fractions = np.concatenate([[0.0], np.cumsum(edge[:-1])]) / edge.sum()
+    return triangles, len(order), fractions
+
+
+def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
+    """The n points of the mesh whose first ``len(rim)`` vertices are pinned
+    at ``rim`` and whose others are the mean of their neighbours: one sparse
+    solve of the uniform graph Laplacian, with the boundary as Dirichlet
+    data.  The Laplacian is symmetric positive definite, so SuperLU factors
+    it in symmetric mode on a minimum-degree order.  scipy.sparse.linalg is
+    imported here, so only a mesh build loads it."""
+    from scipy.sparse.linalg import splu
+    keys = _edge_keys(triangles, n)
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    v, w = keys // n, keys % n
+    adj = sp.csr_matrix((np.ones(2 * len(keys)), (np.concatenate([v, w]), np.concatenate([w, v]))),
+                        shape=(n, n))
+    nb = len(rim)
+    inner = adj[nb:]
+    lap = sp.diags(np.asarray(inner.sum(axis=1)).ravel()) - inner[:, nb:]
+    lu = splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    return np.concatenate([rim, lu.solve(inner[:, :nb] @ rim)])
+
+
+# --------------------------------------------------------------------------
+# Relaxation (annulus, polar stars, and mapped meshes below the angle bound)
+# --------------------------------------------------------------------------
+
+
+def _relaxed_mesh(spec: DomainSpec, h: float, bnd_xy: np.ndarray,
+                  n_loops: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points (``bnd_xy`` pinned, then the interior) and triangles of a
+    relaxed mesh.
+
+    Relaxation keeps its edge list between steps and retriangulates only
+    after some vertex has moved more than 0.1 h since the last
+    triangulation, by edge flips on the Delaunay triangulation it holds;
+    Qhull triangulates the lattice once before relaxation, and the mesh
+    takes its triangles from one more flip repair of the relaxed points, so
+    a mesh costs one Qhull call.  Each triangulation keeps the triangles
+    whose centroid lies inside the domain; a domain of one loop whose node
+    polygon is convex skips that filter, since its triangulations cover the
+    polygon and nothing more.  The force loop and the flip repair work on
+    coordinate rows, which changes no mesh.  The lattice spans the largest
+    radius of the outer loop, and the relaxed interior vertices are checked
+    once to lie inside the domain.
+    """
     domain = _RadialDomain(spec)
     # a Delaunay triangulation covers the convex hull of its points: when the
     # domain is one loop whose node polygon is convex, that hull is the
     # polygon, and the centroid filter has nothing to remove
-    filter_centroids = len(curves) > 1 or not _convex_polygon(bnd_xy)
+    filter_centroids = n_loops > 1 or not _convex_polygon(bnd_xy)
     interior = _hex_lattice(h, domain)
     if not len(interior):
         raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
@@ -485,15 +632,7 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     if outside:
         raise MeshGenerationError(
             f"vertex outside the domain after relaxation ({outside} of {len(interior)})")
-    mesh = _assemble_mesh(spec, h, points, triangles, curves, loops_params, loops_arcs, lengths)
-    _check_boundary_edges(mesh)
-    min_angle = mesh.min_angle_deg()
-    if min_angle < _MIN_ANGLE_DEG:
-        raise MeshGenerationError(
-            f"mesh quality below bound: min angle {min_angle:.2f} deg < {_MIN_ANGLE_DEG} deg",
-            achieved_min_angle_deg=min_angle,
-        )
-    return mesh
+    return points, triangles
 
 
 def _hex_lattice(h: float, domain: _RadialDomain) -> np.ndarray:

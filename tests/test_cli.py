@@ -609,8 +609,8 @@ def test_deficit_vs_h_orders_on_the_disk(tmp_path):
     for p in (1.5, 2.0, 3.0):
         assert all(v == "" for k, v in by[p, 0.2].items() if k.startswith("order_"))
     # another error norm or quadrature would move these by far more than 1e-6
-    assert float(by[1.5, 0.2]["u_err_max"]) == pytest.approx(0.0011176551824905803, rel=1e-6)
-    assert float(by[2.0, 0.05]["order_u_err_l2"]) == pytest.approx(2.1484479418931866,
+    assert float(by[1.5, 0.2]["u_err_max"]) == pytest.approx(0.0008008084289519296, rel=1e-6)
+    assert float(by[2.0, 0.05]["order_u_err_l2"]) == pytest.approx(4.055692405191488,
                                                                    rel=1e-6)
 
 

@@ -15,6 +15,8 @@ from plap_lab.cli import main
 from plap_lab.geometry import QUAD_BARY, curve_length, spec_from_json, spec_to_json
 from plap_lab.metric import ConformalMetric
 
+from conftest import DOMAINS
+
 # perimeter of the 2:1 ellipse by adaptive quadrature of sqrt(4 sin^2 + cos^2)
 ELLIPSE_PERIMETER = 9.688448220547677
 FLAT = ConformalMetric.flat()
@@ -178,6 +180,37 @@ def test_validation_errors():
         build_mesh(Disk(1.0), 0.6)            # h must stay below diameter/4
 
 
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("disk", 0.025), ("disk", 0.0125),
+                                      ("ellipse", 0.05), ("ellipse", 0.035)])
+def test_mapped_mesh_has_degree_6_inside_and_meets_the_angle_bound(lab, domain, h):
+    """Every interior vertex of a disk or ellipse mesh keeps the lattice's
+    six neighbours, and the corner grading holds the angle bound down to disk
+    h = 0.0125 (23.0 degrees there)."""
+    import plap_lab.geometry as geo
+
+    mesh = lab.mesh(domain, h)
+    edges = np.unique(np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2),
+                              axis=1), axis=0)
+    degree = np.bincount(edges.ravel(), minlength=mesh.n_vertices)
+    assert (np.delete(degree, mesh.boundary_vertices) == 6).all()
+    assert mesh.min_angle_deg() >= geo._MIN_ANGLE_DEG
+
+
+@pytest.mark.parametrize("spec, h", [(Ellipse(3.0, 1.0), 0.025), (Ellipse(5.0, 1.0), 0.05)],
+                         ids=["3to1", "5to1"])
+def test_mapped_mesh_below_the_angle_bound_relaxes_instead(monkeypatch, spec, h):
+    """The patch corners pinch the mapped 3:1 ellipse at h = 0.025 (19.6
+    degrees) and the 5:1 one at h = 0.05 (19.9 degrees): both relax, with one
+    Qhull call, and meet the bound."""
+    import plap_lab.geometry as geo
+
+    calls = []
+    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+    mesh = build_mesh(spec, h)
+    assert len(calls) == 1
+    assert mesh.min_angle_deg() >= geo._MIN_ANGLE_DEG
+
+
 def test_quality_error_reports_min_angle(monkeypatch):
     import plap_lab.geometry as geo
 
@@ -222,7 +255,7 @@ def test_relaxation_retriangulates_lazily(monkeypatch):
         return Delaunay(points)
 
     monkeypatch.setattr(geo, "Delaunay", counting_delaunay)
-    build_mesh(Ellipse(2.0, 1.0), 0.05)
+    build_mesh(DOMAINS["three_lobes"], 0.05)
     # relaxing on every one of the 120 iterations made 121 calls, and running
     # Qhull at each of the lazy retriangulations made 10; edge flips repair
     # the held triangulation, and once more for the relaxed points, so Qhull
@@ -251,27 +284,30 @@ def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
 
 
 # sha256 of points.tobytes() + triangles.tobytes(): the triangles in the
-# order of the relaxation's flip-repaired triangulation
+# order of the mapped lattice's index grid (disk, ellipse) or of the
+# relaxation's flip-repaired triangulation (annulus, star)
 MESH_DIGESTS = {
-    ("disk", 0.1): "bf9bd3831ef5439aae4a0ee976f707ab06ea7bc9fe0ce32f1abba642ced2d921",
-    ("ellipse", 0.05): "19113fa266df30c3580aeb04c592adc70cf92ab578ed0b3962419cb900abd8b2",
+    ("disk", 0.1): "6e586cf5abaabb995deb4c30ce39c468ab904206348bcc92b0fc575f2e20204d",
+    ("ellipse", 0.05): "ce7b1bdd63dd8ba81d34fda08d690dbe175efcb80be84b0b6745c6be2e3270f1",
     ("annulus", 0.1): "dd32d82d04cb7e49ec38a700083b2f886c2f4083278b6bb8578e175167935495",
     # the benchmark meshes (ellipse_verify, disk_p_ladder) and a polar star
-    ("ellipse", 0.035): "745f38e484c2314283564faf36db41fff8849e60ebf648830a701d6afe9e2a59",
-    ("disk", 0.025): "c7961971dff87510e18221e7e900d2597bc63c1e7d04703764dc26578e398d4a",
+    ("ellipse", 0.035): "bbd1e6a7fa00fe1e0712ec746e94d23c9d85381919858ca1a6f31de52804c0ed",
+    ("disk", 0.025): "cbf9f850c1ab93e426f1525d27a29ca01ae0c6f480f04cd4b239a806a932cc4f",
     ("star", 0.1): "e5dbc1f771ddfdd5916fe4a3b120c955ac7e13c6f185bc88b728d8113d2c7634",
 }
 
 # sha256 of points.tobytes() + the triangles as a set: each row rotated to
-# start at its least vertex, the rows sorted; recorded from the meshes that
-# took their final triangulation from a second Qhull call, so the flip repair
-# that replaced it gives the same points and the same triangles
+# start at its least vertex, the rows sorted.  The relaxed meshes' entries
+# were recorded from meshes that took their final triangulation from a
+# second Qhull call, so the flip repair that replaced it gives the same
+# points and the same triangles; the mapped disk and ellipse meshes are the
+# Delaunay triangulations of their points too
 MESH_SET_DIGESTS = {
-    ("disk", 0.1): "0a8848e16b3fdf3f9dbd21a2b70a37bbd4e5acb3d33fd0d578773053f4301cff",
-    ("ellipse", 0.05): "7137a25a6fbb182620a796a50aa5c8d0cc8125a58c6c8f02de509a6bd9a77517",
+    ("disk", 0.1): "293b2c24cace464d87d4e37f7340327221638da7d82a81d9b30ee10abd5e92fb",
+    ("ellipse", 0.05): "c8de02b40b6fee0dc888a525c7ab66ab586194f91672cbd320ad356a10602386",
     ("annulus", 0.1): "d6550f72b18b40beb598147b44010a2eba6d2c1367452200573bcaa5e38e18b8",
-    ("ellipse", 0.035): "a82191a24fcfc9fbeef04aa5cbb1e7712d31090e45cbf704f203ffeac2cb21e8",
-    ("disk", 0.025): "05c447d370773a54410bf97b41d5cf0a0d12ba093a2edebc598b44d15a9ff7a0",
+    ("ellipse", 0.035): "cba38cc4a4a6c39a2e76a416594cca90146ecad1849dc6e67125176c854f5543",
+    ("disk", 0.025): "2a331047166aa60b2402c15cfa5fce061f9f1f63a7e80d8b7f65805c3fc9bf09",
     ("star", 0.1): "f0b59f21bb51d30df17fbe1de520978656b44a6f5cbc817af994094912685371",
     ("annulus", 0.05): "d32b3be5514f7bc30d2110273403ddbe6074134bd575964f78c3b72cb9b9f5d1",
     ("three_lobes", 0.05): "9440157d32bbbd13871f0244fd43591e9e454d5c651e5119815f4505020dcbaf",
@@ -279,11 +315,11 @@ MESH_SET_DIGESTS = {
 
 
 @pytest.mark.parametrize("domain, h, n_vertices, n_triangles, min_angle", [
-    ("disk", 0.1, 376, 687, 36.94390104515527),
-    ("ellipse", 0.05, 2947, 5698, 36.45920843429029),
+    ("disk", 0.1, 331, 600, 38.47679459055089),
+    ("ellipse", 0.05, 2623, 5054, 28.07400468480788),
     ("annulus", 0.1, 286, 478, 36.441127809722204),
-    ("ellipse", 0.035, 5978, 11677, 36.35417650192944),
-    ("disk", 0.025, 5862, 11471, 37.58779349683702),
+    ("ellipse", 0.035, 5629, 10976, 25.18390416735987),
+    ("disk", 0.025, 5419, 10584, 28.971309209407607),
     ("star", 0.1, 379, 693, 34.05508061460358),
 ])
 def test_mesh_matches_recorded_values(lab, domain, h, n_vertices, n_triangles, min_angle):
@@ -338,11 +374,11 @@ def _count_filtered(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("domain, h", [key for key in MESH_DIGESTS if key[0] != "annulus"])
+@pytest.mark.parametrize("domain, h", [key for key in MESH_DIGESTS if key[0] == "star"])
 def test_skipped_centroid_filter_would_remove_nothing(lab, monkeypatch, domain, h):
-    """A one-loop domain whose node polygon is convex skips the centroid
-    filter; run on every retriangulation, it removes no triangle and the mesh
-    is the same."""
+    """A relaxed domain of one loop whose node polygon is convex skips the
+    centroid filter; run on every retriangulation, it removes no triangle and
+    the mesh is the same."""
     import plap_lab.geometry as geo
 
     mesh = lab.mesh(domain, h)
@@ -411,7 +447,7 @@ def test_flips_repair_moved_points_to_their_delaunay_triangulation(seed, h):
 def test_inverted_triangle_reseeds_from_qhull(monkeypatch):
     import plap_lab.geometry as geo
 
-    reference = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    reference = build_mesh(DOMAINS["star"], 0.1)
     calls, flip = [], geo._flip_to_delaunay
 
     def no_flips(*args):
@@ -427,7 +463,7 @@ def test_inverted_triangle_reseeds_from_qhull(monkeypatch):
 
     monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
     monkeypatch.setattr(geo, "_flip_to_delaunay", invert_first)
-    mesh = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    mesh = build_mesh(DOMAINS["star"], 0.1)
     assert len(calls) == 2      # lattice, then the re-seed
     # a re-seed takes Qhull's order for the triangles, so compare them as sets
     assert np.array_equal(mesh.points, reference.points)
@@ -437,11 +473,11 @@ def test_inverted_triangle_reseeds_from_qhull(monkeypatch):
 def test_unsettled_repair_reseeds_from_qhull(monkeypatch):
     import plap_lab.geometry as geo
 
-    reference = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    reference = build_mesh(DOMAINS["star"], 0.1)
     calls = []
     monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
     monkeypatch.setattr(geo, "_FLIP_PASSES", 0)
-    mesh = build_mesh(Ellipse(2.0, 1.0), 0.1)
+    mesh = build_mesh(DOMAINS["star"], 0.1)
     assert len(calls) > 2       # every retriangulation ran Qhull
     assert np.array_equal(mesh.points, reference.points)
     assert np.array_equal(_triangle_set(mesh.triangles), _triangle_set(reference.triangles))
@@ -494,11 +530,11 @@ def test_inside_matches_closed_form_membership(domain):
     assert got.any() and not got.all()
 
 
-@pytest.mark.parametrize("spec, stray", [(Disk(1.0), (1.5, 0.0)),
+@pytest.mark.parametrize("spec, stray", [(DOMAINS["star"], (1.5, 0.0)),
                                          (Annulus(0.5, 1.0), (0.0, 0.0))],
-                         ids=["disk", "annulus"])
+                         ids=["star", "annulus"])
 def test_vertex_outside_after_relaxation_is_a_mesh_error(monkeypatch, spec, stray):
-    """A lattice point outside the domain (beyond the disk, in the annulus's
+    """A lattice point outside the domain (beyond the star, in the annulus's
     hole) meets no spring and stays there; the mesh build reports it."""
     import plap_lab.geometry as geo
 

@@ -2,9 +2,9 @@
 package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
-The 2-D layers load scipy.spatial (Qhull, the KD-tree) at the first mesh
-build or point location and scipy.sparse.linalg (SuperLU) at the first
-factorization, not at import.
+The 2-D layers load scipy.spatial (Qhull, the KD-tree) at the first relaxed
+mesh build or point location and scipy.sparse.linalg (SuperLU) at the first
+mapped mesh build or factorization, not at import.
 """
 
 import importlib
@@ -64,17 +64,26 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
 
 
 def test_a_mesh_build_loads_qhull_and_a_solve_loads_superlu():
-    out = _fresh("""
+    """A disk build maps a lattice by one sparse solve: it loads SuperLU and
+    not Qhull.  An annulus build relaxes: it loads Qhull and not SuperLU, and
+    a solve on its mesh loads SuperLU."""
+    disk = _fresh("""
         from plap_lab.geometry import Disk, build_mesh
+        build_mesh(Disk(1.0), 0.2)
+        print(json.dumps(loaded("scipy.spatial", "scipy.sparse.linalg")))
+    """)
+    assert disk == {"scipy.spatial": False, "scipy.sparse.linalg": True}
+    annulus = _fresh("""
+        from plap_lab.geometry import Annulus, build_mesh
         from plap_lab.metric import ConformalMetric
         from plap_lab.solver import solve
-        mesh = build_mesh(Disk(1.0), 0.2)
+        mesh = build_mesh(Annulus(0.5, 1.0), 0.2)
         meshed = loaded("scipy.spatial", "scipy.sparse.linalg")
         solve(mesh, ConformalMetric.flat(), 3.0)
         print(json.dumps([meshed, loaded("scipy.sparse.linalg")]))
     """)
-    assert out == [{"scipy.spatial": True, "scipy.sparse.linalg": False},
-                   {"scipy.sparse.linalg": True}]
+    assert annulus == [{"scipy.spatial": True, "scipy.sparse.linalg": False},
+                       {"scipy.sparse.linalg": True}]
 
 
 # every name the package exported when it imported each module eagerly
