@@ -256,10 +256,9 @@ def test_relaxation_retriangulates_lazily(monkeypatch):
 
     monkeypatch.setattr(geo, "Delaunay", counting_delaunay)
     build_mesh(DOMAINS["three_lobes"], 0.05)
-    # relaxing on every one of the 120 iterations made 121 calls, and running
-    # Qhull at each of the lazy retriangulations made 10; edge flips repair
-    # the held triangulation, and once more for the relaxed points, so Qhull
-    # runs on the lattice only
+    # running Qhull at each of the lazy retriangulations makes 12 calls on
+    # this star; edge flips repair the held triangulation, and once more for
+    # the relaxed points, so Qhull runs on the lattice only
     assert len(calls) == 1
 
 
