@@ -2,9 +2,11 @@
 
     plap-lab <command> --config <path> [--out <dir>] [--seed <u64>]
 
-Commands: solve, verify, sweep, matcheck, radial.  One JSON config drives
-everything; reports are deterministic for a fixed config and seed (byte
-identical except the timestamp field).  The tolerances of the identity
+Commands: verify, matcheck, radial.  `verify` is the one 2-D command: per
+(p, h) case it writes a JSON report, and over all cases `sweep.csv`, the
+reports flattened one row per case.  One JSON config drives everything;
+reports are deterministic for a fixed config and seed (byte identical except
+the timestamp field).  The tolerances of the identity
 checks are constants of `identities`, and the radial oracle's dimensions,
 grid and radius are constants of `cmd_radial`: a config sets neither, and a
 `tolerances` or `radial` object is an unknown key.  Exit codes: 0 all checks
@@ -25,8 +27,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # matcheck and radial need only numpy: the 2-D layers (`geometry`, `pipeline`
-# and what they load, scipy among it) are imported inside the functions of
-# the commands that run them
+# and what they load, scipy among it) are imported inside the functions that
+# verify runs
 from .errors import ConfigError, MeshGenerationError, PlapLabError, SolverError
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
@@ -36,7 +38,7 @@ if TYPE_CHECKING:
     from .pipeline import CaseResult
 
 SCHEMA_VERSION = "1"
-COMMANDS = ("solve", "verify", "sweep", "matcheck", "radial")
+COMMANDS = ("verify", "matcheck", "radial")
 
 _CONFIG_SCHEMA = json.loads(
     (Path(__file__).parent / "schemas" / "config.schema.json").read_text(encoding="utf-8"))
@@ -121,7 +123,7 @@ def validate_config(obj, command: str) -> dict:
     _check(_CONFIG_SCHEMA, obj, "config")
     if obj.get("command", command) != command:
         raise ConfigError(f"config command {obj['command']!r} conflicts with CLI command {command!r}")
-    if command in ("solve", "verify", "sweep"):
+    if command == "verify":
         missing = [f"config.{k}" for k in ("domain", "p", "h") if k not in obj]
         if missing:
             raise ConfigError(f"{command} requires {', '.join(missing)}")
@@ -169,34 +171,6 @@ def _envelope(command: str) -> dict:
     return {"schema_version": SCHEMA_VERSION,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "command": command}
-
-
-def _config_echo(cfg: dict) -> dict:
-    echo = {"command": cfg["command"], "seed": cfg["seed"]}
-    if "domain" in cfg:
-        from .geometry import spec_to_json
-        echo["domain"] = spec_to_json(cfg["domain"])
-    echo["metric"] = cfg["metric"].to_json()
-    for k in ("p", "h"):
-        if k in cfg:
-            echo[k] = cfg[k]
-    return echo
-
-
-def case_report_dict(cfg: dict, case: CaseResult) -> dict:
-    rep = case.report.to_json_dict()
-    rep.update({
-        **_envelope(cfg["command"]),
-        "config_echo": _config_echo(cfg),
-        "h": case.h,
-        "solver": {
-            "final_eps": case.solution.final_eps,
-            "newton_iterations": [s.iterations for s in case.solution.steps],
-            "energy": case.solution.steps[-1].energy,
-            "diagnostics": case.solution.diagnostics,
-        },
-    })
-    return rep
 
 
 def _flatten(prefix: str, obj, out: dict) -> None:
@@ -305,7 +279,8 @@ def emit_refinement(cases: list[CaseResult], outdir: Path) -> None:
 # --------------------------------------------------------------------------
 
 
-def _run_cases(cfg: dict) -> list[CaseResult]:
+def cmd_verify(cfg: dict, outdir: Path) -> int:
+    from .geometry import spec_to_json
     from .pipeline import run_case
     cases = []
     for h in cfg["h"]:
@@ -314,54 +289,40 @@ def _run_cases(cfg: dict) -> list[CaseResult]:
             case = run_case(cfg["domain"], cfg["metric"], p, h, mesh=mesh)
             mesh = case.mesh
             cases.append(case)
-    return cases
-
-
-def cmd_verify(cfg: dict, outdir: Path) -> int:
-    cases = _run_cases(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    all_ok = True
+    echo = {"command": "verify", "seed": cfg["seed"], "domain": spec_to_json(cfg["domain"]),
+            "metric": cfg["metric"].to_json(), "p": cfg["p"], "h": cfg["h"]}
+    flats = []
     for case in cases:
-        rep = case_report_dict(cfg, case)
+        rep = case.report.to_json_dict()
+        flat: dict = {}
+        _flatten("", rep, flat)
+        flats.append({"p": case.p, "h": case.h, **flat})
+        rep.update({
+            **_envelope("verify"),
+            "config_echo": echo,
+            "h": case.h,
+            "solver": {
+                "final_eps": case.solution.final_eps,
+                "newton_iterations": [s.iterations for s in case.solution.steps],
+                "energy": case.solution.steps[-1].energy,
+                "diagnostics": case.solution.diagnostics,
+            },
+        })
         write_json(outdir / f"report_p{case.p:g}_h{case.h:g}.json", rep)
-        all_ok &= case.report.all_passed()
+    # a section skipped in one case still gets its columns from the others,
+    # and an empty cell where it is skipped
+    header = list(dict.fromkeys(k for flat in flats for k in flat))
+    write_csv(outdir / "sweep.csv", header, [[flat.get(k, "") for k in header] for flat in flats])
     emit_plot_data(cases, outdir)
     emit_refinement(cases, outdir)
-    summary = {
+    all_ok = all(c.report.all_passed() for c in cases)
+    write_json(outdir / "summary.json", {
         **_envelope("verify"),
         "cases": [{"p": c.p, "h": c.h, "pass": c.report.all_passed()} for c in cases],
         "pass": all_ok,
-    }
-    write_json(outdir / "summary.json", summary)
+    })
     return 0 if all_ok else 1
-
-
-def cmd_solve(cfg: dict, outdir: Path) -> int:
-    cases = _run_cases(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for case in cases:
-        tag = f"p{case.p:g}_h{case.h:g}"
-        write_csv(outdir / f"solution_{tag}.csv", ["x", "y", "u"],
-                  [[case.mesh.points[i, 0], case.mesh.points[i, 1], case.solution.u[i]]
-                   for i in range(case.mesh.n_vertices)])
-        write_json(outdir / f"diagnostics_{tag}.json", case_report_dict(cfg, case))
-    return 0
-
-
-def cmd_sweep(cfg: dict, outdir: Path) -> int:
-    cases = _run_cases(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
-    flats = []
-    for case in cases:
-        flat: dict = {}
-        _flatten("", case.report.to_json_dict(), flat)
-        flats.append({"p": case.p, "h": case.h, **flat})
-    # a section skipped in one case still gets its columns from the others,
-    # and an empty cell where it is skipped
-    header = list(dict.fromkeys(k for flat in flats for k in flat)) or ["p", "h"]
-    write_csv(outdir / "sweep.csv", header, [[flat.get(k, "") for k in header] for flat in flats])
-    emit_refinement(cases, outdir)
-    return 0 if all(c.report.all_passed() for c in cases) else 1
 
 
 def cmd_matcheck(cfg: dict, outdir: Path) -> int:
@@ -464,8 +425,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg["seed"] = args.seed
         handler = {
             "verify": cmd_verify,
-            "solve": cmd_solve,
-            "sweep": cmd_sweep,
             "matcheck": cmd_matcheck,
             "radial": cmd_radial,
         }[args.command]

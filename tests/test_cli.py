@@ -48,7 +48,7 @@ def test_validate_rejects_unknown_keys():
 
 def test_validate_rejects_command_mismatch():
     with pytest.raises(ConfigError):
-        validate_config(DISK_VERIFY, "sweep")
+        validate_config(DISK_VERIFY, "matcheck")
 
 
 def test_validate_requires_domain_for_verify():
@@ -108,6 +108,7 @@ MALFORMED = [
     ("metric", {"kind": "poly", "params": [[2, 0, True]]}),
     ("metric.nonnegative_ricci", "yes"), ("metric.extra", 1), ("p", []), ("p", [1.0]), ("h", [True]),
     ("h", "0.1"), ("output_dir", None), ("command", "plot"), ("bogus", 1),
+    ("command", "sweep"), ("command", "solve"),
     ("matcheck.samples", 0), ("matcheck.samples", "5"), ("matcheck.n_values", [7]),
     ("matcheck.p_range", [1.5]), ("matcheck.p_range", [1.0, 2.0]),
     ("matcheck.p_range", [1.1, math.inf]),
@@ -280,8 +281,8 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
 
 SHIPPED = [
     pytest.param(path, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: the boundary layer of the recovered "
-                            "Hessian fails the sweep's boundary checks"))
+        strict=True, reason="ROADMAP items 17c and 1: the boundary trace of the P1 "
+                            "recovered Hessian fails fundamental and eq_curvature"))
     if path.stem == "ellipse_sweep" else path
     for path in sorted(CONFIGS.glob("*.json"))
 ]
@@ -360,11 +361,11 @@ def test_report_matches_published_schema(tmp_path):
         _check(schema, rep, "report")
 
 
-# ------------------------------------------------------------------ sweep
+# -------------------------------------------------------------- sweep.csv
 
 def test_sweep_row_count(tmp_path):
     cfg = _write(tmp_path, {
-        "command": "sweep",
+        "command": "verify",
         "domain": {"variant": "disk", "radius": 1.0},
         "p": [1.5, 2.0, 3.0, 4.0],
         "h": [0.2, 0.1],
@@ -372,7 +373,7 @@ def test_sweep_row_count(tmp_path):
     out = tmp_path / "out"
     # coarse grids may fail the default tolerances (exit 1); the CSV contract
     # is the row count over the p x h grid
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
     lines = (out / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 8  # header + |p| * |h|
     header = lines[0].split(",")
@@ -384,19 +385,26 @@ def test_sweep_row_count(tmp_path):
     assert len((out / "deficit_vs_h.csv").read_text().strip().split("\n")) == 1 + 8
 
 
-def test_sweep_header_spans_skipped_scans(tmp_path):
-    # at h = 0.2 the scan excludes every point of the disk and is skipped;
-    # the h = 0.1 rows still carry its columns, and no cell is NaN
-    cfg = _write(tmp_path, {
-        "command": "sweep",
+@pytest.fixture(scope="module")
+def disk_two_h(tmp_path_factory):
+    """A verify run over p in (2, 3) and h in (0.2, 0.1) on the unit disk;
+    at h = 0.2 the scan excludes every point of the disk and is skipped."""
+    tmp = tmp_path_factory.mktemp("disk_two_h")
+    cfg = _write(tmp, {
+        "command": "verify",
         "domain": {"variant": "disk", "radius": 1.0},
         "p": [2.0, 3.0],
         "h": [0.2, 0.1],
     })
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    out = tmp / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    return out
+
+
+def test_sweep_header_spans_skipped_scans(disk_two_h):
+    # the h = 0.1 rows still carry the skipped scan's columns, and no cell is NaN
     header, *rows = [line.split(",") for line in
-                     (out / "sweep.csv").read_text().strip().split("\n")]
+                     (disk_two_h / "sweep.csv").read_text().strip().split("\n")]
     assert all(len(row) == len(header) for row in rows)
     assert not any(cell == "nan" for row in rows for cell in row)
     col, skip = header.index("subharmonicity.min"), header.index("skipped.subharmonicity")
@@ -405,6 +413,22 @@ def test_sweep_header_spans_skipped_scans(tmp_path):
         coarse = float(row[h]) == 0.2
         assert (row[col] == "") == coarse
         assert ("excluded fraction" in row[skip]) == coarse
+
+
+def test_sweep_rows_agree_with_the_reports(disk_two_h):
+    # each row's pass and skipped cells are its case report's verdicts; a
+    # skipped section leaves its pass cell empty
+    rows = _read_rows(disk_two_h / "sweep.csv")
+    assert len(rows) == 4
+    for row in rows:
+        rep = json.loads((disk_two_h / f"report_p{float(row['p']):g}_h{float(row['h']):g}.json")
+                         .read_text())
+        assert {key[:-len(".pass")]: value for key, value in row.items()
+                if key.endswith(".pass") and value != ""} == \
+            {name: str(sec["pass"]) for name, sec in rep.items()
+             if isinstance(sec, dict) and "pass" in sec}
+        assert {key[len("skipped."):]: value for key, value in row.items()
+                if key.startswith("skipped.") and value != ""} == rep["skipped"]
 
 
 # --------------------------------------------------------------- matcheck
@@ -473,23 +497,6 @@ def test_radial_cli(tmp_path):
     # n in (2, 3, 4) for each p
     assert len(rep["profiles"]) == 9
     assert all(e["pass"] for e in rep["profiles"])
-
-
-# ------------------------------------------------------------------ solve
-
-def test_solve_cli_outputs(tmp_path):
-    cfg = _write(tmp_path, {
-        "command": "solve",
-        "domain": {"variant": "disk", "radius": 1.0},
-        "p": [2.0], "h": [0.1],
-    })
-    out = tmp_path / "out"
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    lines = (out / "solution_p2_h0.1.csv").read_text().strip().split("\n")
-    assert lines[0] == "x,y,u"
-    assert len(lines) > 100
-    diag = json.loads((out / "diagnostics_p2_h0.1.json").read_text())
-    assert diag["solver"]["diagnostics"]["positive_interior"] is True
 
 
 # -------------------------------------------------------------- plot data

@@ -9,7 +9,6 @@ The ledger is written from the current checkout by
     PYTHONPATH=src python tests/test_verdicts.py
 """
 
-import csv
 import json
 import sys
 import tempfile
@@ -31,15 +30,6 @@ def _report_verdicts(rep: dict) -> dict:
             "skipped": sorted(rep["skipped"])}
 
 
-def _sweep_verdicts(row: dict) -> dict:
-    """A sweep row's verdicts: a skipped section leaves its cells empty and
-    fills its ``skipped.*`` cell."""
-    return {"pass": {key[:-len(".pass")]: value == "True" for key, value in sorted(row.items())
-                     if key.endswith(".pass") and value != ""},
-            "skipped": sorted(key[len("skipped."):] for key, value in row.items()
-                              if key.startswith("skipped.") and value != "")}
-
-
 def verdicts(config: Path, out: Path) -> dict:
     """Run one config into ``out`` and read back its exit code and, per
     case ``p<p>_h<h>``, its section verdicts."""
@@ -48,11 +38,6 @@ def verdicts(config: Path, out: Path) -> dict:
     cases = {}
     for path in sorted(out.glob("report_*.json")):
         cases[path.stem[len("report_"):]] = _report_verdicts(json.loads(path.read_text()))
-    sweep = out / "sweep.csv"
-    if sweep.exists():
-        with open(sweep, newline="", encoding="utf-8") as f:
-            for row in csv.DictReader(f):
-                cases[f"p{float(row['p']):g}_h{float(row['h']):g}"] = _sweep_verdicts(row)
     return {"exit": code, "cases": cases}
 
 
