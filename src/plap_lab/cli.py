@@ -4,14 +4,15 @@
 
 Commands: verify, matcheck, radial.  `verify` is the one 2-D command: per
 (p, h) case it writes a JSON report, and over all cases `sweep.csv`, the
-reports flattened one row per case.  One JSON config drives everything;
-reports are deterministic for a fixed config and seed (byte identical except
-the timestamp field).  The tolerances of the identity
-checks are constants of `identities`, and the radial oracle's dimensions,
-grid and radius are constants of `cmd_radial`: a config sets neither, and a
-`tolerances` or `radial` object is an unknown key.  Exit codes: 0 all checks
-passed, 1 an identity check failed, 2 config error, 3 solver or mesh
-generation failure.
+reports flattened one row per case, and with more than one h
+`deficit_vs_h.csv`, chosen keys of those rows with their observed orders.
+One JSON config drives everything; reports are deterministic for a fixed
+config and seed (byte identical except the timestamp field).  The
+tolerances of the identity checks are constants of `identities`, and the
+radial oracle's dimensions, grid and radius are constants of `cmd_radial`:
+a config sets neither, and a `tolerances` or `radial` object is an unknown
+key.  Exit codes: 0 all checks passed, 1 an identity check failed, 2 config
+error, 3 solver or mesh generation failure.
 """
 
 from __future__ import annotations
@@ -216,60 +217,48 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
     return written
 
 
-# the deficit_vs_h.csv columns after p and h; each has an order_<column> twin
-_REFINEMENT_COLUMNS = ("serrin_deficit", "fundamental_rel_volume", "fundamental_rel_boundary",
-                       "flux_rel", "fundamental_divergence_check",
-                       "eq_curvature_max_node_residual", "u_err_max", "u_err_l2")
-
-
-def _refinement_values(case: CaseResult) -> list:
-    """One case's _REFINEMENT_COLUMNS; a cell the case has no value for is "".
-
-    The overdetermined deficit is the Heintze-Karcher T2.  The u errors are
-    taken against the exact radial profile, so only a flat disk has them:
-    the max over the vertices and the L2 norm by the mesh quadrature."""
-    from .geometry import DIM, Disk
-    r, mesh = case.report.sections, case.mesh
-    spec = mesh.spec
-    errors = ["", ""]
-    if isinstance(spec, Disk) and case.solution.metric.is_flat:
-        profile = radial_exact(DIM, case.p, spec.radius)
-        err = case.solution.u - profile.u(np.minimum(np.linalg.norm(mesh.points, axis=1),
-                                                     spec.radius))
-        eq = np.abs(mesh.quad_interpolation() @ err)
-        errors = [float(np.abs(err).max()), float(np.sqrt(np.sum(mesh.quad_weights * eq**2)))]
-    return [r["hk"]["t2"] if "hk" in r else "",
-            r["fundamental"]["rel_residual_volume"], r["fundamental"]["rel_residual_boundary"],
-            r["flux"]["rel_residual"], r["fundamental"]["divergence_check"],
-            r["eq_curvature"]["max_node_residual"], *errors]
+# the deficit_vs_h.csv columns after p and h, each with the report key it
+# reads and an order_<column> twin; the overdetermined deficit is the
+# Heintze-Karcher T2, and the u errors are the flat disk's oracle
+_REFINEMENT_COLUMNS = {
+    "serrin_deficit": "hk.t2",
+    "fundamental_rel_volume": "fundamental.rel_residual_volume",
+    "fundamental_rel_boundary": "fundamental.rel_residual_boundary",
+    "flux_rel": "flux.rel_residual",
+    "fundamental_divergence_check": "fundamental.divergence_check",
+    "eq_curvature_max_node_residual": "eq_curvature.max_node_residual",
+    "u_err_max": "oracle.u_err_max",
+    "u_err_l2": "oracle.u_err_l2",
+}
 
 
 def _positive(value) -> bool:
     return isinstance(value, float) and value > 0.0
 
 
-def emit_refinement(cases: list[CaseResult], outdir: Path) -> None:
-    """deficit_vs_h.csv, when the cases span more than one h.
+def emit_refinement(flats: list[dict], outdir: Path) -> None:
+    """deficit_vs_h.csv from the flattened case reports, when they span
+    more than one h.
 
     One row per case, by p and then from the coarsest h, with the
-    _REFINEMENT_COLUMNS and, beside each value e, its observed order
-    log(e1 / e) / log(h1 / h) against e1 at the next coarser h1 of the same
-    p.  A negative order marks a value that grew under refinement.  An order
-    is empty on the coarsest h of each p, and where either value is empty or
-    not positive.
+    _REFINEMENT_COLUMNS (empty where the report has no such key) and,
+    beside each value e, its observed order log(e1 / e) / log(h1 / h)
+    against e1 at the next coarser h1 of the same p.  A negative order
+    marks a value that grew under refinement.  An order is empty on the
+    coarsest h of each p, and where either value is empty or not positive.
     """
-    if len({c.h for c in cases}) < 2:
+    if len({flat["h"] for flat in flats}) < 2:
         return
-    ordered = sorted(cases, key=lambda c: (c.p, -c.h))
-    values = [_refinement_values(c) for c in ordered]
+    ordered = sorted(flats, key=lambda flat: (flat["p"], -flat["h"]))
+    values = [[flat.get(key, "") for key in _REFINEMENT_COLUMNS.values()] for flat in ordered]
     rows = []
-    for i, case in enumerate(ordered):
+    for i, flat in enumerate(ordered):
         orders = [""] * len(_REFINEMENT_COLUMNS)
-        if i and ordered[i - 1].p == case.p:
-            factor = np.log(ordered[i - 1].h / case.h)
+        if i and ordered[i - 1]["p"] == flat["p"]:
+            factor = np.log(ordered[i - 1]["h"] / flat["h"])
             orders = [float(np.log(e1 / e) / factor) if _positive(e1) and _positive(e) else ""
                       for e1, e in zip(values[i - 1], values[i])]
-        rows.append([case.p, case.h, *values[i], *orders])
+        rows.append([flat["p"], flat["h"], *values[i], *orders])
     write_csv(outdir / "deficit_vs_h.csv",
               ["p", "h", *_REFINEMENT_COLUMNS, *(f"order_{c}" for c in _REFINEMENT_COLUMNS)], rows)
 
@@ -315,7 +304,7 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     header = list(dict.fromkeys(k for flat in flats for k in flat))
     write_csv(outdir / "sweep.csv", header, [[flat.get(k, "") for k in header] for flat in flats])
     emit_plot_data(cases, outdir)
-    emit_refinement(cases, outdir)
+    emit_refinement(flats, outdir)
     all_ok = all(c.report.all_passed() for c in cases)
     write_json(outdir / "summary.json", {
         **_envelope("verify"),

@@ -286,10 +286,12 @@ class TriMesh:
     quad_points: np.ndarray             # (M*Q, 2), at QUAD_BARY in each triangle
     quad_weights: np.ndarray            # (M*Q,) physical weights
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
-    # state that depends on the mesh alone (point locator, measures per
-    # metric, recovery normal equations, assembly maps, trace sample
-    # sites), built by `derived` on first use and shared by every case
-    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+    # state that depends on the mesh alone (minimum angle, quadrature
+    # interpolation, point locator, measures per metric, recovery normal
+    # equations, assembly maps, trace sample sites), built by `derived` on
+    # first use and shared by every case; not an init field, so that a
+    # `dataclasses.replace` copy starts with none of it
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -305,7 +307,11 @@ class TriMesh:
 
     def min_angle_deg(self) -> float:
         """The least interior angle of any triangle: the arccos of the
-        largest cosine, as arccos is decreasing."""
+        largest cosine, as arccos is decreasing.  `build_mesh` evaluates it
+        for the angle bound, and every later call reads that value."""
+        return self.derived("min_angle_deg", self._min_angle_deg)
+
+    def _min_angle_deg(self) -> float:
         p = np.take(self.points, self.triangles, axis=0)
         e1, e2 = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
         cos = np.einsum("mvi,mvi->mv", e1, e2) / (
@@ -329,9 +335,10 @@ class TriMesh:
     def quad_interpolation(self) -> sp.csr_matrix:
         """`interpolation` at the quadrature points, in the order of
         ``quad_points``: every triangle holds them at the same barycentrics
-        ``QUAD_BARY``."""
+        ``QUAD_BARY``.  It is built once per mesh."""
         nq, m = len(QUAD_BARY), self.n_triangles
-        return self.interpolation(np.repeat(np.arange(m), nq), np.tile(QUAD_BARY, (m, 1)))
+        return self.derived("quad_interpolation", lambda: self.interpolation(
+            np.repeat(np.arange(m), nq), np.tile(QUAD_BARY, (m, 1))))
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(triangle, barycentric, found) per point: `_PointLocator.locate`."""

@@ -14,7 +14,9 @@ and ``IdentityReport.sections`` is the published report, key for key.  The
 five integral sections come from one computation, `integral_identities`.  A
 check outside its preconditions (H > 0 for ``hk``, a metric declared Ric >= 0
 for the scan, the flat metric for the flags) gives a PreconditionError, and
-`build_report` records its message under ``skipped``.
+`build_report` records its message under ``skipped``.  The ``mesh``
+section and, where the case has closed forms, the ``oracle`` section
+(`oracle_section`) are data with no verdict.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshGenerationError, PreconditionError
-from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p
-from .geometry import DIM, QUAD_BARY, Disk, TriMesh, domain_measures
+from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p, p_function
+from .geometry import DIM, QUAD_BARY, Disk, Ellipse, TriMesh, domain_measures
 from .metric import ConformalMetric, geodesic_boundary_curvature
+from .oracles import ellipse_boundary_integrals, p_ball_constant, radial_exact
 
 # the tolerances of the checks: relative residual of ``fundamental``, ``sbt``
 # and ``hk``, relative flux residual, largest nodewise ``eq_curvature``
@@ -379,6 +382,49 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle) -> dict:
 
 
 # --------------------------------------------------------------------------
+# Closed-form oracles
+# --------------------------------------------------------------------------
+
+
+def oracle_section(u: np.ndarray, bundle: DerivativeBundle, trace: BoundaryTrace) -> dict | None:
+    """The case against its closed forms, as data with no verdict; None
+    where the domain and metric have none.
+
+    A flat `Ellipse`, or a flat `Disk` as the ellipse a = b = R, has
+    `ellipse_boundary_integrals`: ``volume``, ``perimeter`` and the
+    Heintze-Karcher ``t3`` = int 1/H - n |Omega|.  A flat `Disk` also has the
+    radial torsion profile F of `radial_exact`.  Against it, ``u_err_max`` and
+    ``u_err_l2`` are the max over the vertices and the quadrature L2 norm of
+    the nodal error u - F(|x|), ``u_nu_err_max`` the largest |u_nu - F'(R)|
+    off the flagged nodes, and ``p_function_spread`` std(P) / P0 at the
+    unmasked quadrature points, where the P-function is the ball's constant
+    P0 (`p_ball_constant`).
+    """
+    mesh, spec = bundle.mesh, bundle.mesh.spec
+    if not bundle.metric.is_flat or not isinstance(spec, (Disk, Ellipse)):
+        return None
+    disk = isinstance(spec, Disk)
+    a, b = (spec.radius, spec.radius) if disk else (spec.a, spec.b)
+    ei = ellipse_boundary_integrals(a, b)
+    section = {"volume": ei.volume, "perimeter": ei.perimeter,
+               "t3": ei.inv_curvature_integral - DIM * ei.volume}
+    if disk:
+        p, radius = trace.p, spec.radius
+        profile = radial_exact(DIM, p, radius)
+        err = u - profile.u(np.minimum(np.linalg.norm(mesh.points, axis=1), radius))
+        eq = np.abs(mesh.quad_interpolation() @ err)
+        spread = p_function(bundle.gnorm, bundle.u, p, DIM)[~bundle.mask]
+        section.update({
+            "u_err_max": float(np.abs(err).max()),
+            "u_err_l2": float(np.sqrt(np.sum(mesh.quad_weights * eq**2))),
+            "u_nu_err_max": _max_or_nan(np.abs(trace.u_nu - profile.du(radius))[~trace.flagged]),
+            "p_function_spread": (float(np.std(spread)) / p_ball_constant(DIM, p, radius)
+                                  if spread.size else np.nan),
+        })
+    return section
+
+
+# --------------------------------------------------------------------------
 # Full report
 # --------------------------------------------------------------------------
 
@@ -388,8 +434,9 @@ class IdentityReport:
     """One case's report: its JSON sections, and the scan's histogram.
 
     ``sections`` is the report as published (``p``, ``n``, ``constants``,
-    ``skipped``, one section per check, ``subharmonicity`` and ``flags``); a
-    section with a ``pass`` key is a check.  The histogram is None when the
+    ``mesh``, ``skipped``, one section per check, ``subharmonicity``,
+    ``flags`` and, where the case has closed forms, ``oracle``); a section
+    with a ``pass`` key is a check.  The histogram is None when the
     scan is skipped and is not part of the JSON.
     """
 
@@ -404,19 +451,26 @@ class IdentityReport:
         return dict(self.sections)
 
 
-def build_report(bundle: DerivativeBundle, trace: BoundaryTrace) -> IdentityReport:
+def build_report(u: np.ndarray, bundle: DerivativeBundle, trace: BoundaryTrace) -> IdentityReport:
     """Run every applicable identity check for one solved case from its
-    recovered derivatives (which carry mesh and metric) and boundary trace
-    (which carries p)."""
-    measures = domain_measures(bundle.mesh, bundle.metric)
+    nodal values u, its recovered derivatives (which carry mesh and metric)
+    and its boundary trace (which carries p), and compare it with its closed
+    forms (`oracle_section`)."""
+    mesh = bundle.mesh
+    measures = domain_measures(mesh, bundle.metric)
     skipped = {}
     sections = {
         "p": trace.p,
         "n": DIM,
         "constants": {"volume": measures.volume, "perimeter": measures.perimeter,
                       "h0": measures.h0, "masked_fraction": bundle.masked_fraction},
+        "mesh": {"n_vertices": mesh.n_vertices, "n_triangles": mesh.n_triangles,
+                 "min_angle_deg": mesh.min_angle_deg()},
         "skipped": skipped,
     }
+    oracle = oracle_section(u, bundle, trace)
+    if oracle is not None:
+        sections["oracle"] = oracle
     lu = lu_p(bundle, trace.p)
     checks = integral_identities(trace, bundle, lu[1])
     histogram = None

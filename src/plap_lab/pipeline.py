@@ -2,17 +2,19 @@
 
 `run_case` is the only producer of a case's derived state.  It recovers the
 derivatives once from the solution's nodal values, builds the boundary trace
-once from them, and hands both to every check.  Each stage takes its context
+once from them, and hands both, with the nodal values, to every check and
+to the closed-form oracles of the report.  Each stage takes its context
 once: the bundle carries the mesh (with its exact boundary geometry and its
 cached domain measures, the only source of the metric's weights) and the
 metric, the trace carries p.  Only the solution, the per-boundary-node trace,
 the report and the nodal P-function outlive the call; the
 per-quadrature-point derivative bundle does not.
 
-Mesh-derived state lives on the `TriMesh`: the point locator, the domain
-measures per metric, the recovery normal equations, the solver's assembly
-maps, its P1 stiffness with that matrix's factor, and the trace sample
-sites are built the first time a case needs them,
+Mesh-derived state lives on the `TriMesh`: the minimum angle, the
+quadrature interpolation, the point locator, the domain measures per
+metric, the recovery normal equations, the solver's assembly maps, its P1
+stiffness with that matrix's factor, and the trace sample sites are built
+the first time a case needs them,
 and every later case on the same mesh (as `cli` runs all p values of one h)
 reuses them.
 """
@@ -67,7 +69,7 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     sol = solve(mesh, metric, p)
     bundle = recover_derivatives(mesh, sol.u, metric)
     trace = boundary_trace(bundle, p)
-    report = build_report(bundle, trace)
+    report = build_report(sol.u, bundle, trace)
     gnorm = np.linalg.norm(frame_gradient(metric, mesh.points, bundle.nodal_grad), axis=1)
     return CaseResult(solution=sol, trace=trace, report=report,
                       p_nodal=p_function(gnorm, sol.u, p, DIM))

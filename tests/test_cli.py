@@ -9,7 +9,7 @@ import pytest
 
 import plap_lab
 from plap_lab import pipeline, solver
-from plap_lab.cli import _check, emit_plot_data, main, validate_config
+from plap_lab.cli import _REFINEMENT_COLUMNS, _check, emit_plot_data, main, validate_config
 from plap_lab.errors import ConfigError, MeshGenerationError
 from plap_lab.geometry import Annulus, PolarStar
 from plap_lab.identities import EQ_CURVATURE_NODEWISE, FLUX_REL, IDENTITY_REL
@@ -350,6 +350,7 @@ def test_report_matches_published_schema(tmp_path):
     # or adds without the schema fails the check
     sections = [sec for sec in schema["properties"].values() if "properties" in sec]
     sections += [schema["properties"]["solver"]["properties"]["diagnostics"]]
+    sections += schema["properties"]["oracle"]["oneOf"]
     for sec in sections:
         assert sorted(sec["required"]) == sorted(sec["properties"])
         assert sec["additionalProperties"] is False
@@ -619,6 +620,33 @@ def test_deficit_vs_h_orders_on_the_disk(tmp_path):
     assert float(by[1.5, 0.2]["u_err_max"]) == pytest.approx(0.0008008084289519296, rel=1e-6)
     assert float(by[2.0, 0.05]["order_u_err_l2"]) == pytest.approx(4.055692405191488,
                                                                    rel=1e-6)
+
+
+def test_deficit_vs_h_cells_are_report_values(disk_two_h):
+    # every cell is its report key's value, bit for bit; the flat disk's u
+    # errors are its oracle's
+    rows = _read_rows(disk_two_h / "deficit_vs_h.csv")
+    assert len(rows) == 4
+    for row in rows:
+        rep = json.loads((disk_two_h / f"report_p{float(row['p']):g}_h{float(row['h']):g}.json")
+                         .read_text())
+        for column, key in _REFINEMENT_COLUMNS.items():
+            section, name = key.split(".")
+            assert float(row[column]) == rep[section][name], column
+        assert float(row["u_err_max"]) == rep["oracle"]["u_err_max"]
+        assert float(row["u_err_l2"]) == rep["oracle"]["u_err_l2"]
+
+
+def test_report_schema_tells_the_oracle_forms_apart(disk_two_h):
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text())
+    rep = json.loads((disk_two_h / "report_p2_h0.1.json").read_text())
+    _check(schema, rep, "report")
+    # the ellipse's constants alone are the other form
+    rep["oracle"] = {k: rep["oracle"][k] for k in ("volume", "perimeter", "t3")}
+    _check(schema, rep, "report")
+    del rep["oracle"]["t3"]
+    with pytest.raises(ConfigError, match=r"report\.oracle has malformed ellipse oracle"):
+        _check(schema, rep, "report")
 
 
 def test_deficit_vs_h_order_by_hand(tmp_path):

@@ -495,6 +495,15 @@ def test_boundary_edge_check_rejects_a_missing_edge(lab):
         geo._check_boundary_edges(holed)
 
 
+def test_replaced_mesh_derives_its_own_state(lab):
+    # a copy with other triangles shares none of the original's cached state
+    mesh = lab.mesh("disk", 0.1)
+    angle, interp = mesh.min_angle_deg(), mesh.quad_interpolation()
+    part = dataclasses.replace(mesh, triangles=mesh.triangles[:10])
+    assert part.quad_interpolation().shape == (30, mesh.n_vertices)
+    assert mesh.min_angle_deg() == angle and mesh.quad_interpolation() is interp
+
+
 def _ellipse_radius(a, b):
     return lambda theta: a * b / np.hypot(b * np.cos(theta), a * np.sin(theta))
 
@@ -595,6 +604,7 @@ def test_quad_interpolation_matches_barycentric_reference(lab):
     # row t*Q + q is quadrature point q of triangle t, as in quad_points
     mesh = lab.mesh("ellipse", 0.14)
     interp = mesh.quad_interpolation()
+    assert mesh.quad_interpolation() is interp      # built once per mesh
     assert np.abs(interp @ mesh.points - mesh.quad_points).max() <= 1e-15
     corners = mesh.triangles[np.repeat(np.arange(mesh.n_triangles), len(QUAD_BARY))]
     bary = np.tile(QUAD_BARY, (mesh.n_triangles, 1))

@@ -276,7 +276,7 @@ def test_build_report_evaluates_lu_p_once(lab, monkeypatch):
     monkeypatch.setattr(identities, "linearized_on_p", counted)
     sol = lab.solution("disk", 2.0)
     bundle = recover_derivatives(sol.mesh, sol.u, FLAT)
-    report = build_report(bundle, boundary_trace(bundle, 2.0))
+    report = build_report(sol.u, bundle, boundary_trace(bundle, 2.0))
     assert len(calls) == 1
     assert "fundamental" in report.sections and "subharmonicity" in report.sections
 
@@ -328,15 +328,19 @@ def test_overdetermined_residual_where_only_one_section_runs(lab):
 def test_every_node_flagged_gives_nan_deviations():
     # u = 0 has no gradient, so the trace flags every boundary node
     mesh = build_mesh(Disk(1.0), 0.2)
-    bundle = recover_derivatives(mesh, np.zeros(mesh.n_vertices), FLAT)
+    u = np.zeros(mesh.n_vertices)
+    bundle = recover_derivatives(mesh, u, FLAT)
     trace = boundary_trace(bundle, 2.0)
     assert trace.flagged.all()
-    report = build_report(bundle, trace).sections
+    report = build_report(u, bundle, trace).sections
     flags = report["flags"]
     assert np.isnan(flags["b_deviation"]) and np.isnan(flags["e_deviation"])
     assert not (flags["serrin_b"] or flags["gradient_e"])
     assert np.isnan(report["hk"]["max_node_residual"])
     assert np.isnan(report["eq_curvature"]["max_node_residual"])
+    # every quadrature point is masked too, so the disk oracle has no spread
+    assert np.isnan(report["oracle"]["u_nu_err_max"])
+    assert np.isnan(report["oracle"]["p_function_spread"])
 
 
 def test_equivalence_requires_flat(lab):

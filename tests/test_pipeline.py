@@ -2,6 +2,7 @@
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from plap_lab import (ConformalMetric, Disk, Ellipse, ValidationError,
                       identities, recover_derivatives, solve, solver)
 from plap_lab.cli import main
 from plap_lab.pipeline import run_case
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -103,8 +106,9 @@ def test_report_by_hand_matches_run_case():
     spec, p = Disk(1.0), 3.0
     mesh = build_mesh(spec, 0.1)
     case = run_case(spec, CAP, p, 0.1, mesh=mesh)
-    bundle = recover_derivatives(mesh, solve(mesh, CAP, p).u, CAP)
-    report = build_report(bundle, boundary_trace(bundle, p))
+    u = solve(mesh, CAP, p).u
+    bundle = recover_derivatives(mesh, u, CAP)
+    report = build_report(u, bundle, boundary_trace(bundle, p))
     assert (json.dumps(report.to_json_dict(), sort_keys=True)
             == json.dumps(case.report.to_json_dict(), sort_keys=True))
 
@@ -119,3 +123,77 @@ def test_run_case_rejects_a_mesh_of_another_h():
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(ValidationError, match="mesh was built for"):
         run_case(Disk(1.0), None, 2.0, 0.1, mesh=mesh)
+
+
+def test_mesh_section_reads_the_minimum_angle_of_the_build(monkeypatch):
+    """`build_mesh` evaluates the minimum angle for its bound; the report's
+    mesh section reads that value and does not evaluate it again."""
+    original, calls = geometry.TriMesh._min_angle_deg, []
+    monkeypatch.setattr(geometry.TriMesh, "_min_angle_deg",
+                        lambda mesh: calls.append(1) or original(mesh))
+    spec = Disk(1.0)
+    mesh = build_mesh(spec, 0.2)
+    case = run_case(spec, None, 2.0, 0.2, mesh=mesh)
+    assert len(calls) == 1
+    assert case.report.sections["mesh"] == {"n_vertices": mesh.n_vertices,
+                                            "n_triangles": mesh.n_triangles,
+                                            "min_angle_deg": original(mesh)}
+
+
+ELLIPSE_ORACLE = ["perimeter", "t3", "volume"]
+DISK_ORACLE = sorted(ELLIPSE_ORACLE + ["p_function_spread", "u_err_l2", "u_err_max",
+                                       "u_nu_err_max"])
+# the oracle keys of each verify config's cases: only the flat disk and the
+# flat ellipse have closed forms
+ORACLE_KEYS = {
+    "disk_verify": DISK_ORACLE,
+    "disk_coarse_verify": DISK_ORACLE,
+    "ellipse_verify": ELLIPSE_ORACLE,
+    "ellipse_sweep": ELLIPSE_ORACLE,
+    "conformal_disk_verify": None,
+    "annulus_verify": None,
+    "polar_star_verify": None,
+    "bump_ellipse_sweep": None,
+}
+VERIFY_CONFIGS = {path.stem: path for path in sorted([
+    *(ROOT / "configs").glob("*.json"), *(ROOT / "scripts" / "compare_configs").glob("*.json")])
+    if json.loads(path.read_text())["command"] == "verify"}
+
+
+def test_oracle_table_lists_every_verify_config():
+    assert sorted(ORACLE_KEYS) == sorted(VERIFY_CONFIGS)
+
+
+@pytest.mark.parametrize("stem", sorted(ORACLE_KEYS))
+def test_oracle_section_only_where_a_closed_form_exists(stem):
+    # one case of the config's domain and metric, at p = 2 on a coarse mesh
+    cfg = json.loads(VERIFY_CONFIGS[stem].read_text())
+    spec = geometry.spec_from_json(cfg["domain"])
+    metric = ConformalMetric.from_json(cfg.get("metric", {"kind": "flat"}))
+    oracle = run_case(spec, metric, 2.0, 0.1).report.sections.get("oracle")
+    assert (None if oracle is None else sorted(oracle)) == ORACLE_KEYS[stem]
+
+
+def test_disk_oracle_by_hand():
+    """On the flat unit disk at h = 0.1, p = 3, the oracle's values are the
+    closed forms evaluated here with numpy: u = C (1 - r^q) and u_nu = -C q
+    on r = 1, with q = p/(p-1) and C = (p-1)/p n^{-1/(p-1)}, and the ball's
+    P-function constant P0 = (p-1)/p n^{-q}."""
+    spec, p, n, q = Disk(1.0), 3.0, 2, 1.5
+    case = run_case(spec, None, p, 0.1)
+    oracle, mesh = case.report.sections["oracle"], case.mesh
+    bundle = recover_derivatives(mesh, case.solution.u, ConformalMetric.flat())
+    trace = boundary_trace(bundle, p)
+    assert not trace.flagged.any()
+    c = (p - 1.0) / p * n ** (-1.0 / (p - 1.0))
+    pf = (p - 1.0) / p * bundle.gnorm ** p + bundle.u / n
+    p0 = (p - 1.0) / p * n ** -q
+    expected = {
+        "u_nu_err_max": np.abs(trace.u_nu + c * q).max(),
+        "p_function_spread": np.std(pf[~bundle.mask]) / p0,
+        "volume": np.pi, "perimeter": 2.0 * np.pi, "t3": 0.0,
+    }
+    r = np.minimum(np.linalg.norm(mesh.points, axis=1), 1.0)
+    expected["u_err_max"] = np.abs(case.solution.u - c * (1.0 - r ** q)).max()
+    # R = 1, so each closed form is the oracle's own arithmetic, bit for bit
+    assert {key: oracle[key] for key in expected} == expected
