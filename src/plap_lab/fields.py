@@ -85,24 +85,29 @@ def frame_gradient(metric: ConformalMetric, pts: np.ndarray, df: np.ndarray) -> 
 
 def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
                       df: np.ndarray, d2f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frame gradient and covariant frame Hessian of a scalar from Euclidean data."""
+    """Frame gradient and covariant frame Hessian of a scalar from Euclidean data.
+
+    Each entry is built as a 1-D array, ((d2f_ij - dphi_i df_j) - dphi_j df_i)
+    + <dphi, df> delta_ij, then symmetrised as 0.5 (s_ij + s_ji) and scaled by
+    e^{-2 phi}.  The shipped outputs depend on this order of operations.
+    """
     e, G = _frame(metric, pts, df)
     dphi = metric.grad_phi(pts)
     dot = np.einsum("ni,ni->n", dphi, df)
-    S = (
-        d2f
-        - dphi[:, :, None] * df[:, None, :]
-        - dphi[:, None, :] * df[:, :, None]
-        + dot[:, None, None] * _EYE2
-    )
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    return G, (e**2)[:, None, None] * S
+    s = [[d2f[:, i, j] - dphi[:, i] * df[:, j] - dphi[:, j] * df[:, i] + dot * _EYE2[i, j]
+          for j in range(DIM)] for i in range(DIM)]
+    e2 = e**2
+    S = np.empty((len(e2), DIM, DIM))
+    for i in range(DIM):
+        for j in range(DIM):
+            S[:, i, j] = e2 * (0.5 * (s[i][j] + s[j][i]))
+    return G, S
 
 
 def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None,
                  nodal_grad=None, nodal_hess=None) -> DerivativeBundle:
     G, S = frame_from_scalar(metric, pts, df, d2f)
-    gnorm = np.linalg.norm(G, axis=1)
+    gnorm = np.sqrt(G[:, 0] ** 2 + G[:, 1] ** 2)
     if delta_crit is None:
         delta_crit = default_delta_crit(mesh.h, float(gnorm.max()) if len(gnorm) else 0.0)
     return DerivativeBundle(
@@ -376,10 +381,13 @@ def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     """
     G, S, gn, mask = bundle.grad, bundle.hess, bundle.gnorm, bundle.mask
     safe = np.where(mask, 1.0, np.maximum(gn, 1e-300))
-    hess_frob = np.sqrt(np.einsum("nij,nij->n", S, S))
-    sg = np.einsum("nij,nj->ni", S, G)
-    a_u = np.einsum("ni,ni->n", G, sg) / safe**2
-    grad_gnorm = np.linalg.norm(sg, axis=1) / safe
+    # entry by entry; the shipped outputs depend on the order of each sum
+    (s00, s01), (s10, s11) = S[:, 0].T, S[:, 1].T
+    g0, g1 = G.T
+    hess_frob = np.sqrt((s00**2 + s10**2) + (s01**2 + s11**2))
+    sg0, sg1 = s00 * g0 + s01 * g1, s10 * g0 + s11 * g1
+    a_u = (g0 * sg0 + g1 * sg1) / safe**2
+    grad_gnorm = np.sqrt(sg0**2 + sg1**2) / safe
     ric = gaussian_curvature(bundle.metric, bundle.points) * gn**2
     with np.errstate(invalid="ignore"):
         amp = safe ** (2.0 * (p - 2.0))

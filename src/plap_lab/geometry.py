@@ -364,19 +364,29 @@ class _PointLocator:
         of; the coordinates are clipped at 0 and renormalised.  ``found``
         tells the points that a candidate contains from the clipped ones.
 
-        The first ``_HEAD`` candidates are tested for every point and all
-        ``_K`` only for the points that none of those contains; the first inside
-        hit is the same either way."""
-        k = min(self._K, self.mesh.n_triangles)
-        _, cand = self.tree.query(pts, k=k)
-        cand = np.asarray(cand).reshape(len(pts), k)
+        The tree is asked for ``_HEAD`` + 1 candidates of every point, and
+        for all ``_K`` only for the points that none of the first ``_HEAD``
+        contains or whose ``_HEAD`` + 1 distances are not all distinct: the
+        tree may order equal distances differently for a different k, while
+        distinct ones give the first ``_HEAD`` of the ``_K`` in their order.
+        So the first inside hit is that of a ``_K`` query for every point."""
+        dist, cand = self._query(pts, self._HEAD + 1)
         tri, bary, found = self._pick(pts, cand[:, :self._HEAD])
-        miss = np.flatnonzero(~found)
-        tri[miss], bary[miss], found[miss] = self._pick(pts[miss], cand[miss])
+        redo = np.flatnonzero(~found | (np.diff(dist, axis=1) <= 0.0).any(axis=1))
+        if len(redo):
+            tri[redo], bary[redo], found[redo] = self._pick(
+                pts[redo], self._query(pts[redo], self._K)[1])
         bary = np.clip(bary, 0.0, None)
         s = bary.sum(axis=1)
         bary[s > 0] /= s[s > 0, None]
         return tri, bary, found
+
+    def _query(self, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distances and indices (P, k) of the k nearest centroids of each
+        point, nearest first."""
+        k = min(k, self.mesh.n_triangles)
+        dist, cand = self.tree.query(pts, k=k)
+        return np.reshape(dist, (len(pts), k)), np.reshape(cand, (len(pts), k))
 
     def _pick(self, pts: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The selected candidate per point, its barycentric coordinates and

@@ -128,8 +128,10 @@ def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) 
                + 2 |g|^{2(p-2)} |H g|^2 / |g|^2.
 
     H is symmetrized and g may have any nonzero length: every term scales as
-    |g|^{2(p-2)} once A and |H g|^2 are normalized by |g|^2, so the batched
-    unit-gradient kernel `_gaps` gives the general gap.
+    |g|^{2(p-2)} once A and |H g|^2 are normalized by |g|^2.  Both sides are
+    unchanged under (H, g) -> (Q H Q^T, Q g) for orthogonal Q, and even in g,
+    so with the Householder reflection Q that maps g/|g| onto -sign(g_1) e_1
+    the gap is that of (Q H Q, e_1), which the sweep's kernel `_gaps` gives.
     """
     if not (p > 1.0):
         raise PreconditionError(f"p must exceed 1, got {p}")
@@ -140,8 +142,11 @@ def matrix_inequality_gap(n: int, p: float, hess: np.ndarray, gvec: np.ndarray) 
     gn = float(np.linalg.norm(gvec))
     if gn == 0.0:
         raise PreconditionError("gradient vector must be nonzero")
-    z = (0.5 * (hess + hess.T))[np.triu_indices(n)]
-    gap, _ = _gaps(n, np.array([p]), z[:, None], (gvec / gn)[:, None])
+    v = gvec / gn
+    v[0] += np.copysign(1.0, v[0])   # no cancellation: |v_0| >= 1
+    q = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    z = (q @ (0.5 * (hess + hess.T)) @ q)[np.triu_indices(n)]
+    gap, _ = _gaps(n, np.array([p]), z[:, None])
     scale = gn ** (2.0 * (p - 2.0))
     return float(scale * gap[0])
 
@@ -167,31 +172,30 @@ class SweepResult:
         return min(self.shard_minima, key=lambda s: s.gap)
 
 
-def _gaps(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
-    """Both inequality gaps for k samples, entry by entry.
+def _gaps(n: int, p: np.ndarray, z: np.ndarray):
+    """Both inequality gaps for k samples at the unit gradient g = e_1.
 
-    z (n(n+1)/2, k) holds the upper triangle of each symmetric H row by row,
-    g (n, k) unit gradients and p (k,) exponents.  tr H, |H|^2, A = g.H.g and
-    |H g|^2 are accumulated in place, one row of H g at a time, so besides
-    its inputs the kernel holds a few k-vectors and no (k, n, n) stack.
+    z (n(n+1)/2, k) holds the upper triangle of each symmetric H row by row
+    and p (k,) the exponents.  Both sides of the inequality are unchanged
+    under (H, g) -> (Q H Q^T, Q g) for orthogonal Q, so any unit g can be
+    rotated onto e_1 (see `matrix_inequality_gap`).  There A = g.H.g = H_11
+    and |H g|^2 = sum_i H_i1^2, which are the first n rows of z; tr H and
+    |H|^2 are accumulated in place, one row of z at a time, so besides its
+    inputs the kernel holds a few k-vectors and no (k, n, n) stack.
     """
-    idx = np.zeros((n, n), dtype=int)
-    idx[np.triu_indices(n)] = np.arange(len(z))
-    idx = np.maximum(idx, idx.T)   # row of z holding H_ij
+    rows, cols = np.triu_indices(n)
     k = z.shape[1]
-    tr, hf2, A, hg2, row, t = np.zeros((6, k))
-    for i in range(n):
-        tr += z[idx[i, i]]
-        for j in range(i, n):
-            np.square(z[idx[i, j]], out=t)
-            if i != j:
-                t *= 2.0
-            hf2 += t
-        row.fill(0.0)                 # (H g)_i
-        for j in range(n):
-            row += np.multiply(z[idx[i, j]], g[j], out=t)
-        A += np.multiply(g[i], row, out=t)
-        hg2 += np.square(row, out=t)
+    tr, hf2, hg2, t = np.zeros((4, k))
+    for r, (i, j) in enumerate(zip(rows, cols)):
+        np.square(z[r], out=t)
+        if i == 0:                    # row 1 of H is column 1: H e_1
+            hg2 += t
+        if i == j:
+            tr += z[r]
+        else:
+            t *= 2.0
+        hf2 += t
+    A = z[0]
     dp = tr + (p - 2.0) * A          # unit gradient: |g|^{p-2} = 1
     rhs_core = dp**2 / n + n / (n - 1.0) * (dp / n - (p - 1.0) * A) ** 2
     gap = hf2 + (p**2 - 2.0 * p + 2.0) * A**2 - rhs_core - 2.0 * hg2
@@ -201,13 +205,17 @@ def _gaps(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
 
 def _draw_shard(rng: np.random.Generator, n: int, k: int, p_range: tuple[float, float],
                 buf: np.ndarray):
-    """k samples (p, z, g) of one shard, drawn in that order from `rng`.
+    """k samples (p, z) of one shard, drawn in that order from `rng`.
 
     p (k,) is uniform on p_range.  z (n(n+1)/2, k) is the upper triangle of a
     symmetric H, row by row, with independent entries: N(0, 1) on the
     diagonal and N(0, 1/2) off it, the law of (B + B^T)/2 for a standard
-    normal B.  g (n, k) is uniform on the unit sphere.  z and g are views of
-    the flat array `buf`, which must hold n(n+3)/2 * k floats.
+    normal B.  That law is unchanged under H -> Q H Q^T for orthogonal Q
+    (the Gaussian orthogonal ensemble), and so are both sides of the
+    inequality under (H, g) -> (Q H Q^T, Q g).  So the gap of (H, g) with g
+    uniform on the unit sphere has the law of the gap of (H, e_1), and no g
+    is drawn: every sample's gradient is e_1.  z is a view of the flat array
+    `buf`, which must hold n(n+1)/2 * k floats.
     """
     m = n * (n + 1) // 2
     p = rng.uniform(p_range[0], p_range[1], size=k)
@@ -215,9 +223,7 @@ def _draw_shard(rng: np.random.Generator, n: int, k: int, p_range: tuple[float, 
     rows, cols = np.triu_indices(n)
     for r in np.flatnonzero(rows != cols):
         z[r] *= np.sqrt(0.5)
-    g = rng.standard_normal(out=buf[m * k:(m + n) * k].reshape(n, k))
-    g /= np.sqrt(sum(gi * gi for gi in g))
-    return p, z, g
+    return p, z
 
 
 def _hess_from_upper(n: int, zcol: np.ndarray) -> np.ndarray:
@@ -242,7 +248,7 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
+def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray):
     """The first sample of least gap in one shard and the shard's least loose gap.
 
     The kernel runs over column blocks with a running first-occurrence
@@ -250,13 +256,13 @@ def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray, g: np.ndarray):
     """
     best, best_gap, loose = 0, np.inf, np.inf
     for s in range(0, len(p), _BLOCK):
-        gap, gap_loose = _gaps(n, p[s:s + _BLOCK], z[:, s:s + _BLOCK], g[:, s:s + _BLOCK])
+        gap, gap_loose = _gaps(n, p[s:s + _BLOCK], z[:, s:s + _BLOCK])
         i = int(np.argmin(gap))
         if gap[i] < best_gap:
             best, best_gap = s + i, float(gap[i])
         loose = min(loose, float(gap_loose.min()))
     shard = SweepShard(n=n, p=float(p[best]), gap=best_gap,
-                       hess=_hess_from_upper(n, z[:, best]), gvec=g[:, best].copy())
+                       hess=_hess_from_upper(n, z[:, best]), gvec=np.eye(n)[0])
     return shard, loose
 
 
@@ -270,9 +276,12 @@ def matrix_inequality_sweep(
 
     The budget is split evenly over n_values (the last n takes the
     remainder), so it must give every n at least one sample.  Each sample
-    draws p uniform on p_range, a symmetric H with independent N(0, 1)
-    diagonal and N(0, 1/2) off-diagonal entries, and g uniform on the unit
-    sphere (see `_draw_shard`).  Samples are sharded with independently
+    draws p uniform on p_range and a symmetric H with independent N(0, 1)
+    diagonal and N(0, 1/2) off-diagonal entries, and takes g = e_1: the law
+    of H is invariant under rotations, and so is the gap under a rotation
+    of both H and g, so a uniform g on the unit sphere would give the same
+    law of gaps (see `_draw_shard`).  Every witness and shard minimum thus
+    reports gvec = e_1.  Samples are sharded with independently
     seeded streams, and the shards run concurrently on a pool of one thread
     per CPU the process may use (at most one per shard), the largest shards
     first.  Each worker draws into one buffer of its own, and the shard
@@ -287,9 +296,9 @@ def matrix_inequality_sweep(
     sizes = [(n, min(_SHARD_SIZE, budget - start))
              for n, budget in zip(n_values, per_n) for start in range(0, budget, _SHARD_SIZE)]
     children = np.random.SeedSequence(seed).spawn(len(sizes))
-    floats = [n * (n + 3) // 2 * k for n, k in sizes]   # z and g of each shard
+    floats = [n * (n + 1) // 2 * k for n, k in sizes]   # z of each shard
     workers = min(_cpus(), len(sizes))
-    # each running shard draws its z and g into one of these arrays (one per
+    # each running shard draws its z into one of these arrays (one per
     # worker, so get() never waits), and its normals land in memory already
     # paged in rather than in a fresh allocation
     buffers = queue.SimpleQueue()
@@ -299,8 +308,8 @@ def matrix_inequality_sweep(
     def run(i):
         (n, k), buf = sizes[i], buffers.get()
         try:
-            p, z, g = _draw_shard(np.random.default_rng(children[i]), n, k, p_range, buf)
-            return _shard_minimum(n, p, z, g)
+            p, z = _draw_shard(np.random.default_rng(children[i]), n, k, p_range, buf)
+            return _shard_minimum(n, p, z)
         finally:
             buffers.put(buf)
 

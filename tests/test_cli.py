@@ -480,7 +480,9 @@ def test_matcheck_seed_override(tmp_path):
     for seed, name in ((9, "s9"), (9, "s9b"), (10, "s10")):
         out = tmp_path / name
         main(["matcheck", "--config", str(cfg), "--out", str(out), "--seed", str(seed)])
-        outs.append(json.loads((out / "matcheck.json").read_text())["min_gap"])
+        # min_gap is rounding noise of the planar gap (identically 0), so two
+        # seeds can share it; the witness tells the draws apart
+        outs.append(json.loads((out / "matcheck.json").read_text())["witness"])
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
 
