@@ -7,20 +7,20 @@ parametric curve, so boundary data (normal, curvature, arc-length weights)
 can be evaluated from closed forms instead of the polygon; a node's arc
 weight is its trapezoid weight over the node arc lengths.
 
-Meshes come from one of two paths, chosen by the domain.  The disk and the
-ellipse map a hexagonal patch of the triangular lattice onto the domain by
-one discrete harmonic map (elliptic grid generation; Thompson, Warsi &
-Mastin, 1985), so every interior vertex has degree 6 and the recovered
-derivatives keep the superconvergence of mildly structured grids (Xu &
-Zhang, Math. Comp. 73, 2004); the patch's six corners sit on the boundary,
-where graded edges hold the angle bound.  The annulus and the other polar
-stars are meshed by a truss-relaxation variant of Delaunay meshing.  As in
-DistMesh (Persson & Strang, SIAM Review 46, 2004), relaxation retriangulates
-lazily: only after some vertex has moved more than 0.1 h since the last
-triangulation.  Only its first triangulation comes from Qhull; each later
-one, and the final one of the relaxed points, repairs the triangulation it
-holds by Lawson's edge flips, which reach the same Delaunay triangulation.
-A relaxed mesh costs one Qhull call, and a mapped one none.
+Each domain has one mesher.  The disk and the ellipse map a hexagonal patch
+of the triangular lattice onto the domain by one discrete harmonic map
+(elliptic grid generation; Thompson, Warsi & Mastin, 1985), so every
+interior vertex has degree 6 and the recovered derivatives keep the
+superconvergence of mildly structured grids (Xu & Zhang, Math. Comp. 73,
+2004); the patch's six corners sit on the boundary, where graded edges, or
+where those pinch the Schwarz-Christoffel rim (Driscoll & Trefethen, 2002),
+hold the angle bound.  The annulus wraps the triangular lattice round the
+cylinder w -> r_in e^w, which has no corner, so every interior vertex has
+degree 6 there too.  The polar stars with coefficients are meshed by a
+truss-relaxation variant of Delaunay meshing.  As in DistMesh (Persson &
+Strang, SIAM Review 46, 2004), relaxation retriangulates lazily, by Qhull:
+only after some vertex has moved more than 0.1 h since the last
+triangulation.  Only a star's mesh calls Qhull.
 """
 
 from __future__ import annotations
@@ -405,16 +405,16 @@ class _PointLocator:
 
 
 # --------------------------------------------------------------------------
-# Radial inside tests (all catalogue domains are radial graphs about the origin)
+# Radial inside tests (a polar star is a radial graph about the origin)
 # --------------------------------------------------------------------------
 
 
 class _RadialDomain:
-    """Dense lookup tables for the boundary radius and the ray/normal angle."""
+    """Dense lookup tables for the boundary radius and the ray/normal angle
+    of a domain of one loop."""
 
     def __init__(self, spec: DomainSpec):
-        curves = spec.curves()
-        curve = curves[0]
+        curve = spec.curves()[0]
         t = np.linspace(0.0, TWO_PI, _STAR_SAMPLES + 1)
         pts = curve.point(t)
         theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
@@ -426,21 +426,14 @@ class _RadialDomain:
         radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         cospsi = np.clip(np.einsum("ij,ij->i", radial, curve.normal(t)), 0.2, 1.0)
         self._cospsi = cospsi[order]
-        # a second loop is the annulus's inner circle
-        self.annular = len(curves) > 1
-        self.r_in = curves[1].radius if self.annular else 0.0
 
     def inside(self, pts: np.ndarray, margin: float) -> np.ndarray:
         """Points (P, 2) more than ``margin`` inside the domain: below the
-        interpolated bound r_b(theta) - margin / cos(psi), and above
-        r_in + margin in an annulus."""
+        interpolated bound r_b(theta) - margin / cos(psi)."""
         rho = np.linalg.norm(pts, axis=-1)
         theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
-        ok = rho < (np.interp(theta, self._theta, self._rb)
-                    - margin / np.interp(theta, self._theta, self._cospsi))
-        if self.annular:
-            ok &= rho > self.r_in + margin
-        return ok
+        return rho < (np.interp(theta, self._theta, self._rb)
+                      - margin / np.interp(theta, self._theta, self._cospsi))
 
     def triangles_inside(self, points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
         """The triangles whose centroid lies inside the domain."""
@@ -462,26 +455,32 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     """Triangulate the domain with target edge length h.
 
     Boundary vertices sit exactly on the parametric curve and are pinned.
-    Two paths place the rest, chosen by the domain:
+    Each domain has one mesher:
 
     * The disk, the ellipse and the polar star with no coefficients map a
       hexagonal patch of the triangular lattice onto the domain
       (`_lattice_patch`).  The patch's boundary vertices go onto the curve
-      in order, at arc lengths graded to shorten the edges at its six
-      corners, and the interior vertices solve one discrete harmonic map
+      in order, and the interior vertices solve one discrete harmonic map
       with uniform weights (`_harmonic_map`), which cannot fold on a convex
       domain (Floater, Math. Comp. 72, 2003).  Every interior vertex keeps
-      the lattice's degree 6.  The corners pinch the triangles next to them
-      as h falls and as the ellipse lengthens (17.5 degrees on the 2:1
-      ellipse at h = 0.0125, 19.6 on the 3:1 one at h = 0.025); a mapped
-      mesh below the angle bound relaxes instead.
-    * The annulus and the other polar stars relax: boundary vertices sit at
-      equal arc-length spacing, and interior vertices start on a hexagonal
-      lattice and relax under repulsive edge forces until the triangulation
-      is near-uniform (`_relaxed_mesh`).
+      the lattice's degree 6.  The boundary edges are graded to shorten at
+      the patch's six corners (`_corner_graded`); that grading pinches the
+      triangles at the corners as h falls and as the ellipse lengthens
+      (17.5 degrees on the 2:1 ellipse at h = 0.0125, 19.6 on the 3:1 one
+      at h = 0.025), and a mesh below the angle bound is mapped again with
+      the Schwarz-Christoffel rim (`_schwarz_christoffel`), which holds the
+      angle as h falls.
+    * The annulus wraps the triangular lattice round the cylinder
+      w -> r_in e^w (`_lattice_cylinder`): no corner, and every interior
+      vertex of degree 6.
+    * The other polar stars relax: boundary vertices sit at equal arc-length
+      spacing, and interior vertices start on a hexagonal lattice and relax
+      under repulsive edge forces until the triangulation is near-uniform
+      (`_relaxed_mesh`).
 
-    Either mesh must match its parametric boundary loops edge for edge and
-    meet the minimum-angle bound ``_MIN_ANGLE_DEG``.
+    A mesh must match its parametric boundary loops edge for edge and meet
+    the minimum-angle bound ``_MIN_ANGLE_DEG``; a domain with no mesh that
+    meets it is a MeshGenerationError with the last angle achieved.
     """
     diam = spec.diameter()
     if not (0.0 < h < diam / 4.0):
@@ -506,24 +505,89 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
         _check_boundary_edges(mesh)
         return mesh
 
-    aspect = _lattice_aspect(spec)
-    if aspect is not None:
-        triangles, n_vertices, fractions = _lattice_patch(aspect, lengths[0] / h)
-        mesh = mesh_from([lengths[0] * fractions],
-                         lambda bnd: (_harmonic_map(triangles, bnd, n_vertices), triangles))
-        if mesh.min_angle_deg() >= _MIN_ANGLE_DEG:
+    def candidates():
+        """The meshes to try, in order."""
+        aspect = _lattice_aspect(spec)
+        if isinstance(spec, Annulus):
+            triangles, interior, fractions = _lattice_cylinder(spec.r_in, spec.r_out, h)
+            yield mesh_from([L * f for L, f in zip(lengths, fractions)],
+                            lambda bnd: (np.concatenate([bnd, interior]), triangles))
+        elif aspect is not None:
+            triangles, n_vertices, corner_gap, side = _lattice_patch(aspect, lengths[0] / h)
+
+            def mapped(edge: np.ndarray) -> TriMesh:
+                """The mapped mesh whose rim edges, from node 0, have the
+                relative lengths ``edge``."""
+                fractions = np.concatenate([[0.0], np.cumsum(edge[:-1])]) / edge.sum()
+                return mesh_from([lengths[0] * fractions], lambda bnd: (
+                    _harmonic_map(triangles, bnd, n_vertices), triangles))
+
+            yield mapped(_corner_graded(corner_gap))
+            yield mapped(_schwarz_christoffel(corner_gap, side))
+        else:
+            n = max(8, int(round(lengths[0] / h)))
+            yield mesh_from([lengths[0] * np.arange(n) / n],
+                            lambda bnd: _relaxed_mesh(spec, h, bnd))
+
+    for mesh in candidates():
+        min_angle = mesh.min_angle_deg()
+        if min_angle >= _MIN_ANGLE_DEG:
             return mesh
-        # the corners pinched the mapped mesh below the bound: relax instead
-    nodes = [max(8, int(round(L / h))) for L in lengths]
-    mesh = mesh_from([L * np.arange(n) / n for L, n in zip(lengths, nodes)],
-                     lambda bnd: _relaxed_mesh(spec, h, bnd, len(curves)))
-    min_angle = mesh.min_angle_deg()
-    if min_angle < _MIN_ANGLE_DEG:
-        raise MeshGenerationError(
-            f"mesh quality below bound: min angle {min_angle:.2f} deg < {_MIN_ANGLE_DEG} deg",
-            achieved_min_angle_deg=min_angle,
-        )
-    return mesh
+    raise MeshGenerationError(
+        f"mesh quality below bound: min angle {min_angle:.2f} deg < {_MIN_ANGLE_DEG} deg",
+        achieved_min_angle_deg=min_angle,
+    )
+
+
+def _grid_triangles(index: np.ndarray) -> np.ndarray:
+    """The triangles of both families of the triangular lattice over its
+    vertex index grid ``index[q, r]`` of the points q e1 + r e2, with
+    e1 = (1, 0) and e2 = (1/2, sqrt 3/2): up (q, r), (q+1, r), (q, r+1) and
+    down (q+1, r), (q+1, r+1), (q, r+1), counter-clockwise in the lattice
+    plane.  Triangles with a vertex of index -1 are left out."""
+    v00, v10, v01, v11 = index[:-1, :-1], index[1:, :-1], index[:-1, 1:], index[1:, 1:]
+    triangles = np.concatenate([np.stack([v00, v10, v01], axis=-1).reshape(-1, 3),
+                                np.stack([v10, v11, v01], axis=-1).reshape(-1, 3)])
+    return triangles[(triangles >= 0).all(axis=1)]
+
+
+# --------------------------------------------------------------------------
+# Lattice cylinder (annulus)
+# --------------------------------------------------------------------------
+
+
+def _lattice_cylinder(r_in: float, r_out: float,
+                      h: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The triangular lattice wrapped round the annulus by w -> r_in e^w.
+
+    It has n = round(2 pi r_out / h) columns and m = round(ln(r_out/r_in) /
+    (sqrt 3 pi / n)) row steps, the lattice's row spacing over its column
+    spacing 2 pi / n.  Row j lies on the circle r_in e^{j ln(r_out/r_in) / m}
+    and odd rows are half a column round.  The vertices are numbered outer
+    loop (row m) first, counter-clockwise, then the inner loop (row 0) in
+    its clockwise order, then the interior rows.  Fewer than 2 row steps
+    leave no interior vertex, which is a mesh error.
+
+    Returns the triangles, counter-clockwise, from the index grid; the
+    interior points; and the outer and inner loops' node arc lengths as
+    fractions of the loop.
+    """
+    n = int(round(TWO_PI * r_out / h))
+    m = int(round(math.log(r_out / r_in) / (math.sqrt(3.0) * math.pi / n)))
+    if m < 2:
+        raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
+    j, c = np.meshgrid(np.arange(m + 1), np.arange(n), indexing="ij")
+    ids = np.where(j == m, c, np.where(j == 0, n + (-c) % n, n * (j + 1) + c))
+    # lattice point (q, r) is column q + r // 2 (mod n) of row r
+    q, r = np.meshgrid(np.arange(n + 1), np.arange(m + 1), indexing="ij")
+    # w -> r_in e^w takes the lattice plane's (column, row) axes to the
+    # angle and the radius, which reverses orientation
+    triangles = _grid_triangles(ids[r, (q + r // 2) % n])[:, ::-1].copy()
+    theta = TWO_PI / n * (c + (j % 2) / 2)
+    rho = r_in * np.exp(math.log(r_out / r_in) / m * j)
+    interior = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)[1:-1]
+    return triangles, interior.reshape(-1, 2), [(np.arange(n) + (m % 2) / 2) / n,
+                                                 np.arange(n) / n]
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +605,7 @@ _CORNER_REACH = 3.0
 def _lattice_aspect(spec: DomainSpec) -> float | None:
     """The a/b of the lattice patch mapped onto the domain: a/b for the
     ellipse, 1 for the disk and the polar star with no coefficients (a
-    circle), and None for the domains that relax."""
+    circle), and None for the other domains."""
     if isinstance(spec, Ellipse):
         return spec.a / spec.b
     if isinstance(spec, Disk) or (isinstance(spec, PolarStar)
@@ -550,17 +614,17 @@ def _lattice_aspect(spec: DomainSpec) -> float | None:
     return None
 
 
-def _lattice_patch(aspect: float, n_rim: float) -> tuple[np.ndarray, int, np.ndarray]:
-    """The hexagonal patch of the triangular lattice q e1 + r e2, with
-    e1 = (1, 0) and e2 = (1/2, sqrt 3/2): the points with |q| <= A, |r| <= B
-    and |q + r| <= A, where A = round(B aspect) and B makes the boundary
-    count 4A + 2B nearest ``n_rim``.
+def _lattice_patch(aspect: float, n_rim: float) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """The hexagonal patch of the triangular lattice q e1 + r e2: the points
+    with |q| <= A, |r| <= B and |q + r| <= A, where A = round(B aspect) and
+    B makes the boundary count 4A + 2B nearest ``n_rim``.
 
     The vertices are numbered boundary first, counter-clockwise from the
     corner (A, 0), then the interior row by row.  Returns the triangles of
     both lattice families, counter-clockwise, from the index grid; the
-    vertex count; and the boundary vertices' arc lengths as fractions of the
-    loop, from the corner-graded edge lengths.
+    vertex count; each boundary edge's distance in edges from its midpoint
+    to the nearest of the six corners; and B, the length in edges of the
+    four short sides.
     """
     bs = np.arange(1, int(n_rim) + 2)
     big = np.rint(bs * aspect).astype(int)
@@ -576,21 +640,41 @@ def _lattice_patch(aspect: float, n_rim: float) -> tuple[np.ndarray, int, np.nda
     order = np.concatenate([rim, np.flatnonzero(member & (active == 0))])
     index = np.full(len(q), -1)
     index[order] = np.arange(len(order))
-    index = index.reshape(2 * A + 1, 2 * B + 1)
-    # up triangles (q, r), (q+1, r), (q, r+1); down (q+1, r), (q+1, r+1), (q, r+1)
-    v00, v10, v01, v11 = index[:-1, :-1], index[1:, :-1], index[:-1, 1:], index[1:, 1:]
-    triangles = np.concatenate([np.stack([v00, v10, v01], axis=-1).reshape(-1, 3),
-                                np.stack([v10, v11, v01], axis=-1).reshape(-1, 3)])
-    triangles = triangles[(triangles >= 0).all(axis=1)]
+    triangles = _grid_triangles(index.reshape(2 * A + 1, 2 * B + 1))
 
     # the six corners are the boundary vertices on two sides of the patch
     n = len(rim)
     corners = np.flatnonzero(active[rim] >= 2)
     gap = np.abs(np.arange(n)[:, None] + 0.5 - corners)
-    d = np.minimum(gap, n - gap).min(axis=1)    # from edge k's midpoint, in edges
-    edge = 1.0 - _CORNER_SHRINK * np.exp(-(d / _CORNER_REACH) ** 2)
-    fractions = np.concatenate([[0.0], np.cumsum(edge[:-1])]) / edge.sum()
-    return triangles, len(order), fractions
+    return triangles, len(order), np.minimum(gap, n - gap).min(axis=1), B
+
+
+def _corner_graded(corner_gap: np.ndarray) -> np.ndarray:
+    """The relative boundary edge lengths 1 - 0.6 exp(-(d/3)^2), d edges
+    from the nearest patch corner."""
+    return 1.0 - _CORNER_SHRINK * np.exp(-(corner_gap / _CORNER_REACH) ** 2)
+
+
+def _schwarz_christoffel(corner_gap: np.ndarray, side: int) -> np.ndarray:
+    """The relative boundary edge lengths that the Schwarz-Christoffel map
+    of the disk onto the regular hexagon, f(w) = int (1 - s^6)^(-1/3) ds,
+    gives a side of ``side`` edges (Driscoll & Trefethen, *Schwarz-Christoffel
+    Mapping*, 2002).
+
+    A corner's prevertex is at circle arc 0 and the mid-side's at pi/6, and
+    the hexagon arc length from the corner is proportional to the
+    regularized incomplete beta function I(sin^2 3 psi; 1/3, 1/2).  So the
+    k = side // 2 equal steps of a half side sit at the circle arcs
+    psi_j = arcsin(sqrt(I^-1(1/3, 1/2; j / k))) / 3, and edge j from a
+    corner (``corner_gap`` j - 1/2) has the relative length
+    psi_j - psi_{j-1}; an edge further than k from every corner, in the
+    middle of a side of odd or of long length, has the mid-side one.
+    scipy.special is imported here, so only this rim loads it.
+    """
+    from scipy.special import betaincinv
+    k = max(side // 2, 1)
+    psi = np.arcsin(np.sqrt(betaincinv(1.0 / 3.0, 0.5, np.arange(k + 1) / k))) / 3.0
+    return np.diff(psi)[np.minimum(corner_gap + 0.5, k).astype(int) - 1]
 
 
 def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
@@ -614,37 +698,27 @@ def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Relaxation (annulus, polar stars, and mapped meshes below the angle bound)
+# Relaxation (the polar stars with coefficients)
 # --------------------------------------------------------------------------
 
 
-def _relaxed_mesh(spec: DomainSpec, h: float, bnd_xy: np.ndarray,
-                  n_loops: int) -> tuple[np.ndarray, np.ndarray]:
+def _relaxed_mesh(spec: PolarStar, h: float, bnd_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The points (``bnd_xy`` pinned, then the interior) and triangles of a
     relaxed mesh.
 
     Relaxation keeps its edge list between steps and retriangulates only
     after some vertex has moved more than 0.1 h since the last
-    triangulation, by edge flips on the Delaunay triangulation it holds;
-    Qhull triangulates the lattice once before relaxation, and the mesh
-    takes its triangles from one more flip repair of the relaxed points, so
-    a mesh costs one Qhull call.  Each triangulation keeps the triangles
-    whose centroid lies inside the domain; a domain of one loop whose node
-    polygon is convex skips that filter, since its triangulations cover the
-    polygon and nothing more.  The force loop and the flip repair work on
-    coordinate rows, which changes no mesh.  The lattice spans the largest
-    radius of the outer loop, and the relaxed interior vertices are checked
-    once to lie inside the domain.
+    triangulation, and once more for the relaxed points: each time by Qhull,
+    keeping the triangles whose centroid lies inside the domain.  The force
+    loop works on coordinate rows, which changes no mesh.  The lattice spans
+    the largest radius of the loop, and the relaxed interior vertices are
+    checked once to lie inside the domain.
     """
     domain = _RadialDomain(spec)
-    # a Delaunay triangulation covers the convex hull of its points: when the
-    # domain is one loop whose node polygon is convex, that hull is the
-    # polygon, and the centroid filter has nothing to remove
-    filter_centroids = n_loops > 1 or not _convex_polygon(bnd_xy)
     interior = _hex_lattice(h, domain)
     if not len(interior):
         raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
-    points, triangles = _relax(bnd_xy, interior, h, domain, filter_centroids)
+    points, triangles = _relax(bnd_xy, interior, h, domain)
     outside = np.count_nonzero(~domain.inside(points[len(bnd_xy):], margin=0.0))
     if outside:
         raise MeshGenerationError(
@@ -654,7 +728,7 @@ def _relaxed_mesh(spec: DomainSpec, h: float, bnd_xy: np.ndarray,
 
 def _hex_lattice(h: float, domain: _RadialDomain) -> np.ndarray:
     """The points of a hexagonal lattice of spacing h more than 0.7 h inside
-    the domain; the lattice spans the largest radius of the outer loop."""
+    the domain; the lattice spans the largest radius of the loop."""
     lim = domain._rb.max() + h
     dy = h * math.sqrt(3.0) / 2.0
     rows = int(math.ceil(lim / dy))
@@ -669,23 +743,14 @@ def _hex_lattice(h: float, domain: _RadialDomain) -> np.ndarray:
     return pts[domain.inside(pts, margin=0.7 * h)]
 
 
-def _convex_polygon(loop: np.ndarray) -> bool:
-    """Whether the counter-clockwise node loop (P, 2) turns left at every
-    node; a loop of a radial graph winds once, so it is then convex."""
-    e = np.roll(loop, -1, axis=0) - loop
-    en = np.roll(e, -1, axis=0)
-    return bool((e[:, 0] * en[:, 1] - e[:, 1] * en[:, 0] > 0).all())
-
-
-def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomain,
-           filter_centroids: bool) -> tuple[np.ndarray, np.ndarray]:
+def _relax(bnd: np.ndarray, interior: np.ndarray, h: float,
+           domain: _RadialDomain) -> tuple[np.ndarray, np.ndarray]:
     """The points (``bnd`` pinned, then the interior) after at most
     ``_RELAX_ITERS`` steps of repulsive edge forces, and their triangles.
 
     One retriangulation step serves the loop, once some vertex has moved
     0.1 h since the last one (DistMesh's rule), and the relaxed points:
-    Qhull the first time, Lawson's flips on the held triangulation after,
-    then the centroid filter if ``filter_centroids``.
+    Qhull, then the centroid filter.
 
     The loop holds the points as coordinate rows (x, y) and runs the same
     floating-point operations as on (n, 2) points, so the result is the same
@@ -695,13 +760,10 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
     xy = np.concatenate([bnd, interior]).T.copy()   # x in xy[0], y in xy[1]
     n = xy.shape[1]
     last = np.full_like(xy, np.inf)
-    full = None
 
     def retriangulate() -> np.ndarray:
-        nonlocal full
         pts = xy.T
-        full = _delaunay_ccw(pts) if full is None else _flip_to_delaunay(pts, *full)
-        return domain.triangles_inside(pts, full[0]) if filter_centroids else full[0]
+        return domain.triangles_inside(pts, _delaunay_ccw(pts))
 
     for _ in range(_RELAX_ITERS):
         dx, dy = xy - last
@@ -724,6 +786,22 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float, domain: _RadialDomai
     return xy.T.copy(), retriangulate()
 
 
+def Delaunay(points: np.ndarray):
+    """Qhull's Delaunay triangulation, scipy.spatial's ``Delaunay(points)``.
+    scipy.spatial is imported on the first call, so only a star's mesh
+    build loads it; `_delaunay_ccw` looks this name up at each call."""
+    from scipy.spatial import Delaunay as qhull
+    return qhull(points)
+
+
+def _delaunay_ccw(points: np.ndarray) -> np.ndarray:
+    """Qhull's Delaunay triangulation of all the points, counter-clockwise."""
+    tri = Delaunay(points).simplices.copy()
+    cw = _signed_area(points.T, tri) < 0
+    tri[cw] = tri[cw][:, [0, 2, 1]]
+    return tri
+
+
 def _edge_key(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     """The key min(v, w) * n + max(v, w) of the edge between vertices v and w
     of an n-vertex mesh."""
@@ -743,109 +821,6 @@ def _signed_area(xy: np.ndarray, triangles: np.ndarray) -> np.ndarray:
     positive for counter-clockwise ones."""
     (x0, x1, x2), (y0, y1, y2) = (row[triangles.T] for row in xy)
     return 0.5 * ((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
-
-
-# --------------------------------------------------------------------------
-# Delaunay repair by Lawson's edge flips
-# --------------------------------------------------------------------------
-
-_FLIP_TIE = 1e-10       # in-circle determinants below this share of max|p - d|^4 are ties
-_FLIP_PASSES = 100      # a repair that has not settled by then re-seeds from Qhull
-
-
-def Delaunay(points: np.ndarray):
-    """Qhull's Delaunay triangulation, scipy.spatial's ``Delaunay(points)``.
-    scipy.spatial is imported on the first call, so only a mesh build loads
-    it; `_delaunay_ccw` looks this name up at each call."""
-    from scipy.spatial import Delaunay as qhull
-    return qhull(points)
-
-
-def _delaunay_ccw(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Qhull's Delaunay triangulation of all the points, counter-clockwise,
-    and its neighbour table: ``nbr[t, k]`` is the triangle across the edge
-    opposite vertex k of triangle t, or -1 on the convex hull."""
-    d = Delaunay(points)
-    tri, nbr = d.simplices.copy(), d.neighbors.copy()
-    cw = _signed_area(points.T, tri) < 0
-    tri[cw] = tri[cw][:, [0, 2, 1]]
-    nbr[cw] = nbr[cw][:, [0, 2, 1]]
-    return tri, nbr
-
-
-def _flip_to_delaunay(points: np.ndarray, tri: np.ndarray,
-                      nbr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Delaunay triangulation of moved points, repaired in place from a
-    counter-clockwise triangulation ``(tri, nbr)`` of the same points.
-
-    An edge is illegal when the vertex across it lies inside the circumcircle
-    of the triangle on this side (Lawson 1977); a triangulation without
-    illegal edges is Delaunay.  Each pass flips a batch of illegal edges in
-    which no triangle appears twice, then checks only the edges of the
-    triangles it touched.  Ties (cocircular nodes such as a circular rim or
-    hole) are never flipped.  If a vertex has moved across an edge, so that
-    some triangle is no longer counter-clockwise, Qhull starts afresh.
-    """
-    xy = points.T
-    if (_signed_area(xy, tri) <= 0).any():
-        return _delaunay_ccw(points)
-    t, k = np.nonzero(nbr > np.arange(len(tri))[:, None])    # every interior edge once
-    for _ in range(_FLIP_PASSES):
-        u = nbr[t, k]
-        ku = np.argmax(nbr[u] == t[:, None], axis=1)
-        a, b, c, d = tri[t, k], tri[t, (k + 1) % 3], tri[t, (k + 2) % 3], tri[u, ku]
-        bad = _in_circle(xy, a, b, c, d)
-        if not bad.any():
-            return tri, nbr
-        t, k, u, ku, a, b, c, d = (x[bad] for x in (t, k, u, ku, a, b, c, d))
-        # flip each edge that is the first illegal edge of both its triangles
-        e = np.arange(len(t))
-        first = np.full(len(tri), len(t))
-        np.minimum.at(first, t, e)
-        np.minimum.at(first, u, e)
-        go = (first[t] == e) & (first[u] == e)
-        ft, fu = t[go], u[go]
-        touched = np.concatenate([ft, fu, nbr[ft].ravel(), nbr[fu].ravel()])
-        # the quad a, b, d, c (counter-clockwise) gets the diagonal a-d
-        tri[ft] = np.stack([a[go], b[go], d[go]], axis=1)
-        tri[fu] = np.stack([a[go], d[go], c[go]], axis=1)
-        nbr[ft] = nbr[fu] = -1
-        _link(tri, nbr, np.unique(touched[touched >= 0]), len(points))
-        cand = np.unique(np.concatenate([t, u]))
-        t, k = np.repeat(cand, 3), np.tile(np.arange(3), len(cand))
-        inner = nbr[t, k] >= 0
-        t, k = t[inner], k[inner]
-    return _delaunay_ccw(points)
-
-
-def _in_circle(xy: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-               d: np.ndarray) -> np.ndarray:
-    """Whether d lies strictly inside the circumcircle of the counter-clockwise
-    triangle (a, b, c), by more than the tie tolerance; the points are the
-    coordinate rows ``xy`` (2, N)."""
-    x, y = xy
-    xd, yd = x[d], y[d]
-    adx, ady = x[a] - xd, y[a] - yd
-    bdx, bdy = x[b] - xd, y[b] - yd
-    cdx, cdy = x[c] - xd, y[c] - yd
-    la, lb, lc = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
-    det = (la * (bdx * cdy - cdx * bdy)
-           + lb * (cdx * ady - adx * cdy)
-           + lc * (adx * bdy - bdx * ady))
-    return det > _FLIP_TIE * np.maximum(np.maximum(la, lb), lc) ** 2
-
-
-def _link(tri: np.ndarray, nbr: np.ndarray, s: np.ndarray, n: int) -> None:
-    """Point ``nbr`` across every edge that two of the triangles ``s`` share;
-    the entries of the other edges are left as they are."""
-    ts, ks = np.repeat(s, 3), np.tile(np.arange(3), len(s))
-    v, w = tri[ts, (ks + 1) % 3], tri[ts, (ks + 2) % 3]
-    key = _edge_key(v, w, n)
-    order = np.argsort(key)
-    same = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-    i, j = order[same], order[same + 1]
-    nbr[ts[i], ks[i]] = ts[j]
-    nbr[ts[j], ks[j]] = ts[i]
 
 
 def _assemble_mesh(

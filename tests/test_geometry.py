@@ -180,6 +180,13 @@ def test_validation_errors():
         build_mesh(Disk(1.0), 0.6)            # h must stay below diameter/4
 
 
+def _interior_degrees(mesh):
+    edges = np.unique(np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2),
+                              axis=1), axis=0)
+    degree = np.bincount(edges.ravel(), minlength=mesh.n_vertices)
+    return np.delete(degree, mesh.boundary_vertices)
+
+
 @pytest.mark.parametrize("domain, h", [("disk", 0.1), ("disk", 0.025), ("disk", 0.0125),
                                       ("ellipse", 0.05), ("ellipse", 0.035)])
 def test_mapped_mesh_has_degree_6_inside_and_meets_the_angle_bound(lab, domain, h):
@@ -189,26 +196,72 @@ def test_mapped_mesh_has_degree_6_inside_and_meets_the_angle_bound(lab, domain, 
     import plap_lab.geometry as geo
 
     mesh = lab.mesh(domain, h)
-    edges = np.unique(np.sort(mesh.triangles[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2),
-                              axis=1), axis=0)
-    degree = np.bincount(edges.ravel(), minlength=mesh.n_vertices)
-    assert (np.delete(degree, mesh.boundary_vertices) == 6).all()
+    assert (_interior_degrees(mesh) == 6).all()
     assert mesh.min_angle_deg() >= geo._MIN_ANGLE_DEG
 
 
-@pytest.mark.parametrize("spec, h", [(Ellipse(3.0, 1.0), 0.025), (Ellipse(5.0, 1.0), 0.05)],
-                         ids=["3to1", "5to1"])
-def test_mapped_mesh_below_the_angle_bound_relaxes_instead(monkeypatch, spec, h):
-    """The patch corners pinch the mapped 3:1 ellipse at h = 0.025 (19.6
-    degrees) and the 5:1 one at h = 0.05 (19.9 degrees): both relax, with one
-    Qhull call, and meet the bound."""
+@pytest.mark.parametrize("spec, h", [(Ellipse(3.0, 1.0), 0.025), (Ellipse(5.0, 1.0), 0.05),
+                                     (Ellipse(2.0, 1.0), 0.0125)],
+                         ids=["3to1", "5to1", "2to1"])
+def test_pinched_mapped_mesh_takes_the_conformal_rim(monkeypatch, spec, h):
+    """The corner grading pinches the mapped 3:1 ellipse at h = 0.025 (19.6
+    degrees), the 5:1 one at h = 0.05 (19.9) and the 2:1 one at h = 0.0125
+    (17.5): each is mapped again with the Schwarz-Christoffel rim, with no
+    Qhull call, keeps degree 6 inside and meets the bound."""
     import plap_lab.geometry as geo
 
-    calls = []
+    calls, rims = [], []
     monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+    conformal = geo._schwarz_christoffel
+    monkeypatch.setattr(geo, "_schwarz_christoffel",
+                        lambda *args: rims.append(1) or conformal(*args))
     mesh = build_mesh(spec, h)
-    assert len(calls) == 1
+    assert calls == [] and rims == [1]
+    assert (_interior_degrees(mesh) == 6).all()
     assert mesh.min_angle_deg() >= geo._MIN_ANGLE_DEG
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_conformal_rim_takes_equal_steps_of_the_hexagon_map(k):
+    """Edge j from a corner ends at the circle arc psi_j where the hexagon
+    arc length S(psi) = int_0^psi (2 sin 3t)^(-1/3) dt, by adaptive
+    quadrature, is j/k of the half side's; edges further than k from a
+    corner take the mid-side edge."""
+    from scipy.integrate import quad
+
+    import plap_lab.geometry as geo
+
+    edge = geo._schwarz_christoffel(np.arange(k + 2) + 0.5, 2 * k)
+    psi = np.cumsum(edge[:k])
+    arc = [quad(lambda t: (2.0 * np.sin(3.0 * t)) ** (-1.0 / 3.0), 0.0, x, limit=200)[0]
+           for x in (*psi, np.pi / 6)]
+    assert np.allclose(arc[:-1], arc[-1] * np.arange(1, k + 1) / k, rtol=0, atol=1e-12)
+    assert psi[-1] == pytest.approx(np.pi / 6, abs=1e-15)
+    assert (edge[k:] == edge[k - 1]).all()
+
+
+def test_conformal_rim_that_misses_the_bound_is_a_mesh_error():
+    """The 10:1 ellipse at h = 0.14 misses 20 degrees with either rim (19.3
+    with the Schwarz-Christoffel one); it does not relax."""
+    with pytest.raises(MeshGenerationError, match="min angle 19.33") as err:
+        build_mesh(Ellipse(10.0, 1.0), 0.14)
+    assert err.value.achieved_min_angle_deg == pytest.approx(19.33, abs=0.005)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_annulus_is_a_lattice_cylinder(h):
+    """Both loops of the annulus hold n = round(2 pi r_out / h) nodes, the
+    outer one counter-clockwise and the inner one clockwise; the cylinder
+    has no corner, so every interior vertex has degree 6, and its
+    triangles are near equilateral."""
+    mesh = build_mesh(Annulus(0.5, 1.0), h)
+    n = round(2 * np.pi / h)
+    for loop, sign in zip(mesh.boundary_loops, (1, -1)):
+        x, y = mesh.points[loop].T
+        assert len(loop) == n
+        assert sign * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0
+    assert (_interior_degrees(mesh) == 6).all()
+    assert mesh.min_angle_deg() >= 55.0
 
 
 def test_quality_error_reports_min_angle(monkeypatch):
@@ -246,31 +299,27 @@ def test_boundary_loop_orientation(lab):
 
 
 def test_relaxation_retriangulates_lazily(monkeypatch):
+    """Each retriangulation is one Qhull call and one centroid filter: 12 on
+    this star, the lazy ones during relaxation and one for the relaxed
+    points."""
     import plap_lab.geometry as geo
 
     calls = []
-
-    def counting_delaunay(points):
-        calls.append(len(points))
-        return Delaunay(points)
-
-    monkeypatch.setattr(geo, "Delaunay", counting_delaunay)
+    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
+    filtered = _count_filtered(monkeypatch)
     build_mesh(DOMAINS["three_lobes"], 0.05)
-    # running Qhull at each of the lazy retriangulations makes 12 calls on
-    # this star; edge flips repair the held triangulation, and once more for
-    # the relaxed points, so Qhull runs on the lattice only
-    assert len(calls) == 1
+    assert len(calls) == len(filtered) == 12
 
 
-@pytest.mark.parametrize("r_in, h", [(0.5, 0.4), (0.8, 0.14)])
+@pytest.mark.parametrize("r_in, h", [(0.8, 0.2), (0.8, 0.4)])
 def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
-    """No lattice point fits inside these annuli, though h < diameter/4: the
-    mesh would have no unknown, so it fails as a mesh error, and the CLI
-    exits 3 with error.json of type mesh."""
-    import plap_lab.geometry as geo
-
+    """The lattice cylinders of these annuli have one row step, from the
+    inner loop to the outer one, though h < diameter/4: the mesh would have
+    no unknown, so it fails as a mesh error, and the CLI exits 3 with
+    error.json of type mesh."""
     spec = Annulus(r_in, 1.0)
-    assert len(geo._hex_lattice(h, geo._RadialDomain(spec))) == 0
+    n = round(2 * np.pi / h)
+    assert round(np.log(1.0 / r_in) / (np.sqrt(3.0) * np.pi / n)) == 1
     with pytest.raises(MeshGenerationError, match="no interior vertex"):
         build_mesh(spec, h)
     cfg = tmp_path / "config.json"
@@ -283,32 +332,29 @@ def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
 
 
 # sha256 of points.tobytes() + triangles.tobytes(): the triangles in the
-# order of the mapped lattice's index grid (disk, ellipse) or of the
-# relaxation's flip-repaired triangulation (annulus, star)
+# order of the lattice's index grid (disk, ellipse, annulus) or of Qhull's
+# triangulation of the relaxed points (star)
 MESH_DIGESTS = {
     ("disk", 0.1): "6e586cf5abaabb995deb4c30ce39c468ab904206348bcc92b0fc575f2e20204d",
     ("ellipse", 0.05): "ce7b1bdd63dd8ba81d34fda08d690dbe175efcb80be84b0b6745c6be2e3270f1",
-    ("annulus", 0.1): "dd32d82d04cb7e49ec38a700083b2f886c2f4083278b6bb8578e175167935495",
+    ("annulus", 0.1): "c2e4408198c096db27fe1430d7448a1eaf046a98fb4211644a5f9e6caa7263e0",
     # the benchmark meshes (ellipse_verify, disk_p_ladder) and a polar star
     ("ellipse", 0.035): "bbd1e6a7fa00fe1e0712ec746e94d23c9d85381919858ca1a6f31de52804c0ed",
     ("disk", 0.025): "cbf9f850c1ab93e426f1525d27a29ca01ae0c6f480f04cd4b239a806a932cc4f",
-    ("star", 0.1): "e5dbc1f771ddfdd5916fe4a3b120c955ac7e13c6f185bc88b728d8113d2c7634",
+    ("star", 0.1): "92f04e688d168f15df2c04e6232a03f5f5304d2837ef25e04b671919ecf79baa",
 }
 
 # sha256 of points.tobytes() + the triangles as a set: each row rotated to
-# start at its least vertex, the rows sorted.  The relaxed meshes' entries
-# were recorded from meshes that took their final triangulation from a
-# second Qhull call, so the flip repair that replaced it gives the same
-# points and the same triangles; the mapped disk and ellipse meshes are the
-# Delaunay triangulations of their points too
+# start at its least vertex, the rows sorted.  The relaxed stars' entries
+# were recorded when relaxation repaired its triangulations by edge flips,
+# which reached the same triangles as Qhull; the mapped disk and ellipse
+# meshes are the Delaunay triangulations of their points too
 MESH_SET_DIGESTS = {
     ("disk", 0.1): "293b2c24cace464d87d4e37f7340327221638da7d82a81d9b30ee10abd5e92fb",
     ("ellipse", 0.05): "c8de02b40b6fee0dc888a525c7ab66ab586194f91672cbd320ad356a10602386",
-    ("annulus", 0.1): "d6550f72b18b40beb598147b44010a2eba6d2c1367452200573bcaa5e38e18b8",
     ("ellipse", 0.035): "cba38cc4a4a6c39a2e76a416594cca90146ecad1849dc6e67125176c854f5543",
     ("disk", 0.025): "2a331047166aa60b2402c15cfa5fce061f9f1f63a7e80d8b7f65805c3fc9bf09",
     ("star", 0.1): "f0b59f21bb51d30df17fbe1de520978656b44a6f5cbc817af994094912685371",
-    ("annulus", 0.05): "d32b3be5514f7bc30d2110273403ddbe6074134bd575964f78c3b72cb9b9f5d1",
     ("three_lobes", 0.05): "9440157d32bbbd13871f0244fd43591e9e454d5c651e5119815f4505020dcbaf",
 }
 
@@ -316,7 +362,7 @@ MESH_SET_DIGESTS = {
 @pytest.mark.parametrize("domain, h, n_vertices, n_triangles, min_angle", [
     ("disk", 0.1, 331, 600, 38.47679459055089),
     ("ellipse", 0.05, 2623, 5054, 28.07400468480788),
-    ("annulus", 0.1, 286, 478, 36.441127809722204),
+    ("annulus", 0.1, 567, 1008, 57.02821958435561),
     ("ellipse", 0.035, 5629, 10976, 25.18390416735987),
     ("disk", 0.025, 5419, 10584, 28.971309209407607),
     ("star", 0.1, 379, 693, 34.05508061460358),
@@ -373,113 +419,15 @@ def _count_filtered(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("domain, h", [key for key in MESH_DIGESTS if key[0] == "star"])
-def test_skipped_centroid_filter_would_remove_nothing(lab, monkeypatch, domain, h):
-    """A relaxed domain of one loop whose node polygon is convex skips the
-    centroid filter; run on every retriangulation, it removes no triangle and
-    the mesh is the same."""
-    import plap_lab.geometry as geo
-
-    mesh = lab.mesh(domain, h)
-    assert geo._convex_polygon(mesh.points[mesh.boundary_loops[0]])
+def test_centroid_filter_removes_triangles_outside_a_nonconvex_star(monkeypatch):
+    """The node polygon of r = 1 + 0.3 cos 3t is not convex: every
+    retriangulation's filter removes triangles, and the last one gives the
+    mesh's."""
     calls = _count_filtered(monkeypatch)
-    monkeypatch.setattr(geo, "_convex_polygon", lambda loop: False)
-    forced = build_mesh(mesh.spec, h)
-    assert len(calls) >= 2      # the loop's retriangulations and the relaxed points'
-    assert all(kept == total for total, kept in calls)
-    assert _mesh_digest(forced) == MESH_DIGESTS[domain, h]
-
-
-@pytest.mark.parametrize("spec, h", [
-    (Annulus(0.5, 1.0), 0.1),
-    (Annulus(0.5, 1.0), 0.05),
-    (PolarStar(1.0, cos_coeffs=(0.0, 0.0, 0.3)), 0.05),     # r = 1 + 0.3 cos 3t
-])
-def test_centroid_filter_runs_where_it_removes_triangles(monkeypatch, spec, h):
-    """The annulus has a hole and the star's node polygon is not convex:
-    every retriangulation is filtered, and the filter removes triangles."""
-    calls = _count_filtered(monkeypatch)
-    mesh = build_mesh(spec, h)
+    mesh = build_mesh(DOMAINS["three_lobes"], 0.05)
     assert len(calls) >= 2
     assert all(kept < total for total, kept in calls)
     assert calls[-1][1] == mesh.n_triangles
-
-
-def _edge_set(triangles):
-    e = np.sort(np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                                triangles[:, [2, 0]]]), axis=1)
-    return set(map(tuple, e.tolist()))
-
-
-@settings(max_examples=12, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([0.1, 0.15, 0.25]))
-def test_flips_repair_moved_points_to_their_delaunay_triangulation(seed, h):
-    import plap_lab.geometry as geo
-
-    rng = np.random.default_rng(seed)
-    # nodes pinned on the unit circle are exact ties for the flips
-    n_rim = int(round(2 * np.pi / h))
-    t = 2 * np.pi * np.arange(n_rim) / n_rim
-    rim = np.stack([np.cos(t), np.sin(t)], axis=1)
-    lattice = geo._hex_lattice(h, geo._RadialDomain(Disk(1.0)))
-    lattice += rng.uniform(-0.3 * h, 0.3 * h, lattice.shape)
-    lattice = lattice[np.linalg.norm(lattice, axis=1) < 1.0 - 0.5 * h]
-    pts = np.concatenate([rim, lattice])
-    tri, nbr = geo._delaunay_ccw(pts)
-
-    step = rng.uniform(0.0, 0.1 * h, len(lattice))
-    angle = rng.uniform(0.0, 2 * np.pi, len(lattice))
-    pts[n_rim:] += step[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
-        tri, nbr = geo._flip_to_delaunay(pts, tri, nbr)
-
-    assert calls == []
-    assert (geo._signed_area(pts.T, tri) > 0).all()
-    assert _edge_set(tri) == _edge_set(Delaunay(pts).simplices)
-    linked = np.full_like(nbr, -1)
-    geo._link(tri, linked, np.arange(len(tri)), len(pts))
-    assert np.array_equal(linked, nbr)
-
-
-def test_inverted_triangle_reseeds_from_qhull(monkeypatch):
-    import plap_lab.geometry as geo
-
-    reference = build_mesh(DOMAINS["star"], 0.1)
-    calls, flip = [], geo._flip_to_delaunay
-
-    def no_flips(*args):
-        raise AssertionError("an inverted triangulation was flipped")
-
-    def invert_first(points, tri, nbr):
-        if len(calls) > 1:
-            return flip(points, tri, nbr)
-        tri[0] = tri[0, [0, 2, 1]]      # only the lattice triangulation so far
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geo, "_in_circle", no_flips)
-            return flip(points, tri, nbr)
-
-    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
-    monkeypatch.setattr(geo, "_flip_to_delaunay", invert_first)
-    mesh = build_mesh(DOMAINS["star"], 0.1)
-    assert len(calls) == 2      # lattice, then the re-seed
-    # a re-seed takes Qhull's order for the triangles, so compare them as sets
-    assert np.array_equal(mesh.points, reference.points)
-    assert np.array_equal(_triangle_set(mesh.triangles), _triangle_set(reference.triangles))
-
-
-def test_unsettled_repair_reseeds_from_qhull(monkeypatch):
-    import plap_lab.geometry as geo
-
-    reference = build_mesh(DOMAINS["star"], 0.1)
-    calls = []
-    monkeypatch.setattr(geo, "Delaunay", lambda p: calls.append(1) or Delaunay(p))
-    monkeypatch.setattr(geo, "_FLIP_PASSES", 0)
-    mesh = build_mesh(DOMAINS["star"], 0.1)
-    assert len(calls) > 2       # every retriangulation ran Qhull
-    assert np.array_equal(mesh.points, reference.points)
-    assert np.array_equal(_triangle_set(mesh.triangles), _triangle_set(reference.triangles))
 
 
 def test_boundary_edge_check_rejects_a_missing_edge(lab):
@@ -508,11 +456,10 @@ def _ellipse_radius(a, b):
     return lambda theta: a * b / np.hypot(b * np.cos(theta), a * np.sin(theta))
 
 
-# the outer boundary radius along each ray, and the inner one
+# the boundary radius along each ray
 CLOSED_FORM = {
-    "disk": (Disk(1.0), lambda theta: np.ones_like(theta), 0.0),
-    "ellipse": (Ellipse(2.0, 1.0), _ellipse_radius(2.0, 1.0), 0.0),
-    "annulus": (Annulus(0.5, 1.0), lambda theta: np.ones_like(theta), 0.5),
+    "disk": (Disk(1.0), lambda theta: np.ones_like(theta)),
+    "ellipse": (Ellipse(2.0, 1.0), _ellipse_radius(2.0, 1.0)),
 }
 
 
@@ -522,28 +469,25 @@ def test_inside_matches_closed_form_membership(domain):
     1e-6 from the boundary along its ray as the closed form does."""
     import plap_lab.geometry as geo
 
-    spec, r_out, r_in = CLOSED_FORM[domain]
+    spec, radius = CLOSED_FORM[domain]
     rng = np.random.default_rng(11)
     theta = rng.uniform(0.0, 2 * np.pi, 6000)
-    rb = r_out(theta)
-    # a third spread over the box, the rest within 1e-3 of either loop
+    rb = radius(theta)
+    # a third spread over the box, the rest within 1e-3 of the loop
     near = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-6, -3, 4000)
-    loop = np.where(rng.random(4000) < 0.5, rb[2000:], r_in)
-    rho = np.concatenate([1.3 * rb[:2000] * rng.random(2000), loop + near])
-    keep = (np.abs(rho - rb) > 1e-6) & (np.abs(rho - r_in) > 1e-6) & (rho > 0)
+    rho = np.concatenate([1.3 * rb[:2000] * rng.random(2000), rb[2000:] + near])
+    keep = (np.abs(rho - rb) > 1e-6) & (rho > 0)
     rho, theta, rb = rho[keep], theta[keep], rb[keep]
     pts = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
     got = geo._RadialDomain(spec).inside(pts, margin=0.0)
-    assert np.array_equal(got, (rho < rb) & (rho > r_in))
+    assert np.array_equal(got, rho < rb)
     assert got.any() and not got.all()
 
 
-@pytest.mark.parametrize("spec, stray", [(DOMAINS["star"], (1.5, 0.0)),
-                                         (Annulus(0.5, 1.0), (0.0, 0.0))],
-                         ids=["star", "annulus"])
+@pytest.mark.parametrize("spec, stray", [(DOMAINS["star"], (1.5, 0.0))], ids=["star"])
 def test_vertex_outside_after_relaxation_is_a_mesh_error(monkeypatch, spec, stray):
-    """A lattice point outside the domain (beyond the star, in the annulus's
-    hole) meets no spring and stays there; the mesh build reports it."""
+    """A lattice point outside the domain (beyond the star) meets no spring
+    and stays there; the mesh build reports it."""
     import plap_lab.geometry as geo
 
     lattice = geo._hex_lattice
