@@ -24,45 +24,79 @@ eps_min rung.  The ladder ends after the first rung that takes no step, so
 the u it returns is certified at that rung's eps, ``final_eps``.
 
 The Newton tangent is symmetric positive definite on the free (interior)
-vertices, and its sparsity pattern is that of the P1 stiffness.  A symmetric
-minimum-degree order of that pattern and the CSC layout of the free x free
-matrix in that order depend on the mesh alone: they are built once per mesh,
-from the structure with unit weights, and kept on it, with two linear maps
-(the vectorised assembly of Cuvelier, Japhet and Scarella, BIT 56, 2016): the
-sparse gradient operator G, so that every energy reads the element gradients
-G u and every residual is G^T applied to the element fluxes, less the load;
-and the sparse map from the three distinct entries of each element's
-weighted 2 x 2 coefficient to every slot of the CSC data, so that a tangent
-is one sparse product.  The P1 stiffness K_0 on the free vertices, in that
-layout, and its factor are kept on the mesh too: K_0 is the p = 2 tangent of
-every metric, since e^{(2-p) phi} = 1 there, so a p = 2 solve takes it as
-its tangent and assembles and factors none.  Every other solve starts from
-K_0's factor: at u = 0 a flat tangent is eps_0^{p-2} K_0, which PCG solves
-in one iteration, and a conformal weight e^{(2-p) phi} that varies little
-over the domain keeps K_0 a good preconditioner.  K_0 depends on the mesh
-alone, so a solve's result does not depend on the solves before it.
+vertices, and its sparsity pattern is that of the P1 stiffness.  The reverse
+Cuthill-McKee order of that pattern (Cuthill and McKee 1969; George and Liu,
+Computer Solution of Large Sparse Positive Definite Systems, 1981) and the
+CSC layout of the free x free matrix in that order depend on the mesh alone:
+they are built once per mesh, from the structure with unit weights, and kept
+on it, with two linear maps (the vectorised assembly of Cuvelier, Japhet and
+Scarella, BIT 56, 2016): the sparse gradient operator G, so that every
+energy reads the element gradients G u and every residual is G^T applied to
+the element fluxes, less the load; and the sparse map from the three
+distinct entries of each element's weighted 2 x 2 coefficient to every slot
+of the CSC data, so that a tangent is one sparse product.  The P1 stiffness
+K_0 on the free vertices, in that layout, and its factor are kept on the
+mesh too: K_0 is the p = 2 tangent of every metric, since e^{(2-p) phi} = 1
+there, so a p = 2 solve takes it as its tangent and assembles and factors
+none.  Every other solve starts from K_0's factor: at u = 0 a flat tangent
+is eps_0^{p-2} K_0, which PCG solves in one iteration, and a conformal
+weight e^{(2-p) phi} that varies little over the domain keeps K_0 a good
+preconditioner.  K_0 depends on the mesh alone, so a solve's result does
+not depend on the solves before it.
 
-A solve holds one factor (diagonal pivots, no further reordering) and finds
-each direction by conjugate gradients preconditioned with it, from 0, only
-as accurately as its decrement needs (the
-inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat and
-Steihaug, SIAM J. Numer. Anal. 19, 1982, capped as in Eisenstat and Walker,
-SIAM J. Sci. Comput. 17, 1996): PCG iterate k, whose relative decrement is
-delta_k = b.x_k / (1 + |J_eps|), stops once its preconditioned residual,
-relative to the first, is at most max(``_CG_RTOL``, min(``_CG_FORCING``,
-delta_k^{1/2})).  Far from the solution one stale factor serves; near it
-delta_k is tiny, the stop falls back to ``_CG_RTOL`` and Newton stays
-quadratic.  It factors the tangent at hand instead when PCG has not
-converged in ``_CG_MAX_ITER`` iterations or has broken down (a singular
-tangent then fails as a factorization does), and before the next system when
-the last PCG took more than ``_CG_REFACTOR`` = 8.  On a disk mesh of 5862
-vertices a factorization costs about as much as 22 PCG iterations; over 24
-solves (disk at h = 0.025 and 0.05, flat and cap; the 2:1 ellipse at
-h = 0.035, 0.05 and 0.1; the annulus at h = 0.05; each at p = 1.5, 3 and
-4), 22 x factorizations + PCG iterations is 2012, 1946, 2108, 2218 and
-2570 for thresholds 6, 8, 10, 12 and 15, against 2465 at 8 and 3096 at 15
+The order keeps every entry within a band of half-width kd about the
+diagonal: kd = 83 on the disk at h = 0.025 (5167 unknowns), 55 on the 2:1
+ellipse at h = 0.035 (5349) and 19 to 49 on every other mesh the shipped
+configs build.  A factor is LAPACK's banded Cholesky: ``dpbtrf`` factors
+the upper band, read straight from the CSC data into LAPACK's
+(kd + 1) x n band storage, and ``dpbtrs`` solves with it.  Against the
+SuperLU factor (minimum-degree order, symmetric mode) that it replaced, on
+the same p = 3 tangents (medians of three rounds, 2-vCPU host; SuperLU in
+brackets), a factorization takes 5.4 ms (8.9) with 1 BLAS thread and
+7.7 ms (10.5) with 2 on the disk at h = 0.025, and 5.5 ms (13.8) and
+17.7 ms (10.8) on the ellipse at h = 0.035; a solve takes 0.24 ms (0.58)
+and 0.33 ms (0.42) on that disk, and 0.29 ms (0.41) and 0.26 ms (0.43) on
+that ellipse.  The measured limits: with 2 BLAS threads OpenBLAS adds about
+2 microseconds per unknown to a factorization of half-width 37 to 55 (12 ms
+on that ellipse, where SuperLU factors faster), but 2.3 ms at kd = 83; on
+the disk at h = 0.0125 (20 917 unknowns, kd = 167) a factorization takes
+61 ms (93) with 1 thread and 69 ms (78) with 2, but a solve 2.8 ms (2.0)
+and 3.0 ms (2.1), since the band holds 3.5M entries against 0.73M in
+SuperLU's L.  Finer meshes are unmeasured, and no shipped config goes
+there.
+
+A solve holds one factor and finds each direction by conjugate gradients
+preconditioned with it, from 0, only as accurately as its decrement needs
+(the inexact-Newton forcing term eta_k = O(lambda_k) of Dembo, Eisenstat
+and Steihaug, SIAM J. Numer. Anal. 19, 1982, capped as in Eisenstat and
+Walker, SIAM J. Sci. Comput. 17, 1996): PCG iterate k, whose relative
+decrement is delta_k = b.x_k / (1 + |J_eps|), stops once its preconditioned
+residual, relative to the first, is at most max(``_CG_RTOL``,
+min(``_CG_FORCING``, delta_k^{1/2})).  Far from the solution one stale
+factor serves; near it delta_k is tiny, the stop falls back to
+``_CG_RTOL`` and Newton stays quadratic.  It factors the tangent at hand
+instead when PCG has not converged in ``_CG_MAX_ITER`` iterations or has
+broken down (a tangent that is not positive definite then fails as a
+factorization does), and before the next system when the last PCG took
+more than ``_CG_REFACTOR`` = 8.  On the disk at h = 0.025 a factorization
+costs about as much as 13 PCG iterations with 1 BLAS thread and 20 with 2.
+Over 24 solves (disk at h = 0.025 and 0.05, flat and cap; the 2:1 ellipse
+at h = 0.035, 0.05 and 0.1; the annulus at h = 0.05; each at p = 1.5, 3
+and 4), which take 43, 31, 25, 23 and 20 factorizations and 1103, 1294,
+1533, 1712 and 2110 PCG iterations for thresholds 6, 8, 10, 12 and 15,
+c x factorizations + PCG iterations is
+
+    threshold       6     8    10    12    15
+    c = 13       1662  1697  1858  2011  2370
+    c = 20       1963  1914  2033  2172  2510
+
+against 1983 (c = 13) and 2368 (c = 20) at 8, and 2682 and 2990 at 15,
 for solves that factor their first tangent instead of starting from K_0's
-factor (the six meshes' K_0 factorizations add 132 to each seeded total).
+factor (the six meshes' K_0 factorizations add 6c to each seeded total).
+So 8 is within 2.1% of the least cost at both ratios; on the ellipse at
+h = 0.035 with 2 threads a factorization costs about 50 PCG iterations,
+and 10 (2783) would beat 8 (2844) by 2.2%.
+
 CG from 0 approaches the decrement from below, but a PCG decrement at the
 rounding level is as good as the exact one: PCG stops at iterate k only when
 r.M^{-1} r <= max(1e-20, delta_k) r_0.M^{-1} r_0, so the exact decrement
@@ -204,7 +238,7 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     order, each with its element columns ascending, as a canonical CSR.
     The twins (k, l) and (l, k) of an element take the same products of its
     basis gradients, so the tangent is exactly symmetric.  The order is a
-    symmetric minimum-degree order of the structure, so it is taken from the
+    reverse Cuthill-McKee order of the structure, so it is taken from the
     unit-weight stiffness, C_t = I, by ``_fill_reducing_order``.
     """
     tri, bg = mesh.triangles, mesh.basis_grads
@@ -226,8 +260,11 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     weights = np.stack([bk[:, 0] * bl[:, 0], bk[:, 0] * bl[:, 1] + bk[:, 1] * bl[:, 0],
                         bk[:, 1] * bl[:, 1]], axis=1)
     lap = sp.csc_matrix((weights[:, 0] + weights[:, 2], (rows, cols)), shape=(nf, nf))
-    # int64, so the keys col * nf + row do not wrap past 46340 unknowns
-    rank = _fill_reducing_order(lap).astype(np.int64)
+    order = _fill_reducing_order(lap)
+    # rank[i] is the place of free vertex i in the order; int64, so the keys
+    # col * nf + row do not wrap past 46340 unknowns
+    rank = np.empty(nf, dtype=np.int64)
+    rank[order] = np.arange(nf)
     key = rank[cols] * nf + rank[rows]
     # one row per slot, in key (CSC) order; an element meets a slot at most
     # once, so a stable sort leaves each row's columns ascending
@@ -239,19 +276,18 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
                            3 * np.append(starts, len(key))), shape=(len(starts), 3 * m))
     col, indices = key[starts] // nf, key[starts] % nf
     indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nf))])
-    return (free, free[np.argsort(rank)], grad, slots, indptr.astype(np.int32),
+    return (free, free[order], grad, slots, indptr.astype(np.int32),
             indices.astype(np.int32))
 
 
 def _fill_reducing_order(lap: sp.csc_matrix) -> np.ndarray:
-    """SuperLU's symmetric minimum-degree order (MMD on A^T + A) of a
-    symmetric matrix, as ``perm_c``: the order its full factorization would
-    use.  SuperLU orders the columns before it factors, so an incomplete
-    factorization with drop tolerance 1 and fill factor 1 takes the same
-    order and does a small share of the work."""
-    from scipy.sparse.linalg import spilu
-    return spilu(lap, drop_tol=1.0, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
-                 options={"SymmetricMode": True}).perm_c
+    """The reverse Cuthill-McKee order of a symmetric matrix's pattern
+    (Cuthill and McKee 1969; George and Liu, Computer Solution of Large
+    Sparse Positive Definite Systems, 1981): ``order[i]`` is the row placed
+    i-th.  It keeps every entry of the matrix in a narrow band about the
+    diagonal, the band ``_factor`` stores and factors."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    return reverse_cuthill_mckee(lap, symmetric_mode=True)
 
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
@@ -265,12 +301,12 @@ _DECREMENT_FLOOR, _DECREMENT_RUNG = 1e-15, 1e-8
 
 class _HeldFactor:
     """The factor one solve holds and the counts of factorizations and PCG
-    iterations so far.  It starts from the factor ``lu`` of ``factored``,
-    the mesh's stiffness."""
+    iterations so far.  It starts from the factor of ``factored``, the
+    mesh's stiffness."""
 
-    def __init__(self, factored: sp.csc_matrix, lu):
-        self.factored = factored     # the matrix `lu` factors
-        self.lu = lu
+    def __init__(self, factored: sp.csc_matrix, factor: _BandCholesky):
+        self.factored = factored     # the matrix `factor` factors
+        self.factor = factor
         self.refactor = False    # factor the next tangent instead of PCG
         self.factorizations = self.cg_iterations = 0
 
@@ -308,17 +344,38 @@ def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
         d = z + (rz / rz_old) * d
 
 
-def splu(A: sp.csc_matrix, permc_spec: str, options: dict):
-    """SuperLU, scipy.sparse.linalg's ``splu``.  scipy.sparse.linalg (and the
-    scipy.linalg it loads) is imported on the first call, so only a
-    factorization loads it; `_factor` looks this name up at each call."""
-    from scipy.sparse.linalg import splu as superlu
-    return superlu(A, permc_spec=permc_spec, options=options)
+@dataclass(frozen=True)
+class _BandCholesky:
+    """The upper Cholesky factor of an SPD matrix of half-width ``kd``, in
+    LAPACK's (kd + 1) x n band storage; ``solve`` runs ``dpbtrs``."""
+    band: np.ndarray
+    kd: int
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        from scipy.linalg.lapack import dpbtrs
+        return dpbtrs(self.band, b)[0]
 
 
-def _factor(K: sp.csc_matrix):
-    """SuperLU of an ordered SPD tangent: diagonal pivots, no reordering."""
-    return splu(K, permc_spec="NATURAL", options={"SymmetricMode": True})
+def _factor(K: sp.csc_matrix) -> _BandCholesky:
+    """LAPACK's banded Cholesky (``dpbtrf``) of an ordered SPD tangent.  The
+    upper band of half-width kd, the largest col - row of K's CSC layout,
+    is read straight from K's entries into LAPACK's band storage,
+    ab[kd + i - j, j] = K[i, j].  A matrix that is not positive definite
+    raises RuntimeError, which `solve` reports as a SolverError.
+    scipy.linalg is imported on the first factorization."""
+    from scipy.linalg.lapack import dpbtrf
+    n = K.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(K.indptr))
+    upper = K.indices <= cols
+    rows, cols = K.indices[upper], cols[upper]
+    kd = int((cols - rows).max(initial=0))
+    # row j of `band` is column j of LAPACK's storage
+    band = np.zeros((n, kd + 1))
+    band[cols, kd + rows - cols] = K.data[upper]
+    factor, info = dpbtrf(band.T, overwrite_ab=1)
+    if info > 0:
+        raise RuntimeError(f"the leading minor of order {info} is not positive definite")
+    return _BandCholesky(factor, kd)
 
 
 def spsolve(held: _HeldFactor, K: sp.csc_matrix, b: np.ndarray, scale: float) -> np.ndarray:
@@ -329,18 +386,18 @@ def spsolve(held: _HeldFactor, K: sp.csc_matrix, b: np.ndarray, scale: float) ->
     and becomes the held one."""
     if held.factored is not K:
         if not held.refactor:
-            x, its = _pcg(K, b, held.lu.solve, scale)
+            x, its = _pcg(K, b, held.factor.solve, scale)
             held.cg_iterations += its
             held.refactor = its > _CG_REFACTOR
             if x is not None:
                 return x
         # drop the held factor first: the mesh keeps its stiffness's, and a
         # third factor at once would set the peak memory
-        held.lu = None
-        held.lu = _factor(K)
+        held.factor = None
+        held.factor = _factor(K)
         held.factored, held.refactor = K, False
         held.factorizations += 1
-    return held.lu.solve(b)
+    return held.factor.solve(b)
 
 
 def _gradient_scale(mesh: TriMesh, metric: ConformalMetric, p: float) -> float:
@@ -367,8 +424,8 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
 
     asm = _Assembler(mesh, metric, p)
     free = asm.free
-    K0, lu0 = asm.stiffness()
-    held = _HeldFactor(K0, lu0)
+    K0, factor0 = asm.stiffness()
+    held = _HeldFactor(K0, factor0)
 
     # directions vanish on the boundary, so u stays exactly 0 there
     u = np.zeros(mesh.n_vertices)

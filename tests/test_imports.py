@@ -3,8 +3,11 @@ package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
 The 2-D layers load scipy.spatial (Qhull, the KD-tree) at the first star
-mesh build or point location and scipy.sparse.linalg (SuperLU) at the first
-disk or ellipse mesh build or factorization, not at import.
+mesh build or point location, scipy.sparse.linalg (SuperLU, which the mesh
+map alone uses) at the first disk or ellipse mesh build, and
+scipy.sparse.csgraph (whose import loads scipy.sparse.linalg) and
+scipy.linalg (LAPACK's band Cholesky) at the first factorization, not at
+import.
 """
 
 import importlib
@@ -67,7 +70,9 @@ def test_a_mesh_build_loads_qhull_and_a_solve_loads_superlu():
     """Only a star build loads Qhull.  A disk build maps a lattice by one
     sparse solve: it loads SuperLU and not Qhull.  An annulus build wraps a
     lattice in closed form: it loads neither.  A star build relaxes: it
-    loads Qhull and not SuperLU, and a solve on its mesh loads SuperLU."""
+    loads Qhull and not SuperLU, and a solve on its mesh loads the
+    reverse Cuthill-McKee order of scipy.sparse.csgraph, which loads
+    scipy.sparse.linalg, and LAPACK from scipy.linalg."""
     builds = _fresh("""
         from plap_lab.geometry import Annulus, Disk, build_mesh
         out = {}
@@ -85,10 +90,12 @@ def test_a_mesh_build_loads_qhull_and_a_solve_loads_superlu():
         mesh = build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
         meshed = loaded("scipy.spatial", "scipy.sparse.linalg")
         solve(mesh, ConformalMetric.flat(), 3.0)
-        print(json.dumps([meshed, loaded("scipy.sparse.linalg")]))
+        print(json.dumps([meshed, loaded("scipy.sparse.linalg", "scipy.sparse.csgraph",
+                                         "scipy.linalg")]))
     """)
     assert star == [{"scipy.spatial": True, "scipy.sparse.linalg": False},
-                    {"scipy.sparse.linalg": True}]
+                    {"scipy.sparse.linalg": True, "scipy.sparse.csgraph": True,
+                     "scipy.linalg": True}]
 
 
 # every name the package exported when it imported each module eagerly

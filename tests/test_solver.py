@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ import pytest
 from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError,
                       ValidationError, build_mesh, domain_measures, solve)
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from plap_lab import solver
 from plap_lab.cli import main
@@ -104,43 +108,48 @@ def test_tangent_spd(lab, domain, h, metric):
         assert lam.min() > 0
 
 
-# sha256 of dofs, indptr, indices and data of the tangent at _random_field,
-# eps = 1e-3; at p = 2 the weight int_T e^{(2-p) phi} is the area for every
-# metric, so flat and cap agree.  Re-recorded when the meshes took their
-# triangles in the relaxation's held order instead of Qhull's: dofs, indptr
-# and indices stayed equal, and data moved by rounding (at most 3.1e-16 of
-# the tangent's Frobenius norm).  The disk and ellipse entries were
-# re-recorded when those domains moved to the mapped lattice mesh, and the
-# annulus entries when it moved to the lattice cylinder.  The star entries
-# were re-recorded when its triangles came in Qhull's order again: dofs,
-# indptr and indices stayed equal, and data moved by at most 6.4e-17 of the
-# tangent's Frobenius norm
+# sha256 of the free vertices and of indptr, indices and data of the tangent
+# at _random_field, eps = 1e-3, permuted back to ascending free-vertex order
+# (see _free_order_digest), so that the digest does not depend on the order
+# the solver factors in; at p = 2 the weight int_T e^{(2-p) phi} is the area
+# for every metric, so flat and cap agree.  Recorded from the tree before the
+# tangent moved from a minimum-degree to a reverse Cuthill-McKee order: every
+# entry of every tangent is unchanged by that move
 TANGENT_DIGESTS = {
-    ("disk", 0.1, "flat", 1.5): "45841ecb03e08db6c8df4e8123bbda17168d1b4d8e6002dba7446ebb1cc3a56d",
-    ("disk", 0.1, "flat", 2.0): "c3d36e133398cb96afd2fee920265506adc2fc09e9f3631cfb2244dbb0ecd8dd",
-    ("disk", 0.1, "flat", 4.0): "43a95d7b3f7e6444b36092f6d843309f8be186a6f912bd2c350666b5c1f51ac8",
-    ("disk", 0.1, "cap", 1.5): "a93f6092b16c5a74fe6e1904f6a51a3d87ec3e0047caa8bd4864e3647f67a0ef",
-    ("disk", 0.1, "cap", 2.0): "c3d36e133398cb96afd2fee920265506adc2fc09e9f3631cfb2244dbb0ecd8dd",
-    ("disk", 0.1, "cap", 4.0): "a7d527d047805cf097f7d0b370ed8069a6e8cd175cd541a43c0ba04f16c75914",
-    ("ellipse", 0.14, "flat", 1.5): "49b5de0f1c20cd81bdfef1c51d2d26a4a4356ffa4426e0ebcf023420970db893",
-    ("ellipse", 0.14, "flat", 2.0): "dee138e8c6309e1f43524c77a530d127c141c14f2d205d915d7299a8b42eccd3",
-    ("ellipse", 0.14, "flat", 4.0): "2430c7e304ac755afa100385a69ce1c7b16f2c7124cf5eaafc9229a0a0b4006e",
-    ("ellipse", 0.14, "cap", 1.5): "d0cc6a98356bb675c17ef6d0fe9e9b1ddc57f53992f44f7ac7b1412424c2d9e0",
-    ("ellipse", 0.14, "cap", 2.0): "dee138e8c6309e1f43524c77a530d127c141c14f2d205d915d7299a8b42eccd3",
-    ("ellipse", 0.14, "cap", 4.0): "9b3d7e5cc5f0ce0b33c4e00ec818c619454c50e1379681584d3ec29eabd020b0",
-    ("annulus", 0.1, "flat", 1.5): "a9af04374dd35faec85205c30ca7cf7486d52bc58b242090981e6aed26c9c9b3",
-    ("annulus", 0.1, "flat", 2.0): "68f8885f56759f5da3a73ee5d4bb7f1cb8725158a3a71238624f7da24be47f5c",
-    ("annulus", 0.1, "flat", 4.0): "a128cfaba81d1f27f6afdb7baacc00cbd3b641f499de63683b26552b7b6af8a7",
-    ("annulus", 0.1, "cap", 1.5): "b0c4aed1c89826189cb895b66067fd710447c41fab7e696bb9129038d0cc9fac",
-    ("annulus", 0.1, "cap", 2.0): "68f8885f56759f5da3a73ee5d4bb7f1cb8725158a3a71238624f7da24be47f5c",
-    ("annulus", 0.1, "cap", 4.0): "87676780734c42ba8eb6dd57d0641b5d4d635f702721814f80d5dc5cfce27f4e",
-    ("star", 0.1, "flat", 1.5): "553fef607858883a001aeae3dfd077cb52867f194af682abbac4dd41012d54bb",
-    ("star", 0.1, "flat", 2.0): "4c750c9aec2744bc4fce7b5ddc833af7c088dfc59f16fa96e38162db27fd8fbc",
-    ("star", 0.1, "flat", 4.0): "d776cc78e3cbd4fe1c4224872eaa73ebbdaa213337ffc4654c023f2cbacd2eb2",
-    ("star", 0.1, "cap", 1.5): "797cb8bd04b9b724d8a55b3df6c5a1e697582c106cbbf47a3e4fa43537c7a78d",
-    ("star", 0.1, "cap", 2.0): "4c750c9aec2744bc4fce7b5ddc833af7c088dfc59f16fa96e38162db27fd8fbc",
-    ("star", 0.1, "cap", 4.0): "c06a496d5ffaaa4cefcd21bb6315e68004e21a2192229d4635ce1c6465c4c242",
+    ("disk", 0.1, "flat", 1.5): "67adbe2448fd460ef00e5ee4905d6143e7c7d8bb9538977846e98c3226dc1b61",
+    ("disk", 0.1, "flat", 2.0): "74fde646f1dc67ef200cae3ff5ff5a8c86214a39f59f8f2d52c1e10a1bbf8a95",
+    ("disk", 0.1, "flat", 4.0): "089a3c2d931957a5390d4cfaad595b2175a44c04a7358cceed7331aed92adf4b",
+    ("disk", 0.1, "cap", 1.5): "16f9e12589a7fa80761361616418b0c6d48180e1f79ddd937f4bd7d8a959a8ea",
+    ("disk", 0.1, "cap", 2.0): "74fde646f1dc67ef200cae3ff5ff5a8c86214a39f59f8f2d52c1e10a1bbf8a95",
+    ("disk", 0.1, "cap", 4.0): "f1643821f43a7beb86bb5b1a6adaf914522f9de95bff0e984e6569efacc2569b",
+    ("ellipse", 0.14, "flat", 1.5): "433391eb8c1ef2ced6d0f811da797346c5a7374f6a8a85d7547d1a96f0495714",
+    ("ellipse", 0.14, "flat", 2.0): "f471007f449f77122b3f860a7114c06c80182b574efceb1e589019f14b7ceec2",
+    ("ellipse", 0.14, "flat", 4.0): "a521eef1ecf3b976e4a2cb210aa0db4369c1ef40cb859956e37f8ac0e0745395",
+    ("ellipse", 0.14, "cap", 1.5): "f47ae75b5cb038b16615340212e7f29c7509b8c3d91ba39d0219956950b7ebbc",
+    ("ellipse", 0.14, "cap", 2.0): "f471007f449f77122b3f860a7114c06c80182b574efceb1e589019f14b7ceec2",
+    ("ellipse", 0.14, "cap", 4.0): "702966fb6cb03f04e25e91399a489f1dc97c21ba9558cc96cb601c1368ada012",
+    ("annulus", 0.1, "flat", 1.5): "1269631ab036277ee255927dc37217f418bad4544b7c6617bf048e902c9cc818",
+    ("annulus", 0.1, "flat", 2.0): "fb2c1cee827c5f729c6269637a53ca8110b7e492c1e55a5bfde50fbf3c7e84b5",
+    ("annulus", 0.1, "flat", 4.0): "de613aa71c9e1b8e753db87fe0483669551f6b166b096640646e5d41da9841b8",
+    ("annulus", 0.1, "cap", 1.5): "1842a48d248f1f8f9d9ab4206c4341acbc5f095244b0c8926f52e531d17ea3b1",
+    ("annulus", 0.1, "cap", 2.0): "fb2c1cee827c5f729c6269637a53ca8110b7e492c1e55a5bfde50fbf3c7e84b5",
+    ("annulus", 0.1, "cap", 4.0): "f0a50072198a8927ea282ceeb8864694705fde6db4513c6db0c6eba9c55c5e9f",
+    ("star", 0.1, "flat", 1.5): "b9612a136601ac97bca641ab3448350e1e508d954c8a8628902af78822659903",
+    ("star", 0.1, "flat", 2.0): "8af83b6bcfa1bfcfd8b3be49bfb27499cb0732baec7962382f7f291783b2b51d",
+    ("star", 0.1, "flat", 4.0): "096d82eb9ae27e9770bfd54bf0c79737c3a1a7e6dd10667465e102e0fc1e5823",
+    ("star", 0.1, "cap", 1.5): "d47c98bd21f7c65a72235bdf59b4a298b4789a7ee4598a9e41eeda94e0336bfb",
+    ("star", 0.1, "cap", 2.0): "8af83b6bcfa1bfcfd8b3be49bfb27499cb0732baec7962382f7f291783b2b51d",
+    ("star", 0.1, "cap", 4.0): "a05d38265cb31d3b410c5a97552709d7348a1b4fe6c0f260d8bbe30eded672e5",
 }
+
+
+def _free_order_digest(asm, K):
+    back = np.argsort(asm.dofs)
+    A = K[back][:, back].tocsc()
+    A.sort_indices()
+    parts = (asm.free.astype(np.int64), A.indptr.astype(np.int64),
+             A.indices.astype(np.int64), A.data)
+    return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
 
 
 @pytest.mark.parametrize("domain, h, metric, p", list(TANGENT_DIGESTS))
@@ -148,12 +157,11 @@ def test_tangent_matches_recorded_digest(lab, domain, h, metric, p):
     mesh = lab.mesh(domain, h)
     asm = _Assembler(mesh, METRICS[metric], p)
     K = asm.tangent(_random_field(mesh), 1e-3)
-    digest = hashlib.sha256(asm.dofs.tobytes() + K.indptr.tobytes() + K.indices.tobytes()
-                            + K.data.tobytes()).hexdigest()
-    assert digest == TANGENT_DIGESTS[domain, h, metric, p]
+    assert _free_order_digest(asm, K) == TANGENT_DIGESTS[domain, h, metric, p]
 
 
-@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14), ("annulus", 0.1),
+                                      ("star", 0.1)])
 @pytest.mark.parametrize("metric", [FLAT, METRICS["cap"],
                                     ConformalMetric.gaussian_bump(0.3, 0.1, -0.2, 1.1)],
                          ids=["flat", "cap", "bump"])
@@ -239,25 +247,34 @@ def test_ordered_tangent_and_direction(lab, domain, h, p):
         assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
 
 
-@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1),
-                                      ("star", 0.1)])
+# the half-width of each mesh's band in the reverse Cuthill-McKee order
+BAND_HALF_WIDTHS = {("disk", 0.1): 19, ("ellipse", 0.05): 37, ("annulus", 0.1): 21,
+                    ("star", 0.1): 20}
+
+
+@pytest.mark.parametrize("domain, h", list(BAND_HALF_WIDTHS))
 def test_fill_reducing_order_is_the_full_factorization_order(lab, monkeypatch, domain, h):
-    """The order is the ``perm_c`` of SuperLU's full factorization, and the
-    tangent's CSC layout is the pattern of the unit-weight stiffness in that
-    order; the slot map is a canonical CSR, as built from COO triplets, and
-    sends C_t = I to that stiffness."""
+    """The order is the reverse Cuthill-McKee order of the unit-weight
+    stiffness, the tangent's CSC layout is that stiffness's pattern in that
+    order, and the band factor stores the half-width kd of that layout; the
+    slot map is a canonical CSR, as built from COO triplets, and sends
+    C_t = I to that stiffness."""
     laps, order = [], solver._fill_reducing_order
     monkeypatch.setattr(solver, "_fill_reducing_order", lambda lap: laps.append(lap) or order(lap))
     mesh = lab.mesh(domain, h)
     free, dofs, _, slots, indptr, indices = solver._assembly_maps(mesh)
     (lap,) = laps
-    rank = splu(lap, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
-    assert np.array_equal(order(lap), rank)
-    assert np.array_equal(dofs, free[np.argsort(rank)])
-    ordered = lap[np.argsort(rank)][:, np.argsort(rank)].tocsc()
+    rcm = reverse_cuthill_mckee(sp.csr_matrix(lap))
+    assert np.array_equal(order(lap), rcm)
+    assert np.array_equal(dofs, free[rcm])
+    ordered = lap[rcm][:, rcm].tocsc()
     ordered.sort_indices()
     assert np.array_equal(indptr, ordered.indptr)
     assert np.array_equal(indices, ordered.indices)
+    cols = np.repeat(np.arange(len(dofs)), np.diff(indptr))
+    kd = BAND_HALF_WIDTHS[domain, h]
+    assert np.abs(cols - indices).max() == kd
+    assert solver._factor(ordered).kd == kd
     m = mesh.n_triangles
     assert slots.shape == (len(indices), 3 * m)
     rows = np.repeat(np.arange(slots.shape[0]), np.diff(slots.indptr))
@@ -311,17 +328,43 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
 
 
+def test_indefinite_tangent_is_a_solver_error(monkeypatch):
+    # -K_0 breaks PCG down at once, and its band Cholesky stops at the first
+    # pivot, which is negative
+    monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: -self.stiffness()[0])
+    with pytest.raises(SolverError, match="tangent factorization failed") as err:
+        solve(build_mesh(Disk(1.0), 0.2), FLAT, 3.0)
+    assert len(err.value.history) == 1
+
+
+def test_solve_bits_do_not_depend_on_the_blas_threads():
+    # the band factor runs in BLAS, which may split its blocks across
+    # threads; at h = 0.025 (kd = 83) LAPACK factors the band in blocks
+    code = ("import hashlib; from plap_lab import ConformalMetric, Disk, build_mesh, solve; "
+            "print(*(hashlib.sha256(solve(build_mesh(Disk(1.0), h), ConformalMetric.flat(), "
+            "3.0).u.tobytes()).hexdigest() for h in (0.1, 0.025)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
 def test_rung_records_and_solve_count(lab, monkeypatch):
     # pins the numbers of steps, solves, factorizations and PCG iterations,
     # so a change cannot add some unnoticed
     mesh = lab.mesh("disk", 0.05)
     _Assembler(mesh, FLAT, 3.0).stiffness()     # built once per mesh, before the counts
     calls, factors, tangents = [], [], []
-    spsolve, splu, tangent = solver.spsolve, solver.splu, _Assembler.tangent
+    spsolve, factor, tangent = solver.spsolve, solver._factor, _Assembler.tangent
     monkeypatch.setattr(solver, "spsolve", lambda held, K, b, scale: (
         calls.append(1) or spsolve(held, K, b, scale)))
-    monkeypatch.setattr(solver, "splu", lambda K, permc_spec, **kw: (
-        factors.append(1) if permc_spec == "NATURAL" else None) or splu(K, permc_spec, **kw))
+    monkeypatch.setattr(solver, "_factor", lambda K: factors.append(1) or factor(K))
     monkeypatch.setattr(_Assembler, "tangent",
                         lambda self, u, eps: tangents.append(1) or tangent(self, u, eps))
     sol = solve(mesh, FLAT, 3.0)
