@@ -32,6 +32,7 @@ from typing import Callable, Union
 import numpy as np
 import scipy.sparse as sp
 
+from ._band import band_cholesky
 from .errors import MeshGenerationError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -679,22 +680,28 @@ def _schwarz_christoffel(corner_gap: np.ndarray, side: int) -> np.ndarray:
 
 def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
     """The n points of the mesh whose first ``len(rim)`` vertices are pinned
-    at ``rim`` and whose others are the mean of their neighbours: one sparse
-    solve of the uniform graph Laplacian, with the boundary as Dirichlet
-    data.  The Laplacian is symmetric positive definite, so SuperLU factors
-    it in symmetric mode on a minimum-degree order.  scipy.sparse.linalg is
-    imported here, so only a mesh build loads it."""
-    from scipy.sparse.linalg import splu
+    at ``rim`` and whose others are the mean of their neighbours: one solve
+    of the uniform graph Laplacian on the interior vertices, with the
+    boundary as Dirichlet data.  The Laplacian is symmetric positive
+    definite, and the lattice numbers the interior row by row, so every
+    interior edge lies within a narrow band about its diagonal, of the
+    tangent's half-width on every mesh the configs build: the banded
+    Cholesky of ``_band`` factors it in that order."""
     keys = _edge_keys(triangles, n)
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    v, w = keys // n, keys % n
-    adj = sp.csr_matrix((np.ones(2 * len(keys)), (np.concatenate([v, w]), np.concatenate([w, v]))),
-                        shape=(n, n))
+    v, w = keys // n, keys % n      # v < w
     nb = len(rim)
-    inner = adj[nb:]
-    lap = sp.diags(np.asarray(inner.sum(axis=1)).ravel()) - inner[:, nb:]
-    lu = splu(lap.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-    return np.concatenate([rim, lu.solve(inner[:, :nb] @ rim)])
+    ni = n - nb
+    degree = np.bincount(np.concatenate([v, w]), minlength=n)[nb:]
+    inner = v >= nb
+    # a boundary neighbour's pinned point goes to the right-hand side
+    cross = (v < nb) & (w >= nb)
+    rhs = np.stack([np.bincount(w[cross] - nb, weights=rim[v[cross], k], minlength=ni)
+                    for k in range(DIM)], axis=1)
+    factor = band_cholesky(np.concatenate([np.arange(ni), v[inner] - nb]),
+                           np.concatenate([np.arange(ni), w[inner] - nb]),
+                           np.concatenate([degree, -np.ones(int(inner.sum()))]), ni)
+    return np.concatenate([rim, factor.solve(rhs)])
 
 
 # --------------------------------------------------------------------------

@@ -47,23 +47,19 @@ not depend on the solves before it.
 The order keeps every entry within a band of half-width kd about the
 diagonal: kd = 83 on the disk at h = 0.025 (5167 unknowns), 55 on the 2:1
 ellipse at h = 0.035 (5349) and 19 to 49 on every other mesh the shipped
-configs build.  A factor is LAPACK's banded Cholesky: ``dpbtrf`` factors
-the upper band, read straight from the CSC data into LAPACK's
-(kd + 1) x n band storage, and ``dpbtrs`` solves with it.  Against the
-SuperLU factor (minimum-degree order, symmetric mode) that it replaced, on
-the same p = 3 tangents (medians of three rounds, 2-vCPU host; SuperLU in
-brackets), a factorization takes 5.4 ms (8.9) with 1 BLAS thread and
-7.7 ms (10.5) with 2 on the disk at h = 0.025, and 5.5 ms (13.8) and
-17.7 ms (10.8) on the ellipse at h = 0.035; a solve takes 0.24 ms (0.58)
-and 0.33 ms (0.42) on that disk, and 0.29 ms (0.41) and 0.26 ms (0.43) on
-that ellipse.  The measured limits: with 2 BLAS threads OpenBLAS adds about
-2 microseconds per unknown to a factorization of half-width 37 to 55 (12 ms
-on that ellipse, where SuperLU factors faster), but 2.3 ms at kd = 83; on
-the disk at h = 0.0125 (20 917 unknowns, kd = 167) a factorization takes
-61 ms (93) with 1 thread and 69 ms (78) with 2, but a solve 2.8 ms (2.0)
-and 3.0 ms (2.1), since the band holds 3.5M entries against 0.73M in
-SuperLU's L.  Finer meshes are unmeasured, and no shipped config goes
-there.
+configs build.  A factor is LAPACK's banded Cholesky (``_band``):
+``dpbtrf`` factors the upper band, read straight from the CSC data into
+LAPACK's (kd + 1) x n band storage, on the calling thread alone, and
+``dpbtrs`` solves with it.  On the p = 3 tangents with 2 BLAS threads
+(medians of five interleaved rounds, 2-vCPU host) a factorization takes
+8.7 ms on that disk and 5.9 ms on that ellipse, against 8.8 and 19.7 ms
+with OpenBLAS's threads; a solve takes 0.34 and 0.28 ms.  The SuperLU
+factor (minimum-degree order, symmetric mode) that the band replaced took
+10.5 and 10.8 ms and solved in 0.42 and 0.43 ms, measured then.  On the
+disk at h = 0.0125 (20 917 unknowns, kd = 167) a factorization takes
+72 ms (SuperLU 78 to 93), but a solve 2.9 ms against SuperLU's 2.0 to 2.1,
+since the band holds 3.5M entries against 0.73M in SuperLU's L.  Finer
+meshes are unmeasured, and no shipped config goes there.
 
 A solve holds one factor and finds each direction by conjugate gradients
 preconditioned with it, from 0, only as accurately as its decrement needs
@@ -78,24 +74,23 @@ factor serves; near it delta_k is tiny, the stop falls back to
 instead when PCG has not converged in ``_CG_MAX_ITER`` iterations or has
 broken down (a tangent that is not positive definite then fails as a
 factorization does), and before the next system when the last PCG took
-more than ``_CG_REFACTOR`` = 8.  On the disk at h = 0.025 a factorization
-costs about as much as 13 PCG iterations with 1 BLAS thread and 20 with 2.
-Over 24 solves (disk at h = 0.025 and 0.05, flat and cap; the 2:1 ellipse
-at h = 0.035, 0.05 and 0.1; the annulus at h = 0.05; each at p = 1.5, 3
-and 4), which take 43, 31, 25, 23 and 20 factorizations and 1103, 1294,
-1533, 1712 and 2110 PCG iterations for thresholds 6, 8, 10, 12 and 15,
-c x factorizations + PCG iterations is
+more than ``_CG_REFACTOR`` = 8.  With 2 BLAS threads a factorization
+costs about as much as 13 PCG iterations on the ellipse at h = 0.035 and
+17 on the disk at h = 0.025.  Over 24 solves (disk at h = 0.025 and 0.05,
+flat and cap; the 2:1 ellipse at h = 0.035, 0.05 and 0.1; the annulus at
+h = 0.05; each at p = 1.5, 3 and 4), which take 43, 31, 25, 23 and 20
+factorizations and 1103, 1294, 1532, 1712 and 2110 PCG iterations for
+thresholds 6, 8, 10, 12 and 15, c x factorizations + PCG iterations is
 
     threshold       6     8    10    12    15
-    c = 13       1662  1697  1858  2011  2370
-    c = 20       1963  1914  2033  2172  2510
+    c = 13       1662  1697  1857  2011  2370
+    c = 17       1834  1821  1957  2103  2450
 
-against 1983 (c = 13) and 2368 (c = 20) at 8, and 2682 and 2990 at 15,
+against 1983 (c = 13) and 2203 (c = 17) at 8, and 2682 and 2858 at 15,
 for solves that factor their first tangent instead of starting from K_0's
 factor (the six meshes' K_0 factorizations add 6c to each seeded total).
-So 8 is within 2.1% of the least cost at both ratios; on the ellipse at
-h = 0.035 with 2 threads a factorization costs about 50 PCG iterations,
-and 10 (2783) would beat 8 (2844) by 2.2%.
+So 8 is the least cost at c = 17, and within 2.1% of the least (at 6)
+at c = 13.
 
 CG from 0 approaches the decrement from below, but a PCG decrement at the
 rounding level is as good as the exact one: PCG stops at iterate k only when
@@ -111,6 +106,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._band import BandCholesky, band_cholesky
 from .errors import AssemblyError, SolverError, ValidationError
 from .geometry import QUAD_BARY, TriMesh, domain_measures
 from .metric import ConformalMetric
@@ -304,7 +300,7 @@ class _HeldFactor:
     iterations so far.  It starts from the factor of ``factored``, the
     mesh's stiffness."""
 
-    def __init__(self, factored: sp.csc_matrix, factor: _BandCholesky):
+    def __init__(self, factored: sp.csc_matrix, factor: BandCholesky):
         self.factored = factored     # the matrix `factor` factors
         self.factor = factor
         self.refactor = False    # factor the next tangent instead of PCG
@@ -344,38 +340,15 @@ def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
         d = z + (rz / rz_old) * d
 
 
-@dataclass(frozen=True)
-class _BandCholesky:
-    """The upper Cholesky factor of an SPD matrix of half-width ``kd``, in
-    LAPACK's (kd + 1) x n band storage; ``solve`` runs ``dpbtrs``."""
-    band: np.ndarray
-    kd: int
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        from scipy.linalg.lapack import dpbtrs
-        return dpbtrs(self.band, b)[0]
-
-
-def _factor(K: sp.csc_matrix) -> _BandCholesky:
-    """LAPACK's banded Cholesky (``dpbtrf``) of an ordered SPD tangent.  The
-    upper band of half-width kd, the largest col - row of K's CSC layout,
-    is read straight from K's entries into LAPACK's band storage,
-    ab[kd + i - j, j] = K[i, j].  A matrix that is not positive definite
-    raises RuntimeError, which `solve` reports as a SolverError.
-    scipy.linalg is imported on the first factorization."""
-    from scipy.linalg.lapack import dpbtrf
+def _factor(K: sp.csc_matrix) -> BandCholesky:
+    """The banded Cholesky (``_band``) of an ordered SPD tangent: its upper
+    band, of half-width kd, the largest col - row of K's CSC layout, is read
+    straight from K's entries.  A matrix that is not positive definite
+    raises RuntimeError, which `solve` reports as a SolverError."""
     n = K.shape[0]
     cols = np.repeat(np.arange(n), np.diff(K.indptr))
     upper = K.indices <= cols
-    rows, cols = K.indices[upper], cols[upper]
-    kd = int((cols - rows).max(initial=0))
-    # row j of `band` is column j of LAPACK's storage
-    band = np.zeros((n, kd + 1))
-    band[cols, kd + rows - cols] = K.data[upper]
-    factor, info = dpbtrf(band.T, overwrite_ab=1)
-    if info > 0:
-        raise RuntimeError(f"the leading minor of order {info} is not positive definite")
-    return _BandCholesky(factor, kd)
+    return band_cholesky(K.indices[upper], cols[upper], K.data[upper], n)
 
 
 def spsolve(held: _HeldFactor, K: sp.csc_matrix, b: np.ndarray, scale: float) -> np.ndarray:

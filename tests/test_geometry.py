@@ -335,12 +335,12 @@ def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
 # order of the lattice's index grid (disk, ellipse, annulus) or of Qhull's
 # triangulation of the relaxed points (star)
 MESH_DIGESTS = {
-    ("disk", 0.1): "6e586cf5abaabb995deb4c30ce39c468ab904206348bcc92b0fc575f2e20204d",
-    ("ellipse", 0.05): "ce7b1bdd63dd8ba81d34fda08d690dbe175efcb80be84b0b6745c6be2e3270f1",
+    ("disk", 0.1): "6a1bd8d89fc261caeda4780b721f378b4078646da58c17001d91819014f04bbb",
+    ("ellipse", 0.05): "25b46606e50e6fd892decbf16cde0a60d92cb030aabb737b95f6878fd6900d2a",
     ("annulus", 0.1): "c2e4408198c096db27fe1430d7448a1eaf046a98fb4211644a5f9e6caa7263e0",
     # the benchmark meshes (ellipse_verify, disk_p_ladder) and a polar star
-    ("ellipse", 0.035): "bbd1e6a7fa00fe1e0712ec746e94d23c9d85381919858ca1a6f31de52804c0ed",
-    ("disk", 0.025): "cbf9f850c1ab93e426f1525d27a29ca01ae0c6f480f04cd4b239a806a932cc4f",
+    ("ellipse", 0.035): "a9f43dc03ec3eec68f2041f0278f51a674f2abc063eddda0b470dbf5cefa6b21",
+    ("disk", 0.025): "c5d2d21ca219d232b9684556aa649c46c74ce67320f542a9cb5c0e2fae33ae03",
     ("star", 0.1): "92f04e688d168f15df2c04e6232a03f5f5304d2837ef25e04b671919ecf79baa",
 }
 
@@ -350,10 +350,10 @@ MESH_DIGESTS = {
 # which reached the same triangles as Qhull; the mapped disk and ellipse
 # meshes are the Delaunay triangulations of their points too
 MESH_SET_DIGESTS = {
-    ("disk", 0.1): "293b2c24cace464d87d4e37f7340327221638da7d82a81d9b30ee10abd5e92fb",
-    ("ellipse", 0.05): "c8de02b40b6fee0dc888a525c7ab66ab586194f91672cbd320ad356a10602386",
-    ("ellipse", 0.035): "cba38cc4a4a6c39a2e76a416594cca90146ecad1849dc6e67125176c854f5543",
-    ("disk", 0.025): "2a331047166aa60b2402c15cfa5fce061f9f1f63a7e80d8b7f65805c3fc9bf09",
+    ("disk", 0.1): "3567d61de66c5cb04c1ac4355789e0198b750261c685bb6c34a4922d028a1a3c",
+    ("ellipse", 0.05): "8eff7919e0fe03371ad2f904d7536fdd2a597fec9750eabe40a889538de67026",
+    ("ellipse", 0.035): "9e324d5baa8f34366fd6292817a73b73e210b949298b12293232c7c3bab4f827",
+    ("disk", 0.025): "5c18406d01bec7cc1e8cd9a3a9680d8d125a4adc20b857df9e0926ebb3de85f5",
     ("star", 0.1): "f0b59f21bb51d30df17fbe1de520978656b44a6f5cbc817af994094912685371",
     ("three_lobes", 0.05): "9440157d32bbbd13871f0244fd43591e9e454d5c651e5119815f4505020dcbaf",
 }

@@ -3,10 +3,11 @@ package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
 The 2-D layers load scipy.spatial (Qhull, the KD-tree) at the first star
-mesh build or point location, scipy.sparse.linalg (SuperLU, which the mesh
-map alone uses) at the first disk or ellipse mesh build, and
-scipy.sparse.csgraph (whose import loads scipy.sparse.linalg) and
-scipy.linalg (LAPACK's band Cholesky) at the first factorization, not at
+mesh build or point location, scipy.linalg (LAPACK's band Cholesky, the
+only sparse factorization) at the first disk or ellipse mesh build, whose
+map factors, or at the first factorization of a tangent, and
+scipy.sparse.csgraph (whose import loads scipy.sparse.linalg, though no
+SuperLU factor is made) at the first factorization of a tangent, not at
 import.
 """
 
@@ -68,9 +69,10 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
 
 def test_a_mesh_build_loads_qhull_and_a_solve_loads_superlu():
     """Only a star build loads Qhull.  A disk build maps a lattice by one
-    sparse solve: it loads SuperLU and not Qhull.  An annulus build wraps a
-    lattice in closed form: it loads neither.  A star build relaxes: it
-    loads Qhull and not SuperLU, and a solve on its mesh loads the
+    band Cholesky solve: it loads LAPACK from scipy.linalg, and neither
+    Qhull nor scipy.sparse.linalg.  An annulus build wraps a lattice in
+    closed form: it loads none of them.  A star build relaxes: it loads
+    Qhull and not scipy.sparse.linalg, and a solve on its mesh loads the
     reverse Cuthill-McKee order of scipy.sparse.csgraph, which loads
     scipy.sparse.linalg, and LAPACK from scipy.linalg."""
     builds = _fresh("""
@@ -78,11 +80,13 @@ def test_a_mesh_build_loads_qhull_and_a_solve_loads_superlu():
         out = {}
         for name, spec in (("annulus", Annulus(0.5, 1.0)), ("disk", Disk(1.0))):
             build_mesh(spec, 0.2)
-            out[name] = loaded("scipy.spatial", "scipy.sparse.linalg")
+            out[name] = loaded("scipy.spatial", "scipy.sparse.linalg", "scipy.linalg")
         print(json.dumps(out))
     """)
-    assert builds == {"annulus": {"scipy.spatial": False, "scipy.sparse.linalg": False},
-                      "disk": {"scipy.spatial": False, "scipy.sparse.linalg": True}}
+    assert builds == {"annulus": {"scipy.spatial": False, "scipy.sparse.linalg": False,
+                                  "scipy.linalg": False},
+                      "disk": {"scipy.spatial": False, "scipy.sparse.linalg": False,
+                               "scipy.linalg": True}}
     star = _fresh("""
         from plap_lab.geometry import PolarStar, build_mesh
         from plap_lab.metric import ConformalMetric

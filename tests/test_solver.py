@@ -12,12 +12,12 @@ from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from plap_lab import solver
+from plap_lab import _band, solver
 from plap_lab.cli import main
 from plap_lab.oracles import radial_exact
 from plap_lab.solver import _Assembler
 
-from conftest import METRICS
+from conftest import DOMAINS, METRICS
 
 FLAT = ConformalMetric.flat()
 
@@ -116,18 +116,18 @@ def test_tangent_spd(lab, domain, h, metric):
 # tangent moved from a minimum-degree to a reverse Cuthill-McKee order: every
 # entry of every tangent is unchanged by that move
 TANGENT_DIGESTS = {
-    ("disk", 0.1, "flat", 1.5): "67adbe2448fd460ef00e5ee4905d6143e7c7d8bb9538977846e98c3226dc1b61",
-    ("disk", 0.1, "flat", 2.0): "74fde646f1dc67ef200cae3ff5ff5a8c86214a39f59f8f2d52c1e10a1bbf8a95",
-    ("disk", 0.1, "flat", 4.0): "089a3c2d931957a5390d4cfaad595b2175a44c04a7358cceed7331aed92adf4b",
-    ("disk", 0.1, "cap", 1.5): "16f9e12589a7fa80761361616418b0c6d48180e1f79ddd937f4bd7d8a959a8ea",
-    ("disk", 0.1, "cap", 2.0): "74fde646f1dc67ef200cae3ff5ff5a8c86214a39f59f8f2d52c1e10a1bbf8a95",
-    ("disk", 0.1, "cap", 4.0): "f1643821f43a7beb86bb5b1a6adaf914522f9de95bff0e984e6569efacc2569b",
-    ("ellipse", 0.14, "flat", 1.5): "433391eb8c1ef2ced6d0f811da797346c5a7374f6a8a85d7547d1a96f0495714",
-    ("ellipse", 0.14, "flat", 2.0): "f471007f449f77122b3f860a7114c06c80182b574efceb1e589019f14b7ceec2",
-    ("ellipse", 0.14, "flat", 4.0): "a521eef1ecf3b976e4a2cb210aa0db4369c1ef40cb859956e37f8ac0e0745395",
-    ("ellipse", 0.14, "cap", 1.5): "f47ae75b5cb038b16615340212e7f29c7509b8c3d91ba39d0219956950b7ebbc",
-    ("ellipse", 0.14, "cap", 2.0): "f471007f449f77122b3f860a7114c06c80182b574efceb1e589019f14b7ceec2",
-    ("ellipse", 0.14, "cap", 4.0): "702966fb6cb03f04e25e91399a489f1dc97c21ba9558cc96cb601c1368ada012",
+    ("disk", 0.1, "flat", 1.5): "65894fc04c76631f99bc5bf57230b76f917ebace79658d63ee033454599e0be0",
+    ("disk", 0.1, "flat", 2.0): "18cf810e6ca40da6c96e7336e574286523130c5f42ac5ce2c16d34e254cf1565",
+    ("disk", 0.1, "flat", 4.0): "b82c0deed84bc7fe7775d6be5d6d5a6114be552371329925f90b4b0892444928",
+    ("disk", 0.1, "cap", 1.5): "6c666585842d87b98dd19a46e48e37ed273edf5b7ca732de4f28c412530b180d",
+    ("disk", 0.1, "cap", 2.0): "18cf810e6ca40da6c96e7336e574286523130c5f42ac5ce2c16d34e254cf1565",
+    ("disk", 0.1, "cap", 4.0): "f92bb56d1df0c3f9fb8ba70f956c2192623b9f00d8a3f2080a3ad0b613fb4d56",
+    ("ellipse", 0.14, "flat", 1.5): "3896324fe3c2083f3897e21ff715c3af59fbf3c2a0ca3454d80bacfe92dba4dc",
+    ("ellipse", 0.14, "flat", 2.0): "0967949823ed2e8b19f796d3a7abbab0f9f7a2c01fc420809ce97d9929a7b085",
+    ("ellipse", 0.14, "flat", 4.0): "d79d0f9461d8fe1ba99ba826fcc51c7d45ca3b0e9d3ef23aa29cb80b5dbc15e3",
+    ("ellipse", 0.14, "cap", 1.5): "13a17df5b907b0e0a6e124586025eb8e4df0a6c511de9c3556e96d933bfe5ed2",
+    ("ellipse", 0.14, "cap", 2.0): "0967949823ed2e8b19f796d3a7abbab0f9f7a2c01fc420809ce97d9929a7b085",
+    ("ellipse", 0.14, "cap", 4.0): "78bb10acf86e78f3cf69f1b074caccb02c93c2cb3aad62b3ff736e8ca865acb1",
     ("annulus", 0.1, "flat", 1.5): "1269631ab036277ee255927dc37217f418bad4544b7c6617bf048e902c9cc818",
     ("annulus", 0.1, "flat", 2.0): "fb2c1cee827c5f729c6269637a53ca8110b7e492c1e55a5bfde50fbf3c7e84b5",
     ("annulus", 0.1, "flat", 4.0): "de613aa71c9e1b8e753db87fe0483669551f6b166b096640646e5d41da9841b8",
@@ -338,11 +338,16 @@ def test_indefinite_tangent_is_a_solver_error(monkeypatch):
 
 
 def test_solve_bits_do_not_depend_on_the_blas_threads():
-    # the band factor runs in BLAS, which may split its blocks across
-    # threads; at h = 0.025 (kd = 83) LAPACK factors the band in blocks
-    code = ("import hashlib; from plap_lab import ConformalMetric, Disk, build_mesh, solve; "
-            "print(*(hashlib.sha256(solve(build_mesh(Disk(1.0), h), ConformalMetric.flat(), "
-            "3.0).u.tobytes()).hexdigest() for h in (0.1, 0.025)))")
+    # the band factors run in BLAS, which may split their work across
+    # threads: LAPACK factors the band in blocks on the disk at h = 0.025
+    # (kd = 83) and column by column on the 2:1 ellipse at h = 0.035
+    # (kd = 55).  The mesh map factors too, so its points are hashed as well
+    code = ("import hashlib; from plap_lab import ConformalMetric, Disk, Ellipse, build_mesh, "
+            "solve\n"
+            "for spec, h in ((Disk(1.0), 0.1), (Disk(1.0), 0.025), (Ellipse(2.0, 1.0), 0.035)):\n"
+            "    mesh = build_mesh(spec, h)\n"
+            "    u = solve(mesh, ConformalMetric.flat(), 3.0).u\n"
+            "    print(*(hashlib.sha256(a.tobytes()).hexdigest() for a in (mesh.points, u)))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     digests = []
     for threads in ("1", "2"):
@@ -352,7 +357,66 @@ def test_solve_bits_do_not_depend_on_the_blas_threads():
                               env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 2 and digests[0] == digests[1]
+    assert len(digests[0]) == 6 and digests[0] == digests[1]
+
+
+def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkeypatch):
+    """scipy's OpenBLAS is found, so no factorization falls back to the
+    library's threads unnoticed; ``dpbtrf`` runs on one thread, and the
+    calling thread's setting reads back what it was after a factorization
+    and after one that raises."""
+    import scipy.linalg.lapack as lapack
+
+    setter = _band._local_threads()
+    assert setter is not None
+
+    def local() -> int:
+        """The calling thread's OpenBLAS thread count, read by setting it."""
+        value = setter(1)
+        setter(value)
+        return value
+
+    seen, dpbtrf = [], lapack.dpbtrf
+    monkeypatch.setattr(lapack, "dpbtrf", lambda *a, **k: seen.append(local()) or dpbtrf(*a, **k))
+    K0 = _Assembler(lab.mesh("disk", 0.1), FLAT, 3.0).stiffness()[0]
+    before = setter(3)
+    try:
+        solver._factor(K0)
+        assert local() == 3
+        # -K_0's band Cholesky stops at its first pivot, inside the scope
+        monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: -self.stiffness()[0])
+        with pytest.raises(SolverError, match="tangent factorization failed"):
+            solve(build_mesh(Disk(1.0), 0.2), FLAT, 3.0)
+        assert local() == 3
+    finally:
+        setter(before)
+    assert set(seen) == {1}
+
+
+@pytest.mark.parametrize("domain, h", [k for k in BAND_HALF_WIDTHS if k[0] in ("disk", "ellipse")])
+def test_the_mesh_map_is_one_band_solve_no_wider_than_the_tangent(monkeypatch, domain, h):
+    """The mapped meshes' interior Laplacian, in the lattice's numbering,
+    has a band no wider than the tangent's in its reverse Cuthill-McKee
+    order, and each interior point is the mean of its neighbours."""
+    from plap_lab import geometry
+
+    kds, cholesky = [], geometry.band_cholesky
+
+    def recorded(*args):
+        factor = cholesky(*args)
+        kds.append(factor.kd)
+        return factor
+
+    monkeypatch.setattr(geometry, "band_cholesky", recorded)
+    mesh = build_mesh(DOMAINS[domain], h)
+    assert kds and max(kds) <= BAND_HALF_WIDTHS[domain, h]
+    tri, n = mesh.triangles, mesh.n_vertices
+    edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    adj = ((adj + adj.T) > 0).astype(float)
+    inner = np.setdiff1d(np.arange(n), mesh.boundary_vertices)
+    means = (adj @ mesh.points)[inner] / np.asarray(adj.sum(axis=1))[inner]
+    assert np.abs(means - mesh.points[inner]).max() <= 1e-13 * np.abs(mesh.points).max()
 
 
 def test_rung_records_and_solve_count(lab, monkeypatch):
