@@ -2,12 +2,11 @@
 
 Every sparse symmetric positive definite system of the program is factored
 here: the mesh map's graph Laplacian (``geometry._harmonic_map``) and the
-Newton tangents (``solver._factor``).  Each keeps its entries in a narrow
-band about the diagonal, the lattice's own vertex numbering for the one and
-a reverse Cuthill-McKee order for the other (George and Liu, Computer
-Solution of Large Sparse Positive Definite Systems, 1981).  ``dpbtrf``
-factors the upper band in LAPACK's (kd + 1) x n band storage and ``dpbtrs``
-solves with it.
+Newton tangents (``solver._factor``).  Both are factored in the mesh's own
+vertex numbering, which each mesher makes keep their entries in a narrow
+band about the diagonal (George and Liu, Computer Solution of Large Sparse
+Positive Definite Systems, 1981).  ``dpbtrf`` factors the upper band in
+LAPACK's (kd + 1) x n band storage and ``dpbtrs`` solves with it.
 
 LAPACK's block size for ``dpbtrf`` is 1 at half-widths kd <= 64 (reference
 ILAENV), so such a band is factored unblocked, one rank-1 update of at most

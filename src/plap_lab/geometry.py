@@ -186,6 +186,16 @@ class PolarStar(BoundaryCurve):
         r, dr, d2r = (self.r(t, m) for m in range(3))
         return (r * r + 2.0 * dr * dr - r * d2r) / (r * r + dr * dr) ** 1.5
 
+    def inside(self, pts: np.ndarray, margin: float) -> np.ndarray:
+        """Points (P, 2) more than about ``margin`` inside the star: below
+        r(theta) - margin / cos(psi) along their ray, where psi is the angle
+        between the ray and the outward normal, cos(psi) = r / sqrt(r^2 + r'^2),
+        clipped to [0.2, 1]."""
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        r = self.r(theta)
+        cospsi = np.clip(r / self.speed(theta), 0.2, 1.0)
+        return np.linalg.norm(pts, axis=-1) < r - margin / cospsi
+
 
 class _InnerCircle(BoundaryCurve):
     """Inner loop of an annulus: clockwise traversal, outward normal points inwards."""
@@ -406,43 +416,6 @@ class _PointLocator:
 
 
 # --------------------------------------------------------------------------
-# Radial inside tests (a polar star is a radial graph about the origin)
-# --------------------------------------------------------------------------
-
-
-class _RadialDomain:
-    """Dense lookup tables for the boundary radius and the ray/normal angle
-    of a domain of one loop."""
-
-    def __init__(self, spec: DomainSpec):
-        curve = spec.curves()[0]
-        t = np.linspace(0.0, TWO_PI, _STAR_SAMPLES + 1)
-        pts = curve.point(t)
-        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
-        theta[-1] = TWO_PI
-        theta[0] = 0.0
-        order = np.argsort(theta)
-        self._theta = theta[order]
-        self._rb = np.linalg.norm(pts, axis=1)[order]
-        radial = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        cospsi = np.clip(np.einsum("ij,ij->i", radial, curve.normal(t)), 0.2, 1.0)
-        self._cospsi = cospsi[order]
-
-    def inside(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        """Points (P, 2) more than ``margin`` inside the domain: below the
-        interpolated bound r_b(theta) - margin / cos(psi)."""
-        rho = np.linalg.norm(pts, axis=-1)
-        theta = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
-        return rho < (np.interp(theta, self._theta, self._rb)
-                      - margin / np.interp(theta, self._theta, self._cospsi))
-
-    def triangles_inside(self, points: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-        """The triangles whose centroid lies inside the domain."""
-        return triangles[self.inside(np.take(points, triangles, axis=0).mean(axis=1),
-                                     margin=0.0)]
-
-
-# --------------------------------------------------------------------------
 # Mesh generation
 # --------------------------------------------------------------------------
 
@@ -479,6 +452,11 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
       under repulsive edge forces until the triangulation is near-uniform
       (`_relaxed_mesh`).
 
+    Every mesh numbers its boundary vertices first, loop after loop, and its
+    interior in a narrow band: by lattice rows (disk, ellipse), by cylinder
+    columns (annulus) or in reverse Cuthill-McKee order (the relaxed stars).
+    The solver factors its tangents in that numbering.
+
     A mesh must match its parametric boundary loops edge for edge and meet
     the minimum-angle bound ``_MIN_ANGLE_DEG``; a domain with no mesh that
     meets it is a MeshGenerationError with the last angle achieved.
@@ -497,7 +475,8 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
 
     def mesh_from(loops_arcs: list[np.ndarray], place) -> TriMesh:
         """The mesh whose boundary nodes sit at ``loops_arcs`` and whose
-        points and triangles ``place`` makes from the boundary points."""
+        points, the boundary points first, and triangles ``place`` makes
+        from the boundary points."""
         loops_params = [np.interp(arcs, s, t) for (t, s), arcs in zip(tables, loops_arcs)]
         bnd_xy = np.concatenate([c.point(t) for c, t in zip(curves, loops_params)])
         points, triangles = place(bnd_xy)
@@ -566,19 +545,23 @@ def _lattice_cylinder(r_in: float, r_out: float,
     spacing 2 pi / n.  Row j lies on the circle r_in e^{j ln(r_out/r_in) / m}
     and odd rows are half a column round.  The vertices are numbered outer
     loop (row m) first, counter-clockwise, then the inner loop (row 0) in
-    its clockwise order, then the interior rows.  Fewer than 2 row steps
-    leave no interior vertex, which is a mesh error.
+    its clockwise order, then the interior column by column, in the order
+    0, 1, n - 1, 2, n - 2, ...: each column's neighbours are at most two
+    columns on in that order, so the solver's tangent has a band of about
+    2m on it.  Fewer than 2 row steps leave no interior vertex, which is a
+    mesh error.
 
     Returns the triangles, counter-clockwise, from the index grid; the
-    interior points; and the outer and inner loops' node arc lengths as
-    fractions of the loop.
+    interior points, in their numbering; and the outer and inner loops'
+    node arc lengths as fractions of the loop.
     """
     n = int(round(TWO_PI * r_out / h))
     m = int(round(math.log(r_out / r_in) / (math.sqrt(3.0) * math.pi / n)))
     if m < 2:
         raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
     j, c = np.meshgrid(np.arange(m + 1), np.arange(n), indexing="ij")
-    ids = np.where(j == m, c, np.where(j == 0, n + (-c) % n, n * (j + 1) + c))
+    place = np.maximum(np.minimum(2 * c - 1, 2 * (n - c)), 0)    # of column c in that order
+    ids = np.where(j == m, c, np.where(j == 0, n + (-c) % n, 2 * n + (m - 1) * place + j - 1))
     # lattice point (q, r) is column q + r // 2 (mod n) of row r
     q, r = np.meshgrid(np.arange(n + 1), np.arange(m + 1), indexing="ij")
     # w -> r_in e^w takes the lattice plane's (column, row) axes to the
@@ -586,9 +569,10 @@ def _lattice_cylinder(r_in: float, r_out: float,
     triangles = _grid_triangles(ids[r, (q + r // 2) % n])[:, ::-1].copy()
     theta = TWO_PI / n * (c + (j % 2) / 2)
     rho = r_in * np.exp(math.log(r_out / r_in) / m * j)
-    interior = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)[1:-1]
-    return triangles, interior.reshape(-1, 2), [(np.arange(n) + (m % 2) / 2) / n,
-                                                 np.arange(n) / n]
+    interior = np.empty(((m - 1) * n, 2))
+    interior[ids[1:-1] - 2 * n] = np.stack([rho * np.cos(theta), rho * np.sin(theta)],
+                                           axis=-1)[1:-1]
+    return triangles, interior, [(np.arange(n) + (m % 2) / 2) / n, np.arange(n) / n]
 
 
 # --------------------------------------------------------------------------
@@ -684,9 +668,10 @@ def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
     of the uniform graph Laplacian on the interior vertices, with the
     boundary as Dirichlet data.  The Laplacian is symmetric positive
     definite, and the lattice numbers the interior row by row, so every
-    interior edge lies within a narrow band about its diagonal, of the
-    tangent's half-width on every mesh the configs build: the banded
-    Cholesky of ``_band`` factors it in that order."""
+    interior edge lies within a narrow band about its diagonal: the banded
+    Cholesky of ``_band`` factors it in that order.  Its pattern is the
+    interior edges, the solver's tangent's, so the two bands have the same
+    half-width."""
     keys = _edge_keys(triangles, n)
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     v, w = keys // n, keys % n      # v < w
@@ -710,8 +695,8 @@ def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
 
 
 def _relaxed_mesh(spec: PolarStar, h: float, bnd_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points (``bnd_xy`` pinned, then the interior) and triangles of a
-    relaxed mesh.
+    """The points (``bnd_xy`` pinned, then the interior, in reverse
+    Cuthill-McKee order) and triangles of a relaxed mesh.
 
     Relaxation keeps its edge list between steps and retriangulates only
     after some vertex has moved more than 0.1 h since the last
@@ -721,22 +706,35 @@ def _relaxed_mesh(spec: PolarStar, h: float, bnd_xy: np.ndarray) -> tuple[np.nda
     the largest radius of the loop, and the relaxed interior vertices are
     checked once to lie inside the domain.
     """
-    domain = _RadialDomain(spec)
-    interior = _hex_lattice(h, domain)
+    interior = _hex_lattice(h, spec)
     if not len(interior):
         raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
-    points, triangles = _relax(bnd_xy, interior, h, domain)
-    outside = np.count_nonzero(~domain.inside(points[len(bnd_xy):], margin=0.0))
+    points, triangles = _relax(bnd_xy, interior, h, spec)
+    nb, n = len(bnd_xy), len(points)
+    outside = np.count_nonzero(~spec.inside(points[nb:], margin=0.0))
     if outside:
         raise MeshGenerationError(
             f"vertex outside the domain after relaxation ({outside} of {len(interior)})")
-    return points, triangles
+    # relaxation bends the lattice rows, so the interior is numbered in the
+    # reverse Cuthill-McKee order of its edge graph (George & Liu, 1981),
+    # which keeps the solver's tangent in a narrow band
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    keys = np.unique(_edge_keys(triangles, n))
+    v, w = keys // n - nb, keys % n - nb
+    inner = v >= 0
+    graph = sp.csr_matrix((np.ones(np.count_nonzero(inner)), (v[inner], w[inner])),
+                          shape=(n - nb, n - nb))
+    # reverse_cuthill_mckee adds the transpose, which makes the graph symmetric
+    order = np.concatenate([np.arange(nb), nb + reverse_cuthill_mckee(graph)])
+    number = np.empty(n, dtype=triangles.dtype)
+    number[order] = np.arange(n)
+    return points[order], number[triangles]
 
 
-def _hex_lattice(h: float, domain: _RadialDomain) -> np.ndarray:
+def _hex_lattice(h: float, spec: PolarStar) -> np.ndarray:
     """The points of a hexagonal lattice of spacing h more than 0.7 h inside
-    the domain; the lattice spans the largest radius of the loop."""
-    lim = domain._rb.max() + h
+    the star; the lattice spans the largest radius of the loop."""
+    lim = spec.r(_STAR_THETA).max() + h
     dy = h * math.sqrt(3.0) / 2.0
     rows = int(math.ceil(lim / dy))
     cols = int(math.ceil(lim / h))
@@ -747,11 +745,11 @@ def _hex_lattice(h: float, domain: _RadialDomain) -> np.ndarray:
         xs = h * np.arange(-cols, cols + 1) + shift
         pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
     pts = np.concatenate(pts)
-    return pts[domain.inside(pts, margin=0.7 * h)]
+    return pts[spec.inside(pts, margin=0.7 * h)]
 
 
 def _relax(bnd: np.ndarray, interior: np.ndarray, h: float,
-           domain: _RadialDomain) -> tuple[np.ndarray, np.ndarray]:
+           spec: PolarStar) -> tuple[np.ndarray, np.ndarray]:
     """The points (``bnd`` pinned, then the interior) after at most
     ``_RELAX_ITERS`` steps of repulsive edge forces, and their triangles.
 
@@ -770,7 +768,7 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float,
 
     def retriangulate() -> np.ndarray:
         pts = xy.T
-        return domain.triangles_inside(pts, _delaunay_ccw(pts))
+        return _triangles_inside(spec, pts, _delaunay_ccw(pts))
 
     for _ in range(_RELAX_ITERS):
         dx, dy = xy - last
@@ -791,6 +789,12 @@ def _relax(bnd: np.ndarray, interior: np.ndarray, h: float,
         if np.abs(step).max() < 1e-3 * h:
             break
     return xy.T.copy(), retriangulate()
+
+
+def _triangles_inside(spec: PolarStar, points: np.ndarray,
+                      triangles: np.ndarray) -> np.ndarray:
+    """The triangles whose centroid lies inside the star."""
+    return triangles[spec.inside(np.take(points, triangles, axis=0).mean(axis=1), margin=0.0)]
 
 
 def Delaunay(points: np.ndarray):
@@ -855,13 +859,14 @@ def _assemble_mesh(
     qp = np.einsum("qk,mki->mqi", QUAD_BARY, p).reshape(-1, 2)
     qw = (_QUAD_WEIGHTS[None, :] * areas[:, None]).reshape(-1)
 
+    # the boundary vertices are numbered first, loop after loop
     offset = 0
     loops = []
     for params in loops_params:
         loops.append(np.arange(offset, offset + len(params)))
         offset += len(params)
 
-    boundary = _exact_boundary(curves, loops_params, loops_arcs, lengths)
+    boundary = _exact_boundary(curves, points[:offset], loops_params, loops_arcs, lengths)
     return TriMesh(
         spec=spec,
         h=h,
@@ -910,22 +915,23 @@ class BoundaryGeometry:
     arclength: np.ndarray       # (B,) arc-length coordinate within the loop
 
 
-def _exact_boundary(curves: list[BoundaryCurve], loops_params: list[np.ndarray],
-                    loops_arcs: list[np.ndarray], lengths: list[float]) -> BoundaryGeometry:
-    """The curve's data at each loop's node parameters.  The arc weight of
-    node k is its trapezoid weight (s_{k+1} - s_{k-1}) / 2 over the node arc
-    lengths s of a loop of length L, which wrap as s_n = s_0 + L; equally
-    spaced nodes get L/n up to rounding."""
-    pos, nor, cur, wgt = [], [], [], []
+def _exact_boundary(curves: list[BoundaryCurve], position: np.ndarray,
+                    loops_params: list[np.ndarray], loops_arcs: list[np.ndarray],
+                    lengths: list[float]) -> BoundaryGeometry:
+    """The curve's data at each loop's node parameters, whose points
+    ``position`` are already on the curve.  The arc weight of node k is its
+    trapezoid weight (s_{k+1} - s_{k-1}) / 2 over the node arc lengths s of a
+    loop of length L, which wrap as s_n = s_0 + L; equally spaced nodes get
+    L/n up to rounding."""
+    nor, cur, wgt = [], [], []
     for curve, params, s, L in zip(curves, loops_params, loops_arcs, lengths):
-        pos.append(curve.point(params))
         nor.append(curve.normal(params))
         cur.append(curve.curvature(params))
         gap = np.roll(s, -1) - np.roll(s, 1)
         gap[[0, -1]] += L
         wgt.append(0.5 * gap)
     return BoundaryGeometry(
-        position=np.concatenate(pos),
+        position=position,
         normal=np.concatenate(nor),
         curvature=np.concatenate(cur),
         weight=np.concatenate(wgt),

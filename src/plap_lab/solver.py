@@ -24,40 +24,37 @@ eps_min rung.  The ladder ends after the first rung that takes no step, so
 the u it returns is certified at that rung's eps, ``final_eps``.
 
 The Newton tangent is symmetric positive definite on the free (interior)
-vertices, and its sparsity pattern is that of the P1 stiffness.  The reverse
-Cuthill-McKee order of that pattern (Cuthill and McKee 1969; George and Liu,
-Computer Solution of Large Sparse Positive Definite Systems, 1981) and the
-CSC layout of the free x free matrix in that order depend on the mesh alone:
-they are built once per mesh, from the structure with unit weights, and kept
-on it, with two linear maps (the vectorised assembly of Cuvelier, Japhet and
-Scarella, BIT 56, 2016): the sparse gradient operator G, so that every
-energy reads the element gradients G u and every residual is G^T applied to
-the element fluxes, less the load; and the sparse map from the three
-distinct entries of each element's weighted 2 x 2 coefficient to every slot
-of the CSC data, so that a tangent is one sparse product.  The P1 stiffness
-K_0 on the free vertices, in that layout, and its factor are kept on the
-mesh too: K_0 is the p = 2 tangent of every metric, since e^{(2-p) phi} = 1
-there, so a p = 2 solve takes it as its tangent and assembles and factors
-none.  Every other solve starts from K_0's factor: at u = 0 a flat tangent
-is eps_0^{p-2} K_0, which PCG solves in one iteration, and a conformal
-weight e^{(2-p) phi} that varies little over the domain keeps K_0 a good
-preconditioner.  K_0 depends on the mesh alone, so a solve's result does
-not depend on the solves before it.
+vertices, and its sparsity pattern is that of the P1 stiffness.  Every
+mesher numbers the boundary vertices first and the interior in a narrow band
+(``geometry.build_mesh``), so unknown i is vertex nb + i, and the CSC layout
+of the free x free matrix depends on the mesh alone: it is built once per
+mesh and kept on it, with two linear maps (the vectorised assembly of
+Cuvelier, Japhet and Scarella, BIT 56, 2016): the sparse gradient operator
+G, so that every energy reads the element gradients G u and every residual
+is G^T applied to the element fluxes, less the load; and the sparse map
+from the three distinct entries of each element's weighted 2 x 2
+coefficient to every slot of the CSC data, so that a tangent is one sparse
+product.  The P1 stiffness K_0 on the free vertices, in that layout, and
+its factor are kept on the mesh too: K_0 is the p = 2 tangent of every
+metric, since e^{(2-p) phi} = 1 there, so a p = 2 solve takes it as its
+tangent and assembles and factors none.  Every other solve starts from
+K_0's factor: at u = 0 a flat tangent is eps_0^{p-2} K_0, which PCG solves
+in one iteration, and a conformal weight e^{(2-p) phi} that varies little
+over the domain keeps K_0 a good preconditioner.  K_0 depends on the mesh
+alone, so a solve's result does not depend on the solves before it.
 
-The order keeps every entry within a band of half-width kd about the
+The numbering keeps every entry within a band of half-width kd about the
 diagonal: kd = 83 on the disk at h = 0.025 (5167 unknowns), 55 on the 2:1
-ellipse at h = 0.035 (5349) and 19 to 49 on every other mesh the shipped
+ellipse at h = 0.035 (5349) and 15 to 49 on every other mesh the shipped
 configs build.  A factor is LAPACK's banded Cholesky (``_band``):
 ``dpbtrf`` factors the upper band, read straight from the CSC data into
 LAPACK's (kd + 1) x n band storage, on the calling thread alone, and
 ``dpbtrs`` solves with it.  On the p = 3 tangents with 2 BLAS threads
 (medians of five interleaved rounds, 2-vCPU host) a factorization takes
 8.7 ms on that disk and 5.9 ms on that ellipse, against 8.8 and 19.7 ms
-with OpenBLAS's threads; a solve takes 0.34 and 0.28 ms.  The SuperLU
-factor (minimum-degree order, symmetric mode) that the band replaced took
-10.5 and 10.8 ms and solved in 0.42 and 0.43 ms, measured then.  On the
-disk at h = 0.0125 (20 917 unknowns, kd = 167) a factorization takes
-72 ms (SuperLU 78 to 93), but a solve 2.9 ms against SuperLU's 2.0 to 2.1,
+with OpenBLAS's threads; a solve takes 0.34 and 0.28 ms.  On the disk at
+h = 0.0125 (20 917 unknowns, kd = 167) a factorization takes 72 ms
+(SuperLU 78 to 93), but a solve 2.9 ms against SuperLU's 2.0 to 2.1,
 since the band holds 3.5M entries against 0.73M in SuperLU's L.  Finer
 meshes are unmeasured, and no shipped config goes there.
 
@@ -167,9 +164,10 @@ class _Assembler:
         elem_load = domain_measures(mesh, metric).volume_weights.reshape(-1, nq) @ QUAD_BARY
         self.load = np.zeros(mesh.n_vertices)
         np.add.at(self.load, mesh.triangles.ravel(), elem_load.ravel())
-        # dofs[i] is the vertex of unknown i of the ordered tangent
-        (self.free, self.dofs, self._grad, self._slots, self._indptr,
-         self._indices) = mesh.derived("assembly_maps", lambda: _assembly_maps(mesh))
+        # unknown i of the tangent is vertex nb + i: the boundary comes first
+        self._grad, self._slots, self._indptr, self._indices = mesh.derived(
+            "assembly_maps", lambda: _assembly_maps(mesh))
+        self.nb = len(mesh.boundary_vertices)
 
     def gradients(self, u: np.ndarray) -> np.ndarray:
         return (self._grad @ u).reshape(-1, 2)
@@ -192,7 +190,7 @@ class _Assembler:
         return r
 
     def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
-        """The free x free tangent, in the order of ``dofs``."""
+        """The free x free tangent, in the mesh's vertex order."""
         c = _flux_coeff(self.gradients(u), self.p, eps)
         c *= self.w_grad[:, None]
         if not np.isfinite(c).all():
@@ -201,8 +199,8 @@ class _Assembler:
         return self._assemble(c)
 
     def stiffness(self) -> tuple[sp.csc_matrix, object]:
-        """The mesh's P1 stiffness K_0 on the free vertices, in the order of
-        ``dofs``, and its factor, built once per mesh and kept on it.  K_0
+        """The mesh's P1 stiffness K_0 on the free vertices, in the mesh's
+        vertex order, and its factor, built once per mesh and kept on it.  K_0
         is the p = 2 tangent of every metric, bit for bit: there
         e^{(2-p) phi} = exp(0) = 1 and each element coefficient is its
         summed quadrature weight times I, summed by the same ``slots``."""
@@ -214,38 +212,40 @@ class _Assembler:
 
     def _assemble(self, c: np.ndarray) -> sp.csc_matrix:
         """The free x free matrix of the element coefficients (c00, c01, c11)."""
-        nf = len(self.dofs)
+        nf = len(self._indptr) - 1
         return sp.csc_matrix((self._slots @ c.ravel(), self._indices, self._indptr),
                              shape=(nf, nf))
 
 
 def _assembly_maps(mesh: TriMesh) -> tuple:
-    """(free, dofs, grad, slots, indptr, indices): the linear maps from nodal
-    values and element coefficients to the assembled arrays.
+    """(grad, slots, indptr, indices): the linear maps from nodal values and
+    element coefficients to the assembled arrays.
 
-    ``free`` are the interior vertices and ``dofs[i]`` the vertex of unknown
-    i of the free x free tangent, whose CSC layout is (``indptr``,
-    ``indices``).  ``grad`` (2M x N, CSR) sends nodal values to the element
-    gradients, row 2t + i holding d/dx_i of triangle t; the residual is its
-    transpose applied to the element fluxes.  Element t's tangent block is
-    grad(lambda_k) . C_t grad(lambda_l), linear in the three distinct entries
-    (c00, c01, c11) of its symmetric 2 x 2 coefficient C_t: ``slots`` sends
-    those 3M entries to every slot of the CSC data, one row per slot in CSC
-    order, each with its element columns ascending, as a canonical CSR.
-    The twins (k, l) and (l, k) of an element take the same products of its
-    basis gradients, so the tangent is exactly symmetric.  The order is a
-    reverse Cuthill-McKee order of the structure, so it is taken from the
-    unit-weight stiffness, C_t = I, by ``_fill_reducing_order``.
+    Every mesher numbers the boundary vertices first, 0 to nb - 1, and the
+    interior in a narrow band, so unknown i of the free x free tangent is
+    vertex nb + i, and its CSC layout is (``indptr``, ``indices``).  A mesh
+    whose boundary vertices are not 0 to nb - 1 is a ValidationError.
+    ``grad`` (2M x N, CSR) sends nodal values to the element gradients, row
+    2t + i holding d/dx_i of triangle t; the residual is its transpose
+    applied to the element fluxes.  Element t's tangent block is
+    grad(lambda_k) . C_t grad(lambda_l), linear in the three distinct
+    entries (c00, c01, c11) of its symmetric 2 x 2 coefficient C_t:
+    ``slots`` sends those 3M entries to every slot of the CSC data, one row
+    per slot in CSC order, each with its element columns ascending, as a
+    canonical CSR.  The twins (k, l) and (l, k) of an element take the same
+    products of its basis gradients, so the tangent is exactly symmetric.
     """
     tri, bg = mesh.triangles, mesh.basis_grads
     n, m = mesh.n_vertices, mesh.n_triangles
+    boundary = mesh.boundary_vertices
+    nb = len(boundary)
+    if not np.array_equal(boundary, np.arange(nb)):
+        raise ValidationError("the mesh's boundary vertices must be numbered first, 0 to nb - 1")
     grad = sp.csr_matrix((bg.transpose(0, 2, 1).ravel(), np.repeat(tri, 2, axis=0).ravel(),
                           np.arange(0, 6 * m + 1, 3)), shape=(2 * m, n))
-    free = np.setdiff1d(np.arange(n), mesh.boundary_vertices)
-    nf = len(free)
-    local = np.full(n, -1)
-    local[free] = np.arange(nf)
-    ltri = local[tri]
+    nf = n - nb
+    # int64, so the keys col * nf + row do not wrap past 46340 unknowns
+    ltri = tri.astype(np.int64) - nb
     rows, cols = np.repeat(ltri, 3, axis=1).ravel(), np.tile(ltri, (1, 3)).ravel()
     keep = np.flatnonzero((rows >= 0) & (cols >= 0))
     rows, cols, elem = rows[keep], cols[keep], keep // 9
@@ -255,13 +255,7 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     bk, bl = np.take(corner, keep // 3, axis=0), np.take(corner, 3 * elem + keep % 3, axis=0)
     weights = np.stack([bk[:, 0] * bl[:, 0], bk[:, 0] * bl[:, 1] + bk[:, 1] * bl[:, 0],
                         bk[:, 1] * bl[:, 1]], axis=1)
-    lap = sp.csc_matrix((weights[:, 0] + weights[:, 2], (rows, cols)), shape=(nf, nf))
-    order = _fill_reducing_order(lap)
-    # rank[i] is the place of free vertex i in the order; int64, so the keys
-    # col * nf + row do not wrap past 46340 unknowns
-    rank = np.empty(nf, dtype=np.int64)
-    rank[order] = np.arange(nf)
-    key = rank[cols] * nf + rank[rows]
+    key = cols * nf + rows
     # one row per slot, in key (CSC) order; an element meets a slot at most
     # once, so a stable sort leaves each row's columns ascending
     by_key = np.argsort(key, kind="stable")
@@ -272,18 +266,7 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
                            3 * np.append(starts, len(key))), shape=(len(starts), 3 * m))
     col, indices = key[starts] // nf, key[starts] % nf
     indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nf))])
-    return (free, free[order], grad, slots, indptr.astype(np.int32),
-            indices.astype(np.int32))
-
-
-def _fill_reducing_order(lap: sp.csc_matrix) -> np.ndarray:
-    """The reverse Cuthill-McKee order of a symmetric matrix's pattern
-    (Cuthill and McKee 1969; George and Liu, Computer Solution of Large
-    Sparse Positive Definite Systems, 1981): ``order[i]`` is the row placed
-    i-th.  It keeps every entry of the matrix in a narrow band about the
-    diagonal, the band ``_factor`` stores and factors."""
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-    return reverse_cuthill_mckee(lap, symmetric_mode=True)
+    return grad, slots, indptr.astype(np.int32), indices.astype(np.int32)
 
 
 _BACKTRACK_FACTOR, _MAX_BACKTRACKS = 0.5, 30      # Armijo line search
@@ -396,7 +379,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
     ladder.append(_EPS_MIN)
 
     asm = _Assembler(mesh, metric, p)
-    free = asm.free
+    nb = asm.nb
     K0, factor0 = asm.stiffness()
     held = _HeldFactor(K0, factor0)
 
@@ -409,19 +392,19 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
         it = 0
         counts = held.factorizations, held.cg_iterations
         while True:
-            r = asm.residual(u, eps)
-            rnorm = float(np.linalg.norm(r[free]))
+            r = asm.residual(u, eps)[nb:]
+            rnorm = float(np.linalg.norm(r))
             history.append((eps, it, rnorm))
             # at p = 2 the tangent is the stiffness, whatever u, eps and the metric
             K = K0 if p == 2.0 else asm.tangent(u, eps)
             scale = 1.0 + abs(energy)
             d = np.zeros_like(u)
             try:
-                d[asm.dofs] = spsolve(held, K, -r[asm.dofs], scale)
+                d[nb:] = spsolve(held, K, -r, scale)
             except RuntimeError as exc:
                 raise SolverError(f"tangent factorization failed at eps = {eps:.3e} ({exc})",
                                   history=history) from exc
-            slope = float(r[free] @ d[free])
+            slope = float(r @ d[nb:])
             if -slope <= _DECREMENT_FLOOR * scale:
                 break
             if it >= _MAX_NEWTON_ITER:
@@ -452,6 +435,6 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
     return Solution(u=u, mesh=mesh, metric=metric, p=p, steps=steps, diagnostics={
         "min_u": float(u.min()),
         "max_u": float(u.max()),
-        "min_interior_u": float(u[free].min()),
-        "positive_interior": bool((u[free] > 0).all()),
+        "min_interior_u": float(u[nb:].min()),
+        "positive_interior": bool((u[nb:] > 0).all()),
     })

@@ -333,29 +333,34 @@ def test_mesh_with_no_interior_vertex_is_a_mesh_error(tmp_path, r_in, h):
 
 # sha256 of points.tobytes() + triangles.tobytes(): the triangles in the
 # order of the lattice's index grid (disk, ellipse, annulus) or of Qhull's
-# triangulation of the relaxed points (star)
+# triangulation of the relaxed points (star).  The annulus and star rows were
+# recorded when those meshers began numbering their interior in a band (by
+# columns, and in reverse Cuthill-McKee order): each mesh is the earlier one
+# under that vertex permutation, point for point and triangle for triangle
 MESH_DIGESTS = {
     ("disk", 0.1): "6a1bd8d89fc261caeda4780b721f378b4078646da58c17001d91819014f04bbb",
     ("ellipse", 0.05): "25b46606e50e6fd892decbf16cde0a60d92cb030aabb737b95f6878fd6900d2a",
-    ("annulus", 0.1): "c2e4408198c096db27fe1430d7448a1eaf046a98fb4211644a5f9e6caa7263e0",
+    ("annulus", 0.1): "8c5036863bc79cc7b5538735a2f7dca71c00ba91b644e65369eeba552f091bbd",
     # the benchmark meshes (ellipse_verify, disk_p_ladder) and a polar star
     ("ellipse", 0.035): "a9f43dc03ec3eec68f2041f0278f51a674f2abc063eddda0b470dbf5cefa6b21",
     ("disk", 0.025): "c5d2d21ca219d232b9684556aa649c46c74ce67320f542a9cb5c0e2fae33ae03",
-    ("star", 0.1): "92f04e688d168f15df2c04e6232a03f5f5304d2837ef25e04b671919ecf79baa",
+    ("star", 0.1): "302194052ed300e42c9d206492253c82f618a192298e8c9dc90c477004d22fa6",
 }
 
 # sha256 of points.tobytes() + the triangles as a set: each row rotated to
 # start at its least vertex, the rows sorted.  The relaxed stars' entries
-# were recorded when relaxation repaired its triangulations by edge flips,
-# which reached the same triangles as Qhull; the mapped disk and ellipse
-# meshes are the Delaunay triangulations of their points too
+# were recorded when their interior was first numbered in reverse
+# Cuthill-McKee order, a vertex permutation of the meshes that relaxation
+# with edge flips made, which reached the same triangles as Qhull; the
+# mapped disk and ellipse meshes are the Delaunay triangulations of their
+# points too
 MESH_SET_DIGESTS = {
     ("disk", 0.1): "3567d61de66c5cb04c1ac4355789e0198b750261c685bb6c34a4922d028a1a3c",
     ("ellipse", 0.05): "8eff7919e0fe03371ad2f904d7536fdd2a597fec9750eabe40a889538de67026",
     ("ellipse", 0.035): "9e324d5baa8f34366fd6292817a73b73e210b949298b12293232c7c3bab4f827",
     ("disk", 0.025): "5c18406d01bec7cc1e8cd9a3a9680d8d125a4adc20b857df9e0926ebb3de85f5",
-    ("star", 0.1): "f0b59f21bb51d30df17fbe1de520978656b44a6f5cbc817af994094912685371",
-    ("three_lobes", 0.05): "9440157d32bbbd13871f0244fd43591e9e454d5c651e5119815f4505020dcbaf",
+    ("star", 0.1): "be62cef943b6f66d34cf899d3e9eef9286880504854acdd99e364e5347a26dfb",
+    ("three_lobes", 0.05): "0e88478dd62cdbee9a4cdd74b5b3178cba205933955d8d49680df6c7ea49e9de",
 }
 
 
@@ -391,15 +396,19 @@ def _triangle_set(triangles):
 @pytest.mark.parametrize("domain, h", list(MESH_SET_DIGESTS))
 def test_mesh_is_the_delaunay_triangulation_of_its_points(lab, domain, h):
     """The points and the triangle set are those recorded, and the triangles
-    are Qhull's Delaunay triangulation of the points, centroid-filtered."""
+    are Qhull's Delaunay triangulation of the points, centroid-filtered on a
+    star (the ellipse's node polygon is convex, so Qhull's hull is its
+    outline)."""
     import plap_lab.geometry as geo
 
     mesh = lab.mesh(domain, h)
     ordered = _triangle_set(mesh.triangles)
     digest = hashlib.sha256(mesh.points.tobytes() + ordered.tobytes()).hexdigest()
     assert digest == MESH_SET_DIGESTS[domain, h]
-    qhull = geo._RadialDomain(mesh.spec).triangles_inside(
-        mesh.points, Delaunay(mesh.points).simplices)
+    qhull = Delaunay(mesh.points).simplices
+    curve = mesh.spec.curves()[0]
+    if isinstance(curve, PolarStar):
+        qhull = geo._triangles_inside(curve, mesh.points, qhull)
     assert np.array_equal(np.unique(np.sort(qhull, axis=1), axis=0),
                           np.unique(np.sort(mesh.triangles, axis=1), axis=0))
 
@@ -408,14 +417,14 @@ def _count_filtered(monkeypatch) -> list:
     """Record (triangles in, triangles kept) of every centroid filter call."""
     import plap_lab.geometry as geo
 
-    calls, inside = [], geo._RadialDomain.triangles_inside
+    calls, inside = [], geo._triangles_inside
 
-    def counted(self, points, triangles):
-        kept = inside(self, points, triangles)
+    def counted(spec, points, triangles):
+        kept = inside(spec, points, triangles)
         calls.append((len(triangles), len(kept)))
         return kept
 
-    monkeypatch.setattr(geo._RadialDomain, "triangles_inside", counted)
+    monkeypatch.setattr(geo, "_triangles_inside", counted)
     return calls
 
 
@@ -452,36 +461,48 @@ def test_replaced_mesh_derives_its_own_state(lab):
     assert mesh.min_angle_deg() == angle and mesh.quad_interpolation() is interp
 
 
-def _ellipse_radius(a, b):
-    return lambda theta: a * b / np.hypot(b * np.cos(theta), a * np.sin(theta))
-
-
-# the boundary radius along each ray
-CLOSED_FORM = {
-    "disk": (Disk(1.0), lambda theta: np.ones_like(theta)),
-    "ellipse": (Ellipse(2.0, 1.0), _ellipse_radius(2.0, 1.0)),
-}
-
-
-@pytest.mark.parametrize("domain", list(CLOSED_FORM))
+@pytest.mark.parametrize("domain", ["disk", "star", "three_lobes"])
 def test_inside_matches_closed_form_membership(domain):
-    """At margin 0 the interpolated radius table tells every point more than
-    1e-6 from the boundary along its ray as the closed form does."""
-    import plap_lab.geometry as geo
-
-    spec, radius = CLOSED_FORM[domain]
+    """At margin 0 a star tells every point more than 1e-6 from the boundary
+    along its ray as its radius r(theta), summed here term by term, does;
+    at margin d it keeps a boundary point moved 1.01 d inwards along the
+    normal and drops one moved 0.99 d."""
+    star = DOMAINS[domain].curves()[0]
     rng = np.random.default_rng(11)
     theta = rng.uniform(0.0, 2 * np.pi, 6000)
-    rb = radius(theta)
+    rb = np.full_like(theta, star.r0)
+    for k, c in enumerate(star.cos_coeffs, 1):
+        rb += c * np.cos(k * theta)
+    for k, c in enumerate(star.sin_coeffs, 1):
+        rb += c * np.sin(k * theta)
     # a third spread over the box, the rest within 1e-3 of the loop
     near = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-6, -3, 4000)
     rho = np.concatenate([1.3 * rb[:2000] * rng.random(2000), rb[2000:] + near])
     keep = (np.abs(rho - rb) > 1e-6) & (rho > 0)
     rho, theta, rb = rho[keep], theta[keep], rb[keep]
     pts = np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1)
-    got = geo._RadialDomain(spec).inside(pts, margin=0.0)
+    got = star.inside(pts, margin=0.0)
     assert np.array_equal(got, rho < rb)
     assert got.any() and not got.all()
+    t = np.linspace(0.0, 2 * np.pi, 500, endpoint=False)
+    rim, normal, d = star.point(t), star.normal(t), 1e-4
+    assert star.inside(rim - 1.01 * d * normal, margin=d).all()
+    assert not star.inside(rim - 0.99 * d * normal, margin=d).any()
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1),
+                                      ("star", 0.1), ("three_lobes", 0.05)])
+def test_every_mesher_numbers_the_boundary_first(lab, domain, h):
+    """The vertices on the triangulation's boundary edges are 0 to nb - 1,
+    and the loops number them in order: the solver's unknowns are the
+    vertices after them."""
+    mesh = lab.mesh(domain, h)
+    nb = sum(len(loop) for loop in mesh.boundary_loops)
+    assert np.array_equal(np.concatenate(mesh.boundary_loops), np.arange(nb))
+    tri = mesh.triangles
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    unique, count = np.unique(edges, axis=0, return_counts=True)
+    assert np.array_equal(np.unique(unique[count == 1]), np.arange(nb))
 
 
 @pytest.mark.parametrize("spec, stray", [(DOMAINS["star"], (1.5, 0.0))], ids=["star"])

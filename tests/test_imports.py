@@ -2,13 +2,13 @@
 package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
-The 2-D layers load scipy.spatial (Qhull, the KD-tree) at the first star
-mesh build or point location, scipy.linalg (LAPACK's band Cholesky, the
-only sparse factorization) at the first disk or ellipse mesh build, whose
-map factors, or at the first factorization of a tangent, and
-scipy.sparse.csgraph (whose import loads scipy.sparse.linalg, though no
-SuperLU factor is made) at the first factorization of a tangent, not at
-import.
+The 2-D layers load scipy.linalg (LAPACK's band Cholesky, the only sparse
+factorization) at the first disk or ellipse mesh build, whose map factors,
+or at the first factorization of a tangent; scipy.spatial (Qhull, the
+KD-tree) at the first star mesh build or point location; and
+scipy.sparse.csgraph (the reverse Cuthill-McKee order, whose import loads
+scipy.sparse.linalg) at the first star mesh build, not at import.  A disk,
+ellipse or annulus solve loads neither csgraph nor scipy.sparse.linalg.
 """
 
 import importlib
@@ -67,39 +67,41 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
     assert out == {"scipy.sparse": True, "scipy.spatial": False, "scipy.sparse.linalg": False}
 
 
-def test_a_mesh_build_loads_qhull_and_a_solve_loads_superlu():
-    """Only a star build loads Qhull.  A disk build maps a lattice by one
-    band Cholesky solve: it loads LAPACK from scipy.linalg, and neither
-    Qhull nor scipy.sparse.linalg.  An annulus build wraps a lattice in
-    closed form: it loads none of them.  A star build relaxes: it loads
-    Qhull and not scipy.sparse.linalg, and a solve on its mesh loads the
-    reverse Cuthill-McKee order of scipy.sparse.csgraph, which loads
-    scipy.sparse.linalg, and LAPACK from scipy.linalg."""
-    builds = _fresh("""
-        from plap_lab.geometry import Annulus, Disk, build_mesh
-        out = {}
-        for name, spec in (("annulus", Annulus(0.5, 1.0)), ("disk", Disk(1.0))):
-            build_mesh(spec, 0.2)
-            out[name] = loaded("scipy.spatial", "scipy.sparse.linalg", "scipy.linalg")
-        print(json.dumps(out))
-    """)
-    assert builds == {"annulus": {"scipy.spatial": False, "scipy.sparse.linalg": False,
-                                  "scipy.linalg": False},
-                      "disk": {"scipy.spatial": False, "scipy.sparse.linalg": False,
-                               "scipy.linalg": True}}
-    star = _fresh("""
-        from plap_lab.geometry import PolarStar, build_mesh
+def test_only_a_star_build_loads_qhull_and_csgraph():
+    """A disk or ellipse build maps a lattice by one band Cholesky solve: it
+    loads LAPACK from scipy.linalg, and neither Qhull nor
+    scipy.sparse.csgraph nor scipy.sparse.linalg.  An annulus build wraps a
+    lattice in closed form: it loads none of them.  A solve on any of these
+    meshes factors in the mesh's own numbering, so it loads no csgraph and
+    no scipy.sparse.linalg either.  A star build relaxes and numbers its
+    interior in reverse Cuthill-McKee order: it loads Qhull and
+    scipy.sparse.csgraph, which loads scipy.sparse.linalg."""
+    names = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    builds = _fresh(f"""
+        from plap_lab.geometry import Annulus, Disk, Ellipse, build_mesh
         from plap_lab.metric import ConformalMetric
         from plap_lab.solver import solve
-        mesh = build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
-        meshed = loaded("scipy.spatial", "scipy.sparse.linalg")
-        solve(mesh, ConformalMetric.flat(), 3.0)
-        print(json.dumps([meshed, loaded("scipy.sparse.linalg", "scipy.sparse.csgraph",
-                                         "scipy.linalg")]))
+        out = {{}}
+        for name, spec in (("annulus", Annulus(0.5, 1.0)), ("disk", Disk(1.0)),
+                           ("ellipse", Ellipse(2.0, 1.0))):
+            mesh = build_mesh(spec, 0.2)
+            out[name] = loaded(*{names!r})
+            solve(mesh, ConformalMetric.flat(), 3.0)
+            out[name + " solve"] = loaded(*{names!r})
+        print(json.dumps(out))
     """)
-    assert star == [{"scipy.spatial": True, "scipy.sparse.linalg": False},
-                    {"scipy.sparse.linalg": True, "scipy.sparse.csgraph": True,
-                     "scipy.linalg": True}]
+    lapack = {"scipy.spatial": False, "scipy.sparse.csgraph": False,
+              "scipy.sparse.linalg": False, "scipy.linalg": True}
+    assert builds == {"annulus": {**lapack, "scipy.linalg": False}, "annulus solve": lapack,
+                      "disk": lapack, "disk solve": lapack,
+                      "ellipse": lapack, "ellipse solve": lapack}
+    star = _fresh(f"""
+        from plap_lab.geometry import PolarStar, build_mesh
+        build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
+        print(json.dumps(loaded(*{names[:3]!r})))
+    """)
+    assert star == {"scipy.spatial": True, "scipy.sparse.csgraph": True,
+                    "scipy.sparse.linalg": True}
 
 
 # every name the package exported when it imported each module eagerly

@@ -46,7 +46,7 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     measures = _count_calls(monkeypatch, geometry, "Measures")
     normal_eqs = _count_calls(monkeypatch, fields, "_normal_equations")
     sites = _count_calls(monkeypatch, identities, "_trace_sites")
-    orders = _count_calls(monkeypatch, solver, "_fill_reducing_order")
+    maps = _count_calls(monkeypatch, solver, "_assembly_maps")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
@@ -58,9 +58,9 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     # Euclidean ones (the trace's depth cap), each once per mesh
     assert len(measures) <= 2
     # mesh-only state, once per mesh: the recovery normal matrices, the
-    # tangent's fill-reducing order and the located trace sample sites
+    # tangent's assembly maps and the located trace sample sites
     assert len(normal_eqs) == 1
-    assert len(orders) == 1
+    assert len(maps) == 1
     assert len(sites) == 1
 
 

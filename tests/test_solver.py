@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError,
                       ValidationError, build_mesh, domain_measures, solve)
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from plap_lab import _band, solver
 from plap_lab.cli import main
@@ -86,8 +86,8 @@ def test_exact_interpolant_residual_small(lab):
     r = np.minimum(np.linalg.norm(mesh.points, axis=1), 1.0)
     asm = _Assembler(mesh, ConformalMetric.flat(), 2.0)
     residual = asm.residual(prof.u(r), 1e-12)
-    free = asm.free
-    assert np.linalg.norm(residual[free]) <= 0.5 * mesh.h * np.linalg.norm(asm.load[free]) * 10
+    nb = asm.nb
+    assert np.linalg.norm(residual[nb:]) <= 0.5 * mesh.h * np.linalg.norm(asm.load[nb:]) * 10
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
@@ -109,12 +109,14 @@ def test_tangent_spd(lab, domain, h, metric):
 
 
 # sha256 of the free vertices and of indptr, indices and data of the tangent
-# at _random_field, eps = 1e-3, permuted back to ascending free-vertex order
-# (see _free_order_digest), so that the digest does not depend on the order
-# the solver factors in; at p = 2 the weight int_T e^{(2-p) phi} is the area
-# for every metric, so flat and cap agree.  Recorded from the tree before the
-# tangent moved from a minimum-degree to a reverse Cuthill-McKee order: every
-# entry of every tangent is unchanged by that move
+# at _random_field, eps = 1e-3, in the mesh's vertex order (see
+# _tangent_digest); at p = 2 the weight int_T e^{(2-p) phi} is the area for
+# every metric, so flat and cap agree.  The disk and ellipse rows were
+# recorded before the tangent moved from a minimum-degree order to a reverse
+# Cuthill-McKee one and then to the mesh's own numbering, none of which moved
+# an entry.  The annulus and star rows were recorded when those meshers began
+# numbering their interior in a band; each of their tangents is the earlier
+# one under that vertex permutation, entry for entry
 TANGENT_DIGESTS = {
     ("disk", 0.1, "flat", 1.5): "65894fc04c76631f99bc5bf57230b76f917ebace79658d63ee033454599e0be0",
     ("disk", 0.1, "flat", 2.0): "18cf810e6ca40da6c96e7336e574286523130c5f42ac5ce2c16d34e254cf1565",
@@ -128,27 +130,24 @@ TANGENT_DIGESTS = {
     ("ellipse", 0.14, "cap", 1.5): "13a17df5b907b0e0a6e124586025eb8e4df0a6c511de9c3556e96d933bfe5ed2",
     ("ellipse", 0.14, "cap", 2.0): "0967949823ed2e8b19f796d3a7abbab0f9f7a2c01fc420809ce97d9929a7b085",
     ("ellipse", 0.14, "cap", 4.0): "78bb10acf86e78f3cf69f1b074caccb02c93c2cb3aad62b3ff736e8ca865acb1",
-    ("annulus", 0.1, "flat", 1.5): "1269631ab036277ee255927dc37217f418bad4544b7c6617bf048e902c9cc818",
-    ("annulus", 0.1, "flat", 2.0): "fb2c1cee827c5f729c6269637a53ca8110b7e492c1e55a5bfde50fbf3c7e84b5",
-    ("annulus", 0.1, "flat", 4.0): "de613aa71c9e1b8e753db87fe0483669551f6b166b096640646e5d41da9841b8",
-    ("annulus", 0.1, "cap", 1.5): "1842a48d248f1f8f9d9ab4206c4341acbc5f095244b0c8926f52e531d17ea3b1",
-    ("annulus", 0.1, "cap", 2.0): "fb2c1cee827c5f729c6269637a53ca8110b7e492c1e55a5bfde50fbf3c7e84b5",
-    ("annulus", 0.1, "cap", 4.0): "f0a50072198a8927ea282ceeb8864694705fde6db4513c6db0c6eba9c55c5e9f",
-    ("star", 0.1, "flat", 1.5): "b9612a136601ac97bca641ab3448350e1e508d954c8a8628902af78822659903",
-    ("star", 0.1, "flat", 2.0): "8af83b6bcfa1bfcfd8b3be49bfb27499cb0732baec7962382f7f291783b2b51d",
-    ("star", 0.1, "flat", 4.0): "096d82eb9ae27e9770bfd54bf0c79737c3a1a7e6dd10667465e102e0fc1e5823",
-    ("star", 0.1, "cap", 1.5): "d47c98bd21f7c65a72235bdf59b4a298b4789a7ee4598a9e41eeda94e0336bfb",
-    ("star", 0.1, "cap", 2.0): "8af83b6bcfa1bfcfd8b3be49bfb27499cb0732baec7962382f7f291783b2b51d",
-    ("star", 0.1, "cap", 4.0): "a05d38265cb31d3b410c5a97552709d7348a1b4fe6c0f260d8bbe30eded672e5",
+    ("annulus", 0.1, "flat", 1.5): "8330ba932aa76bfc849446da8c1edadc54da298543fcda842140eeb56cd4533c",
+    ("annulus", 0.1, "flat", 2.0): "92b052c2dfcb85afa252660413b0d616452699c51a9f16c86dcba5d311646dc0",
+    ("annulus", 0.1, "flat", 4.0): "3e91757fce3a0b13958e5e21c6fa2d2470a2d83e039969b9c63bd48ef24ad1aa",
+    ("annulus", 0.1, "cap", 1.5): "e4d50fa4b86346b54e25736e7212dc8c0effdd320289092dc0e49d02066ae43b",
+    ("annulus", 0.1, "cap", 2.0): "92b052c2dfcb85afa252660413b0d616452699c51a9f16c86dcba5d311646dc0",
+    ("annulus", 0.1, "cap", 4.0): "b317d8e8a87910ebdd8604d897814da5d6f61373c8e98302f71bcf4284ffaebc",
+    ("star", 0.1, "flat", 1.5): "240234a3d7ed01c73ea891dd56892f0f74862b3a1205dfc022bd51cd26f15b03",
+    ("star", 0.1, "flat", 2.0): "d4c9817b0bb78fb19222de6b895e48301812eb2680794cf94642878d65c50f8e",
+    ("star", 0.1, "flat", 4.0): "30922f6728c69818ca2bd4800b96daab7a0ed08bbc4f6d633d796d1f7d07f6c6",
+    ("star", 0.1, "cap", 1.5): "4847141e3d9b8c8b2d48f93babc43b664b1ae7920b6393bd71c2b69df1fa3611",
+    ("star", 0.1, "cap", 2.0): "d4c9817b0bb78fb19222de6b895e48301812eb2680794cf94642878d65c50f8e",
+    ("star", 0.1, "cap", 4.0): "ec7b715cdb972add81dab6f06f7b5badf3dbbaf1f1c9ab6ba1d6545245d2055b",
 }
 
 
-def _free_order_digest(asm, K):
-    back = np.argsort(asm.dofs)
-    A = K[back][:, back].tocsc()
-    A.sort_indices()
-    parts = (asm.free.astype(np.int64), A.indptr.astype(np.int64),
-             A.indices.astype(np.int64), A.data)
+def _tangent_digest(asm, K):
+    free = np.arange(asm.nb, asm.mesh.n_vertices, dtype=np.int64)
+    parts = (free, K.indptr.astype(np.int64), K.indices.astype(np.int64), K.data)
     return hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
 
 
@@ -157,7 +156,7 @@ def test_tangent_matches_recorded_digest(lab, domain, h, metric, p):
     mesh = lab.mesh(domain, h)
     asm = _Assembler(mesh, METRICS[metric], p)
     K = asm.tangent(_random_field(mesh), 1e-3)
-    assert _free_order_digest(asm, K) == TANGENT_DIGESTS[domain, h, metric, p]
+    assert _tangent_digest(asm, K) == TANGENT_DIGESTS[domain, h, metric, p]
 
 
 @pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14), ("annulus", 0.1),
@@ -176,7 +175,7 @@ def test_stiffness_is_the_p2_tangent(lab, domain, h, metric):
     for a in ("indptr", "indices", "data"):
         assert getattr(K, a).tobytes() == getattr(T, a).tobytes()
     assert asm.stiffness()[1] is lu
-    b = rng.normal(size=len(asm.dofs))
+    b = rng.normal(size=mesh.n_vertices - asm.nb)
     assert np.abs(K @ lu.solve(b) - b).max() <= 1e-12 * np.abs(b).max()
 
 
@@ -187,7 +186,7 @@ def _reference_gradients(mesh, u):
 
 def _reference_tangent(asm, u, eps):
     """The tangent from per-element 3 x 3 blocks, summed by scipy from COO,
-    then sliced to the free vertices."""
+    then sliced to the free vertices, which come after the boundary."""
     g = _reference_gradients(asm.mesh, u)
     denom = eps * eps + np.einsum("mi,mi->m", g, g)
     gstar = denom ** ((asm.p - 2.0) / 2.0)
@@ -199,7 +198,7 @@ def _reference_tangent(asm, u, eps):
     rows, cols = np.repeat(tri, 3, axis=1).ravel(), np.tile(tri, (1, 3)).ravel()
     n = asm.mesh.n_vertices
     K = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return K[asm.free][:, asm.free]
+    return K[asm.nb:, asm.nb:]
 
 
 def _reference_residual(asm, u, eps):
@@ -234,47 +233,43 @@ def test_ordered_tangent_and_direction(lab, domain, h, p):
     for metric in ("flat", "cap"):
         asm = _Assembler(mesh, METRICS[metric], p)
         K = asm.tangent(u, 1e-3)
-        # the stored order is a permutation of the free vertices
-        order = np.searchsorted(asm.free, asm.dofs)
-        assert np.array_equal(np.sort(asm.dofs), asm.free)
-        ref = _reference_tangent(asm, u, 1e-3)[order][:, order].toarray()
+        ref = _reference_tangent(asm, u, 1e-3).toarray()
         Kd = K.toarray()
         assert np.abs(Kd - ref).max() <= 1e-14 * np.abs(ref).max()
         # the Newton direction agrees with a dense solve
-        b = -asm.residual(u, 1e-3)[asm.dofs]
+        b = -asm.residual(u, 1e-3)[asm.nb:]
         d = solver._factor(K).solve(b)
         d_ref = np.linalg.solve(Kd, b)
         assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
 
 
-# the half-width of each mesh's band in the reverse Cuthill-McKee order
-BAND_HALF_WIDTHS = {("disk", 0.1): 19, ("ellipse", 0.05): 37, ("annulus", 0.1): 21,
+# the half-width of each mesh's band in its own vertex numbering
+BAND_HALF_WIDTHS = {("disk", 0.1): 19, ("ellipse", 0.05): 37, ("annulus", 0.1): 15,
                     ("star", 0.1): 20}
 
 
 @pytest.mark.parametrize("domain, h", list(BAND_HALF_WIDTHS))
-def test_fill_reducing_order_is_the_full_factorization_order(lab, monkeypatch, domain, h):
-    """The order is the reverse Cuthill-McKee order of the unit-weight
-    stiffness, the tangent's CSC layout is that stiffness's pattern in that
-    order, and the band factor stores the half-width kd of that layout; the
-    slot map is a canonical CSR, as built from COO triplets, and sends
-    C_t = I to that stiffness."""
-    laps, order = [], solver._fill_reducing_order
-    monkeypatch.setattr(solver, "_fill_reducing_order", lambda lap: laps.append(lap) or order(lap))
+def test_the_tangent_is_factored_in_the_vertex_order(lab, domain, h):
+    """Unknown i of the tangent is vertex nb + i: its CSC layout is the
+    pattern of the unit-weight stiffness on the interior vertices in the
+    mesh's numbering, whose half-width kd the band factor stores; the slot
+    map is a canonical CSR, as built from COO triplets, and sends C_t = I to
+    that stiffness."""
     mesh = lab.mesh(domain, h)
-    free, dofs, _, slots, indptr, indices = solver._assembly_maps(mesh)
-    (lap,) = laps
-    rcm = reverse_cuthill_mckee(sp.csr_matrix(lap))
-    assert np.array_equal(order(lap), rcm)
-    assert np.array_equal(dofs, free[rcm])
-    ordered = lap[rcm][:, rcm].tocsc()
-    ordered.sort_indices()
-    assert np.array_equal(indptr, ordered.indptr)
-    assert np.array_equal(indices, ordered.indices)
-    cols = np.repeat(np.arange(len(dofs)), np.diff(indptr))
+    _, slots, indptr, indices = solver._assembly_maps(mesh)
+    nb, tri, bg = len(mesh.boundary_vertices), mesh.triangles, mesh.basis_grads
+    blocks = np.einsum("mki,mli->mkl", bg, bg)
+    n = mesh.n_vertices
+    lap = sp.coo_matrix((blocks.ravel(), (np.repeat(tri, 3, axis=1).ravel(),
+                                          np.tile(tri, (1, 3)).ravel())),
+                        shape=(n, n)).tocsc()[nb:, nb:]
+    lap.sort_indices()
+    assert np.array_equal(indptr, lap.indptr)
+    assert np.array_equal(indices, lap.indices)
+    cols = np.repeat(np.arange(n - nb), np.diff(indptr))
     kd = BAND_HALF_WIDTHS[domain, h]
     assert np.abs(cols - indices).max() == kd
-    assert solver._factor(ordered).kd == kd
+    assert solver._factor(lap).kd == kd
     m = mesh.n_triangles
     assert slots.shape == (len(indices), 3 * m)
     rows = np.repeat(np.arange(slots.shape[0]), np.diff(slots.indptr))
@@ -283,7 +278,16 @@ def test_fill_reducing_order_is_the_full_factorization_order(lab, monkeypatch, d
                  (slots.indptr, canonical.indptr)):
         assert np.array_equal(a, b)
     unit = slots @ np.tile([1.0, 0.0, 1.0], m)
-    assert np.abs(unit - ordered.data).max() <= 1e-14 * np.abs(ordered.data).max()
+    assert np.abs(unit - lap.data).max() <= 1e-14 * np.abs(lap.data).max()
+
+
+def test_a_mesh_with_its_boundary_numbered_later_is_rejected(lab):
+    """The tangent's unknowns are the vertices after the boundary, so the
+    assembly refuses a mesh whose boundary vertices are not 0 to nb - 1."""
+    mesh = lab.mesh("disk", 0.1)
+    shifted = dataclasses.replace(mesh, boundary_loops=[mesh.boundary_loops[0] + 1])
+    with pytest.raises(ValidationError, match="numbered first"):
+        _Assembler(shifted, FLAT, 3.0)
 
 
 @pytest.mark.parametrize("metric", ["flat", "cap"])
@@ -307,7 +311,7 @@ def test_non_finite_assembly_names_the_first_element(lab, domain, h):
     mesh = lab.mesh(domain, h)
     asm = _Assembler(mesh, ConformalMetric.flat(), 3.0)
     u = _random_field(mesh)
-    vertex = asm.free[-1]
+    vertex = mesh.n_vertices - 1
     u[vertex] = np.nan
     first = int(np.flatnonzero((mesh.triangles == vertex).any(axis=1))[0])
     for assemble in (asm.residual, asm.tangent):
@@ -395,9 +399,9 @@ def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkey
 
 @pytest.mark.parametrize("domain, h", [k for k in BAND_HALF_WIDTHS if k[0] in ("disk", "ellipse")])
 def test_the_mesh_map_is_one_band_solve_no_wider_than_the_tangent(monkeypatch, domain, h):
-    """The mapped meshes' interior Laplacian, in the lattice's numbering,
-    has a band no wider than the tangent's in its reverse Cuthill-McKee
-    order, and each interior point is the mean of its neighbours."""
+    """The mapped meshes' interior Laplacian and the tangent are factored in
+    the same numbering, the lattice's, and have the same band half-width;
+    each interior point is the mean of its neighbours."""
     from plap_lab import geometry
 
     kds, cholesky = [], geometry.band_cholesky
@@ -409,7 +413,9 @@ def test_the_mesh_map_is_one_band_solve_no_wider_than_the_tangent(monkeypatch, d
 
     monkeypatch.setattr(geometry, "band_cholesky", recorded)
     mesh = build_mesh(DOMAINS[domain], h)
-    assert kds and max(kds) <= BAND_HALF_WIDTHS[domain, h]
+    kd = BAND_HALF_WIDTHS[domain, h]
+    assert kds and set(kds) == {kd}
+    assert _Assembler(mesh, FLAT, 2.0).stiffness()[1].kd == kd
     tri, n = mesh.triangles, mesh.n_vertices
     edges = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
     adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
@@ -520,8 +526,8 @@ def test_early_ladder_end_is_converged_at_eps_min(lab, p, domain, h, metric):
     asm = _Assembler(sol.mesh, sol.metric, p)
     eps = solver._EPS_MIN
     r = asm.residual(sol.u, eps)
-    d = solver._factor(asm.tangent(sol.u, eps)).solve(-r[asm.dofs])
-    lam2 = -float(r[asm.dofs] @ d)
+    d = solver._factor(asm.tangent(sol.u, eps)).solve(-r[asm.nb:])
+    lam2 = -float(r[asm.nb:] @ d)
     assert lam2 <= 1e-15 * (1.0 + abs(asm.energy(sol.u, eps)))
 
 
