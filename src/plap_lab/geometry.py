@@ -358,61 +358,116 @@ class TriMesh:
 
 
 class _PointLocator:
-    """Nearest-centroid candidate search plus barycentric membership test."""
+    """A uniform grid of buckets over the triangles' centroids, plus the
+    barycentric membership test.
 
-    _K = 24     # nearest-centroid candidates per point
-    _HEAD = 6   # on a flat disk at h=0.025 no located point lies beyond the sixth candidate
+    The cells are squares of side just over the largest distance from a
+    triangle's centroid to its corners, so the centroid of a triangle that
+    contains a point lies in the point's cell or in one of its 8
+    neighbours: those triangles are the point's candidates.  A ring of
+    empty cells borders the grid, and a point off the grid takes the
+    nearest cell inside the ring.  Each candidate is screened first with
+    its affine inverse, computed once per mesh, and only those that pass
+    (about one per point, up to six at a vertex) are solved for exactly."""
+
+    _SCREEN = 1e-8      # screening slack, far above the inverses' rounding
 
     def __init__(self, mesh: TriMesh):
-        from scipy.spatial import cKDTree
         self.mesh = mesh
-        cent = mesh.points[mesh.triangles].mean(axis=1)
-        self.tree = cKDTree(cent)
+        a, b, c = np.moveaxis(mesh.points[mesh.triangles], 1, 0)   # the corners, (M, 2) each
+        self.centroids = (a + b + c) / 3.0
+        e1, e2 = b - a, c - a
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        # coordinate-major: the first corner, and the rows of the inverse of
+        # the matrix with columns e1, e2
+        self.origin = np.ascontiguousarray(a.T)
+        self.inverse = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]]) / det
+        reach2 = max(float(_norm2(x - self.centroids).max()) for x in (a, b, c))
+        self.side = 1.001 * math.sqrt(reach2)
+        self.low = self.centroids.min(axis=0)
+        cell = np.floor((self.centroids - self.low) / self.side).astype(np.intp) + 1
+        self.shape = cell.max(axis=0) + 2
+        key = cell[:, 0] * self.shape[1] + cell[:, 1]
+        # cell k holds triangles by_cell[first[k]:first[k + 1]], in increasing index
+        self.by_cell = np.argsort(key, kind="stable")
+        self.first = np.concatenate(
+            [[0], np.cumsum(np.bincount(key, minlength=int(self.shape.prod())))])
+        self.block = (_BLOCK[0] * self.shape[1] + _BLOCK[1])[None, :]
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per point, the first candidate triangle that contains it (up to
-        1e-12 in barycentric terms), else the first one it is least outside
-        of; the coordinates are clipped at 0 and renormalised.  ``found``
-        tells the points that a candidate contains from the clipped ones.
+        """Per point, of the triangles that contain it (up to 1e-12 in
+        barycentric terms), the one whose centroid is nearest, the lower
+        index on a tie, and its barycentric coordinates; ``found`` tells the
+        points that a triangle contains.  A point that none contains gets a
+        placeholder, which no caller reads: the candidate it is least
+        outside of by the screen, or triangle 0 if it has none.  The
+        coordinates are clipped at 0 and renormalised."""
+        # screen every candidate, and solve exactly for those that pass
+        point, tri = self._candidates(pts)
+        inverse = self.inverse[:, tri]
+        dx, dy = pts.T[:, point] - self.origin[:, tri]
+        lam1, lam2 = inverse[0] * dx + inverse[1] * dy, inverse[2] * dx + inverse[3] * dy
+        worst = np.minimum(np.minimum(1.0 - lam1 - lam2, lam1), lam2)
+        screened = worst >= -self._SCREEN
+        p, t = point[screened], tri[screened]
+        bary = self._bary(pts[p], t)
+        inside = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2]) >= -1e-12
+        p, t, bary = p[inside], t[inside], bary[inside]
+        pick = _first_per_group(np.lexsort((t, _norm2(pts[p] - self.centroids[t]), p)), p)
+        found = np.zeros(len(pts), dtype=bool)
+        found[p[pick]] = True
+        tri_out = np.zeros(len(pts), dtype=np.intp)
+        tri_out[p[pick]] = t[pick]
+        bary_out = np.zeros((len(pts), 3))
+        bary_out[p[pick]] = bary[pick]
+        lost = np.flatnonzero(~found)
+        if len(lost):
+            mine = ~found[point]
+            p, t = point[mine], tri[mine]
+            pick = _first_per_group(np.lexsort((t, -worst[mine], p)), p)
+            tri_out[p[pick]] = t[pick]
+            bary_out[lost] = self._bary(pts[lost], tri_out[lost])
+        bary_out = np.clip(bary_out, 0.0, None)
+        s = bary_out.sum(axis=1)
+        bary_out[s > 0] /= s[s > 0, None]
+        return tri_out, bary_out, found
 
-        The tree is asked for ``_HEAD`` + 1 candidates of every point, and
-        for all ``_K`` only for the points that none of the first ``_HEAD``
-        contains or whose ``_HEAD`` + 1 distances are not all distinct: the
-        tree may order equal distances differently for a different k, while
-        distinct ones give the first ``_HEAD`` of the ``_K`` in their order.
-        So the first inside hit is that of a ``_K`` query for every point."""
-        dist, cand = self._query(pts, self._HEAD + 1)
-        tri, bary, found = self._pick(pts, cand[:, :self._HEAD])
-        redo = np.flatnonzero(~found | (np.diff(dist, axis=1) <= 0.0).any(axis=1))
-        if len(redo):
-            tri[redo], bary[redo], found[redo] = self._pick(
-                pts[redo], self._query(pts[redo], self._K)[1])
-        bary = np.clip(bary, 0.0, None)
-        s = bary.sum(axis=1)
-        bary[s > 0] /= s[s > 0, None]
-        return tri, bary, found
+    def _candidates(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point, triangle) pairs, grouped by point: the triangles whose
+        centroid lies in the 3 x 3 cells about the point's."""
+        cell = np.clip(np.floor((pts - self.low) / self.side) + 1, 1, self.shape - 2).astype(np.intp)
+        key = (cell[:, 0] * self.shape[1] + cell[:, 1])[:, None] + self.block     # (P, 9)
+        lo = self.first[key].ravel()
+        count = self.first[key + 1].ravel() - lo
+        ends = np.cumsum(count)
+        slot = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + count, count)
+        return np.repeat(np.arange(len(pts)).repeat(key.shape[1]), count), self.by_cell[slot]
 
-    def _query(self, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The distances and indices (P, k) of the k nearest centroids of each
-        point, nearest first."""
-        k = min(k, self.mesh.n_triangles)
-        dist, cand = self.tree.query(pts, k=k)
-        return np.reshape(dist, (len(pts), k)), np.reshape(cand, (len(pts), k))
+    def _bary(self, pts: np.ndarray, tri: np.ndarray) -> np.ndarray:
+        """The barycentric coordinates (E, 3) of each point in its triangle,
+        solved from the 2 x 2 system of the triangle's edges from its first
+        corner."""
+        corners = self.mesh.points[self.mesh.triangles[tri]]    # (E, 3, 2)
+        a = corners[:, 0]
+        m = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)
+        lam = np.linalg.solve(m, (pts - a)[..., None])[..., 0]
+        return np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
 
-    def _pick(self, pts: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The selected candidate per point, its barycentric coordinates and
-        whether it contains the point."""
-        corners = self.mesh.points[self.mesh.triangles[cand]]  # (P, k, 3, 2)
-        a = corners[:, :, 0]
-        m = np.stack([corners[:, :, 1] - a, corners[:, :, 2] - a], axis=-1)
-        lam = np.linalg.solve(m, (pts[:, None, :] - a)[..., None])[..., 0]
-        bary = np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
-        worst = bary.min(axis=-1)
-        inside = worst >= -1e-12
-        hit = inside.any(axis=1)
-        pick = np.where(hit, inside.argmax(axis=1), worst.argmax(axis=1))
-        rows = np.arange(len(pts))
-        return cand[rows, pick], bary[rows, pick], hit
+
+# the 3 x 3 block of grid cells about a point's: row and column offsets
+_BLOCK = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
+
+
+def _norm2(v: np.ndarray) -> np.ndarray:
+    """The squared length of each row of the (K, 2) array ``v``."""
+    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+
+
+def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The entries of ``order``, a sort by ``group`` first, that come first
+    in their group."""
+    g = group[order]
+    return order[np.concatenate([[True], g[1:] != g[:-1]])] if len(order) else order
 
 
 # --------------------------------------------------------------------------

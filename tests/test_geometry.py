@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -518,51 +518,55 @@ def test_vertex_outside_after_relaxation_is_a_mesh_error(monkeypatch, spec, stra
         build_mesh(spec, 0.1)
 
 
-def _locate_reference(mesh, pts, k=24):
-    """Point by point: the first candidate containing the point, else the
-    first with the largest minimum barycentric coordinate; then clip.  Also
-    whether a candidate contains the point, and how many points were clipped."""
-    k = min(k, mesh.n_triangles)
-    _, cand = cKDTree(mesh.points[mesh.triangles].mean(axis=1)).query(pts, k=k)
-    tri_idx, bary_out, found, clipped = [], [], [], 0
-    for p, row in zip(pts, cand):
-        best, best_bary, best_min = -1, None, -np.inf
-        for t in row:
-            a, b, c = mesh.points[mesh.triangles[t]]
-            lam = np.linalg.solve(np.array([[b[0] - a[0], c[0] - a[0]],
-                                            [b[1] - a[1], c[1] - a[1]]]), p - a)
-            bary = np.array([1.0 - lam[0] - lam[1], lam[0], lam[1]])
-            if bary.min() > best_min:
-                best, best_bary, best_min = int(t), bary, bary.min()
-            if bary.min() >= -1e-12:
-                break
-        clipped += best_min < 0
-        out = np.clip(best_bary, 0.0, None)
-        if out.sum() > 0:
-            out /= out.sum()
-        tri_idx.append(best)
-        bary_out.append(out)
-        found.append(best_min >= -1e-12)
-    return np.array(tri_idx), np.array(bary_out), np.array(found), clipped
+def _locate_reference(mesh, pts):
+    """Point by point, over every triangle: the barycentric coordinates of
+    each, solved from its 2 x 2 system; of those that contain the point (up
+    to 1e-12), the one whose centroid is nearest, the lower index on a tie
+    (argmin takes the first), with its coordinates clipped and
+    renormalised.  Also whether any triangle contains the point."""
+    corners = mesh.points[mesh.triangles]
+    a = corners[:, 0]
+    m = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)
+    centroids = corners.mean(axis=1)
+    tri, bary, found = [], [], []
+    for chunk in np.array_split(pts, -(-len(pts) // 100)):
+        lam = np.linalg.solve(m, (chunk[:, None] - a)[..., None])[..., 0]     # (P, M, 2)
+        coords = np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
+        inside = coords.min(axis=-1) >= -1e-12
+        dist2 = ((chunk[:, None] - centroids) ** 2).sum(axis=-1)
+        best = np.where(inside, dist2, np.inf).argmin(axis=1)
+        out = np.clip(coords[np.arange(len(chunk)), best], 0.0, None)
+        tri.append(best)
+        bary.append(out / out.sum(axis=1, keepdims=True))
+        found.append(inside.any(axis=1))
+    return np.concatenate(tri), np.concatenate(bary), np.concatenate(found)
 
 
 def test_batched_locate_matches_pointwise_reference(lab):
-    mesh = lab.mesh("disk", 0.1)
+    """On a disk, an ellipse, an annulus and a star: random points, every
+    vertex (up to six triangles contain one), interior edge midpoints (two
+    contain one) and boundary chord midpoints get the reference's triangle
+    and coordinates, bit for bit.  Points just outside a boundary loop are
+    not found.  No caller reads the triangle of a point that is not found."""
     rng = np.random.default_rng(3)
-    rho, theta = np.sqrt(rng.uniform(0, 0.99, 400)), rng.uniform(0, 2 * np.pi, 400)
-    edges = mesh.triangles[:, [0, 1]]
-    pts = np.concatenate([
-        np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=1),
-        mesh.points,
-        0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]]),
-        1.002 * mesh.points[mesh.boundary_loops[0][::4]],    # just outside the disk
-    ])
-    tri, bary, found = mesh.locate(pts)
-    ref_tri, ref_bary, ref_found, clipped = _locate_reference(mesh, pts)
-    assert clipped > 0 and not ref_found.all()
-    assert np.array_equal(tri, ref_tri)
-    assert np.array_equal(bary, ref_bary)
-    assert np.array_equal(found, ref_found)
+    for domain, h in (("disk", 0.1), ("ellipse", 0.14), ("annulus", 0.1), ("star", 0.1)):
+        mesh = lab.mesh(domain, h)
+        low, high = mesh.points.min(axis=0), mesh.points.max(axis=0)
+        edges = mesh.triangles[::3, [0, 1]]
+        chords = [0.5 * (mesh.points[loop] + mesh.points[np.roll(loop, 1)])
+                  for loop in mesh.boundary_loops]
+        # outward off the outer loop, and into the annulus's hole off the inner
+        outside = np.concatenate([mesh.points[mesh.boundary_loops[0][::3]] * 1.003] + [
+            mesh.points[loop[::3]] * 0.995 for loop in mesh.boundary_loops[1:]])
+        pts = np.concatenate([rng.uniform(low, high, (200, 2)), mesh.points[::2],
+                              0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]]),
+                              *chords, outside])
+        tri, bary, found = mesh.locate(pts)
+        ref_tri, ref_bary, ref_found = _locate_reference(mesh, pts)
+        assert np.array_equal(found, ref_found), domain
+        assert not found[-len(outside):].any() and found[:-len(outside)].sum() > 200
+        assert np.array_equal(tri[found], ref_tri[found]), domain
+        assert np.array_equal(bary[found], ref_bary[found]), domain
 
 
 def test_quad_interpolation_matches_barycentric_reference(lab):
@@ -581,31 +585,31 @@ def test_quad_interpolation_matches_barycentric_reference(lab):
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("head", [None, 1])
-def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, head):
-    # points outside the boundary have no inside hit, so they take the
-    # all-candidates fallback of the staged search; with one head candidate
-    # the fallback also finds inside hits
+@pytest.mark.parametrize("screen", [None, 1])
+def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, screen):
+    # the locator screens its candidates with the affine inverses, then
+    # solves exactly for those that pass; with a screening slack of 1 about
+    # every candidate passes, so the exact stage alone must pick the same
     import plap_lab.geometry as geo
 
-    if head is not None:
-        monkeypatch.setattr(geo._PointLocator, "_HEAD", head)
+    if screen is not None:
+        monkeypatch.setattr(geo._PointLocator, "_SCREEN", float(screen))
     mesh = lab.mesh("ellipse", 0.05)
     rng = np.random.default_rng(5)
     rho, theta = np.sqrt(rng.uniform(0, 1.0, 600)), rng.uniform(0, 2 * np.pi, 600)
     loop = mesh.points[mesh.boundary_loops[0]]
+    outside = np.concatenate([1.003 * loop[::3], 1.05 * loop[1::7]])
     pts = np.concatenate([
         np.stack([2.0 * rho * np.cos(theta), rho * np.sin(theta)], axis=1),
         0.5 * (loop + np.roll(loop, 1, axis=0)),             # on boundary chords
-        1.003 * loop[::3],                                    # just outside the ellipse
-        1.05 * loop[1::7],
+        outside,                                              # just outside the ellipse
     ])
     tri, bary, found = mesh.locate(pts)
-    ref_tri, ref_bary, ref_found, clipped = _locate_reference(mesh, pts)
-    assert clipped > 0 and not ref_found.all()
-    assert np.array_equal(tri, ref_tri)
-    assert np.array_equal(bary, ref_bary)
+    ref_tri, ref_bary, ref_found = _locate_reference(mesh, pts)
     assert np.array_equal(found, ref_found)
+    assert not found[-len(outside):].any() and found[:-len(outside)].sum() > 600
+    assert np.array_equal(tri[found], ref_tri[found])
+    assert np.array_equal(bary[found], ref_bary[found])
 
 
 @settings(max_examples=20, deadline=None)

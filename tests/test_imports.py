@@ -2,13 +2,14 @@
 package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
-The 2-D layers load scipy.linalg (LAPACK's band Cholesky, the only sparse
-factorization) at the first disk or ellipse mesh build, whose map factors,
-or at the first factorization of a tangent; scipy.spatial (Qhull, the
-KD-tree) at the first star mesh build or point location; and
-scipy.sparse.csgraph (the reverse Cuthill-McKee order, whose import loads
-scipy.sparse.linalg) at the first star mesh build, not at import.  A disk,
-ellipse or annulus solve loads neither csgraph nor scipy.sparse.linalg.
+The 2-D layers load scipy.sparse, and call LAPACK's band Cholesky (the only
+sparse factorization) by ctypes from scipy's OpenBLAS, and locate points
+with a numpy grid: a disk, ellipse or annulus build, solve, location or
+verify run loads no other scipy subpackage, neither scipy.linalg nor
+scipy.spatial nor scipy.special.  A star mesh build loads scipy.spatial
+(Qhull), which loads scipy.linalg, and scipy.sparse.csgraph (the reverse
+Cuthill-McKee order, whose import loads scipy.sparse.linalg), at the build,
+not at import.
 """
 
 import importlib
@@ -68,15 +69,17 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
 
 
 def test_only_a_star_build_loads_qhull_and_csgraph():
-    """A disk or ellipse build maps a lattice by one band Cholesky solve: it
-    loads LAPACK from scipy.linalg, and neither Qhull nor
-    scipy.sparse.csgraph nor scipy.sparse.linalg.  An annulus build wraps a
-    lattice in closed form: it loads none of them.  A solve on any of these
-    meshes factors in the mesh's own numbering, so it loads no csgraph and
-    no scipy.sparse.linalg either.  A star build relaxes and numbers its
-    interior in reverse Cuthill-McKee order: it loads Qhull and
-    scipy.sparse.csgraph, which loads scipy.sparse.linalg."""
-    names = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    """A disk or ellipse build maps a lattice by one band Cholesky solve,
+    which it calls by ctypes; an annulus build wraps a lattice in closed
+    form.  A solve on any of these meshes factors in the mesh's own
+    numbering, and a point location buckets triangles in a numpy grid.  So
+    none of them loads scipy.linalg, Qhull (scipy.spatial), scipy.special,
+    scipy.sparse.csgraph or scipy.sparse.linalg.  A star build relaxes and
+    numbers its interior in reverse Cuthill-McKee order: it loads Qhull,
+    which loads scipy.linalg, and scipy.sparse.csgraph, which loads
+    scipy.sparse.linalg."""
+    names = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
+             "scipy.special")
     builds = _fresh(f"""
         from plap_lab.geometry import Annulus, Disk, Ellipse, build_mesh
         from plap_lab.metric import ConformalMetric
@@ -88,20 +91,41 @@ def test_only_a_star_build_loads_qhull_and_csgraph():
             out[name] = loaded(*{names!r})
             solve(mesh, ConformalMetric.flat(), 3.0)
             out[name + " solve"] = loaded(*{names!r})
+            mesh.locate(mesh.points)
+            out[name + " locate"] = loaded(*{names!r})
         print(json.dumps(out))
     """)
-    lapack = {"scipy.spatial": False, "scipy.sparse.csgraph": False,
-              "scipy.sparse.linalg": False, "scipy.linalg": True}
-    assert builds == {"annulus": {**lapack, "scipy.linalg": False}, "annulus solve": lapack,
-                      "disk": lapack, "disk solve": lapack,
-                      "ellipse": lapack, "ellipse solve": lapack}
+    none = dict.fromkeys(names, False)
+    assert builds == {f"{name}{step}": none for name in ("annulus", "disk", "ellipse")
+                      for step in ("", " solve", " locate")}
     star = _fresh(f"""
         from plap_lab.geometry import PolarStar, build_mesh
         build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
-        print(json.dumps(loaded(*{names[:3]!r})))
+        print(json.dumps(loaded(*{names[:4]!r})))
     """)
     assert star == {"scipy.spatial": True, "scipy.sparse.csgraph": True,
-                    "scipy.sparse.linalg": True}
+                    "scipy.sparse.linalg": True, "scipy.linalg": True}
+
+
+def test_an_ellipse_verify_run_loads_only_scipy_sparse(tmp_path):
+    """Of scipy's public subpackages, a whole verify run on the ellipse
+    loads scipy.sparse alone."""
+    config = tmp_path / "ellipse.json"
+    config.write_text(json.dumps({"command": "verify",
+                                  "domain": {"variant": "ellipse", "a": 2.0, "b": 1.0},
+                                  "metric": {"kind": "flat"}, "p": [2.0, 3.0], "h": [0.2]}))
+    out = _fresh(f"""
+        from plap_lab.cli import main
+        code = main(["verify", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
+        subpackages = sorted(m for m, module in sys.modules.items()
+                             if m.startswith("scipy.") and m.count(".") == 1
+                             and not m.startswith("scipy._") and hasattr(module, "__path__"))
+        print(json.dumps({{"code": code, "subpackages": subpackages}}))
+    """)
+    # h = 0.2 is too coarse for some checks' bounds (exit 1), but the run
+    # still goes through every layer and writes its summary
+    assert out["code"] in (0, 1) and (tmp_path / "out" / "summary.json").exists()
+    assert out["subpackages"] == ["scipy.sparse"]
 
 
 # every name the package exported when it imported each module eagerly

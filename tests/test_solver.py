@@ -369,8 +369,6 @@ def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkey
     library's threads unnoticed; ``dpbtrf`` runs on one thread, and the
     calling thread's setting reads back what it was after a factorization
     and after one that raises."""
-    import scipy.linalg.lapack as lapack
-
     setter = _band._local_threads()
     assert setter is not None
 
@@ -380,8 +378,10 @@ def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkey
         setter(value)
         return value
 
+    lapack = _band._lapack()
+    assert isinstance(lapack, _band._OpenBLAS)
     seen, dpbtrf = [], lapack.dpbtrf
-    monkeypatch.setattr(lapack, "dpbtrf", lambda *a, **k: seen.append(local()) or dpbtrf(*a, **k))
+    monkeypatch.setattr(lapack, "dpbtrf", lambda *a: seen.append(local()) or dpbtrf(*a))
     K0 = _Assembler(lab.mesh("disk", 0.1), FLAT, 3.0).stiffness()[0]
     before = setter(3)
     try:
@@ -395,6 +395,69 @@ def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkey
     finally:
         setter(before)
     assert set(seen) == {1}
+
+
+def _p3_tangent(lab, domain, h):
+    """The p = 3 tangent at the bubble 1 - (x/a)^2 - (y/b)^2 of the mesh's
+    disk or ellipse, with its upper band in LAPACK's storage."""
+    mesh = lab.mesh(domain, h)
+    a, b = (2.0, 1.0) if domain == "ellipse" else (1.0, 1.0)
+    x, y = mesh.points.T
+    K = _Assembler(mesh, FLAT, 3.0).tangent(1.0 - (x / a) ** 2 - (y / b) ** 2, 1e-6)
+    n = K.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(K.indptr))
+    upper = K.indices <= cols
+    kd = int((cols - K.indices)[upper].max())
+    band = np.zeros((kd + 1, n), order="F")
+    band[kd + K.indices[upper] - cols[upper], cols[upper]] = K.data[upper]
+    return K, band
+
+
+@pytest.mark.parametrize("found", [True, False], ids=["ctypes", "scipy.linalg"])
+@pytest.mark.parametrize("domain, h", [("disk", 0.025), ("ellipse", 0.035)])
+def test_the_band_routines_give_scipy_lapacks_bits(lab, monkeypatch, domain, h, found):
+    """The factor and its solves, of one right-hand side and of two (as the
+    mesh map solves x and y together), equal scipy.linalg.lapack's bit for
+    bit: called by ctypes from scipy's OpenBLAS, and from scipy.linalg.lapack
+    where that library is not found."""
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+    if not found:
+        monkeypatch.setattr(_band, "_openblas", lambda: None)
+    _band._lapack.cache_clear()
+    _band._local_threads.cache_clear()
+    try:
+        assert isinstance(_band._lapack(), _band._OpenBLAS if found else _band._ScipyLapack)
+        K, band = _p3_tangent(lab, domain, h)
+        factor = solver._factor(K)
+        ref, info = dpbtrf(band)
+        assert info == 0 and factor.kd == len(band) - 1
+        assert np.array_equal(factor.band, ref)
+        rng = np.random.default_rng(7)
+        for b in (rng.normal(size=K.shape[0]), rng.normal(size=(K.shape[0], 2))):
+            x = factor.solve(b)
+            assert x.shape == b.shape and np.array_equal(x, dpbtrs(ref, b)[0])
+    finally:
+        _band._lapack.cache_clear()
+        _band._local_threads.cache_clear()
+
+
+def test_a_nonzero_lapack_info_raises(lab):
+    """A band of kd rows for half-width kd (ldab < kd + 1) is an illegal
+    argument to both routines, which LAPACK reports as info < 0: ``dpbtrf``
+    returns it, and a solve raises.  A matrix that is not positive definite
+    gives info > 0, which the factorization raises."""
+    lapack = _band._lapack()
+    assert isinstance(lapack, _band._OpenBLAS)
+    K, band = _p3_tangent(lab, "disk", 0.1)
+    kd = len(band) - 1
+    assert lapack.factor(np.asfortranarray(band[1:]), kd)[1] == -5
+    factor = solver._factor(K)
+    short = _band.BandCholesky(np.asfortranarray(factor.band[1:]), kd)
+    with pytest.raises(RuntimeError, match="dpbtrs: argument 6 has an illegal value"):
+        short.solve(np.ones(K.shape[0]))
+    with pytest.raises(RuntimeError, match="the leading minor of order 1 is not positive definite"):
+        solver._factor(-K)
 
 
 @pytest.mark.parametrize("domain, h", [k for k in BAND_HALF_WIDTHS if k[0] in ("disk", "ellipse")])
