@@ -6,8 +6,11 @@ CSV files column by column, matched by header name, so a dropped or added
 column is reported once; every other file byte for byte.  Each differing
 value is printed with its relative change, and a file with differing values
 ends with one line that counts them and gives the largest relative change
-among the numeric ones.  Exit code 0 means the trees are identical, 1 that
-something differs.
+among the numeric ones.  When any numeric value moved, the output ends with
+one line per output kind (`report_*.json`, `sweep.csv`, `deficit_vs_h.csv`,
+`boundary_profile_*.csv`, `slice_*.csv`, and any other file name as its own
+kind) that gives the kind's largest relative move and the file it came from.
+Exit code 0 means the trees are identical, 1 that something differs.
 
     python scripts/compare_outputs.py OLD_DIR NEW_DIR
 """
@@ -17,7 +20,11 @@ import csv
 import json
 import math
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
+
+# output kinds of the summary, by file name; any other name is its own kind
+KINDS = ("report_*.json", "sweep.csv", "deficit_vs_h.csv", "boundary_profile_*.csv", "slice_*.csv")
 
 
 def _same(a, b) -> bool:
@@ -95,9 +102,17 @@ def _diff_csv(a: list, b: list, out: list, rels: list) -> None:
                 _value_line(f"row {r} {col}: {x} -> {y}", x, y, out, rels)
 
 
-def compare_file(old: Path, new: Path) -> list:
+def _size(move: float) -> float:
+    """The sort key of an absolute relative move: a value that turned NaN
+    is the largest change."""
+    return math.inf if math.isnan(move) else move
+
+
+def compare_file(old: Path, new: Path) -> tuple[list, float | None]:
     """Differences between two files, as printable lines (empty if
-    identical); differing values add a last line that sums them up."""
+    identical), and the largest absolute relative move of a numeric value
+    (None if none moved); differing values add a last line that sums them
+    up."""
     out: list = []
     rels: list = []
     if old.suffix == ".json":
@@ -106,13 +121,12 @@ def compare_file(old: Path, new: Path) -> list:
         _diff_csv(_load_csv(old), _load_csv(new), out, rels)
     elif old.read_bytes() != new.read_bytes():
         out.append("bytes differ")
+    moves = [abs(r) for r in rels if r is not None]
+    largest = max(moves, key=_size) if moves else None
     if rels:
-        moves = [abs(r) for r in rels if r is not None]
-        # a value that turned NaN is the largest change
-        largest = (f"{max(moves, key=lambda m: math.inf if math.isnan(m) else m):.3e}"
-                   if moves else "n/a")
-        out.append(f"{len(rels)} values changed, largest relative change {largest}")
-    return out
+        shown = "n/a" if largest is None else f"{largest:.3e}"
+        out.append(f"{len(rels)} values changed, largest relative change {shown}")
+    return out, largest
 
 
 def compare_trees(old: Path, new: Path) -> int:
@@ -120,19 +134,27 @@ def compare_trees(old: Path, new: Path) -> int:
     files_old = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
     files_new = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
     differing = 0
+    by_kind: dict = {}      # kind -> (largest move, file)
     for rel in sorted(files_old | files_new):
         if rel not in files_new or rel not in files_old:
             side = "old" if rel not in files_new else "new"
             print(f"{rel}: only in {side}")
             differing += 1
             continue
-        lines = compare_file(old / rel, new / rel)
+        lines, largest = compare_file(old / rel, new / rel)
         if lines:
             differing += 1
             for line in lines:
                 print(f"{rel}: {line}")
+        if largest is not None:
+            kind = next((k for k in KINDS if fnmatch(rel.name, k)), rel.name)
+            if kind not in by_kind or _size(largest) > _size(by_kind[kind][0]):
+                by_kind[kind] = largest, rel
     n = len(files_old | files_new)
     print(f"{n - differing} of {n} files identical")
+    for kind in [k for k in KINDS if k in by_kind] + sorted(set(by_kind) - set(KINDS)):
+        largest, rel = by_kind[kind]
+        print(f"{kind}: largest relative move {largest:.3e}, in {rel}")
     return differing
 
 

@@ -352,40 +352,36 @@ class TriMesh:
             np.repeat(np.arange(m), nq), np.tile(QUAD_BARY, (m, 1))))
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(triangle, barycentric, found) per point: `_PointLocator.locate`."""
-        locator = self.derived("locator", lambda: _PointLocator(self))
-        return locator.locate(np.atleast_2d(np.asarray(pts, dtype=float)))
+        """(triangle, barycentric, found) per point of the (P, 2) ``pts``:
+        `_PointLocator.locate`.  A non-finite coordinate is a
+        ``ValidationError``."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if not np.isfinite(pts).all():
+            raise ValidationError("cannot locate a point with a non-finite coordinate")
+        return self.derived("locator", lambda: _PointLocator(self)).locate(pts)
 
 
 class _PointLocator:
-    """A uniform grid of buckets over the triangles' centroids, plus the
-    barycentric membership test.
+    """A uniform grid of buckets over the triangles' centroids.
 
     The cells are squares of side just over the largest distance from a
     triangle's centroid to its corners, so the centroid of a triangle that
     contains a point lies in the point's cell or in one of its 8
     neighbours: those triangles are the point's candidates.  A ring of
     empty cells borders the grid, and a point off the grid takes the
-    nearest cell inside the ring.  Each candidate is screened first with
-    its affine inverse, computed once per mesh, and only those that pass
-    (about one per point, up to six at a vertex) are solved for exactly."""
-
-    _SCREEN = 1e-8      # screening slack, far above the inverses' rounding
+    nearest cell inside the ring."""
 
     def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
-        a, b, c = np.moveaxis(mesh.points[mesh.triangles], 1, 0)   # the corners, (M, 2) each
-        self.centroids = (a + b + c) / 3.0
-        e1, e2 = b - a, c - a
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        # coordinate-major: the first corner, and the rows of the inverse of
-        # the matrix with columns e1, e2
-        self.origin = np.ascontiguousarray(a.T)
-        self.inverse = np.stack([e2[:, 1], -e2[:, 0], -e1[:, 1], e1[:, 0]]) / det
-        reach2 = max(float(_norm2(x - self.centroids).max()) for x in (a, b, c))
-        self.side = 1.001 * math.sqrt(reach2)
-        self.low = self.centroids.min(axis=0)
-        cell = np.floor((self.centroids - self.low) / self.side).astype(np.intp) + 1
+        corners = mesh.points[mesh.triangles]                       # (M, 3, 2)
+        centroids = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
+        # coordinate-major, (8, M): the centroid, then the slopes of the
+        # three barycentric coordinates in x, then in y
+        self.table = np.concatenate(
+            [centroids.T, mesh.basis_grads.transpose(2, 1, 0).reshape(6, -1)])
+        offset = corners - centroids[:, None]
+        self.side = 1.001 * math.sqrt(float((offset[..., 0] ** 2 + offset[..., 1] ** 2).max()))
+        self.low = centroids.min(axis=0)
+        cell = np.floor((centroids - self.low) / self.side).astype(np.intp) + 1
         self.shape = cell.max(axis=0) + 2
         key = cell[:, 0] * self.shape[1] + cell[:, 1]
         # cell k holds triangles by_cell[first[k]:first[k + 1]], in increasing index
@@ -395,38 +391,30 @@ class _PointLocator:
         self.block = (_BLOCK[0] * self.shape[1] + _BLOCK[1])[None, :]
 
     def locate(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per point, of the triangles that contain it (up to 1e-12 in
-        barycentric terms), the one whose centroid is nearest, the lower
-        index on a tie, and its barycentric coordinates; ``found`` tells the
-        points that a triangle contains.  A point that none contains gets a
-        placeholder, which no caller reads: the candidate it is least
-        outside of by the screen, or triangle 0 if it has none.  The
-        coordinates are clipped at 0 and renormalised."""
-        # screen every candidate, and solve exactly for those that pass
+        """Per point, its deepest candidate: the one whose least barycentric
+        coordinate is largest, the first in candidate order on a tie, with
+        the coordinates clipped at 0 and renormalised.  ``found`` tells the
+        points whose deepest candidate contains them, up to 1e-12 in
+        barycentric terms.  A point that none contains gets the candidate it
+        is least outside of, and a point with no candidate triangle 0 and
+        zero coordinates; no caller reads either."""
         point, tri = self._candidates(pts)
-        inverse = self.inverse[:, tri]
-        dx, dy = pts.T[:, point] - self.origin[:, tri]
-        lam1, lam2 = inverse[0] * dx + inverse[1] * dy, inverse[2] * dx + inverse[3] * dy
-        worst = np.minimum(np.minimum(1.0 - lam1 - lam2, lam1), lam2)
-        screened = worst >= -self._SCREEN
-        p, t = point[screened], tri[screened]
-        bary = self._bary(pts[p], t)
-        inside = np.minimum(np.minimum(bary[:, 0], bary[:, 1]), bary[:, 2]) >= -1e-12
-        p, t, bary = p[inside], t[inside], bary[inside]
-        pick = _first_per_group(np.lexsort((t, _norm2(pts[p] - self.centroids[t]), p)), p)
-        found = np.zeros(len(pts), dtype=bool)
-        found[p[pick]] = True
+        # lambda = 1/3 + grad lambda . (x - centroid), affine in x
+        t = np.take(self.table, tri, axis=1)
+        x = np.take(pts, point, axis=0)
+        bary = 1.0 / 3.0 + t[2:5] * (x[:, 0] - t[0]) + t[5:8] * (x[:, 1] - t[1])   # (3, E)
+        depth = np.minimum(np.minimum(bary[0], bary[1]), bary[2])
         tri_out = np.zeros(len(pts), dtype=np.intp)
-        tri_out[p[pick]] = t[pick]
         bary_out = np.zeros((len(pts), 3))
-        bary_out[p[pick]] = bary[pick]
-        lost = np.flatnonzero(~found)
-        if len(lost):
-            mine = ~found[point]
-            p, t = point[mine], tri[mine]
-            pick = _first_per_group(np.lexsort((t, -worst[mine], p)), p)
-            tri_out[p[pick]] = t[pick]
-            bary_out[lost] = self._bary(pts[lost], tri_out[lost])
+        found = np.zeros(len(pts), dtype=bool)
+        if len(point):
+            # the candidates come grouped by point: the first deepest of each group
+            start = np.flatnonzero(np.concatenate([[True], point[1:] != point[:-1]]))
+            best = np.maximum.reduceat(depth, start)
+            deepest = depth == np.repeat(best, np.diff(start, append=len(point)))
+            pick = np.minimum.reduceat(np.where(deepest, np.arange(len(point)), len(point)), start)
+            has = point[start]
+            tri_out[has], bary_out[has], found[has] = tri[pick], bary[:, pick].T, best >= -1e-12
         bary_out = np.clip(bary_out, 0.0, None)
         s = bary_out.sum(axis=1)
         bary_out[s > 0] /= s[s > 0, None]
@@ -443,31 +431,9 @@ class _PointLocator:
         slot = np.arange(ends[-1] if len(ends) else 0) + np.repeat(lo - ends + count, count)
         return np.repeat(np.arange(len(pts)).repeat(key.shape[1]), count), self.by_cell[slot]
 
-    def _bary(self, pts: np.ndarray, tri: np.ndarray) -> np.ndarray:
-        """The barycentric coordinates (E, 3) of each point in its triangle,
-        solved from the 2 x 2 system of the triangle's edges from its first
-        corner."""
-        corners = self.mesh.points[self.mesh.triangles[tri]]    # (E, 3, 2)
-        a = corners[:, 0]
-        m = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)
-        lam = np.linalg.solve(m, (pts - a)[..., None])[..., 0]
-        return np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
-
 
 # the 3 x 3 block of grid cells about a point's: row and column offsets
 _BLOCK = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
-
-
-def _norm2(v: np.ndarray) -> np.ndarray:
-    """The squared length of each row of the (K, 2) array ``v``."""
-    return v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
-
-
-def _first_per_group(order: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """The entries of ``order``, a sort by ``group`` first, that come first
-    in their group."""
-    g = group[order]
-    return order[np.concatenate([[True], g[1:] != g[:-1]])] if len(order) else order
 
 
 # --------------------------------------------------------------------------

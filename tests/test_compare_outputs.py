@@ -1,6 +1,7 @@
 """scripts/compare_outputs.py: identical trees exit 0, one changed cell exits
-1, and a dropped CSV column is reported once; scripts/shipped_outputs.py
-writes a tree that it compares."""
+1, a dropped CSV column is reported once, and moved numbers end with the
+largest move of each output kind; scripts/shipped_outputs.py writes a tree
+that it compares."""
 
 import json
 import os
@@ -46,6 +47,28 @@ def test_dropped_csv_column_is_reported_once(tmp_path):
     assert res.returncode == 1
     assert res.stdout.splitlines() == ["rows.csv: column serrin: only in old",
                                        "0 of 1 files identical"]
+
+
+def test_moves_are_summed_up_by_output_kind(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for case in ("a", "b"):
+        (old / case).mkdir(parents=True)
+        (old / case / "report_p2_h0.1.json").write_text(json.dumps({"flux": {"rel": 0.5}}))
+        (old / case / "slice_p2_h0.1.csv").write_text("x,u\n0.0,1.0\n")
+        (old / case / "summary.json").write_text(json.dumps({"passed": 3}))
+    shutil.copytree(old, new)
+    (new / "a" / "report_p2_h0.1.json").write_text(json.dumps({"flux": {"rel": 0.51}}))
+    (new / "b" / "report_p2_h0.1.json").write_text(json.dumps({"flux": {"rel": 0.55}}))
+    (new / "b" / "slice_p2_h0.1.csv").write_text("x,u\n0.0,1.25\n")
+    (new / "a" / "summary.json").write_text(json.dumps({"passed": 2}))
+    res = _compare(old, new)
+    assert res.returncode == 1
+    assert res.stdout.splitlines()[-4:] == [
+        "2 of 6 files identical",
+        "report_*.json: largest relative move 1.000e-01, in b/report_p2_h0.1.json",
+        "slice_*.csv: largest relative move 2.500e-01, in b/slice_p2_h0.1.csv",
+        "summary.json: largest relative move 3.333e-01, in a/summary.json",
+    ]
 
 
 def test_shipped_outputs_tree_compares_identical(tmp_path):

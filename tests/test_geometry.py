@@ -518,55 +518,111 @@ def test_vertex_outside_after_relaxation_is_a_mesh_error(monkeypatch, spec, stra
         build_mesh(spec, 0.1)
 
 
-def _locate_reference(mesh, pts):
-    """Point by point, over every triangle: the barycentric coordinates of
-    each, solved from its 2 x 2 system; of those that contain the point (up
-    to 1e-12), the one whose centroid is nearest, the lower index on a tie
-    (argmin takes the first), with its coordinates clipped and
-    renormalised.  Also whether any triangle contains the point."""
+def _locate_reference(mesh, pts, tri):
+    """Point by point, over every triangle, with barycentric coordinates from
+    each triangle's own 2 x 2 inverse of its edges from the first corner:
+    the best depth (largest least coordinate) of any triangle, and the
+    coordinates (P, 3) in the triangles ``tri``."""
     corners = mesh.points[mesh.triangles]
     a = corners[:, 0]
-    m = np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1)
-    centroids = corners.mean(axis=1)
-    tri, bary, found = [], [], []
-    for chunk in np.array_split(pts, -(-len(pts) // 100)):
-        lam = np.linalg.solve(m, (chunk[:, None] - a)[..., None])[..., 0]     # (P, M, 2)
-        coords = np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
-        inside = coords.min(axis=-1) >= -1e-12
-        dist2 = ((chunk[:, None] - centroids) ** 2).sum(axis=-1)
-        best = np.where(inside, dist2, np.inf).argmin(axis=1)
-        out = np.clip(coords[np.arange(len(chunk)), best], 0.0, None)
-        tri.append(best)
-        bary.append(out / out.sum(axis=1, keepdims=True))
-        found.append(inside.any(axis=1))
-    return np.concatenate(tri), np.concatenate(bary), np.concatenate(found)
+    inverse = np.linalg.inv(np.stack([corners[:, 1] - a, corners[:, 2] - a], axis=-1))
+    best, coords = [], []
+    for rows in np.array_split(np.arange(len(pts)), -(-len(pts) // 100)):
+        lam = np.einsum("mij,pmj->pmi", inverse, pts[rows, None] - a)     # (P, M, 2)
+        c = np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
+        best.append(c.min(axis=-1).max(axis=1))
+        coords.append(c[np.arange(len(rows)), tri[rows]])
+    return np.concatenate(best), np.concatenate(coords)
+
+
+def _locate_inputs(mesh, rng):
+    """Random points in the bounding box, every other vertex (up to six
+    triangles contain one), interior edge midpoints (two contain one),
+    boundary chord midpoints, and then points just outside the domain."""
+    low, high = mesh.points.min(axis=0), mesh.points.max(axis=0)
+    edges = mesh.triangles[::3, [0, 1]]
+    chords = [0.5 * (mesh.points[loop] + mesh.points[np.roll(loop, 1)])
+              for loop in mesh.boundary_loops]
+    # outward off the outer loop, and into the annulus's hole off the inner
+    outside = np.concatenate([mesh.points[mesh.boundary_loops[0][::3]] * 1.003] + [
+        mesh.points[loop[::3]] * 0.995 for loop in mesh.boundary_loops[1:]])
+    return np.concatenate([rng.uniform(low, high, (200, 2)), mesh.points[::2],
+                           0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]]),
+                           *chords]), outside
+
+
+def _ellipse_inputs(mesh, rng):
+    """Random points in the ellipse (2, 1) and its boundary chord midpoints,
+    and then points 1.003 and 1.05 times the boundary vertices."""
+    rho, theta = np.sqrt(rng.uniform(0, 1.0, 600)), rng.uniform(0, 2 * np.pi, 600)
+    loop = mesh.points[mesh.boundary_loops[0]]
+    return (np.concatenate([np.stack([2.0 * rho * np.cos(theta), rho * np.sin(theta)], axis=1),
+                            0.5 * (loop + np.roll(loop, 1, axis=0))]),
+            np.concatenate([1.003 * loop[::3], 1.05 * loop[1::7]]))
+
+
+def _assert_locate_contract(mesh, pts, n_inner, tag):
+    """A point is found exactly when its deepest triangle (largest least
+    coordinate) contains it up to 1e-12; for a found point, the picked
+    triangle is that deep up to 1e-12, and the clipped, renormalised
+    coordinates are the reference's in it up to 1e-12.  The points from
+    ``n_inner`` on lie just outside a boundary loop and are not found; no
+    caller reads the triangle of a point that is not found."""
+    tri, bary, found = mesh.locate(pts)
+    best, coords = _locate_reference(mesh, pts, tri)
+    assert np.array_equal(found, best >= -1e-12), tag
+    assert not found[n_inner:].any() and found[:n_inner].sum() > 200
+    assert (coords[found].min(axis=1) >= best[found] - 1e-12).all(), tag
+    ref = np.clip(coords[found], 0.0, None)
+    ref /= ref.sum(axis=1, keepdims=True)
+    assert np.abs(bary[found] - ref).max() <= 1e-12, tag
+    return tri, bary, found
 
 
 def test_batched_locate_matches_pointwise_reference(lab):
-    """On a disk, an ellipse, an annulus and a star: random points, every
-    vertex (up to six triangles contain one), interior edge midpoints (two
-    contain one) and boundary chord midpoints get the reference's triangle
-    and coordinates, bit for bit.  Points just outside a boundary loop are
-    not found.  No caller reads the triangle of a point that is not found."""
+    """On a disk, an ellipse, an annulus and a star, the located triangles
+    and coordinates keep the contract of ``_assert_locate_contract``."""
     rng = np.random.default_rng(3)
     for domain, h in (("disk", 0.1), ("ellipse", 0.14), ("annulus", 0.1), ("star", 0.1)):
         mesh = lab.mesh(domain, h)
-        low, high = mesh.points.min(axis=0), mesh.points.max(axis=0)
-        edges = mesh.triangles[::3, [0, 1]]
-        chords = [0.5 * (mesh.points[loop] + mesh.points[np.roll(loop, 1)])
-                  for loop in mesh.boundary_loops]
-        # outward off the outer loop, and into the annulus's hole off the inner
-        outside = np.concatenate([mesh.points[mesh.boundary_loops[0][::3]] * 1.003] + [
-            mesh.points[loop[::3]] * 0.995 for loop in mesh.boundary_loops[1:]])
-        pts = np.concatenate([rng.uniform(low, high, (200, 2)), mesh.points[::2],
-                              0.5 * (mesh.points[edges[:, 0]] + mesh.points[edges[:, 1]]),
-                              *chords, outside])
-        tri, bary, found = mesh.locate(pts)
-        ref_tri, ref_bary, ref_found = _locate_reference(mesh, pts)
-        assert np.array_equal(found, ref_found), domain
-        assert not found[-len(outside):].any() and found[:-len(outside)].sum() > 200
-        assert np.array_equal(tri[found], ref_tri[found]), domain
-        assert np.array_equal(bary[found], ref_bary[found]), domain
+        inner, outside = _locate_inputs(mesh, rng)
+        _assert_locate_contract(mesh, np.concatenate([inner, outside]), len(inner), domain)
+
+
+@pytest.mark.parametrize("batch", [None, 1])
+def test_staged_locate_matches_reference_on_ellipse(lab, batch):
+    # on a finer ellipse, interior points, boundary chord midpoints and
+    # points 1.003 and 1.05 times the boundary keep the locator's contract,
+    # located in one query (batch None) or one point per query (batch 1):
+    # a point's triangle and coordinates do not depend on the other points
+    # of its query, bit for bit
+    mesh = lab.mesh("ellipse", 0.05)
+    inner, outside = _ellipse_inputs(mesh, np.random.default_rng(5))
+    pts = np.concatenate([inner, outside])
+    tri, bary, found = _assert_locate_contract(mesh, pts, len(inner), batch)
+    assert found[:len(inner)].sum() > 600
+    if batch is not None:
+        staged = [mesh.locate(pts[i:i + batch]) for i in range(0, len(pts), batch)]
+        assert np.array_equal(np.concatenate([s[2] for s in staged]), found)
+        assert np.array_equal(np.concatenate([s[0] for s in staged])[found], tri[found])
+        assert np.array_equal(np.concatenate([s[1] for s in staged])[found], bary[found])
+
+
+def test_locate_rejects_non_finite_points(lab):
+    mesh = lab.mesh("disk", 0.2)
+    for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            mesh.locate(bad)
+
+
+def test_locate_empty_and_far_queries(lab):
+    # an empty query gives three empty arrays; a point far off the grid has
+    # no candidate triangle and is not found
+    mesh = lab.mesh("disk", 0.2)
+    tri, bary, found = mesh.locate(np.zeros((0, 2)))
+    assert tri.shape == (0,) and bary.shape == (0, 3) and found.shape == (0,)
+    tri, bary, found = mesh.locate([[50.0, 50.0], [0.1, 0.2]])
+    assert found.tolist() == [False, True]
 
 
 def test_quad_interpolation_matches_barycentric_reference(lab):
@@ -583,33 +639,6 @@ def test_quad_interpolation_matches_barycentric_reference(lab):
         ref = np.einsum("qk,qk...->q...", bary, nodal[corners])
         got = (interp @ nodal.reshape(mesh.n_vertices, -1)).reshape(ref.shape)
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("screen", [None, 1])
-def test_staged_locate_matches_reference_on_ellipse(lab, monkeypatch, screen):
-    # the locator screens its candidates with the affine inverses, then
-    # solves exactly for those that pass; with a screening slack of 1 about
-    # every candidate passes, so the exact stage alone must pick the same
-    import plap_lab.geometry as geo
-
-    if screen is not None:
-        monkeypatch.setattr(geo._PointLocator, "_SCREEN", float(screen))
-    mesh = lab.mesh("ellipse", 0.05)
-    rng = np.random.default_rng(5)
-    rho, theta = np.sqrt(rng.uniform(0, 1.0, 600)), rng.uniform(0, 2 * np.pi, 600)
-    loop = mesh.points[mesh.boundary_loops[0]]
-    outside = np.concatenate([1.003 * loop[::3], 1.05 * loop[1::7]])
-    pts = np.concatenate([
-        np.stack([2.0 * rho * np.cos(theta), rho * np.sin(theta)], axis=1),
-        0.5 * (loop + np.roll(loop, 1, axis=0)),             # on boundary chords
-        outside,                                              # just outside the ellipse
-    ])
-    tri, bary, found = mesh.locate(pts)
-    ref_tri, ref_bary, ref_found = _locate_reference(mesh, pts)
-    assert np.array_equal(found, ref_found)
-    assert not found[-len(outside):].any() and found[:-len(outside)].sum() > 600
-    assert np.array_equal(tri[found], ref_tri[found])
-    assert np.array_equal(bary[found], ref_bary[found])
 
 
 @settings(max_examples=20, deadline=None)
