@@ -12,10 +12,12 @@ Both routines are called by ctypes from scipy's OpenBLAS, the library in
 the ``scipy.libs`` folder of a wheel install, as ``scipy_dpbtrf_`` and
 ``scipy_dpbtrs_`` (`_OpenBLAS`).  So a run imports no scipy.linalg, whose
 f2py wrappers call the same two routines of the same library, bit for bit
-alike.  Where the library or a symbol is not found they come from
-scipy.linalg.lapack (`_ScipyLapack`), imported on the first factorization.
-Any nonzero ``info`` of either routine raises RuntimeError.  The import
-saved costs each solve a little: on the disk at h = 0.025 (5167 unknowns,
+alike, and with the sparse products of ``_sparse`` a disk, ellipse or
+annulus run imports no public scipy subpackage at all.  Where the library
+or a symbol is not found the routines come from scipy.linalg.lapack
+(`_ScipyLapack`), imported on the first factorization.  Any nonzero
+``info`` of either routine raises RuntimeError.  The import saved costs
+each solve a little: on the disk at h = 0.025 (5167 unknowns,
 kd = 83, 2-vCPU host) a ctypes ``dpbtrs`` took about 0.31 ms against the
 f2py call's 0.29, with the same gap when the call solves in place, so it
 lies in the call and not in building its arguments.

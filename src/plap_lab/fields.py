@@ -30,9 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._poly import Coeffs, PolynomialField
+from ._sparse import Compressed, csr_pattern, csr_square
 from .errors import ValidationError
 from .geometry import DIM, TriMesh
 from .metric import ConformalMetric, gaussian_curvature
@@ -122,20 +122,20 @@ def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None,
 # --------------------------------------------------------------------------
 
 
-def _two_ring(mesh: TriMesh) -> sp.csr_matrix:
+def _two_ring(mesh: TriMesh) -> Compressed:
     """The vertex pairs within graph distance two, self included, as the
-    pattern of an (n, n) CSR matrix: row v holds the pairs (v, w)."""
+    pattern of an (n, n) CSR matrix: row v holds the pairs (v, w).  It is
+    the square of the one-ring pattern (sorted, without duplicates, the
+    diagonal included), whose product keeps scipy.sparse's pair order."""
     tri = mesh.triangles
     n = mesh.n_vertices
-    i = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2], tri[:, 1], tri[:, 2], tri[:, 0]])
-    j = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2]])
-    adj = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)).tocsr()
-    adj.data[:] = 1.0
-    one = adj + sp.eye(n, format="csr")
-    return one @ one
+    v = np.arange(n)
+    i = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2], tri[:, 1], tri[:, 2], tri[:, 0], v])
+    j = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2], v])
+    return csr_square(csr_pattern(i, j, (n, n)))
 
 
-def _normal_equations(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, tuple, np.ndarray]:
+def _normal_equations(mesh: TriMesh) -> tuple[Compressed, np.ndarray, tuple, np.ndarray]:
     """The part of the patch fit that does not depend on the nodal values:
     the gather (n x pairs, CSR) that sums a per-pair array over each
     vertex's two-ring pairs in pair order, the neighbour w of each pair
@@ -146,10 +146,8 @@ def _normal_equations(mesh: TriMesh) -> tuple[sp.csr_matrix, np.ndarray, tuple, 
     n, n_pairs = mesh.n_vertices, two.nnz
     pw = two.indices
     pv = np.repeat(np.arange(n, dtype=pw.dtype), np.diff(two.indptr))
-    ones = two.data         # the gather reuses the two-ring matrix's arrays
-    ones[:] = 1.0
-    gather = sp.csr_matrix((ones, np.arange(n_pairs, dtype=pw.dtype), two.indptr),
-                           shape=(n, n_pairs))
+    gather = Compressed("csr", np.ones(n_pairs), np.arange(n_pairs, dtype=pw.dtype),
+                        two.indptr, (n, n_pairs))
     dx, dy = ((mesh.points[pw, k] - mesh.points[pv, k]) / mesh.h for k in range(2))
     w = np.exp(-(dx * dx + dy * dy))
     basis = _patch_basis(dx, dy)

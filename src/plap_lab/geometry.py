@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._band import band_cholesky
+from ._sparse import Compressed
 from .errors import MeshGenerationError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -336,14 +336,13 @@ class TriMesh:
             self._derived[key] = build()
         return self._derived[key]
 
-    def interpolation(self, tri: np.ndarray, bary: np.ndarray) -> sp.csr_matrix:
-        """The (P, N) matrix of P1 interpolation at points given as (triangle,
-        barycentric), as ``locate`` returns them."""
-        return sp.csr_matrix((bary.ravel(), self.triangles[tri].ravel(),
-                              np.arange(0, 3 * len(tri) + 1, 3)),
-                             shape=(len(tri), self.n_vertices))
+    def interpolation(self, tri: np.ndarray, bary: np.ndarray) -> Compressed:
+        """The (P, N) CSR matrix of P1 interpolation at points given as
+        (triangle, barycentric), as ``locate`` returns them."""
+        return Compressed("csr", bary.ravel(), self.triangles[tri].ravel(),
+                          np.arange(0, 3 * len(tri) + 1, 3), (len(tri), self.n_vertices))
 
-    def quad_interpolation(self) -> sp.csr_matrix:
+    def quad_interpolation(self) -> Compressed:
         """`interpolation` at the quadrature points, in the order of
         ``quad_points``: every triangle holds them at the same barycentrics
         ``QUAD_BARY``.  It is built once per mesh."""
@@ -739,6 +738,7 @@ def _relaxed_mesh(spec: PolarStar, h: float, bnd_xy: np.ndarray) -> tuple[np.nda
     # relaxation bends the lattice rows, so the interior is numbered in the
     # reverse Cuthill-McKee order of its edge graph (George & Liu, 1981),
     # which keeps the solver's tangent in a narrow band
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import reverse_cuthill_mckee
     keys = np.unique(_edge_keys(triangles, n))
     v, w = keys // n - nb, keys % n - nb

@@ -101,9 +101,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._band import BandCholesky, band_cholesky
+from ._sparse import Compressed
 from .errors import AssemblyError, SolverError, ValidationError
 from .geometry import QUAD_BARY, TriMesh, domain_measures
 from .metric import ConformalMetric
@@ -189,7 +189,7 @@ class _Assembler:
             raise AssemblyError("non-finite residual during assembly", element=bad)
         return r
 
-    def tangent(self, u: np.ndarray, eps: float) -> sp.csc_matrix:
+    def tangent(self, u: np.ndarray, eps: float) -> Compressed:
         """The free x free tangent, in the mesh's vertex order."""
         c = _flux_coeff(self.gradients(u), self.p, eps)
         c *= self.w_grad[:, None]
@@ -198,7 +198,7 @@ class _Assembler:
             raise AssemblyError("non-finite tangent during assembly", element=bad)
         return self._assemble(c)
 
-    def stiffness(self) -> tuple[sp.csc_matrix, object]:
+    def stiffness(self) -> tuple[Compressed, object]:
         """The mesh's P1 stiffness K_0 on the free vertices, in the mesh's
         vertex order, and its factor, built once per mesh and kept on it.  K_0
         is the p = 2 tangent of every metric, bit for bit: there
@@ -210,11 +210,10 @@ class _Assembler:
             return K, _factor(K)
         return self.mesh.derived("stiffness", build)
 
-    def _assemble(self, c: np.ndarray) -> sp.csc_matrix:
+    def _assemble(self, c: np.ndarray) -> Compressed:
         """The free x free matrix of the element coefficients (c00, c01, c11)."""
         nf = len(self._indptr) - 1
-        return sp.csc_matrix((self._slots @ c.ravel(), self._indices, self._indptr),
-                             shape=(nf, nf))
+        return Compressed("csc", self._slots @ c.ravel(), self._indices, self._indptr, (nf, nf))
 
 
 def _assembly_maps(mesh: TriMesh) -> tuple:
@@ -241,8 +240,10 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     nb = len(boundary)
     if not np.array_equal(boundary, np.arange(nb)):
         raise ValidationError("the mesh's boundary vertices must be numbered first, 0 to nb - 1")
-    grad = sp.csr_matrix((bg.transpose(0, 2, 1).ravel(), np.repeat(tri, 2, axis=0).ravel(),
-                          np.arange(0, 6 * m + 1, 3)), shape=(2 * m, n))
+    # int32 indices, as scipy.sparse keeps them: its kernels read them faster
+    grad = Compressed("csr", bg.transpose(0, 2, 1).ravel(),
+                      np.repeat(tri, 2, axis=0).ravel().astype(np.int32),
+                      np.arange(0, 6 * m + 1, 3, dtype=np.int32), (2 * m, n))
     nf = n - nb
     # int64, so the keys col * nf + row do not wrap past 46340 unknowns
     ltri = tri.astype(np.int64) - nb
@@ -261,9 +262,9 @@ def _assembly_maps(mesh: TriMesh) -> tuple:
     by_key = np.argsort(key, kind="stable")
     key = key[by_key]
     starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    slots = sp.csr_matrix((np.take(weights, by_key, axis=0).ravel(),
-                           (3 * elem[by_key, None] + np.arange(3)).ravel(),
-                           3 * np.append(starts, len(key))), shape=(len(starts), 3 * m))
+    slots = Compressed("csr", np.take(weights, by_key, axis=0).ravel(),
+                       (3 * elem[by_key, None] + np.arange(3)).ravel().astype(np.int32),
+                       (3 * np.append(starts, len(key))).astype(np.int32), (len(starts), 3 * m))
     col, indices = key[starts] // nf, key[starts] % nf
     indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=nf))])
     return grad, slots, indptr.astype(np.int32), indices.astype(np.int32)
@@ -283,14 +284,14 @@ class _HeldFactor:
     iterations so far.  It starts from the factor of ``factored``, the
     mesh's stiffness."""
 
-    def __init__(self, factored: sp.csc_matrix, factor: BandCholesky):
+    def __init__(self, factored: Compressed, factor: BandCholesky):
         self.factored = factored     # the matrix `factor` factors
         self.factor = factor
         self.refactor = False    # factor the next tangent instead of PCG
         self.factorizations = self.cg_iterations = 0
 
 
-def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
+def _pcg(K: Compressed, b: np.ndarray, precondition,
          scale: float) -> tuple[np.ndarray | None, int]:
     """Conjugate gradients for K x = b from x = 0, preconditioned by the SPD
     map ``precondition``.  Iterate k stops once its preconditioned residual
@@ -323,7 +324,7 @@ def _pcg(K: sp.csc_matrix, b: np.ndarray, precondition,
         d = z + (rz / rz_old) * d
 
 
-def _factor(K: sp.csc_matrix) -> BandCholesky:
+def _factor(K: Compressed) -> BandCholesky:
     """The banded Cholesky (``_band``) of an ordered SPD tangent: its upper
     band, of half-width kd, the largest col - row of K's CSC layout, is read
     straight from K's entries.  A matrix that is not positive definite
@@ -334,7 +335,7 @@ def _factor(K: sp.csc_matrix) -> BandCholesky:
     return band_cholesky(K.indices[upper], cols[upper], K.data[upper], n)
 
 
-def spsolve(held: _HeldFactor, K: sp.csc_matrix, b: np.ndarray, scale: float) -> np.ndarray:
+def spsolve(held: _HeldFactor, K: Compressed, b: np.ndarray, scale: float) -> np.ndarray:
     """Solve K x = b, for the tangent K of a solve whose decrements are
     relative to ``scale`` = 1 + |J_eps|, with the factor it holds: directly
     when that factor is K's, and otherwise by PCG preconditioned with it,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,7 +61,8 @@ def test_recovery_sums_match_bincount_formulas(lab, monkeypatch, domain, h):
     for bit, the per-pair sums scattered by bincount in pair order."""
     mesh = lab.mesh(domain, h)
     n = mesh.n_vertices
-    two = fields._two_ring(mesh).tocoo()
+    ring = fields._two_ring(mesh)
+    two = sp.csr_matrix((ring.data, ring.indices, ring.indptr), shape=ring.shape).tocoo()
     pv, pw = two.row, two.col
     d = (mesh.points[pw] - mesh.points[pv]) / mesh.h
     basis = np.stack([np.ones(len(pv)), d[:, 0], d[:, 1],

@@ -2,14 +2,18 @@
 package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
-The 2-D layers load scipy.sparse, and call LAPACK's band Cholesky (the only
-sparse factorization) by ctypes from scipy's OpenBLAS, and locate points
-with a numpy grid: a disk, ellipse or annulus build, solve, location or
-verify run loads no other scipy subpackage, neither scipy.linalg nor
-scipy.spatial nor scipy.special.  A star mesh build loads scipy.spatial
-(Qhull), which loads scipy.linalg, and scipy.sparse.csgraph (the reverse
-Cuthill-McKee order, whose import loads scipy.sparse.linalg), at the build,
-not at import.
+The 2-D layers multiply their sparse matrices by scipy's ``_sparsetools``
+kernels, loaded from their file alone (``_sparse``), call LAPACK's band
+Cholesky (the only sparse factorization) by ctypes from scipy's OpenBLAS,
+and locate points with a numpy grid: a disk, ellipse or annulus build,
+solve, location or verify run loads no public scipy subpackage, neither
+scipy.sparse nor scipy.linalg nor scipy.spatial nor scipy.special.  A star
+mesh build loads scipy.spatial (Qhull), which loads scipy.linalg, and
+scipy.sparse.csgraph (the reverse Cuthill-McKee order, whose import loads
+scipy.sparse and scipy.sparse.linalg), at the build, not at import.  The
+kernels are the same module whether they or scipy.sparse load first, and
+their products are scipy.sparse's bit for bit either way, and where their
+file is not found and they come through scipy.sparse.
 """
 
 import importlib
@@ -19,6 +23,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import plap_lab
 
@@ -65,7 +71,7 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
         from plap_lab import cli, geometry, metric, oracles, pipeline
         print(json.dumps(loaded("scipy.sparse", "scipy.spatial", "scipy.sparse.linalg")))
     """)
-    assert out == {"scipy.sparse": True, "scipy.spatial": False, "scipy.sparse.linalg": False}
+    assert out == {"scipy.sparse": False, "scipy.spatial": False, "scipy.sparse.linalg": False}
 
 
 def test_only_a_star_build_loads_qhull_and_csgraph():
@@ -74,12 +80,12 @@ def test_only_a_star_build_loads_qhull_and_csgraph():
     form.  A solve on any of these meshes factors in the mesh's own
     numbering, and a point location buckets triangles in a numpy grid.  So
     none of them loads scipy.linalg, Qhull (scipy.spatial), scipy.special,
-    scipy.sparse.csgraph or scipy.sparse.linalg.  A star build relaxes and
-    numbers its interior in reverse Cuthill-McKee order: it loads Qhull,
-    which loads scipy.linalg, and scipy.sparse.csgraph, which loads
-    scipy.sparse.linalg."""
+    scipy.sparse, scipy.sparse.csgraph or scipy.sparse.linalg.  A star build
+    relaxes and numbers its interior in reverse Cuthill-McKee order: it
+    loads Qhull, which loads scipy.linalg, and scipy.sparse.csgraph, which
+    loads scipy.sparse and scipy.sparse.linalg."""
     names = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
-             "scipy.special")
+             "scipy.sparse", "scipy.special")
     builds = _fresh(f"""
         from plap_lab.geometry import Annulus, Disk, Ellipse, build_mesh
         from plap_lab.metric import ConformalMetric
@@ -101,15 +107,15 @@ def test_only_a_star_build_loads_qhull_and_csgraph():
     star = _fresh(f"""
         from plap_lab.geometry import PolarStar, build_mesh
         build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
-        print(json.dumps(loaded(*{names[:4]!r})))
+        print(json.dumps(loaded(*{names[:5]!r})))
     """)
     assert star == {"scipy.spatial": True, "scipy.sparse.csgraph": True,
-                    "scipy.sparse.linalg": True, "scipy.linalg": True}
+                    "scipy.sparse.linalg": True, "scipy.linalg": True, "scipy.sparse": True}
 
 
-def test_an_ellipse_verify_run_loads_only_scipy_sparse(tmp_path):
-    """Of scipy's public subpackages, a whole verify run on the ellipse
-    loads scipy.sparse alone."""
+def test_an_ellipse_verify_run_loads_no_public_scipy_subpackage(tmp_path):
+    """A whole verify run on the ellipse loads none of scipy's public
+    subpackages."""
     config = tmp_path / "ellipse.json"
     config.write_text(json.dumps({"command": "verify",
                                   "domain": {"variant": "ellipse", "a": 2.0, "b": 1.0},
@@ -125,7 +131,83 @@ def test_an_ellipse_verify_run_loads_only_scipy_sparse(tmp_path):
     # h = 0.2 is too coarse for some checks' bounds (exit 1), but the run
     # still goes through every layer and writes its summary
     assert out["code"] in (0, 1) and (tmp_path / "out" / "summary.json").exists()
-    assert out["subpackages"] == ["scipy.sparse"]
+    assert out["subpackages"] == []
+
+
+# how each case of the kernel test loads scipy's ``_sparsetools``: before
+# scipy.sparse, after it (as a star run does), or through it, with the
+# extension file's lookup pointed at an empty folder
+_LOADS = {
+    "kernels first": "kernels = _sparse._kernels()",
+    "scipy.sparse first": "import scipy.sparse\nkernels = _sparse._kernels()",
+    "fallback": """
+        import scipy
+        real, scipy.__file__ = scipy.__file__, str(EMPTY / "__init__.py")
+        kernels = _sparse._kernels()
+        scipy.__file__ = real
+    """,
+}
+
+
+@pytest.mark.parametrize("order", list(_LOADS))
+def test_the_sparse_kernels_give_scipy_sparses_bits_however_they_load(tmp_path, order):
+    """The products of the gradient map, its transpose, the slot map, the
+    p = 3 tangent and the quadrature interpolation, on one and on two
+    columns, equal scipy.sparse's on the same arrays bit for bit, and the
+    two-ring equals scipy.sparse's square of the one-ring pattern in order.
+    The kernels are the module scipy.sparse holds, and they load it only
+    in the fallback."""
+    load = textwrap.indent(textwrap.dedent(_LOADS[order]), " " * 8)
+    out = _fresh(f"""
+        from pathlib import Path
+        import numpy as np
+        from plap_lab import _sparse, fields
+        EMPTY = Path({str(tmp_path)!r})
+{load}
+        before = loaded("scipy.sparse")["scipy.sparse"]
+        from plap_lab.geometry import Disk, build_mesh
+        from plap_lab.metric import ConformalMetric
+        from plap_lab.solver import _Assembler
+        mesh = build_mesh(Disk(1.0), 0.1)
+        asm = _Assembler(mesh, ConformalMetric.flat(), 3.0)
+        rng = np.random.default_rng(2)
+        u = rng.uniform(0.0, 0.2, mesh.n_vertices)
+        u[:asm.nb] = 0.0
+        mats = {{"grad": asm._grad, "grad.T": asm._grad.T, "slots": asm._slots,
+                 "tangent": asm.tangent(u, 1e-3), "quad": mesh.quad_interpolation()}}
+        operands = {{name: [rng.normal(size=m.shape[1]), rng.normal(size=(m.shape[1], 3))]
+                     for name, m in mats.items()}}
+        got = {{name: [m @ x for x in operands[name]] for name, m in mats.items()}}
+        ring = fields._two_ring(mesh)
+
+        import scipy.sparse as sp
+        from scipy.sparse import _sparsetools
+        def scipy_matrix(m):
+            layout = sp.csr_matrix if m.layout == "csr" else sp.csc_matrix
+            return layout((m.data, m.indices, m.indptr), shape=m.shape)
+        ref = {{name: scipy_matrix(m) for name, m in mats.items() if name != "grad.T"}}
+        ref["grad.T"] = ref["grad"].T
+        same = {{name: all(a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                           for a, b in zip(got[name], (ref[name] @ x for x in operands[name])))
+                 for name in mats}}
+        tri, n = mesh.triangles, mesh.n_vertices
+        i = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2], tri[:, 1], tri[:, 2], tri[:, 0]])
+        j = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0], tri[:, 0], tri[:, 1], tri[:, 2]])
+        adj = sp.coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n)).tocsr()
+        adj.data[:] = 1.0
+        one = adj + sp.eye(n, format="csr")
+        square = one @ one
+        same["two-ring"] = all(np.array_equal(getattr(ring, a), getattr(square, a))
+                               and getattr(ring, a).dtype == getattr(square, a).dtype
+                               for a in ("indptr", "indices", "data"))
+        print(json.dumps({{"before": before, "same": same,
+                           "one module": kernels is _sparsetools
+                                         is sys.modules["scipy.sparse._sparsetools"]}}))
+    """)
+    assert out == {"before": order != "kernels first",
+                   "same": dict.fromkeys(["grad", "grad.T", "slots", "tangent", "quad",
+                                          "two-ring"], True),
+                   "one module": True}
 
 
 # every name the package exported when it imported each module eagerly
