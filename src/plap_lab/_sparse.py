@@ -4,15 +4,20 @@
 Linear Systems, 2003, ch. 3).  Its products, and the pattern and square of
 the recovery's two-ring, call the C++ routines of scipy's ``_sparsetools``
 extension with scipy.sparse's arguments (a product on a zeroed result), so
-each is scipy.sparse's bit for bit.  The extension is loaded from its file,
-under its own name, without the scipy.sparse package (about 0.13 s and
-15-20 MB of a 2-D run); a later scipy.sparse takes the same module.  Where
-the file is not found it is imported through scipy.sparse.
+each is scipy.sparse's bit for bit.
+
+`scipy_extension` loads that extension, and the LAPACK wrappers
+``_flapack`` of ``_band``, from its file, without its subpackage: importing
+scipy.sparse would cost a 2-D run about 0.13 s and 15-20 MB, and
+scipy.linalg loads much that no disk, ellipse or annulus run uses.  A
+module the subpackage has already imported is taken as it is, and where the
+file is not found the module is imported through the subpackage.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
 import importlib.util
 import sys
 from dataclasses import dataclass
@@ -20,22 +25,32 @@ from pathlib import Path
 
 import numpy as np
 
-_NAME = "scipy.sparse._sparsetools"
-
 
 @functools.cache
-def _kernels():
-    if _NAME in sys.modules:
-        return sys.modules[_NAME]
+def scipy_extension(subpackage: str, name: str):
+    """scipy's compiled module ``scipy.<subpackage>.<name>``: the one
+    sys.modules holds, else the one loaded from its file, else an import
+    through the subpackage.  A module loaded from its file is taken out of
+    sys.modules again, so that a later import of the subpackage binds it
+    as an attribute; CPython's extension cache gives that import the same
+    functions, without a second initialization."""
+    full = f"scipy.{subpackage}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
     import scipy
-    for path in sorted((Path(scipy.__file__).parent / "sparse").glob("_sparsetools*.so")):
-        spec = importlib.util.spec_from_file_location(_NAME, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[_NAME] = module
-        return module
-    from scipy.sparse import _sparsetools
-    return _sparsetools
+    folder = Path(scipy.__file__).parent / subpackage
+    for path in (folder / (name + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(full, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(full, None)
+            return module
+    return importlib.import_module(full)
+
+
+# the C++ kernels of scipy.sparse
+_kernels = functools.partial(scipy_extension, "sparse", "_sparsetools")
 
 
 @dataclass(eq=False)

@@ -50,13 +50,12 @@ configs build.  A factor is LAPACK's banded Cholesky (``_band``):
 ``dpbtrf`` factors the upper band, read straight from the CSC data into
 LAPACK's (kd + 1) x n band storage, on the calling thread alone, and
 ``dpbtrs`` solves with it.  On the p = 3 tangents with 2 BLAS threads
-(medians of five interleaved rounds, 2-vCPU host) a factorization takes
-8.7 ms on that disk and 5.9 ms on that ellipse, against 8.8 and 19.7 ms
-with OpenBLAS's threads; a solve takes 0.34 and 0.28 ms.  On the disk at
-h = 0.0125 (20 917 unknowns, kd = 167) a factorization takes 72 ms
-(SuperLU 78 to 93), but a solve 2.9 ms against SuperLU's 2.0 to 2.1,
-since the band holds 3.5M entries against 0.73M in SuperLU's L.  Finer
-meshes are unmeasured, and no shipped config goes there.
+(medians of ten rounds, in three runs on a 2-vCPU host) a factorization
+takes 4.7 to 7.8 ms on that disk and 2.8 to 3.0 ms on that ellipse, and a
+solve 0.22 to 0.30 ms and 0.17 ms.  On the disk at h = 0.0125 (20 917
+unknowns, kd = 167, 3.5M band entries) a factorization takes 45 ms and a
+solve 2.4 ms.  Finer meshes are unmeasured, and no shipped config goes
+there.
 
 A solve holds one factor and finds each direction by conjugate gradients
 preconditioned with it, from 0, only as accurately as its decrement needs

@@ -3,17 +3,19 @@ package's exported names.
 
 matcheck and radial need only numpy, so they load no scipy and no 2-D layer.
 The 2-D layers multiply their sparse matrices by scipy's ``_sparsetools``
-kernels, loaded from their file alone (``_sparse``), call LAPACK's band
-Cholesky (the only sparse factorization) by ctypes from scipy's OpenBLAS,
-and locate points with a numpy grid: a disk, ellipse or annulus build,
-solve, location or verify run loads no public scipy subpackage, neither
-scipy.sparse nor scipy.linalg nor scipy.spatial nor scipy.special.  A star
-mesh build loads scipy.spatial (Qhull), which loads scipy.linalg, and
-scipy.sparse.csgraph (the reverse Cuthill-McKee order, whose import loads
-scipy.sparse and scipy.sparse.linalg), at the build, not at import.  The
-kernels are the same module whether they or scipy.sparse load first, and
-their products are scipy.sparse's bit for bit either way, and where their
-file is not found and they come through scipy.sparse.
+kernels and call LAPACK's band Cholesky (the only sparse factorization)
+through scipy's ``_flapack`` wrappers, each extension loaded from its file
+alone (``_sparse.scipy_extension``), and locate points with a numpy grid: a
+disk, ellipse or annulus build, solve, location or verify run loads no
+public scipy subpackage, neither scipy.sparse nor scipy.linalg nor
+scipy.spatial nor scipy.special.  A star mesh build loads scipy.spatial
+(Qhull), which loads scipy.linalg, and scipy.sparse.csgraph (the reverse
+Cuthill-McKee order, whose import loads scipy.sparse and
+scipy.sparse.linalg), at the build, not at import.  An extension loaded
+from its file becomes its subpackage's attribute when the subpackage is
+imported later, with the same functions, and the kernels' products are
+scipy.sparse's bit for bit whichever loads first, and where their file is
+not found and they come through scipy.sparse.
 """
 
 import importlib
@@ -32,12 +34,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TWO_D_LAYERS = ("geometry", "fields", "solver", "identities", "pipeline")
 
 
-# the helpers of the code that `_fresh` runs
+# the helpers of the code that `_fresh` runs: a module is loaded when one of
+# that name lives in the process, in sys.modules or not (an extension that
+# `_sparse.scipy_extension` loads from its file is not)
 _PRELUDE = """
-import json, sys
+import gc, json, sys, types
 
 def loaded(*names):
-    return {n: n in sys.modules for n in names}
+    live = {m.__name__ for m in gc.get_objects() if isinstance(m, types.ModuleType)}
+    return {n: n in live for n in names}
 """
 
 
@@ -75,17 +80,18 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
 
 
 def test_only_a_star_build_loads_qhull_and_csgraph():
-    """A disk or ellipse build maps a lattice by one band Cholesky solve,
-    which it calls by ctypes; an annulus build wraps a lattice in closed
-    form.  A solve on any of these meshes factors in the mesh's own
-    numbering, and a point location buckets triangles in a numpy grid.  So
-    none of them loads scipy.linalg, Qhull (scipy.spatial), scipy.special,
-    scipy.sparse, scipy.sparse.csgraph or scipy.sparse.linalg.  A star build
-    relaxes and numbers its interior in reverse Cuthill-McKee order: it
-    loads Qhull, which loads scipy.linalg, and scipy.sparse.csgraph, which
-    loads scipy.sparse and scipy.sparse.linalg."""
+    """A disk or ellipse build maps a lattice by one band Cholesky solve;
+    an annulus build wraps a lattice in closed form.  A solve on any of
+    these meshes factors in the mesh's own numbering, and a point location
+    buckets triangles in a numpy grid.  The band Cholesky loads scipy's
+    ``_flapack`` from its file, at the first factorization, so none of them
+    loads scipy.linalg, Qhull (scipy.spatial), scipy.special, scipy.sparse,
+    scipy.sparse.csgraph or scipy.sparse.linalg.  A star build relaxes and
+    numbers its interior in reverse Cuthill-McKee order: it loads Qhull,
+    which loads scipy.linalg and with it ``_flapack``, and
+    scipy.sparse.csgraph, which loads scipy.sparse and scipy.sparse.linalg."""
     names = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
-             "scipy.sparse", "scipy.special")
+             "scipy.sparse", "scipy.linalg._flapack", "scipy.special")
     builds = _fresh(f"""
         from plap_lab.geometry import Annulus, Disk, Ellipse, build_mesh
         from plap_lab.metric import ConformalMetric
@@ -102,15 +108,18 @@ def test_only_a_star_build_loads_qhull_and_csgraph():
         print(json.dumps(out))
     """)
     none = dict.fromkeys(names, False)
-    assert builds == {f"{name}{step}": none for name in ("annulus", "disk", "ellipse")
+    # the annulus build, the first of the process, factors nothing
+    assert builds == {f"{name}{step}": {**none, "scipy.linalg._flapack": name + step != "annulus"}
+                      for name in ("annulus", "disk", "ellipse")
                       for step in ("", " solve", " locate")}
     star = _fresh(f"""
         from plap_lab.geometry import PolarStar, build_mesh
         build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
-        print(json.dumps(loaded(*{names[:5]!r})))
+        print(json.dumps(loaded(*{names[:6]!r})))
     """)
     assert star == {"scipy.spatial": True, "scipy.sparse.csgraph": True,
-                    "scipy.sparse.linalg": True, "scipy.linalg": True, "scipy.sparse": True}
+                    "scipy.sparse.linalg": True, "scipy.linalg": True, "scipy.sparse": True,
+                    "scipy.linalg._flapack": True}
 
 
 def test_an_ellipse_verify_run_loads_no_public_scipy_subpackage(tmp_path):
@@ -134,30 +143,38 @@ def test_an_ellipse_verify_run_loads_no_public_scipy_subpackage(tmp_path):
     assert out["subpackages"] == []
 
 
-# how each case of the kernel test loads scipy's ``_sparsetools``: before
-# scipy.sparse, after it (as a star run does), or through it, with the
-# extension file's lookup pointed at an empty folder
-_LOADS = {
-    "kernels first": "kernels = _sparse._kernels()",
-    "scipy.sparse first": "import scipy.sparse\nkernels = _sparse._kernels()",
-    "fallback": """
-        import scipy
-        real, scipy.__file__ = scipy.__file__, str(EMPTY / "__init__.py")
-        kernels = _sparse._kernels()
-        scipy.__file__ = real
-    """,
-}
+def _loads(subpackage: str, call: str, first: str) -> dict[str, str]:
+    """The code of each case of a load-order test, which binds ``module`` by
+    ``call``: before scipy.<subpackage> (case ``first``), after it (as a star
+    run does), or through it, with the extension file's lookup pointed at an
+    empty folder."""
+    return {first: f"module = {call}",
+            f"scipy.{subpackage} first": f"import scipy.{subpackage}\nmodule = {call}",
+            "fallback": f"""
+                import scipy
+                real, scipy.__file__ = scipy.__file__, str(EMPTY / "__init__.py")
+                module = {call}
+                scipy.__file__ = real
+            """}
 
 
-@pytest.mark.parametrize("order", list(_LOADS))
+_KERNEL_LOADS = _loads("sparse", "_sparse._kernels()", "kernels first")
+_FLAPACK_LOADS = _loads("linalg", "_band._flapack()", "_flapack first")
+# the kernels that `_sparse` calls
+_KERNELS = ("csr_matvec", "csr_matvecs", "csc_matvec", "csc_matvecs", "coo_tocsr",
+            "csr_sort_indices", "csr_sum_duplicates", "csr_matmat_maxnnz", "csr_matmat")
+
+
+@pytest.mark.parametrize("order", list(_KERNEL_LOADS))
 def test_the_sparse_kernels_give_scipy_sparses_bits_however_they_load(tmp_path, order):
     """The products of the gradient map, its transpose, the slot map, the
     p = 3 tangent and the quadrature interpolation, on one and on two
     columns, equal scipy.sparse's on the same arrays bit for bit, and the
     two-ring equals scipy.sparse's square of the one-ring pattern in order.
-    The kernels are the module scipy.sparse holds, and they load it only
-    in the fallback."""
-    load = textwrap.indent(textwrap.dedent(_LOADS[order]), " " * 8)
+    The kernels load scipy.sparse only in the fallback, and are the
+    functions of scipy.sparse's ``_sparsetools`` attribute once it is
+    imported."""
+    load = textwrap.indent(textwrap.dedent(_KERNEL_LOADS[order]), " " * 8)
     out = _fresh(f"""
         from pathlib import Path
         import numpy as np
@@ -181,7 +198,6 @@ def test_the_sparse_kernels_give_scipy_sparses_bits_however_they_load(tmp_path, 
         ring = fields._two_ring(mesh)
 
         import scipy.sparse as sp
-        from scipy.sparse import _sparsetools
         def scipy_matrix(m):
             layout = sp.csr_matrix if m.layout == "csr" else sp.csc_matrix
             return layout((m.data, m.indices, m.indptr), shape=m.shape)
@@ -201,13 +217,33 @@ def test_the_sparse_kernels_give_scipy_sparses_bits_however_they_load(tmp_path, 
                                and getattr(ring, a).dtype == getattr(square, a).dtype
                                for a in ("indptr", "indices", "data"))
         print(json.dumps({{"before": before, "same": same,
-                           "one module": kernels is _sparsetools
-                                         is sys.modules["scipy.sparse._sparsetools"]}}))
+                           "attribute": [getattr(sp._sparsetools, f) is getattr(module, f)
+                                         for f in {_KERNELS!r}]}}))
     """)
     assert out == {"before": order != "kernels first",
                    "same": dict.fromkeys(["grad", "grad.T", "slots", "tangent", "quad",
                                           "two-ring"], True),
-                   "one module": True}
+                   "attribute": [True] * len(_KERNELS)}
+
+
+@pytest.mark.parametrize("order", list(_FLAPACK_LOADS))
+def test_the_lapack_wrappers_are_scipy_linalgs_however_they_load(tmp_path, order):
+    """``_flapack`` loads scipy.linalg only in the fallback, and its band
+    routines are those of scipy.linalg's ``_flapack`` attribute once
+    scipy.linalg is imported."""
+    load = textwrap.indent(textwrap.dedent(_FLAPACK_LOADS[order]), " " * 8)
+    out = _fresh(f"""
+        from pathlib import Path
+        from plap_lab import _band
+        EMPTY = Path({str(tmp_path)!r})
+{load}
+        before = loaded("scipy.linalg")["scipy.linalg"]
+        import scipy.linalg
+        print(json.dumps({{"before": before,
+                           "attribute": [getattr(scipy.linalg._flapack, f) is getattr(module, f)
+                                         for f in ("dpbtrf", "dpbtrs")]}}))
+    """)
+    assert out == {"before": order != "_flapack first", "attribute": [True, True]}
 
 
 # every name the package exported when it imported each module eagerly

@@ -12,7 +12,7 @@ from plap_lab import (AssemblyError, ConformalMetric, Disk, Ellipse, SolverError
                       ValidationError, build_mesh, domain_measures, solve)
 import scipy.sparse as sp
 
-from plap_lab import _band, solver
+from plap_lab import _band, _sparse, solver
 from plap_lab._sparse import Compressed
 from plap_lab.cli import main
 from plap_lab.oracles import radial_exact
@@ -393,10 +393,9 @@ def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkey
         setter(value)
         return value
 
-    lapack = _band._lapack()
-    assert isinstance(lapack, _band._OpenBLAS)
-    seen, dpbtrf = [], lapack.dpbtrf
-    monkeypatch.setattr(lapack, "dpbtrf", lambda *a: seen.append(local()) or dpbtrf(*a))
+    flapack = _band._flapack()
+    seen, dpbtrf = [], flapack.dpbtrf
+    monkeypatch.setattr(flapack, "dpbtrf", lambda *a, **k: seen.append(local()) or dpbtrf(*a, **k))
     K0 = _Assembler(lab.mesh("disk", 0.1), FLAT, 3.0).stiffness()[0]
     before = setter(3)
     try:
@@ -428,21 +427,31 @@ def _p3_tangent(lab, domain, h):
     return K, band
 
 
-@pytest.mark.parametrize("found", [True, False], ids=["ctypes", "scipy.linalg"])
+@pytest.mark.parametrize("order", ["_flapack first", "scipy.linalg first", "fallback"])
 @pytest.mark.parametrize("domain, h", [("disk", 0.025), ("ellipse", 0.035)])
-def test_the_band_routines_give_scipy_lapacks_bits(lab, monkeypatch, domain, h, found):
+def test_the_band_routines_give_scipy_lapacks_bits(lab, monkeypatch, tmp_path, domain, h, order):
     """The factor and its solves, of one right-hand side and of two (as the
     mesh map solves x and y together), equal scipy.linalg.lapack's bit for
-    bit: called by ctypes from scipy's OpenBLAS, and from scipy.linalg.lapack
-    where that library is not found."""
+    bit, however ``_flapack`` is found: loaded from its file (this process
+    has imported scipy.linalg, so its module is hidden from sys.modules
+    first), taken from sys.modules where scipy.linalg has imported it, or
+    imported through scipy.linalg where its file is not found."""
+    import scipy.linalg
     from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-    if not found:
-        monkeypatch.setattr(_band, "_openblas", lambda: None)
-    _band._lapack.cache_clear()
-    _band._local_threads.cache_clear()
+    name = "scipy.linalg._flapack"
+    held = sys.modules[name]
+    # an import through scipy.linalg binds the module it makes there
+    monkeypatch.setattr(scipy.linalg, "_flapack", held)
+    if order != "scipy.linalg first":
+        monkeypatch.delitem(sys.modules, name)
+    if order == "fallback":
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    _sparse.scipy_extension.cache_clear()
     try:
-        assert isinstance(_band._lapack(), _band._OpenBLAS if found else _band._ScipyLapack)
+        flapack = _band._flapack()
+        assert (flapack is held) == (order == "scipy.linalg first")
+        assert flapack.dpbtrf is held.dpbtrf and flapack.dpbtrs is held.dpbtrs
         K, band = _p3_tangent(lab, domain, h)
         factor = solver._factor(K)
         ref, info = dpbtrf(band)
@@ -453,24 +462,13 @@ def test_the_band_routines_give_scipy_lapacks_bits(lab, monkeypatch, domain, h, 
             x = factor.solve(b)
             assert x.shape == b.shape and np.array_equal(x, dpbtrs(ref, b)[0])
     finally:
-        _band._lapack.cache_clear()
-        _band._local_threads.cache_clear()
+        _sparse.scipy_extension.cache_clear()
 
 
 def test_a_nonzero_lapack_info_raises(lab):
-    """A band of kd rows for half-width kd (ldab < kd + 1) is an illegal
-    argument to both routines, which LAPACK reports as info < 0: ``dpbtrf``
-    returns it, and a solve raises.  A matrix that is not positive definite
-    gives info > 0, which the factorization raises."""
-    lapack = _band._lapack()
-    assert isinstance(lapack, _band._OpenBLAS)
-    K, band = _p3_tangent(lab, "disk", 0.1)
-    kd = len(band) - 1
-    assert lapack.factor(np.asfortranarray(band[1:]), kd)[1] == -5
-    factor = solver._factor(K)
-    short = _band.BandCholesky(np.asfortranarray(factor.band[1:]), kd)
-    with pytest.raises(RuntimeError, match="dpbtrs: argument 6 has an illegal value"):
-        short.solve(np.ones(K.shape[0]))
+    """A matrix that is not positive definite gives ``dpbtrf`` an info > 0,
+    which the factorization raises."""
+    K, _ = _p3_tangent(lab, "disk", 0.1)
     with pytest.raises(RuntimeError, match="the leading minor of order 1 is not positive definite"):
         solver._factor(_scaled(K, -1))
 
