@@ -1,6 +1,6 @@
 """Batch experiment runner.
 
-    plap-lab <command> --config <path> [--out <dir>] [--seed <u64>]
+    plap-lab <command> --config <path> [--out <dir>]
 
 Commands: verify, matcheck, radial.  `verify` is the one 2-D command: per
 (p, h) case it writes a JSON report, and over all cases `sweep.csv`, the
@@ -396,7 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
 
     # error.json goes where the outputs would have gone
@@ -409,9 +408,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is None and isinstance(raw, dict) and isinstance(raw.get("output_dir"), str):
             outdir = Path(raw["output_dir"] or "plap_out")
         cfg = validate_config(raw, args.command)
-        if args.seed is not None:
-            _check(_CONFIG_SCHEMA["properties"]["seed"], args.seed, "--seed")
-            cfg["seed"] = args.seed
         handler = {
             "verify": cmd_verify,
             "matcheck": cmd_matcheck,

@@ -12,11 +12,11 @@ A report is its JSON sections: each check returns its section as a dict, with
 ``residual``, ``rel_residual``, ``tolerance`` and ``pass`` beside its values,
 and ``IdentityReport.sections`` is the published report, key for key.  The
 five integral sections come from one computation, `integral_identities`.  A
-check outside its preconditions (H > 0 for ``hk``, a metric declared Ric >= 0
-for the scan, the flat metric for the flags) gives a PreconditionError, and
-`build_report` records its message under ``skipped``.  The ``mesh``
-section and, where the case has closed forms, the ``oracle`` section
-(`oracle_section`) are data with no verdict.
+check outside its preconditions (H > 0 for ``hk``, Ric >= 0 measured at every
+quadrature point for the scan, the flat metric for the flags) gives a
+PreconditionError, and `build_report` records its message under
+``skipped``.  The ``mesh`` section and, where the case has closed forms, the
+``oracle`` section (`oracle_section`) are data with no verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p, p_function
 from .geometry import DIM, QUAD_BARY, Disk, Ellipse, TriMesh, domain_measures
-from .metric import ConformalMetric, geodesic_boundary_curvature
+from .metric import ConformalMetric, check_nonnegative_ricci, geodesic_boundary_curvature
 from .oracles import ellipse_boundary_integrals, p_ball_constant, radial_exact
 
 # the tolerances of the checks: relative residual of ``fundamental``, ``sbt``
@@ -326,14 +326,14 @@ _SCAN_BINS = 60
 def subharmonicity_scan(bundle: DerivativeBundle, p: float,
                         lu: tuple[np.ndarray, float]) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
     """Minimum and distribution of the pointwise L_u P values ``lu`` (`lu_p`:
-    values and integral; requires a metric declared Ric >= 0 and at least one
-    quadrature point left after the exclusions).
+    values and integral; requires Ric >= 0 at every quadrature point
+    (`check_nonnegative_ricci`) and at least one point left after the
+    exclusions).
 
     Returns the report section and the histogram of the scanned values.
     """
-    metric, mesh = bundle.metric, bundle.mesh
-    if not metric.nonnegative_ricci:
-        raise PreconditionError("metric not declared nonnegative_ricci")
+    mesh = bundle.mesh
+    check_nonnegative_ricci(bundle.metric, bundle.points)
     vals, integral = lu
     excl = _near_critical_exclusion(bundle, p) | _boundary_ring_exclusion(mesh)
     excluded = float(excl.mean())

@@ -2,11 +2,12 @@
 
 The conformal exponent phi comes from a small closed-form catalogue so that
 first and second derivatives are exact: a bivariate polynomial up to degree 4
-or a radial Gaussian bump.  The flat and constant metrics are polynomials of
-degree 0 (phi = 0 with no coefficients, phi = c as c x^0 y^0); their `kind`
-survives only as the JSON label and for `is_flat`.  In two dimensions
-Ric >= 0 is equivalent to the Gaussian curvature K = -e^{-2 phi} (Delta phi)
-being nonnegative, i.e. to Delta phi <= 0.
+or a radial Gaussian bump.  The flat metric is the polynomial with no
+coefficients (phi = 0); its `kind` survives only as the JSON label and for
+`is_flat`.  In two dimensions Ric >= 0 is equivalent to the Gaussian
+curvature K = -e^{-2 phi} (Delta phi) being nonnegative, i.e. to
+Delta phi <= 0, and `check_nonnegative_ricci` measures it: no metric
+declares it.
 """
 
 from __future__ import annotations
@@ -17,45 +18,35 @@ from functools import cached_property
 import numpy as np
 
 from ._poly import PolynomialField, poly_degree
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 
 _EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
 class ConformalMetric:
-    kind: str                               # flat | constant | poly | bump
+    kind: str                               # flat | poly | bump
     coeffs: tuple = ()                      # ((i, j, c), ...): phi = sum c x^i y^j
     bump: tuple = ()                        # (amplitude, x0, y0, sigma)
-    nonnegative_ricci: bool = False
 
     # -- catalogue constructors -------------------------------------------
 
     @staticmethod
     def flat() -> "ConformalMetric":
-        return ConformalMetric(kind="flat", nonnegative_ricci=True)
+        return ConformalMetric(kind="flat")
 
     @staticmethod
-    def const(c: float) -> "ConformalMetric":
-        return ConformalMetric(kind="constant", coeffs=((0, 0, float(c)),), nonnegative_ricci=True)
-
-    @staticmethod
-    def poly(coeffs: list, nonnegative_ricci: bool = False) -> "ConformalMetric":
+    def poly(coeffs: list) -> "ConformalMetric":
         items = tuple(sorted((int(i), int(j), float(c)) for i, j, c in coeffs))
         if poly_degree({(i, j): c for i, j, c in items}) > 4:
             raise ValidationError("conformal polynomial exponent limited to degree 4")
-        return ConformalMetric(kind="poly", coeffs=items, nonnegative_ricci=nonnegative_ricci)
+        return ConformalMetric(kind="poly", coeffs=items)
 
     @staticmethod
-    def gaussian_bump(amplitude: float, x0: float, y0: float, sigma: float,
-                      nonnegative_ricci: bool = False) -> "ConformalMetric":
+    def gaussian_bump(amplitude: float, x0: float, y0: float, sigma: float) -> "ConformalMetric":
         if sigma <= 0:
             raise ValidationError("bump width sigma must be positive")
-        return ConformalMetric(
-            kind="bump",
-            bump=(float(amplitude), float(x0), float(y0), float(sigma)),
-            nonnegative_ricci=nonnegative_ricci,
-        )
+        return ConformalMetric(kind="bump", bump=(float(amplitude), float(x0), float(y0), float(sigma)))
 
     # -- basic queries ------------------------------------------------------
 
@@ -103,15 +94,9 @@ class ConformalMetric:
     def to_json(self) -> dict:
         if self.kind == "flat":
             return {"kind": "flat"}
-        if self.kind == "constant":
-            return {"kind": "constant", "params": [self.coeffs[0][2]]}
         if self.kind == "poly":
-            out = {"kind": "poly", "params": [[i, j, c] for i, j, c in self.coeffs]}
-        else:
-            out = {"kind": "bump", "params": list(self.bump)}
-        if self.nonnegative_ricci:
-            out["nonnegative_ricci"] = True
-        return out
+            return {"kind": "poly", "params": [[i, j, c] for i, j, c in self.coeffs]}
+        return {"kind": "bump", "params": list(self.bump)}
 
     @staticmethod
     def from_json(obj: dict) -> "ConformalMetric":
@@ -119,15 +104,12 @@ class ConformalMetric:
         config schema, which fixes each kind's params; only the degree and the
         bump width are checked here."""
         kind = obj["kind"]
-        flag = bool(obj.get("nonnegative_ricci", False))
         params = obj.get("params", [])
         if kind == "flat":
             return ConformalMetric.flat()
-        if kind == "constant":
-            return ConformalMetric.const(*params)
         if kind == "poly":
-            return ConformalMetric.poly(params, nonnegative_ricci=flag)
-        return ConformalMetric.gaussian_bump(*params, nonnegative_ricci=flag)
+            return ConformalMetric.poly(params)
+        return ConformalMetric.gaussian_bump(*params)
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +118,7 @@ class ConformalMetric:
 
 
 def gaussian_curvature(metric: ConformalMetric, pts: np.ndarray) -> np.ndarray:
-    """K = -e^{-2 phi} Delta phi (identically zero for flat and constant)."""
+    """K = -e^{-2 phi} Delta phi (zero wherever phi is harmonic, as for the flat metric)."""
     pts = np.asarray(pts, dtype=float)
     return -np.exp(-2.0 * metric.phi(pts)) * metric.laplacian_phi(pts)
 
@@ -154,11 +136,8 @@ _RICCI_TOL = 1e-12
 
 
 def check_nonnegative_ricci(metric: ConformalMetric, pts: np.ndarray) -> None:
-    """Verify Delta phi <= _RICCI_TOL at the given points for a declared Ric >= 0 metric."""
-    if not metric.nonnegative_ricci:
-        raise ValidationError("metric is not declared nonnegative_ricci")
+    """Measure Ric >= 0 at the given points: raise a PreconditionError naming
+    the largest Delta phi when it exceeds _RICCI_TOL."""
     worst = float(metric.laplacian_phi(np.asarray(pts, dtype=float)).max())
     if worst > _RICCI_TOL:
-        raise ValidationError(
-            f"metric declared nonnegative_ricci but Delta phi reaches {worst:.3e} > {_RICCI_TOL:.1e}"
-        )
+        raise PreconditionError(f"Ric < 0: Delta phi reaches {worst:.3e} > {_RICCI_TOL:.1e}")

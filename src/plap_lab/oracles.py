@@ -83,9 +83,6 @@ class EllipseIntegrals:
     volume: float
     perimeter: float
     inv_curvature_integral: float
-    h0: float
-    max_curvature: float
-    min_curvature: float
 
 
 def ellipse_boundary_integrals(a: float, b: float) -> EllipseIntegrals:
@@ -101,15 +98,7 @@ def ellipse_boundary_integrals(a: float, b: float) -> EllipseIntegrals:
     speed = np.sqrt(a**2 * np.sin(t) ** 2 + b**2 * np.cos(t) ** 2)
     perimeter = float(np.sum(speed)) * (2.0 * np.pi / 512)
     inv_h = np.pi * (3.0 * a**4 + 2.0 * a**2 * b**2 + 3.0 * b**4) / (4.0 * a * b)
-    volume = np.pi * a * b
-    return EllipseIntegrals(
-        volume=volume,
-        perimeter=perimeter,
-        inv_curvature_integral=inv_h,
-        h0=perimeter / (2.0 * volume),
-        max_curvature=a / b**2,
-        min_curvature=b / a**2,
-    )
+    return EllipseIntegrals(volume=np.pi * a * b, perimeter=perimeter, inv_curvature_integral=inv_h)
 
 
 # --------------------------------------------------------------------------

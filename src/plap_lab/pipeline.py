@@ -29,7 +29,7 @@ from .errors import ValidationError
 from .fields import frame_gradient, p_function, recover_derivatives
 from .geometry import DIM, DomainSpec, TriMesh, build_mesh
 from .identities import BoundaryTrace, IdentityReport, boundary_trace, build_report
-from .metric import ConformalMetric, check_nonnegative_ricci
+from .metric import ConformalMetric
 from .solver import Solution, solve
 
 
@@ -64,8 +64,6 @@ def run_case(spec: DomainSpec, metric: ConformalMetric | None, p: float, h: floa
     elif spec != mesh.spec or h != mesh.h:
         raise ValidationError(f"mesh was built for {mesh.spec} at h={mesh.h}, "
                               f"not for {spec} at h={h}")
-    if metric.nonnegative_ricci:
-        check_nonnegative_ricci(metric, mesh.quad_points)
     sol = solve(mesh, metric, p)
     bundle = recover_derivatives(mesh, sol.u, metric)
     trace = boundary_trace(bundle, p)

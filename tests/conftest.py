@@ -21,7 +21,7 @@ DOMAINS = {
 METRICS = {
     "flat": ConformalMetric.flat(),
     # phi = -(x^2 + y^2)/8 has Delta phi = -1/2, so K > 0 and Ric >= 0
-    "cap": ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)], nonnegative_ricci=True),
+    "cap": ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)]),
 }
 
 

@@ -187,7 +187,7 @@ def test_criterion_10_flux_balance_everywhere(lab):
 
 
 def test_criterion_11_flat_metric_degeneration(lab):
-    zero = ConformalMetric.poly([], nonnegative_ricci=True)
+    zero = ConformalMetric.poly([])
     sol = lab.solution("disk", 3.0)
     mesh, bg = sol.mesh, lab.bg("disk", 0.05)
     from plap_lab import domain_measures, solve

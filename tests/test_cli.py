@@ -103,9 +103,14 @@ MALFORMED = [
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}),
     ("domain", {"variant": "ellipse", "a": 2.0, "b": "1"}), ("domain", {"radius": 1.0}),
     ("domain", []), ("metric.params", "x"), ("metric.kind", "warp"),
+    ("metric", {"kind": "bump", "params": [True, 0.0, 0.0, 1.0]}),
+    ("metric", {"kind": "bump", "params": [math.nan, 0.0, 0.0, 1.0]}),
+    ("metric", {"kind": "poly", "params": [[2, 0, True]]}),
+    # Ric >= 0 is measured, not declared, and phi = c is the poly [[0, 0, c]]
     ("metric", {"kind": "constant", "params": [True]}),
     ("metric", {"kind": "constant", "params": [math.nan]}),
-    ("metric", {"kind": "poly", "params": [[2, 0, True]]}),
+    ("metric", {"kind": "constant", "params": [0.3]}),
+    ("metric", {"kind": "poly", "params": [], "nonnegative_ricci": True}),
     ("metric.nonnegative_ricci", "yes"), ("metric.extra", 1), ("p", []), ("p", [1.0]), ("h", [True]),
     ("h", "0.1"), ("output_dir", None), ("command", "plot"), ("bogus", 1),
     ("command", "sweep"), ("command", "solve"),
@@ -198,7 +203,7 @@ def test_malformed_config_exits_2(tmp_path, path, value):
 @pytest.mark.parametrize("path, value, named", [
     ("matcheck.p_range", [1.1, "40"], "config.matcheck.p_range[1]"),
     ("domain", {"variant": "polar_star", "cos_coeffs": ["a"]}, "config.domain.cos_coeffs[0]"),
-    ("metric", {"kind": "constant", "params": "x"}, "config.metric.params"),
+    ("metric", {"kind": "bump", "params": "x"}, "config.metric.params"),
 ])
 def test_mistyped_value_is_named_in_error_json(tmp_path, path, value, named):
     command, cfg = _with(path, value)
@@ -209,7 +214,7 @@ def test_mistyped_value_is_named_in_error_json(tmp_path, path, value, named):
     assert named in err["message"]
 
 
-@pytest.mark.parametrize("metric", [{"kind": "constant", "params": ["x"]},
+@pytest.mark.parametrize("metric", [{"kind": "poly", "params": [["x", 0, 1.0]]},
                                     {"kind": "bump", "params": ["a", 0.0, 0.0, 1.0]}])
 def test_malformed_metric_params_exit_2(tmp_path, metric):
     out = tmp_path / "out"
@@ -467,19 +472,14 @@ def test_matcheck_one_sample_per_dimension(tmp_path):
         assert [int(row["n"]) for row in csv.DictReader(fh)] == [2, 3, 4]
 
 
-def test_negative_seed_override_exits_2(tmp_path):
-    cfg = _write(tmp_path, {"command": "matcheck", "matcheck": {"samples": 1000}})
-    out = tmp_path / "out"
-    assert main(["matcheck", "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
-    assert "--seed must be >= 0" in json.loads((out / "error.json").read_text())["error"]["message"]
-
-
 def test_matcheck_seed_override(tmp_path):
-    cfg = _write(tmp_path, {"command": "matcheck", "matcheck": {"samples": 10000}, "seed": 5})
+    # the config's seed is the one seed setting
     outs = []
     for seed, name in ((9, "s9"), (9, "s9b"), (10, "s10")):
+        cfg = _write(tmp_path, {"command": "matcheck", "matcheck": {"samples": 10000},
+                                "seed": seed}, f"{name}.json")
         out = tmp_path / name
-        main(["matcheck", "--config", str(cfg), "--out", str(out), "--seed", str(seed)])
+        main(["matcheck", "--config", str(cfg), "--out", str(out)])
         # min_gap is rounding noise of the planar gap (identically 0), so two
         # seeds can share it; the witness tells the draws apart
         outs.append(json.loads((out / "matcheck.json").read_text())["witness"])
@@ -681,7 +681,7 @@ def test_error_json_goes_to_config_output_dir(tmp_path, monkeypatch):
     assert "output_dir" in json.loads((tmp_path / "plap_out" / "error.json").read_text())["error"]["message"]
 
 
-OVERFLOWING_METRIC = {"kind": "constant", "params": [400.0]}
+OVERFLOWING_METRIC = {"kind": "poly", "params": [[0, 0, 400.0]]}
 
 
 def test_assembly_failure_exits_3(tmp_path, monkeypatch):

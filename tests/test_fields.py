@@ -226,7 +226,7 @@ def test_lu_p_cross_check_polynomials():
 
 def test_lu_p_cross_check_conformal():
     pts = _sample_points(count=40)
-    metric = ConformalMetric.poly([(2, 0, -0.25), (0, 2, -0.25)], nonnegative_ricci=True)
+    metric = ConformalMetric.poly([(2, 0, -0.25), (0, 2, -0.25)])
     field = PolynomialField({(3, 0): 1 / 6, (0, 2): 0.5, (1, 0): 0.4})
     lhs, rhs = lu_p_two_routes(field, metric, 2.5, 2, pts)
     assert np.abs(lhs - rhs).max() <= 1e-10

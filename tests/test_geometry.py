@@ -78,14 +78,14 @@ def test_measures_flat_and_scaled(lab):
     assert m.volume == pytest.approx(np.pi, rel=0.005)
     assert m.perimeter == pytest.approx(2 * np.pi, rel=0.005)
     c = 0.3
-    mc = domain_measures(mesh, ConformalMetric.const(c))
+    mc = domain_measures(mesh, ConformalMetric.poly([(0, 0, c)]))
     assert mc.volume == pytest.approx(np.exp(2 * c) * m.volume, rel=1e-12)
     assert mc.perimeter == pytest.approx(np.exp(c) * m.perimeter, rel=1e-12)
 
 
 # phi = 0, a cap phi = -(x^2 + y^2)/8, and a Gaussian bump
 WEIGHT_METRICS = [FLAT,
-                  ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)], nonnegative_ricci=True),
+                  ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)]),
                   ConformalMetric.gaussian_bump(0.3, 0.1, -0.2, 1.1)]
 
 

@@ -11,6 +11,7 @@ from plap_lab.errors import MeshGenerationError
 from plap_lab.geometry import Annulus, TriMesh
 from plap_lab.identities import BoundaryTrace, scan_tolerance
 from plap_lab.oracles import radial_exact
+from plap_lab.pipeline import run_case
 
 FLAT = ConformalMetric.flat()
 
@@ -258,11 +259,26 @@ def test_scan_disk_concentrates_at_zero(lab):
 
 
 def test_scan_requires_nonnegative_ricci(lab):
+    # phi = -0.5 e^{-r^2/2} has Delta phi = 0.5 (2 - r^2) e^{-r^2/2} > 0 on the
+    # unit disk, 1.0 at the centre: Ric < 0, measured
     sol = lab.solution("disk", 2.0)
-    bad = ConformalMetric.gaussian_bump(0.5, 0.0, 0.0, 1.0)  # undeclared
+    bad = ConformalMetric.gaussian_bump(-0.5, 0.0, 0.0, 1.0)
     bundle = recover_derivatives(sol.mesh, sol.u, bad)
-    with pytest.raises(PreconditionError, match="metric not declared nonnegative_ricci"):
+    with pytest.raises(PreconditionError, match=r"Ric < 0: Delta phi reaches 9\.\d{3}e-01"):
         subharmonicity_scan(bundle, 2.0, lu_p(bundle, 2.0))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("metric", [ConformalMetric.poly([(0, 0, 0.3)]),
+                                    ConformalMetric.gaussian_bump(0.5, 0.0, 0.0, 1.0)],
+                         ids=["poly_c", "bump"])
+def test_scan_runs_where_ricci_is_nonnegative(lab, metric, p):
+    # phi = 0.3 is flat and the bump has Delta phi < 0 on the unit disk (r^2 < 2):
+    # Ric >= 0 is measured, so both are scanned however phi is written
+    case = run_case(Disk(1.0), metric, p, 0.05, mesh=lab.mesh("disk", 0.05))
+    assert "subharmonicity" not in case.report.sections["skipped"]
+    scan = case.report.sections["subharmonicity"]
+    assert scan["pass"] and scan["min"] >= -scan["tol_scan"]
 
 
 def test_build_report_evaluates_lu_p_once(lab, monkeypatch):

@@ -3,20 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from plap_lab import (ConformalMetric, ValidationError, gaussian_curvature,
-                      geodesic_boundary_curvature)
+from plap_lab import (ConformalMetric, PreconditionError, ValidationError,
+                      gaussian_curvature, geodesic_boundary_curvature)
 from plap_lab.metric import check_nonnegative_ricci
 
 ORIGIN = np.array([[0.0, 0.0]])
 
 # phi = -(x^2+y^2)/4: Delta phi = -1, so K = e^{-2 phi} at every point
-CAP4 = ConformalMetric.poly([(2, 0, -0.25), (0, 2, -0.25)], nonnegative_ricci=True)
+CAP4 = ConformalMetric.poly([(2, 0, -0.25), (0, 2, -0.25)])
 
 
 def test_flat_curvature_zero():
     pts = np.random.default_rng(0).uniform(-1, 1, (50, 2))
     assert np.all(gaussian_curvature(ConformalMetric.flat(), pts) == 0.0)
-    assert np.all(gaussian_curvature(ConformalMetric.const(0.7), pts) == 0.0)
+    assert np.all(gaussian_curvature(ConformalMetric.poly([(0, 0, 0.7)]), pts) == 0.0)
 
 
 def test_cap_curvature_at_origin():
@@ -28,7 +28,7 @@ def test_geodesic_boundary_curvature(lab):
     flat = ConformalMetric.flat()
     assert np.abs(geodesic_boundary_curvature(flat, bg) - 1.0).max() < 1e-12
     c = 0.5
-    hg = geodesic_boundary_curvature(ConformalMetric.const(c), bg)
+    hg = geodesic_boundary_curvature(ConformalMetric.poly([(0, 0, c)]), bg)
     assert np.abs(hg - np.exp(-c)).max() < 1e-12
     # phi = -r^2/4 on the unit circle: d_nu phi = -1/2, H_g = e^{1/4}(1 - 1/2)
     hg = geodesic_boundary_curvature(CAP4, bg)
@@ -50,18 +50,23 @@ def test_bump_derivatives_match_finite_differences():
 
 
 def test_nonnegative_ricci_check(lab):
+    # Ric >= 0 is measured: Delta phi <= 0 at every given point
     mesh = lab.mesh("disk", 0.1)
     check_nonnegative_ricci(CAP4, mesh.quad_points)
-    bad = ConformalMetric.poly([(2, 0, 0.25), (0, 2, 0.25)], nonnegative_ricci=True)
-    with pytest.raises(ValidationError):
+    check_nonnegative_ricci(ConformalMetric.flat(), mesh.quad_points)
+    # phi = (x^2 + y^2)/4 has Delta phi = 1 everywhere
+    bad = ConformalMetric.poly([(2, 0, 0.25), (0, 2, 0.25)])
+    with pytest.raises(PreconditionError, match=r"Ric < 0: Delta phi reaches 1\.000e\+00"):
         check_nonnegative_ricci(bad, mesh.quad_points)
-    undeclared = ConformalMetric.poly([(2, 0, -0.25)])
-    with pytest.raises(ValidationError):
-        check_nonnegative_ricci(undeclared, mesh.quad_points)
+    # phi = (y^2 - x^2)/4 is harmonic: K = 0 passes
+    check_nonnegative_ricci(ConformalMetric.poly([(2, 0, -0.25), (0, 2, 0.25)]), mesh.quad_points)
+    # phi = x^4/12000: Delta phi = 1e-3 x^2 is small, but positive off x = 0
+    with pytest.raises(PreconditionError, match="Ric < 0"):
+        check_nonnegative_ricci(ConformalMetric.poly([(4, 0, 1e-3 / 12)]), mesh.quad_points)
 
 
 def test_nonnegative_ricci_random_sample():
-    m = ConformalMetric.gaussian_bump(-0.4, 0.0, 0.0, 1.5, nonnegative_ricci=False)
+    m = ConformalMetric.gaussian_bump(-0.4, 0.0, 0.0, 1.5)
     rng = np.random.default_rng(42)
     pts = rng.uniform(-1.2, 1.2, (10_000, 2))
     K = gaussian_curvature(m, pts)
@@ -75,9 +80,7 @@ def test_metric_json_round_trip():
     # the JSON text of each kind is fixed: configs and report echoes carry it
     texts = {
         ConformalMetric.flat(): '{"kind": "flat"}',
-        ConformalMetric.const(0.3): '{"kind": "constant", "params": [0.3]}',
-        CAP4: '{"kind": "poly", "nonnegative_ricci": true, '
-              '"params": [[0, 2, -0.25], [2, 0, -0.25]]}',
+        CAP4: '{"kind": "poly", "params": [[0, 2, -0.25], [2, 0, -0.25]]}',
         ConformalMetric.gaussian_bump(0.2, 0.1, -0.1, 1.0):
             '{"kind": "bump", "params": [0.2, 0.1, -0.1, 1.0]}',
     }
@@ -87,8 +90,8 @@ def test_metric_json_round_trip():
         m2 = ConformalMetric.from_json(json.loads(text))
         assert m2 == m
         assert np.array_equal(m.phi(pts), m2.phi(pts))
-    # flat and constant are exact: phi is 0 or c, with zero derivatives
-    for m, c in ((ConformalMetric.flat(), 0.0), (ConformalMetric.const(0.3), 0.3)):
+    # phi = 0 and phi = c are exact, with zero derivatives
+    for m, c in ((ConformalMetric.flat(), 0.0), (ConformalMetric.poly([(0, 0, 0.3)]), 0.3)):
         assert np.all(m.phi(pts) == c)
         assert np.all(m.grad_phi(pts) == 0.0) and m.grad_phi(pts).shape == (2, 2)
         assert np.all(m.hess_phi(pts) == 0.0) and m.hess_phi(pts).shape == (2, 2, 2)
@@ -98,5 +101,5 @@ def test_metric_json_round_trip():
 
 def test_constant_rescale_keeps_curvature_zero(lab):
     bg = lab.bg("disk", 0.1)
-    m = ConformalMetric.const(1.3)
+    m = ConformalMetric.poly([(0, 0, 1.3)])
     assert np.all(gaussian_curvature(m, bg.position) == 0.0)

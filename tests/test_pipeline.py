@@ -71,7 +71,7 @@ def test_zero_phi_case_matches_flat_case(p):
     spec = Disk(1.0)
     mesh = build_mesh(spec, 0.1)
     flat = run_case(spec, ConformalMetric.flat(), p, 0.1, mesh=mesh)
-    zero = run_case(spec, ConformalMetric.poly([], nonnegative_ricci=True), p, 0.1, mesh=mesh)
+    zero = run_case(spec, ConformalMetric.poly([]), p, 0.1, mesh=mesh)
     assert np.array_equal(flat.solution.u, zero.solution.u)
     a, b = flat.report.to_json_dict(), zero.report.to_json_dict()
     sections = ("constants", "fundamental", "sbt", "flux", "eq_curvature", "hk",
@@ -81,7 +81,7 @@ def test_zero_phi_case_matches_flat_case(p):
         assert json.dumps(a[name], sort_keys=True) == json.dumps(b[name], sort_keys=True), name
 
 
-CAP = ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)], nonnegative_ricci=True)
+CAP = ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)])
 
 
 @pytest.mark.parametrize("spec, h", [(Disk(1.0), 0.1), (Ellipse(2.0, 1.0), 0.14)])

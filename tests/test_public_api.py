@@ -48,7 +48,7 @@ def test_every_public_definition_has_a_user():
 
 # parameters with a default across the package; each is a setting that tests
 # and runs must cover, so the count may fall but not grow
-MAX_DEFAULTED_PARAMETERS = 12
+MAX_DEFAULTED_PARAMETERS = 10
 
 
 def test_defaulted_parameters_do_not_grow():

@@ -67,7 +67,7 @@ def test_config_validation(lab, monkeypatch):
     # solve() checks eps0, which it derives from the domain and the metric:
     # e^{2 phi} = e^{800} overflows the volume, so eps0 is inf and the ladder
     # could never reach eps_min
-    metric = ConformalMetric.from_json({"kind": "constant", "params": [400.0]})
+    metric = ConformalMetric.poly([(0, 0, 400.0)])
     with np.errstate(over="ignore"), pytest.raises(ValidationError, match="volume is inf"):
         solve(lab.mesh("disk", 0.1), metric, 2.0)
     monkeypatch.setattr(solver, "_EPS0_SCALE", 1e-9)
