@@ -5,7 +5,13 @@ A run takes three things from here: derivative recovery on a mesh
 L_u P (`linearized_on_p`), which feeds the interior side of every identity
 and the subharmonicity scan.  A bundle holds u, its frame gradient and
 Hessian and the mask; `linearized_on_p` derives its terms from them, and the
-metric's weights are `geometry.domain_measures`'.  The acceptance gate's
+metric's weights are `geometry.domain_measures`'.  The recovery is the
+weighted quadratic patch fit of Zienkiewicz and Zhu (Int. J. Numer. Meth.
+Eng. 33, 1992).  Its normal matrices depend on the mesh alone, so they are
+factored once per mesh, all n together, entry by entry on n-vectors (the
+batched factorization of many tiny systems: Dongarra et al., Procedia
+Comput. Sci. 108, 2017); a fit is six gathers and one forward and back
+substitution.  The acceptance gate's
 exact-algebra checks (`p_bochner_residual`, `lu_p_two_routes`) run on
 analytic fields with exact derivatives through third order; there Delta_p u
 is evaluated in divergence form (`_p_laplacian_with_gradient`),
@@ -135,13 +141,13 @@ def _two_ring(mesh: TriMesh) -> Compressed:
     return csr_square(csr_pattern(i, j, (n, n)))
 
 
-def _normal_equations(mesh: TriMesh) -> tuple[Compressed, np.ndarray, tuple, np.ndarray]:
+def _normal_equations(mesh: TriMesh) -> tuple[Compressed, np.ndarray, tuple, list]:
     """The part of the patch fit that does not depend on the nodal values:
     the gather (n x pairs, CSR) that sums a per-pair array over each
     vertex's two-ring pairs in pair order, the neighbour w of each pair
     (v, w), the pairs' Gaussian weights and scaled offsets (weight, dx, dy),
-    from which a fit forms its weighted basis again, and the normal
-    matrices sum w b b^T per vertex (n, 6, 6)."""
+    from which a fit forms its weighted basis again, and the Cholesky factor
+    (`_normal_factor`) of each vertex's normal matrix sum w b b^T."""
     two = _two_ring(mesh)
     n, n_pairs = mesh.n_vertices, two.nnz
     pw = two.indices
@@ -151,20 +157,70 @@ def _normal_equations(mesh: TriMesh) -> tuple[Compressed, np.ndarray, tuple, np.
     dx, dy = ((mesh.points[pw, k] - mesh.points[pv, k]) / mesh.h for k in range(2))
     w = np.exp(-(dx * dx + dy * dy))
     basis = _patch_basis(dx, dy)
-    # all 36 entries, not 21 mirrored: (w b_i) b_j and (w b_j) b_i can differ
-    # in the last bit; one product at a time keeps the temporaries small
-    mat = np.empty((n, 6, 6))
+    # the 21 distinct entries (w b_i) b_j, i >= j; one product at a time keeps
+    # the temporaries small
+    entries = []
     for i in range(6):
         wb = w * basis[i]
-        for j in range(6):
-            mat[:, i, j] = gather @ (wb * basis[j])
-    mat.flags.writeable = False     # shared by every fit on the mesh
-    return gather, pw, (w, dx, dy), mat
+        entries.append([gather @ (wb * basis[j]) for j in range(i + 1)])
+    factor = _normal_factor(entries)
+    for row in factor:
+        for e in row:
+            e.flags.writeable = False       # shared by every fit on the mesh
+    return gather, pw, (w, dx, dy), factor
 
 
 def _patch_basis(dx: np.ndarray, dy: np.ndarray) -> list:
     """The quadratic basis 1, dx, dy, dx^2/2, dx dy, dy^2/2 at each pair."""
     return [1.0, dx, dy, 0.5 * dx ** 2, dx * dy, 0.5 * dy ** 2]
+
+
+def _cholesky(m: list) -> tuple[list, np.ndarray]:
+    """The Cholesky factors L L^T = M of n symmetric 6 x 6 matrices at once,
+    entry by entry on n-vectors: m[i][j] (j <= i) is entry (i, j) of every
+    matrix, and so is L[i][j] of the factors.  Also returns the mask of the
+    matrices whose six pivots are all positive; elsewhere L is not a
+    factor."""
+    L = [[None] * (i + 1) for i in range(6)]
+    ok = np.ones(len(m[0][0]), dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(6):
+            pivot = m[j][j] - sum(L[j][k] * L[j][k] for k in range(j))
+            ok &= pivot > 0.0
+            L[j][j] = np.sqrt(pivot)
+            for i in range(j + 1, 6):
+                L[i][j] = (m[i][j] - sum(L[i][k] * L[j][k] for k in range(j))) / L[j][j]
+    return L, ok
+
+
+def _normal_factor(m: list) -> list:
+    """The Cholesky factor of each vertex's normal matrix, entries m[i][j]
+    (j <= i) as n-vectors (`_cholesky`).  A vertex with a pivot that is not
+    positive is factored again with its diagonal shifted by 1e-12 tr(M);
+    every other vertex keeps its own factor."""
+    L, ok = _cholesky(m)
+    bad = ~ok
+    if bad.any():
+        shifted = [[e[bad] for e in row] for row in m]
+        shift = 1e-12 * sum(shifted[k][k] for k in range(6))
+        for k in range(6):
+            shifted[k][k] = shifted[k][k] + shift
+        for row, fixed in zip(L, _cholesky(shifted)[0]):
+            for e, f in zip(row, fixed):
+                e[bad] = f
+    return L
+
+
+def _cholesky_solve(L: list, b: list) -> list:
+    """x with L L^T x = b for the factors L of `_cholesky`: b and x are six
+    n-vectors, one per entry, solved by forward and back substitution."""
+    y = []
+    for i in range(6):
+        y.append((b[i] - sum(L[i][k] * y[k] for k in range(i))) / L[i][i])
+    x = [None] * 6
+    for i in reversed(range(6)):
+        x[i] = (y[i] - sum(L[k][i] * x[k] for k in range(i + 1, 6))) / L[i][i]
+    return x
 
 
 def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,23 +232,17 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     h); reproduces quadratic fields exactly up to the boundary, which plain
     averaging of element gradients does not.  The Hessian is symmetric by
     construction: both off-diagonal entries are the one xy coefficient.
-    The normal matrices and the gather are built once per mesh; a fit
-    gathers its right-hand side and solves the n 6 x 6 systems again.
+    The gather and the Cholesky factors of the normal matrices are built
+    once per mesh; a fit gathers its six right-hand sides and solves the n
+    6 x 6 systems with those factors, entry by entry (`_cholesky_solve`).
     """
-    gather, pw, (w, dx, dy), mat = mesh.derived("recovery", lambda: _normal_equations(mesh))
+    gather, pw, (w, dx, dy), factor = mesh.derived("recovery", lambda: _normal_equations(mesh))
     h = mesh.h
-    n = mesh.n_vertices
     vals = nodal[pw]
-    rhs = np.empty((n, 6, 1))
-    for k, b in enumerate(_patch_basis(dx, dy)):
-        rhs[:, k, 0] = gather @ (w * b * vals)
-    try:
-        coef = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        reg = mat + 1e-12 * np.trace(mat, axis1=1, axis2=2)[:, None, None] * np.eye(6)
-        coef = np.linalg.solve(reg, rhs)
-    coef = coef[..., 0]
-    return coef[:, 1:3] / h, coef[:, [3, 4, 4, 5]].reshape(n, 2, 2) / (h * h)
+    rhs = [gather @ (w * b * vals) for b in _patch_basis(dx, dy)]
+    c = _cholesky_solve(factor, rhs)
+    hess = np.stack([c[3], c[4], c[4], c[5]], axis=1).reshape(-1, 2, 2)
+    return np.stack([c[1], c[2]], axis=1) / h, hess / (h * h)
 
 
 def default_delta_crit(h: float, gnorm_max: float) -> float:

@@ -299,9 +299,9 @@ class TriMesh:
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
     # state that depends on the mesh alone (minimum angle, quadrature
     # interpolation, point locator, measures per metric, recovery normal
-    # equations, assembly maps, trace sample sites), built by `derived` on
-    # first use and shared by every case; not an init field, so that a
-    # `dataclasses.replace` copy starts with none of it
+    # factors, assembly maps, trace sample sites, the scan's boundary mask),
+    # built by `derived` on first use and shared by every case; not an init
+    # field, so that a `dataclasses.replace` copy starts with none of it
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property

@@ -314,10 +314,13 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
 
 def _boundary_ring_exclusion(mesh) -> np.ndarray:
     """Quadrature points within a few element rings of the domain boundary,
-    where recovered second derivatives carry the solution's own edge noise."""
+    where recovered second derivatives carry the solution's own edge noise;
+    built once per mesh, and read-only."""
     vmark = np.zeros(mesh.n_vertices, dtype=bool)
     vmark[mesh.boundary_vertices] = True
-    return _ring_mask(mesh, vmark, _SCAN_RINGS - 1)
+    mask = _ring_mask(mesh, vmark, _SCAN_RINGS - 1)
+    mask.flags.writeable = False
+    return mask
 
 
 _SCAN_BINS = 60
@@ -335,7 +338,8 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float,
     mesh = bundle.mesh
     check_nonnegative_ricci(bundle.metric, bundle.points)
     vals, integral = lu
-    excl = _near_critical_exclusion(bundle, p) | _boundary_ring_exclusion(mesh)
+    excl = _near_critical_exclusion(bundle, p) | mesh.derived(
+        "boundary_rings", lambda: _boundary_ring_exclusion(mesh))
     excluded = float(excl.mean())
     kept_vals = vals[~excl & ~bundle.mask & np.isfinite(vals)]
     if not len(kept_vals):

@@ -3,11 +3,11 @@
 The conformal exponent phi comes from a small closed-form catalogue so that
 first and second derivatives are exact: a bivariate polynomial up to degree 4
 or a radial Gaussian bump.  The flat metric is the polynomial with no
-coefficients (phi = 0); its `kind` survives only as the JSON label and for
-`is_flat`.  In two dimensions Ric >= 0 is equivalent to the Gaussian
-curvature K = -e^{-2 phi} (Delta phi) being nonnegative, i.e. to
-Delta phi <= 0, and `check_nonnegative_ricci` measures it: no metric
-declares it.
+coefficients (phi = 0); its `kind` survives only as the JSON label, and
+`is_flat` measures phi = 0 from the coefficients.  In two dimensions
+Ric >= 0 is equivalent to the Gaussian curvature K = -e^{-2 phi} (Delta phi)
+being nonnegative, i.e. to Delta phi <= 0, and `check_nonnegative_ricci`
+measures it: no metric declares it.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class ConformalMetric:
 
     @property
     def is_flat(self) -> bool:
-        return self.kind == "flat"
+        """phi = 0, measured: no nonzero polynomial coefficient and no bump
+        of nonzero amplitude, however the metric is written."""
+        return (all(c == 0.0 for _, _, c in self.coeffs)
+                and not (self.bump and self.bump[0] != 0.0))
 
     @cached_property
     def _phi_poly(self) -> PolynomialField:

@@ -12,11 +12,11 @@ per-quadrature-point derivative bundle does not.
 
 Mesh-derived state lives on the `TriMesh`: the minimum angle, the
 quadrature interpolation, the point locator, the domain measures per
-metric, the recovery normal equations, the solver's assembly maps, its P1
-stiffness with that matrix's factor, and the trace sample sites are built
-the first time a case needs them,
-and every later case on the same mesh (as `cli` runs all p values of one h)
-reuses them.
+metric, the factors of the recovery's normal matrices, the solver's
+assembly maps, its P1 stiffness with that matrix's factor, the trace
+sample sites and the subharmonicity scan's boundary mask are built the
+first time a case needs them, and every later case on the same mesh (as
+`cli` runs all p values of one h) reuses them.
 """
 
 from __future__ import annotations

@@ -23,6 +23,14 @@ energy's rounding level, 1e-15 (1 + |J_eps|); that is the only rule of the
 eps_min rung.  The ladder ends after the first rung that takes no step, so
 the u it returns is certified at that rung's eps, ``final_eps``.
 
+Each iterate is evaluated once (``_Iterate``): its element gradients g,
+|g|^2 and eps^2 + |g|^2, and the G* = (eps^2 + |g|^2)^{(p-2)/2} that its
+residual and tangent share.  A line search forms them for each trial, and
+the accepted trial carries them to the next residual, the next tangent and,
+at the next rung, the starting energy, for which only eps^2 + |g|^2 is
+formed again.  So a solve forms the element gradients once per trial and
+once for u = 0.
+
 The Newton tangent is symmetric positive definite on the free (interior)
 vertices, and its sparsity pattern is that of the P1 stiffness.  Every
 mesher numbers the boundary vertices first and the interior in a narrow band
@@ -98,6 +106,7 @@ at delta_k <= 1e-15 that gap is itself at the rounding level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,15 +122,30 @@ def _sq_norm(g: np.ndarray) -> np.ndarray:
     return g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1]
 
 
-def _flux_coeff(grad: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Per element, the distinct entries (c00, c01, c11), as an (M, 3) array,
-    of the symmetric positive definite tangent factor
-    G* (I + (p-2) g g^T / (eps^2 + |g|^2)), G* = (eps^2 + |g|^2)^{(p-2)/2}."""
-    denom = eps * eps + _sq_norm(grad)
-    gstar = denom ** ((p - 2.0) / 2.0)
-    s = (p - 2.0) * gstar / denom
-    g0, g1 = grad[:, 0], grad[:, 1]
-    return np.stack([gstar + s * g0 * g0, s * g0 * g1, gstar + s * g1 * g1], axis=1)
+class _Iterate:
+    """A nodal field u at one eps and the element terms that its energy,
+    residual and tangent share, each formed once: the element gradients g,
+    |g|^2, eps^2 + |g|^2 and, once asked for, G* = (eps^2 + |g|^2)^{(p-2)/2}."""
+
+    def __init__(self, u: np.ndarray, g: np.ndarray, sq: np.ndarray, p: float, eps: float):
+        self.u, self.g, self.sq, self.p, self.eps = u, g, sq, p, eps
+        self.denom = eps * eps + sq
+
+    def at(self, eps: float) -> _Iterate:
+        """The same field at eps, with its gradients and |g|^2 kept."""
+        return self if eps == self.eps else _Iterate(self.u, self.g, self.sq, self.p, eps)
+
+    @cached_property
+    def gstar(self) -> np.ndarray:
+        return self.denom ** ((self.p - 2.0) / 2.0)
+
+    def flux_coeff(self) -> np.ndarray:
+        """Per element, the distinct entries (c00, c01, c11), as an (M, 3)
+        array, of the symmetric positive definite tangent factor
+        G* (I + (p-2) g g^T / (eps^2 + |g|^2))."""
+        s = (self.p - 2.0) * self.gstar / self.denom
+        g0, g1 = self.g[:, 0], self.g[:, 1]
+        return np.stack([self.gstar + s * g0 * g0, s * g0 * g1, self.gstar + s * g1 * g1], axis=1)
 
 
 @dataclass
@@ -171,26 +195,34 @@ class _Assembler:
     def gradients(self, u: np.ndarray) -> np.ndarray:
         return (self._grad @ u).reshape(-1, 2)
 
-    def energy(self, u: np.ndarray, eps: float) -> float:
+    def iterate(self, u: np.ndarray | _Iterate, eps: float) -> _Iterate:
+        """u at eps: an iterate keeps its gradients, and a nodal array has
+        them formed.  `energy`, `residual` and `tangent` take either; the
+        solve passes its iterates, so each is evaluated once."""
+        if isinstance(u, _Iterate):
+            return u.at(eps)
+        g = self.gradients(u)
+        return _Iterate(u, g, _sq_norm(g), self.p, eps)
+
+    def energy(self, u: np.ndarray | _Iterate, eps: float) -> float:
         # the eps^p offset makes J(0) = 0 for every eps without touching
         # derivatives
-        g = self.gradients(u)
-        dens = ((eps * eps + _sq_norm(g)) ** (self.p / 2.0) - eps**self.p) / self.p
-        return float(np.sum(self.w_grad * dens) - self.load @ u)
+        x = self.iterate(u, eps)
+        dens = (x.denom ** (self.p / 2.0) - eps**self.p) / self.p
+        return float(np.sum(self.w_grad * dens) - self.load @ x.u)
 
-    def residual(self, u: np.ndarray, eps: float) -> np.ndarray:
-        g = self.gradients(u)
-        gstar = (eps * eps + _sq_norm(g)) ** ((self.p - 2.0) / 2.0)
-        flux = (self.w_grad * gstar)[:, None] * g
+    def residual(self, u: np.ndarray | _Iterate, eps: float) -> np.ndarray:
+        x = self.iterate(u, eps)
+        flux = (self.w_grad * x.gstar)[:, None] * x.g
         r = self._grad.T @ flux.ravel() - self.load
         if not np.isfinite(r).all():
             bad = int(np.argmax(~np.isfinite(flux).all(axis=1)))
             raise AssemblyError("non-finite residual during assembly", element=bad)
         return r
 
-    def tangent(self, u: np.ndarray, eps: float) -> Compressed:
+    def tangent(self, u: np.ndarray | _Iterate, eps: float) -> Compressed:
         """The free x free tangent, in the mesh's vertex order."""
-        c = _flux_coeff(self.gradients(u), self.p, eps)
+        c = self.iterate(u, eps).flux_coeff()
         c *= self.w_grad[:, None]
         if not np.isfinite(c).all():
             bad = int(np.argmax(~np.isfinite(c).all(axis=1)))
@@ -383,22 +415,24 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
     K0, factor0 = asm.stiffness()
     held = _HeldFactor(K0, factor0)
 
-    # directions vanish on the boundary, so u stays exactly 0 there
-    u = np.zeros(mesh.n_vertices)
+    # directions vanish on the boundary, so u stays exactly 0 there.  The
+    # accepted trial of a line search is the next iterate, with its gradients
+    x = asm.iterate(np.zeros(mesh.n_vertices), ladder[0])
     steps: list[EpsStep] = []
     history: list[tuple[float, int, float]] = []     # (eps, step, residual norm)
     for eps in ladder:
-        energy = asm.energy(u, eps)
+        x = x.at(eps)
+        energy = asm.energy(x, eps)
         it = 0
         counts = held.factorizations, held.cg_iterations
         while True:
-            r = asm.residual(u, eps)[nb:]
+            r = asm.residual(x, eps)[nb:]
             rnorm = float(np.linalg.norm(r))
             history.append((eps, it, rnorm))
             # at p = 2 the tangent is the stiffness, whatever u, eps and the metric
-            K = K0 if p == 2.0 else asm.tangent(u, eps)
+            K = K0 if p == 2.0 else asm.tangent(x, eps)
             scale = 1.0 + abs(energy)
-            d = np.zeros_like(u)
+            d = np.zeros(mesh.n_vertices)
             try:
                 d[nb:] = spsolve(held, K, -r, scale)
             except RuntimeError as exc:
@@ -414,10 +448,10 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
             last = eps > _EPS_MIN and -slope <= _DECREMENT_RUNG * scale
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
-                trial = u + t * d
+                trial = asm.iterate(x.u + t * d, eps)
                 e_trial = asm.energy(trial, eps)
                 if e_trial <= energy + 1e-4 * t * slope:
-                    u, energy = trial, e_trial
+                    x, energy = trial, e_trial
                     break
                 t *= _BACKTRACK_FACTOR
             else:
@@ -432,6 +466,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
         if it == 0:
             break
 
+    u = x.u
     return Solution(u=u, mesh=mesh, metric=metric, p=p, steps=steps, diagnostics={
         "min_u": float(u.min()),
         "max_u": float(u.max()),

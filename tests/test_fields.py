@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from plap_lab import fields
 from plap_lab import (ConformalMetric, PolynomialField, ValidationError,
-                      analytic_bundle, field_catalogue, linearized_on_p,
+                      analytic_bundle, build_mesh, field_catalogue, linearized_on_p,
                       p_bochner_residual, p_function, recover_derivatives)
 from plap_lab.fields import (_p_laplacian_with_gradient, gaussian_radial_field,
                              lu_p_two_routes, torsion_profile_field)
 from plap_lab.metric import gaussian_curvature
+
+from conftest import DOMAINS
 
 FLAT = ConformalMetric.flat()
 RNG = np.random.default_rng(0)
@@ -55,11 +57,10 @@ def test_recovery_exact_on_quadratics(lab):
     assert np.abs(bundle.nodal_hess - np.eye(2)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1)])
-def test_recovery_sums_match_bincount_formulas(lab, monkeypatch, domain, h):
-    """The gathered normal matrices and a fit's right-hand sides equal, bit
-    for bit, the per-pair sums scattered by bincount in pair order."""
-    mesh = lab.mesh(domain, h)
+def _patch_sums(mesh, u):
+    """Each vertex's normal matrix (n, 6, 6) and right-hand sides (n, 6) of
+    the nodal values u, summed over its two-ring pairs by bincount in pair
+    order, and the pairs' neighbours."""
     n = mesh.n_vertices
     ring = fields._two_ring(mesh)
     two = sp.csr_matrix((ring.data, ring.indices, ring.indptr), shape=ring.shape).tocoo()
@@ -70,24 +71,82 @@ def test_recovery_sums_match_bincount_formulas(lab, monkeypatch, domain, h):
     wb = np.exp(-(d * d).sum(axis=1))[:, None] * basis
     mat = np.stack([np.bincount(pv, weights=wb[:, i] * basis[:, j], minlength=n)
                     for i in range(6) for j in range(6)], axis=1).reshape(n, 6, 6)
-    _, gather_pw, _, gather_mat = fields._normal_equations(mesh)
-    assert np.array_equal(gather_pw, pw)
-    assert np.array_equal(gather_mat, mat)
-
-    u = np.sin(1.3 * mesh.points[:, 0]) * np.cos(0.7 * mesh.points[:, 1])
     rhs = np.stack([np.bincount(pv, weights=wb[:, k] * u[pw], minlength=n) for k in range(6)],
-                   axis=1)[:, :, None]
-    systems = []
-    linalg_solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: systems.append((a, b)) or linalg_solve(a, b))
+                   axis=1)
+    return mat, rhs, pw
+
+
+def _recorded(monkeypatch, name):
+    """Record the arguments and result of each call of fields.<name>."""
+    calls, call = [], getattr(fields, name)
+    monkeypatch.setattr(fields, name, lambda *args: calls.append((args, call(*args))) or
+                        calls[-1][1])
+    return calls
+
+
+def _wavy(mesh):
+    return np.sin(1.3 * mesh.points[:, 0]) * np.cos(0.7 * mesh.points[:, 1])
+
+
+@pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1)])
+def test_recovery_sums_match_bincount_formulas(lab, monkeypatch, domain, h):
+    """The 21 gathered entries of each normal matrix and a fit's right-hand
+    sides equal, bit for bit, the per-pair sums scattered by bincount in pair
+    order; the entrywise factor reproduces the matrices to rounding, and a
+    fit solves each vertex's system as np.linalg.solve does, within 1e-11 of
+    its largest coefficient."""
+    mesh = build_mesh(DOMAINS[domain], h)      # a fresh mesh: its factor is built here
+    n = mesh.n_vertices
+    u = _wavy(mesh)
+    mat, rhs, pw = _patch_sums(mesh, u)
+    built, factors = _recorded(monkeypatch, "_normal_equations"), _recorded(monkeypatch,
+                                                                           "_normal_factor")
+    solves = _recorded(monkeypatch, "_cholesky_solve")
     grad, hess = fields._quadratic_fit(mesh, u)
-    [(fit_mat, fit_rhs)] = systems
-    assert np.array_equal(fit_mat, mat)
-    assert np.array_equal(fit_rhs, rhs)
-    coef = linalg_solve(mat, rhs)[..., 0]
+    [(_, (_, gather_pw, _, _))] = built
+    [((entries,), L)] = factors
+    [((_, b), c)] = solves
+    assert np.array_equal(gather_pw, pw)
+    dense = np.zeros((n, 6, 6))
+    for i in range(6):
+        for j in range(i + 1):
+            assert np.array_equal(entries[i][j], mat[:, i, j]), (i, j)
+            dense[:, i, j] = L[i][j]
+    product = dense @ dense.transpose(0, 2, 1)
+    assert (np.abs(product - mat).max(axis=(1, 2)) <= 1e-13 * np.abs(mat).max(axis=(1, 2))).all()
+    assert np.array_equal(np.stack(b, axis=1), rhs)
+    coef = np.stack(c, axis=1)
+    ref = np.linalg.solve(mat, rhs[:, :, None])[..., 0]
+    assert (np.abs(coef - ref).max(axis=1) <= 1e-11 * np.abs(ref).max(axis=1)).all()
     assert np.array_equal(grad, coef[:, 1:3] / mesh.h)
     assert np.array_equal(hess, coef[:, [3, 4, 4, 5]].reshape(n, 2, 2) / (mesh.h * mesh.h))
+
+
+def test_a_singular_patch_shifts_only_its_own_normal_matrix(lab, monkeypatch):
+    """A vertex whose normal matrix has a pivot that is not positive is
+    factored with its diagonal shifted by 1e-12 tr(M); every other vertex
+    fits as it does on a mesh with no such vertex, bit for bit."""
+    ref = fields._quadratic_fit(lab.mesh("disk", 0.1), _wavy(lab.mesh("disk", 0.1)))
+    mesh = build_mesh(DOMAINS["disk"], 0.1)
+    vertex = 7
+    normal_factor = fields._normal_factor
+
+    def singular(m):
+        # row and column 5 of the vertex's matrix vanish: its last pivot is 0
+        for j in range(6):
+            m[5][j][vertex] = 0.0
+        return normal_factor(m)
+
+    monkeypatch.setattr(fields, "_normal_factor", singular)
+    choleskys = _recorded(monkeypatch, "_cholesky")
+    grad, hess = fields._quadratic_fit(mesh, _wavy(mesh))
+    # all the matrices, then the one shifted
+    assert [len(m[0][0]) for (m,), _ in choleskys] == [mesh.n_vertices, 1]
+    assert not choleskys[0][1][1][vertex] and choleskys[1][1][1].all()
+    others = np.arange(mesh.n_vertices) != vertex
+    assert np.array_equal(grad[others], ref[0][others])
+    assert np.array_equal(hess[others], ref[1][others])
+    assert np.isfinite(grad[vertex]).all() and np.isfinite(hess[vertex]).all()
 
 
 def test_recovery_hessian_order_on_cubics():

@@ -19,6 +19,16 @@ def test_flat_curvature_zero():
     assert np.all(gaussian_curvature(ConformalMetric.poly([(0, 0, 0.7)]), pts) == 0.0)
 
 
+def test_is_flat_measures_phi_zero():
+    """phi = 0 however it is written, and only then."""
+    zeros = [ConformalMetric.flat(), ConformalMetric.poly([]),
+             ConformalMetric.poly([(1, 0, 0.0), (0, 2, -0.0)]),
+             ConformalMetric.gaussian_bump(0.0, 0.1, -0.2, 1.1)]
+    others = [CAP4, ConformalMetric.poly([(0, 0, 0.7)]),
+              ConformalMetric.gaussian_bump(0.3, 0.1, -0.2, 1.1)]
+    assert [m.is_flat for m in zeros + others] == [True] * 4 + [False] * 3
+
+
 def test_cap_curvature_at_origin():
     assert gaussian_curvature(CAP4, ORIGIN)[0] == pytest.approx(1.0, abs=1e-14)
 

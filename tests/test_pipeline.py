@@ -47,6 +47,7 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     normal_eqs = _count_calls(monkeypatch, fields, "_normal_equations")
     sites = _count_calls(monkeypatch, identities, "_trace_sites")
     maps = _count_calls(monkeypatch, solver, "_assembly_maps")
+    rings = _count_calls(monkeypatch, identities, "_boundary_ring_exclusion")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
@@ -58,27 +59,28 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     # Euclidean ones (the trace's depth cap), each once per mesh
     assert len(measures) <= 2
     # mesh-only state, once per mesh: the recovery normal matrices, the
-    # tangent's assembly maps and the located trace sample sites
+    # tangent's assembly maps, the located trace sample sites and the
+    # scan's boundary mask
     assert len(normal_eqs) == 1
     assert len(maps) == 1
     assert len(sites) == 1
+    assert len(rings) == 1
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_zero_phi_case_matches_flat_case(p):
     """The flat metric is phi = 0: a poly metric with no terms runs the same
-    conformal code and must reproduce the flat case bit for bit."""
+    conformal code and must reproduce the flat case bit for bit, its
+    closed-form oracle and flags included."""
     spec = Disk(1.0)
     mesh = build_mesh(spec, 0.1)
     flat = run_case(spec, ConformalMetric.flat(), p, 0.1, mesh=mesh)
     zero = run_case(spec, ConformalMetric.poly([]), p, 0.1, mesh=mesh)
     assert np.array_equal(flat.solution.u, zero.solution.u)
     a, b = flat.report.to_json_dict(), zero.report.to_json_dict()
-    sections = ("constants", "fundamental", "sbt", "flux", "eq_curvature", "hk",
-                "subharmonicity")
-    for name in sections:
-        # the JSON text holds every float's repr, so equal text is bitwise equality
-        assert json.dumps(a[name], sort_keys=True) == json.dumps(b[name], sort_keys=True), name
+    assert {"oracle", "flags"} <= a.keys()
+    # the JSON text holds every float's repr, so equal text is bitwise equality
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 CAP = ConformalMetric.poly([(2, 0, -0.125), (0, 2, -0.125)])

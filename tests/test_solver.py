@@ -542,6 +542,25 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
         assert [s.cg_iterations for s in sol.steps] == [0, 0]
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_each_iterate_forms_its_element_gradients_once(lab, monkeypatch, p):
+    """One element-gradient product per line-search trial and one for u = 0:
+    the accepted trial's gradients feed the next residual, the next tangent
+    and the next rung's starting energy."""
+    mesh = lab.mesh("disk", 0.05)
+    products, energies = [], []
+    gradients, energy = _Assembler.gradients, _Assembler.energy
+    monkeypatch.setattr(_Assembler, "gradients",
+                        lambda self, u: products.append(1) or gradients(self, u))
+    monkeypatch.setattr(_Assembler, "energy",
+                        lambda self, u, eps: energies.append(1) or energy(self, u, eps))
+    sol = solve(mesh, METRICS["cap"], p)
+    # every rung starts with its energy; every other energy is a trial's
+    trials = len(energies) - len(sol.steps)
+    assert trials >= sum(s.iterations for s in sol.steps) > 0
+    assert len(products) == trials + 1
+
+
 def test_solve_does_not_depend_on_the_solve_before_it(lab):
     # a solve's held factor starts from its mesh's stiffness, a function of
     # the mesh alone, so a solve gives the same bits whichever solve built
@@ -622,13 +641,13 @@ def test_line_search_stagnation_is_a_solver_error(tmp_path, monkeypatch):
 
 
 def test_regularized_flux_eigenvalue_bound():
-    from plap_lab.solver import _flux_coeff
+    from plap_lab.solver import _Iterate, _sq_norm
 
     rng = np.random.default_rng(7)
     grads = rng.normal(0, 1.0, (200, 2))
     for p in (1.2, 2.0, 3.5):
         for eps in (1e-8, 1e-2, 1.0):
-            c = _flux_coeff(grads, p, eps)
+            c = _Iterate(None, grads, _sq_norm(grads), p, eps).flux_coeff()
             lam = np.linalg.eigvalsh(c[:, [0, 1, 1, 2]].reshape(-1, 2, 2))
             gstar = (eps * eps + np.einsum("mi,mi->m", grads, grads)) ** ((p - 2.0) / 2.0)
             floor = gstar * min(1.0, p - 1.0)
