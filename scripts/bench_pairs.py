@@ -22,9 +22,11 @@ which side ran first, exit code, the `reports_sha256` digest line of its
 table and `result`, its last stdout line, unedited.  `summary` gives, per
 workload and metric, both sides' medians and interquartile ranges and
 `change_better_pairs`, the pairs whose change run is strictly better in the
-direction of the metric's `better`.  With --append the runs join an
-existing file for the same parent and change as a further set (a traced
-pair, a repeat), and the summary is taken over all its runs again.
+direction of the metric's `better`, and per workload `digests_equal`,
+whether every complete pair's two sides have the same `reports_sha256`.
+With --append the runs join an existing file for the same parent and
+change as a further set (a traced pair, a repeat), and the summary is taken
+over all its runs again.
 
 The script reads only `BENCHMARK.json` and runs only `plapbench/` of the
 two checkouts; it writes the BENCH file and nothing else.
@@ -69,11 +71,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric of the runs' results: both sides' medians and
     interquartile ranges (statistics.quantiles' quartiles), and the number
     of pairs, keyed by set and pair, whose change value is strictly better
-    in the direction ``better[metric]`` ("lower" or "higher")."""
+    in the direction ``better[metric]`` ("lower" or "higher").  Per
+    workload, ``digests_equal`` is true when it has a complete pair (both
+    sides with a result) and in every such pair the two sides'
+    ``reports_sha256`` are the same digest."""
     values: dict = {}       # workload -> metric -> (set, pair) -> side -> value
+    digests: dict = {}      # workload -> (set, pair) -> side -> reports_sha256
     for run in runs:
         if run["result"] is None:
             continue
+        digests.setdefault(run["workload"], {}).setdefault(
+            (run["set"], run["pair"]), {})[run["side"]] = run.get("reports_sha256")
         for name, metric in run["result"]["metrics"].items():
             pair = values.setdefault(run["workload"], {}).setdefault(name, {}).setdefault(
                 (run["set"], run["pair"]), {})
@@ -93,6 +101,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 1 for pair in pairs.values()
                 if len(pair) == 2 and sign * (pair["change"] - pair["parent"]) > 0)
             summary.setdefault(workload, {})[name] = entry
+    for workload, pairs in digests.items():
+        complete = [pair for pair in pairs.values() if len(pair) == 2]
+        summary.setdefault(workload, {})["digests_equal"] = bool(complete) and all(
+            pair["parent"] is not None and pair["parent"] == pair["change"]
+            for pair in complete)
     return summary
 
 

@@ -5,14 +5,15 @@ A run takes three things from here: derivative recovery on a mesh
 L_u P (`linearized_on_p`), which feeds the interior side of every identity
 and the subharmonicity scan.  A bundle holds u, its frame gradient and
 Hessian and the mask; `linearized_on_p` derives its terms from them, and the
-metric's weights are `geometry.domain_measures`'.  The recovery is the
-weighted quadratic patch fit of Zienkiewicz and Zhu (Int. J. Numer. Meth.
-Eng. 33, 1992).  Its normal matrices depend on the mesh alone, so they are
-factored once per mesh, all n together, entry by entry on n-vectors (the
-batched factorization of many tiny systems: Dongarra et al., Procedia
-Comput. Sci. 108, 2017); a fit is six gathers and one forward and back
-substitution.  The acceptance gate's
-exact-algebra checks (`p_bochner_residual`, `lu_p_two_routes`) run on
+metric's weights and curvature are `geometry.domain_measures`'.  The
+recovery is the weighted quadratic patch fit of Zienkiewicz and Zhu (Int.
+J. Numer. Meth. Eng. 33, 1992).  Its normal matrices and weighted basis
+products depend on the mesh alone, so they are formed once per mesh: the
+matrices factored all n together, entry by entry on n-vectors (the batched
+factorization of many tiny systems: Dongarra et al., Procedia Comput. Sci.
+108, 2017), and the products kept as six sparse matrices W_k; a fit is six
+products W_k @ u and one forward and back substitution.  The acceptance
+gate's exact-algebra checks (`p_bochner_residual`, `lu_p_two_routes`) run on
 analytic fields with exact derivatives through third order; there Delta_p u
 is evaluated in divergence form (`_p_laplacian_with_gradient`),
 independently of the frame route.
@@ -40,7 +41,7 @@ import numpy as np
 from ._poly import Coeffs, PolynomialField
 from ._sparse import Compressed, csr_pattern, csr_square
 from .errors import ValidationError
-from .geometry import DIM, TriMesh
+from .geometry import DIM, TriMesh, domain_measures
 from .metric import ConformalMetric, gaussian_curvature
 from .oracles import radial_exact
 
@@ -95,19 +96,22 @@ def frame_from_scalar(metric: ConformalMetric, pts: np.ndarray,
 
     Each entry is built as a 1-D array, ((d2f_ij - dphi_i df_j) - dphi_j df_i)
     + <dphi, df> delta_ij, then symmetrised as 0.5 (s_ij + s_ji) and scaled by
-    e^{-2 phi}.  The shipped outputs depend on this order of operations.
+    e^{-2 phi}.  The shipped outputs depend on this order of operations.  The
+    (Q, 2, 2) Hessian is a view of a (2, 2, Q) array, so that each entry is
+    a contiguous 1-D array, and so is each component of df and d2f when they
+    are views of component-major arrays, as `recover_derivatives` passes them.
     """
     e, G = _frame(metric, pts, df)
-    dphi = metric.grad_phi(pts)
-    dot = np.einsum("ni,ni->n", dphi, df)
-    s = [[d2f[:, i, j] - dphi[:, i] * df[:, j] - dphi[:, j] * df[:, i] + dot * _EYE2[i, j]
+    dphi = np.ascontiguousarray(metric.grad_phi(pts).T)
+    dot = dphi[0] * df[:, 0] + dphi[1] * df[:, 1]
+    s = [[d2f[:, i, j] - dphi[i] * df[:, j] - dphi[j] * df[:, i] + dot * _EYE2[i, j]
           for j in range(DIM)] for i in range(DIM)]
     e2 = e**2
-    S = np.empty((len(e2), DIM, DIM))
+    S = np.empty((DIM, DIM, len(e2)))
     for i in range(DIM):
         for j in range(DIM):
-            S[:, i, j] = e2 * (0.5 * (s[i][j] + s[j][i]))
-    return G, S
+            S[i, j] = e2 * (0.5 * (s[i][j] + s[j][i]))
+    return G, S.transpose(2, 0, 1)
 
 
 def _make_bundle(metric, pts, u, df, d2f, delta_crit, mesh=None,
@@ -141,17 +145,18 @@ def _two_ring(mesh: TriMesh) -> Compressed:
     return csr_square(csr_pattern(i, j, (n, n)))
 
 
-def _normal_equations(mesh: TriMesh) -> tuple[Compressed, np.ndarray, tuple, list]:
+def _normal_equations(mesh: TriMesh) -> tuple[list, list]:
     """The part of the patch fit that does not depend on the nodal values:
-    the gather (n x pairs, CSR) that sums a per-pair array over each
-    vertex's two-ring pairs in pair order, the neighbour w of each pair
-    (v, w), the pairs' Gaussian weights and scaled offsets (weight, dx, dy),
-    from which a fit forms its weighted basis again, and the Cholesky factor
-    (`_normal_factor`) of each vertex's normal matrix sum w b b^T."""
+    the six weighted basis products W_k (`_patch_basis`) as (n, n) CSR
+    matrices on the two-ring pattern, so that row v of W_k @ u sums
+    w b_k u_w over v's pairs (v, w) in pair order, and the Cholesky factor
+    (`_normal_factor`) of each vertex's normal matrix sum w b b^T, whose
+    entries sum the products (w b_i) b_j over the same pairs."""
     two = _two_ring(mesh)
     n, n_pairs = mesh.n_vertices, two.nnz
     pw = two.indices
     pv = np.repeat(np.arange(n, dtype=pw.dtype), np.diff(two.indptr))
+    # the per-pair sums over each vertex's pairs, used only here
     gather = Compressed("csr", np.ones(n_pairs), np.arange(n_pairs, dtype=pw.dtype),
                         two.indptr, (n, n_pairs))
     dx, dy = ((mesh.points[pw, k] - mesh.points[pv, k]) / mesh.h for k in range(2))
@@ -159,15 +164,17 @@ def _normal_equations(mesh: TriMesh) -> tuple[Compressed, np.ndarray, tuple, lis
     basis = _patch_basis(dx, dy)
     # the 21 distinct entries (w b_i) b_j, i >= j; one product at a time keeps
     # the temporaries small
-    entries = []
+    products, entries = [], []
     for i in range(6):
         wb = w * basis[i]
+        wb.flags.writeable = False          # shared by every fit on the mesh
+        products.append(Compressed("csr", wb, pw, two.indptr, (n, n)))
         entries.append([gather @ (wb * basis[j]) for j in range(i + 1)])
     factor = _normal_factor(entries)
     for row in factor:
         for e in row:
-            e.flags.writeable = False       # shared by every fit on the mesh
-    return gather, pw, (w, dx, dy), factor
+            e.flags.writeable = False
+    return products, factor
 
 
 def _patch_basis(dx: np.ndarray, dy: np.ndarray) -> list:
@@ -232,15 +239,14 @@ def _quadratic_fit(mesh: TriMesh, nodal: np.ndarray) -> tuple[np.ndarray, np.nda
     h); reproduces quadratic fields exactly up to the boundary, which plain
     averaging of element gradients does not.  The Hessian is symmetric by
     construction: both off-diagonal entries are the one xy coefficient.
-    The gather and the Cholesky factors of the normal matrices are built
-    once per mesh; a fit gathers its six right-hand sides and solves the n
-    6 x 6 systems with those factors, entry by entry (`_cholesky_solve`).
+    The weighted basis products W_k and the Cholesky factors of the normal
+    matrices are built once per mesh (`_normal_equations`); a fit forms its
+    six right-hand sides as the products W_k @ u and solves the n 6 x 6
+    systems with those factors, entry by entry (`_cholesky_solve`).
     """
-    gather, pw, (w, dx, dy), factor = mesh.derived("recovery", lambda: _normal_equations(mesh))
+    products, factor = mesh.derived("recovery", lambda: _normal_equations(mesh))
     h = mesh.h
-    vals = nodal[pw]
-    rhs = [gather @ (w * b * vals) for b in _patch_basis(dx, dy)]
-    c = _cholesky_solve(factor, rhs)
+    c = _cholesky_solve(factor, [wb @ nodal for wb in products])
     hess = np.stack([c[3], c[4], c[4], c[5]], axis=1).reshape(-1, 2, 2)
     return np.stack([c[1], c[2]], axis=1) / h, hess / (h * h)
 
@@ -267,11 +273,13 @@ def recover_derivatives(mesh: TriMesh, u: np.ndarray, metric: ConformalMetric) -
     nodal_g, nodal_h = _quadratic_fit(mesh, u)
 
     # u, gradient and Hessian stacked as (N, 7): one interpolation for all
-    # three; u is copied out, so that the bundle does not keep all 7 columns
-    at = mesh.quad_interpolation() @ np.concatenate(
-        [u[:, None], nodal_g, nodal_h.reshape(-1, 4)], axis=1)
-    return _make_bundle(metric, mesh.quad_points, at[:, 0].copy(), at[:, 1:3],
-                        at[:, 3:].reshape(-1, 2, 2), None,
+    # three, transposed once so that each of the seven is a contiguous row
+    # (`frame_from_scalar`); u is copied out, so that the bundle does not
+    # keep all seven
+    at = np.ascontiguousarray((mesh.quad_interpolation() @ np.concatenate(
+        [u[:, None], nodal_g, nodal_h.reshape(-1, 4)], axis=1)).T)
+    return _make_bundle(metric, mesh.quad_points, at[0].copy(), at[1:3].T,
+                        at[3:].T.reshape(-1, 2, 2), None,
                         mesh=mesh, nodal_grad=nodal_g, nodal_hess=nodal_h)
 
 
@@ -425,7 +433,9 @@ def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
                 + 2(p-1)(p-2)|g|^{2(p-2)} |grad|g||^2 - (p-1)/n,
 
     with A = g.S.g / |g|^2, |grad|g|| = |S g| / |g| and Ric(g, g) = K |g|^2
-    from the frame gradient g and Hessian S.  NaN at masked points.
+    from the frame gradient g and Hessian S.  NaN at masked points.  K of a
+    recovered bundle, whose points are its mesh's quadrature points, is the
+    one `domain_measures` keeps per mesh and metric.
     """
     G, S, gn, mask = bundle.grad, bundle.hess, bundle.gnorm, bundle.mask
     safe = np.where(mask, 1.0, np.maximum(gn, 1e-300))
@@ -436,7 +446,9 @@ def linearized_on_p(bundle: DerivativeBundle, p: float, n: int) -> np.ndarray:
     sg0, sg1 = s00 * g0 + s01 * g1, s10 * g0 + s11 * g1
     a_u = (g0 * sg0 + g1 * sg1) / safe**2
     grad_gnorm = np.sqrt(sg0**2 + sg1**2) / safe
-    ric = gaussian_curvature(bundle.metric, bundle.points) * gn**2
+    K = (gaussian_curvature(bundle.metric, bundle.points) if bundle.mesh is None
+         else domain_measures(bundle.mesh, bundle.metric).curvature)
+    ric = K * gn**2
     with np.errstate(invalid="ignore"):
         amp = safe ** (2.0 * (p - 2.0))
         val = (p - 1.0) * amp * (hess_frob**2 + (p - 2.0) ** 2 * a_u**2 + ric)

@@ -298,8 +298,9 @@ class TriMesh:
     quad_weights: np.ndarray            # (M*Q,) physical weights
     boundary: "BoundaryGeometry"        # exact geometry at the boundary vertices
     # state that depends on the mesh alone (minimum angle, quadrature
-    # interpolation, point locator, measures per metric, recovery normal
-    # factors, assembly maps, trace sample sites, the scan's boundary mask),
+    # interpolation, point locator, measures and curvature per metric,
+    # recovery products and normal factors, assembly maps, trace sample
+    # sites, the scan's incidence and boundary mask, the oracles' radii),
     # built by `derived` on first use and shared by every case; not an init
     # field, so that a `dataclasses.replace` copy starts with none of it
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -975,6 +976,11 @@ class Measures:
     # and e^{phi} ds at the boundary nodes
     volume_weights: np.ndarray = field(compare=False, repr=False)
     boundary_weights: np.ndarray = field(compare=False, repr=False)
+    # the read-only Gaussian curvature K = -e^{-2 phi} Delta phi at
+    # `mesh.quad_points`, and the largest Delta phi there (Ric >= 0 is
+    # Delta phi <= 0: `metric.check_nonnegative_ricci`)
+    curvature: np.ndarray = field(compare=False, repr=False)
+    laplacian_max: float = field(compare=False, repr=False)
 
     @property
     def h0(self) -> float:
@@ -985,14 +991,21 @@ class Measures:
 
 def domain_measures(mesh: TriMesh, metric) -> Measures:
     """The metric's volume and length weights and their sums (Euclidean for
-    the flat metric, whose factors are exp(0) = 1), once per mesh and metric;
-    every integral against e^{2 phi} dx or e^{phi} ds takes its weights here."""
+    the flat metric, whose factors are exp(0) = 1), and its curvature at the
+    quadrature points, once per mesh and metric; every integral against
+    e^{2 phi} dx or e^{phi} ds takes its weights here, and every case on the
+    mesh its K and Delta phi."""
 
     def build() -> Measures:
         bg = mesh.boundary
-        vol_w = mesh.quad_weights * np.exp(2.0 * metric.phi(mesh.quad_points))
+        phi = metric.phi(mesh.quad_points)
+        lap = metric.laplacian_phi(mesh.quad_points)
+        vol_w = mesh.quad_weights * np.exp(2.0 * phi)
         bnd_w = bg.weight * np.exp(metric.phi(bg.position))
-        vol_w.flags.writeable = bnd_w.flags.writeable = False
-        return Measures(float(np.sum(vol_w)), float(np.sum(bnd_w)), vol_w, bnd_w)
+        # the formula of `metric.gaussian_curvature`, so K is its value bit for bit
+        curv = -np.exp(-2.0 * phi) * lap
+        vol_w.flags.writeable = bnd_w.flags.writeable = curv.flags.writeable = False
+        return Measures(float(np.sum(vol_w)), float(np.sum(bnd_w)), vol_w, bnd_w,
+                        curv, float(lap.max()))
 
     return mesh.derived(("measures", metric), build)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sparse import Compressed
 from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p, p_function
 from .geometry import DIM, QUAD_BARY, Disk, Ellipse, TriMesh, domain_measures
@@ -287,13 +288,23 @@ def scan_tolerance(h: float, p: float) -> float:
 _SCAN_RINGS = 2
 
 
+def _incidence(mesh) -> Compressed:
+    """The (triangles, vertices) incidence E of the mesh as a boolean CSR
+    matrix, built once per mesh: E @ vmark marks the triangles with a marked
+    corner and E.T @ tmark the corners of the marked triangles."""
+    m = mesh.n_triangles
+    return mesh.derived("incidence", lambda: Compressed(
+        "csr", np.ones(3 * m, dtype=bool), mesh.triangles.ravel(),
+        np.arange(0, 3 * m + 1, 3), (m, mesh.n_vertices)))
+
+
 def _ring_mask(mesh, vmark: np.ndarray, rings: int) -> np.ndarray:
     """Quadrature points of the elements within `rings` element rings of the
     marked vertices (rings = 0: the elements touching them)."""
+    incidence = _incidence(mesh)
     for _ in range(rings):
-        tmark = vmark[mesh.triangles].any(axis=1)
-        vmark[mesh.triangles[tmark].ravel()] = True
-    return np.repeat(vmark[mesh.triangles].any(axis=1), len(QUAD_BARY))
+        vmark = incidence.T @ (incidence @ vmark)
+    return np.repeat(incidence @ vmark, len(QUAD_BARY))
 
 
 def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
@@ -307,8 +318,7 @@ def _near_critical_exclusion(bundle: DerivativeBundle, p: float) -> np.ndarray:
     mesh = bundle.mesh
     delta_scan = max(bundle.delta_crit, (3.0 * mesh.h / DIM) ** (1.0 / (p - 1.0)))
     near = (bundle.gnorm <= delta_scan) | bundle.mask
-    vmark = np.zeros(mesh.n_vertices, dtype=bool)
-    vmark[mesh.triangles[np.unique(np.flatnonzero(near) // len(QUAD_BARY))].ravel()] = True
+    vmark = _incidence(mesh).T @ near.reshape(-1, len(QUAD_BARY)).any(axis=1)
     return near | _ring_mask(mesh, vmark, _SCAN_RINGS)
 
 
@@ -330,13 +340,13 @@ def subharmonicity_scan(bundle: DerivativeBundle, p: float,
                         lu: tuple[np.ndarray, float]) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
     """Minimum and distribution of the pointwise L_u P values ``lu`` (`lu_p`:
     values and integral; requires Ric >= 0 at every quadrature point
-    (`check_nonnegative_ricci`) and at least one point left after the
-    exclusions).
+    (`check_nonnegative_ricci` of the `domain_measures` record) and at least
+    one point left after the exclusions).
 
     Returns the report section and the histogram of the scanned values.
     """
     mesh = bundle.mesh
-    check_nonnegative_ricci(bundle.metric, bundle.points)
+    check_nonnegative_ricci(domain_measures(mesh, bundle.metric).laplacian_max)
     vals, integral = lu
     excl = _near_critical_exclusion(bundle, p) | mesh.derived(
         "boundary_rings", lambda: _boundary_ring_exclusion(mesh))
@@ -390,6 +400,19 @@ def equivalence_suite(trace: BoundaryTrace, bundle: DerivativeBundle) -> dict:
 # --------------------------------------------------------------------------
 
 
+def _oracle_geometry(mesh: TriMesh) -> tuple:
+    """What the closed forms of `oracle_section` read of a flat disk or
+    ellipse mesh alone, once per mesh: its `ellipse_boundary_integrals` and,
+    on a disk, the read-only vertex radii |x| clipped to R (None on an
+    ellipse)."""
+    spec = mesh.spec
+    if not isinstance(spec, Disk):
+        return ellipse_boundary_integrals(spec.a, spec.b), None
+    radii = np.minimum(np.linalg.norm(mesh.points, axis=1), spec.radius)
+    radii.flags.writeable = False
+    return ellipse_boundary_integrals(spec.radius, spec.radius), radii
+
+
 def oracle_section(u: np.ndarray, bundle: DerivativeBundle, trace: BoundaryTrace) -> dict | None:
     """The case against its closed forms, as data with no verdict; None
     where the domain and metric have none.
@@ -407,15 +430,13 @@ def oracle_section(u: np.ndarray, bundle: DerivativeBundle, trace: BoundaryTrace
     mesh, spec = bundle.mesh, bundle.mesh.spec
     if not bundle.metric.is_flat or not isinstance(spec, (Disk, Ellipse)):
         return None
-    disk = isinstance(spec, Disk)
-    a, b = (spec.radius, spec.radius) if disk else (spec.a, spec.b)
-    ei = ellipse_boundary_integrals(a, b)
+    ei, radii = mesh.derived("oracle_geometry", lambda: _oracle_geometry(mesh))
     section = {"volume": ei.volume, "perimeter": ei.perimeter,
                "t3": ei.inv_curvature_integral - DIM * ei.volume}
-    if disk:
+    if radii is not None:
         p, radius = trace.p, spec.radius
         profile = radial_exact(DIM, p, radius)
-        err = u - profile.u(np.minimum(np.linalg.norm(mesh.points, axis=1), radius))
+        err = u - profile.u(radii)
         eq = np.abs(mesh.quad_interpolation() @ err)
         spread = p_function(bundle.gnorm, bundle.u, p, DIM)[~bundle.mask]
         section.update({
@@ -478,14 +499,16 @@ def build_report(u: np.ndarray, bundle: DerivativeBundle, trace: BoundaryTrace) 
     lu = lu_p(bundle, trace.p)
     checks = integral_identities(trace, bundle, lu[1])
     histogram = None
+    # a caught error is kept without its traceback, whose frames (this one
+    # among them) would hold the case's arrays in a reference cycle
     try:
         checks["subharmonicity"], histogram = subharmonicity_scan(bundle, trace.p, lu)
     except PreconditionError as exc:
-        checks["subharmonicity"] = exc
+        checks["subharmonicity"] = exc.with_traceback(None)
     try:
         checks["flags"] = equivalence_suite(trace, bundle)
     except PreconditionError as exc:
-        checks["flags"] = exc
+        checks["flags"] = exc.with_traceback(None)
     # a check outside its preconditions is the PreconditionError that skips it
     for name, section in checks.items():
         if isinstance(section, PreconditionError):

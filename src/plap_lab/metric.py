@@ -6,8 +6,9 @@ or a radial Gaussian bump.  The flat metric is the polynomial with no
 coefficients (phi = 0); its `kind` survives only as the JSON label, and
 `is_flat` measures phi = 0 from the coefficients.  In two dimensions
 Ric >= 0 is equivalent to the Gaussian curvature K = -e^{-2 phi} (Delta phi)
-being nonnegative, i.e. to Delta phi <= 0, and `check_nonnegative_ricci`
-measures it: no metric declares it.
+being nonnegative, i.e. to Delta phi <= 0: `geometry.domain_measures`
+measures the largest Delta phi at a mesh's quadrature points, and
+`check_nonnegative_ricci` checks it.  No metric declares it.
 """
 
 from __future__ import annotations
@@ -138,9 +139,10 @@ def geodesic_boundary_curvature(metric: ConformalMetric, bg) -> np.ndarray:
 _RICCI_TOL = 1e-12
 
 
-def check_nonnegative_ricci(metric: ConformalMetric, pts: np.ndarray) -> None:
-    """Measure Ric >= 0 at the given points: raise a PreconditionError naming
-    the largest Delta phi when it exceeds _RICCI_TOL."""
-    worst = float(metric.laplacian_phi(np.asarray(pts, dtype=float)).max())
-    if worst > _RICCI_TOL:
-        raise PreconditionError(f"Ric < 0: Delta phi reaches {worst:.3e} > {_RICCI_TOL:.1e}")
+def check_nonnegative_ricci(laplacian_max: float) -> None:
+    """Ric >= 0 from the largest Delta phi over the points measured (a
+    case's is `Measures.laplacian_max`, at its mesh's quadrature points):
+    raise a PreconditionError naming it when it exceeds _RICCI_TOL."""
+    if laplacian_max > _RICCI_TOL:
+        raise PreconditionError(
+            f"Ric < 0: Delta phi reaches {laplacian_max:.3e} > {_RICCI_TOL:.1e}")

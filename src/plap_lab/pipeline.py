@@ -11,12 +11,14 @@ the report and the nodal P-function outlive the call; the
 per-quadrature-point derivative bundle does not.
 
 Mesh-derived state lives on the `TriMesh`: the minimum angle, the
-quadrature interpolation, the point locator, the domain measures per
-metric, the factors of the recovery's normal matrices, the solver's
-assembly maps, its P1 stiffness with that matrix's factor, the trace
-sample sites and the subharmonicity scan's boundary mask are built the
-first time a case needs them, and every later case on the same mesh (as
-`cli` runs all p values of one h) reuses them.
+quadrature interpolation, the point locator, the domain measures per metric
+(with the metric's curvature at the quadrature points), the recovery's
+weighted basis products and normal-matrix factors, the solver's assembly
+maps, its P1 stiffness with that matrix's factor, the trace sample sites,
+the subharmonicity scan's triangle-vertex incidence and boundary mask and
+the oracles' vertex radii are built the first time a case needs them, and
+every later case on the same mesh (as `cli` runs all p values of one h)
+reuses them.
 """
 
 from __future__ import annotations

@@ -25,12 +25,20 @@ def _sample_points(count=80, rmin=0.35, rmax=1.1, seed=5):
     return np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
 
 
+def _c_ordered(bundle):
+    """The bundle's frame gradient and Hessian as C-ordered arrays: a
+    recovered bundle's are views of component-major arrays, and einsum's
+    order of summation follows the memory layout of its operands."""
+    return np.ascontiguousarray(bundle.grad), np.ascontiguousarray(bundle.hess)
+
+
 def _direction_terms(bundle):
     """A_u = g.S.g / |g|^2 and |grad |grad u||_g = |S g| / |g| from the
     bundle's frame gradient g and Hessian S; NaN where masked."""
     safe = np.where(bundle.mask, 1.0, bundle.gnorm)
-    sg = np.einsum("nij,nj->ni", bundle.hess, bundle.grad)
-    a_u = np.einsum("ni,ni->n", bundle.grad, sg) / safe**2
+    grad, hess = _c_ordered(bundle)
+    sg = np.einsum("nij,nj->ni", hess, grad)
+    a_u = np.einsum("ni,ni->n", grad, sg) / safe**2
     grad_gnorm = np.linalg.norm(sg, axis=1) / safe
     a_u[bundle.mask] = grad_gnorm[bundle.mask] = np.nan
     return a_u, grad_gnorm
@@ -91,10 +99,10 @@ def _wavy(mesh):
 @pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.05), ("annulus", 0.1)])
 def test_recovery_sums_match_bincount_formulas(lab, monkeypatch, domain, h):
     """The 21 gathered entries of each normal matrix and a fit's right-hand
-    sides equal, bit for bit, the per-pair sums scattered by bincount in pair
-    order; the entrywise factor reproduces the matrices to rounding, and a
-    fit solves each vertex's system as np.linalg.solve does, within 1e-11 of
-    its largest coefficient."""
+    sides, the products W_k @ u, equal, bit for bit, the per-pair sums
+    scattered by bincount in pair order; the entrywise factor reproduces the
+    matrices to rounding, and a fit solves each vertex's system as
+    np.linalg.solve does, within 1e-11 of its largest coefficient."""
     mesh = build_mesh(DOMAINS[domain], h)      # a fresh mesh: its factor is built here
     n = mesh.n_vertices
     u = _wavy(mesh)
@@ -103,10 +111,15 @@ def test_recovery_sums_match_bincount_formulas(lab, monkeypatch, domain, h):
                                                                            "_normal_factor")
     solves = _recorded(monkeypatch, "_cholesky_solve")
     grad, hess = fields._quadratic_fit(mesh, u)
-    [(_, (_, gather_pw, _, _))] = built
+    [(_, (products, _))] = built
     [((entries,), L)] = factors
     [((_, b), c)] = solves
-    assert np.array_equal(gather_pw, pw)
+    # the six products W_k are CSR matrices on the two-ring pattern
+    ring = fields._two_ring(mesh)
+    assert len(products) == 6
+    for wb in products:
+        assert wb.shape == (n, n) and np.array_equal(wb.indices, pw)
+        assert np.array_equal(wb.indptr, ring.indptr)
     dense = np.zeros((n, 6, 6))
     for i in range(6):
         for j in range(i + 1):
@@ -295,7 +308,8 @@ def _lu_p_reference(bundle, p, n):
     """L_u P from the bundle's frame gradient and Hessian and the Gaussian
     curvature K, term by term as the closed form writes it."""
     a_u, grad_gnorm = _direction_terms(bundle)
-    hess_frob = np.sqrt(np.einsum("nij,nij->n", bundle.hess, bundle.hess))
+    hess = _c_ordered(bundle)[1]
+    hess_frob = np.sqrt(np.einsum("nij,nij->n", hess, hess))
     ric = gaussian_curvature(bundle.metric, bundle.points) * bundle.gnorm**2
     amp = np.where(bundle.mask, 1.0, bundle.gnorm) ** (2.0 * (p - 2.0))
     val = (p - 1.0) * amp * (hess_frob**2 + (p - 2.0) ** 2 * a_u**2 + ric)

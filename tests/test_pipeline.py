@@ -1,7 +1,10 @@
 """One pass per case: each piece of a case's derived state is built once."""
 
+import gc
+import hashlib
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from plap_lab import (ConformalMetric, Disk, Ellipse, ValidationError,
                       boundary_trace, build_mesh, build_report, fields, geometry,
                       identities, recover_derivatives, solve, solver)
 from plap_lab.cli import main
+from plap_lab.identities import lu_p
 from plap_lab.pipeline import run_case
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +35,14 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
+def _count_laplacians(monkeypatch) -> list:
+    """Count the evaluations of Delta phi, by any metric."""
+    original, calls = ConformalMetric.laplacian_phi, []
+    monkeypatch.setattr(ConformalMetric, "laplacian_phi",
+                        lambda metric, pts: calls.append(metric) or original(metric, pts))
+    return calls
+
+
 def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({
@@ -48,6 +60,7 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     sites = _count_calls(monkeypatch, identities, "_trace_sites")
     maps = _count_calls(monkeypatch, solver, "_assembly_maps")
     rings = _count_calls(monkeypatch, identities, "_boundary_ring_exclusion")
+    laplacians = _count_laplacians(monkeypatch)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
     n_cases, n_loops = 2, 1            # one disk mesh shared by both cases
     assert len(recoveries) == n_cases
@@ -55,12 +68,14 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     assert len(lengths) <= n_loops
     assert len(tables) <= n_loops
     assert len(lu_p) == n_cases
-    # the metric measures (run_case and the solver's eps0 scale) and the
-    # Euclidean ones (the trace's depth cap), each once per mesh
-    assert len(measures) <= 2
-    # mesh-only state, once per mesh: the recovery normal matrices, the
-    # tangent's assembly maps, the located trace sample sites and the
-    # scan's boundary mask
+    # the per-(mesh, metric) record of weights, K and Delta phi, once per
+    # mesh and metric: the flat metric's serves the cases, the solver's eps0
+    # scale and the trace's depth cap, and it alone evaluates Delta phi
+    assert len(measures) == 1
+    assert len(laplacians) == 1
+    # mesh-only state, once per mesh: the recovery's weighted basis products
+    # W_k and normal-matrix factors, the tangent's assembly maps, the located
+    # trace sample sites and the scan's boundary mask
     assert len(normal_eqs) == 1
     assert len(maps) == 1
     assert len(sites) == 1
@@ -100,6 +115,41 @@ def test_warm_mesh_state_matches_a_fresh_mesh(spec, h):
             assert np.array_equal(warm.solution.u, ref.solution.u)
             assert (json.dumps(warm.report.to_json_dict(), sort_keys=True)
                     == json.dumps(ref.report.to_json_dict(), sort_keys=True))
+
+
+def test_a_warm_case_evaluates_no_laplacian(monkeypatch):
+    """K and the largest Delta phi are kept per mesh and metric: the first
+    cap case evaluates Delta phi once for the cap record and once for the
+    flat one of the trace's depth cap, and a second case on the warm mesh
+    with the same metric evaluates it nowhere."""
+    spec = Disk(1.0)
+    mesh = build_mesh(spec, 0.1)
+    laplacians = _count_laplacians(monkeypatch)
+    first = run_case(spec, CAP, 3.0, 0.1, mesh=mesh)
+    assert sorted(m.kind for m in laplacians) == ["flat", "poly"]
+    laplacians.clear()
+    second = run_case(spec, CAP, 1.5, 0.1, mesh=mesh)
+    assert laplacians == []
+    assert "subharmonicity" in first.report.sections
+    assert "subharmonicity" in second.report.sections
+
+
+def test_a_skipped_check_keeps_no_case_array_alive():
+    """A skipped check's error is kept without its traceback, whose frames
+    would hold the case's bundle in a reference cycle until the cyclic
+    collector ran."""
+    mesh = build_mesh(Disk(1.0), 0.2)
+    u = solve(mesh, CAP, 2.0).u
+    bundle = recover_derivatives(mesh, u, CAP)
+    alive = weakref.ref(bundle)
+    gc.disable()
+    try:
+        report = build_report(u, bundle, boundary_trace(bundle, 2.0))
+        del bundle
+        assert "flags" in report.sections["skipped"]
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_report_by_hand_matches_run_case():
@@ -199,3 +249,38 @@ def test_disk_oracle_by_hand():
     expected["u_err_max"] = np.abs(case.solution.u - c * (1.0 - r ** q)).max()
     # R = 1, so each closed form is the oracle's own arithmetic, bit for bit
     assert {key: oracle[key] for key in expected} == expected
+
+
+# sha256 of the post-solve arrays of one solved case, in this order:
+# `recover_derivatives`' grad, hess, gnorm and mask, `lu_p`'s values and
+# integral, and `boundary_trace`'s u_nu, u_nunu and gnorm (see
+# _post_solve_digest).  `tests/values.json` compares within 1e-8 relative;
+# these pin the arrays bit for bit.  They were recorded before the fit's
+# right-hand sides became per-mesh sparse products, K a per-(mesh, metric)
+# record and the frame algebra column-wise, none of which moved a bit
+POST_SOLVE_DIGESTS = {
+    ("disk", 0.1, "flat", 1.5): "e7b997f2b3ce4a614cea412da65912f292be525177678d285de883e9a4366aca",
+    ("disk", 0.1, "flat", 3.0): "3cb68ba9cc494e215fe670ce25b47ae258eede4f2594ca7dd2f6b32e8f9127b8",
+    ("disk", 0.1, "cap", 1.5): "220061d9a7839856cb4631e9c0bc3186d69a3913f719c642cd0d111804b41aae",
+    ("disk", 0.1, "cap", 3.0): "3021747226982860a235ddb8dc980cceae4ad62ce32f26fcb22ca1ceee8a1f1f",
+    ("ellipse", 0.14, "flat", 1.5): "db30e7d8abedd654c56bdc2ddcf95aa777b2c7d967bbef10fbea457f752ab17d",
+    ("ellipse", 0.14, "flat", 3.0): "624134764bbf7c0c7cbb2e3eaf623b5546152b3ef6cc8fb3277841ac0a2bd32d",
+    ("ellipse", 0.14, "cap", 1.5): "19e5f99baeb1fb425bf327c084674f434f47112ceab8c2df6b2c417f5883c8d7",
+    ("ellipse", 0.14, "cap", 3.0): "295a00ade8da70d1f0d248d70c244903af9fb6ab4b1485e44fc28f2a5dd91bf0",
+}
+
+
+def _post_solve_digest(mesh, solution, p):
+    bundle = recover_derivatives(mesh, solution.u, solution.metric)
+    vals, integral = lu_p(bundle, p)
+    trace = boundary_trace(bundle, p)
+    parts = (bundle.grad, bundle.hess, bundle.gnorm, bundle.mask, vals, np.float64(integral),
+             trace.u_nu, trace.u_nunu, trace.gnorm)
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest()
+
+
+@pytest.mark.parametrize("domain, h, metric, p", list(POST_SOLVE_DIGESTS))
+def test_post_solve_arrays_match_recorded_digest(lab, domain, h, metric, p):
+    solution = lab.solution(domain, p, h, metric)
+    assert _post_solve_digest(lab.mesh(domain, h), solution, p) == POST_SOLVE_DIGESTS[
+        domain, h, metric, p]

@@ -75,3 +75,26 @@ def test_bench_pairs_summarizes_each_metric_in_its_direction():
     assert summary["checks_passed_frac"] == {
         "median_parent": 1.0, "iqr_parent": 0.0, "median_change": 1.0, "iqr_change": 0.0,
         "change_better_pairs": 0}
+
+
+def test_bench_pairs_reports_digest_agreement():
+    """``digests_equal`` holds for a workload when every complete pair's two
+    sides have the same ``reports_sha256``; a run with no result or a pair
+    with one side does not count, and a missing digest is no agreement."""
+    def run(workload, pair, side, digest, result=True):
+        return {**_run("all", pair, side, wall_s=0.3), "workload": workload,
+                "reports_sha256": digest, **({} if result else {"result": None})}
+
+    runs = [run("same", 0, "parent", "a"), run("same", 0, "change", "a"),
+            run("same", 1, "parent", "b"), run("same", 1, "change", "b"),
+            # a failed run and a pair with one side are not complete pairs
+            run("same", 2, "parent", "c"), run("same", 2, "change", "d", result=False),
+            run("same", 3, "change", "e"),
+            run("moved", 0, "parent", "a"), run("moved", 0, "change", "a"),
+            run("moved", 1, "parent", "b"), run("moved", 1, "change", "c"),
+            run("unread", 0, "parent", None), run("unread", 0, "change", None),
+            run("alone", 0, "parent", "a")]
+    summary = _bench_pairs().summarize(runs, {"wall_s": "lower"})
+    assert {w: summary[w]["digests_equal"] for w in summary} == {
+        "same": True, "moved": False, "unread": False, "alone": False}
+    assert summary["same"]["wall_s"]["median_parent"] == 0.3
