@@ -30,7 +30,8 @@ import numpy as np
 # matcheck and radial need only numpy: the 2-D layers (`geometry`, `pipeline`
 # and what they load, scipy among it) are imported inside the functions that
 # verify runs
-from .errors import ConfigError, MeshGenerationError, PlapLabError, SolverError
+from .errors import (AssemblyError, ConfigError, MeshGenerationError, PlapLabError,
+                     SolverError)
 from .metric import ConformalMetric
 from .oracles import (matrix_inequality_sweep, p_ball_constant, radial_exact,
                       radial_fd_solve)
@@ -201,9 +202,8 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         path = outdir / f"boundary_profile_{tag}.csv"
         write_csv(path,
                   ["s", "x", "y", "H", "u_nu", "u_nunu", "eq64_residual", "overdetermined_residual"],
-                  [[bg.arclength[i], bg.position[i, 0], bg.position[i, 1],
-                    trace.curvature[i], trace.u_nu[i], trace.u_nunu[i], res[i], node_over[i]]
-                   for i in range(len(trace.u_nu))])
+                  np.column_stack([bg.arclength, bg.position, trace.curvature, trace.u_nu,
+                                   trace.u_nunu, res, node_over]).tolist())
         written.append(path)
 
         # only points in a triangle: one in a hole would be a clipped value
@@ -212,7 +212,7 @@ def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
         tri, bary, found = case.mesh.locate(np.stack([line, np.zeros_like(line)], axis=1))
         at = case.mesh.interpolation(tri, bary) @ np.stack([case.solution.u, case.p_nodal], axis=1)
         path = outdir / f"slice_{tag}.csv"
-        write_csv(path, ["x", "u", "P"], [[line[i], *at[i]] for i in np.flatnonzero(found)])
+        write_csv(path, ["x", "u", "P"], np.column_stack([line, at])[found].tolist())
         written.append(path)
     return written
 
@@ -327,20 +327,16 @@ def cmd_matcheck(cfg: dict, outdir: Path) -> int:
         "samples": result.samples,
         "min_gap": result.min_gap,
         "min_gap_loose": result.min_gap_loose,
-        "witness": {"n": wit.n, "p": wit.p, "gap": wit.gap,
-                    "hess": wit.hess.tolist(), "gvec": wit.gvec.tolist()},
+        "witness": {"n": wit.n, "p": wit.p, "gap": wit.gap, "hess": wit.hess.tolist()},
         "pass": bool(ok),
     })
     max_n = max(mc["n_values"])
-    header = ["n", "p", "gap"] + [f"h{i}{j}" for i in range(max_n) for j in range(max_n)] \
-        + [f"g{i}" for i in range(max_n)]
+    header = ["n", "p", "gap"] + [f"h{i}{j}" for i in range(max_n) for j in range(max_n)]
     rows = []
     for s in result.shard_minima:
         hpad = np.full((max_n, max_n), np.nan)
         hpad[:s.n, :s.n] = s.hess
-        gpad = np.full(max_n, np.nan)
-        gpad[:s.n] = s.gvec
-        rows.append([s.n, s.p, s.gap] + hpad.ravel().tolist() + gpad.tolist())
+        rows.append([s.n, s.p, s.gap] + hpad.ravel().tolist())
     write_csv(outdir / "matcheck_shards.csv", header, rows)
     return 0 if ok else 1
 
@@ -361,7 +357,7 @@ def cmd_radial(cfg: dict, outdir: Path) -> int:
             exact = radial_exact(n, p, radius)
             fd = radial_fd_solve(n, p, radius, _RADIAL_GRID)
             r = np.linspace(0.0, radius, 501)
-            dev = float(np.abs(exact.u(r) - fd.u(r)).max())
+            dev = float(np.abs(exact.u(r) - fd(r)).max())
             rs = np.linspace(radius / 1000, radius, 1000)
             ode = float(np.abs(exact.ode_residual(rs)).max())
             good = dev <= 1e-5 and ode <= 1e-10
@@ -414,8 +410,9 @@ def main(argv: list[str] | None = None) -> int:
             "radial": cmd_radial,
         }[args.command]
         return handler(cfg, outdir)
-    except SolverError as exc:     # AssemblyError included
-        _emit_error(outdir, "solver", str(exc), history=[list(t) for t in exc.history])
+    except SolverError as exc:     # AssemblyError included, with its element
+        element = {"element": exc.element} if isinstance(exc, AssemblyError) else {}
+        _emit_error(outdir, "solver", str(exc), history=[list(t) for t in exc.history], **element)
         return 3
     except MeshGenerationError as exc:
         _emit_error(outdir, "mesh", str(exc), achieved_min_angle_deg=exc.achieved_min_angle_deg)

@@ -29,7 +29,7 @@ from ._sparse import Compressed
 from .errors import MeshGenerationError, PreconditionError
 from .fields import DerivativeBundle, frame_from_scalar, linearized_on_p, p_function
 from .geometry import DIM, QUAD_BARY, Disk, Ellipse, TriMesh, domain_measures
-from .metric import ConformalMetric, check_nonnegative_ricci, geodesic_boundary_curvature
+from .metric import check_nonnegative_ricci, geodesic_boundary_curvature
 from .oracles import ellipse_boundary_integrals, p_ball_constant, radial_exact
 
 # the tolerances of the checks: relative residual of ``fundamental``, ``sbt``
@@ -104,9 +104,9 @@ def _trace_sites(mesh: TriMesh) -> tuple[np.ndarray, ...]:
     A sample point in no triangle would be clipped, so it raises.
     """
     bg = mesh.boundary
-    meas = domain_measures(mesh, ConformalMetric.flat())
-    # keep sample segments well inside the domain on coarse meshes
-    cap = 0.5 * meas.volume / meas.perimeter
+    # keep sample segments well inside the domain on coarse meshes: half the
+    # Euclidean |Omega| / |dOmega|
+    cap = 0.5 * float(np.sum(mesh.quad_weights)) / float(np.sum(bg.weight))
     scale = min(1.0, cap / (max(max(_DEPTHS_GRAD), max(_DEPTHS_HESS)) * mesh.h))
     dg = np.asarray(_DEPTHS_GRAD) * mesh.h * scale
     dh = np.asarray(_DEPTHS_HESS) * mesh.h * scale

@@ -39,6 +39,11 @@ class ConformalMetric:
     @staticmethod
     def poly(coeffs: list) -> "ConformalMetric":
         items = tuple(sorted((int(i), int(j), float(c)) for i, j, c in coeffs))
+        # phi keeps one coefficient per monomial, so a second one is refused
+        repeated = sorted({a[:2] for a, b in zip(items, items[1:]) if a[:2] == b[:2]})
+        if repeated:
+            raise ValidationError(f"conformal polynomial exponent repeats the monomials "
+                                  f"(i, j) in {repeated}")
         if poly_degree({(i, j): c for i, j, c in items}) > 4:
             raise ValidationError("conformal polynomial exponent limited to degree 4")
         return ConformalMetric(kind="poly", coeffs=items)

@@ -145,8 +145,7 @@ class SweepShard:
     n: int
     p: float
     gap: float
-    hess: np.ndarray
-    gvec: np.ndarray
+    hess: np.ndarray            # at the gradient g = e_1
 
 
 @dataclass
@@ -250,8 +249,7 @@ def _shard_minimum(n: int, p: np.ndarray, z: np.ndarray):
         if gap[i] < best_gap:
             best, best_gap = s + i, float(gap[i])
         loose = min(loose, float(gap_loose.min()))
-    shard = SweepShard(n=n, p=float(p[best]), gap=best_gap,
-                       hess=_hess_from_upper(n, z[:, best]), gvec=np.eye(n)[0])
+    shard = SweepShard(n=n, p=float(p[best]), gap=best_gap, hess=_hess_from_upper(n, z[:, best]))
     return shard, loose
 
 
@@ -269,8 +267,8 @@ def matrix_inequality_sweep(
     diagonal and N(0, 1/2) off-diagonal entries, and takes g = e_1: the law
     of H is invariant under rotations, and so is the gap under a rotation
     of both H and g, so a uniform g on the unit sphere would give the same
-    law of gaps (see `_draw_shard`).  Every witness and shard minimum thus
-    reports gvec = e_1.  Samples are sharded with independently
+    law of gaps (see `_draw_shard`).  So every witness and shard minimum is
+    a gap at e_1, and carries no g.  Samples are sharded with independently
     seeded streams, and the shards run concurrently on a pool of one thread
     per CPU the process may use (at most one per shard), the largest shards
     first.  Each worker draws into one buffer of its own, and the shard
@@ -320,12 +318,13 @@ def matrix_inequality_sweep(
 # --------------------------------------------------------------------------
 
 
-def radial_fd_solve(n: int, p: float, radius: float, grid: int) -> RadialProfile:
+def radial_fd_solve(n: int, p: float, radius: float,
+                    grid: int) -> Callable[[np.ndarray], np.ndarray]:
     """Conservative finite-difference solution of (r^{n-1}|u'|^{p-2}u')' = -r^{n-1}.
 
     The flux form integrates the source exactly, the midpoint flux is inverted
     pointwise and u is recovered by cell-midpoint integration from the u(R)=0
-    end.  Derivatives are returned by interpolation of the midpoint slopes.
+    end.  Returns u as the piecewise linear interpolant of its grid values.
     """
     if grid < 100:
         raise PreconditionError(f"grid size must be at least 100, got {grid}")
@@ -341,23 +340,4 @@ def radial_fd_solve(n: int, p: float, radius: float, grid: int) -> RadialProfile
     u[:-1] = -np.cumsum((du_mid * dr)[::-1])[::-1]
     if not np.isfinite(u).all():
         raise SolverError("radial finite-difference integration produced non-finite values")
-
-    # extend the midpoint slope table to the endpoints by linear extrapolation
-    rs = np.concatenate([[r[0]], rm, [r[-1]]])
-    du_ext = np.concatenate([
-        [1.5 * du_mid[0] - 0.5 * du_mid[1]],
-        du_mid,
-        [1.5 * du_mid[-1] - 0.5 * du_mid[-2]],
-    ])
-
-    def u_of(rq):
-        return np.interp(np.asarray(rq, dtype=float), r, u)
-
-    def du_of(rq):
-        return np.interp(np.asarray(rq, dtype=float), rs, du_ext)
-
-    def d2u_of(rq):
-        d2 = np.gradient(du_ext, rs)
-        return np.interp(np.asarray(rq, dtype=float), rs, d2)
-
-    return RadialProfile(n=n, p=p, radius=radius, u=u_of, du=du_of, d2u=d2u_of)
+    return lambda rq: np.interp(np.asarray(rq, dtype=float), r, u)

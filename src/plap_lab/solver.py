@@ -192,27 +192,20 @@ class _Assembler:
             "assembly_maps", lambda: _assembly_maps(mesh))
         self.nb = len(mesh.boundary_vertices)
 
-    def gradients(self, u: np.ndarray) -> np.ndarray:
-        return (self._grad @ u).reshape(-1, 2)
-
-    def iterate(self, u: np.ndarray | _Iterate, eps: float) -> _Iterate:
-        """u at eps: an iterate keeps its gradients, and a nodal array has
-        them formed.  `energy`, `residual` and `tangent` take either; the
-        solve passes its iterates, so each is evaluated once."""
-        if isinstance(u, _Iterate):
-            return u.at(eps)
-        g = self.gradients(u)
+    def iterate(self, u: np.ndarray, eps: float) -> _Iterate:
+        """The nodal field u at eps, with its element gradients formed: the
+        one place a nodal array becomes an iterate, which `energy`,
+        `residual` and `tangent` take, so each is evaluated once."""
+        g = (self._grad @ u).reshape(-1, 2)
         return _Iterate(u, g, _sq_norm(g), self.p, eps)
 
-    def energy(self, u: np.ndarray | _Iterate, eps: float) -> float:
+    def energy(self, x: _Iterate) -> float:
         # the eps^p offset makes J(0) = 0 for every eps without touching
         # derivatives
-        x = self.iterate(u, eps)
-        dens = (x.denom ** (self.p / 2.0) - eps**self.p) / self.p
+        dens = (x.denom ** (self.p / 2.0) - x.eps**self.p) / self.p
         return float(np.sum(self.w_grad * dens) - self.load @ x.u)
 
-    def residual(self, u: np.ndarray | _Iterate, eps: float) -> np.ndarray:
-        x = self.iterate(u, eps)
+    def residual(self, x: _Iterate) -> np.ndarray:
         flux = (self.w_grad * x.gstar)[:, None] * x.g
         r = self._grad.T @ flux.ravel() - self.load
         if not np.isfinite(r).all():
@@ -220,9 +213,9 @@ class _Assembler:
             raise AssemblyError("non-finite residual during assembly", element=bad)
         return r
 
-    def tangent(self, u: np.ndarray | _Iterate, eps: float) -> Compressed:
+    def tangent(self, x: _Iterate) -> Compressed:
         """The free x free tangent, in the mesh's vertex order."""
-        c = self.iterate(u, eps).flux_coeff()
+        c = x.flux_coeff()
         c *= self.w_grad[:, None]
         if not np.isfinite(c).all():
             bad = int(np.argmax(~np.isfinite(c).all(axis=1)))
@@ -422,15 +415,19 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
     history: list[tuple[float, int, float]] = []     # (eps, step, residual norm)
     for eps in ladder:
         x = x.at(eps)
-        energy = asm.energy(x, eps)
+        energy = asm.energy(x)
         it = 0
         counts = held.factorizations, held.cg_iterations
         while True:
-            r = asm.residual(x, eps)[nb:]
-            rnorm = float(np.linalg.norm(r))
-            history.append((eps, it, rnorm))
-            # at p = 2 the tangent is the stiffness, whatever u, eps and the metric
-            K = K0 if p == 2.0 else asm.tangent(x, eps)
+            try:
+                r = asm.residual(x)[nb:]
+                rnorm = float(np.linalg.norm(r))
+                history.append((eps, it, rnorm))
+                # at p = 2 the tangent is the stiffness, whatever u, eps and the metric
+                K = K0 if p == 2.0 else asm.tangent(x)
+            except AssemblyError as exc:
+                exc.history = history
+                raise
             scale = 1.0 + abs(energy)
             d = np.zeros(mesh.n_vertices)
             try:
@@ -449,7 +446,7 @@ def solve(mesh: TriMesh, metric: ConformalMetric, p: float) -> Solution:
             t = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = asm.iterate(x.u + t * d, eps)
-                e_trial = asm.energy(trial, eps)
+                e_trial = asm.energy(trial)
                 if e_trial <= energy + 1e-4 * t * slope:
                     x, energy = trial, e_trial
                     break

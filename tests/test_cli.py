@@ -234,6 +234,8 @@ def test_malformed_metric_params_exit_2(tmp_path, metric):
      "polar_star radius function must stay strictly positive; min r(theta) = -0.5"),
     ("metric", {"kind": "poly", "params": [[5, 0, 1.0]]},
      "conformal polynomial exponent limited to degree 4"),
+    ("metric", {"kind": "poly", "params": [[2, 0, -0.1], [2, 0, 0.1]]},
+     "conformal polynomial exponent repeats the monomials (i, j) in [(2, 0)]"),
 ])
 def test_spec_invariant_config_exits_2(tmp_path, key, value, message):
     # the schema accepts these; the domain or metric constructor rejects them
@@ -280,6 +282,28 @@ def test_solver_failure_exits_3(tmp_path, monkeypatch):
     err = json.loads((out / "error.json").read_text())
     assert err["error"]["type"] == "solver"
     assert len(err["error"]["history"]) >= 1
+
+
+def test_assembly_failure_names_its_element_and_history(tmp_path, monkeypatch):
+    # a NaN tangent coefficient at element 17 fails the first tangent, after
+    # the first residual is in the history
+    flux_coeff = solver._Iterate.flux_coeff
+
+    def spoiled(x):
+        c = flux_coeff(x)
+        c[17] = np.nan
+        return c
+
+    monkeypatch.setattr(solver._Iterate, "flux_coeff", spoiled)
+    cfg = _write(tmp_path, {"command": "verify", "domain": {"variant": "disk"},
+                            "p": [3.0], "h": [0.2]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 3
+    err = json.loads((out / "error.json").read_text())["error"]
+    assert err["type"] == "solver"
+    assert err["message"] == "non-finite tangent during assembly"
+    assert err["element"] == 17
+    assert len(err["history"]) == 1 and err["history"][0][1] == 0
 
 
 # --------------------------------------------------------- shipped configs
@@ -446,8 +470,11 @@ def test_matcheck_cli(tmp_path):
     rep = json.loads((out / "matcheck.json").read_text())
     assert rep["min_gap"] >= -1e-12
     assert rep["samples"] == 30000
+    # every gap is taken at g = e_1, so the witness and the shards carry no g
+    assert set(rep["witness"]) == {"n", "p", "gap", "hess"}
     shard_lines = (out / "matcheck_shards.csv").read_text().strip().split("\n")
-    assert shard_lines[0].startswith("n,p,gap")
+    assert shard_lines[0] == ",".join(["n", "p", "gap"]
+                                      + [f"h{i}{j}" for i in range(4) for j in range(4)])
     assert len(shard_lines) >= 4
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_metric_json_round_trip():
         assert np.all(m.hess_phi(pts) == 0.0) and m.hess_phi(pts).shape == (2, 2, 2)
     with pytest.raises(ValidationError):
         ConformalMetric.from_json({"kind": "poly", "params": [[5, 0, 1.0]]})
+
+
+@pytest.mark.parametrize("coeffs, repeated", [
+    ([[2, 0, 0.1], [2, 0, 0.2]], "[(2, 0)]"),
+    ([[2, 0, -0.1], [0, 1, 0.3], [2, 0, 0.1]], "[(2, 0)]"),
+    ([[0, 2, 1.0], [1, 1, 0.5], [0, 2, 1.0], [1, 1, 0.5]], "[(0, 2), (1, 1)]"),
+])
+def test_a_repeated_monomial_is_refused(coeffs, repeated):
+    """phi keeps one coefficient per monomial x^i y^j, so a poly metric that
+    gives one twice would drop all but one of them."""
+    with pytest.raises(ValidationError, match=re.escape(f"(i, j) in {repeated}")):
+        ConformalMetric.poly(coeffs)
 
 
 def test_constant_rescale_keeps_curvature_zero(lab):

@@ -64,13 +64,8 @@ def test_radial_fd_matches_exact():
         fd = radial_fd_solve(n, p, 1.0, 10_000)
         exact = radial_exact(n, p, 1.0)
         r = np.linspace(0, 1, 500)
-        assert np.abs(fd.u(r) - exact.u(r)).max() <= 1e-6
-
-
-def test_radial_fd_boundary_slope_p15():
-    fd = radial_fd_solve(2, 1.5, 1.0, 10_000)
-    # u'(R) = -(R/n)^{1/(p-1)} = -(1/2)^2
-    assert fd.du(1.0) == pytest.approx(-0.25, abs=1e-5)
+        # the solve returns the interpolant of its u alone
+        assert np.abs(fd(r) - exact.u(r)).max() <= 1e-6
 
 
 def test_radial_fd_grid_precondition():
@@ -250,8 +245,11 @@ def test_sweep_small_deterministic(monkeypatch):
     assert a.min_gap_loose >= -1e-12
     assert a.samples == 20_000
     w = a.witness
-    # the reported witness reproduces its gap through the scalar oracle
-    assert matrix_inequality_gap(w.n, w.p, w.hess, w.gvec) == pytest.approx(w.gap, abs=1e-12)
+    # the reported witness reproduces its gap at g = e_1 through the scalar
+    # oracle; a shard minimum carries no g
+    assert not hasattr(w, "gvec")
+    e1 = np.eye(w.n)[0]
+    assert matrix_inequality_gap(w.n, w.p, w.hess, e1) == pytest.approx(w.gap, abs=1e-12)
     # so does every shard minimum, also when each dimension takes several shards
     monkeypatch.setattr(oracles, "_SHARD_SIZE", 3000)
     c = matrix_inequality_sweep(samples=20_000, seed=11, n_values=(2, 3, 4), p_range=(1.1, 6.0))
@@ -262,9 +260,8 @@ def test_sweep_small_deterministic(monkeypatch):
         assert min(s.gap for s in result.shard_minima) == result.min_gap
         for s in result.shard_minima:
             assert s.hess.shape == (s.n, s.n) and np.array_equal(s.hess, s.hess.T)
-            assert np.array_equal(s.gvec, np.eye(s.n)[0])
             assert 1.1 <= s.p < 6.0
-            assert (matrix_inequality_gap(s.n, s.p, s.hess, s.gvec)
+            assert (matrix_inequality_gap(s.n, s.p, s.hess, np.eye(s.n)[0])
                     == pytest.approx(s.gap, abs=1e-12))
 
 
@@ -273,7 +270,7 @@ def _same_sweep(a, b):
     assert len(a.shard_minima) == len(b.shard_minima)
     for s, t in zip(a.shard_minima, b.shard_minima):
         assert (s.n, s.p, s.gap) == (t.n, t.p, t.gap)
-        assert np.array_equal(s.hess, t.hess) and np.array_equal(s.gvec, t.gvec)
+        assert np.array_equal(s.hess, t.hess)
 
 
 @pytest.mark.parametrize("shard_size", [oracles._SHARD_SIZE, 3000])

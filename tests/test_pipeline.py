@@ -69,8 +69,8 @@ def test_verify_derives_each_piece_once(tmp_path, monkeypatch):
     assert len(tables) <= n_loops
     assert len(lu_p) == n_cases
     # the per-(mesh, metric) record of weights, K and Delta phi, once per
-    # mesh and metric: the flat metric's serves the cases, the solver's eps0
-    # scale and the trace's depth cap, and it alone evaluates Delta phi
+    # mesh and metric: the flat metric's serves the cases and the solver's
+    # eps0 scale, and it alone evaluates Delta phi
     assert len(measures) == 1
     assert len(laplacians) == 1
     # mesh-only state, once per mesh: the recovery's weighted basis products
@@ -117,16 +117,29 @@ def test_warm_mesh_state_matches_a_fresh_mesh(spec, h):
                     == json.dumps(ref.report.to_json_dict(), sort_keys=True))
 
 
+def test_a_conformal_verify_builds_one_measures_record_per_mesh(tmp_path, monkeypatch):
+    """The trace's depth cap reads the Euclidean |Omega| and |dOmega| off the
+    mesh, so a conformal run builds the record of its own metric alone."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "command": "verify", "domain": {"variant": "disk", "radius": 1.0},
+        "metric": {"kind": "poly", "params": [[2, 0, -0.125], [0, 2, -0.125]]},
+        "p": [2.0, 3.0], "h": [0.2, 0.1],
+    }))
+    measures = _count_calls(monkeypatch, geometry, "Measures")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert len(measures) == 2            # two meshes, one metric
+
+
 def test_a_warm_case_evaluates_no_laplacian(monkeypatch):
     """K and the largest Delta phi are kept per mesh and metric: the first
-    cap case evaluates Delta phi once for the cap record and once for the
-    flat one of the trace's depth cap, and a second case on the warm mesh
-    with the same metric evaluates it nowhere."""
+    cap case evaluates Delta phi once, for the cap record, and a second case
+    on the warm mesh with the same metric evaluates it nowhere."""
     spec = Disk(1.0)
     mesh = build_mesh(spec, 0.1)
     laplacians = _count_laplacians(monkeypatch)
     first = run_case(spec, CAP, 3.0, 0.1, mesh=mesh)
-    assert sorted(m.kind for m in laplacians) == ["flat", "poly"]
+    assert [m.kind for m in laplacians] == ["poly"]
     laplacians.clear()
     second = run_case(spec, CAP, 1.5, 0.1, mesh=mesh)
     assert laplacians == []

@@ -87,10 +87,10 @@ def test_zero_field_residual_is_negated_load(lab):
     mesh = lab.mesh("disk", 0.1)
     u = np.zeros(mesh.n_vertices)
     asm = _Assembler(mesh, ConformalMetric.flat(), 2.0)
-    assert asm.energy(u, 0.1) == 0.0
-    assert np.allclose(asm.residual(u, 0.1), -asm.load)
+    assert asm.energy(asm.iterate(u, 0.1)) == 0.0
+    assert np.allclose(asm.residual(asm.iterate(u, 0.1)), -asm.load)
     # p = 2: the tangent does not depend on eps at all
-    K1, K2 = asm.tangent(u, 0.1), asm.tangent(u, 17.3)
+    K1, K2 = asm.tangent(asm.iterate(u, 0.1)), asm.tangent(asm.iterate(u, 17.3))
     for a in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(K1, a), getattr(K2, a))
 
@@ -100,7 +100,7 @@ def test_exact_interpolant_residual_small(lab):
     prof = radial_exact(2, 2.0, 1.0)
     r = np.minimum(np.linalg.norm(mesh.points, axis=1), 1.0)
     asm = _Assembler(mesh, ConformalMetric.flat(), 2.0)
-    residual = asm.residual(prof.u(r), 1e-12)
+    residual = asm.residual(asm.iterate(prof.u(r), 1e-12))
     nb = asm.nb
     assert np.linalg.norm(residual[nb:]) <= 0.5 * mesh.h * np.linalg.norm(asm.load[nb:]) * 10
 
@@ -117,7 +117,7 @@ def test_tangent_spd(lab, domain, h, metric):
     u = rng.uniform(0, 0.2, mesh.n_vertices)
     for p in (1.5, 3.0):
         asm = _Assembler(mesh, METRICS[metric], p)
-        Kf = _dense(asm.tangent(u, 1e-3))
+        Kf = _dense(asm.tangent(asm.iterate(u, 1e-3)))
         assert np.array_equal(Kf, Kf.T)
         lam = np.linalg.eigvalsh(Kf)
         assert lam.min() > 0
@@ -170,7 +170,7 @@ def _tangent_digest(asm, K):
 def test_tangent_matches_recorded_digest(lab, domain, h, metric, p):
     mesh = lab.mesh(domain, h)
     asm = _Assembler(mesh, METRICS[metric], p)
-    K = asm.tangent(_random_field(mesh), 1e-3)
+    K = asm.tangent(asm.iterate(_random_field(mesh), 1e-3))
     assert _tangent_digest(asm, K) == TANGENT_DIGESTS[domain, h, metric, p]
 
 
@@ -186,7 +186,7 @@ def test_stiffness_is_the_p2_tangent(lab, domain, h, metric):
     rng = np.random.default_rng(5)
     asm = _Assembler(mesh, metric, 2.0)
     K, lu = asm.stiffness()
-    T = asm.tangent(rng.normal(size=mesh.n_vertices), rng.uniform(1e-8, 1.0))
+    T = asm.tangent(asm.iterate(rng.normal(size=mesh.n_vertices), rng.uniform(1e-8, 1.0)))
     for a in ("indptr", "indices", "data"):
         assert getattr(K, a).tobytes() == getattr(T, a).tobytes()
     assert asm.stiffness()[1] is lu
@@ -247,12 +247,12 @@ def test_ordered_tangent_and_direction(lab, domain, h, p):
     # the cap metric weighs each element's gradient term unevenly
     for metric in ("flat", "cap"):
         asm = _Assembler(mesh, METRICS[metric], p)
-        K = asm.tangent(u, 1e-3)
+        K = asm.tangent(asm.iterate(u, 1e-3))
         ref = _reference_tangent(asm, u, 1e-3).toarray()
         Kd = _dense(K)
         assert np.abs(Kd - ref).max() <= 1e-14 * np.abs(ref).max()
         # the Newton direction agrees with a dense solve
-        b = -asm.residual(u, 1e-3)[asm.nb:]
+        b = -asm.residual(asm.iterate(u, 1e-3))[asm.nb:]
         d = solver._factor(K).solve(b)
         d_ref = np.linalg.solve(Kd, b)
         assert np.abs(d - d_ref).max() <= 1e-10 * np.abs(d_ref).max()
@@ -314,9 +314,9 @@ def test_residual_and_energy_match_element_loops(lab, domain, h, p, metric):
     asm = _Assembler(mesh, METRICS[metric], p)
     for eps in (1e-3, solver._EPS_MIN):
         ref = _reference_residual(asm, u, eps)
-        assert np.abs(asm.residual(u, eps) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(asm.residual(asm.iterate(u, eps)) - ref).max() <= 1e-14 * np.abs(ref).max()
         ref = _reference_energy(asm, u, eps)
-        assert abs(asm.energy(u, eps) - ref) <= 1e-14 * abs(ref)
+        assert abs(asm.energy(asm.iterate(u, eps)) - ref) <= 1e-14 * abs(ref)
 
 
 @pytest.mark.parametrize("domain, h", [("disk", 0.1), ("ellipse", 0.14)])
@@ -331,13 +331,13 @@ def test_non_finite_assembly_names_the_first_element(lab, domain, h):
     first = int(np.flatnonzero((mesh.triangles == vertex).any(axis=1))[0])
     for assemble in (asm.residual, asm.tangent):
         with pytest.raises(AssemblyError) as err:
-            assemble(u, 1e-3)
+            assemble(asm.iterate(u, 1e-3))
         assert err.value.element == first
 
 
 def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
     tangent = _Assembler.tangent
-    monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: _scaled(tangent(self, u, eps), 0))
+    monkeypatch.setattr(_Assembler, "tangent", lambda self, x: _scaled(tangent(self, x), 0))
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(SolverError) as err:
         solve(mesh, FLAT, 3.0)
@@ -350,7 +350,7 @@ def test_singular_tangent_is_a_solver_error(tmp_path, monkeypatch):
 def test_indefinite_tangent_is_a_solver_error(monkeypatch):
     # -K_0 breaks PCG down at once, and its band Cholesky stops at the first
     # pivot, which is negative
-    monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: _scaled(self.stiffness()[0], -1))
+    monkeypatch.setattr(_Assembler, "tangent", lambda self, x: _scaled(self.stiffness()[0], -1))
     with pytest.raises(SolverError, match="tangent factorization failed") as err:
         solve(build_mesh(Disk(1.0), 0.2), FLAT, 3.0)
     assert len(err.value.history) == 1
@@ -402,7 +402,7 @@ def test_the_band_factor_runs_on_one_thread_and_restores_the_setting(lab, monkey
         solver._factor(K0)
         assert local() == 3
         # -K_0's band Cholesky stops at its first pivot, inside the scope
-        monkeypatch.setattr(_Assembler, "tangent", lambda self, u, eps: _scaled(self.stiffness()[0], -1))
+        monkeypatch.setattr(_Assembler, "tangent", lambda self, x: _scaled(self.stiffness()[0], -1))
         with pytest.raises(SolverError, match="tangent factorization failed"):
             solve(build_mesh(Disk(1.0), 0.2), FLAT, 3.0)
         assert local() == 3
@@ -417,7 +417,8 @@ def _p3_tangent(lab, domain, h):
     mesh = lab.mesh(domain, h)
     a, b = (2.0, 1.0) if domain == "ellipse" else (1.0, 1.0)
     x, y = mesh.points.T
-    K = _Assembler(mesh, FLAT, 3.0).tangent(1.0 - (x / a) ** 2 - (y / b) ** 2, 1e-6)
+    asm = _Assembler(mesh, FLAT, 3.0)
+    K = asm.tangent(asm.iterate(1.0 - (x / a) ** 2 - (y / b) ** 2, 1e-6))
     n = K.shape[0]
     cols = np.repeat(np.arange(n), np.diff(K.indptr))
     upper = K.indices <= cols
@@ -512,7 +513,7 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
         calls.append(1) or spsolve(held, K, b, scale)))
     monkeypatch.setattr(solver, "_factor", lambda K: factors.append(1) or factor(K))
     monkeypatch.setattr(_Assembler, "tangent",
-                        lambda self, u, eps: tangents.append(1) or tangent(self, u, eps))
+                        lambda self, x: tangents.append(1) or tangent(self, x))
     sol = solve(mesh, FLAT, 3.0)
     # a rung above eps_min ends after a full step from a small decrement; the
     # ladder ends after the first rung that takes no step
@@ -545,15 +546,15 @@ def test_rung_records_and_solve_count(lab, monkeypatch):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_each_iterate_forms_its_element_gradients_once(lab, monkeypatch, p):
     """One element-gradient product per line-search trial and one for u = 0:
-    the accepted trial's gradients feed the next residual, the next tangent
-    and the next rung's starting energy."""
+    `iterate` alone forms them, and the accepted trial's iterate feeds the
+    next residual, the next tangent and the next rung's starting energy."""
     mesh = lab.mesh("disk", 0.05)
     products, energies = [], []
-    gradients, energy = _Assembler.gradients, _Assembler.energy
-    monkeypatch.setattr(_Assembler, "gradients",
-                        lambda self, u: products.append(1) or gradients(self, u))
+    iterate, energy = _Assembler.iterate, _Assembler.energy
+    monkeypatch.setattr(_Assembler, "iterate",
+                        lambda self, u, eps: products.append(1) or iterate(self, u, eps))
     monkeypatch.setattr(_Assembler, "energy",
-                        lambda self, u, eps: energies.append(1) or energy(self, u, eps))
+                        lambda self, x: energies.append(1) or energy(self, x))
     sol = solve(mesh, METRICS["cap"], p)
     # every rung starts with its energy; every other energy is a trial's
     trials = len(energies) - len(sol.steps)
@@ -621,16 +622,16 @@ def test_early_ladder_end_is_converged_at_eps_min(lab, p, domain, h, metric):
     # the ladder may have taken its decrement from PCG
     sol = lab.solution(domain, p, h=h, metric=metric)
     asm = _Assembler(sol.mesh, sol.metric, p)
-    eps = solver._EPS_MIN
-    r = asm.residual(sol.u, eps)
-    d = solver._factor(asm.tangent(sol.u, eps)).solve(-r[asm.nb:])
+    x = asm.iterate(sol.u, solver._EPS_MIN)
+    r = asm.residual(x)
+    d = solver._factor(asm.tangent(x)).solve(-r[asm.nb:])
     lam2 = -float(r[asm.nb:] @ d)
-    assert lam2 <= 1e-15 * (1.0 + abs(asm.energy(sol.u, eps)))
+    assert lam2 <= 1e-15 * (1.0 + abs(asm.energy(x)))
 
 
 def test_line_search_stagnation_is_a_solver_error(tmp_path, monkeypatch):
     # a flat energy never meets the Armijo condition along a descent direction
-    monkeypatch.setattr(_Assembler, "energy", lambda self, u, eps: 0.0)
+    monkeypatch.setattr(_Assembler, "energy", lambda self, x: 0.0)
     mesh = build_mesh(Disk(1.0), 0.2)
     with pytest.raises(SolverError, match="line search stagnated") as err:
         solve(mesh, FLAT, 3.0)
