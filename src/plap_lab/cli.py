@@ -190,31 +190,26 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             f.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def emit_plot_data(cases: list[CaseResult], outdir: Path) -> list[Path]:
+def emit_plot_data(cases: list[CaseResult], outdir: Path) -> None:
     """Per-case plot CSVs: boundary profiles and interior slices."""
-    written: list[Path] = []
     outdir.mkdir(parents=True, exist_ok=True)
     for case in cases:
         tag = f"p{case.p:g}_h{case.h:g}"
         trace, bg = case.trace, case.mesh.boundary
         res = trace.eq_curvature_residual()
         node_over = trace.overdetermined_residual()
-        path = outdir / f"boundary_profile_{tag}.csv"
-        write_csv(path,
+        write_csv(outdir / f"boundary_profile_{tag}.csv",
                   ["s", "x", "y", "H", "u_nu", "u_nunu", "eq64_residual", "overdetermined_residual"],
                   np.column_stack([bg.arclength, bg.position, trace.curvature, trace.u_nu,
                                    trace.u_nunu, res, node_over]).tolist())
-        written.append(path)
 
         # only points in a triangle: one in a hole would be a clipped value
         xs = case.mesh.points[:, 0]
         line = np.linspace(xs.min() * 0.98, xs.max() * 0.98, 201)
         tri, bary, found = case.mesh.locate(np.stack([line, np.zeros_like(line)], axis=1))
         at = case.mesh.interpolation(tri, bary) @ np.stack([case.solution.u, case.p_nodal], axis=1)
-        path = outdir / f"slice_{tag}.csv"
-        write_csv(path, ["x", "u", "P"], np.column_stack([line, at])[found].tolist())
-        written.append(path)
-    return written
+        write_csv(outdir / f"slice_{tag}.csv", ["x", "u", "P"],
+                  np.column_stack([line, at])[found].tolist())
 
 
 # the deficit_vs_h.csv columns after p and h, each with the report key it

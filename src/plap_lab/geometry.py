@@ -338,10 +338,11 @@ class TriMesh:
         return self._derived[key]
 
     def interpolation(self, tri: np.ndarray, bary: np.ndarray) -> Compressed:
-        """The (P, N) CSR matrix of P1 interpolation at points given as
-        (triangle, barycentric), as ``locate`` returns them."""
-        return Compressed("csr", bary.ravel(), self.triangles[tri].ravel(),
-                          np.arange(0, 3 * len(tri) + 1, 3), (len(tri), self.n_vertices))
+        """The (P, N) CSR matrix, with int32 indices, of P1 interpolation at
+        points given as (triangle, barycentric), as ``locate`` returns them."""
+        return Compressed("csr", bary.ravel(), self.triangles[tri].ravel().astype(np.int32),
+                          np.arange(0, 3 * len(tri) + 1, 3, dtype=np.int32),
+                          (len(tri), self.n_vertices))
 
     def quad_interpolation(self) -> Compressed:
         """`interpolation` at the quadrature points, in the order of

@@ -11,8 +11,10 @@ paper's identities is `geometry.DIM`: every domain is planar.
 A report is its JSON sections: each check returns its section as a dict, with
 ``residual``, ``rel_residual``, ``tolerance`` and ``pass`` beside its values,
 and ``IdentityReport.sections`` is the published report, key for key.  The
-five integral sections come from one computation, `integral_identities`.  A
-check outside its preconditions (H > 0 for ``hk``, Ric >= 0 measured at every
+five integral sections come from one computation, `integral_identities`;
+``sbt`` and ``hk`` are regroupings of ``fundamental`` and ``flux``, so they
+keep their values and residuals but carry no verdict.  A section outside
+its preconditions (H > 0 for ``hk``, Ric >= 0 measured at every
 quadrature point for the scan, the flat metric for the flags) gives a
 PreconditionError, and `build_report` records its message under
 ``skipped``.  The ``mesh`` section and, where the case has closed forms, the
@@ -32,9 +34,9 @@ from .geometry import DIM, QUAD_BARY, Disk, Ellipse, TriMesh, domain_measures
 from .metric import check_nonnegative_ricci, geodesic_boundary_curvature
 from .oracles import ellipse_boundary_integrals, p_ball_constant, radial_exact
 
-# the tolerances of the checks: relative residual of ``fundamental``, ``sbt``
-# and ``hk``, relative flux residual, largest nodewise ``eq_curvature``
-# residual, and the deviation that sets each equivalence flag
+# the tolerances of the checks: relative residual of ``fundamental`` (and the
+# slack of ``hk_inequality_holds``), relative flux residual, largest nodewise
+# ``eq_curvature`` residual, and the deviation that sets each equivalence flag
 IDENTITY_REL = 0.02
 FLUX_REL = 0.01
 EQ_CURVATURE_NODEWISE = 0.05
@@ -203,9 +205,11 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
     Heintze-Karcher decomposition T1 + T2 = T3 with T3 = int 1/H - n |Omega|.
     T2 = int (1 + n H |u_nu|^{p-2} u_nu)^2 / H is the overdetermined-condition
     deficit; ``hk.max_node_residual`` is
-    `BoundaryTrace.max_overdetermined_residual`, and only the decomposition
-    and T3 >= 0 carry its verdict.  ``hk`` needs H > 0 on the whole boundary;
-    where it is not, its entry is the PreconditionError that skips it.
+    `BoundaryTrace.max_overdetermined_residual`, and ``hk_inequality_holds``
+    says whether T3 >= 0 within ``IDENTITY_REL``.  ``hk`` needs H > 0 on the
+    whole boundary; where it is not, its entry is the PreconditionError that
+    skips it.  ``fundamental.residual`` is |R_v| below, and its
+    ``rel_residual`` the larger of the two routes' relative residuals.
 
     The sections are regroupings of one identity.  Write F = sum(p_flux *
     weight) + |Omega| for the signed flux residual, R_v and R_b for the signed
@@ -217,8 +221,8 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
         hk:          t1 + t2 - t3 = n^2 (R_v + (2/n) F)
         fundamental: R_b = (1/(n-1)) sum(p_flux * e * weight) - F/n
 
-    so ``sbt`` and ``hk`` fail only through ``fundamental``'s volume route
-    and ``flux``.
+    so ``sbt`` and ``hk`` are data with no verdict: their residuals grow
+    only through ``fundamental``'s volume route and ``flux``.
     """
     p, n = trace.p, DIM
     measures = domain_measures(bundle.mesh, bundle.metric)
@@ -245,11 +249,10 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
 
     lhs2 = float(np.sum((n * pf * h0 + 1.0) ** 2 * weight)) / (n * n * h0)
     rhs_sbt = float(np.sum((h0 - curv) * gpow * weight))
-    rel = _rel(lhs_volume + lhs2, rhs_sbt, floor)
-    sections["sbt"] = _check(
-        {"lhs1": lhs_volume, "lhs2": lhs2, "rhs": rhs_sbt,
-         "max_h_deviation": float(np.abs(curv - h0).max())},
-        abs(lhs_volume + lhs2 - rhs_sbt), rel, IDENTITY_REL, rel <= IDENTITY_REL)
+    sections["sbt"] = {"lhs1": lhs_volume, "lhs2": lhs2, "rhs": rhs_sbt,
+                       "max_h_deviation": float(np.abs(curv - h0).max()),
+                       "residual": abs(lhs_volume + lhs2 - rhs_sbt),
+                       "rel_residual": _rel(lhs_volume + lhs2, rhs_sbt, floor)}
 
     flux = float(np.sum(pf * weight))
     rel = abs(flux + volume) / volume
@@ -266,11 +269,10 @@ def integral_identities(trace: BoundaryTrace, bundle: DerivativeBundle,
     t1 = n * n / ((p - 1.0) * (n - 1.0)) * lu_integral
     t2 = float(np.sum(trace.overdetermined_residual()**2 / curv * weight))
     t3 = float(np.sum(weight / curv)) - n * volume
-    rel = _rel(t1 + t2, t3, n * volume)
-    holds = bool(t3 >= -IDENTITY_REL * (n * volume))
-    sections["hk"] = _check({"t1": t1, "t2": t2, "t3": t3, "hk_inequality_holds": holds,
-                             "max_node_residual": trace.max_overdetermined_residual()},
-                            abs(t1 + t2 - t3), rel, IDENTITY_REL, rel <= IDENTITY_REL and holds)
+    sections["hk"] = {"t1": t1, "t2": t2, "t3": t3,
+                      "hk_inequality_holds": bool(t3 >= -IDENTITY_REL * (n * volume)),
+                      "max_node_residual": trace.max_overdetermined_residual(),
+                      "residual": abs(t1 + t2 - t3), "rel_residual": _rel(t1 + t2, t3, n * volume)}
     return sections
 
 
@@ -459,7 +461,7 @@ class IdentityReport:
     """One case's report: its JSON sections, and the scan's histogram.
 
     ``sections`` is the report as published (``p``, ``n``, ``constants``,
-    ``mesh``, ``skipped``, one section per check, ``subharmonicity``,
+    ``mesh``, ``skipped``, the five integral sections, ``subharmonicity``,
     ``flags`` and, where the case has closed forms, ``oracle``); a section
     with a ``pass`` key is a check.  The histogram is None when the
     scan is skipped and is not part of the JSON.

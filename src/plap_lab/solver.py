@@ -57,13 +57,13 @@ ellipse at h = 0.035 (5349) and 15 to 49 on every other mesh the shipped
 configs build.  A factor is LAPACK's banded Cholesky (``_band``):
 ``dpbtrf`` factors the upper band, read straight from the CSC data into
 LAPACK's (kd + 1) x n band storage, on the calling thread alone, and
-``dpbtrs`` solves with it.  On the p = 3 tangents with 2 BLAS threads
-(medians of ten rounds, in three runs on a 2-vCPU host) a factorization
-takes 4.7 to 7.8 ms on that disk and 2.8 to 3.0 ms on that ellipse, and a
-solve 0.22 to 0.30 ms and 0.17 ms.  On the disk at h = 0.0125 (20 917
-unknowns, kd = 167, 3.5M band entries) a factorization takes 45 ms and a
-solve 2.4 ms.  Finer meshes are unmeasured, and no shipped config goes
-there.
+``dpbtrs`` solves with it.  On the p = 3 tangents at eps_min (medians of
+30 rounds, in three runs on a 2-vCPU host) a factorization takes 5.9 to
+6.0 ms on that disk and 3.5 to 3.7 ms on that ellipse (7.0 to 7.5 ms and
+17.5 to 18.0 ms with 2 BLAS threads), and a solve 0.23 to 0.24 ms and
+0.17 ms.  On the disk at h = 0.0125 (20 917 unknowns, kd = 167, 3.5M band
+entries) a factorization takes 55 to 80 ms and a solve 4.7 to 8 ms.
+Finer meshes are unmeasured, and no shipped config goes there.
 
 A solve holds one factor and finds each direction by conjugate gradients
 preconditioned with it, from 0, only as accurately as its decrement needs
@@ -78,22 +78,23 @@ factor serves; near it delta_k is tiny, the stop falls back to
 instead when PCG has not converged in ``_CG_MAX_ITER`` iterations or has
 broken down (a tangent that is not positive definite then fails as a
 factorization does), and before the next system when the last PCG took
-more than ``_CG_REFACTOR`` = 8.  With 2 BLAS threads a factorization
-costs about as much as 13 PCG iterations on the ellipse at h = 0.035 and
-17 on the disk at h = 0.025.  Over 24 solves (disk at h = 0.025 and 0.05,
-flat and cap; the 2:1 ellipse at h = 0.035, 0.05 and 0.1; the annulus at
-h = 0.05; each at p = 1.5, 3 and 4), which take 43, 31, 25, 23 and 20
-factorizations and 1103, 1294, 1532, 1712 and 2110 PCG iterations for
-thresholds 6, 8, 10, 12 and 15, c x factorizations + PCG iterations is
+more than ``_CG_REFACTOR`` = 8.  A factorization costs about as much as
+c = 13 to 14 PCG iterations (0.26 ms each) on the ellipse at h = 0.035 and
+17 to 18 (0.33 ms) on the disk at h = 0.025, timed as above.  Over 24
+solves (disk at h = 0.025 and 0.05, flat and cap; the 2:1 ellipse at
+h = 0.035, 0.05 and 0.1; the annulus at h = 0.05; each at p = 1.5, 3 and
+4), which take 43, 31, 25, 23 and 20 factorizations and 1101, 1294, 1532,
+1712 and 2110 PCG iterations for thresholds 6, 8, 10, 12 and 15,
+c x factorizations + PCG iterations is
 
     threshold       6     8    10    12    15
-    c = 13       1662  1697  1857  2011  2370
-    c = 17       1834  1821  1957  2103  2450
+    c = 13       1660  1697  1857  2011  2370
+    c = 17       1832  1821  1957  2103  2450
 
-against 1983 (c = 13) and 2203 (c = 17) at 8, and 2682 and 2858 at 15,
+against 1983 (c = 13) and 2203 (c = 17) at 8, and 2683 and 2859 at 15,
 for solves that factor their first tangent instead of starting from K_0's
 factor (the six meshes' K_0 factorizations add 6c to each seeded total).
-So 8 is the least cost at c = 17, and within 2.1% of the least (at 6)
+So 8 is the least cost at c = 17, and within 2.2% of the least (at 6)
 at c = 13.
 
 CG from 0 approaches the decrement from below, but a PCG decrement at the

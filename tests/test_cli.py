@@ -322,8 +322,8 @@ def test_every_shipped_config_exits_0(tmp_path, path):
     command = json.loads(path.read_text())["command"]
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
     # the tolerances are constants: no config loosens a check
-    tolerances = {"fundamental": IDENTITY_REL, "sbt": IDENTITY_REL, "hk": IDENTITY_REL,
-                  "flux": FLUX_REL, "eq_curvature": EQ_CURVATURE_NODEWISE}
+    tolerances = {"fundamental": IDENTITY_REL, "flux": FLUX_REL,
+                  "eq_curvature": EQ_CURVATURE_NODEWISE}
     for report in tmp_path.glob("report_*.json"):
         rep = json.loads(report.read_text())
         assert {name: rep[name]["tolerance"] for name in tolerances} == tolerances
@@ -346,6 +346,24 @@ def test_verify_disk_passes_and_reports(tmp_path):
     # ball case: tiny overdetermined deficit
     assert rep["hk"]["t2"] <= 1e-3 * rep["constants"]["perimeter"]
     assert json.loads((out / "summary.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("metric", [{"kind": "flat"},
+                                    {"kind": "poly", "params": [[2, 0, -0.125], [0, 2, -0.125]]}],
+                         ids=["flat", "cap"])
+def test_only_independent_checks_carry_a_verdict(tmp_path, metric):
+    # sbt and hk regroup fundamental's volume residual and the flux, so they
+    # keep their values and residuals as data, with no tolerance and no pass
+    cfg = _write(tmp_path, {**DISK_VERIFY, "metric": metric})
+    out = tmp_path / "out"
+    main(["verify", "--config", str(cfg), "--out", str(out)])
+    rep = json.loads((out / "report_p2_h0.1.json").read_text())
+    assert {name for name, sec in rep.items() if isinstance(sec, dict) and "pass" in sec} == \
+        {"fundamental", "flux", "eq_curvature", "subharmonicity"}
+    assert set(rep["sbt"]) == {"lhs1", "lhs2", "rhs", "max_h_deviation", "residual",
+                               "rel_residual"}
+    assert set(rep["hk"]) == {"t1", "t2", "t3", "hk_inequality_holds", "max_node_residual",
+                              "residual", "rel_residual"}
 
 
 def test_verify_determinism(tmp_path):
@@ -533,9 +551,10 @@ def test_radial_cli(tmp_path):
 
 def test_boundary_profile_columns(tmp_path, lab):
     case = lab.case("disk", 2.0, h=0.1)
-    written = emit_plot_data([case], tmp_path)
-    prof = next(p for p in written if "boundary_profile" in p.name)
-    lines = prof.read_text().strip().split("\n")
+    emit_plot_data([case], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["boundary_profile_p2_h0.1.csv",
+                                                          "slice_p2_h0.1.csv"]
+    lines = (tmp_path / "boundary_profile_p2_h0.1.csv").read_text().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["s", "x", "y", "H", "u_nu", "u_nunu", "eq64_residual",
                       "overdetermined_residual"]
@@ -549,8 +568,7 @@ def test_boundary_profile_columns(tmp_path, lab):
     assert [c[0] for c in cols] == [repr(float(v)) for v in bg.arclength]
     assert [c[1] for c in cols] == [repr(float(v)) for v in bg.position[:, 0]]
     assert [c[2] for c in cols] == [repr(float(v)) for v in bg.position[:, 1]]
-    slice_file = next(p for p in written if "slice" in p.name)
-    assert slice_file.read_text().startswith("x,u,P")
+    assert (tmp_path / "slice_p2_h0.1.csv").read_text().startswith("x,u,P")
 
 
 @pytest.mark.parametrize("spec,h", [(Annulus(0.5, 1.0), 0.1),
@@ -560,9 +578,8 @@ def test_slice_rows_lie_in_the_domain(tmp_path, spec, h):
     # at 0.98 min x = -0.867, left of its boundary on the negative x-axis at
     # r(pi) = 0.7.  Only points in a triangle are written.
     case = pipeline.run_case(spec, None, 2.0, h)
-    written = emit_plot_data([case], tmp_path)
-    slice_file = next(p for p in written if "slice" in p.name)
-    x = np.array([float(row["x"]) for row in _read_rows(slice_file)])
+    emit_plot_data([case], tmp_path)
+    x = np.array([float(row["x"]) for row in _read_rows(tmp_path / f"slice_p2_h{h:g}.csv")])
 
     def depth(x):       # distance inside the boundary along the x-axis
         if isinstance(spec, Annulus):
@@ -581,9 +598,8 @@ def test_slice_rows_lie_in_the_domain(tmp_path, spec, h):
 
 def test_ellipse_boundary_profile_curvature_range(tmp_path, lab):
     case = lab.case("ellipse", 2.0)
-    written = emit_plot_data([case], tmp_path)
-    prof = next(p for p in written if "boundary_profile" in p.name)
-    lines = prof.read_text().strip().split("\n")
+    emit_plot_data([case], tmp_path)
+    lines = (tmp_path / "boundary_profile_p2_h0.05.csv").read_text().strip().split("\n")
     H = np.array([float(ln.split(",")[3]) for ln in lines[1:]])
     assert H.min() == pytest.approx(0.25, rel=1e-2)
     assert H.max() == pytest.approx(2.0, rel=1e-6)
