@@ -7,10 +7,10 @@ Each config (every `configs/*.json` by default) runs as
 
 in its own interpreter, so its time counts the interpreter's start and the
 imports, as a user's run does: plap_lab and numpy for every command, and
-scipy only for the 2-D command, verify, which on a disk, ellipse or
-annulus loads no public scipy subpackage (only scipy itself and the
-compiled extensions it calls); matcheck and radial import no scipy.  `shipped_outputs.py` runs every config in one process and
-leaves the import out.  Repeats alternate between configs (run 0 of each
+scipy only for the 2-D command, verify, which on any domain loads no
+public scipy subpackage (only scipy itself and the compiled extensions it
+calls); matcheck and radial import no scipy.  `shipped_outputs.py` runs
+every config in one process and leaves the import out.  Repeats alternate between configs (run 0 of each
 config, then run 1, ...), so a slow spell of the host is spread over all of
 them.  Each run prints one JSON line
 

@@ -12,7 +12,7 @@ Both routines are the f2py wrappers of scipy's ``_flapack`` extension,
 which read n, kd and the number of right-hand sides from the arrays.  The
 extension is loaded from its file by ``_sparse.scipy_extension``, so a run
 imports no scipy.linalg, and with the sparse products of ``_sparse`` a
-disk, ellipse or annulus run imports no public scipy subpackage at all.
+2-D run on any domain imports no public scipy subpackage at all.
 Any nonzero ``info`` of either routine raises RuntimeError.
 
 LAPACK's block size for ``dpbtrf`` is 1 at half-widths kd <= 64 (reference

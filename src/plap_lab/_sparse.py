@@ -9,7 +9,7 @@ each is scipy.sparse's bit for bit.
 `scipy_extension` loads that extension, and the LAPACK wrappers
 ``_flapack`` of ``_band``, from its file, without its subpackage: importing
 scipy.sparse would cost a 2-D run about 0.13 s and 15-20 MB, and
-scipy.linalg loads much that no disk, ellipse or annulus run uses.  A
+scipy.linalg loads much that no 2-D run uses.  A
 module the subpackage has already imported is taken as it is, and where the
 file is not found the module is imported through the subpackage.
 """

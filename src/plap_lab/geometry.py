@@ -7,20 +7,19 @@ parametric curve, so boundary data (normal, curvature, arc-length weights)
 can be evaluated from closed forms instead of the polygon; a node's arc
 weight is its trapezoid weight over the node arc lengths.
 
-Each domain has one mesher.  The disk and the ellipse map a hexagonal patch
-of the triangular lattice onto the domain by one discrete harmonic map
-(elliptic grid generation; Thompson, Warsi & Mastin, 1985), so every
-interior vertex has degree 6 and the recovered derivatives keep the
-superconvergence of mildly structured grids (Xu & Zhang, Math. Comp. 73,
-2004); the patch's six corners sit on the boundary, where graded edges, or
-where those pinch the Schwarz-Christoffel rim (Driscoll & Trefethen, 2002),
-hold the angle bound.  The annulus wraps the triangular lattice round the
+Every domain is meshed by one family: a map of the triangular lattice.  The
+disk, the ellipse and the polar star map a hexagonal patch of the lattice
+onto the domain by one discrete harmonic map (elliptic grid generation;
+Thompson, Warsi & Mastin, 1985), so every interior vertex has degree 6 and
+the recovered derivatives keep the superconvergence of mildly structured
+grids (Xu & Zhang, Math. Comp. 73, 2004); the patch's six corners sit on
+the boundary, where graded edges, or where those pinch the
+Schwarz-Christoffel rim (Driscoll & Trefethen, 2002), hold the angle bound.
+A star with coefficients takes the unit disk's map, stretched along each
+ray to r(theta).  The annulus wraps the triangular lattice round the
 cylinder w -> r_in e^w, which has no corner, so every interior vertex has
-degree 6 there too.  The polar stars with coefficients are meshed by a
-truss-relaxation variant of Delaunay meshing.  As in DistMesh (Persson &
-Strang, SIAM Review 46, 2004), relaxation retriangulates lazily, by Qhull:
-only after some vertex has moved more than 0.1 h since the last
-triangulation.  Only a star's mesh calls Qhull.
+degree 6 there too.  No mesh build loads a public scipy subpackage, but
+for the Schwarz-Christoffel rim, which loads scipy.special.
 """
 
 from __future__ import annotations
@@ -68,8 +67,11 @@ class BoundaryCurve:
 # ellipse and the polar star are their own single loop.  `variant` names the
 # spec in a config's `domain` object.
 
+# a star samples r(theta) at _STAR_SAMPLES equally spaced angles, or at
+# _STAR_PER_PERIOD per period of its highest harmonic if that is more: n
+# such samples from 0 read cos(k theta) as the constant 1 when n divides k
 _STAR_SAMPLES = 4096
-_STAR_THETA = np.linspace(0.0, TWO_PI, _STAR_SAMPLES, endpoint=False)
+_STAR_PER_PERIOD = 16
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class PolarStar(BoundaryCurve):
     sin_coeffs: tuple[float, ...] = ()
 
     def __post_init__(self):
-        r_min = self.r(_STAR_THETA).min()
+        r_min = self._sampled_r().min()
         if not (r_min > 0):
             raise ValidationError(
                 "polar_star radius function must stay strictly positive; "
@@ -144,21 +146,31 @@ class PolarStar(BoundaryCurve):
             )
 
     def diameter(self) -> float:
-        r = self.r(_STAR_THETA)
-        half = _STAR_SAMPLES // 2
+        r = self._sampled_r()
+        half = len(r) // 2
         return float((r[:half] + r[half:]).max())
+
+    def _sampled_r(self) -> np.ndarray:
+        """r at an even number of equally spaced angles from 0, at least
+        _STAR_PER_PERIOD per period of the highest harmonic."""
+        k = max(len(self.cos_coeffs), len(self.sin_coeffs))
+        n = max(_STAR_SAMPLES, _STAR_PER_PERIOD * k)
+        return self.r(np.linspace(0.0, TWO_PI, n, endpoint=False))
 
     def curves(self) -> list[BoundaryCurve]:
         return [self]
 
     def r(self, theta: np.ndarray, m: int = 0) -> np.ndarray:
         """The m-th derivative (m <= 2) of r(theta): each term is
-        ((+-c) k ... k) trig(k theta), with k repeated m times."""
+        ((+-c) k ... k) trig(k theta), with k repeated m times, and a zero
+        coefficient's term, which adds nothing, is left out."""
         theta = np.asarray(theta, dtype=float)
         r = np.full_like(theta, self.r0 if m == 0 else 0.0)
         for coeffs, (negated, trig) in ((self.cos_coeffs, _COS_DERIVS[m]),
                                         (self.sin_coeffs, _SIN_DERIVS[m])):
             for k, c in enumerate(coeffs, start=1):
+                if c == 0.0:
+                    continue
                 a = -c if negated else c
                 for _ in range(m):
                     a = a * k
@@ -185,16 +197,6 @@ class PolarStar(BoundaryCurve):
     def curvature(self, t):
         r, dr, d2r = (self.r(t, m) for m in range(3))
         return (r * r + 2.0 * dr * dr - r * d2r) / (r * r + dr * dr) ** 1.5
-
-    def inside(self, pts: np.ndarray, margin: float) -> np.ndarray:
-        """Points (P, 2) more than about ``margin`` inside the star: below
-        r(theta) - margin / cos(psi) along their ray, where psi is the angle
-        between the ray and the outward normal, cos(psi) = r / sqrt(r^2 + r'^2),
-        clipped to [0.2, 1]."""
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        r = self.r(theta)
-        cospsi = np.clip(r / self.speed(theta), 0.2, 1.0)
-        return np.linalg.norm(pts, axis=-1) < r - margin / cospsi
 
 
 class _InnerCircle(BoundaryCurve):
@@ -441,9 +443,6 @@ _BLOCK = np.repeat([-1, 0, 1], 3), np.tile([-1, 0, 1], 3)
 # Mesh generation
 # --------------------------------------------------------------------------
 
-_RELAX_ITERS = 120
-_RELAX_FSCALE = 1.2     # rest length of the repulsive edge springs, in units of h
-_RELAX_DT = 0.2
 _MIN_ANGLE_DEG = 20.0   # quality bound every mesh must meet
 
 
@@ -451,33 +450,33 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
     """Triangulate the domain with target edge length h.
 
     Boundary vertices sit exactly on the parametric curve and are pinned.
-    Each domain has one mesher:
+    Every domain is a map of the triangular lattice:
 
-    * The disk, the ellipse and the polar star with no coefficients map a
-      hexagonal patch of the triangular lattice onto the domain
-      (`_lattice_patch`).  The patch's boundary vertices go onto the curve
-      in order, and the interior vertices solve one discrete harmonic map
-      with uniform weights (`_harmonic_map`), which cannot fold on a convex
-      domain (Floater, Math. Comp. 72, 2003).  Every interior vertex keeps
-      the lattice's degree 6.  The boundary edges are graded to shorten at
-      the patch's six corners (`_corner_graded`); that grading pinches the
-      triangles at the corners as h falls and as the ellipse lengthens
-      (17.5 degrees on the 2:1 ellipse at h = 0.0125, 19.6 on the 3:1 one
-      at h = 0.025), and a mesh below the angle bound is mapped again with
-      the Schwarz-Christoffel rim (`_schwarz_christoffel`), which holds the
-      angle as h falls.
+    * The disk, the ellipse and every polar star map a hexagonal patch of
+      the triangular lattice onto the domain (`_lattice_patch`).  The
+      patch's boundary vertices go onto the curve in order, and the interior
+      vertices solve one discrete harmonic map with uniform weights
+      (`_harmonic_map`), which cannot fold on a convex domain (Floater,
+      Math. Comp. 72, 2003).  Every interior vertex keeps the lattice's
+      degree 6.  The boundary edges are graded to shorten at the patch's
+      six corners (`_corner_graded`); that grading pinches the triangles at
+      the corners as h falls and as the ellipse lengthens (17.5 degrees on
+      the 2:1 ellipse at h = 0.0125, 19.6 on the 3:1 one at h = 0.025), and
+      a mesh below the angle bound is mapped again with the
+      Schwarz-Christoffel rim (`_schwarz_christoffel`), which holds the
+      angle as h falls.  The disk, the ellipse and the star with no
+      coefficients (a circle) map the patch straight onto their curve.  A
+      star with coefficients maps it onto the unit circle, its rim node of
+      arc fraction f at the angle 2 pi f, and stretches it radially
+      (`_stretched_map`), which cannot fold on a star-shaped domain.
     * The annulus wraps the triangular lattice round the cylinder
       w -> r_in e^w (`_lattice_cylinder`): no corner, and every interior
       vertex of degree 6.
-    * The other polar stars relax: boundary vertices sit at equal arc-length
-      spacing, and interior vertices start on a hexagonal lattice and relax
-      under repulsive edge forces until the triangulation is near-uniform
-      (`_relaxed_mesh`).
 
     Every mesh numbers its boundary vertices first, loop after loop, and its
-    interior in a narrow band: by lattice rows (disk, ellipse), by cylinder
-    columns (annulus) or in reverse Cuthill-McKee order (the relaxed stars).
-    The solver factors its tangents in that numbering.
+    interior in a narrow band: by lattice rows (disk, ellipse, star) or by
+    cylinder columns (annulus).  The solver factors its tangents in that
+    numbering.
 
     A mesh must match its parametric boundary loops edge for edge and meet
     the minimum-angle bound ``_MIN_ANGLE_DEG``; a domain with no mesh that
@@ -509,27 +508,30 @@ def build_mesh(spec: DomainSpec, h: float) -> TriMesh:
 
     def candidates():
         """The meshes to try, in order."""
-        aspect = _lattice_aspect(spec)
         if isinstance(spec, Annulus):
             triangles, interior, fractions = _lattice_cylinder(spec.r_in, spec.r_out, h)
             yield mesh_from([L * f for L, f in zip(lengths, fractions)],
                             lambda bnd: (np.concatenate([bnd, interior]), triangles))
-        elif aspect is not None:
-            triangles, n_vertices, corner_gap, side = _lattice_patch(aspect, lengths[0] / h)
+            return
+        aspect = spec.a / spec.b if isinstance(spec, Ellipse) else 1.0
+        triangles, n_vertices, corner_gap, side = _lattice_patch(aspect, lengths[0] / h)
+        star = curves[0] if isinstance(spec, PolarStar) and any(
+            spec.cos_coeffs + spec.sin_coeffs) else None
 
-            def mapped(edge: np.ndarray) -> TriMesh:
-                """The mapped mesh whose rim edges, from node 0, have the
-                relative lengths ``edge``."""
-                fractions = np.concatenate([[0.0], np.cumsum(edge[:-1])]) / edge.sum()
+        def mapped(edge: np.ndarray) -> TriMesh:
+            """The mapped mesh whose rim edges, from node 0, have the
+            relative lengths ``edge``."""
+            fractions = np.concatenate([[0.0], np.cumsum(edge[:-1])]) / edge.sum()
+            if star is None:
                 return mesh_from([lengths[0] * fractions], lambda bnd: (
                     _harmonic_map(triangles, bnd, n_vertices), triangles))
+            # rim node k at the angle 2 pi f_k: its arc length on the star
+            t, s = tables[0]
+            return mesh_from([np.interp(TWO_PI * fractions, t, s)], lambda bnd: (
+                _stretched_map(star, triangles, bnd, n_vertices), triangles))
 
-            yield mapped(_corner_graded(corner_gap))
-            yield mapped(_schwarz_christoffel(corner_gap, side))
-        else:
-            n = max(8, int(round(lengths[0] / h)))
-            yield mesh_from([lengths[0] * np.arange(n) / n],
-                            lambda bnd: _relaxed_mesh(spec, h, bnd))
+        yield mapped(_corner_graded(corner_gap))
+        yield mapped(_schwarz_christoffel(corner_gap, side))
 
     for mesh in candidates():
         min_angle = mesh.min_angle_deg()
@@ -598,7 +600,7 @@ def _lattice_cylinder(r_in: float, r_out: float,
 
 
 # --------------------------------------------------------------------------
-# Mapped hexagonal lattice (disk and ellipse)
+# Mapped hexagonal lattice (disk, ellipse and polar star)
 # --------------------------------------------------------------------------
 
 # boundary edge k of a mapped lattice has the relative length
@@ -607,18 +609,6 @@ def _lattice_cylinder(r_in: float, r_out: float,
 # 180, and stretches the edges there unless they start shorter
 _CORNER_SHRINK = 0.6
 _CORNER_REACH = 3.0
-
-
-def _lattice_aspect(spec: DomainSpec) -> float | None:
-    """The a/b of the lattice patch mapped onto the domain: a/b for the
-    ellipse, 1 for the disk and the polar star with no coefficients (a
-    circle), and None for the other domains."""
-    if isinstance(spec, Ellipse):
-        return spec.a / spec.b
-    if isinstance(spec, Disk) or (isinstance(spec, PolarStar)
-                                  and not any(spec.cos_coeffs + spec.sin_coeffs)):
-        return 1.0
-    return None
 
 
 def _lattice_patch(aspect: float, n_rim: float) -> tuple[np.ndarray, int, np.ndarray, int]:
@@ -711,129 +701,25 @@ def _harmonic_map(triangles: np.ndarray, rim: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([rim, factor.solve(rhs)])
 
 
-# --------------------------------------------------------------------------
-# Relaxation (the polar stars with coefficients)
-# --------------------------------------------------------------------------
-
-
-def _relaxed_mesh(spec: PolarStar, h: float, bnd_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points (``bnd_xy`` pinned, then the interior, in reverse
-    Cuthill-McKee order) and triangles of a relaxed mesh.
-
-    Relaxation keeps its edge list between steps and retriangulates only
-    after some vertex has moved more than 0.1 h since the last
-    triangulation, and once more for the relaxed points: each time by Qhull,
-    keeping the triangles whose centroid lies inside the domain.  The force
-    loop works on coordinate rows, which changes no mesh.  The lattice spans
-    the largest radius of the loop, and the relaxed interior vertices are
-    checked once to lie inside the domain.
-    """
-    interior = _hex_lattice(h, spec)
-    if not len(interior):
-        raise MeshGenerationError(f"no interior vertex at h = {h}; try a smaller h")
-    points, triangles = _relax(bnd_xy, interior, h, spec)
-    nb, n = len(bnd_xy), len(points)
-    outside = np.count_nonzero(~spec.inside(points[nb:], margin=0.0))
-    if outside:
-        raise MeshGenerationError(
-            f"vertex outside the domain after relaxation ({outside} of {len(interior)})")
-    # relaxation bends the lattice rows, so the interior is numbered in the
-    # reverse Cuthill-McKee order of its edge graph (George & Liu, 1981),
-    # which keeps the solver's tangent in a narrow band
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-    keys = np.unique(_edge_keys(triangles, n))
-    v, w = keys // n - nb, keys % n - nb
-    inner = v >= 0
-    graph = sp.csr_matrix((np.ones(np.count_nonzero(inner)), (v[inner], w[inner])),
-                          shape=(n - nb, n - nb))
-    # reverse_cuthill_mckee adds the transpose, which makes the graph symmetric
-    order = np.concatenate([np.arange(nb), nb + reverse_cuthill_mckee(graph)])
-    number = np.empty(n, dtype=triangles.dtype)
-    number[order] = np.arange(n)
-    return points[order], number[triangles]
-
-
-def _hex_lattice(h: float, spec: PolarStar) -> np.ndarray:
-    """The points of a hexagonal lattice of spacing h more than 0.7 h inside
-    the star; the lattice spans the largest radius of the loop."""
-    lim = spec.r(_STAR_THETA).max() + h
-    dy = h * math.sqrt(3.0) / 2.0
-    rows = int(math.ceil(lim / dy))
-    cols = int(math.ceil(lim / h))
-    ys = dy * np.arange(-rows, rows + 1)
-    pts = []
-    for r, y in enumerate(ys):
-        shift = 0.5 * h if (r - rows) % 2 else 0.0
-        xs = h * np.arange(-cols, cols + 1) + shift
-        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
-    pts = np.concatenate(pts)
-    return pts[spec.inside(pts, margin=0.7 * h)]
-
-
-def _relax(bnd: np.ndarray, interior: np.ndarray, h: float,
-           spec: PolarStar) -> tuple[np.ndarray, np.ndarray]:
-    """The points (``bnd`` pinned, then the interior) after at most
-    ``_RELAX_ITERS`` steps of repulsive edge forces, and their triangles.
-
-    One retriangulation step serves the loop, once some vertex has moved
-    0.1 h since the last one (DistMesh's rule), and the relaxed points:
-    Qhull, then the centroid filter.
-
-    The loop holds the points as coordinate rows (x, y) and runs the same
-    floating-point operations as on (n, 2) points, so the result is the same
-    bit for bit; Qhull, the centroid filter and the result see (n, 2) views.
-    """
-    n_bnd = len(bnd)
-    xy = np.concatenate([bnd, interior]).T.copy()   # x in xy[0], y in xy[1]
-    n = xy.shape[1]
-    last = np.full_like(xy, np.inf)
-
-    def retriangulate() -> np.ndarray:
-        pts = xy.T
-        return _triangles_inside(spec, pts, _delaunay_ccw(pts))
-
-    for _ in range(_RELAX_ITERS):
-        dx, dy = xy - last
-        if np.sqrt((dx * dx + dy * dy).max()) > 0.1 * h:
-            last = xy.copy()
-            keys = _edge_keys(retriangulate(), n)
-            keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-            e0, e1 = keys // n, keys % n
-            idx = np.concatenate([e0, e1])
-        x, y = xy
-        vx, vy = x[e0] - x[e1], y[e0] - y[e1]
-        lng = np.sqrt(vx * vx + vy * vy)
-        coef = np.maximum(_RELAX_FSCALE * h - lng, 0.0) / np.maximum(lng, 1e-12)
-        fx, fy = vx * coef, vy * coef
-        step = _RELAX_DT * np.stack([np.bincount(idx, np.concatenate([fx, -fx]), n),
-                                     np.bincount(idx, np.concatenate([fy, -fy]), n)])[:, n_bnd:]
-        xy[:, n_bnd:] += step
-        if np.abs(step).max() < 1e-3 * h:
-            break
-    return xy.T.copy(), retriangulate()
-
-
-def _triangles_inside(spec: PolarStar, points: np.ndarray,
-                      triangles: np.ndarray) -> np.ndarray:
-    """The triangles whose centroid lies inside the star."""
-    return triangles[spec.inside(np.take(points, triangles, axis=0).mean(axis=1), margin=0.0)]
+def _stretched_map(star: PolarStar, triangles: np.ndarray, rim: np.ndarray,
+                   n: int) -> np.ndarray:
+    """The n points of the mesh whose first ``len(rim)`` vertices are pinned
+    at ``rim``, on the star, and whose others are the harmonic map onto the
+    unit circle at the rim's own angles (`_harmonic_map`), each scaled by
+    r(theta) of its own angle.  The map keeps every ray from the origin, so
+    it cannot fold the mapped disk on a star-shaped domain."""
+    unit = _harmonic_map(triangles, rim / np.linalg.norm(rim, axis=1, keepdims=True), n)
+    inner = unit[len(rim):]
+    return np.concatenate([rim, inner * star.r(np.arctan2(inner[:, 1], inner[:, 0]))[:, None]])
 
 
 def Delaunay(points: np.ndarray):
     """Qhull's Delaunay triangulation, scipy.spatial's ``Delaunay(points)``.
-    scipy.spatial is imported on the first call, so only a star's mesh
-    build loads it; `_delaunay_ccw` looks this name up at each call."""
+    No mesher calls it: it stays only because `plapbench/tracing.py` looks
+    this name up, until the tracer drops it.  scipy.spatial is imported on
+    the first call."""
     from scipy.spatial import Delaunay as qhull
     return qhull(points)
-
-
-def _delaunay_ccw(points: np.ndarray) -> np.ndarray:
-    """Qhull's Delaunay triangulation of all the points, counter-clockwise."""
-    tri = Delaunay(points).simplices.copy()
-    cw = _signed_area(points.T, tri) < 0
-    tri[cw] = tri[cw][:, [0, 2, 1]]
-    return tri
 
 
 def _edge_key(v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:

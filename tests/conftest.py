@@ -16,6 +16,8 @@ DOMAINS = {
     "star": PolarStar(1.0, cos_coeffs=(0.15,), sin_coeffs=(0.0, 0.05)),
     # r = 1 + 0.3 cos 3t: its node polygon is not convex
     "three_lobes": PolarStar(1.0, cos_coeffs=(0.0, 0.0, 0.3)),
+    # r = 1 + 0.3 cos t: one tip, at r = 1.3
+    "one_lobe": PolarStar(1.0, cos_coeffs=(0.3,)),
 }
 
 METRICS = {

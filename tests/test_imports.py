@@ -6,12 +6,9 @@ The 2-D layers multiply their sparse matrices by scipy's ``_sparsetools``
 kernels and call LAPACK's band Cholesky (the only sparse factorization)
 through scipy's ``_flapack`` wrappers, each extension loaded from its file
 alone (``_sparse.scipy_extension``), and locate points with a numpy grid: a
-disk, ellipse or annulus build, solve, location or verify run loads no
-public scipy subpackage, neither scipy.sparse nor scipy.linalg nor
-scipy.spatial nor scipy.special.  A star mesh build loads scipy.spatial
-(Qhull), which loads scipy.linalg, and scipy.sparse.csgraph (the reverse
-Cuthill-McKee order, whose import loads scipy.sparse and
-scipy.sparse.linalg), at the build, not at import.  An extension loaded
+build, solve, location or verify run on any domain loads no public scipy
+subpackage, neither scipy.sparse nor scipy.linalg nor scipy.spatial nor
+scipy.special.  An extension loaded
 from its file becomes its subpackage's attribute when the subpackage is
 imported later, with the same functions, and the kernels' products are
 scipy.sparse's bit for bit whichever loads first, and where their file is
@@ -79,26 +76,24 @@ def test_the_benchmark_import_set_loads_no_qhull_and_no_superlu():
     assert out == {"scipy.sparse": False, "scipy.spatial": False, "scipy.sparse.linalg": False}
 
 
-def test_only_a_star_build_loads_qhull_and_csgraph():
-    """A disk or ellipse build maps a lattice by one band Cholesky solve;
-    an annulus build wraps a lattice in closed form.  A solve on any of
-    these meshes factors in the mesh's own numbering, and a point location
-    buckets triangles in a numpy grid.  The band Cholesky loads scipy's
-    ``_flapack`` from its file, at the first factorization, so none of them
-    loads scipy.linalg, Qhull (scipy.spatial), scipy.special, scipy.sparse,
-    scipy.sparse.csgraph or scipy.sparse.linalg.  A star build relaxes and
-    numbers its interior in reverse Cuthill-McKee order: it loads Qhull,
-    which loads scipy.linalg and with it ``_flapack``, and
-    scipy.sparse.csgraph, which loads scipy.sparse and scipy.sparse.linalg."""
+def test_no_mesh_build_solve_or_locate_loads_a_public_scipy_subpackage():
+    """A disk, ellipse or star build maps a lattice by one band Cholesky
+    solve; an annulus build wraps a lattice in closed form.  A solve on any
+    of these meshes factors in the mesh's own numbering, and a point
+    location buckets triangles in a numpy grid.  The band Cholesky loads
+    scipy's ``_flapack`` from its file, at the first factorization, so none
+    of them loads scipy.linalg, Qhull (scipy.spatial), scipy.special,
+    scipy.sparse, scipy.sparse.csgraph or scipy.sparse.linalg."""
     names = ("scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg",
              "scipy.sparse", "scipy.linalg._flapack", "scipy.special")
+    domains = ("annulus", "disk", "ellipse", "three_lobes")
     builds = _fresh(f"""
-        from plap_lab.geometry import Annulus, Disk, Ellipse, build_mesh
+        from plap_lab.geometry import Annulus, Disk, Ellipse, PolarStar, build_mesh
         from plap_lab.metric import ConformalMetric
         from plap_lab.solver import solve
         out = {{}}
-        for name, spec in (("annulus", Annulus(0.5, 1.0)), ("disk", Disk(1.0)),
-                           ("ellipse", Ellipse(2.0, 1.0))):
+        for name, spec in zip({domains!r}, (Annulus(0.5, 1.0), Disk(1.0), Ellipse(2.0, 1.0),
+                                             PolarStar(1.0, cos_coeffs=(0.0, 0.0, 0.3)))):
             mesh = build_mesh(spec, 0.2)
             out[name] = loaded(*{names!r})
             solve(mesh, ConformalMetric.flat(), 3.0)
@@ -110,16 +105,7 @@ def test_only_a_star_build_loads_qhull_and_csgraph():
     none = dict.fromkeys(names, False)
     # the annulus build, the first of the process, factors nothing
     assert builds == {f"{name}{step}": {**none, "scipy.linalg._flapack": name + step != "annulus"}
-                      for name in ("annulus", "disk", "ellipse")
-                      for step in ("", " solve", " locate")}
-    star = _fresh(f"""
-        from plap_lab.geometry import PolarStar, build_mesh
-        build_mesh(PolarStar(1.0, cos_coeffs=(0.15,)), 0.2)
-        print(json.dumps(loaded(*{names[:6]!r})))
-    """)
-    assert star == {"scipy.spatial": True, "scipy.sparse.csgraph": True,
-                    "scipy.sparse.linalg": True, "scipy.linalg": True, "scipy.sparse": True,
-                    "scipy.linalg._flapack": True}
+                      for name in domains for step in ("", " solve", " locate")}
 
 
 def test_an_ellipse_verify_run_loads_no_public_scipy_subpackage(tmp_path):
@@ -145,9 +131,9 @@ def test_an_ellipse_verify_run_loads_no_public_scipy_subpackage(tmp_path):
 
 def _loads(subpackage: str, call: str, first: str) -> dict[str, str]:
     """The code of each case of a load-order test, which binds ``module`` by
-    ``call``: before scipy.<subpackage> (case ``first``), after it (as a star
-    run does), or through it, with the extension file's lookup pointed at an
-    empty folder."""
+    ``call``: before scipy.<subpackage> (case ``first``), after it (as a
+    caller that imports the subpackage itself does), or through it, with the
+    extension file's lookup pointed at an empty folder."""
     return {first: f"module = {call}",
             f"scipy.{subpackage} first": f"import scipy.{subpackage}\nmodule = {call}",
             "fallback": f"""
